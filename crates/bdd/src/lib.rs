@@ -25,10 +25,11 @@
 //!
 //! # Concurrency
 //!
-//! A manager is a cheap handle (`Arc`) onto one shared substrate, and
-//! [`BddManager::clone`] is O(1): the clone addresses the *same* DAG, so
-//! handles created through any clone are valid — and canonical — through
-//! every other. The substrate is lock-striped: nodes, the unique table and
+//! Every operation takes `&self`: a manager is a handle (`Arc`) onto one
+//! internally locked substrate, so worker threads share one
+//! `&BddManager` directly, and handles created on any thread are valid —
+//! and canonical — on every other. [`BddManager::clone`] is O(1) and
+//! addresses the *same* DAG. The substrate is lock-striped: nodes, the unique table and
 //! the operation caches are split across [`NUM_SHARDS`] shards selected by
 //! a deterministic hash of the node (or cache key), so threads hash-consing
 //! different subfunctions rarely contend. Node *reads* (child traversal,
@@ -37,24 +38,30 @@
 //!
 //! The node cap ([`BddManager::set_node_limit`]) is a single atomic
 //! allocation counter on the shared substrate: N worker threads driving
-//! clones of one manager collectively observe one global cap, not N private
-//! ones.
+//! one manager collectively observe one global cap, not N private ones.
+//!
+//! # Errors
+//!
+//! Each operation that can allocate returns `Result<_, NodeLimitExceeded>`;
+//! there is no panicking twin. Negation ([`BddManager::not`]) allocates
+//! nothing and is infallible.
 //!
 //! # Examples
 //!
 //! ```
-//! use xsynth_bdd::BddManager;
+//! use xsynth_bdd::{BddManager, NodeLimitExceeded};
 //!
-//! let mut m = BddManager::new(3);
-//! let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-//! let ab = m.and(a, b);
-//! let f = m.or(ab, c);
-//! let g = m.ite(a, b, c); // a·b + ¬a·c
+//! let m = BddManager::new(3);
+//! let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+//! let ab = m.and(a, b)?;
+//! let f = m.or(ab, c)?;
+//! let g = m.ite(a, b, c)?; // a·b + ¬a·c
 //! assert_ne!(f, g);
 //! assert_eq!(m.eval(f, 0b011), true);
 //! // negation is a complement-bit flip: free, and an involution
 //! let nf = m.not(f);
 //! assert_eq!(m.not(nf), f);
+//! # Ok::<(), NodeLimitExceeded>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -67,8 +74,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use xsynth_boolean::{Sop, TruthTable, VarSet};
 
-/// Error returned by the `try_` operation forms when an operation would
-/// allocate past the manager's node cap (see
+/// Error returned by an operation that would allocate past the manager's
+/// node cap (see
 /// [`BddManager::set_node_limit`]).
 ///
 /// The manager is left in a usable state: every handle created before the
@@ -306,12 +313,11 @@ pub fn worker_threads(cap: usize) -> usize {
 /// An arena of shared, reduced, ordered BDD nodes over a fixed number of
 /// variables in natural index order.
 ///
-/// Cloning a manager is O(1) and yields a new handle onto the *same*
-/// substrate: handles created through any clone are valid and canonical
-/// through every other, allocations count against one shared node cap, and
-/// the unique table / operation caches are shared. This is what lets the
+/// Every operation takes `&self` and the manager is `Sync`, so the
 /// per-output synthesis workers and the polarity search fan out across
-/// threads while hash-consing into one DAG.
+/// threads on one shared `&BddManager`, hash-consing into one DAG under one
+/// node cap. Cloning is O(1) and yields another handle onto the *same*
+/// substrate.
 #[derive(Debug, Clone)]
 pub struct BddManager {
     shared: Arc<Shared>,
@@ -346,8 +352,8 @@ impl BddManager {
     }
 
     /// Creates a manager for `n` variables that refuses to grow past
-    /// `limit` nodes (the terminal included). Operations must use the
-    /// `try_` forms to observe the cap as an error rather than a panic.
+    /// `limit` nodes (the terminal included): an operation that would
+    /// allocate past it returns [`NodeLimitExceeded`].
     pub fn with_node_limit(n: usize, limit: usize) -> Self {
         let m = Self::new(n);
         m.shared.limit.store(limit, Ordering::Relaxed);
@@ -359,7 +365,7 @@ impl BddManager {
     /// cap lives on the shared substrate, so it governs this manager *and
     /// every clone of it* — N worker threads collectively stay under one
     /// global budget.
-    pub fn set_node_limit(&mut self, limit: Option<usize>) {
+    pub fn set_node_limit(&self, limit: Option<usize>) {
         self.shared
             .limit
             .store(limit.unwrap_or(usize::MAX), Ordering::Relaxed);
@@ -479,43 +485,24 @@ impl BddManager {
         }
     }
 
-    /// Unwraps a `try_` result for the infallible public forms, which are
-    /// only used on managers without a node cap.
-    fn expect_ok<T>(r: Result<T, NodeLimitExceeded>) -> T {
-        r.unwrap_or_else(|e| panic!("{e} (use the try_ operation forms under a node cap)"))
-    }
-
     /// The projection function of variable `var`.
     ///
     /// # Panics
     ///
-    /// Panics if `var >= self.num_vars()`, or if a node cap is set and
-    /// tripped (use [`BddManager::try_var`] under a budget).
-    pub fn var(&mut self, var: usize) -> Bdd {
-        Self::expect_ok(self.try_var(var))
-    }
-
-    /// Fallible form of [`BddManager::var`].
-    pub fn try_var(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
+    /// Panics if `var >= self.num_vars()` (a programming error).
+    pub fn var(&self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
         assert!(var < self.shared.n, "variable {var} out of range");
         self.mk(var as u32, Bdd::ZERO, Bdd::ONE)
     }
 
-    /// The complemented projection `¬var`.
+    /// The complemented projection `¬var`. Shares the projection's node:
+    /// after `var(v)` this allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `var >= self.num_vars()`, or if a node cap is set and
-    /// tripped (use [`BddManager::try_nvar`] under a budget).
-    pub fn nvar(&mut self, var: usize) -> Bdd {
-        Self::expect_ok(self.try_nvar(var))
-    }
-
-    /// Fallible form of [`BddManager::nvar`]. Shares the projection's
-    /// node: after `var(v)` this allocates nothing.
-    pub fn try_nvar(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
-        assert!(var < self.shared.n, "variable {var} out of range");
-        self.mk(var as u32, Bdd::ONE, Bdd::ZERO)
+    /// Panics if `var >= self.num_vars()` (a programming error).
+    pub fn nvar(&self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
+        Ok(self.var(var)?.complement())
     }
 
     /// Hash-conses `(var, lo, hi)` after complement normalization: a
@@ -699,101 +686,39 @@ impl BddManager {
     }
 
     /// Conjunction.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_and`] under a budget).
-    pub fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.and_rec(f, g))
-    }
-
-    /// Fallible form of [`BddManager::and`].
-    pub fn try_and(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn and(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.and_rec(f, g)
     }
 
     /// Disjunction, computed by De Morgan over the conjunction — with
     /// complement edges the negations are free, and `or(f, g)` shares the
     /// apply-cache entries of `and(¬f, ¬g)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_or`] under a budget).
-    pub fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.try_or(f, g))
-    }
-
-    /// Fallible form of [`BddManager::or`].
-    pub fn try_or(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn or(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         Ok(self.and_rec(f.complement(), g.complement())?.complement())
     }
 
     /// Exclusive or.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_xor`] under a budget).
-    pub fn xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.xor_rec(f, g))
-    }
-
-    /// Fallible form of [`BddManager::xor`].
-    pub fn try_xor(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn xor(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.xor_rec(f, g)
     }
 
     /// Negation: a complement-bit flip. O(1), allocation-free, and never
     /// fails — it cannot trip a node cap because it creates no node.
-    pub fn not(&mut self, f: Bdd) -> Bdd {
+    pub fn not(&self, f: Bdd) -> Bdd {
         f.complement()
     }
 
-    /// Fallible form of [`BddManager::not`], kept for API symmetry with
-    /// the other operations; with complement edges it is infallible.
-    pub fn try_not(&mut self, f: Bdd) -> Result<Bdd, NodeLimitExceeded> {
-        Ok(f.complement())
-    }
-
     /// If-then-else: `c·t + ¬c·e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_ite`] under a budget).
-    pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Bdd {
-        Self::expect_ok(self.try_ite(c, t, e))
-    }
-
-    /// Fallible form of [`BddManager::ite`].
-    pub fn try_ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, NodeLimitExceeded> {
-        let ct = self.try_and(c, t)?;
-        let nce = self.try_and(c.complement(), e)?;
-        self.try_or(ct, nce)
+    pub fn ite(&self, c: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+        let ct = self.and(c, t)?;
+        let nce = self.and(c.complement(), e)?;
+        self.or(ct, nce)
     }
 
     /// Cofactor of `f` with `var` fixed to `phase`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_cofactor`] under a budget).
-    pub fn cofactor(&mut self, f: Bdd, var: usize, phase: bool) -> Bdd {
-        Self::expect_ok(self.try_cofactor(f, var, phase))
-    }
-
-    /// Fallible form of [`BddManager::cofactor`].
-    pub fn try_cofactor(
-        &mut self,
-        f: Bdd,
-        var: usize,
-        phase: bool,
-    ) -> Result<Bdd, NodeLimitExceeded> {
-        let var = var as u32;
+    pub fn cofactor(&self, f: Bdd, var: usize, phase: bool) -> Result<Bdd, NodeLimitExceeded> {
         let mut memo = HashMap::new();
-        self.cofactor_rec(f, var, phase, &mut memo)
+        self.cofactor_rec(f, var as u32, phase, &mut memo)
     }
 
     fn cofactor_rec(
@@ -966,17 +891,9 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics if the table's arity differs from the manager's, or if a
-    /// node cap is set and tripped (use [`BddManager::try_from_table`]
-    /// under a budget).
-    pub fn from_table(&mut self, t: &TruthTable) -> Bdd {
-        Self::expect_ok(self.try_from_table(t))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`BddManager::from_table`]. Still panics on an
-    /// arity mismatch, which is a programming error.
-    pub fn try_from_table(&mut self, t: &TruthTable) -> Result<Bdd, NodeLimitExceeded> {
+    /// Panics if the table's arity differs from the manager's (a
+    /// programming error).
+    pub fn from_table(&self, t: &TruthTable) -> Result<Bdd, NodeLimitExceeded> {
         assert_eq!(t.num_vars(), self.shared.n, "arity mismatch");
         self.from_table_rec(t, 0, 0)
     }
@@ -997,17 +914,7 @@ impl BddManager {
     }
 
     /// Builds a BDD from a sum-of-products cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_from_sop`] under a budget).
-    pub fn from_sop(&mut self, s: &Sop) -> Bdd {
-        Self::expect_ok(self.try_from_sop(s))
-    }
-
-    /// Fallible form of [`BddManager::from_sop`].
-    pub fn try_from_sop(&mut self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn from_sop(&self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
         let mut acc = Bdd::ZERO;
         for c in s.cubes() {
             let mut cube = Bdd::ONE;
@@ -1021,14 +928,10 @@ impl BddManager {
                 .collect();
             lits.sort_unstable_by_key(|l| std::cmp::Reverse(l.0));
             for (v, ph) in lits {
-                let lit = if ph {
-                    self.try_var(v)?
-                } else {
-                    self.try_nvar(v)?
-                };
-                cube = self.try_and(cube, lit)?;
+                let lit = if ph { self.var(v)? } else { self.nvar(v)? };
+                cube = self.and(cube, lit)?;
             }
-            acc = self.try_or(acc, cube)?;
+            acc = self.or(acc, cube)?;
         }
         Ok(acc)
     }
@@ -1042,22 +945,15 @@ impl BddManager {
     /// `self`, so building in a scratch manager and copying the live
     /// roots out leaves the destination substrate holding exactly the
     /// live structure. Complement bits are preserved; shared nodes are
-    /// copied once.
+    /// copied once. The copy observes `dst`'s node cap.
     ///
     /// # Panics
     ///
-    /// Panics on an arity mismatch, or if `dst` has a node cap and it
-    /// trips (use [`BddManager::try_copy_roots`] under a budget).
-    pub fn copy_roots(&self, roots: &[Bdd], dst: &mut BddManager) -> Vec<Bdd> {
-        Self::expect_ok(self.try_copy_roots(roots, dst))
-    }
-
-    /// Fallible form of [`BddManager::copy_roots`]. Still panics on an
-    /// arity mismatch, which is a programming error.
-    pub fn try_copy_roots(
+    /// Panics on an arity mismatch (a programming error).
+    pub fn copy_roots(
         &self,
         roots: &[Bdd],
-        dst: &mut BddManager,
+        dst: &BddManager,
     ) -> Result<Vec<Bdd>, NodeLimitExceeded> {
         assert_eq!(self.shared.n, dst.shared.n, "arity mismatch");
         let mut memo: HashMap<Bdd, Bdd> = HashMap::new();
@@ -1123,24 +1019,25 @@ mod tests {
     use xsynth_boolean::Cube;
 
     #[test]
-    fn canonical_equality() {
-        let mut m = BddManager::new(3);
-        let (a, b) = (m.var(0), m.var(1));
-        let ab = m.and(a, b);
-        let ba = m.and(b, a);
+    fn canonical_equality() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(3);
+        let (a, b) = (m.var(0)?, m.var(1)?);
+        let ab = m.and(a, b)?;
+        let ba = m.and(b, a)?;
         assert_eq!(ab, ba);
         let na = m.not(a);
         let nna = m.not(na);
         assert_eq!(a, nna);
+        Ok(())
     }
 
     #[test]
-    fn complement_edges_share_nodes_and_negation_is_free() {
-        let mut m = BddManager::new(4);
+    fn complement_edges_share_nodes_and_negation_is_free() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(4);
         assert_eq!(Bdd::ZERO, Bdd::ONE.complement());
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.xor(ab, c);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let ab = m.and(a, b)?;
+        let f = m.xor(ab, c)?;
         let before = m.num_nodes();
         // negation allocates nothing: f and ¬f share one stored node
         let nf = m.not(f);
@@ -1149,66 +1046,71 @@ mod tests {
         assert_eq!(m.not(nf), f);
         assert_eq!(m.size(nf), m.size(f), "f and ¬f share the whole DAG");
         // the complemented projection rides the projection's node
-        let na = m.nvar(0);
+        let na = m.nvar(0)?;
         assert_eq!(m.num_nodes(), before, "nvar reuses var's node");
         assert_eq!(na, m.not(a));
         assert_eq!(m.canonical_violations(), 0);
+        Ok(())
     }
 
     #[test]
-    fn shard_occupancy_sums_to_num_nodes() {
-        let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let _ = m.xor(ab, c);
+    fn shard_occupancy_sums_to_num_nodes() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(6);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let ab = m.and(a, b)?;
+        let _ = m.xor(ab, c)?;
         let occ = m.shard_occupancy();
         assert_eq!(occ.len(), NUM_SHARDS);
         assert_eq!(occ.iter().sum::<usize>(), m.num_nodes());
+        Ok(())
     }
 
     #[test]
-    fn stored_then_edges_are_always_regular() {
-        let mut m = BddManager::new(5);
+    fn stored_then_edges_are_always_regular() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(5);
         let t = TruthTable::from_fn(5, |v| (v * 31 + 7) % 3 == 0);
-        let f = m.from_table(&t);
+        let f = m.from_table(&t)?;
         let g = m.not(f);
-        let x = m.xor(f, g);
+        let x = m.xor(f, g)?;
         assert_eq!(x, Bdd::ONE, "f xor ¬f is a tautology");
         assert_eq!(m.canonical_violations(), 0);
+        Ok(())
     }
 
     #[test]
-    fn demorgan() {
-        let mut m = BddManager::new(2);
-        let (a, b) = (m.var(0), m.var(1));
-        let and = m.and(a, b);
+    fn demorgan() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(2);
+        let (a, b) = (m.var(0)?, m.var(1)?);
+        let and = m.and(a, b)?;
         let nand = m.not(and);
         let (na, nb) = (m.not(a), m.not(b));
-        let or = m.or(na, nb);
+        let or = m.or(na, nb)?;
         assert_eq!(nand, or);
+        Ok(())
     }
 
     #[test]
-    fn xor_identities() {
-        let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
-        let x = m.xor(a, b);
-        let x2 = m.xor(x, b);
+    fn xor_identities() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(4);
+        let (a, b) = (m.var(0)?, m.var(1)?);
+        let x = m.xor(a, b)?;
+        let x2 = m.xor(x, b)?;
         assert_eq!(x2, a);
-        let zero = m.xor(a, a);
+        let zero = m.xor(a, a)?;
         assert_eq!(zero, Bdd::ZERO);
         let one = m.constant(true);
-        let nx = m.xor(x, one);
+        let nx = m.xor(x, one)?;
         let notx = m.not(x);
         assert_eq!(nx, notx);
+        Ok(())
     }
 
     #[test]
-    fn eval_matches_semantics() {
-        let mut m = BddManager::new(3);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
+    fn eval_matches_semantics() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(3);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let ab = m.and(a, b)?;
+        let f = m.or(ab, c)?;
         for mt in 0..8u64 {
             let expect = (mt & 1 != 0 && mt & 2 != 0) || mt & 4 != 0;
             assert_eq!(m.eval(f, mt), expect);
@@ -1218,43 +1120,46 @@ mod tests {
         for mt in 0..8u64 {
             assert_eq!(m.eval(nf, mt), !m.eval(f, mt));
         }
+        Ok(())
     }
 
     #[test]
-    fn table_roundtrip() {
+    fn table_roundtrip() -> Result<(), NodeLimitExceeded> {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
-        let mut m = BddManager::new(6);
-        let f = m.from_table(&t);
+        let m = BddManager::new(6);
+        let f = m.from_table(&t)?;
         assert_eq!(m.to_table(f), t);
         assert_eq!(m.count_sat(f), t.count_ones() as u128);
         // negation inverts the count over the full space
         let nf = m.not(f);
         assert_eq!(m.count_sat(nf), (1u128 << 6) - t.count_ones() as u128);
+        Ok(())
     }
 
     #[test]
-    fn sop_agrees_with_table() {
+    fn sop_agrees_with_table() -> Result<(), NodeLimitExceeded> {
         let s = Sop::from_cubes([
             Cube::new([0, 2], []).unwrap(),
             Cube::new([1], [3]).unwrap(),
             Cube::new([], [0, 1]).unwrap(),
         ]);
         let t = s.to_table(4);
-        let mut m = BddManager::new(4);
-        let via_sop = m.from_sop(&s);
-        let via_tab = m.from_table(&t);
+        let m = BddManager::new(4);
+        let via_sop = m.from_sop(&s)?;
+        let via_tab = m.from_table(&t)?;
         assert_eq!(via_sop, via_tab);
+        Ok(())
     }
 
     #[test]
-    fn cofactor_and_support() {
-        let mut m = BddManager::new(3);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let bc = m.and(b, c);
-        let f = m.ite(a, bc, c);
-        let f1 = m.cofactor(f, 0, true);
+    fn cofactor_and_support() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(3);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let bc = m.and(b, c)?;
+        let f = m.ite(a, bc, c)?;
+        let f1 = m.cofactor(f, 0, true)?;
         assert_eq!(f1, bc);
-        let f0 = m.cofactor(f, 0, false);
+        let f0 = m.cofactor(f, 0, false)?;
         assert_eq!(f0, c);
         let sup = m.support(f);
         assert_eq!(sup, VarSet::from_vars([0, 1, 2]));
@@ -1262,59 +1167,63 @@ mod tests {
         assert_eq!(m.support(Bdd::ONE), VarSet::new());
         // cofactoring commutes with complement
         let nf = m.not(f);
-        let nf1 = m.cofactor(nf, 0, true);
+        let nf1 = m.cofactor(nf, 0, true)?;
         assert_eq!(nf1, m.not(bc));
         assert_eq!(m.support(nf), sup);
+        Ok(())
     }
 
     #[test]
-    fn sat_fraction_of_var() {
-        let mut m = BddManager::new(5);
-        let a = m.var(3);
+    fn sat_fraction_of_var() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(5);
+        let a = m.var(3)?;
         assert_eq!(m.sat_fraction(a), 0.5);
-        let b = m.var(1);
-        let ab = m.and(a, b);
+        let b = m.var(1)?;
+        let ab = m.and(a, b)?;
         assert_eq!(m.sat_fraction(ab), 0.25);
         assert_eq!(m.count_sat(ab), 8);
         let nab = m.not(ab);
         assert_eq!(m.sat_fraction(nab), 0.75);
         assert_eq!(m.count_sat(nab), 24);
+        Ok(())
     }
 
     #[test]
-    fn adder_bdd_is_compact() {
+    fn adder_bdd_is_compact() -> Result<(), NodeLimitExceeded> {
         // carry-out of an 8-bit adder has a linear-size BDD with interleaved
         // variable order.
         let n = 16;
-        let mut m = BddManager::new(n);
+        let m = BddManager::new(n);
         let mut carry = Bdd::ZERO;
         for i in 0..8 {
-            let a = m.var(2 * i);
-            let b = m.var(2 * i + 1);
-            let ab = m.and(a, b);
-            let axb = m.xor(a, b);
-            let t = m.and(axb, carry);
-            carry = m.or(ab, t);
+            let a = m.var(2 * i)?;
+            let b = m.var(2 * i + 1)?;
+            let ab = m.and(a, b)?;
+            let axb = m.xor(a, b)?;
+            let t = m.and(axb, carry)?;
+            carry = m.or(ab, t)?;
         }
         assert!(m.size(carry) <= 3 * 8, "adder carry BDD should be linear");
+        Ok(())
     }
 
     #[test]
-    fn size_counts_shared_nodes_once() {
-        let mut m = BddManager::new(2);
-        let a = m.var(0);
+    fn size_counts_shared_nodes_once() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(2);
+        let a = m.var(0)?;
         assert_eq!(m.size(a), 1);
-        let b = m.var(1);
-        let x = m.xor(a, b);
+        let b = m.var(1)?;
+        let x = m.xor(a, b)?;
         assert_eq!(m.size(x), 2, "xor shares b's node via a complement edge");
+        Ok(())
     }
 
     #[test]
-    fn any_sat_finds_witnesses() {
-        let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(3));
+    fn any_sat_finds_witnesses() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(4);
+        let (a, b) = (m.var(0)?, m.var(3)?);
         let nb = m.not(b);
-        let f = m.and(a, nb);
+        let f = m.and(a, nb)?;
         let w = m.any_sat(f).expect("satisfiable");
         assert!(w[0] && !w[3]);
         assert!(m.any_sat(Bdd::ZERO).is_none());
@@ -1328,82 +1237,87 @@ mod tests {
                 .enumerate()
                 .fold(0u64, |acc, (i, &bit)| { acc | (u64::from(bit) << i) })
         ));
+        Ok(())
     }
 
     #[test]
-    fn cofactor_of_unrelated_var_is_identity() {
-        let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
-        let f = m.and(a, b);
-        assert_eq!(m.cofactor(f, 3, true), f);
-        assert_eq!(m.cofactor(f, 3, false), f);
+    fn cofactor_of_unrelated_var_is_identity() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(4);
+        let (a, b) = (m.var(0)?, m.var(1)?);
+        let f = m.and(a, b)?;
+        assert_eq!(m.cofactor(f, 3, true)?, f);
+        assert_eq!(m.cofactor(f, 3, false)?, f);
+        Ok(())
     }
 
     #[test]
-    fn count_sat_is_exact_at_60_vars() {
+    fn count_sat_is_exact_at_60_vars() -> Result<(), NodeLimitExceeded> {
         // OR of 60 variables has 2^60 - 1 minterms; the old f64 path
         // rounded this to 2^60 exactly (off by one past 52 bits of
         // mantissa).
         let n = 60;
-        let mut m = BddManager::new(n);
+        let m = BddManager::new(n);
         let mut f = Bdd::ZERO;
         for v in 0..n {
-            let x = m.var(v);
-            f = m.or(f, x);
+            let x = m.var(v)?;
+            f = m.or(f, x)?;
         }
         assert_eq!(m.count_sat(f), (1u128 << 60) - 1);
         // AND of all 60 variables: exactly one minterm.
         let mut g = Bdd::ONE;
         for v in 0..n {
-            let x = m.var(v);
-            g = m.and(g, x);
+            let x = m.var(v)?;
+            g = m.and(g, x)?;
         }
         assert_eq!(m.count_sat(g), 1);
         assert_eq!(m.count_sat(Bdd::ONE), 1u128 << 60);
         assert_eq!(m.count_sat(Bdd::ZERO), 0);
+        Ok(())
     }
 
     #[test]
-    fn count_sat_wide_free_variables() {
+    fn count_sat_wide_free_variables() -> Result<(), NodeLimitExceeded> {
         // A single variable among 100: half the space is satisfying, and
         // the free variables on both sides of the tested one must be
         // accounted for exactly.
-        let mut m = BddManager::new(100);
-        let x = m.var(57);
+        let m = BddManager::new(100);
+        let x = m.var(57)?;
         assert_eq!(m.count_sat(x), 1u128 << 99);
+        Ok(())
     }
 
     #[test]
-    fn node_limit_trips_as_error_and_keeps_manager_usable() {
-        let mut m = BddManager::with_node_limit(8, 3);
+    fn node_limit_trips_as_error_and_keeps_manager_usable() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::with_node_limit(8, 3);
         assert_eq!(m.node_limit(), Some(3));
-        let a = m.try_var(0).unwrap();
-        let b = m.try_var(1).unwrap();
+        let a = m.var(0)?;
+        let b = m.var(1)?;
         // The manager is at its cap now (the terminal + 2 vars); any new
         // node must fail with the typed error.
-        let err = m.try_and(a, b).unwrap_err();
+        let err = m.and(a, b).unwrap_err();
         assert_eq!(err, NodeLimitExceeded { limit: 3 });
         // Cache-hit and reduction paths still work without allocating —
         // and so does negation, which never allocates at all.
-        assert_eq!(m.try_and(a, a).unwrap(), a);
-        assert_eq!(m.try_or(a, Bdd::ONE).unwrap(), Bdd::ONE);
-        let na = m.try_not(a).unwrap();
-        assert_eq!(m.try_not(na).unwrap(), a);
+        assert_eq!(m.and(a, a)?, a);
+        assert_eq!(m.or(a, Bdd::ONE)?, Bdd::ONE);
+        let na = m.not(a);
+        assert_eq!(m.not(na), a);
         // Raising the cap lets the failed operation through.
         m.set_node_limit(Some(64));
-        let ab = m.try_and(a, b).unwrap();
+        let ab = m.and(a, b)?;
         assert!(!ab.is_const());
         m.set_node_limit(None);
         assert_eq!(m.node_limit(), None);
+        Ok(())
     }
 
     #[test]
-    fn reclaim_resets_nodes_and_bumps_generation() {
+    fn reclaim_resets_nodes_and_bumps_generation() -> Result<(), NodeLimitExceeded> {
         let mut m = BddManager::with_node_limit(8, 1 << 20);
         assert_eq!(m.generation(), 0);
-        let a = m.var(0);
-        let b = m.var(1);
-        m.and(a, b);
+        let a = m.var(0)?;
+        let b = m.var(1)?;
+        m.and(a, b)?;
         let grown = m.num_nodes();
         assert!(grown > 1);
         assert!(m.try_reclaim());
@@ -1411,135 +1325,142 @@ mod tests {
         assert_eq!(m.num_nodes(), 1, "only the terminal survives reclamation");
         assert_eq!(m.node_limit(), Some(1 << 20), "cap carries over");
         // the fresh generation is fully usable
-        let a2 = m.var(0);
-        let b2 = m.var(1);
-        assert!(!m.and(a2, b2).is_const());
+        let a2 = m.var(0)?;
+        let b2 = m.var(1)?;
+        assert!(!m.and(a2, b2)?.is_const());
+        Ok(())
     }
 
     #[test]
-    fn reclaim_refused_while_clones_are_alive() {
+    fn reclaim_refused_while_clones_are_alive() -> Result<(), NodeLimitExceeded> {
         let mut m = BddManager::new(4);
         let clone = m.clone();
-        let a = m.var(0);
+        let a = m.var(0)?;
         assert!(!m.try_reclaim(), "a live clone pins the substrate");
         assert_eq!(m.generation(), 0);
         // existing handles stay valid because nothing was dropped
-        assert_eq!(m.and(a, Bdd::ONE), a);
+        assert_eq!(m.and(a, Bdd::ONE)?, a);
         drop(clone);
         assert!(m.try_reclaim());
         assert_eq!(m.generation(), 1);
+        Ok(())
     }
 
     #[test]
-    fn uncapped_manager_never_errors() {
-        let mut m = BddManager::new(6);
+    fn uncapped_manager_never_errors() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(6);
         let t = TruthTable::from_fn(6, |v| v % 3 == 1);
-        let f = m.try_from_table(&t).unwrap();
+        let f = m.from_table(&t)?;
         assert_eq!(m.to_table(f), t);
+        Ok(())
     }
 
     #[test]
-    fn clones_share_one_substrate() {
-        let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
+    fn clones_share_one_substrate() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(4);
+        let (a, b) = (m.var(0)?, m.var(1)?);
         let before = m.num_nodes();
         // the same function built through a clone allocates nothing new
         // and returns the very same handle
-        let mut c = m.clone();
-        let ab = m.and(a, b);
-        assert_eq!(c.and(a, b), ab);
+        let c = m.clone();
+        let ab = m.and(a, b)?;
+        assert_eq!(c.and(a, b)?, ab);
         assert_eq!(m.num_nodes(), before + 1);
         // new structure built in the clone is visible (and canonical) in
         // the original
-        let x = c.xor(a, b);
-        assert_eq!(m.xor(a, b), x);
+        let x = c.xor(a, b)?;
+        assert_eq!(m.xor(a, b)?, x);
         assert_eq!(m.num_nodes(), c.num_nodes());
         assert!(m.eval(x, 0b01));
+        Ok(())
     }
 
     #[test]
-    fn node_limit_is_global_across_clones() {
-        let mut m = BddManager::with_node_limit(8, 4);
-        let mut c = m.clone();
-        let a = m.try_var(0).unwrap();
-        let b = c.try_var(1).unwrap();
+    fn node_limit_is_global_across_clones() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::with_node_limit(8, 4);
+        let c = m.clone();
+        let a = m.var(0)?;
+        let b = c.var(1)?;
         // the terminal + 2 vars allocated; the next node (through either
         // handle) reaches the cap of 4, the one after must trip
-        let ab = c.try_and(a, b).unwrap();
+        let ab = c.and(a, b)?;
         assert!(!ab.is_const());
-        assert!(m.try_or(a, b).is_err());
-        assert!(c.try_xor(a, b).is_err());
+        assert!(m.or(a, b).is_err());
+        assert!(c.xor(a, b).is_err());
         // raising the cap through one handle unblocks every clone
         m.set_node_limit(Some(64));
-        assert!(c.try_xor(a, b).is_ok());
+        assert!(c.xor(a, b).is_ok());
         assert_eq!(m.num_nodes(), c.num_nodes());
+        Ok(())
     }
 
     #[test]
-    fn commuted_apply_hits_the_cache() {
-        let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
-        let g = m.xor(b, c);
+    fn commuted_apply_hits_the_cache() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(6);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let ab = m.and(a, b)?;
+        let f = m.or(ab, c)?;
+        let g = m.xor(b, c)?;
         // swapped operands must hit the entry the first call populated
-        let and_fg = m.and(f, g);
+        let and_fg = m.and(f, g)?;
         let (hits0, misses0) = m.apply_cache_stats();
-        assert_eq!(m.and(g, f), and_fg);
+        assert_eq!(m.and(g, f)?, and_fg);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "swapped and must hit");
         assert_eq!(misses1, misses0, "swapped and must not miss");
-        let xor_fg = m.xor(f, g);
+        let xor_fg = m.xor(f, g)?;
         let (hits0, misses0) = m.apply_cache_stats();
-        assert_eq!(m.xor(g, f), xor_fg);
+        assert_eq!(m.xor(g, f)?, xor_fg);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "swapped xor must hit");
         assert_eq!(misses1, misses0, "swapped xor must not miss");
+        Ok(())
     }
 
     #[test]
-    fn complement_normalized_keys_survive_negation() {
-        let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
-        let g = m.xor(b, c);
+    fn complement_normalized_keys_survive_negation() -> Result<(), NodeLimitExceeded> {
+        let m = BddManager::new(6);
+        let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
+        let ab = m.and(a, b)?;
+        let f = m.or(ab, c)?;
+        let g = m.xor(b, c)?;
         // xor keys are complement-stripped: negating either operand (or
         // both) reuses the same cache entry and allocates nothing
-        let x = m.xor(f, g);
+        let x = m.xor(f, g)?;
         let nodes0 = m.num_nodes();
         let (hits0, misses0) = m.apply_cache_stats();
         let nf = m.not(f);
         let ng = m.not(g);
-        assert_eq!(m.xor(nf, g), m.not(x));
-        assert_eq!(m.xor(f, ng), m.not(x));
-        assert_eq!(m.xor(nf, ng), x);
+        assert_eq!(m.xor(nf, g)?, m.not(x));
+        assert_eq!(m.xor(f, ng)?, m.not(x));
+        assert_eq!(m.xor(nf, ng)?, x);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 3, "complemented xor operands must hit");
         assert_eq!(misses1, misses0);
         assert_eq!(m.num_nodes(), nodes0, "no new nodes for negated xors");
         // or(f, g) = ¬and(¬f, ¬g): the De Morgan pair shares one entry
-        let o = m.or(f, g);
+        let o = m.or(f, g)?;
         let (hits0, _) = m.apply_cache_stats();
-        assert_eq!(m.and(nf, ng), m.not(o));
+        assert_eq!(m.and(nf, ng)?, m.not(o));
         let (hits1, _) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "or and its De Morgan and share the cache");
+        Ok(())
     }
 
     #[test]
-    fn copy_roots_is_garbage_collection_by_copy() {
-        let mut scratch = BddManager::new(6);
+    fn copy_roots_is_garbage_collection_by_copy() -> Result<(), NodeLimitExceeded> {
+        let scratch = BddManager::new(6);
         // build a function with throwaway intermediates
-        let (a, b, c) = (scratch.var(0), scratch.var(1), scratch.var(2));
-        let ab = scratch.and(a, b);
-        let dead = scratch.xor(ab, c); // never a root
-        let f = scratch.or(ab, c);
+        let (a, b, c) = (scratch.var(0)?, scratch.var(1)?, scratch.var(2)?);
+        let ab = scratch.and(a, b)?;
+        let dead = scratch.xor(ab, c)?; // never a root
+        let f = scratch.or(ab, c)?;
         let nf = scratch.not(f);
         let _ = dead;
         let built = scratch.num_nodes();
 
-        let mut dst = BddManager::new(6);
-        let copied = scratch.copy_roots(&[f, nf], &mut dst);
+        let dst = BddManager::new(6);
+        let copied = scratch.copy_roots(&[f, nf], &dst)?;
         // dst holds only the live DAG: terminal + reachable nodes of f
         // (¬f shares all of them via its complement bit)
         assert_eq!(dst.num_nodes(), 1 + scratch.size(f), "{built} built");
@@ -1553,19 +1474,21 @@ mod tests {
         assert_eq!(copied[1], dst.not(copied[0]));
         assert_eq!(dst.canonical_violations(), 0);
         // copying into the same substrate is the identity
-        let mut back = scratch.clone();
-        let same = scratch.copy_roots(&[f, nf], &mut back);
+        let back = scratch.clone();
+        let same = scratch.copy_roots(&[f, nf], &back)?;
         assert_eq!(same, vec![f, nf]);
+        Ok(())
     }
 
     #[test]
-    fn copy_roots_observes_the_destination_cap() {
-        let mut scratch = BddManager::new(6);
-        let (a, b, c) = (scratch.var(0), scratch.var(1), scratch.var(2));
-        let ab = scratch.and(a, b);
-        let f = scratch.or(ab, c);
-        let mut tiny = BddManager::with_node_limit(6, 2);
-        assert!(scratch.try_copy_roots(&[f], &mut tiny).is_err());
+    fn copy_roots_observes_the_destination_cap() -> Result<(), NodeLimitExceeded> {
+        let scratch = BddManager::new(6);
+        let (a, b, c) = (scratch.var(0)?, scratch.var(1)?, scratch.var(2)?);
+        let ab = scratch.and(a, b)?;
+        let f = scratch.or(ab, c)?;
+        let tiny = BddManager::with_node_limit(6, 2);
+        assert!(scratch.copy_roots(&[f], &tiny).is_err());
+        Ok(())
     }
 
     #[test]

@@ -2,30 +2,30 @@
 //! manager address the same DAG, so threads hash-consing the same
 //! functions get *identical* handles, the node count matches a sequential
 //! build (no duplicate insertion, ever), the global node cap binds all
-//! threads together, and interleaved `try_` operations never deadlock.
+//! threads together, and interleaved operations never deadlock.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
 
-/// A deterministic little formula family over `n` variables, built only
-/// from `try_` ops so capped managers can run it too: XOR-chains, AND/OR
-/// ladders and their negations, selected by `seed`.
-fn build_formula(m: &mut BddManager, n: usize, seed: u64) -> Result<Bdd, NodeLimitExceeded> {
+/// A deterministic little formula family over `n` variables (XOR-chains,
+/// AND/OR ladders and their negations, selected by `seed`); a capped
+/// manager reports the trip as an error.
+fn build_formula(m: &BddManager, n: usize, seed: u64) -> Result<Bdd, NodeLimitExceeded> {
     let mut acc = m.constant(seed & 1 == 0);
     for v in 0..n {
         let x = if (seed >> (v % 48)) & 1 == 0 {
-            m.try_var(v)?
+            m.var(v)?
         } else {
-            m.try_nvar(v)?
+            m.nvar(v)?
         };
         acc = match (seed >> (2 * v)) % 3 {
-            0 => m.try_and(acc, x)?,
-            1 => m.try_or(acc, x)?,
-            _ => m.try_xor(acc, x)?,
+            0 => m.and(acc, x)?,
+            1 => m.or(acc, x)?,
+            _ => m.xor(acc, x)?,
         };
         if (seed >> (v % 31)) & 4 == 4 {
-            acc = m.try_not(acc)?;
+            acc = m.not(acc);
         }
     }
     Ok(acc)
@@ -41,13 +41,13 @@ fn racing_threads_get_identical_canonical_handles() {
     let per_thread: Vec<Vec<Bdd>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let mut local = m.clone();
+                let local = &m;
                 s.spawn(move || {
                     (0..SEEDS)
                         // stagger the order per thread so the races cover
                         // different allocation interleavings
                         .map(|k| (k + t as u64) % SEEDS)
-                        .map(|seed| build_formula(&mut local, n, seed).expect("uncapped"))
+                        .map(|seed| build_formula(local, n, seed).expect("uncapped"))
                         .collect::<Vec<_>>()
                 })
             })
@@ -78,9 +78,9 @@ fn racing_threads_get_identical_canonical_handles() {
     // substrate already holds every node, proving the racing inserts were
     // deduplicated rather than duplicated
     let after_race = m.num_nodes();
-    let mut replay = m.clone();
+    let replay = &m;
     for seed in 0..SEEDS {
-        build_formula(&mut replay, n, seed).expect("uncapped");
+        build_formula(replay, n, seed).expect("uncapped");
     }
     assert_eq!(
         m.num_nodes(),
@@ -89,9 +89,9 @@ fn racing_threads_get_identical_canonical_handles() {
     );
     // and a fresh manager building the same family sequentially needs at
     // least as many nodes: the shared build can't have lost anything
-    let mut fresh = BddManager::new(n);
+    let fresh = BddManager::new(n);
     for seed in 0..SEEDS {
-        build_formula(&mut fresh, n, seed).expect("uncapped");
+        build_formula(&fresh, n, seed).expect("uncapped");
     }
     assert!(fresh.num_nodes() <= after_race);
 }
@@ -109,14 +109,14 @@ fn node_cap_is_enforced_at_the_true_global_count() {
     let trips = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let mut local = m.clone();
+            let local = &m;
             let trips = &trips;
             s.spawn(move || {
                 for seed in 0..64u64 {
                     // disjoint seed ranges per thread → mostly distinct
                     // functions → real allocation pressure from each
                     let seed = seed + 1000 * t as u64;
-                    if build_formula(&mut local, n, seed).is_err() {
+                    if build_formula(local, n, seed).is_err() {
                         trips.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -134,8 +134,8 @@ fn node_cap_is_enforced_at_the_true_global_count() {
     );
     // the documented keep-best contract: handles made before the trip are
     // still usable for read-only work
-    let mut probe = m.clone();
-    let a = probe.try_var(0).expect("var 0 was interned before the cap");
+    let probe = &m;
+    let a = probe.var(0).expect("var 0 was interned before the cap");
     assert!(probe.eval(a, 0b1));
 }
 
@@ -153,14 +153,14 @@ fn racing_negations_keep_the_stored_node_set_canonical() {
     let m = BddManager::new(n);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let mut local = m.clone();
+            let local = &m;
             s.spawn(move || {
                 for k in 0..SEEDS {
                     let seed = (k + t as u64) % SEEDS;
-                    let f = build_formula(&mut local, n, seed).expect("uncapped");
+                    let f = build_formula(local, n, seed).expect("uncapped");
                     // negate-heavy traffic: half the threads work on ¬f
                     let g = if t % 2 == 0 { f } else { local.not(f) };
-                    let h = local.xor(g, local.constant(true));
+                    let h = local.xor(g, local.constant(true)).expect("uncapped");
                     assert_eq!(h, local.not(g), "xor-with-one is negation");
                 }
             });
@@ -171,10 +171,10 @@ fn racing_negations_keep_the_stored_node_set_canonical() {
         0,
         "a stored then-edge complement or a redundant node survived the race"
     );
-    let mut probe = m.clone();
+    let probe = &m;
     let before = m.num_nodes();
     for seed in 0..SEEDS {
-        let f = build_formula(&mut probe, n, seed).expect("replay allocates nothing");
+        let f = build_formula(probe, n, seed).expect("replay allocates nothing");
         let nf = probe.not(f);
         assert_eq!(nf.index(), f.index() ^ 1, "f and ¬f share one stored node");
         assert_eq!(probe.size(f), probe.size(nf), "shared DAG, equal size");
@@ -186,7 +186,7 @@ fn racing_negations_keep_the_stored_node_set_canonical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Interleaved `try_` operations from several threads — arbitrary op
+    /// Interleaved operations from several threads — arbitrary op
     /// mixes, with and without a node cap — always terminate (no deadlock:
     /// the substrate holds at most one shard lock at a time) and never
     /// double-insert (same handle ⇔ same function, counted once).
@@ -206,7 +206,7 @@ proptest! {
         let results: Vec<Vec<Option<Bdd>>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
-                    let mut local = m.clone();
+                    let local = &m;
                     let seeds = seeds.clone();
                     s.spawn(move || {
                         seeds
@@ -214,7 +214,7 @@ proptest! {
                             .cycle()
                             .skip(t)
                             .take(seeds.len())
-                            .map(|&seed| build_formula(&mut local, n, seed).ok())
+                            .map(|&seed| build_formula(local, n, seed).ok())
                             .collect::<Vec<_>>()
                     })
                 })
@@ -239,10 +239,10 @@ proptest! {
         }
         // replay sequentially: every formula that succeeded above must
         // still resolve to its recorded handle (canonicity survives races)
-        let mut replay = m.clone();
+        let replay = &m;
         replay.set_node_limit(None);
         for (&seed, &b) in &by_seed {
-            let again = build_formula(&mut replay, n, seed).expect("uncapped replay");
+            let again = build_formula(replay, n, seed).expect("uncapped replay");
             prop_assert_eq!(again, b);
         }
         prop_assert_eq!(m.canonical_violations(), 0);
@@ -258,30 +258,30 @@ proptest! {
         sb in 0u64..1 << 40,
     ) {
         let n = 10;
-        let mut m = BddManager::new(n);
-        let f = build_formula(&mut m, n, sa).expect("uncapped");
-        let g = build_formula(&mut m, n, sb).expect("uncapped");
+        let m = BddManager::new(n);
+        let f = build_formula(&m, n, sa).expect("uncapped");
+        let g = build_formula(&m, n, sb).expect("uncapped");
         let (nf, ng) = (m.not(f), m.not(g));
         // De Morgan, both directions
-        let and_fg = m.and(f, g);
-        let or_nf_ng = m.or(nf, ng);
+        let and_fg = m.and(f, g).expect("uncapped");
+        let or_nf_ng = m.or(nf, ng).expect("uncapped");
         prop_assert_eq!(m.not(and_fg), or_nf_ng);
-        let or_fg = m.or(f, g);
-        let and_nf_ng = m.and(nf, ng);
+        let or_fg = m.or(f, g).expect("uncapped");
+        let and_nf_ng = m.and(nf, ng).expect("uncapped");
         prop_assert_eq!(m.not(or_fg), and_nf_ng);
         // ITE via its and/or expansion
-        let ite = m.ite(f, g, ng);
-        let t = m.and(f, g);
-        let e = m.and(nf, ng);
-        prop_assert_eq!(ite, m.or(t, e));
+        let ite = m.ite(f, g, ng).expect("uncapped");
+        let t = m.and(f, g).expect("uncapped");
+        let e = m.and(nf, ng).expect("uncapped");
+        prop_assert_eq!(ite, m.or(t, e).expect("uncapped"));
         // XOR with ONE is negation; XOR with itself annihilates
-        prop_assert_eq!(m.xor(f, Bdd::ONE), nf);
-        prop_assert_eq!(m.xor(f, f), Bdd::ZERO);
-        prop_assert_eq!(m.xor(f, nf), Bdd::ONE);
+        prop_assert_eq!(m.xor(f, Bdd::ONE).expect("uncapped"), nf);
+        prop_assert_eq!(m.xor(f, f).expect("uncapped"), Bdd::ZERO);
+        prop_assert_eq!(m.xor(f, nf).expect("uncapped"), Bdd::ONE);
         // f · ¬f = 0 and f + ¬f = 1 without allocating
         let before = m.num_nodes();
-        prop_assert_eq!(m.and(f, nf), Bdd::ZERO);
-        prop_assert_eq!(m.or(f, nf), Bdd::ONE);
+        prop_assert_eq!(m.and(f, nf).expect("uncapped"), Bdd::ZERO);
+        prop_assert_eq!(m.or(f, nf).expect("uncapped"), Bdd::ONE);
         prop_assert_eq!(m.num_nodes(), before);
         prop_assert_eq!(m.canonical_violations(), 0);
     }

@@ -4,7 +4,7 @@
 //! and its quality (two-input literals) printed once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xsynth_core::{synthesize, FactorMethod, PolarityMode, SynthOptions};
+use xsynth_core::{try_synthesize, FactorMethod, PolarityMode, SynthOptions};
 
 fn variants() -> Vec<(&'static str, SynthOptions)> {
     let base = SynthOptions::builder;
@@ -35,13 +35,13 @@ fn bench_ablation(c: &mut Criterion) {
         let spec = xsynth_circuits::build(name).expect("registered");
         for (label, opts) in variants() {
             // print quality once, bench time repeatedly
-            let out = synthesize(&spec, &opts).network;
+            let out = try_synthesize(&spec, &opts).unwrap().network;
             let (_, lits) = out.two_input_cost();
             eprintln!("ablation quality: {name:8} {label:18} {lits:4} lits");
             group.bench_with_input(
                 BenchmarkId::new(label, name),
                 &(&spec, opts),
-                |b, (spec, opts)| b.iter(|| synthesize(spec, opts)),
+                |b, (spec, opts)| b.iter(|| try_synthesize(spec, opts).unwrap()),
             );
         }
     }

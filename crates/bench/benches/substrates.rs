@@ -19,19 +19,13 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("isop_12var", |b| b.iter(|| Sop::isop(&t)));
 
     c.bench_function("bdd_from_table_12var", |b| {
-        b.iter(|| {
-            let mut bm = BddManager::new(12);
-            bm.from_table(&t)
-        })
+        b.iter(|| BddManager::new(12).from_table(&t))
     });
 
     c.bench_function("ofdd_from_bdd_12var", |b| {
-        let mut bm = BddManager::new(12);
-        let f = bm.from_table(&t);
-        b.iter(|| {
-            let mut om = OfddManager::new(Polarity::all_positive(12));
-            om.from_bdd(&mut bm, f)
-        })
+        let bm = BddManager::new(12);
+        let f = bm.from_table(&t).expect("uncapped");
+        b.iter(|| OfddManager::new(Polarity::all_positive(12)).from_bdd(&bm, f))
     });
 
     let cover = Sop::isop(&t);

@@ -6,7 +6,7 @@
 //! at least 2× faster than the SOP scripts on arithmetic circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xsynth_core::{synthesize, SynthOptions};
+use xsynth_core::{try_synthesize, SynthOptions};
 use xsynth_sop::{script_algebraic, ScriptOptions};
 
 fn bench_flows(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_flows(c: &mut Criterion) {
     for name in circuits {
         let spec = xsynth_circuits::build(name).expect("registered");
         group.bench_with_input(BenchmarkId::new("fprm", name), &spec, |b, spec| {
-            b.iter(|| synthesize(spec, &SynthOptions::default()))
+            b.iter(|| try_synthesize(spec, &SynthOptions::default()).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("sop", name), &spec, |b, spec| {
             b.iter(|| script_algebraic(spec, &ScriptOptions::default()))

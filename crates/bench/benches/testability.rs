@@ -4,13 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_boolean::Fprm;
-use xsynth_core::{merge_patterns, paper_patterns, synthesize, PatternOptions, SynthOptions};
+use xsynth_core::{merge_patterns, paper_patterns, try_synthesize, PatternOptions, SynthOptions};
 use xsynth_sim::{enumerate_faults, fault_simulate};
 
 fn bench_testability(c: &mut Criterion) {
     let spec = xsynth_circuits::build("z4ml").expect("registered");
     let n = spec.inputs().len();
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = try_synthesize(&spec, &SynthOptions::default())
+        .unwrap()
+        .network;
     let tables = spec.to_truth_tables();
 
     let mut group = c.benchmark_group("testability");

@@ -38,8 +38,17 @@ fn main() {
             eprintln!("unknown circuit {name}");
             continue;
         };
-        let m = measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &opts);
-        let report = m.flow.report.as_ref().expect("FPRM flow carries a report");
+        let m = match measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &opts) {
+            Ok(m) => m,
+            Err(e) => {
+                eprintln!("{name}: {e}");
+                continue;
+            }
+        };
+        // the FPRM flow always carries a report
+        let Some(report) = &m.flow.report else {
+            continue;
+        };
         println!("{name}: {spec}");
         for (oname, cubes, pol) in &report.outputs {
             println!("  output {oname}: {cubes} FPRM cubes, polarity {pol:?}");

@@ -66,8 +66,20 @@ fn main() {
             eprintln!("unknown circuit {name}");
             continue;
         };
-        let seq = measure_flow(&name, &spec, Flow::Fprm, "fprm-seq", &lib, &seq_opts);
-        let par = measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &par_opts);
+        let measured = measure_flow(&name, &spec, Flow::Fprm, "fprm-seq", &lib, &seq_opts)
+            .and_then(|seq| {
+                Ok((
+                    seq,
+                    measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &par_opts)?,
+                ))
+            });
+        let (seq, par) = match measured {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("{name}: {e}");
+                continue;
+            }
+        };
         let seq_ms = seq.record.median_seconds * 1e3;
         let par_ms = par.record.median_seconds * 1e3;
         let same = xsynth_blif::write_blif(&seq.network) == xsynth_blif::write_blif(&par.network);

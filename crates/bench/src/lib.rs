@@ -27,7 +27,7 @@ pub mod telemetry;
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
 use xsynth_core::{
-    phase, synthesize, Budget, EquivChecker, SynthOptions, SynthOutcome, SynthReport,
+    phase, try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
@@ -127,7 +127,7 @@ fn evaluate(
 /// Which flow [`measure_flow`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
-    /// The paper's FPRM pipeline ([`xsynth_core::synthesize`]).
+    /// The paper's FPRM pipeline ([`xsynth_core::try_synthesize`]).
     Fprm,
     /// The SIS-style SOP baseline ([`xsynth_sop::script_algebraic`]).
     Sop,
@@ -174,6 +174,10 @@ pub struct Measured {
 /// once, and assembles the [`BenchRecord`] with median/min wall-clock,
 /// per-phase durations, counter totals, trace gauge maxima, and the
 /// process peak-RSS gauge.
+///
+/// # Errors
+///
+/// The FPRM flow's synthesis error, when it fails.
 pub fn measure_flow(
     name: &str,
     spec: &Network,
@@ -181,7 +185,7 @@ pub fn measure_flow(
     flow_label: &str,
     lib: &Library,
     opts: &MeasureOptions,
-) -> Measured {
+) -> Result<Measured, Error> {
     let runs = opts.runs.max(1);
     // Scope the peak-RSS gauge to this measurement. The scope guard is the
     // daemon-safe form of the old process-wide reset: the outermost live
@@ -190,30 +194,29 @@ pub fn measure_flow(
     // each other mid-read.
     let _mem_scope = xsynth_trace::mem::MemScope::begin();
     let mut times = Vec::with_capacity(runs);
-    let mut last: Option<(Network, Option<SynthReport>)> = None;
-    for _ in 0..runs {
+    loop {
         let t0 = Instant::now();
         let (network, report) = match flow {
             Flow::Fprm => {
-                let SynthOutcome { network, report } = synthesize(spec, &opts.synth);
+                let SynthOutcome { network, report } = try_synthesize(spec, &opts.synth)?;
                 (network, Some(report))
             }
             Flow::Sop => (script_algebraic(spec, &opts.script), None),
         };
         times.push(t0.elapsed().as_secs_f64());
-        last = Some((network, report));
+        if times.len() == runs {
+            return Ok(record_from_run(
+                name,
+                flow_label,
+                spec,
+                network,
+                report,
+                &times,
+                lib,
+                &opts.verify_budget,
+            ));
+        }
     }
-    let (network, report) = last.expect("runs >= 1");
-    record_from_run(
-        name,
-        flow_label,
-        spec,
-        network,
-        report,
-        &times,
-        lib,
-        &opts.verify_budget,
-    )
 }
 
 /// Assembles a [`Measured`] from an already-synthesized network — the
@@ -309,24 +312,6 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs the paper's FPRM flow on `spec` and evaluates it.
-pub fn run_fprm_flow(spec: &Network, opts: &SynthOptions, lib: &Library) -> FlowResult {
-    let m_opts = MeasureOptions {
-        synth: opts.clone(),
-        ..Default::default()
-    };
-    measure_flow("adhoc", spec, Flow::Fprm, "fprm", lib, &m_opts).flow
-}
-
-/// Runs the SIS-style SOP baseline on `spec` and evaluates it.
-pub fn run_sop_flow(spec: &Network, opts: &ScriptOptions, lib: &Library) -> FlowResult {
-    let m_opts = MeasureOptions {
-        script: opts.clone(),
-        ..Default::default()
-    };
-    measure_flow("adhoc", spec, Flow::Sop, "sop", lib, &m_opts).flow
-}
-
 /// Renders a one-line phase-timing breakdown from a flow's report:
 /// `fprm/factor/share/redund` milliseconds, plus the polarity-search
 /// counters. Returns `None` when the flow carries no report.
@@ -380,11 +365,15 @@ fn percent(base: f64, ours: f64) -> f64 {
 /// Runs both flows over the registry (optionally restricted to names in
 /// `filter`), returning the human-facing rows *and* the telemetry suite
 /// from the same measurements.
+///
+/// # Errors
+///
+/// The first circuit whose FPRM synthesis fails.
 pub fn run_suite(
     filter: Option<&[&str]>,
     suite_label: &str,
     opts: &MeasureOptions,
-) -> (Vec<Table2Row>, BenchSuite) {
+) -> Result<(Vec<Table2Row>, BenchSuite), Error> {
     let lib = Library::mcnc();
     let mut rows = Vec::new();
     let mut records = Vec::new();
@@ -395,8 +384,8 @@ pub fn run_suite(
             }
         }
         let spec = xsynth_circuits::build(bench.name).expect("registered circuit builds");
-        let sop = measure_flow(bench.name, &spec, Flow::Sop, "sop", &lib, opts);
-        let fprm = measure_flow(bench.name, &spec, Flow::Fprm, "fprm", &lib, opts);
+        let sop = measure_flow(bench.name, &spec, Flow::Sop, "sop", &lib, opts)?;
+        let fprm = measure_flow(bench.name, &spec, Flow::Fprm, "fprm", &lib, opts)?;
         records.push(sop.record);
         records.push(fprm.record);
         rows.push(Table2Row {
@@ -405,19 +394,13 @@ pub fn run_suite(
             fprm: fprm.flow,
         });
     }
-    (
+    Ok((
         rows,
         BenchSuite {
             suite: suite_label.to_string(),
             records,
         },
-    )
-}
-
-/// Runs the full Table 2 experiment over the registry (optionally
-/// restricted to names in `filter`).
-pub fn run_table2(filter: Option<&[&str]>) -> Vec<Table2Row> {
-    run_suite(filter, "table2", &MeasureOptions::default()).0
+    ))
 }
 
 /// Renders rows in the paper's Table 2 layout, with subtotals and the
@@ -515,7 +498,12 @@ mod tests {
 
     #[test]
     fn harness_runs_small_circuits() {
-        let rows = run_table2(Some(&["z4ml", "f2", "majority"]));
+        let (rows, _) = run_suite(
+            Some(&["z4ml", "f2", "majority"]),
+            "table2",
+            &MeasureOptions::default(),
+        )
+        .unwrap();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert_eq!(
@@ -540,7 +528,7 @@ mod tests {
 
     #[test]
     fn t481_fprm_flow_crushes_baseline() {
-        let rows = run_table2(Some(&["t481"]));
+        let (rows, _) = run_suite(Some(&["t481"]), "table2", &MeasureOptions::default()).unwrap();
         let r = &rows[0];
         assert!(r.fprm.verified.passed());
         // the paper reports 50 premap literals for t481; anything in that
@@ -560,7 +548,7 @@ mod tests {
             runs: 3,
             ..Default::default()
         };
-        let m = measure_flow("z4ml", &spec, Flow::Fprm, "fprm", &lib, &opts);
+        let m = measure_flow("z4ml", &spec, Flow::Fprm, "fprm", &lib, &opts).unwrap();
         let r = &m.record;
         assert_eq!(
             (r.name.as_str(), r.flow.as_str(), r.runs),
@@ -578,7 +566,7 @@ mod tests {
         #[cfg(target_os = "linux")]
         assert!(r.gauges["mem.peak_rss_kb"] > 0.0);
         // SOP flow has no pipeline trace but still gets the memory gauge
-        let m = measure_flow("z4ml", &spec, Flow::Sop, "sop", &lib, &opts);
+        let m = measure_flow("z4ml", &spec, Flow::Sop, "sop", &lib, &opts).unwrap();
         assert!(m.record.phases.is_empty());
         #[cfg(target_os = "linux")]
         assert!(m.record.gauges.contains_key("mem.peak_rss_kb"));
@@ -600,7 +588,8 @@ mod tests {
             Some(&["f2", "majority"]),
             "test",
             &MeasureOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(suite.records.len(), 4);
         assert!(suite.find("f2", "sop").is_some());

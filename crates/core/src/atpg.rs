@@ -10,10 +10,11 @@
 //! redundancy — exact, no aborts (within the BDD size limits of the
 //! benchmark family).
 
-use crate::verify::network_bdds;
+use crate::error::Error;
+use crate::verify::{budget_error, output_bdds};
 use xsynth_bdd::{Bdd, BddManager};
-use xsynth_net::{GateKind, Network, NodeKind};
-use xsynth_sim::fault::{Fault, FaultSite};
+use xsynth_net::Network;
+use xsynth_sim::fault::Fault;
 use xsynth_sim::{fault_simulate, Pattern};
 
 /// The outcome of a test-generation run.
@@ -36,94 +37,35 @@ impl AtpgResult {
     }
 }
 
-/// Builds the output BDDs of `net` with `fault` injected.
-fn faulty_bdds(net: &Network, bm: &mut BddManager, fault: Fault) -> Vec<Bdd> {
-    let stuck = bm.constant(fault.stuck_at);
-    let mut val: Vec<Option<Bdd>> = vec![None; net.num_nodes()];
-    for (i, &id) in net.inputs().iter().enumerate() {
-        let v = bm.var(i);
-        val[id.index()] = Some(v);
-    }
-    if let FaultSite::Output(s) = fault.site {
-        if matches!(net.kind(s), NodeKind::Input) {
-            val[s.index()] = Some(stuck);
-        }
-    }
-    for id in net.topo_order() {
-        let NodeKind::Gate(kind) = net.kind(id) else {
-            continue;
-        };
-        let fan: Vec<Bdd> = net
-            .fanins(id)
-            .iter()
-            .enumerate()
-            .map(|(k, f)| {
-                if fault.site == FaultSite::Fanin(id, k) {
-                    stuck
-                } else {
-                    val[f.index()].expect("topological order")
-                }
-            })
-            .collect();
-        let b = eval_gate_bdd(bm, *kind, &fan);
-        val[id.index()] = Some(if fault.site == FaultSite::Output(id) {
-            stuck
-        } else {
-            b
-        });
-    }
-    net.outputs()
-        .iter()
-        .map(|&(_, s)| val[s.index()].expect("outputs reachable"))
-        .collect()
-}
-
-fn eval_gate_bdd(bm: &mut BddManager, kind: GateKind, fan: &[Bdd]) -> Bdd {
-    use GateKind::*;
-    match kind {
-        Const0 => Bdd::ZERO,
-        Const1 => Bdd::ONE,
-        Buf => fan[0],
-        Not => bm.not(fan[0]),
-        And => fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x)),
-        Nand => {
-            let t = fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x));
-            bm.not(t)
-        }
-        Or => fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x)),
-        Nor => {
-            let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x));
-            bm.not(t)
-        }
-        Xor => fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x)),
-        Xnor => {
-            let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x));
-            bm.not(t)
-        }
-    }
-}
-
 /// Generates a test for one fault: any input assignment on which some
 /// output of the faulty network differs from the good one, or `None` when
 /// the fault is provably redundant.
-pub fn generate_test(net: &Network, fault: Fault) -> Option<Pattern> {
-    let n = net.inputs().len();
-    let mut bm = BddManager::new(n);
-    let good = network_bdds(net, &mut bm);
-    let bad = faulty_bdds(net, &mut bm, fault);
+///
+/// # Errors
+///
+/// A combinational cycle in `net`; the BDDs are built uncapped, so no
+/// budget applies.
+pub fn generate_test(net: &Network, fault: Fault) -> Result<Option<Pattern>, Error> {
+    let bm = BddManager::new(net.inputs().len());
+    let good = output_bdds(net, &bm, None)?;
+    let bad = output_bdds(net, &bm, Some(fault))?;
     let mut diff = Bdd::ZERO;
     for (&g, &b) in good.iter().zip(bad.iter()) {
-        let x = bm.xor(g, b);
-        diff = bm.or(diff, x);
+        let x = bm.xor(g, b).map_err(|_| budget_error(&bm))?;
+        diff = bm.or(diff, x).map_err(|_| budget_error(&bm))?;
     }
-    bm.any_sat(diff)
+    Ok(bm.any_sat(diff))
 }
 
 /// Complete test generation for a fault list: fault-simulates the
 /// accumulated test set first (so easy faults ride along for free), runs
 /// the BDD ATPG on the survivors, and returns the compacted set plus the
 /// proven-redundant faults.
-pub fn generate_tests(net: &Network, faults: &[Fault]) -> AtpgResult {
+///
+/// # Errors
+///
+/// As [`generate_test`].
+pub fn generate_tests(net: &Network, faults: &[Fault]) -> Result<AtpgResult, Error> {
     let mut tests: Vec<Pattern> = Vec::new();
     let mut redundant = Vec::new();
     let mut remaining: Vec<Fault> = faults.to_vec();
@@ -136,7 +78,7 @@ pub fn generate_tests(net: &Network, faults: &[Fault]) -> AtpgResult {
         let Some(&target) = remaining.first() else {
             break;
         };
-        match generate_test(net, target) {
+        match generate_test(net, target)? {
             Some(p) => tests.push(p),
             None => {
                 redundant.push(target);
@@ -144,12 +86,14 @@ pub fn generate_tests(net: &Network, faults: &[Fault]) -> AtpgResult {
             }
         }
     }
-    AtpgResult { tests, redundant }
+    Ok(AtpgResult { tests, redundant })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsynth_net::GateKind;
+    use xsynth_sim::fault::FaultSite;
     use xsynth_sim::{enumerate_faults, exhaustive_patterns};
 
     fn xor_as_aoi() -> Network {
@@ -169,7 +113,7 @@ mod tests {
     fn complete_set_for_irredundant_circuit() {
         let net = xor_as_aoi();
         let faults = enumerate_faults(&net);
-        let result = generate_tests(&net, &faults);
+        let result = generate_tests(&net, &faults).unwrap();
         assert!(result.redundant.is_empty(), "{:?}", result.redundant);
         // the generated set must detect every fault
         let rep = fault_simulate(&net, &result.tests, &faults);
@@ -192,13 +136,13 @@ mod tests {
             site: FaultSite::Fanin(o, 1),
             stuck_at: false,
         };
-        assert_eq!(generate_test(&net, f), None, "provably redundant");
+        assert_eq!(generate_test(&net, f).unwrap(), None, "provably redundant");
         // but the OR output itself is testable
         let f2 = Fault {
             site: FaultSite::Output(o),
             stuck_at: false,
         };
-        let p = generate_test(&net, f2).expect("testable");
+        let p = generate_test(&net, f2).unwrap().expect("testable");
         assert_eq!(p, vec![true, true]);
         let _ = g2;
     }
@@ -211,7 +155,7 @@ mod tests {
         let faults = enumerate_faults(&net);
         let exhaustive = fault_simulate(&net, &exhaustive_patterns(2), &faults);
         for &f in &faults {
-            let atpg_testable = generate_test(&net, f).is_some();
+            let atpg_testable = generate_test(&net, f).unwrap().is_some();
             let sim_testable = !exhaustive.undetected.contains(&f);
             assert_eq!(atpg_testable, sim_testable, "{f}");
         }
@@ -226,16 +170,20 @@ mod tests {
             site: FaultSite::Output(a),
             stuck_at: true,
         };
-        let p = generate_test(&net, f).expect("input stuck-at-1 testable");
+        let p = generate_test(&net, f)
+            .unwrap()
+            .expect("input stuck-at-1 testable");
         assert_eq!(p, vec![false]);
     }
 
     #[test]
     fn synthesized_benchmark_gets_compact_complete_set() {
         let spec = xsynth_circuits_stub();
-        let out = crate::synthesize(&spec, &crate::SynthOptions::default()).network;
+        let out = crate::try_synthesize(&spec, &crate::SynthOptions::default())
+            .unwrap()
+            .network;
         let faults = enumerate_faults(&out);
-        let result = generate_tests(&out, &faults);
+        let result = generate_tests(&out, &faults).unwrap();
         let rep = fault_simulate(&out, &result.tests, &faults);
         assert_eq!(
             rep.undetected.len(),

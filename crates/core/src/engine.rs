@@ -2,13 +2,12 @@
 //!
 //! [`Engine`] is the primary entry point of the crate: a handle that owns
 //! the pieces worth keeping warm across calls — the content-addressed
-//! result cache ([`xsynth_cache::ResultCache`]), a pool of BDD substrates
-//! keyed by arity, and the default [`SynthOptions`]. The free functions
-//! [`crate::synthesize`] / [`crate::try_synthesize`] are thin one-shot
-//! wrappers over a throwaway engine, so their behavior is unchanged; a
-//! daemon constructs one engine and routes every job through it, which is
-//! what lets duplicate and near-duplicate traffic skip the polarity
-//! descent via cache hits.
+//! result cache ([`xsynth_cache::ResultCache`]) and a pool of BDD
+//! substrates keyed by arity. The free function [`crate::try_synthesize`]
+//! is a thin one-shot wrapper over a throwaway engine; a daemon constructs
+//! one engine and routes every job through it, which is what lets
+//! duplicate and near-duplicate traffic skip the polarity descent via
+//! cache hits.
 //!
 //! # Cache tiers
 //!
@@ -44,8 +43,8 @@ use xsynth_trace::TraceBuffer;
 /// generational reclamation before pooling the manager for reuse.
 pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 
-/// A long-lived synthesis handle owning the BDD substrate pool, the
-/// content-addressed result cache, and the default [`SynthOptions`].
+/// A long-lived synthesis handle owning the BDD substrate pool and the
+/// content-addressed result cache.
 ///
 /// All methods take `&self`; the engine is `Sync`, so one instance can be
 /// shared across the worker threads of a daemon. Each job gets per-job
@@ -55,7 +54,7 @@ pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 /// # Examples
 ///
 /// ```
-/// use xsynth_core::Engine;
+/// use xsynth_core::{Engine, SynthOptions};
 /// use xsynth_net::{GateKind, Network};
 ///
 /// let mut spec = Network::new("f");
@@ -65,8 +64,9 @@ pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 /// spec.add_output("f", g);
 ///
 /// let engine = Engine::new();
-/// let cold = engine.try_synthesize(&spec).unwrap();
-/// let warm = engine.try_synthesize(&spec).unwrap();
+/// let opts = SynthOptions::default();
+/// let cold = engine.try_synthesize(&spec, &opts)?;
+/// let warm = engine.try_synthesize(&spec, &opts)?;
 /// // the second run planned every output from the cache...
 /// assert!(warm.report.cache.polarity_hits > 0);
 /// // ...skipping the polarity descent entirely
@@ -76,10 +76,10 @@ pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 ///     xsynth_blif::write_blif(&warm.network),
 ///     xsynth_blif::write_blif(&cold.network),
 /// );
+/// # Ok::<(), xsynth_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    options: SynthOptions,
     cache: ResultCache,
     pool: Mutex<HashMap<usize, BddManager>>,
     reclaim_watermark: usize,
@@ -110,15 +110,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with default options and a default-budget cache.
+    /// An engine with an empty substrate pool and a default-budget cache.
     pub fn new() -> Engine {
-        Engine::with_options(SynthOptions::default())
-    }
-
-    /// An engine whose [`Engine::try_synthesize`] uses `options`.
-    pub fn with_options(options: SynthOptions) -> Engine {
         Engine {
-            options,
             cache: ResultCache::default(),
             pool: Mutex::new(HashMap::new()),
             reclaim_watermark: DEFAULT_RECLAIM_NODE_WATERMARK,
@@ -138,11 +132,6 @@ impl Engine {
     pub fn reclaim_watermark(mut self, nodes: usize) -> Engine {
         self.reclaim_watermark = nodes;
         self
-    }
-
-    /// The engine's default options.
-    pub fn options(&self) -> &SynthOptions {
-        &self.options
     }
 
     /// Lifetime statistics of the shared result cache.
@@ -194,16 +183,12 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// Synthesizes `spec` under the engine's default options, consulting
-    /// and populating the shared cache. See [`crate::try_synthesize`] for
-    /// the error contract.
-    pub fn try_synthesize(&self, spec: &Network) -> Result<SynthOutcome, Error> {
-        crate::synth::try_synthesize_on(self, spec, &self.options)
-    }
-
-    /// Synthesizes `spec` under per-job `opts` (budgets, tracing, method
-    /// choices), still sharing the engine's cache and substrate pool.
-    pub fn try_synthesize_with(
+    /// Synthesizes `spec` with the paper's FPRM flow under `opts`,
+    /// consulting and populating the engine's cache and substrate pool.
+    /// The returned network is verified equivalent to `spec` (exactly via
+    /// BDDs up to 40 inputs, statistically beyond); see
+    /// [`crate::try_synthesize`] for the error contract.
+    pub fn try_synthesize(
         &self,
         spec: &Network,
         opts: &SynthOptions,
@@ -433,10 +418,14 @@ mod tests {
     fn warm_run_is_bit_identical_and_skips_the_descent() {
         let engine = Engine::new();
         let spec = adder_bit("fa");
-        let cold = engine.try_synthesize(&spec).unwrap();
+        let cold = engine
+            .try_synthesize(&spec, &SynthOptions::default())
+            .unwrap();
         assert_eq!(cold.report.cache.polarity_hits, 0);
         assert!(cold.report.polarity_search.candidates_evaluated > 0);
-        let warm = engine.try_synthesize(&spec).unwrap();
+        let warm = engine
+            .try_synthesize(&spec, &SynthOptions::default())
+            .unwrap();
         assert_eq!(warm.report.cache.polarity_hits, 2, "both outputs seeded");
         assert_eq!(
             warm.report.polarity_search.candidates_evaluated, 0,
@@ -453,7 +442,9 @@ mod tests {
     fn structurally_identical_circuit_hits_across_names() {
         let engine = Engine::new();
         let one = adder_bit("one");
-        engine.try_synthesize(&one).unwrap();
+        engine
+            .try_synthesize(&one, &SynthOptions::default())
+            .unwrap();
         // same structure, different circuit/IO declaration names
         let mut two = Network::new("two");
         let a = two.add_input("x");
@@ -466,7 +457,9 @@ mod tests {
         let cout = two.add_gate(GateKind::Or, vec![ab, t]);
         two.add_output("sum", s);
         two.add_output("carry", cout);
-        let warm = engine.try_synthesize(&two).unwrap();
+        let warm = engine
+            .try_synthesize(&two, &SynthOptions::default())
+            .unwrap();
         assert_eq!(warm.report.cache.polarity_hits, 2);
         // the result is still verified against *this* spec
         for m in 0..8 {
@@ -505,10 +498,10 @@ mod tests {
     #[test]
     fn pooled_substrate_is_reused_and_reclaimed_past_watermark() {
         let engine = Engine::new().reclaim_watermark(8);
-        let mut bm = engine.checkout(4, &Budget::default());
-        let a = bm.var(0);
-        let b = bm.var(1);
-        bm.and(a, b);
+        let bm = engine.checkout(4, &Budget::default());
+        let a = bm.var(0).unwrap();
+        let b = bm.var(1).unwrap();
+        bm.and(a, b).unwrap();
         let grown = bm.num_nodes();
         assert!(grown > 1 && grown <= 8);
         engine.checkin(bm);
@@ -518,12 +511,12 @@ mod tests {
         assert_eq!(bm.generation(), 0);
         engine.checkin(bm);
         // grow past the watermark: checkin reclaims to a fresh generation
-        let mut bm = engine.checkout(4, &Budget::default());
-        let c = bm.var(2);
-        let d = bm.var(3);
-        let cd = bm.and(c, d);
-        bm.xor(cd, a);
-        bm.or(cd, a);
+        let bm = engine.checkout(4, &Budget::default());
+        let c = bm.var(2).unwrap();
+        let d = bm.var(3).unwrap();
+        let cd = bm.and(c, d).unwrap();
+        bm.xor(cd, a).unwrap();
+        bm.or(cd, a).unwrap();
         assert!(bm.num_nodes() > 8);
         engine.checkin(bm);
         let bm = engine.checkout(4, &Budget::default());
@@ -535,12 +528,12 @@ mod tests {
     #[test]
     fn refused_reclaim_pools_a_fresh_substrate_and_counts() {
         let engine = Engine::new().reclaim_watermark(4);
-        let mut bm = engine.checkout(4, &Budget::default());
+        let bm = engine.checkout(4, &Budget::default());
         let pin = bm.clone(); // a live clone makes try_reclaim refuse
-        let a = bm.var(0);
-        let b = bm.var(1);
-        let ab = bm.and(a, b);
-        bm.xor(ab, a);
+        let a = bm.var(0).unwrap();
+        let b = bm.var(1).unwrap();
+        let ab = bm.and(a, b).unwrap();
+        bm.xor(ab, a).unwrap();
         assert!(bm.num_nodes() > 4, "must be past the watermark");
         assert_eq!(engine.reclaim_refused(), 0);
         engine.checkin(bm);

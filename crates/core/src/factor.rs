@@ -335,7 +335,7 @@ mod tests {
         for pol_idx in [0u64, 0b101010, 0b111111] {
             let pol = Polarity::from_index(6, pol_idx);
             let mut om = OfddManager::new(pol.clone());
-            let o = om.from_table(&t);
+            let o = om.from_table(&t).unwrap();
             let mut net = Network::new("m2");
             let inputs: Vec<SignalId> = (0..6).map(|i| net.add_input(format!("x{i}"))).collect();
             let mut lits = literal_supplier(&pol, &inputs);
@@ -352,7 +352,7 @@ mod tests {
         let t = TruthTable::from_fn(5, |m| m.count_ones() >= 3);
         let pol = Polarity::all_positive(5);
         let mut om = OfddManager::new(pol.clone());
-        let o = om.from_table(&t);
+        let o = om.from_table(&t).unwrap();
         let mut net = Network::new("m2b");
         let inputs: Vec<SignalId> = (0..5).map(|i| net.add_input(format!("x{i}"))).collect();
         let mut lits = literal_supplier(&pol, &inputs);
@@ -369,7 +369,7 @@ mod tests {
     fn ofdd_method_constants() {
         let pol = Polarity::all_positive(3);
         let mut om = OfddManager::new(pol.clone());
-        let zero = om.from_table(&TruthTable::zero(3));
+        let zero = om.from_table(&TruthTable::zero(3)).unwrap();
         let mut net = Network::new("c");
         let inputs: Vec<SignalId> = (0..3).map(|i| net.add_input(format!("x{i}"))).collect();
         let mut lits = literal_supplier(&pol, &inputs);

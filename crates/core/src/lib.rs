@@ -16,12 +16,15 @@
 //!    to OR/AND ([`remove_redundancy`], Properties 1–7), with every
 //!    rewrite verified against the specification ([`EquivChecker`]).
 //!
-//! The entry point is [`synthesize`].
+//! The entry points are [`try_synthesize`] (one-shot) and
+//! [`Engine::try_synthesize`] (warm cache and substrate pool across jobs).
+//! Every operation has one fallible form: budget trips, verification
+//! failures and malformed inputs come back as a typed [`Error`].
 //!
 //! # Examples
 //!
 //! ```
-//! use xsynth_core::{synthesize, SynthOptions};
+//! use xsynth_core::{try_synthesize, SynthOptions};
 //! use xsynth_net::{GateKind, Network};
 //!
 //! // carry = ab ⊕ (a⊕b)c — redundancy removal turns the outer XOR into OR
@@ -34,10 +37,11 @@
 //! let t = spec.add_gate(GateKind::And, vec![axb, c]);
 //! let cout = spec.add_gate(GateKind::Or, vec![ab, t]);
 //! spec.add_output("cout", cout);
-//! let outcome = synthesize(&spec, &SynthOptions::default());
+//! let outcome = try_synthesize(&spec, &SynthOptions::default())?;
 //! for m in 0..8 {
 //!     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
 //! }
+//! # Ok::<(), xsynth_core::Error>(())
 //! ```
 //!
 //! Every run is traced — `outcome.report.trace` holds the structured span
@@ -55,7 +59,6 @@ mod expr;
 mod factor;
 pub mod gfx;
 mod patterns;
-pub mod power;
 mod redundancy;
 mod synth;
 mod verify;
@@ -70,15 +73,13 @@ pub use factor::{
 pub use patterns::{
     literal_mask_to_pattern, merge_patterns, paper_patterns, Pattern, PatternOptions,
 };
-pub use redundancy::{
-    remove_redundancy, remove_redundancy_governed, remove_redundancy_traced, RedundancyStats,
-};
+pub use redundancy::{remove_redundancy, RedundancyStats};
 pub use synth::{
-    phase, synthesize, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile,
-    PhaseStat, PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder,
-    SynthOutcome, SynthReport,
+    phase, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile, PhaseStat,
+    PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome,
+    SynthReport,
 };
-pub use verify::{network_bdds, try_network_bdds, try_network_bdds_compact, EquivChecker};
+pub use verify::{network_bdds, EquivChecker};
 pub use xsynth_ofdd::PolaritySearchStats;
 
 /// The one-line import for typical users of the synthesis stack.
@@ -95,17 +96,18 @@ pub use xsynth_ofdd::PolaritySearchStats;
 /// let g = spec.add_gate(GateKind::Xor, vec![a, b]);
 /// spec.add_output("f", g);
 /// let opts = SynthOptions::builder().parallel(false).build();
-/// let SynthOutcome { network, report } = synthesize(&spec, &opts);
+/// let SynthOutcome { network, report } = Engine::new().try_synthesize(&spec, &opts)?;
 /// assert_eq!(network.eval_u64(1), spec.eval_u64(1));
 /// assert!(!report.outputs.is_empty());
+/// # Ok::<(), Error>(())
 /// ```
 pub mod prelude {
     pub use crate::budget::{Budget, BudgetExceeded};
     pub use crate::engine::Engine;
     pub use crate::error::Error;
     pub use crate::synth::{
-        phase, synthesize, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile,
-        PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOutcome, SynthReport,
+        phase, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile, PolarityMode,
+        SalvageRecord, SalvageRung, SynthOptions, SynthOutcome, SynthReport,
     };
     pub use xsynth_cache::{CacheStats, ResultCache};
     pub use xsynth_trace::{Trace, TraceBuffer, TraceSink};

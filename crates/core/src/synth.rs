@@ -26,8 +26,8 @@ use crate::error::Error;
 use crate::factor::{factor_cubes, factor_cubes_traced, ofdd_to_network};
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, Pattern, PatternOptions};
-use crate::redundancy::{remove_redundancy_governed, RedundancyStats};
-use crate::verify::{try_network_bdds_compact, EquivChecker};
+use crate::redundancy::{remove_redundancy, RedundancyStats};
+use crate::verify::{network_bdds, EquivChecker};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +45,7 @@ pub use xsynth_ofdd::PolarityMode;
 /// The span names of the pipeline phases, shared by the tracer, the
 /// profile, the exporters and the tests.
 pub mod phase {
-    /// The root span of one [`super::synthesize`] call.
+    /// The root span of one [`super::try_synthesize`] call.
     pub const SYNTHESIZE: &str = "synthesize";
     /// BDD construction, polarity search and OFDD/FPRM generation.
     pub const FPRM: &str = "fprm";
@@ -92,7 +92,7 @@ pub enum Granularity {
     Auto,
 }
 
-/// Options for [`synthesize`].
+/// Options for [`try_synthesize`].
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`SynthOptions::default`] or the fluent [`SynthOptions::builder`], so
@@ -265,7 +265,7 @@ pub struct PhaseStat {
     pub spans: usize,
 }
 
-/// Per-phase wall-clock breakdown of one [`synthesize`] call, derived from
+/// Per-phase wall-clock breakdown of one [`try_synthesize`] call, derived from
 /// the recorded [`Trace`] (the direct children of the root
 /// [`phase::SYNTHESIZE`] span, grouped by name in first-seen order).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -418,7 +418,7 @@ pub struct SynthReport {
     pub trace: Trace,
 }
 
-/// The result of one [`synthesize`] call: the optimized network and the
+/// The result of one [`try_synthesize`] call: the optimized network and the
 /// report describing how it was produced.
 #[derive(Debug, Clone)]
 pub struct SynthOutcome {
@@ -432,10 +432,22 @@ pub struct SynthOutcome {
 /// network plus a report. The result is verified equivalent to `spec`
 /// (exactly via BDDs up to 40 inputs, statistically beyond).
 ///
+/// A tripped [`Budget`] surfaces as [`Error::Budget`] (when no degraded
+/// result was possible) and a failed verification as [`Error::Verify`].
+/// Phases that degraded gracefully under the budget are listed in
+/// [`SynthReport::curtailed`]; the returned network is always verified
+/// against the specification.
+///
+/// This is a one-shot convenience over a throwaway [`Engine`]: the
+/// content cache and substrate pool start empty and are dropped with the
+/// call, so repeated invocations behave identically. Long-lived callers
+/// should hold an [`Engine`] and use [`Engine::try_synthesize`], which
+/// keeps both warm across jobs.
+///
 /// # Examples
 ///
 /// ```
-/// use xsynth_core::{synthesize, SynthOptions};
+/// use xsynth_core::{try_synthesize, SynthOptions};
 /// use xsynth_net::{GateKind, Network};
 ///
 /// // full adder sum: a ⊕ b ⊕ cin
@@ -445,42 +457,19 @@ pub struct SynthOutcome {
 /// let c = spec.add_input("cin");
 /// let s = spec.add_gate(GateKind::Xor, vec![a, b, c]);
 /// spec.add_output("s", s);
-/// let outcome = synthesize(&spec, &SynthOptions::default());
+/// let outcome = try_synthesize(&spec, &SynthOptions::default())?;
 /// assert_eq!(outcome.report.outputs[0].1, 3, "3 FPRM cubes");
 /// for m in 0..8 {
 ///     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
 /// }
+/// # Ok::<(), xsynth_core::Error>(())
 /// ```
-///
-/// # Panics
-///
-/// Panics if an internal factoring step produces a non-equivalent network
-/// (an invariant violation, not an input condition), or if a configured
-/// [`Budget`] trips where no degraded result is possible — use
-/// [`try_synthesize`] when running under a budget.
-pub fn synthesize(spec: &Network, opts: &SynthOptions) -> SynthOutcome {
-    try_synthesize(spec, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`synthesize`]: a tripped [`Budget`] surfaces as
-/// [`Error::Budget`] (when no degraded result was possible) and a failed
-/// final verification as [`Error::Verify`], instead of panicking. Phases
-/// that degraded gracefully under the budget are listed in
-/// [`SynthReport::curtailed`]; the returned network is always verified
-/// against the specification.
-///
-/// This is a one-shot convenience over a throwaway [`Engine`]: the
-/// content cache and substrate pool start empty and are dropped with the
-/// call, so repeated invocations behave identically. Long-lived callers
-/// should hold an [`Engine`] and use [`Engine::try_synthesize`], which
-/// keeps both warm across jobs.
 pub fn try_synthesize(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Error> {
-    Engine::with_options(opts.clone()).try_synthesize(spec)
+    Engine::new().try_synthesize(spec, opts)
 }
 
-/// The traced, fault-contained synthesis entry shared by the free
-/// functions (throwaway engine) and [`Engine::try_synthesize`]
-/// (long-lived engine).
+/// The traced, fault-contained synthesis body behind
+/// [`Engine::try_synthesize`].
 pub(crate) fn try_synthesize_on(
     engine: &Engine,
     spec: &Network,
@@ -539,11 +528,11 @@ fn run_pipeline(
     main.begin(phase::FPRM);
     let fprm_deadline = opts.budget.phase_deadline();
     main.begin("bdd");
-    let mut bm = engine.checkout(n, &opts.budget);
+    let bm = engine.checkout(n, &opts.budget);
     // Compact build: gate-level intermediates live and die in a scratch
     // manager, so the (possibly pooled, possibly shared) job substrate
     // only ever holds the live output cones.
-    let out_bdds = try_network_bdds_compact(&spec, &mut bm);
+    let out_bdds = network_bdds(&spec, &bm);
     main.end();
     main.gauge("bdd.nodes", bm.num_nodes() as f64);
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
@@ -565,7 +554,7 @@ fn run_pipeline(
         Granularity::Block => true,
         Granularity::Auto => out_bdds.iter().any(|&f| {
             let mut om = OfddManager::new(Polarity::all_positive(n));
-            match om.try_from_bdd(&mut bm, f) {
+            match om.from_bdd(&bm, f) {
                 Ok(root) => om.num_cubes(root) > opts.block_threshold,
                 Err(_) => {
                     curtail(report, phase::FPRM);
@@ -594,7 +583,7 @@ fn run_pipeline(
             engine,
             &spec,
             opts,
-            &mut bm,
+            &bm,
             &out_bdds,
             report,
             &mut pattern_lists,
@@ -653,7 +642,7 @@ fn run_pipeline(
         patterns.truncate(opts.budget.cap_patterns(patterns.len()));
         main.gauge("redundancy.patterns", patterns.len() as f64);
         let blocks = pack_patterns(n, &patterns);
-        let (reduced, stats) = remove_redundancy_governed(
+        let reduced = remove_redundancy(
             &result,
             &blocks,
             &mut checker,
@@ -661,6 +650,14 @@ fn run_pipeline(
             deadline,
             &mut main,
         );
+        let (reduced, stats) = match reduced {
+            Ok(r) => r,
+            Err(e) => {
+                main.end(); // redundancy
+                main.end(); // synthesize
+                return Err(e);
+            }
+        };
         if stats.curtailed {
             curtail(report, phase::REDUNDANCY);
         }
@@ -731,7 +728,7 @@ struct OutputPlan {
 
 /// Phase 1 for one output: polarity search, OFDD construction, method
 /// decision, and pattern generation. Pure in `(bm contents, f, opts)` —
-/// callers may run it on a clone of the manager in a worker thread and the
+/// callers may run it on the shared manager from a worker thread and the
 /// result is identical to a sequential run. Trace events land in `buf`,
 /// the output's own deterministic-order buffer.
 ///
@@ -742,7 +739,7 @@ struct OutputPlan {
 fn plan_output(
     name: &str,
     f: xsynth_bdd::Bdd,
-    bm: &mut BddManager,
+    bm: &BddManager,
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
@@ -781,7 +778,7 @@ fn plan_output(
     };
     buf.begin("ofdd");
     let mut om = OfddManager::new(pol.clone());
-    let root = match om.try_from_bdd(bm, f) {
+    let root = match om.from_bdd(bm, f) {
         Ok(root) => root,
         Err(e) => {
             buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
@@ -917,7 +914,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 fn plan_with_salvage(
     name: &str,
     f: xsynth_bdd::Bdd,
-    bm: &mut BddManager,
+    bm: &BddManager,
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
@@ -1042,7 +1039,7 @@ fn synthesize_outputs(
     engine: &Engine,
     spec: &Network,
     opts: &SynthOptions,
-    bm: &mut BddManager,
+    bm: &BddManager,
     out_bdds: &[xsynth_bdd::Bdd],
     report: &mut SynthReport,
     pattern_lists: &mut Vec<Vec<Pattern>>,
@@ -1059,10 +1056,10 @@ fn synthesize_outputs(
         .collect();
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. With
-    // multiple outputs the planning fans out across worker threads, each
-    // holding a cheap clone handle onto the one shared BDD substrate, so
-    // every worker hash-conses into the same DAG (and the node budget is
-    // one global cap, not a per-worker one); with a single output the
+    // multiple outputs the planning fans out across worker threads, all
+    // sharing the one BDD substrate through `&BddManager`, so every
+    // worker hash-conses into the same DAG (and the node budget is one
+    // global cap, not a per-worker one); with a single output the
     // parallelism moves inside the polarity search instead, so the
     // machine is never oversubscribed. Plans are merged back by output
     // index — and each output records into its own trace buffer keyed by
@@ -1115,7 +1112,6 @@ fn synthesize_outputs(
     let plans: Result<Vec<Planned>, Error> = if parallel_outputs {
         let workers = xsynth_bdd::worker_threads(num_outputs);
         let next = AtomicUsize::new(0);
-        let bm_ref = &*bm;
         let outs = spec.outputs();
         // Workers are panic-isolated twice over: plan_with_salvage
         // contains panics inside each attempt, and a worker that still
@@ -1126,7 +1122,6 @@ fn synthesize_outputs(
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let mut local = bm_ref.clone();
                         let mut mine = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -1136,7 +1131,7 @@ fn synthesize_outputs(
                             let plan = plan_with_salvage(
                                 &outs[i].0,
                                 out_bdds[i],
-                                &mut local,
+                                bm,
                                 n,
                                 num_outputs,
                                 opts,
@@ -1471,7 +1466,7 @@ fn synthesize_outputs(
                 }
             }
             None if opts.method == FactorMethod::Kfdd => {
-                match xsynth_ofdd::kfdd::try_optimize_decomposition(bm, plan.bdd) {
+                match xsynth_ofdd::kfdd::optimize_decomposition(bm, plan.bdd) {
                     Ok((km, kroot)) => km.to_network(kroot, &mut net, &inputs),
                     Err(e) => {
                         main.end(); // factoring
@@ -1704,7 +1699,7 @@ mod tests {
         let SynthOutcome {
             network: out,
             report,
-        } = synthesize(&spec, &SynthOptions::default());
+        } = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         check_equiv(&spec, &out);
         assert_eq!(report.redundancy.reverted, 0, "{:?}", report.redundancy);
         // sum bits keep their XORs; carries become AND/OR
@@ -1721,7 +1716,7 @@ mod tests {
         let spec = adder(2, false);
         for method in [FactorMethod::Cube, FactorMethod::Ofdd] {
             let opts = SynthOptions::builder().method(method).build();
-            let out = synthesize(&spec, &opts).network;
+            let out = try_synthesize(&spec, &opts).unwrap().network;
             check_equiv(&spec, &out);
         }
     }
@@ -1735,7 +1730,7 @@ mod tests {
             PolarityMode::Exhaustive,
         ] {
             let opts = SynthOptions::builder().polarity(polarity).build();
-            let out = synthesize(&spec, &opts).network;
+            let out = try_synthesize(&spec, &opts).unwrap().network;
             check_equiv(&spec, &out);
         }
     }
@@ -1756,7 +1751,7 @@ mod tests {
         let SynthOutcome {
             network: out,
             report,
-        } = synthesize(&spec, &SynthOptions::default());
+        } = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         check_equiv(&spec, &out);
         assert_eq!(report.outputs[0].1, 1, "one cube in all-negative polarity");
     }
@@ -1772,7 +1767,9 @@ mod tests {
         let y = spec.add_gate(GateKind::Xor, vec![c, b, a]);
         spec.add_output("x", x);
         spec.add_output("y", y);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         check_equiv(&spec, &out);
         assert!(
             out.num_gates() <= 2,
@@ -1790,7 +1787,9 @@ mod tests {
         let w = spec.add_gate(GateKind::Buf, vec![b]);
         spec.add_output("zero", t);
         spec.add_output("wire", w);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         check_equiv(&spec, &out);
         assert_eq!(out.num_gates(), 0);
     }
@@ -1798,7 +1797,9 @@ mod tests {
     #[test]
     fn report_lists_every_output() {
         let spec = adder(2, false);
-        let report = synthesize(&spec, &SynthOptions::default()).report;
+        let report = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .report;
         assert_eq!(report.outputs.len(), spec.outputs().len());
         for (name, count, _) in &report.outputs {
             assert!(!name.is_empty());
@@ -1809,7 +1810,9 @@ mod tests {
     #[test]
     fn report_carries_trace_and_profile() {
         let spec = adder(3, true);
-        let report = synthesize(&spec, &SynthOptions::default()).report;
+        let report = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .report;
         let names = report.trace.span_names();
         for p in [
             phase::SYNTHESIZE,
@@ -1844,8 +1847,8 @@ mod tests {
     fn external_sink_aggregates_runs() {
         let sink = TraceSink::new();
         let opts = SynthOptions::builder().trace(sink.clone()).build();
-        synthesize(&adder(2, false), &opts);
-        synthesize(&adder(2, true), &opts);
+        try_synthesize(&adder(2, false), &opts).unwrap();
+        try_synthesize(&adder(2, true), &opts).unwrap();
         let trace = sink.take();
         // two runs, each with a pipeline track and one planning track per
         // output; labels are prefixed with the circuit name
@@ -1967,7 +1970,7 @@ mod tests {
     #[test]
     fn unlimited_budget_reports_nothing_curtailed() {
         let spec = adder(2, false);
-        let outcome = synthesize(&spec, &SynthOptions::default());
+        let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         assert!(outcome.report.curtailed.is_empty());
         assert!(!outcome.report.verify_downgraded);
     }

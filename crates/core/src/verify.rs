@@ -3,9 +3,9 @@
 
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
-use std::collections::HashMap;
-use xsynth_bdd::{Bdd, BddManager};
-use xsynth_net::{Network, NodeKind, SignalId};
+use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
+use xsynth_net::{GateKind, Network, NodeKind};
+use xsynth_sim::fault::{Fault, FaultSite};
 use xsynth_sim::{equivalent_on_blocks, pack_patterns, random_patterns, PatternBlock};
 use xsynth_trace::TraceBuffer;
 
@@ -42,7 +42,8 @@ const SIM_SEED: u64 = 0xec;
 /// let g = a.add_gate(GateKind::Xor, vec![x, y]);
 /// a.add_output("f", g);
 /// let mut checker = EquivChecker::new(&a);
-/// assert!(checker.check(&a));
+/// assert!(checker.try_check(&a)?);
+/// # Ok::<(), xsynth_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct EquivChecker {
@@ -86,11 +87,11 @@ impl EquivChecker {
             downgraded: false,
         };
         if n <= BDD_INPUT_LIMIT {
-            let mut bm = match budget.bdd_node_cap {
+            let bm = match budget.bdd_node_cap {
                 Some(cap) => BddManager::with_node_limit(n, cap),
                 None => BddManager::new(n),
             };
-            match try_network_bdds_compact(reference, &mut bm) {
+            match network_bdds(reference, &bm) {
                 Ok(outs) => {
                     checker.reference_outputs = outs;
                     checker.manager = Some(bm);
@@ -122,15 +123,6 @@ impl EquivChecker {
         self.downgraded
     }
 
-    /// Checks a candidate network against the reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the candidate's inputs differ from the reference's.
-    pub fn check(&mut self, candidate: &Network) -> bool {
-        self.try_check(candidate).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Checks a candidate network against the reference, reporting input
     /// mismatches as [`Error::InputMismatch`] instead of panicking.
     ///
@@ -153,16 +145,12 @@ impl EquivChecker {
                 found: cand_names.iter().map(|s| s.to_string()).collect(),
             });
         }
-        if self.manager.is_some() {
-            let result = {
-                let bm = self.manager.as_mut().expect("checked above");
-                // Compact build: an equivalent candidate hash-conses onto
-                // the reference cones and interns zero new nodes, so the
-                // checker's manager stays near live-reference size across
-                // arbitrarily many redundancy-removal checks.
-                try_network_bdds_compact(candidate, bm)
-            };
-            match result {
+        if let Some(bm) = &self.manager {
+            // Compact build: an equivalent candidate hash-conses onto the
+            // reference cones and interns zero new nodes, so the checker's
+            // manager stays near live-reference size across arbitrarily
+            // many redundancy-removal checks.
+            match network_bdds(candidate, bm) {
                 Ok(outs) => return Ok(outs == self.reference_outputs),
                 Err(Error::Budget(_)) => {
                     // The candidate's BDD blew the node cap; keep going
@@ -176,28 +164,16 @@ impl EquivChecker {
                 Err(e) => return Err(e),
             }
         }
-        let blocks = self
-            .sim_patterns
-            .as_ref()
-            .expect("checker always has one backend");
-        Ok(equivalent_on_blocks(
-            &self.reference,
-            candidate,
-            blocks.iter().cloned(),
-        ))
+        // without a BDD manager the simulation backend is always built
+        let blocks = self.sim_patterns.iter().flatten().cloned();
+        Ok(equivalent_on_blocks(&self.reference, candidate, blocks))
     }
 
-    /// [`EquivChecker::check`] recording into a trace buffer: runs inside a
-    /// `check` span, counts `verify.checks`, and (on the simulation
-    /// backend) counts the patterns simulated as `verify.sim_patterns`.
-    pub fn check_traced(&mut self, candidate: &Network, buf: &mut TraceBuffer) -> bool {
-        self.try_check_traced(candidate, buf)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`EquivChecker::try_check`] recording into a trace buffer. The
-    /// `check` span is closed on every path, including errors; a mid-check
-    /// downgrade is counted as `verify.downgraded`.
+    /// [`EquivChecker::try_check`] recording into a trace buffer: runs
+    /// inside a `check` span (closed on every path, including errors),
+    /// counts `verify.checks`, counts a mid-check downgrade as
+    /// `verify.downgraded` and, on the simulation backend, the patterns
+    /// simulated as `verify.sim_patterns`.
     pub fn try_check_traced(
         &mut self,
         candidate: &Network,
@@ -224,27 +200,22 @@ impl EquivChecker {
 /// Builds the BDD of every output of `net` in `bm` (whose arity must match
 /// the input count), by structural traversal.
 ///
-/// # Panics
+/// Every gate's BDD is built in a throwaway scratch manager (inheriting
+/// `bm`'s node cap), then only the DAGs reachable from the output roots are
+/// copied into `bm`. A structural traversal allocates a node for every
+/// internal gate, most of which are dead the moment their fanouts are
+/// folded — but the substrate has no reference counts, so a build straight
+/// into `bm` would leave them in its unique tables forever. Routing the
+/// build through a scratch manager means `bm` — which may be a long-lived
+/// pooled or shared substrate — only ever holds live cones. The copy is a
+/// sequential DFS in output order, so the set of nodes it interns is
+/// schedule-independent and the parallel≡sequential `bdd.nodes` contract is
+/// preserved.
 ///
-/// Panics on arity mismatch, a combinational cycle, or when `bm` runs out
-/// of its node cap; use [`try_network_bdds`] for the fallible form.
-pub fn network_bdds(net: &Network, bm: &mut BddManager) -> Vec<Bdd> {
-    try_network_bdds(net, bm).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Garbage-collected form of [`try_network_bdds`]: builds every gate's
-/// BDD in a throwaway scratch manager (inheriting `bm`'s node cap), then
-/// copies only the DAGs reachable from the output roots into `bm`.
-///
-/// A structural traversal allocates a node for every internal gate, most
-/// of which are dead the moment their fanouts are folded — but a plain
-/// build leaves them in `bm`'s unique tables forever (the substrate has
-/// no reference counts). Routing the build through a scratch manager
-/// means `bm` — which may be a long-lived pooled or shared substrate —
-/// only ever holds live cones. The copy is a sequential DFS in output
-/// order, so the set of nodes it interns is schedule-independent and the
-/// parallel≡sequential `bdd.nodes` contract is preserved.
-pub fn try_network_bdds_compact(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, Error> {
+/// Arity mismatches and combinational cycles are errors, and a tripped
+/// node cap is [`Error::Budget`], so governed callers can degrade instead
+/// of dying.
+pub fn network_bdds(net: &Network, bm: &BddManager) -> Result<Vec<Bdd>, Error> {
     let n = net.inputs().len();
     if bm.num_vars() != n {
         return Err(Error::msg(format!(
@@ -253,103 +224,79 @@ pub fn try_network_bdds_compact(net: &Network, bm: &mut BddManager) -> Result<Ve
             n
         )));
     }
-    let mut scratch = match bm.node_limit() {
+    let scratch = match bm.node_limit() {
         Some(cap) => BddManager::with_node_limit(n, cap),
         None => BddManager::new(n),
     };
-    let outs = try_network_bdds(net, &mut scratch)?;
-    scratch.try_copy_roots(&outs, bm).map_err(|_| {
-        Error::Budget(BudgetExceeded::new(
-            "bdd",
-            Resource::BddNodes,
-            bm.node_limit().unwrap_or(0) as u64,
-        ))
-    })
+    let outs = output_bdds(net, &scratch, None)?;
+    scratch.copy_roots(&outs, bm).map_err(|_| budget_error(bm))
 }
 
-/// Fallible form of [`network_bdds`]: reports arity mismatches and
-/// combinational cycles as errors, and maps the manager's node cap to
-/// [`Error::Budget`] so governed callers can degrade instead of dying.
-pub fn try_network_bdds(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, Error> {
-    if bm.num_vars() != net.inputs().len() {
-        return Err(Error::msg(format!(
-            "BDD arity mismatch: manager has {} vars, network has {} inputs",
-            bm.num_vars(),
-            net.inputs().len()
-        )));
-    }
-    let budget_err = |bm: &BddManager| {
-        Error::Budget(BudgetExceeded::new(
-            "bdd",
-            Resource::BddNodes,
-            bm.node_limit().unwrap_or(0) as u64,
-        ))
+/// The typed form of a tripped node cap on `bm`.
+pub(crate) fn budget_error(bm: &BddManager) -> Error {
+    Error::Budget(BudgetExceeded::new(
+        "bdd",
+        Resource::BddNodes,
+        bm.node_limit().unwrap_or(0) as u64,
+    ))
+}
+
+/// The gate→BDD fold every structural build shares: the BDD of each output
+/// of `net`, built straight into `bm`. With a `fault`, the faulted wire or
+/// node is overridden by its stuck-at constant, which is how ATPG builds
+/// the faulty machine.
+pub(crate) fn output_bdds(
+    net: &Network,
+    bm: &BddManager,
+    fault: Option<Fault>,
+) -> Result<Vec<Bdd>, Error> {
+    let stuck = |site: FaultSite| {
+        fault
+            .filter(|f| f.site == site)
+            .map(|f| bm.constant(f.stuck_at))
     };
-    let mut val: HashMap<SignalId, Bdd> = HashMap::new();
+    let mut val = vec![Bdd::ZERO; net.num_nodes()];
     for (i, &id) in net.inputs().iter().enumerate() {
-        let v = bm.try_var(i).map_err(|_| budget_err(bm))?;
-        val.insert(id, v);
+        val[id.index()] = match stuck(FaultSite::Output(id)) {
+            Some(c) => c,
+            None => bm.var(i).map_err(|_| budget_error(bm))?,
+        };
     }
     for id in net.try_topo_order()? {
         let NodeKind::Gate(kind) = net.kind(id) else {
             continue;
         };
-        use xsynth_net::GateKind::*;
-        let fan: Vec<Bdd> = net.fanins(id).iter().map(|f| val[f]).collect();
-        let b = (|| {
-            Ok(match kind {
-                Const0 => Bdd::ZERO,
-                Const1 => Bdd::ONE,
-                Buf => fan[0],
-                Not => bm.try_not(fan[0])?,
-                And => {
-                    let mut a = Bdd::ONE;
-                    for &x in &fan {
-                        a = bm.try_and(a, x)?;
-                    }
-                    a
-                }
-                Nand => {
-                    let mut a = Bdd::ONE;
-                    for &x in &fan {
-                        a = bm.try_and(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-                Or => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_or(a, x)?;
-                    }
-                    a
-                }
-                Nor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_or(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-                Xor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_xor(a, x)?;
-                    }
-                    a
-                }
-                Xnor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_xor(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-            })
-        })()
-        .map_err(|_: xsynth_bdd::NodeLimitExceeded| budget_err(bm))?;
-        val.insert(id, b);
+        let fan = net
+            .fanins(id)
+            .iter()
+            .enumerate()
+            .map(|(k, f)| stuck(FaultSite::Fanin(id, k)).unwrap_or(val[f.index()]));
+        val[id.index()] = match stuck(FaultSite::Output(id)) {
+            Some(c) => c,
+            None => gate_bdd(bm, *kind, fan).map_err(|_| budget_error(bm))?,
+        };
     }
-    Ok(net.outputs().iter().map(|&(_, s)| val[&s]).collect())
+    Ok(net.outputs().iter().map(|&(_, s)| val[s.index()]).collect())
+}
+
+/// One gate's function over its fanin BDDs. Buffers and inverters fold
+/// like one-input ANDs (`1·x = x` allocates nothing), constants like
+/// zero-input ORs.
+fn gate_bdd(
+    bm: &BddManager,
+    kind: GateKind,
+    mut fan: impl Iterator<Item = Bdd>,
+) -> Result<Bdd, NodeLimitExceeded> {
+    use GateKind::*;
+    let value = match kind {
+        Const0 | Const1 | Or | Nor => fan.try_fold(Bdd::ZERO, |a, x| bm.or(a, x))?,
+        Buf | Not | And | Nand => fan.try_fold(Bdd::ONE, |a, x| bm.and(a, x))?,
+        Xor | Xnor => fan.try_fold(Bdd::ZERO, |a, x| bm.xor(a, x))?,
+    };
+    Ok(match kind {
+        Const1 | Not | Nand | Nor | Xnor => bm.not(value),
+        _ => value,
+    })
 }
 
 #[cfg(test)]
@@ -381,7 +328,7 @@ mod tests {
         let mut c = EquivChecker::new(&xor_net(0));
         assert!(c.is_exact());
         assert!(!c.downgraded());
-        assert!(c.check(&xor_net(1)));
+        assert!(c.try_check(&xor_net(1)).unwrap());
     }
 
     #[test]
@@ -392,7 +339,7 @@ mod tests {
         let b = bad.add_input("b");
         let o = bad.add_gate(GateKind::Or, vec![a, b]);
         bad.add_output("f", o);
-        assert!(!c.check(&bad));
+        assert!(!c.try_check(&bad).unwrap());
     }
 
     #[test]
@@ -406,12 +353,12 @@ mod tests {
         };
         let mut c = EquivChecker::new(&build(GateKind::And));
         assert!(!c.is_exact());
-        assert!(c.check(&build(GateKind::And)));
+        assert!(c.try_check(&build(GateKind::And)).unwrap());
         // AND vs NAND of 48 inputs differ almost everywhere under random
         // patterns? they differ only where all inputs are 1, which random
         // patterns will never hit — use OR vs AND instead, which differ on
         // nearly every pattern.
-        assert!(!c.check(&build(GateKind::Or)));
+        assert!(!c.try_check(&build(GateKind::Or)).unwrap());
     }
 
     #[test]
@@ -431,7 +378,10 @@ mod tests {
         b.add_output("p", g1);
         b.add_output("q", g2);
         let mut c = EquivChecker::new(&a);
-        assert!(!c.check(&b), "swapped outputs are not equivalent");
+        assert!(
+            !c.try_check(&b).unwrap(),
+            "swapped outputs are not equivalent"
+        );
     }
 
     #[test]
@@ -543,15 +493,12 @@ mod tests {
     }
 
     #[test]
-    fn try_network_bdds_reports_arity_and_budget() {
+    fn network_bdds_reports_arity_and_budget() {
         let net = xor_net(0);
-        let mut wrong = BddManager::new(3);
-        assert!(matches!(
-            try_network_bdds(&net, &mut wrong),
-            Err(Error::Msg(_))
-        ));
-        let mut capped = BddManager::with_node_limit(2, 2);
-        match try_network_bdds(&net, &mut capped) {
+        let wrong = BddManager::new(3);
+        assert!(matches!(network_bdds(&net, &wrong), Err(Error::Msg(_))));
+        let capped = BddManager::with_node_limit(2, 2);
+        match network_bdds(&net, &capped) {
             Err(Error::Budget(b)) => assert_eq!(b.resource, Resource::BddNodes),
             other => panic!("expected budget error, got {other:?}"),
         }

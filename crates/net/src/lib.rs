@@ -75,6 +75,25 @@ impl GateKind {
         }
     }
 
+    /// Evaluates the gate function bitwise over packed pattern words, one
+    /// word per fanin: the word-parallel form of [`GateKind::eval`] every
+    /// 64-lane simulator shares. Buffers and inverters fold like one-input
+    /// ANDs, constants like zero-input ORs.
+    #[inline]
+    pub fn eval_words<I: IntoIterator<Item = u64>>(self, fanins: I) -> u64 {
+        use GateKind::*;
+        let it = fanins.into_iter();
+        let value = match self {
+            Const0 | Const1 | Or | Nor => it.fold(0, |a, b| a | b),
+            Buf | Not | And | Nand => it.fold(!0, |a, b| a & b),
+            Xor | Xnor => it.fold(0, |a, b| a ^ b),
+        };
+        match self {
+            Const1 | Not | Nand | Nor | Xnor => !value,
+            _ => value,
+        }
+    }
+
     /// Whether the gate is one of the XOR family.
     pub fn is_xor_like(self) -> bool {
         matches!(self, GateKind::Xor | GateKind::Xnor)
@@ -944,6 +963,21 @@ mod tests {
             let v = n.eval_u64(m);
             assert_eq!(v[0], bits & 1 == 1, "sum at {m}");
             assert_eq!(v[1], bits >= 2, "carry at {m}");
+        }
+    }
+
+    #[test]
+    fn eval_words_is_lane_wise_eval() {
+        use GateKind::*;
+        // lane k of the words holds the bits of k: every 3-input pattern
+        let words = [0xaau64, 0xcc, 0xf0];
+        for kind in [Const0, Const1, Buf, Not, And, Nand, Or, Nor, Xor, Xnor] {
+            let arity = kind.arity().unwrap_or(3);
+            let w = kind.eval_words(words[..arity].iter().copied());
+            for lane in 0..8 {
+                let bits = words[..arity].iter().map(|x| x >> lane & 1 == 1);
+                assert_eq!(w >> lane & 1 == 1, kind.eval(bits), "{kind:?} lane {lane}");
+            }
         }
     }
 

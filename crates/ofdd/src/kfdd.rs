@@ -14,10 +14,9 @@
 //! flow. This module provides the diagram, a BDD→KFDD conversion, a greedy
 //! per-variable decomposition search, and network lowering.
 
-use crate::{Ofdd, OfddManager};
 use std::collections::HashMap;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_boolean::{Polarity, TruthTable};
+use xsynth_boolean::TruthTable;
 use xsynth_net::{GateKind, Network, SignalId};
 
 /// The expansion used for one variable of a KFDD.
@@ -120,24 +119,14 @@ impl KfddManager {
     }
 
     #[allow(clippy::wrong_self_convention)] // manager-style constructor, as in CUDD
-    /// Builds the KFDD of a BDD function under this manager's types.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch, or if `bm` has a node cap and trips it
-    /// (use [`KfddManager::try_from_bdd`] under a budget).
-    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Kfdd {
-        self.try_from_bdd(bm, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`KfddManager::from_bdd`]: the Davio expansions
-    /// allocate XOR cofactors in `bm`, so a node-capped manager can trip.
+    /// Builds the KFDD of a BDD function under this manager's types. The
+    /// Davio expansions allocate XOR cofactors in `bm`, so a node cap on
+    /// `bm` can trip.
     ///
     /// # Panics
     ///
     /// Panics on arity mismatch (a programming error, not a resource one).
-    pub fn try_from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Kfdd, NodeLimitExceeded> {
+    pub fn from_bdd(&mut self, bm: &BddManager, f: Bdd) -> Result<Kfdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
         let mut memo = HashMap::new();
         self.from_bdd_rec(bm, f, &mut memo)
@@ -146,26 +135,22 @@ impl KfddManager {
     #[allow(clippy::wrong_self_convention)]
     fn from_bdd_rec(
         &mut self,
-        bm: &mut BddManager,
+        bm: &BddManager,
         f: Bdd,
         memo: &mut HashMap<Bdd, Kfdd>,
     ) -> Result<Kfdd, NodeLimitExceeded> {
-        if f == Bdd::ZERO {
-            return Ok(Kfdd::ZERO);
-        }
-        if f == Bdd::ONE {
-            return Ok(Kfdd::ONE);
-        }
+        let Some(var) = bm.top_var(f) else {
+            return Ok(if f == Bdd::ONE { Kfdd::ONE } else { Kfdd::ZERO });
+        };
         if let Some(&k) = memo.get(&f) {
             return Ok(k);
         }
-        let var = bm.top_var(f).expect("non-terminal");
         let f0 = bm.low(f);
         let f1 = bm.high(f);
         let (lo_bdd, hi_bdd) = match self.types[var] {
             Decomposition::Shannon => (f0, f1),
-            Decomposition::PositiveDavio => (f0, bm.try_xor(f0, f1)?),
-            Decomposition::NegativeDavio => (f1, bm.try_xor(f0, f1)?),
+            Decomposition::PositiveDavio => (f0, bm.xor(f0, f1)?),
+            Decomposition::NegativeDavio => (f1, bm.xor(f0, f1)?),
         };
         let lo = self.from_bdd_rec(bm, lo_bdd, memo)?;
         let hi = self.from_bdd_rec(bm, hi_bdd, memo)?;
@@ -174,11 +159,13 @@ impl KfddManager {
         Ok(k)
     }
 
-    /// Convenience: builds from a truth table.
-    pub fn from_table(&mut self, t: &TruthTable) -> Kfdd {
-        let mut bm = BddManager::new(t.num_vars());
-        let f = bm.from_table(t);
-        self.from_bdd(&mut bm, f)
+    #[allow(clippy::wrong_self_convention)]
+    /// Convenience: builds from a truth table through a private, uncapped
+    /// BDD manager.
+    pub fn from_table(&mut self, t: &TruthTable) -> Result<Kfdd, NodeLimitExceeded> {
+        let bm = BddManager::new(t.num_vars());
+        let f = bm.from_table(t)?;
+        self.from_bdd(&bm, f)
     }
 
     /// Evaluates on a variable-space assignment.
@@ -337,20 +324,12 @@ impl KfddManager {
 /// change most reduces the node count, until a local minimum. Returns the
 /// winning manager and root.
 ///
-/// # Panics
-///
-/// Panics if `bm` has a node cap and even the base all-positive-Davio
-/// build trips it (use [`try_optimize_decomposition`] under a budget).
-pub fn optimize_decomposition(bm: &mut BddManager, f: Bdd) -> (KfddManager, Kfdd) {
-    try_optimize_decomposition(bm, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`optimize_decomposition`]. Under a node-capped
-/// manager, candidate retypes that trip the cap are simply skipped (the
-/// best affordable decomposition so far is kept); the call only errors
-/// when even the base all-positive-Davio build is unaffordable.
-pub fn try_optimize_decomposition(
-    bm: &mut BddManager,
+/// Under a node-capped manager, candidate retypes that trip the cap are
+/// simply skipped (the best affordable decomposition so far is kept); the
+/// call only errors when even the base all-positive-Davio build is
+/// unaffordable.
+pub fn optimize_decomposition(
+    bm: &BddManager,
     f: Bdd,
 ) -> Result<(KfddManager, Kfdd), NodeLimitExceeded> {
     let n = bm.num_vars();
@@ -362,7 +341,7 @@ pub fn try_optimize_decomposition(
     let mut types = vec![Decomposition::PositiveDavio; n];
     let mut best_size = {
         let mut m = KfddManager::new(types.clone());
-        let r = m.try_from_bdd(bm, f)?;
+        let r = m.from_bdd(bm, f)?;
         m.size(r)
     };
     loop {
@@ -375,7 +354,7 @@ pub fn try_optimize_decomposition(
                 }
                 types[v] = d;
                 let mut m = KfddManager::new(types.clone());
-                match m.try_from_bdd(bm, f) {
+                match m.from_bdd(bm, f) {
                     Ok(r) => {
                         let s = m.size(r);
                         if s < best_size {
@@ -397,24 +376,26 @@ pub fn try_optimize_decomposition(
     let mut m = KfddManager::new(types);
     // every retype kept in `types` was built successfully above, so the
     // final rebuild replays cached XORs and cannot trip
-    let r = m.try_from_bdd(bm, f)?;
+    let r = m.from_bdd(bm, f)?;
     Ok((m, r))
-}
-
-/// The OFDD seen as the pure positive-Davio KFDD (consistency bridge).
-pub fn ofdd_node_count(t: &TruthTable) -> usize {
-    let mut om = OfddManager::new(Polarity::all_positive(t.num_vars()));
-    let o: Ofdd = om.from_table(t);
-    om.size(o)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OfddManager;
+    use xsynth_boolean::Polarity;
+
+    /// The OFDD seen as the pure positive-Davio KFDD (consistency bridge).
+    fn ofdd_node_count(t: &TruthTable) -> usize {
+        let mut om = OfddManager::new(Polarity::all_positive(t.num_vars()));
+        let o = om.from_table(t).expect("uncapped");
+        om.size(o)
+    }
 
     fn check(t: &TruthTable, types: Vec<Decomposition>) -> usize {
         let mut m = KfddManager::new(types);
-        let k = m.from_table(t);
+        let k = m.from_table(t).expect("uncapped");
         for mt in 0..(1u64 << t.num_vars()) {
             assert_eq!(m.eval(k, mt), t.eval(mt), "at {mt}");
         }
@@ -442,9 +423,19 @@ mod tests {
     fn pure_shannon_matches_bdd_size() {
         let t = TruthTable::from_fn(6, |m| (m * 13 + 5) % 11 < 5);
         let kfdd_size = check(&t, vec![Decomposition::Shannon; 6]);
-        let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
-        assert_eq!(kfdd_size, bm.size(f));
+        let bm = BddManager::new(6);
+        let f = bm.from_table(&t).expect("uncapped");
+        // the KFDD has no complement edges, so compare against the
+        // complement-free ROBDD: distinct non-constant subfunctions, with
+        // g and ¬g counted apart
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![f];
+        while let Some(g) = stack.pop() {
+            if !g.is_const() && seen.insert(g) {
+                stack.extend([bm.low(g), bm.high(g)]);
+            }
+        }
+        assert_eq!(kfdd_size, seen.len());
     }
 
     #[test]
@@ -480,9 +471,9 @@ mod tests {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(m + 3);
                 (s >> 40) & 7 < 3
             });
-            let mut bm = BddManager::new(6);
-            let f = bm.from_table(&t);
-            let (m, r) = optimize_decomposition(&mut bm, f);
+            let bm = BddManager::new(6);
+            let f = bm.from_table(&t).expect("uncapped");
+            let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
             assert!(m.size(r) <= ofdd_node_count(&t), "seed {seed}");
             for mt in 0..64u64 {
                 assert_eq!(m.eval(r, mt), t.eval(mt));
@@ -494,9 +485,9 @@ mod tests {
     fn mux_prefers_shannon() {
         // f = s ? a : b — one Shannon node at s beats Davio chains
         let t = TruthTable::from_fn(3, |m| if m & 1 != 0 { m & 2 != 0 } else { m & 4 != 0 });
-        let mut bm = BddManager::new(3);
-        let f = bm.from_table(&t);
-        let (m, r) = optimize_decomposition(&mut bm, f);
+        let bm = BddManager::new(3);
+        let f = bm.from_table(&t).expect("uncapped");
+        let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
         assert!(
             m.size(r) <= 3,
             "mux should be tiny under mixed types, got {}",
@@ -507,9 +498,9 @@ mod tests {
     #[test]
     fn parity_prefers_davio() {
         let t = TruthTable::from_fn(8, |m| m.count_ones() % 2 == 1);
-        let mut bm = BddManager::new(8);
-        let f = bm.from_table(&t);
-        let (m, r) = optimize_decomposition(&mut bm, f);
+        let bm = BddManager::new(8);
+        let f = bm.from_table(&t).expect("uncapped");
+        let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
         // pure Davio gives n nodes; Shannon would give 2n-1
         assert_eq!(m.size(r), 8);
         assert!(m.types().iter().all(|d| *d != Decomposition::Shannon));
@@ -518,7 +509,7 @@ mod tests {
     #[test]
     fn constants() {
         let mut m = KfddManager::new(vec![Decomposition::Shannon; 3]);
-        assert_eq!(m.from_table(&TruthTable::zero(3)), Kfdd::ZERO);
-        assert_eq!(m.from_table(&TruthTable::one(3)), Kfdd::ONE);
+        assert_eq!(m.from_table(&TruthTable::zero(3)), Ok(Kfdd::ZERO));
+        assert_eq!(m.from_table(&TruthTable::one(3)), Ok(Kfdd::ONE));
     }
 }

@@ -24,11 +24,12 @@
 //!
 //! // x0 OR x1 = x0 ⊕ x1 ⊕ x0·x1 in positive polarity.
 //! let t = TruthTable::var(2, 0) | TruthTable::var(2, 1);
-//! let mut bm = BddManager::new(2);
-//! let f = bm.from_table(&t);
+//! let bm = BddManager::new(2);
+//! let f = bm.from_table(&t)?;
 //! let mut om = OfddManager::new(Polarity::all_positive(2));
-//! let o = om.from_bdd(&mut bm, f);
+//! let o = om.from_bdd(&bm, f)?;
 //! assert_eq!(om.num_cubes(o), 3);
+//! # Ok::<(), xsynth_bdd::NodeLimitExceeded>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -213,23 +214,13 @@ impl OfddManager {
 
     #[allow(clippy::wrong_self_convention)] // manager-style constructor, as in CUDD
     /// Builds the OFDD of `f` from a ROBDD, variable by variable in the
-    /// shared natural order.
+    /// shared natural order. The conversion drives `bm` through XOR
+    /// operations, so a node cap on `bm` can trip.
     ///
     /// # Panics
     ///
-    /// Panics if the BDD manager's arity differs, or if a node cap is set
-    /// on `bm` and tripped (use [`OfddManager::try_from_bdd`] under a
-    /// budget).
-    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Ofdd {
-        self.try_from_bdd(bm, f)
-            .unwrap_or_else(|e| panic!("{e} (use try_from_bdd under a node cap)"))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`OfddManager::from_bdd`]: the conversion drives
-    /// `bm` through XOR operations that can trip its node cap. Still
-    /// panics on an arity mismatch, which is a programming error.
-    pub fn try_from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Ofdd, NodeLimitExceeded> {
+    /// Panics if the BDD manager's arity differs (a programming error).
+    pub fn from_bdd(&mut self, bm: &BddManager, f: Bdd) -> Result<Ofdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
         xsynth_trace::fail_point!(
             "ofdd.from_bdd",
@@ -244,23 +235,19 @@ impl OfddManager {
     #[allow(clippy::wrong_self_convention)]
     fn from_bdd_rec(
         &mut self,
-        bm: &mut BddManager,
+        bm: &BddManager,
         f: Bdd,
         memo: &mut HashMap<Bdd, Ofdd>,
     ) -> Result<Ofdd, NodeLimitExceeded> {
-        if f == Bdd::ZERO {
-            return Ok(Ofdd::ZERO);
-        }
-        if f == Bdd::ONE {
-            return Ok(Ofdd::ONE);
-        }
+        let Some(var) = bm.top_var(f) else {
+            return Ok(if f == Bdd::ONE { Ofdd::ONE } else { Ofdd::ZERO });
+        };
         if let Some(&o) = memo.get(&f) {
             return Ok(o);
         }
-        let var = bm.top_var(f).expect("non-terminal");
         let f0 = bm.low(f);
         let f1 = bm.high(f);
-        let diff_bdd = bm.try_xor(f0, f1)?;
+        let diff_bdd = bm.xor(f0, f1)?;
         let base_bdd = if self.polarity.is_positive(var) {
             f0
         } else {
@@ -273,11 +260,13 @@ impl OfddManager {
         Ok(o)
     }
 
-    /// Convenience: builds the OFDD of a truth table.
-    pub fn from_table(&mut self, t: &TruthTable) -> Ofdd {
-        let mut bm = BddManager::new(t.num_vars());
-        let f = bm.from_table(t);
-        self.from_bdd(&mut bm, f)
+    #[allow(clippy::wrong_self_convention)]
+    /// Convenience: builds the OFDD of a truth table through a private,
+    /// uncapped BDD manager.
+    pub fn from_table(&mut self, t: &TruthTable) -> Result<Ofdd, NodeLimitExceeded> {
+        let bm = BddManager::new(t.num_vars());
+        let f = bm.from_table(t)?;
+        self.from_bdd(&bm, f)
     }
 
     /// Number of FPRM cubes (paths to the 1-terminal).
@@ -472,15 +461,14 @@ impl PolaritySearchStats {
 /// the BDD→OFDD conversion. Evaluated polarities are memoized (keyed by
 /// the polarity vector itself), so greedy rounds never re-evaluate a visited
 /// vector, and the independent single-flip candidates of a round can be
-/// evaluated in parallel (`parallel(true)`) on clone handles of the shared
-/// manager substrate, every worker hash-consing into the same DAG under
-/// one global node cap.
+/// evaluated in parallel (`parallel(true)`), every worker hash-consing into
+/// the same shared manager under one global node cap.
 /// Results are bit-identical with and without parallelism: workers only
 /// compute cube counts, and the selection logic is a pure function of
 /// those counts applied in a fixed order.
 #[derive(Debug)]
 pub struct PolaritySearch<'a> {
-    bm: &'a mut BddManager,
+    bm: &'a BddManager,
     f: Bdd,
     memo: HashMap<Polarity, u64>,
     parallel: bool,
@@ -496,7 +484,7 @@ impl<'a> PolaritySearch<'a> {
     /// A node cap set on `bm` (see [`BddManager::set_node_limit`]) governs
     /// the search: when a candidate evaluation trips it, the search stops
     /// and keeps the best polarity found so far instead of panicking.
-    pub fn new(bm: &'a mut BddManager, f: Bdd) -> Self {
+    pub fn new(bm: &'a BddManager, f: Bdd) -> Self {
         PolaritySearch {
             bm,
             f,
@@ -561,25 +549,15 @@ impl<'a> PolaritySearch<'a> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The FPRM cube count of the function under `pol`, memoized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager's node cap trips (use
-    /// [`PolaritySearch::try_cube_count`] under a budget).
-    pub fn cube_count(&mut self, pol: &Polarity) -> u64 {
-        self.try_cube_count(pol)
-            .expect("BDD node limit exceeded during polarity search (use try_cube_count)")
-    }
-
-    /// [`PolaritySearch::cube_count`] that reports a tripped node cap as
-    /// `None` instead of panicking.
-    pub fn try_cube_count(&mut self, pol: &Polarity) -> Option<u64> {
+    /// The FPRM cube count of the function under `pol`, memoized; `None`
+    /// when the evaluation trips the manager's node cap (recorded as a
+    /// budget trip).
+    pub fn cube_count(&mut self, pol: &Polarity) -> Option<u64> {
         if let Some(&c) = self.memo.get(pol) {
             self.record(0, 1);
             return Some(c);
         }
-        match try_eval_polarity(self.bm, self.f, pol) {
+        match eval_polarity(self.bm, self.f, pol) {
             Some(c) => {
                 self.record(1, 0);
                 self.memo.insert(pol.clone(), c);
@@ -590,22 +568,6 @@ impl<'a> PolaritySearch<'a> {
                 None
             }
         }
-    }
-
-    /// Cube counts for a batch of candidate polarities, answered from the
-    /// memo where possible and computed (in parallel when enabled) where
-    /// not. The returned vector is index-aligned with `pols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager's node cap trips; the budget-governed search
-    /// strategies use the internal keep-best-so-far path instead.
-    pub fn cube_counts(&mut self, pols: &[Polarity]) -> Vec<u64> {
-        let (counts, _) = self.counts_governed(pols);
-        counts
-            .into_iter()
-            .map(|c| c.expect("BDD node limit exceeded during polarity search"))
-            .collect()
     }
 
     /// Batch evaluation under the budget: memo hits always answer;
@@ -642,7 +604,7 @@ impl<'a> PolaritySearch<'a> {
                 1
             };
             if workers > 1 {
-                let bm = &*self.bm;
+                let bm = self.bm;
                 let f = self.f;
                 let counts: Vec<(usize, Option<u64>)> = std::thread::scope(|s| {
                     let handles: Vec<_> = (0..workers)
@@ -651,10 +613,9 @@ impl<'a> PolaritySearch<'a> {
                                 missing.iter().copied().skip(w).step_by(workers).collect();
                             let pols = &pols;
                             s.spawn(move || {
-                                let mut local = bm.clone();
                                 chunk
                                     .into_iter()
-                                    .map(|i| (i, try_eval_polarity(&mut local, f, &pols[i])))
+                                    .map(|i| (i, eval_polarity(bm, f, &pols[i])))
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -679,7 +640,7 @@ impl<'a> PolaritySearch<'a> {
                         tripped = true;
                         break;
                     }
-                    match try_eval_polarity(self.bm, self.f, &pols[i]) {
+                    match eval_polarity(self.bm, self.f, &pols[i]) {
                         Some(c) => {
                             evaluated += 1;
                             self.memo.insert(pols[i].clone(), c);
@@ -711,7 +672,7 @@ impl<'a> PolaritySearch<'a> {
     pub fn greedy(&mut self, support: &[usize]) -> (Polarity, u64) {
         let n = self.bm.num_vars();
         let mut pol = Polarity::all_positive(n);
-        let Some(mut best) = self.try_cube_count(&pol.clone()) else {
+        let Some(mut best) = self.cube_count(&pol.clone()) else {
             // even the base polarity is unaffordable under the budget:
             // keep it with an unknown cost
             return (pol, u64::MAX);
@@ -825,7 +786,7 @@ impl<'a> PolaritySearch<'a> {
         match mode {
             PolarityMode::AllPositive => {
                 let pol = Polarity::all_positive(n);
-                let c = self.try_cube_count(&pol.clone()).unwrap_or(u64::MAX);
+                let c = self.cube_count(&pol.clone()).unwrap_or(u64::MAX);
                 (pol, c)
             }
             PolarityMode::Greedy => self.greedy(support),
@@ -842,43 +803,33 @@ impl<'a> PolaritySearch<'a> {
 
 /// One candidate evaluation: BDD→OFDD conversion under `pol`, cube count.
 /// `None` when the conversion trips the manager's node cap.
-fn try_eval_polarity(bm: &mut BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
+fn eval_polarity(bm: &BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
     let mut om = OfddManager::new(pol.clone());
-    let o = om.try_from_bdd(bm, f).ok()?;
+    let o = om.from_bdd(bm, f).ok()?;
     Some(om.num_cubes(o))
 }
 
-/// Searches for a cube-minimizing polarity of `t` by the memoized greedy
-/// descent of [`PolaritySearch`], evaluating candidates through OFDD cube
-/// counts. Returns the winning manager and root.
+/// Searches for a cube-minimizing polarity of `t` under `mode` by the
+/// memoized descent of [`PolaritySearch`], evaluating candidates through
+/// OFDD cube counts. Returns the winning manager and root.
 ///
 /// This is the practical polarity-optimization loop of the paper's
 /// reference \[20\] scaled to functions whose truth tables fit in memory; for
 /// larger functions build from a [`BddManager`] directly with
 /// [`PolaritySearch`] and the polarity of your choice.
-pub fn optimize_polarity(t: &TruthTable) -> (OfddManager, Ofdd) {
-    let ((om, o), _) = optimize_polarity_mode(t, PolarityMode::Greedy);
-    (om, o)
-}
-
-/// [`optimize_polarity`] with an explicit search mode, also returning the
-/// search counters.
-pub fn optimize_polarity_mode(
+pub fn optimize_polarity(
     t: &TruthTable,
     mode: PolarityMode,
-) -> ((OfddManager, Ofdd), PolaritySearchStats) {
-    let n = t.num_vars();
-    let mut bm = BddManager::new(n);
-    let f = bm.from_table(t);
+) -> Result<(OfddManager, Ofdd), NodeLimitExceeded> {
+    let bm = BddManager::new(t.num_vars());
+    let f = bm.from_table(t)?;
     let support: Vec<usize> = bm.support(f).iter().collect();
-    let (pol, stats) = {
-        let mut search = PolaritySearch::new(&mut bm, f).parallel(true);
-        let (pol, _) = search.run(mode, &support);
-        (pol, search.stats)
-    };
+    let (pol, _) = PolaritySearch::new(&bm, f)
+        .parallel(true)
+        .run(mode, &support);
     let mut om = OfddManager::new(pol);
-    let o = om.from_bdd(&mut bm, f);
-    ((om, o), stats)
+    let o = om.from_bdd(&bm, f)?;
+    Ok((om, o))
 }
 
 #[cfg(test)]
@@ -887,7 +838,7 @@ mod tests {
 
     fn check_semantics(t: &TruthTable, pol: &Polarity) {
         let mut om = OfddManager::new(pol.clone());
-        let o = om.from_table(t);
+        let o = om.from_table(t).expect("uncapped");
         for m in 0..(1u64 << t.num_vars()) {
             assert_eq!(om.eval(o, m), t.eval(m), "pol {pol:?} minterm {m}");
         }
@@ -934,7 +885,7 @@ mod tests {
         );
         let t = f.to_table();
         let mut om = OfddManager::new(pol);
-        let o = om.from_table(&t);
+        let o = om.from_table(&t).expect("uncapped");
         assert_eq!(om.num_cubes(o), 6);
         // The paper's drawing uses a merge-isomorphic-children reduction and
         // shows 3 nonterminal nodes; under the standard zero-suppressed OFDD
@@ -948,9 +899,10 @@ mod tests {
         let t1 = TruthTable::var(5, 0) & TruthTable::var(5, 3);
         let t2 = TruthTable::var(5, 2);
         let mut om = OfddManager::new(Polarity::all_positive(5));
-        let (a, b) = (om.from_table(&t1), om.from_table(&t2));
+        let a = om.from_table(&t1).expect("uncapped");
+        let b = om.from_table(&t2).expect("uncapped");
         let x = om.xor(a, b);
-        let expect = om.from_table(&(&t1 ^ &t2));
+        let expect = om.from_table(&(&t1 ^ &t2)).expect("uncapped");
         assert_eq!(x, expect, "canonical handles must match");
         let zero = om.xor(x, x);
         assert_eq!(zero, Ofdd::ZERO);
@@ -961,7 +913,7 @@ mod tests {
         let n = 10;
         let t = TruthTable::from_fn(n, |m| m.count_ones() % 2 == 1);
         let mut om = OfddManager::new(Polarity::all_positive(n));
-        let o = om.from_table(&t);
+        let o = om.from_table(&t).expect("uncapped");
         assert_eq!(om.num_cubes(o), n as u64);
         assert_eq!(om.size(o), n);
     }
@@ -970,7 +922,7 @@ mod tests {
     fn topo_order_children_first() {
         let t = TruthTable::from_fn(6, |m| (m % 11) < 4);
         let mut om = OfddManager::new(Polarity::all_positive(6));
-        let o = om.from_table(&t);
+        let o = om.from_table(&t).expect("uncapped");
         let order = om.topo_nodes(o);
         let mut pos = HashMap::new();
         for (i, (h, _, _, _)) in order.iter().enumerate() {
@@ -993,7 +945,7 @@ mod tests {
         let t = TruthTable::from_fn(3, |m| m == 0);
         let pos = Fprm::from_table_positive(&t);
         assert_eq!(pos.num_cubes(), 8);
-        let (om, o) = optimize_polarity(&t);
+        let (om, o) = optimize_polarity(&t, PolarityMode::Greedy).expect("uncapped");
         assert_eq!(om.num_cubes(o), 1);
         for m in 0..8u64 {
             assert_eq!(om.eval(o, m), t.eval(m));
@@ -1001,32 +953,32 @@ mod tests {
     }
 
     #[test]
-    fn try_from_bdd_trips_capped_manager() {
+    fn from_bdd_trips_capped_manager() {
         let t = TruthTable::from_fn(8, |m| (m * 31 + 7) % 11 < 4);
-        let mut bm = BddManager::new(8);
-        let f = bm.from_table(&t);
+        let bm = BddManager::new(8);
+        let f = bm.from_table(&t).expect("uncapped");
         // the conversion drives the BDD manager through fresh XORs, so a
         // cap at the current size must trip
         bm.set_node_limit(Some(bm.num_nodes()));
         let mut om = OfddManager::new(Polarity::all_positive(8));
-        assert!(om.try_from_bdd(&mut bm, f).is_err());
+        assert!(om.from_bdd(&bm, f).is_err());
         // uncapped, the same conversion succeeds
         bm.set_node_limit(None);
-        let o = om.try_from_bdd(&mut bm, f).unwrap();
+        let o = om.from_bdd(&bm, f).expect("uncapped");
         assert_eq!(om.num_cubes(o), om.num_cubes(o));
     }
 
     #[test]
     fn capped_search_aborts_and_keeps_best() {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
-        let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let bm = BddManager::new(6);
+        let f = bm.from_table(&t).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
         // cap at the current size: the very first candidate is
         // unaffordable, so the search must fall back to all-positive with
         // an unknown count — without panicking
         bm.set_node_limit(Some(bm.num_nodes()));
-        let mut search = PolaritySearch::new(&mut bm, f);
+        let mut search = PolaritySearch::new(&bm, f);
         let (pol, count) = search.run(PolarityMode::Greedy, &support);
         assert!(search.budget_tripped());
         assert_eq!(pol, Polarity::all_positive(6));
@@ -1036,11 +988,11 @@ mod tests {
     #[test]
     fn expired_deadline_keeps_base_polarity_result() {
         let t = TruthTable::from_fn(6, |m| m.count_ones() % 3 == 1);
-        let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let bm = BddManager::new(6);
+        let f = bm.from_table(&t).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let mut search = PolaritySearch::new(&mut bm, f).deadline(Some(past));
+        let mut search = PolaritySearch::new(&bm, f).deadline(Some(past));
         let (pol, count) = search.run(PolarityMode::Greedy, &support);
         // greedy evaluates the base polarity before the deadline gates the
         // flip rounds, so the result is the real all-positive count
@@ -1048,9 +1000,9 @@ mod tests {
         assert_eq!(pol, Polarity::all_positive(6));
         assert_ne!(count, u64::MAX);
         // an unconstrained search finds a result at least as good
-        let mut bm2 = BddManager::new(6);
-        let f2 = bm2.from_table(&t);
-        let mut free = PolaritySearch::new(&mut bm2, f2);
+        let bm2 = BddManager::new(6);
+        let f2 = bm2.from_table(&t).expect("uncapped");
+        let mut free = PolaritySearch::new(&bm2, f2);
         let (_, free_count) = free.run(PolarityMode::Greedy, &support);
         assert!(free_count <= count);
     }
@@ -1058,8 +1010,8 @@ mod tests {
     #[test]
     fn constant_functions() {
         let mut om = OfddManager::new(Polarity::all_positive(3));
-        let z = om.from_table(&TruthTable::zero(3));
-        let one = om.from_table(&TruthTable::one(3));
+        let z = om.from_table(&TruthTable::zero(3)).expect("uncapped");
+        let one = om.from_table(&TruthTable::one(3)).expect("uncapped");
         assert_eq!(z, Ofdd::ZERO);
         assert_eq!(one, Ofdd::ONE);
         assert_eq!(om.cubes(one), vec![VarSet::new()]);

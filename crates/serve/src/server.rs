@@ -414,6 +414,8 @@ impl Scheduler {
 /// Shared per-daemon state every worker sees.
 struct Ctx {
     engine: Engine,
+    /// Default synthesis options for jobs that don't override them.
+    options: SynthOptions,
     lib: Library,
     verify_budget: Budget,
     jobs_done: AtomicU64,
@@ -657,7 +659,7 @@ impl Server {
         if opts.tcp.is_none() && opts.unix.is_none() {
             return Err(Error::msg("serve needs at least one of --tcp / --socket"));
         }
-        let engine = Engine::with_options(opts.options.clone()).cache_budget(opts.cache_bytes);
+        let engine = Engine::new().cache_budget(opts.cache_bytes);
         let workers = if opts.workers > 0 {
             opts.workers
         } else {
@@ -668,6 +670,7 @@ impl Server {
         };
         let ctx = Arc::new(Ctx {
             engine,
+            options: opts.options.clone(),
             lib: Library::mcnc(),
             verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
             jobs_done: AtomicU64::new(0),
@@ -758,7 +761,7 @@ impl Server {
         self.unix_path.as_deref()
     }
 
-    /// The daemon's engine (cache statistics, default options).
+    /// The daemon's engine (cache and substrate statistics).
     pub fn engine(&self) -> &Engine {
         &self.ctx.engine
     }
@@ -1480,7 +1483,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
             .map_err(Error::Parse)?
             .to_network(job.id.as_deref().unwrap_or("pla")),
     };
-    let mut opts = ctx.engine.options().clone();
+    let mut opts = ctx.options.clone();
     if let Some(budget) = job.budget {
         opts.budget = budget;
     }
@@ -1491,7 +1494,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         });
     }
     let t0 = Instant::now();
-    let mut outcome = ctx.engine.try_synthesize_with(&spec, &opts)?;
+    let mut outcome = ctx.engine.try_synthesize(&spec, &opts)?;
     let seconds = t0.elapsed().as_secs_f64();
 
     // Stamp the request ID onto the job's trace spans so an exported

@@ -6,7 +6,7 @@
 //! the machinery to check that claim: enumerate the fault universe of a
 //! network and measure which faults a pattern set detects.
 
-use crate::{eval_gate_words, Pattern, Simulator};
+use crate::{Pattern, Simulator};
 use std::fmt;
 use xsynth_net::{Network, NodeKind, SignalId};
 
@@ -172,14 +172,17 @@ fn differs_under_fault(
     for &id in order {
         if let NodeKind::Gate(k) = net.kind(id) {
             let v = match fault.site {
+                // evaluate with the idx-th fanin wire overridden
                 FaultSite::Fanin(g, idx) if g == id => {
-                    // evaluate with the idx-th fanin wire overridden
-                    let fanins = net.fanins(id);
-                    let mut vals: Vec<u64> = fanins.iter().map(|f| val[f.index()]).collect();
-                    vals[idx] = stuck_word;
-                    eval_gate_words_direct(*k, &vals)
+                    k.eval_words(net.fanins(id).iter().enumerate().map(|(j, f)| {
+                        if j == idx {
+                            stuck_word
+                        } else {
+                            val[f.index()]
+                        }
+                    }))
                 }
-                _ => eval_gate_words(*k, net.fanins(id), &val),
+                _ => k.eval_words(net.fanins(id).iter().map(|f| val[f.index()])),
             };
             val[id.index()] = if fault.site == FaultSite::Output(id) {
                 stuck_word
@@ -191,23 +194,6 @@ fn differs_under_fault(
     net.outputs()
         .iter()
         .any(|&(_, s)| (val[s.index()] ^ good[s.index()]) & mask != 0)
-}
-
-fn eval_gate_words_direct(kind: xsynth_net::GateKind, vals: &[u64]) -> u64 {
-    use xsynth_net::GateKind::*;
-    let mut it = vals.iter().copied();
-    match kind {
-        Const0 => 0,
-        Const1 => !0,
-        Buf => it.next().expect("buf fanin"),
-        Not => !it.next().expect("not fanin"),
-        And => it.fold(!0u64, |a, b| a & b),
-        Nand => !it.fold(!0u64, |a, b| a & b),
-        Or => it.fold(0u64, |a, b| a | b),
-        Nor => !it.fold(0u64, |a, b| a | b),
-        Xor => it.fold(0u64, |a, b| a ^ b),
-        Xnor => !it.fold(0u64, |a, b| a ^ b),
-    }
 }
 
 /// Whether a wire is redundant: no input pattern in `patterns` detects

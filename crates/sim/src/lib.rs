@@ -292,7 +292,7 @@ impl<'a> Simulator<'a> {
         }
         for &id in &self.order {
             if let NodeKind::Gate(k) = self.net.kind(id) {
-                val[id.index()] = eval_gate_words(*k, self.net.fanins(id), &val);
+                val[id.index()] = k.eval_words(self.net.fanins(id).iter().map(|f| val[f.index()]));
             }
         }
         val
@@ -343,24 +343,6 @@ impl<'a> Simulator<'a> {
             }
         }
         (counts, patterns.len() as u64)
-    }
-}
-
-/// Evaluates one gate over packed 64-pattern words.
-pub(crate) fn eval_gate_words(kind: xsynth_net::GateKind, fanins: &[SignalId], val: &[u64]) -> u64 {
-    use xsynth_net::GateKind::*;
-    let mut it = fanins.iter().map(|f| val[f.index()]);
-    match kind {
-        Const0 => 0,
-        Const1 => !0,
-        Buf => it.next().expect("buf fanin"),
-        Not => !it.next().expect("not fanin"),
-        And => it.fold(!0u64, |a, b| a & b),
-        Nand => !it.fold(!0u64, |a, b| a & b),
-        Or => it.fold(0u64, |a, b| a | b),
-        Nor => !it.fold(0u64, |a, b| a | b),
-        Xor => it.fold(0u64, |a, b| a ^ b),
-        Xnor => !it.fold(0u64, |a, b| a ^ b),
     }
 }
 

@@ -42,8 +42,8 @@ pub struct Command {
     pub input2: Option<String>,
     /// Output path (`-o`), stdout when absent.
     pub output: Option<String>,
-    /// Synthesis engine.
-    pub engine: Engine,
+    /// Synthesis flow (`--method`).
+    pub flow: Flow,
     /// Skip the redundancy-removal pass.
     pub no_redundancy: bool,
     /// Disable the per-output salvage ladder: the first fault in any
@@ -109,9 +109,9 @@ pub enum Action {
     Top,
 }
 
-/// Which synthesis engine to run.
+/// Which synthesis flow to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
+pub enum Flow {
     /// The paper's FPRM flow (default).
     Fprm,
     /// The paper's FPRM flow, cube method only.
@@ -237,7 +237,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             .map_err(|_| format!("{flag} needs a number, got '{v}'"))
     }
     let mut output = None;
-    let mut engine = Engine::Fprm;
+    let mut flow = Flow::Fprm;
     let mut no_redundancy = false;
     let mut no_salvage = false;
     let mut stats = false;
@@ -281,13 +281,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 )
             }
             "--method" => {
-                engine = match it.next().map(String::as_str) {
-                    Some("fprm") => Engine::Fprm,
-                    Some("cube") => Engine::FprmCube,
-                    Some("ofdd") => Engine::FprmOfdd,
-                    Some("kfdd") => Engine::Kfdd,
-                    Some("sop") => Engine::Sop,
-                    Some("none") => Engine::None,
+                flow = match it.next().map(String::as_str) {
+                    Some("fprm") => Flow::Fprm,
+                    Some("cube") => Flow::FprmCube,
+                    Some("ofdd") => Flow::FprmOfdd,
+                    Some("kfdd") => Flow::Kfdd,
+                    Some("sop") => Flow::Sop,
+                    Some("none") => Flow::None,
                     other => return Err(format!("bad --method {other:?}")),
                 }
             }
@@ -354,7 +354,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         input,
         input2,
         output,
-        engine,
+        flow,
         no_redundancy,
         no_salvage,
         stats,
@@ -452,7 +452,7 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
     }
 }
 
-/// Runs the chosen engine. FPRM-family engines also return the synthesis
+/// Runs the chosen flow. FPRM-family flows also return the synthesis
 /// report (for `--stats` and `--trace-json`); the SOP baseline and `none`
 /// have no report.
 ///
@@ -460,15 +460,15 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
 ///
 /// Returns [`Error::Budget`] when the command's budget is too tight for
 /// the pipeline to produce any result.
-pub fn run_engine(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
-    match cmd.engine {
-        Engine::None => Ok((spec.sweep(), None)),
-        Engine::Sop => Ok((script_algebraic(spec, &ScriptOptions::default()), None)),
-        Engine::Fprm | Engine::FprmCube | Engine::FprmOfdd | Engine::Kfdd => {
-            let method = match cmd.engine {
-                Engine::FprmCube => FactorMethod::Cube,
-                Engine::FprmOfdd => FactorMethod::Ofdd,
-                Engine::Kfdd => FactorMethod::Kfdd,
+pub fn run_flow(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
+    match cmd.flow {
+        Flow::None => Ok((spec.sweep(), None)),
+        Flow::Sop => Ok((script_algebraic(spec, &ScriptOptions::default()), None)),
+        Flow::Fprm | Flow::FprmCube | Flow::FprmOfdd | Flow::Kfdd => {
+            let method = match cmd.flow {
+                Flow::FprmCube => FactorMethod::Cube,
+                Flow::FprmOfdd => FactorMethod::Ofdd,
+                Flow::Kfdd => FactorMethod::Kfdd,
                 _ => FactorMethod::Best,
             };
             let opts = SynthOptions::builder()
@@ -589,15 +589,15 @@ pub fn render_report(report: &SynthReport) -> String {
     s
 }
 
-/// The telemetry `flow` label for an engine.
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Fprm => "fprm",
-        Engine::FprmCube => "fprm-cube",
-        Engine::FprmOfdd => "fprm-ofdd",
-        Engine::Kfdd => "kfdd",
-        Engine::Sop => "sop",
-        Engine::None => "none",
+/// The telemetry `flow` label for a flow.
+fn flow_label(flow: Flow) -> &'static str {
+    match flow {
+        Flow::Fprm => "fprm",
+        Flow::FprmCube => "fprm-cube",
+        Flow::FprmOfdd => "fprm-ofdd",
+        Flow::Kfdd => "kfdd",
+        Flow::Sop => "sop",
+        Flow::None => "none",
     }
 }
 
@@ -615,7 +615,7 @@ fn write_bench_json(
     let lib = Library::mcnc();
     let measured = xsynth_bench::record_from_run(
         &cmd.input,
-        engine_label(cmd.engine),
+        flow_label(cmd.flow),
         spec,
         result.clone(),
         report,
@@ -631,7 +631,7 @@ fn write_bench_json(
     Ok(format!("# wrote benchmark record to {path}\n"))
 }
 
-/// Writes the run's Chrome `trace_event` JSON to `path` (engines without a
+/// Writes the run's Chrome `trace_event` JSON to `path` (flows without a
 /// synthesis report emit an empty but valid trace document).
 fn write_trace_json(path: &str, report: Option<&SynthReport>) -> Result<String, Error> {
     let json = match report {
@@ -708,7 +708,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
         }
         Action::Synth | Action::Bench => {
             let t0 = std::time::Instant::now();
-            let (result, report) = run_engine(cmd, &spec)?;
+            let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
             let mut checker = EquivChecker::with_budget(&spec, &cmd.budget);
             if !checker.try_check(&result)? {
@@ -726,7 +726,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
                 match &report {
                     Some(r) => out.push_str(&render_report(r)),
                     None => {
-                        let _ = writeln!(out, "# (no synthesis report for this engine)");
+                        let _ = writeln!(out, "# (no synthesis report for this flow)");
                     }
                 }
             }
@@ -755,7 +755,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
         }
         Action::Map => {
             let t0 = std::time::Instant::now();
-            let (result, report) = run_engine(cmd, &spec)?;
+            let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
             let lib = Library::mcnc();
             let mapped = map_network(&result, &lib);
@@ -810,7 +810,7 @@ const SUPERVISED_ENV: &str = "XSYNTH_SERVE_SUPERVISED";
 /// Runs the `serve` daemon: binds the configured listeners, announces
 /// them on stdout (so scripts using an ephemeral TCP port can read the
 /// bound address), and blocks until a `shutdown` request drains the
-/// queue. Jobs inherit the command's engine, redundancy/salvage flags
+/// queue. Jobs inherit the command's flow, redundancy/salvage flags
 /// and budget as daemon defaults; each job may override its budget.
 ///
 /// With `--drain-on-term` the process forks into a supervisor/daemon
@@ -823,13 +823,13 @@ fn run_serve(cmd: &Command) -> Result<String, Error> {
     if cmd.drain_on_term && !supervised {
         return run_serve_supervisor(cmd);
     }
-    let method = match cmd.engine {
-        Engine::Fprm => FactorMethod::Best,
-        Engine::FprmCube => FactorMethod::Cube,
-        Engine::FprmOfdd => FactorMethod::Ofdd,
-        Engine::Kfdd => FactorMethod::Kfdd,
-        Engine::Sop | Engine::None => {
-            return Err(Error::msg("serve only runs the FPRM-family engines"));
+    let method = match cmd.flow {
+        Flow::Fprm => FactorMethod::Best,
+        Flow::FprmCube => FactorMethod::Cube,
+        Flow::FprmOfdd => FactorMethod::Ofdd,
+        Flow::Kfdd => FactorMethod::Kfdd,
+        Flow::Sop | Flow::None => {
+            return Err(Error::msg("serve only runs the FPRM-family flows"));
         }
     };
     let options = SynthOptions::builder()
@@ -942,7 +942,7 @@ fn run_serve_supervisor(cmd: &Command) -> Result<String, Error> {
 /// Reconstructs the `serve` argv of a parsed [`Command`] so the
 /// supervisor can re-execute itself as the daemon child. Inverse of
 /// [`parse_args`] for the serve-relevant subset (listeners, workers,
-/// cache, engine, redundancy/salvage, budget, overload limits).
+/// cache, flow, redundancy/salvage, budget, overload limits).
 fn serve_argv(cmd: &Command) -> Vec<String> {
     let mut v = vec!["serve".to_string()];
     let mut flag = |name: &str, value: Option<String>| {
@@ -963,14 +963,14 @@ fn serve_argv(cmd: &Command) -> Vec<String> {
     if let Some(mb) = cmd.cache_mb {
         flag("--cache-mb", Some(mb.to_string()));
     }
-    if cmd.engine != Engine::Fprm {
-        let name = match cmd.engine {
-            Engine::Fprm => "fprm",
-            Engine::FprmCube => "cube",
-            Engine::FprmOfdd => "ofdd",
-            Engine::Kfdd => "kfdd",
-            Engine::Sop => "sop",
-            Engine::None => "none",
+    if cmd.flow != Flow::Fprm {
+        let name = match cmd.flow {
+            Flow::Fprm => "fprm",
+            Flow::FprmCube => "cube",
+            Flow::FprmOfdd => "ofdd",
+            Flow::Kfdd => "kfdd",
+            Flow::Sop => "sop",
+            Flow::None => "none",
         };
         flag("--method", Some(name.to_string()));
     }
@@ -1214,7 +1214,7 @@ mod tests {
         assert_eq!(c.action, Action::Synth);
         assert_eq!(c.input, "foo.blif");
         assert_eq!(c.output.as_deref(), Some("out.blif"));
-        assert_eq!(c.engine, Engine::Sop);
+        assert_eq!(c.flow, Flow::Sop);
     }
 
     #[test]
@@ -1363,7 +1363,7 @@ mod tests {
             input: "f2".into(),
             input2: None,
             output: Some(outp.display().to_string()),
-            engine: Engine::Fprm,
+            flow: Flow::Fprm,
             no_redundancy: false,
             no_salvage: false,
             stats: false,
@@ -1618,20 +1618,20 @@ mod tests {
 
     #[test]
     fn engines_all_verify() {
-        for engine in [
-            Engine::Fprm,
-            Engine::FprmCube,
-            Engine::FprmOfdd,
-            Engine::Kfdd,
-            Engine::Sop,
-            Engine::None,
+        for flow in [
+            Flow::Fprm,
+            Flow::FprmCube,
+            Flow::FprmOfdd,
+            Flow::Kfdd,
+            Flow::Sop,
+            Flow::None,
         ] {
             let cmd = Command {
                 action: Action::Bench,
                 input: "rd53".into(),
                 input2: None,
                 output: None,
-                engine,
+                flow,
                 no_redundancy: false,
                 no_salvage: false,
                 stats: false,
@@ -1652,7 +1652,7 @@ mod tests {
                 interval_ms: 2000,
                 once: false,
             };
-            let out = execute(&cmd).expect("engine runs");
+            let out = execute(&cmd).expect("flow runs");
             assert!(out.contains(".model"));
         }
     }

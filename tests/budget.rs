@@ -163,15 +163,15 @@ fn parallel_node_cap_is_one_global_budget() {
 /// itself and leave the substrate's node count untouched. The pre-change
 /// package walked and re-hash-consed the whole graph per negation.
 #[test]
-fn double_negation_allocates_zero_nodes() {
+fn double_negation_allocates_zero_nodes() -> Result<(), xsynth::bdd::NodeLimitExceeded> {
     use xsynth::bdd::BddManager;
-    let mut m = BddManager::new(8);
+    let m = BddManager::new(8);
     let mut f = m.constant(false);
     for v in 0..8 {
-        let x = m.var(v);
-        let fx = m.and(f, x);
-        f = m.xor(f, fx);
-        f = m.or(f, x);
+        let x = m.var(v)?;
+        let fx = m.and(f, x)?;
+        f = m.xor(f, fx)?;
+        f = m.or(f, x)?;
     }
     let before = m.num_nodes();
     let nf = m.not(f);
@@ -184,6 +184,7 @@ fn double_negation_allocates_zero_nodes() {
         before,
         "bdd.nodes unchanged across not(not(f))"
     );
+    Ok(())
 }
 
 /// The negate-heavy FPRM polarity descent over adr4 under a cap the old

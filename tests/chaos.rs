@@ -49,7 +49,7 @@ fn run_contained(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Er
     if let Ok(outcome) = &result {
         let mut checker = EquivChecker::new(spec);
         assert!(
-            checker.check(&outcome.network),
+            checker.try_check(&outcome.network).unwrap(),
             "salvaged or clean result must still match the spec"
         );
     }
@@ -230,6 +230,29 @@ fn share_extraction_fault_salvages_by_skipping_sharing() {
         .build();
     let err = run_contained(&spec, &strict).expect_err("salvage disabled");
     assert_eq!(err.exit_code(), 9, "{err}");
+}
+
+/// A checker fault *inside* redundancy removal — the guard every rewrite
+/// must pass — propagates as the typed verification error, not as a panic
+/// caught by the pipeline's last-resort containment (`OutputFailed` for
+/// "pipeline", exit 9).
+#[test]
+fn redundancy_guard_fault_is_a_typed_verify_error() {
+    let _g = exclusive();
+    let spec = circuit("majority");
+    failpoint::disarm();
+    let clean = try_synthesize(&spec, &opts()).expect("clean run");
+    assert!(
+        clean.report.redundancy.attempted > 0,
+        "the pass must guard at least one rewrite"
+    );
+    // `verify.checks` counts the traced checks, all made before the
+    // redundancy phase; the next hit is the pass's first rewrite guard
+    let before = clean.report.trace.counter_totals()["verify.checks"];
+    failpoint::arm(&FailPlan::new().point("core.verify", Action::Error, before + 1));
+    let err = run_contained(&spec, &opts()).expect_err("the guard's check errored");
+    assert!(matches!(err, Error::Verify(_)), "{err}");
+    assert_eq!(err.exit_code(), 7);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! preserve functionality over the benchmark suite.
 
 use xsynth::circuits::{build, registry};
-use xsynth::core::{synthesize, EquivChecker, SynthOptions};
+use xsynth::core::{try_synthesize, EquivChecker, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::sim::{equivalent_on, exhaustive_patterns, random_patterns};
 use xsynth::sop::{script_algebraic, ScriptOptions};
@@ -24,7 +24,9 @@ fn fprm_flow_preserves_every_small_benchmark() {
             continue; // wide circuits are covered by the checker test below
         }
         let spec = build(b.name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         assert!(
             equivalent_on(&spec, &out, &check_patterns(b.io.0)),
             "{} FPRM result differs",
@@ -60,8 +62,13 @@ fn wide_benchmarks_verify_through_the_checker() {
     for name in ["my_adder", "misg", "i5"] {
         let spec = build(name).expect("registered");
         let mut checker = EquivChecker::new(&spec);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
-        assert!(checker.check(&out), "{name} failed verification");
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
+        assert!(
+            checker.try_check(&out).unwrap(),
+            "{name} failed verification"
+        );
     }
 }
 
@@ -70,7 +77,9 @@ fn mapper_preserves_synthesized_networks() {
     let lib = Library::mcnc();
     for name in ["z4ml", "rd53", "f2", "cm82a", "bcd-div3"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         let mapped = map_network(&out, &lib).to_network(&lib);
         let n = spec.inputs().len();
         assert!(
@@ -84,7 +93,9 @@ fn mapper_preserves_synthesized_networks() {
 fn flows_compose_with_blif_roundtrip() {
     // synthesize → write BLIF → parse BLIF → still equivalent
     let spec = build("rd53").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = try_synthesize(&spec, &SynthOptions::default())
+        .unwrap()
+        .network;
     let text = xsynth::blif::write_blif(&out);
     let back = xsynth::blif::parse_blif(&text).expect("own BLIF output parses");
     assert!(equivalent_on(&spec, &back, &exhaustive_patterns(5)));

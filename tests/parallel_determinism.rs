@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, TruthTable};
-use xsynth_core::{synthesize, SynthOptions, SynthReport};
+use xsynth_core::{try_synthesize, SynthOptions, SynthReport};
 use xsynth_ofdd::{OfddManager, PolaritySearch};
 
 /// The non-timing content of a report, for equality checks.
@@ -30,8 +30,8 @@ fn parallel_equals_sequential_over_the_registry() {
         let spec = xsynth_circuits::build(bench.name).expect("registered circuit builds");
         let par_opts = SynthOptions::builder().parallel(true).build();
         let seq_opts = SynthOptions::builder().parallel(false).build();
-        let par = synthesize(&spec, &par_opts);
-        let seq = synthesize(&spec, &seq_opts);
+        let par = try_synthesize(&spec, &par_opts).unwrap();
+        let seq = try_synthesize(&spec, &seq_opts).unwrap();
         assert_eq!(
             xsynth_blif::write_blif(&par.network),
             xsynth_blif::write_blif(&seq.network),
@@ -92,22 +92,22 @@ fn parallel_equals_sequential_over_the_registry() {
 /// steepest descent with a fresh OFDD build per candidate and no caching.
 fn greedy_unmemoized(t: &TruthTable) -> (Polarity, u64) {
     let n = t.num_vars();
-    let mut bm = BddManager::new(n);
-    let f = bm.from_table(t);
+    let bm = BddManager::new(n);
+    let f = bm.from_table(t).expect("uncapped");
     let support: Vec<usize> = bm.support(f).iter().collect();
-    let count_of = |bm: &mut BddManager, pol: &Polarity| {
+    let count_of = |pol: &Polarity| {
         let mut om = OfddManager::new(pol.clone());
-        let root = om.from_bdd(bm, f);
+        let root = om.from_bdd(&bm, f).expect("uncapped");
         om.num_cubes(root)
     };
     let mut pol = Polarity::all_positive(n);
-    let mut best = count_of(&mut bm, &pol);
+    let mut best = count_of(&pol);
     loop {
         let mut winner: Option<(u64, Polarity)> = None;
         for &v in &support {
             let mut p2 = pol.clone();
             p2.flip(v);
-            let c = count_of(&mut bm, &p2);
+            let c = count_of(&p2);
             if c < best && winner.as_ref().is_none_or(|(wc, _)| c < *wc) {
                 winner = Some((c, p2));
             }
@@ -131,18 +131,18 @@ proptest! {
         let tt = TruthTable::from_fn(n, |m| (bits >> m) & 1 == 1);
         let (ref_pol, ref_count) = greedy_unmemoized(&tt);
 
-        let mut bm = BddManager::new(n);
-        let f = bm.from_table(&tt);
+        let bm = BddManager::new(n);
+        let f = bm.from_table(&tt).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
-        let mut search = PolaritySearch::new(&mut bm, f);
+        let mut search = PolaritySearch::new(&bm, f);
         let (pol, count) = search.greedy(&support);
 
         prop_assert_eq!(count, ref_count);
         prop_assert_eq!(pol, ref_pol);
         // and the parallel candidate evaluation must not change the answer
-        let mut bm2 = BddManager::new(n);
-        let f2 = bm2.from_table(&tt);
-        let mut psearch = PolaritySearch::new(&mut bm2, f2).parallel(true);
+        let bm2 = BddManager::new(n);
+        let f2 = bm2.from_table(&tt).expect("uncapped");
+        let mut psearch = PolaritySearch::new(&bm2, f2).parallel(true);
         let (ppol, pcount) = psearch.greedy(&support);
         prop_assert_eq!(pcount, ref_count);
         prop_assert_eq!(ppol, ref_pol);

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use xsynth::bdd::BddManager;
 use xsynth::boolean::{Fprm, Polarity, Sop, TruthTable};
-use xsynth::core::{synthesize, try_synthesize, Budget, Error, FactorMethod, SynthOptions};
+use xsynth::core::{try_synthesize, Budget, Error, FactorMethod, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::net::{GateKind, Network};
 use xsynth::ofdd::OfddManager;
@@ -68,10 +68,10 @@ proptest! {
     #[test]
     fn bdd_and_ofdd_agree(bits in any::<u64>(), pol_idx in 0u64..64) {
         let t = table(6, bits);
-        let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let bm = BddManager::new(6);
+        let f = bm.from_table(&t).expect("uncapped");
         let mut om = OfddManager::new(Polarity::from_index(6, pol_idx));
-        let o = om.from_bdd(&mut bm, f);
+        let o = om.from_bdd(&bm, f).expect("uncapped");
         for m in 0..64u64 {
             prop_assert_eq!(om.eval(o, m), t.eval(m));
         }
@@ -81,7 +81,7 @@ proptest! {
     fn fprm_flow_preserves_random_functions(bits in any::<u64>()) {
         let t = table(5, bits);
         let spec = two_level(&t);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default()).unwrap().network;
         for m in 0..32u64 {
             prop_assert_eq!(out.eval_u64(m)[0], t.eval(m));
         }
@@ -93,7 +93,7 @@ proptest! {
         let spec = two_level(&t);
         for method in [FactorMethod::Cube, FactorMethod::Ofdd] {
             let opts = SynthOptions::builder().method(method).build();
-            let out = synthesize(&spec, &opts).network;
+            let out = try_synthesize(&spec, &opts).unwrap().network;
             for m in 0..32u64 {
                 prop_assert_eq!(out.eval_u64(m)[0], t.eval(m));
             }

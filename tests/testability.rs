@@ -6,7 +6,7 @@
 use xsynth::boolean::{Fprm, TruthTable};
 use xsynth::circuits::build;
 use xsynth::core::atpg::generate_tests;
-use xsynth::core::{merge_patterns, paper_patterns, synthesize, PatternOptions, SynthOptions};
+use xsynth::core::{merge_patterns, paper_patterns, try_synthesize, PatternOptions, SynthOptions};
 use xsynth::sim::{enumerate_faults, exhaustive_patterns, fault_simulate};
 
 /// Derives the paper's pattern family for every output of a circuit.
@@ -32,7 +32,9 @@ fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
 fn paper_pattern_family_matches_exhaustive_coverage() {
     for name in ["z4ml", "rd53", "f2", "cm82a"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         let faults = enumerate_faults(&out);
         let n = spec.inputs().len();
 
@@ -60,7 +62,9 @@ fn synthesized_networks_are_nearly_irredundant() {
     // redundancy removal should leave few untestable faults
     for name in ["z4ml", "rd53", "t481"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = try_synthesize(&spec, &SynthOptions::default())
+            .unwrap()
+            .network;
         let faults = enumerate_faults(&out);
         let n = spec.inputs().len();
         let patterns = if n <= 12 {
@@ -85,7 +89,9 @@ fn xor_rich_circuits_keep_full_coverage() {
     // patterns) plus AZ/AO detects them — the classic Reed-Muller
     // testability result the paper builds on (Reddy).
     let spec = build("xor10").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = try_synthesize(&spec, &SynthOptions::default())
+        .unwrap()
+        .network;
     let faults = enumerate_faults(&out);
     let exhaustive = fault_simulate(&out, &exhaustive_patterns(10), &faults);
     assert_eq!(exhaustive.coverage(), 1.0, "parity trees are irredundant");
@@ -103,11 +109,13 @@ fn derived_family_matches_dedicated_atpg_coverage() {
     // the paper's point: the FPRM-derived family achieves what a real ATPG
     // achieves, without running one. Compare both on a synthesized adder.
     let spec = build("z4ml").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = try_synthesize(&spec, &SynthOptions::default())
+        .unwrap()
+        .network;
     let faults = enumerate_faults(&out);
 
     // dedicated, complete BDD-based ATPG
-    let atpg = generate_tests(&out, &faults);
+    let atpg = generate_tests(&out, &faults).unwrap();
     let atpg_rep = fault_simulate(&out, &atpg.tests, &faults);
 
     // the paper's derived family

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xsynth::circuits;
-use xsynth::core::{phase, synthesize, SynthOptions};
+use xsynth::core::{phase, try_synthesize, SynthOptions};
 use xsynth::trace::{bucket_of, json, Histogram, SpanNode, TraceSink};
 
 /// Finds the first span named `name` anywhere in the forest.
@@ -31,7 +31,7 @@ fn count_named(nodes: &[SpanNode], name: &str) -> usize {
 #[test]
 fn paper_phases_nest_under_the_pipeline_root() {
     let spec = circuits::build("z4ml").expect("registered");
-    let outcome = synthesize(&spec, &SynthOptions::default());
+    let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
     let forest = outcome.report.trace.forest();
     let root = find(&forest, phase::SYNTHESIZE).expect("synthesize root span");
     // all four paper phases are direct children of the pipeline root
@@ -55,7 +55,7 @@ fn parallel_fan_out_grafts_one_plan_per_output() {
     let num_outputs = spec.outputs().len();
     for parallel in [false, true] {
         let opts = SynthOptions::builder().parallel(parallel).build();
-        let outcome = synthesize(&spec, &opts);
+        let outcome = try_synthesize(&spec, &opts).unwrap();
         let forest = outcome.report.trace.forest();
         let fprm = find(&forest, phase::FPRM).expect("fprm span");
         // per-output plan tracks graft under the fprm phase even when the
@@ -76,8 +76,8 @@ fn parallel_fan_out_grafts_one_plan_per_output() {
 fn parallel_and_sequential_traces_agree_on_everything_but_time() {
     for name in ["z4ml", "rd53", "5xp1"] {
         let spec = circuits::build(name).expect("registered");
-        let par = synthesize(&spec, &SynthOptions::builder().parallel(true).build());
-        let seq = synthesize(&spec, &SynthOptions::builder().parallel(false).build());
+        let par = try_synthesize(&spec, &SynthOptions::builder().parallel(true).build()).unwrap();
+        let seq = try_synthesize(&spec, &SynthOptions::builder().parallel(false).build()).unwrap();
         let (pt, st) = (&par.report.trace, &seq.report.trace);
         assert_eq!(pt.span_names(), st.span_names(), "{name}: phase sets");
         assert_eq!(
@@ -92,7 +92,7 @@ fn parallel_and_sequential_traces_agree_on_everything_but_time() {
 #[test]
 fn chrome_export_of_a_real_run_is_valid_json() {
     let spec = circuits::build("rd53").expect("registered");
-    let outcome = synthesize(&spec, &SynthOptions::default());
+    let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
     let text = outcome.report.trace.to_chrome_json();
     json::validate(&text).expect("chrome trace must be valid JSON");
     for name in [
@@ -112,7 +112,7 @@ fn chrome_export_of_a_real_run_is_valid_json() {
 #[test]
 fn chrome_export_round_trips_histogram_samples() {
     let spec = circuits::build("rd53").expect("registered");
-    let outcome = synthesize(&spec, &SynthOptions::default());
+    let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
     let trace = &outcome.report.trace;
     let text = trace.to_chrome_json();
     let doc = json::parse(&text).expect("chrome trace parses");
@@ -165,7 +165,7 @@ fn external_sink_collects_across_circuits() {
     for name in ["rd53", "z4ml"] {
         let spec = circuits::build(name).expect("registered");
         let opts = SynthOptions::builder().trace(sink.clone()).build();
-        let _ = synthesize(&spec, &opts);
+        let _ = try_synthesize(&spec, &opts).unwrap();
     }
     let trace = sink.take();
     let names = trace.span_names();
