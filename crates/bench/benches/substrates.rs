@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable};
+use xsynth_core::{try_synthesize, SynthOptions};
 use xsynth_map::{map_network, Library};
 use xsynth_ofdd::OfddManager;
 use xsynth_sop::algebra;
@@ -37,6 +38,15 @@ fn bench_substrates(c: &mut Criterion) {
     let lib = Library::mcnc();
     c.bench_function("tech_map_z4ml_spec", |b| {
         b.iter(|| map_network(&spec, &lib))
+    });
+
+    // the slowest circuit to map in the FPRM flow's Table 2 sweep
+    let addm4 = xsynth_circuits::build("addm4").expect("registered");
+    let addm4 = try_synthesize(&addm4, &SynthOptions::default())
+        .expect("addm4 synthesizes")
+        .network;
+    c.bench_function("tech_map_addm4_fprm", |b| {
+        b.iter(|| map_network(&addm4, &lib))
     });
 }
 

@@ -4,7 +4,14 @@
 //! the subject network is decomposed into a two-input AND/inverter graph,
 //! 4-feasible cuts are enumerated for every node, each cut function is
 //! Boolean-matched (under input permutation) against the cell library, and
-//! a dynamic program picks the minimum-area cover. The built-in
+//! a dynamic program picks the minimum-area cover.
+//!
+//! Cut functions are never evaluated from the cone: every cut carries its
+//! root's function as a 16-bit truth table, composed bottom-up during
+//! enumeration. An inverter complements its fanin's tables; an AND merges
+//! two leaf sets, re-aligns both fanin tables onto the merged leaves, and
+//! ANDs them. Matching a cut is then one lookup in the library's
+//! permutation index. The built-in
 //! [`Library::mcnc`] mirrors the paper's library: 2-input XOR/XNOR,
 //! 2-input AND/OR, NAND/NOR up to four inputs, and the four complex
 //! AOI/OAI cells.

@@ -53,7 +53,8 @@ impl Cell {
     }
 }
 
-fn tt_mask(pins: usize) -> u16 {
+/// Mask of the truth-table bits that are meaningful over `pins` inputs.
+pub(crate) fn tt_mask(pins: usize) -> u16 {
     if pins >= 4 {
         0xffff
     } else {

@@ -1,6 +1,6 @@
 //! Cut-based minimum-area covering.
 
-use crate::library::Library;
+use crate::library::{tt_mask, Library};
 use std::collections::HashMap;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
@@ -200,25 +200,131 @@ const CUT_SIZE: usize = 4;
 /// Cuts kept per node.
 const CUTS_PER_NODE: usize = 64;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Positions holding a 1 in variable `v` of a 16-bit truth table.
+const VAR_MASK: [u16; CUT_SIZE] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+
+/// A cut of at most [`CUT_SIZE`] leaves (sorted subject-node indices)
+/// with its root's function over them: bit `m` of `tt` is the root's value
+/// when leaf `b` takes bit `b` of `m`. Unused leaf slots are zero, so
+/// `(n, leaves)` orders cuts by size, then by leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cut {
-    leaves: Vec<u32>, // sorted subject-node indices
+    n: u8,
+    leaves: [u32; CUT_SIZE],
+    tt: u16,
 }
 
-#[derive(Clone)]
-struct Choice {
+impl Cut {
+    /// The trivial cut of a node by itself (an input's only cut).
+    fn unit(node: usize) -> Cut {
+        Cut {
+            n: 1,
+            leaves: [node as u32, 0, 0, 0],
+            tt: 0b10,
+        }
+    }
+
+    fn constant(value: bool) -> Cut {
+        Cut {
+            n: 0,
+            leaves: [0; CUT_SIZE],
+            tt: u16::from(value),
+        }
+    }
+
+    fn is_unit(&self, node: usize) -> bool {
+        self.n == 1 && self.leaves[0] == node as u32
+    }
+
+    fn leaves(&self) -> &[u32] {
+        &self.leaves[..self.n as usize]
+    }
+
+    /// One bit per leaf modulo 64: `a ⊆ b` implies `sig(a) & !sig(b) == 0`.
+    fn signature(&self) -> u64 {
+        self.leaves().iter().fold(0, |s, &l| s | 1 << (l % 64))
+    }
+
+    /// The same cut seen through an inverter.
+    fn not(self) -> Cut {
+        Cut {
+            tt: self.tt ^ tt_mask(self.n as usize),
+            ..self
+        }
+    }
+
+    /// The AND of two cuts over the sorted union of their leaves, or
+    /// `None` when the union has more than [`CUT_SIZE`] leaves.
+    fn and(a: &Cut, b: &Cut) -> Option<Cut> {
+        let (la, lb) = (a.leaves(), b.leaves());
+        let mut out = Cut::constant(false);
+        // pa[k] / pb[k]: the merged position of a's / b's leaf k
+        let (mut pa, mut pb) = ([0usize; CUT_SIZE], [0usize; CUT_SIZE]);
+        let (mut i, mut j) = (0, 0);
+        while i < la.len() || j < lb.len() {
+            if out.n as usize == CUT_SIZE {
+                return None;
+            }
+            let x = la.get(i).map_or(u64::MAX, |&l| u64::from(l));
+            let y = lb.get(j).map_or(u64::MAX, |&l| u64::from(l));
+            let k = out.n as usize;
+            if x <= y {
+                pa[i] = k;
+                i += 1;
+            }
+            if y <= x {
+                pb[j] = k;
+                j += 1;
+            }
+            out.leaves[k] = x.min(y) as u32;
+            out.n += 1;
+        }
+        let tt = stretch(a.tt, la.len(), &pa) & stretch(b.tt, lb.len(), &pb);
+        out.tt = tt & tt_mask(out.n as usize);
+        Some(out)
+    }
+}
+
+/// Re-expresses a function of `n` leaves over a larger leaf set in which
+/// leaf `j` sits at position `pos[j]` (strictly increasing in `j`).
+fn stretch(tt: u16, n: usize, pos: &[usize; CUT_SIZE]) -> u16 {
+    // replicate over the unused variables, making them don't-cares
+    let mut t = tt;
+    for v in n..CUT_SIZE {
+        t |= t << (1 << v);
+    }
+    // highest leaf first, so each target position holds a don't-care
+    for j in (0..n).rev() {
+        if pos[j] != j {
+            t = swap_vars(t, j, pos[j]);
+        }
+    }
+    t
+}
+
+/// Exchanges variables `i < j` of a 16-bit truth table.
+fn swap_vars(t: u16, i: usize, j: usize) -> u16 {
+    let shift = (1 << j) - (1 << i);
+    let m = VAR_MASK[i] & !VAR_MASK[j];
+    (t & !(m | m << shift)) | (t & m) << shift | (t >> shift) & m
+}
+
+#[derive(Clone, Copy)]
+struct Choice<'a> {
     cut: Cut,
     cell: usize,
-    perm: Vec<usize>,
+    perm: &'a [usize],
 }
 
 /// Maps a network onto `lib` for minimum area.
 ///
-/// The network is first lowered to a two-input AND/inverter subject graph;
-/// 4-feasible cuts are enumerated bottom-up, each cut's local function is
-/// matched against the library, and a minimum-area cover is selected by
-/// dynamic programming over the DAG (with the usual tree approximation of
-/// area).
+/// The network is first lowered to a two-input AND/inverter subject graph.
+/// 4-feasible cuts are enumerated bottom-up, and each cut carries its
+/// root's function as a 16-bit truth table composed from its fanins' cut
+/// functions (complemented through an inverter, leaf-aligned and ANDed
+/// through an AND). Each cut function is matched against the library, and
+/// a minimum-area cover is selected by dynamic programming over the DAG
+/// (with the usual tree approximation of area).
 ///
 /// # Panics
 ///
@@ -238,60 +344,9 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
     let subject = to_subject(net);
     let order = subject.topo_order();
     let n_nodes = subject.num_nodes();
-    // index → handle table (indices are stable)
-    let mut handle: Vec<Option<SignalId>> = vec![None; n_nodes];
-    for &id in &order {
-        handle[id.index()] = Some(id);
-    }
 
     // 1. cut enumeration
-    let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); n_nodes];
-    for &id in &order {
-        let i = id.index();
-        match subject.kind(id) {
-            NodeKind::Input => {
-                cuts[i] = vec![Cut {
-                    leaves: vec![i as u32],
-                }];
-            }
-            NodeKind::Gate(GateKind::Const0) | NodeKind::Gate(GateKind::Const1) => {
-                cuts[i] = vec![Cut { leaves: vec![] }];
-            }
-            NodeKind::Gate(GateKind::Not) => {
-                let f = subject.fanins(id)[0].index();
-                let mut cs = vec![Cut {
-                    leaves: vec![i as u32],
-                }];
-                cs.extend(cuts[f].iter().cloned());
-                dedup_cuts(&mut cs, i);
-                cuts[i] = cs;
-            }
-            NodeKind::Gate(GateKind::And) => {
-                let f0 = subject.fanins(id)[0].index();
-                let f1 = subject.fanins(id)[1].index();
-                let mut cs = vec![Cut {
-                    leaves: vec![i as u32],
-                }];
-                for a in &cuts[f0] {
-                    for b in &cuts[f1] {
-                        let mut leaves = a.leaves.clone();
-                        for &l in &b.leaves {
-                            if !leaves.contains(&l) {
-                                leaves.push(l);
-                            }
-                        }
-                        if leaves.len() <= CUT_SIZE {
-                            leaves.sort_unstable();
-                            cs.push(Cut { leaves });
-                        }
-                    }
-                }
-                dedup_cuts(&mut cs, i);
-                cuts[i] = cs;
-            }
-            other => panic!("unexpected subject-graph node {other:?}"),
-        }
-    }
+    let cuts = enumerate_cuts(&subject, &order);
 
     // 2. dynamic program for the chosen goal: cost = (primary, secondary)
     // with primary = area (Area goal) or depth (Depth goal, ties by area)
@@ -304,18 +359,17 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
             continue;
         }
         for cut in &cuts[i] {
-            if cut.leaves.as_slice() == [i as u32] {
+            if cut.is_unit(i) {
                 continue; // the trivial self-cut implements nothing
             }
-            let tt = cut_function(&subject, &handle, id, cut);
-            let Some((cell, perm)) = lib.matches(cut.leaves.len(), tt) else {
+            let Some((cell, perm)) = lib.matches(cut.n as usize, cut.tt) else {
                 continue;
             };
             let cell_area = lib.cells()[cell].area();
             let cost = match goal {
                 MapGoal::Area => {
                     let mut area = cell_area;
-                    for &l in &cut.leaves {
+                    for &l in cut.leaves() {
                         area += best_cost[l as usize].0;
                     }
                     (area, 0.0)
@@ -323,7 +377,7 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
                 MapGoal::Depth => {
                     let mut depth = 0.0f64;
                     let mut area = cell_area;
-                    for &l in &cut.leaves {
+                    for &l in cut.leaves() {
                         let (d, a) = best_cost[l as usize];
                         depth = depth.max(d);
                         area += a;
@@ -334,9 +388,9 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
             if cost < best_cost[i] {
                 best_cost[i] = cost;
                 best_choice[i] = Some(Choice {
-                    cut: cut.clone(),
+                    cut: *cut,
                     cell,
-                    perm: perm.to_vec(),
+                    perm,
                 });
             }
         }
@@ -361,7 +415,7 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
     let n_inputs = input_names.len();
 
     struct Builder<'a> {
-        best_choice: &'a [Option<Choice>],
+        best_choice: &'a [Option<Choice<'a>>],
         input_pos: &'a HashMap<usize, usize>,
         n_inputs: usize,
         lib: &'a Library,
@@ -378,13 +432,10 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
                 self.materialized.insert(node, pos);
                 return pos;
             }
-            let choice = self.best_choice[node]
-                .as_ref()
-                .expect("every reachable gate node has a choice")
-                .clone();
+            let choice = self.best_choice[node].expect("every reachable gate node has a choice");
             let leaf_sigs: Vec<usize> = choice
                 .cut
-                .leaves
+                .leaves()
                 .iter()
                 .map(|&l| self.materialize(l as usize))
                 .collect();
@@ -423,68 +474,75 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
     }
 }
 
+/// Enumerates the cuts of every node of an AND/inverter subject graph,
+/// fanins before fanouts, composing each cut's function bottom-up.
+fn enumerate_cuts(subject: &Network, order: &[SignalId]) -> Vec<Vec<Cut>> {
+    let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); subject.num_nodes()];
+    for &id in order {
+        let i = id.index();
+        let fanin = |k: usize| &cuts[subject.fanins(id)[k].index()];
+        let mut cs = vec![Cut::unit(i)];
+        match subject.kind(id) {
+            NodeKind::Input => {}
+            NodeKind::Gate(k @ (GateKind::Const0 | GateKind::Const1)) => {
+                cs = vec![Cut::constant(*k == GateKind::Const1)];
+            }
+            NodeKind::Gate(GateKind::Not) => {
+                cs.extend(fanin(0).iter().map(|c| c.not()));
+                dedup_cuts(&mut cs, i);
+            }
+            NodeKind::Gate(GateKind::And) => {
+                let (c0, c1) = (fanin(0), fanin(1));
+                let sig1: Vec<u64> = c1.iter().map(Cut::signature).collect();
+                for a in c0 {
+                    let sig0 = a.signature();
+                    for (b, &s1) in c1.iter().zip(&sig1) {
+                        // the union has at least as many leaves as bits
+                        if (sig0 | s1).count_ones() as usize > CUT_SIZE {
+                            continue;
+                        }
+                        cs.extend(Cut::and(a, b));
+                    }
+                }
+                dedup_cuts(&mut cs, i);
+            }
+            other => panic!("unexpected subject-graph node {other:?}"),
+        }
+        cuts[i] = cs;
+    }
+    cuts
+}
+
+/// Sorts `cs` by (size, leaves), drops duplicates and dominated cuts, and
+/// keeps the first [`CUTS_PER_NODE`].
 fn dedup_cuts(cs: &mut Vec<Cut>, node: usize) {
-    cs.sort_by(|a, b| {
-        a.leaves
-            .len()
-            .cmp(&b.leaves.len())
-            .then(a.leaves.cmp(&b.leaves))
-    });
-    cs.dedup();
+    cs.sort_unstable_by_key(|c| (c.n, c.leaves));
+    // equal leaves under one root mean an equal function
+    cs.dedup_by_key(|c| (c.n, c.leaves));
     // drop dominated cuts (a strict superset of another cut never matches
     // a cheaper cell family exclusively enough to matter at this size),
-    // but always keep the trivial self-cut: fanout cuts build on it
-    let snapshot = cs.clone();
-    cs.retain(|c| {
-        c.leaves.as_slice() == [node as u32]
-            || !snapshot
-                .iter()
-                .any(|o| o.leaves != c.leaves && o.leaves.iter().all(|l| c.leaves.contains(l)))
-    });
-    cs.truncate(CUTS_PER_NODE);
-}
-
-/// The function of `node` in terms of the cut leaves, as a 16-bit word.
-fn cut_function(subject: &Network, handle: &[Option<SignalId>], node: SignalId, cut: &Cut) -> u16 {
-    let k = cut.leaves.len();
-    let mut tt = 0u16;
-    for m in 0..(1u32 << k) as u16 {
-        let mut vals: HashMap<usize, bool> = HashMap::new();
-        for (b, &l) in cut.leaves.iter().enumerate() {
-            vals.insert(l as usize, m & (1 << b) != 0);
+    // but always keep the trivial self-cut: fanout cuts build on it. A
+    // dominating cut is strictly smaller, so it sorts earlier, and by
+    // transitivity some kept cut dominates too.
+    let mut kept = 0;
+    for k in 0..cs.len() {
+        if kept == CUTS_PER_NODE {
+            break;
         }
-        if eval_to_cut(subject, handle, node.index(), &mut vals) {
-            tt |= 1 << m;
+        let c = cs[k];
+        let sig = c.signature();
+        let dominated = !c.is_unit(node)
+            && cs[..kept].iter().any(|o| {
+                o.n < c.n
+                    && o.signature() & !sig == 0
+                    && o.leaves().iter().all(|l| c.leaves().contains(l))
+            });
+        if !dominated {
+            cs[kept] = c;
+            kept += 1;
         }
     }
-    tt
-}
-
-fn eval_to_cut(
-    subject: &Network,
-    handle: &[Option<SignalId>],
-    node: usize,
-    vals: &mut HashMap<usize, bool>,
-) -> bool {
-    if let Some(&v) = vals.get(&node) {
-        return v;
-    }
-    let sid = handle[node].expect("cut nodes are reachable");
-    let v = match subject.kind(sid) {
-        NodeKind::Input => panic!("reached an input beyond the cut — malformed cut"),
-        NodeKind::Gate(GateKind::Const0) => false,
-        NodeKind::Gate(GateKind::Const1) => true,
-        NodeKind::Gate(GateKind::Not) => {
-            !eval_to_cut(subject, handle, subject.fanins(sid)[0].index(), vals)
-        }
-        NodeKind::Gate(GateKind::And) => {
-            eval_to_cut(subject, handle, subject.fanins(sid)[0].index(), vals)
-                && eval_to_cut(subject, handle, subject.fanins(sid)[1].index(), vals)
-        }
-        other => panic!("unexpected subject node {other:?}"),
-    };
-    vals.insert(node, v);
-    v
+    cs.truncate(kept);
 }
 
 /// Lowers a network to the two-input AND / inverter subject graph.
@@ -527,6 +585,109 @@ fn to_subject(net: &Network) -> Network {
 mod tests {
     use super::*;
     use crate::Library;
+    use proptest::prelude::*;
+
+    /// Oracle: the function of `node` in terms of the cut leaves, by
+    /// evaluating the cone once per leaf minterm.
+    fn cut_function(subject: &Network, handle: &[Option<SignalId>], node: usize, cut: &Cut) -> u16 {
+        let mut tt = 0u16;
+        for m in 0..1u16 << cut.n {
+            let mut vals: HashMap<usize, bool> = HashMap::new();
+            for (b, &l) in cut.leaves().iter().enumerate() {
+                vals.insert(l as usize, m & (1 << b) != 0);
+            }
+            if eval_to_cut(subject, handle, node, &mut vals) {
+                tt |= 1 << m;
+            }
+        }
+        tt
+    }
+
+    fn eval_to_cut(
+        subject: &Network,
+        handle: &[Option<SignalId>],
+        node: usize,
+        vals: &mut HashMap<usize, bool>,
+    ) -> bool {
+        if let Some(&v) = vals.get(&node) {
+            return v;
+        }
+        let sid = handle[node].expect("cut nodes are reachable");
+        let mut fanin =
+            |k: usize| eval_to_cut(subject, handle, subject.fanins(sid)[k].index(), vals);
+        let v = match subject.kind(sid) {
+            NodeKind::Input => panic!("reached an input beyond the cut — malformed cut"),
+            NodeKind::Gate(GateKind::Const0) => false,
+            NodeKind::Gate(GateKind::Const1) => true,
+            NodeKind::Gate(GateKind::Not) => !fanin(0),
+            NodeKind::Gate(GateKind::And) => fanin(0) && fanin(1),
+            other => panic!("unexpected subject node {other:?}"),
+        };
+        vals.insert(node, v);
+        v
+    }
+
+    /// A random AND/inverter graph: `picks[i]` chooses gate `i`'s kind and
+    /// second fanin; its first fanin is the newest signal, so every gate
+    /// lies in the output's cone.
+    fn random_subject(n_inputs: usize, with_const: bool, picks: &[(u8, u8)]) -> Network {
+        let mut net = Network::new("subject");
+        let mut sigs: Vec<SignalId> = (0..n_inputs)
+            .map(|i| net.add_input(format!("x{i}")))
+            .collect();
+        if with_const {
+            sigs.push(net.add_gate(GateKind::Const1, vec![]));
+        }
+        for &(kind, b) in picks {
+            let fa = *sigs.last().expect("inputs exist");
+            let fb = sigs[b as usize % sigs.len()];
+            let g = match kind % 3 {
+                0 => net.add_gate(GateKind::Not, vec![fa]),
+                _ => net.add_gate(GateKind::And, vec![fa, fb]),
+            };
+            sigs.push(g);
+        }
+        net.add_output("f", *sigs.last().expect("at least one signal"));
+        net
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every enumerated cut carries its root's function over its leaves.
+        #[test]
+        fn cut_truth_tables_match_cone_evaluation(
+            n_inputs in 1usize..7,
+            with_const in any::<bool>(),
+            picks in proptest::collection::vec((0u8..3, any::<u8>()), 1..24),
+        ) {
+            let net = random_subject(n_inputs, with_const, &picks);
+            let order = net.topo_order();
+            let mut handle = vec![None; net.num_nodes()];
+            for &id in &order {
+                handle[id.index()] = Some(id);
+            }
+            let cuts = enumerate_cuts(&net, &order);
+            for &id in &order {
+                let i = id.index();
+                prop_assert!(!cuts[i].is_empty() && cuts[i].len() <= CUTS_PER_NODE);
+                for cut in &cuts[i] {
+                    let n = cut.n as usize;
+                    prop_assert!(n <= CUT_SIZE);
+                    prop_assert!(cut.leaves().windows(2).all(|w| w[0] < w[1]));
+                    prop_assert!(cut.leaves[n..].iter().all(|&l| l == 0));
+                    prop_assert_eq!(cut.tt & !tt_mask(n), 0);
+                    prop_assert_eq!(
+                        cut.tt,
+                        cut_function(&net, &handle, i, cut),
+                        "node {} cut {:?}",
+                        i,
+                        cut
+                    );
+                }
+            }
+        }
+    }
 
     fn check_mapping(net: &Network) -> Mapping {
         let lib = Library::mcnc();

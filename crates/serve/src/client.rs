@@ -125,6 +125,8 @@ impl Client<TcpStream> {
     /// [`Error::Io`] when the connection cannot be established.
     pub fn connect_tcp(addr: &str) -> Result<Client<TcpStream>, Error> {
         let stream = TcpStream::connect(addr).map_err(|e| Error::io(addr, e))?;
+        // requests are whole lines: send each at once, no Nagle delay
+        stream.set_nodelay(true).map_err(|e| Error::io(addr, e))?;
         Ok(Client::from_stream(stream))
     }
 }
@@ -164,9 +166,11 @@ impl<S: Read + Write> Client<S> {
     /// [`Error::Io`] on transport failure, [`Error::Protocol`] when the
     /// reply is not a valid protocol message.
     pub fn request_line(&mut self, line: &str) -> Result<Value, Error> {
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
         let w = self.stream.get_mut();
-        w.write_all(line.as_bytes())
-            .and_then(|_| w.write_all(b"\n"))
+        w.write_all(&buf)
             .and_then(|_| w.flush())
             .map_err(|e| Error::io("serve connection", e))?;
         let mut reply = String::new();

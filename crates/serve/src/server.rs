@@ -870,6 +870,8 @@ impl Conn for TcpStream {
         write_timeout: Duration,
     ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         self.set_nonblocking(false)?;
+        // replies are whole lines: send each at once, no Nagle delay
+        self.set_nodelay(true)?;
         self.set_read_timeout(Some(READ_TICK))?;
         self.set_write_timeout(Some(write_timeout))?;
         let reader = self.try_clone()?;
@@ -1084,9 +1086,14 @@ fn read_loop(
 /// Writes one reply line; `false` means the peer is unreachable (EOF,
 /// write timeout) and the caller should treat the connection as dead.
 fn write_reply(writer: &SharedWriter, line: &str) -> bool {
+    // One write per reply: a separate newline write would sit in the
+    // kernel until the peer's delayed ACK on a Nagle-enabled socket.
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
     let mut w = lock(writer);
     // A dead peer is not a daemon error; the reader side notices EOF.
-    w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok()
+    w.write_all(&buf).is_ok() && w.flush().is_ok()
 }
 
 fn worker_loop(ctx: &Arc<Ctx>) {

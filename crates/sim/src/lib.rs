@@ -330,19 +330,24 @@ impl<'a> Simulator<'a> {
         results
     }
 
-    /// Per-node one-counts over a pattern list: returns `(counts, total)`
-    /// where `counts[node]` is how many patterns set that node to 1.
-    pub fn node_one_counts(&self, patterns: &[Pattern]) -> (Vec<u64>, u64) {
-        let n = self.net.inputs().len();
+    /// Per-node one-counts over a stream of packed blocks: returns
+    /// `(counts, total)` where `counts[node]` is how many patterns set that
+    /// node to 1 and `total` is the number of patterns.
+    pub fn node_one_counts<I>(&self, blocks: I) -> (Vec<u64>, u64)
+    where
+        I: IntoIterator<Item = PatternBlock>,
+    {
         let mut counts = vec![0u64; self.net.num_nodes()];
-        for block in pack_patterns(n, patterns) {
+        let mut total = 0u64;
+        for block in blocks {
             let mask = block.lane_mask();
             let val = self.simulate_block(&block.words);
             for (c, w) in counts.iter_mut().zip(val.iter()) {
                 *c += (w & mask).count_ones() as u64;
             }
+            total += u64::from(block.lanes);
         }
-        (counts, patterns.len() as u64)
+        (counts, total)
     }
 }
 
@@ -454,7 +459,7 @@ mod tests {
         let g = n.add_gate(GateKind::And, vec![a, b]);
         n.add_output("y", g);
         let sim = Simulator::new(&n);
-        let (counts, total) = sim.node_one_counts(&exhaustive_patterns(2));
+        let (counts, total) = sim.node_one_counts(exhaustive_blocks(2));
         assert_eq!(total, 4);
         assert_eq!(counts[g.index()], 1);
         assert_eq!(counts[a.index()], 2);

@@ -8,7 +8,7 @@
 //! output). The absolute scale is arbitrary; only ratios between circuits
 //! are meaningful, which is all the paper's `improve%power` column uses.
 
-use crate::{exhaustive_patterns, random_patterns, Pattern, Simulator};
+use crate::{exhaustive_blocks, pack_patterns, random_patterns, PatternBlock, Simulator};
 use std::fmt;
 use xsynth_net::{Network, NodeKind};
 
@@ -27,10 +27,14 @@ impl fmt::Display for PowerReport {
     }
 }
 
-/// Per-node switching activity `2·p·(1−p)` measured over a pattern set.
-pub fn signal_activity(net: &Network, patterns: &[Pattern]) -> Vec<f64> {
+/// Per-node switching activity `2·p·(1−p)` measured over a stream of
+/// packed pattern blocks.
+pub fn signal_activity<I>(net: &Network, blocks: I) -> Vec<f64>
+where
+    I: IntoIterator<Item = PatternBlock>,
+{
     let sim = Simulator::new(net);
-    let (counts, total) = sim.node_one_counts(patterns);
+    let (counts, total) = sim.node_one_counts(blocks);
     counts
         .iter()
         .map(|&c| {
@@ -44,14 +48,15 @@ pub fn signal_activity(net: &Network, patterns: &[Pattern]) -> Vec<f64> {
 ///
 /// Signal probabilities are exact (exhaustive simulation) for up to 16
 /// inputs and Monte-Carlo (4096 fixed-seed random patterns) beyond that.
+/// The exhaustive patterns are streamed as packed blocks, never
+/// materialised one by one.
 pub fn power_estimate(net: &Network) -> PowerReport {
     let n = net.inputs().len();
-    let patterns = if n <= 16 {
-        exhaustive_patterns(n)
+    let activity = if n <= 16 {
+        signal_activity(net, exhaustive_blocks(n))
     } else {
-        random_patterns(n, 4096, 0x5eed)
+        signal_activity(net, pack_patterns(n, &random_patterns(n, 4096, 0x5eed)))
     };
-    let activity = signal_activity(net, &patterns);
     let fanouts = net.fanouts();
     let mut per_node = vec![0.0; net.num_nodes()];
     let mut total = 0.0;
@@ -110,7 +115,7 @@ mod tests {
         let b = n.add_input("b");
         let g = n.add_gate(GateKind::And, vec![a, b]);
         n.add_output("y", g);
-        let act = signal_activity(&n, &exhaustive_patterns(2));
+        let act = signal_activity(&n, exhaustive_blocks(2));
         // p(and)=0.25, activity = 2·0.25·0.75 = 0.375
         assert!((act[g.index()] - 0.375).abs() < 1e-9);
         assert!((act[a.index()] - 0.5).abs() < 1e-9);

@@ -17,8 +17,46 @@ fn check_patterns(n: usize) -> Vec<Vec<bool>> {
     }
 }
 
+/// `(circuit, mapped cells, mapped literals)` of the FPRM flow's result on
+/// `mcnc`, for every registry circuit with at most 20 inputs.
+const FPRM_MAPPED: &[(&str, usize, usize)] = &[
+    ("5xp1", 74, 149),
+    ("9sym", 57, 119),
+    ("adr4", 18, 39),
+    ("add6", 28, 61),
+    ("addm4", 103, 231),
+    ("bcd-div3", 20, 41),
+    ("co14", 45, 98),
+    ("cm163a", 11, 26),
+    ("cm82a", 10, 22),
+    ("cm85a", 44, 93),
+    ("cmb", 58, 116),
+    ("f2", 10, 20),
+    ("f51m", 51, 103),
+    ("m181", 41, 90),
+    ("majority", 11, 26),
+    ("mlp4", 157, 333),
+    ("parity", 15, 30),
+    ("pcle", 28, 55),
+    ("pm1", 22, 41),
+    ("radd", 18, 39),
+    ("rd53", 19, 41),
+    ("rd73", 30, 72),
+    ("rd84", 43, 97),
+    ("shift", 184, 523),
+    ("sqr6", 79, 164),
+    ("squar5", 28, 57),
+    ("sym10", 45, 95),
+    ("t481", 25, 42),
+    ("tcon", 24, 40),
+    ("xor10", 9, 18),
+    ("z4ml", 15, 33),
+];
+
 #[test]
 fn fprm_flow_preserves_every_small_benchmark() {
+    let lib = Library::mcnc();
+    let mut pinned = 0;
     for b in registry() {
         if b.io.0 > 20 {
             continue; // wide circuits are covered by the checker test below
@@ -32,7 +70,20 @@ fn fprm_flow_preserves_every_small_benchmark() {
             "{} FPRM result differs",
             b.name
         );
+        let &(_, cells, lits) = FPRM_MAPPED
+            .iter()
+            .find(|(name, _, _)| *name == b.name)
+            .unwrap_or_else(|| panic!("{} has no pinned mapping", b.name));
+        let mapped = map_network(&out, &lib);
+        assert_eq!(
+            (mapped.num_gates(), mapped.num_literals()),
+            (cells, lits),
+            "{} mapped (cells, literals)",
+            b.name
+        );
+        pinned += 1;
     }
+    assert_eq!(pinned, FPRM_MAPPED.len(), "a pinned circuit left the suite");
 }
 
 #[test]

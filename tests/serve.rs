@@ -669,6 +669,32 @@ fn health_probes_report_lifecycle_state_and_queue_gauges() {
 }
 
 #[test]
+fn tcp_ping_round_trips_do_not_wait_for_delayed_acks() {
+    // A reply written in two segments on a Nagle-enabled socket waits for
+    // the peer's delayed ACK (~40 ms); one write with TCP_NODELAY does not.
+    let server = spawn(1);
+    let addr = server.tcp_addr().expect("tcp bound").to_string();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let pong = client.ping().expect("ping");
+            assert_eq!(field_str(&pong, "status"), "ok", "{pong:?}");
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median TCP ping round trip {median:?}"
+    );
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn drain_under_load_answers_every_queued_job_ok_or_typed_shed() {
     let server = Server::bind(ServeOptions {
         tcp: Some("127.0.0.1:0".into()),
