@@ -75,9 +75,8 @@ pub use patterns::{
 };
 pub use redundancy::{remove_redundancy, RedundancyStats};
 pub use synth::{
-    phase, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile, PhaseStat,
-    PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome,
-    SynthReport,
+    phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PhaseStat, PolarityMode,
+    SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome, SynthReport,
 };
 pub use verify::{network_bdds, EquivChecker};
 pub use xsynth_ofdd::PolaritySearchStats;
@@ -106,8 +105,8 @@ pub mod prelude {
     pub use crate::engine::Engine;
     pub use crate::error::Error;
     pub use crate::synth::{
-        phase, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile, PolarityMode,
-        SalvageRecord, SalvageRung, SynthOptions, SynthOutcome, SynthReport,
+        phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PolarityMode, SalvageRecord,
+        SalvageRung, SynthOptions, SynthOutcome, SynthReport,
     };
     pub use xsynth_cache::{CacheStats, ResultCache};
     pub use xsynth_trace::{Trace, TraceBuffer, TraceSink};

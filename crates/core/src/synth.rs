@@ -77,20 +77,14 @@ pub enum FactorMethod {
     Kfdd,
 }
 
-/// How much of the network each FPRM factorization call sees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Granularity {
-    /// Collapse every primary output to its global function (the paper's
-    /// path for the two-level benchmarks).
-    Output,
-    /// Keep the specification's multilevel macro blocks (after a SIS-style
-    /// `eliminate`) and FPRM-synthesize each block — the scalable path for
-    /// wide structural circuits like the 16-bit `my_adder`.
-    Block,
-    /// `Output` unless some output's FPRM cube count exceeds the block
-    /// threshold, then `Block` for the whole circuit.
-    Auto,
-}
+/// Cube-count cap: the cube method factors an output's explicit FPRM only
+/// up to this many cubes (the OFDD method takes wider ones), and a circuit
+/// switches to macro-block synthesis when some output's positive-polarity
+/// FPRM has more cubes than this.
+const CUBE_CAP: u64 = 512;
+
+/// Maximum redundancy-removal sweeps.
+const MAX_PASSES: usize = 6;
 
 /// Options for [`try_synthesize`].
 ///
@@ -123,18 +117,6 @@ pub struct SynthOptions {
     pub redundancy_removal: bool,
     /// Run the multi-output sharing pass (the paper's `resub` merge step).
     pub share: bool,
-    /// Collapse outputs or keep macro blocks.
-    pub granularity: Granularity,
-    /// `Auto` switches to block granularity when some output has more
-    /// FPRM cubes than this.
-    pub block_threshold: u64,
-    /// Cube-count cap for the cube method (beyond it the OFDD method is
-    /// used for that output).
-    pub cube_cap: u64,
-    /// Pattern-generation bounds.
-    pub pattern_opts: PatternOptions,
-    /// Maximum redundancy-removal sweeps.
-    pub max_passes: usize,
     /// Fan the per-output planning (and, for single-output circuits, the
     /// polarity-candidate evaluation) out across threads. The result is
     /// bit-identical to the sequential path; disable only to benchmark or
@@ -170,11 +152,6 @@ impl Default for SynthOptions {
             apply_rules: true,
             redundancy_removal: true,
             share: true,
-            granularity: Granularity::Auto,
-            block_threshold: 512,
-            cube_cap: 512,
-            pattern_opts: PatternOptions::default(),
-            max_passes: 6,
             parallel: true,
             budget: Budget::default(),
             salvage: true,
@@ -223,16 +200,6 @@ impl SynthOptionsBuilder {
         redundancy_removal: bool,
         /// Enables or disables the multi-output sharing pass.
         share: bool,
-        /// Sets the factorization granularity.
-        granularity: Granularity,
-        /// Sets the `Auto`-granularity cube threshold.
-        block_threshold: u64,
-        /// Sets the cube-method cube-count cap.
-        cube_cap: u64,
-        /// Sets the pattern-generation bounds.
-        pattern_opts: PatternOptions,
-        /// Sets the maximum number of redundancy-removal sweeps.
-        max_passes: usize,
         /// Enables or disables the thread fan-out.
         parallel: bool,
         /// Sets the resource budget.
@@ -394,7 +361,7 @@ pub struct SynthReport {
     pub redundancy: RedundancyStats,
     /// Outputs that overflowed the cube cap and used the OFDD method.
     pub cube_cap_fallbacks: usize,
-    /// Number of macro blocks synthesized (0 in output granularity).
+    /// Number of macro blocks synthesized (0 unless block mode ran).
     pub blocks: usize,
     /// Number of shared GF(2) divisors extracted across outputs.
     pub divisors: usize,
@@ -549,20 +516,16 @@ fn run_pipeline(
     // unreasonably wide (cube counts are cheap to read off the OFDD); a
     // node-cap trip while probing counts as "too wide" and degrades to
     // block mode rather than failing
-    let use_blocks = match opts.granularity {
-        Granularity::Output => false,
-        Granularity::Block => true,
-        Granularity::Auto => out_bdds.iter().any(|&f| {
-            let mut om = OfddManager::new(Polarity::all_positive(n));
-            match om.from_bdd(&bm, f) {
-                Ok(root) => om.num_cubes(root) > opts.block_threshold,
-                Err(_) => {
-                    curtail(report, phase::FPRM);
-                    true
-                }
+    let use_blocks = out_bdds.iter().any(|&f| {
+        let mut om = OfddManager::new(Polarity::all_positive(n));
+        match om.from_bdd(&bm, f) {
+            Ok(root) => om.num_cubes(root) > CUBE_CAP,
+            Err(_) => {
+                curtail(report, phase::FPRM);
+                true
             }
-        }),
-    };
+        }
+    });
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
     main.end();
 
@@ -572,7 +535,7 @@ fn run_pipeline(
             n,
             &Polarity::all_positive(n),
             &[],
-            &opts.pattern_opts,
+            &PatternOptions::default(),
         ));
         main.begin(phase::FACTORING);
         let net = synthesize_blocks(&spec, opts, report, &mut main);
@@ -646,7 +609,7 @@ fn run_pipeline(
             &result,
             &blocks,
             &mut checker,
-            opts.max_passes,
+            MAX_PASSES,
             deadline,
             &mut main,
         );
@@ -803,7 +766,8 @@ fn plan_output(
     buf.observe("fprm.cubes", count as f64);
     buf.observe("plan.support", support.len() as f64);
 
-    let cubes: Vec<VarSet> = if count <= opts.pattern_opts.max_cubes as u64 {
+    let pattern_opts = PatternOptions::default();
+    let cubes: Vec<VarSet> = if count <= pattern_opts.max_cubes as u64 {
         // a seeded cube list is exactly what enumeration would produce
         // (same cone, same polarity, OFDD enumeration order is canonical);
         // the count guard is a defensive consistency check
@@ -815,12 +779,12 @@ fn plan_output(
         Vec::new()
     };
     buf.begin("patterns");
-    let mut patterns = paper_patterns(n, &pol, &cubes, &opts.pattern_opts);
+    let mut patterns = paper_patterns(n, &pol, &cubes, &pattern_opts);
     patterns.truncate(opts.budget.cap_patterns(patterns.len()));
     buf.end();
     buf.count("patterns.generated", patterns.len() as u64);
 
-    let cube_feasible = count <= opts.cube_cap;
+    let cube_feasible = count <= CUBE_CAP;
     let use_cubes = match opts.method {
         FactorMethod::Cube => cube_feasible,
         FactorMethod::Ofdd | FactorMethod::Kfdd => false,
@@ -1873,11 +1837,6 @@ mod tests {
             .apply_rules(false)
             .redundancy_removal(false)
             .share(false)
-            .granularity(Granularity::Block)
-            .block_threshold(9)
-            .cube_cap(7)
-            .pattern_opts(PatternOptions::default())
-            .max_passes(1)
             .parallel(false)
             .budget(Budget::default().bdd_node_cap(Some(1000)))
             .salvage(false)
@@ -1887,10 +1846,6 @@ mod tests {
         assert!(!opts.apply_rules);
         assert!(!opts.redundancy_removal);
         assert!(!opts.share);
-        assert_eq!(opts.granularity, Granularity::Block);
-        assert_eq!(opts.block_threshold, 9);
-        assert_eq!(opts.cube_cap, 7);
-        assert_eq!(opts.max_passes, 1);
         assert!(!opts.parallel);
         assert_eq!(opts.budget.bdd_node_cap, Some(1000));
         assert!(!opts.salvage);

@@ -141,16 +141,10 @@ impl SignalId {
 
 /// A structural problem in a [`Network`] triggered by caller input (as
 /// opposed to an internal invariant violation). Hand-written netlists —
-/// e.g. a BLIF file wired into a loop — surface these as clean errors
-/// through the `try_*` accessors instead of panics.
+/// e.g. a BLIF file wired into a loop — surface it as a clean error
+/// through [`Network::try_topo_order`] instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// [`Network::try_set_output`] was asked for an output name that does
-    /// not exist.
-    UnknownOutput {
-        /// The requested output name.
-        name: String,
-    },
     /// The subgraph reachable from the outputs contains a combinational
     /// cycle through this node.
     CombinationalCycle {
@@ -159,33 +153,11 @@ pub enum NetError {
         /// Its name, when it has one.
         name: Option<String>,
     },
-    /// A gate was given the wrong number of fanins for its kind.
-    ArityMismatch {
-        /// The gate kind as text (e.g. `NOT`).
-        kind: String,
-        /// How many fanins the kind requires (`None` = at least one).
-        expected: Option<usize>,
-        /// How many fanins were supplied.
-        found: usize,
-    },
-    /// A gate referenced a fanin id that is not an existing node.
-    UnknownFanin {
-        /// The out-of-range fanin.
-        fanin: SignalId,
-        /// Number of nodes in the network at the time.
-        nodes: usize,
-    },
-    /// [`Network::try_replace_gate`] was asked to replace a primary input.
-    ReplacesInput {
-        /// The input node that was targeted.
-        node: SignalId,
-    },
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::UnknownOutput { name } => write!(f, "no output named {name}"),
             NetError::CombinationalCycle { node, name } => match name {
                 Some(n) => write!(
                     f,
@@ -194,22 +166,6 @@ impl fmt::Display for NetError {
                 ),
                 None => write!(f, "combinational cycle through node id {}", node.index()),
             },
-            NetError::ArityMismatch {
-                kind,
-                expected,
-                found,
-            } => match expected {
-                Some(k) => write!(f, "{kind} takes exactly {k} fanin(s), got {found}"),
-                None => write!(f, "{kind} needs at least one fanin, got {found}"),
-            },
-            NetError::UnknownFanin { fanin, nodes } => write!(
-                f,
-                "fanin id {} does not exist yet (network has {nodes} nodes)",
-                fanin.index()
-            ),
-            NetError::ReplacesInput { node } => {
-                write!(f, "cannot replace primary input (id {})", node.index())
-            }
         }
     }
 }
@@ -275,54 +231,33 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the gate has a fixed arity that `fanins` does not match,
-    /// or if any fanin id is out of range; use [`Network::try_add_gate`]
-    /// to handle those cases as errors.
+    /// or if any fanin id is out of range. Both are caller bugs: the
+    /// BLIF/PLA parsers and the network builders only create well-formed
+    /// gates, and `crates/blif/tests/fuzz.rs` covers parser input.
     pub fn add_gate(&mut self, kind: GateKind, fanins: Vec<SignalId>) -> SignalId {
-        match self.try_add_gate(kind, fanins) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Adds a gate node, reporting a bad arity as
-    /// [`NetError::ArityMismatch`] and an out-of-range fanin as
-    /// [`NetError::UnknownFanin`].
-    pub fn try_add_gate(
-        &mut self,
-        kind: GateKind,
-        fanins: Vec<SignalId>,
-    ) -> Result<SignalId, NetError> {
-        self.check_gate(kind, &fanins)?;
+        self.check_gate(kind, &fanins);
         let id = SignalId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind: NodeKind::Gate(kind),
             fanins,
             name: None,
         });
-        Ok(id)
+        id
     }
 
-    fn check_gate(&self, kind: GateKind, fanins: &[SignalId]) -> Result<(), NetError> {
-        let arity_ok = match kind.arity() {
-            Some(k) => fanins.len() == k,
-            None => !fanins.is_empty(),
-        };
-        if !arity_ok {
-            return Err(NetError::ArityMismatch {
-                kind: kind.to_string(),
-                expected: kind.arity(),
-                found: fanins.len(),
-            });
+    fn check_gate(&self, kind: GateKind, fanins: &[SignalId]) {
+        let found = fanins.len();
+        match kind.arity() {
+            Some(k) => assert!(found == k, "{kind} takes exactly {k} fanin(s), got {found}"),
+            None => assert!(found > 0, "{kind} needs at least one fanin, got {found}"),
         }
-        for f in fanins {
-            if f.index() >= self.nodes.len() {
-                return Err(NetError::UnknownFanin {
-                    fanin: *f,
-                    nodes: self.nodes.len(),
-                });
-            }
+        let nodes = self.nodes.len();
+        if let Some(f) = fanins.iter().find(|f| f.index() >= nodes) {
+            panic!(
+                "fanin id {} does not exist yet (network has {nodes} nodes)",
+                f.index()
+            );
         }
-        Ok(())
     }
 
     /// Registers a primary output.
@@ -334,25 +269,12 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if no output has this name; use
-    /// [`Network::try_set_output`] to handle that case as an error.
+    /// Panics if no output has this name. Callers only redirect outputs
+    /// they read from [`Network::outputs`].
     pub fn set_output(&mut self, name: &str, signal: SignalId) {
-        if let Err(e) = self.try_set_output(name, signal) {
-            panic!("{e}");
-        }
-    }
-
-    /// Redirects an existing primary output to a different signal,
-    /// reporting an unknown name as [`NetError::UnknownOutput`].
-    pub fn try_set_output(&mut self, name: &str, signal: SignalId) -> Result<(), NetError> {
         match self.outputs.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => {
-                slot.1 = signal;
-                Ok(())
-            }
-            None => Err(NetError::UnknownOutput {
-                name: name.to_string(),
-            }),
+            Some(slot) => slot.1 = signal,
+            None => panic!("no output named {name}"),
         }
     }
 
@@ -401,29 +323,19 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `id` is an input, the arity is invalid, or a fanin is not
-    /// an existing node; use [`Network::try_replace_gate`] to handle those
-    /// cases as errors. Creating a combinational cycle is not checked
-    /// here; [`Network::topo_order`] will panic on one.
+    /// an existing node: the passes that call it only rewrite gates they
+    /// found in this network, with fanins from it. Creating a
+    /// combinational cycle is not checked here; [`Network::try_topo_order`]
+    /// reports one as an error and [`Network::topo_order`] panics on it.
     pub fn replace_gate(&mut self, id: SignalId, kind: GateKind, fanins: Vec<SignalId>) {
-        if let Err(e) = self.try_replace_gate(id, kind, fanins) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`Network::replace_gate`].
-    pub fn try_replace_gate(
-        &mut self,
-        id: SignalId,
-        kind: GateKind,
-        fanins: Vec<SignalId>,
-    ) -> Result<(), NetError> {
-        if !matches!(self.nodes[id.index()].kind, NodeKind::Gate(_)) {
-            return Err(NetError::ReplacesInput { node: id });
-        }
-        self.check_gate(kind, &fanins)?;
+        assert!(
+            matches!(self.nodes[id.index()].kind, NodeKind::Gate(_)),
+            "cannot replace primary input (id {})",
+            id.index()
+        );
+        self.check_gate(kind, &fanins);
         self.nodes[id.index()].kind = NodeKind::Gate(kind);
         self.nodes[id.index()].fanins = fanins;
-        Ok(())
     }
 
     /// All nodes reachable from the outputs, children before parents.
@@ -1204,21 +1116,6 @@ mod tests {
         let s = n.sweep();
         assert_eq!(s.eval_u64(0), vec![false]);
         assert_eq!(s.num_gates(), 0);
-    }
-
-    #[test]
-    fn try_set_output_reports_unknown_name() {
-        let mut n = full_adder();
-        let a = n.inputs()[0];
-        assert_eq!(n.try_set_output("s", a), Ok(()));
-        let err = n.try_set_output("nonesuch", a).unwrap_err();
-        assert_eq!(
-            err,
-            NetError::UnknownOutput {
-                name: "nonesuch".into()
-            }
-        );
-        assert_eq!(err.to_string(), "no output named nonesuch");
     }
 
     #[test]

@@ -282,15 +282,6 @@ impl<S: Read + Write> Client<S> {
         self.request_line(&proto::simple_request("ping"))
     }
 
-    /// Fetches engine cache / job-counter statistics.
-    ///
-    /// # Errors
-    ///
-    /// Transport or reply-framing failures (see [`Client::request_line`]).
-    pub fn stats(&mut self) -> Result<Value, Error> {
-        self.request_line(&proto::simple_request("stats"))
-    }
-
     /// Fetches the Prometheus-style metrics exposition (the reply's
     /// `text` field; parse it with [`xsynth_trace::metrics::parse`]).
     ///

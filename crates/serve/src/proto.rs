@@ -14,7 +14,6 @@
 //!
 //! ```text
 //! {"protocol_version":1,"op":"ping"}
-//! {"protocol_version":1,"op":"stats"}
 //! {"protocol_version":1,"op":"metrics"}
 //! {"protocol_version":1,"op":"health"}
 //! {"protocol_version":1,"op":"recent","limit":10}
@@ -63,8 +62,6 @@ pub enum Request {
     Synth(JobRequest),
     /// Liveness probe (`op: "ping"`).
     Ping,
-    /// Engine cache / job-counter statistics (`op: "stats"`).
-    Stats,
     /// Prometheus-style text exposition of the daemon's engine-lifetime
     /// counters, gauges and latency histograms (`op: "metrics"`).
     Metrics,
@@ -171,12 +168,12 @@ pub fn parse_request(line: &str) -> Result<Request, Error> {
             "deadline_ms",
             "telemetry",
         ],
-        "ping" | "stats" | "metrics" | "health" | "shutdown" => &["protocol_version", "op", "id"],
+        "ping" | "metrics" | "health" | "shutdown" => &["protocol_version", "op", "id"],
         "recent" => &["protocol_version", "op", "id", "limit"],
         other => {
             return Err(Error::Protocol(format!(
-                "unknown op `{other}` (expected synth, ping, stats, metrics, health, recent, \
-                 or shutdown)"
+                "unknown op `{other}` (expected synth, ping, metrics, health, recent, or \
+                 shutdown)"
             )))
         }
     };
@@ -190,7 +187,6 @@ pub fn parse_request(line: &str) -> Result<Request, Error> {
 
     match op {
         "ping" => Ok(Request::Ping),
-        "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "health" => Ok(Request::Health),
         "recent" => {
@@ -338,7 +334,7 @@ pub fn synth_request(
     o.finish()
 }
 
-/// Builds a bodyless request line (`ping` / `stats` / `shutdown`).
+/// Builds a bodyless request line (`ping` / `metrics` / `shutdown`).
 pub fn simple_request(op: &str) -> String {
     let mut o = Obj::new();
     o.num("protocol_version", PROTOCOL_VERSION as f64);

@@ -418,7 +418,9 @@ struct Ctx {
     options: SynthOptions,
     lib: Library,
     verify_budget: Budget,
-    jobs_done: AtomicU64,
+    /// Requests answered (ok or error) since the daemon started; the
+    /// source of `xsynth_requests_total`.
+    requests: AtomicU64,
     /// Lifecycle state machine: `STATE_RUNNING` → `STATE_DRAINING` →
     /// `STATE_STOPPED`, monotonic.
     state: AtomicU8,
@@ -673,7 +675,7 @@ impl Server {
             options: opts.options.clone(),
             lib: Library::mcnc(),
             verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
-            jobs_done: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             state: AtomicU8::new(STATE_RUNNING),
             limits: Limits::from_options(&opts),
             sched: Scheduler::new(),
@@ -764,11 +766,6 @@ impl Server {
     /// The daemon's engine (cache and substrate statistics).
     pub fn engine(&self) -> &Engine {
         &self.ctx.engine
-    }
-
-    /// Jobs completed (ok or error) since the daemon started.
-    pub fn jobs_done(&self) -> u64 {
-        self.ctx.jobs_done.load(Ordering::Relaxed)
     }
 
     /// Requests graceful drain programmatically: equivalent to a
@@ -1126,10 +1123,11 @@ fn worker_loop(ctx: &Arc<Ctx>) {
                 }
             };
         ctx.telemetry.busy.fetch_sub(1, Ordering::Relaxed);
-        // Count the job before the reply goes out: a client that has
-        // received N replies must never observe `jobs_done` < N via a
-        // subsequent `stats` request handled by a sibling worker.
-        ctx.jobs_done.fetch_add(1, Ordering::Relaxed);
+        // Count the request before the reply goes out: a client that has
+        // received N replies must never observe `xsynth_requests_total`
+        // < N via a subsequent `metrics` request handled by a sibling
+        // worker.
+        ctx.requests.fetch_add(1, Ordering::Relaxed);
         if !write_reply(&job.writer, &reply) {
             // The peer stopped reading (write timeout / EOF): mark the
             // connection dead so its remaining queued jobs cancel
@@ -1167,7 +1165,6 @@ fn handle_line(ctx: &Ctx, line: &str, queued_for: Duration) -> (String, bool) {
             o.str("op", "ping");
             (o.finish(), false)
         }
-        Request::Stats => (stats_response(ctx), false),
         Request::Metrics => match metrics_response(ctx) {
             Ok(resp) => (resp, false),
             Err(e) => (proto::error_response(None, &e), false),
@@ -1220,28 +1217,6 @@ fn handle_line(ctx: &Ctx, line: &str, queued_for: Duration) -> (String, bool) {
             }
         }
     }
-}
-
-fn stats_response(ctx: &Ctx) -> String {
-    let stats = ctx.engine.cache_stats();
-    let mut cache = proto::Obj::new();
-    cache.num("hits", stats.hits as f64);
-    cache.num("misses", stats.misses as f64);
-    cache.num("evictions", stats.evictions as f64);
-    cache.num("insertions", stats.insertions as f64);
-    cache.num("entries", stats.entries as f64);
-    cache.num("bytes", stats.bytes as f64);
-    cache.num("budget", stats.budget as f64);
-    let mut o = proto::Obj::new();
-    o.num("protocol_version", proto::PROTOCOL_VERSION as f64);
-    o.str("status", "ok");
-    o.str("op", "stats");
-    o.raw("cache", &cache.finish());
-    let mut engine = proto::Obj::new();
-    engine.num("reclaim_refused", ctx.engine.reclaim_refused() as f64);
-    o.raw("engine", &engine.finish());
-    o.num("jobs_done", ctx.jobs_done.load(Ordering::Relaxed) as f64);
-    o.finish()
 }
 
 /// Answers the `health` wire op: the lifecycle state (`ready`,
@@ -1317,7 +1292,7 @@ fn metrics_response(ctx: &Ctx) -> Result<String, Error> {
     exp.counter(
         "xsynth_requests_total",
         &[],
-        ctx.jobs_done.load(Ordering::Relaxed),
+        ctx.requests.load(Ordering::Relaxed),
     );
     exp.gauge("xsynth_queue_depth", &[], ctx.sched.depth() as f64);
     exp.gauge("xsynth_queue_capacity", &[], ctx.limits.global_queue as f64);

@@ -42,31 +42,6 @@ use xsynth_trace::TraceBuffer;
 /// order.
 pub type Pattern = Vec<bool>;
 
-/// Error from [`try_exhaustive_patterns`]: the requested pattern set is
-/// too large to materialise as `Vec<Pattern>`. Use the streaming
-/// [`exhaustive_blocks`] form instead, whose peak memory is one 64-lane
-/// block regardless of `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatternSetTooLarge {
-    /// The requested input count.
-    pub inputs: usize,
-    /// The largest input count this helper materialises.
-    pub max_inputs: usize,
-}
-
-impl std::fmt::Display for PatternSetTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "exhaustive pattern set too large for {} inputs (max {}); \
-             use exhaustive_blocks for a streaming form",
-            self.inputs, self.max_inputs
-        )
-    }
-}
-
-impl std::error::Error for PatternSetTooLarge {}
-
 /// The largest input count [`exhaustive_patterns`] will materialise.
 pub const EXHAUSTIVE_MATERIALIZE_LIMIT: usize = 24;
 
@@ -78,23 +53,18 @@ pub const EXHAUSTIVE_MATERIALIZE_LIMIT: usize = 24;
 ///
 /// # Panics
 ///
-/// Panics if `n > 24` (16 M patterns); use [`try_exhaustive_patterns`]
-/// to handle that case as an error.
+/// Panics if `n > 24` (16 M patterns). Callers only ask for small
+/// supports: wider networks stream [`exhaustive_blocks`], whose peak
+/// memory is one 64-lane block regardless of `n`.
 pub fn exhaustive_patterns(n: usize) -> Vec<Pattern> {
-    try_exhaustive_patterns(n).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`exhaustive_patterns`].
-pub fn try_exhaustive_patterns(n: usize) -> Result<Vec<Pattern>, PatternSetTooLarge> {
-    if n > EXHAUSTIVE_MATERIALIZE_LIMIT {
-        return Err(PatternSetTooLarge {
-            inputs: n,
-            max_inputs: EXHAUSTIVE_MATERIALIZE_LIMIT,
-        });
-    }
-    Ok((0..(1u64 << n))
+    assert!(
+        n <= EXHAUSTIVE_MATERIALIZE_LIMIT,
+        "exhaustive pattern set too large for {n} inputs (max {EXHAUSTIVE_MATERIALIZE_LIMIT}); \
+         use exhaustive_blocks for a streaming form"
+    );
+    (0..(1u64 << n))
         .map(|m| (0..n).map(|i| m & (1 << i) != 0).collect())
-        .collect())
+        .collect()
 }
 
 /// A word-packed block of up to 64 input patterns: `words[i]` holds the
@@ -526,11 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn try_exhaustive_patterns_rejects_large_n() {
-        let err = try_exhaustive_patterns(25).unwrap_err();
-        assert_eq!(err.inputs, 25);
-        assert_eq!(err.max_inputs, EXHAUSTIVE_MATERIALIZE_LIMIT);
-        assert!(try_exhaustive_patterns(8).is_ok());
+    #[should_panic(expected = "exhaustive pattern set too large for 25 inputs (max 24)")]
+    fn exhaustive_patterns_rejects_large_n() {
+        exhaustive_patterns(25);
     }
 
     #[test]

@@ -135,11 +135,14 @@ fn duplicate_jobs_hit_the_cache_and_return_bit_identical_networks() {
         .expect("renamed job");
     assert_eq!(field_u64(&renamed, &["cache", "polarity_hits"]), 2);
 
-    // The stats op sees the shared engine's cache accounting.
-    let stats = client.stats().expect("stats");
-    assert!(field_u64(&stats, &["cache", "hits"]) >= 4, "{stats:?}");
-    assert!(field_u64(&stats, &["cache", "entries"]) >= 1);
-    assert!(field_u64(&stats, &["jobs_done"]) >= 3);
+    // The metrics op sees the shared engine's cache accounting.
+    let reply = client.metrics().expect("metrics");
+    let text = field_str(&reply, "text");
+    let families = xsynth::trace::metrics::parse(text).expect("strict parse");
+    let value = |family: &str| families[family].samples[0].value;
+    assert!(value("xsynth_cache_hits_total") >= 4.0, "{text}");
+    assert!(value("xsynth_cache_entries") >= 1.0, "{text}");
+    assert!(value("xsynth_requests_total") >= 3.0, "{text}");
 
     server.shutdown();
     server.wait();
@@ -204,6 +207,8 @@ fn protocol_violations_answer_exit_code_10_and_keep_the_connection() {
         ),
         r#"{"op":"ping"}"#.to_string(),
         r#"{"protocol_version":1,"op":"transmogrify"}"#.to_string(),
+        // `stats` is not an op: `metrics` reports the cache and request totals
+        r#"{"protocol_version":1,"op":"stats"}"#.to_string(),
         r#"{"protocol_version":1,"op":"synth","source":"x","extra":1}"#.to_string(),
         "this is not json".to_string(),
     ] {
