@@ -182,7 +182,7 @@ fn compare_records(
         0.0,
     );
     // likewise for factored emissions that failed their self-check and
-    // were rolled back (absent counter = 0, so v1 baselines compare clean)
+    // were rolled back (an absent counter reads as 0)
     let rolled = |r: &BenchRecord| *r.counters.get("rewrite.rolled_back").unwrap_or(&0) as f64;
     push(
         "rewrite.rolled_back",

@@ -13,8 +13,8 @@
 //! synthesis / mapping / verification), and functional equivalence of
 //! every result against the specification.
 //!
-//! All three binaries (`table2`, `par_speedup`, `flow_report`) report
-//! from one measurement path, [`measure_flow`], which also produces the
+//! The measuring binaries (`table2`, `par_speedup`) report from one
+//! measurement path, [`measure_flow`], which also produces the
 //! machine-readable [`telemetry::BenchRecord`] persisted as
 //! `BENCH_*.json` and gated in CI by `bench_compare` (see [`compare`]).
 
@@ -27,14 +27,14 @@ pub mod telemetry;
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
 use xsynth_core::{
-    phase, try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
+    try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_sim::power_estimate;
 use xsynth_sop::{script_algebraic, ScriptOptions};
 
-pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
 
 /// BDD node cap for benchmark verification. Generous enough that every
 /// registry circuit verifies exactly today; a pathological case trips it
@@ -73,8 +73,8 @@ pub struct FlowResult {
     pub verify_seconds: f64,
     /// Equivalence-check outcome against the specification.
     pub verified: VerifyStatus,
-    /// The synthesis report with per-phase timings and polarity-search
-    /// counters (`None` for the SOP baseline, which has no FPRM phases).
+    /// The synthesis report with per-phase timings and the run's trace
+    /// (`None` for the SOP baseline, which has no FPRM phases).
     pub report: Option<SynthReport>,
 }
 
@@ -312,22 +312,26 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Renders a one-line phase-timing breakdown from a flow's report:
-/// `fprm/factor/share/redund` milliseconds, plus the polarity-search
-/// counters. Returns `None` when the flow carries no report.
+/// Renders a one-line phase-timing breakdown from a flow's report: each
+/// profiled phase's milliseconds in pipeline order, plus the
+/// polarity-search counters from the trace. Returns `None` when the flow
+/// carries no report.
 pub fn render_phases(fr: &FlowResult) -> Option<String> {
     let r = fr.report.as_ref()?;
-    let p = &r.profile;
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    Some(format!(
-        "fprm {:.1}ms factor {:.1}ms share {:.1}ms redund {:.1}ms (polarity: {} eval, {} memo)",
-        ms(p.duration(phase::FPRM)),
-        ms(p.duration(phase::FACTORING)),
-        ms(p.duration(phase::SHARING)),
-        ms(p.duration(phase::REDUNDANCY)),
-        r.polarity_search.candidates_evaluated,
-        r.polarity_search.memo_hits,
-    ))
+    let mut s = String::new();
+    for p in &r.profile.phases {
+        s.push_str(&format!(
+            "{} {:.1}ms ",
+            p.name,
+            p.duration.as_secs_f64() * 1e3
+        ));
+    }
+    s.push_str(&format!(
+        "(polarity: {} eval, {} memo)",
+        r.trace.counter("polarity.evaluated"),
+        r.trace.counter("polarity.memo_hit"),
+    ));
+    Some(s)
 }
 
 /// One completed Table 2 row: both flows on one benchmark.
@@ -495,6 +499,7 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsynth_core::phase;
 
     #[test]
     fn harness_runs_small_circuits() {

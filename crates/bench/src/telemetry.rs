@@ -42,21 +42,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xsynth_trace::json::{self, Value};
 
-/// Version stamp written into every suite; bump on breaking changes.
-///
-/// Version history:
-/// * **1** — the original schema.
-/// * **2** — adds the required `salvaged` field (outputs recovered by the
-///   salvage ladder). The parser still accepts version-1 suites, reading
-///   `salvaged` as 0, so existing baselines keep working.
-/// * **3** — adds the required `latency_p50_seconds` / `latency_p99_seconds`
-///   fields (per-run synthesis-latency percentiles, derived from the
-///   fixed-bucket log-scale histogram in `xsynth-trace`). Older suites
-///   read both as 0.
+/// Version stamp written into every suite, and the only version
+/// [`BenchSuite::from_json`] accepts; bump on breaking changes. Version 2
+/// added `salvaged`, version 3 the latency percentiles.
 pub const SCHEMA_VERSION: u64 = 3;
-
-/// Oldest schema version [`BenchSuite::from_json`] still accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Outcome of the equivalence check of one flow's result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -130,8 +119,7 @@ pub struct BenchRecord {
     pub verified: VerifyStatus,
     /// Outputs the salvage ladder recovered instead of failing the run.
     /// Nonzero means the result is degraded — `bench_compare` treats any
-    /// increase as a quality regression. Schema version 2; reads as 0
-    /// from version-1 suites.
+    /// increase as a quality regression.
     pub salvaged: u64,
     /// How many timed synthesis runs the timing stats aggregate.
     pub runs: u64,
@@ -143,7 +131,7 @@ pub struct BenchRecord {
     pub synth_seconds: f64,
     /// p50 of the per-run synthesis latencies, estimated from the
     /// fixed-bucket log-scale histogram (bucket upper bound, Prometheus
-    /// convention). Schema version 3; reads as 0 from older suites.
+    /// convention).
     pub latency_p50_seconds: f64,
     /// p99 of the per-run synthesis latencies (same estimator).
     pub latency_p99_seconds: f64,
@@ -203,22 +191,18 @@ impl BenchSuite {
 
     /// Strictly parses a suite from JSON.
     ///
-    /// Accepts schema versions [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`];
-    /// fields added in later versions read as their defaults from older
-    /// suites (and remain unknown-field errors there).
-    ///
     /// # Errors
     ///
-    /// Rejects syntax errors, an out-of-range `schema_version`, and any
-    /// missing, unknown, duplicate, or wrongly-typed field.
+    /// Rejects syntax errors, a `schema_version` other than
+    /// [`SCHEMA_VERSION`], and any missing, unknown, duplicate, or
+    /// wrongly-typed field.
     pub fn from_json(src: &str) -> Result<BenchSuite, String> {
         let root = json::parse(src)?;
         let mut top = Fields::new(&root, "suite")?;
         let version = top.u64("schema_version")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} \
-                 (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             ));
         }
         let suite = top.string("suite")?;
@@ -229,8 +213,7 @@ impl BenchSuite {
         top.finish()?;
         let mut records = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
-            records
-                .push(record_from_value(item, version).map_err(|e| format!("records[{i}]: {e}"))?);
+            records.push(record_from_value(item).map_err(|e| format!("records[{i}]: {e}"))?);
         }
         Ok(BenchSuite { suite, records })
     }
@@ -292,7 +275,7 @@ fn record_json(s: &mut String, r: &BenchRecord) {
     s.push_str("}}");
 }
 
-fn record_from_value(v: &Value, version: u64) -> Result<BenchRecord, String> {
+fn record_from_value(v: &Value) -> Result<BenchRecord, String> {
     let mut f = Fields::new(v, "record")?;
     let r = BenchRecord {
         name: f.string("name")?,
@@ -308,23 +291,13 @@ fn record_from_value(v: &Value, version: u64) -> Result<BenchRecord, String> {
             VerifyStatus::parse(&s)
                 .ok_or_else(|| format!("field 'verified': unknown status {s:?}"))?
         },
-        // required from v2 on; v1 suites predate the salvage ladder, so a
-        // v1 record carrying the field is still an unknown-field error
-        salvaged: if version >= 2 { f.u64("salvaged")? } else { 0 },
+        salvaged: f.u64("salvaged")?,
         runs: f.u64("runs")?,
         median_seconds: f.f64("median_seconds")?,
         min_seconds: f.f64("min_seconds")?,
         synth_seconds: f.f64("synth_seconds")?,
-        latency_p50_seconds: if version >= 3 {
-            f.f64("latency_p50_seconds")?
-        } else {
-            0.0
-        },
-        latency_p99_seconds: if version >= 3 {
-            f.f64("latency_p99_seconds")?
-        } else {
-            0.0
-        },
+        latency_p50_seconds: f.f64("latency_p50_seconds")?,
+        latency_p99_seconds: f.f64("latency_p99_seconds")?,
         map_seconds: f.f64("map_seconds")?,
         verify_seconds: f.f64("verify_seconds")?,
         phases: f.f64_map("phases")?,
@@ -475,21 +448,13 @@ mod tests {
         }
         .to_json();
         BenchSuite::from_json(&good).unwrap();
-        // future version
-        let bad = good.replace("\"schema_version\": 3", "\"schema_version\": 4");
-        assert!(BenchSuite::from_json(&bad)
-            .unwrap_err()
-            .contains("schema_version"));
-        // v1 suites must not carry v2 fields
-        let bad = good.replace("\"schema_version\": 3", "\"schema_version\": 1");
-        assert!(BenchSuite::from_json(&bad)
-            .unwrap_err()
-            .contains("salvaged"));
-        // v2 suites must not carry v3 fields
-        let bad = good.replace("\"schema_version\": 3", "\"schema_version\": 2");
-        assert!(BenchSuite::from_json(&bad)
-            .unwrap_err()
-            .contains("latency_p50_seconds"));
+        // any version but the current one
+        for v in [1, 2, 4] {
+            let bad = good.replace("\"schema_version\": 3", &format!("\"schema_version\": {v}"));
+            assert!(BenchSuite::from_json(&bad)
+                .unwrap_err()
+                .contains("schema_version"));
+        }
         // unknown field
         let bad = good.replace("\"runs\": 3", "\"runs\": 3, \"bogus\": 1");
         assert!(BenchSuite::from_json(&bad).unwrap_err().contains("bogus"));
@@ -505,26 +470,6 @@ mod tests {
         // duplicate key (rejected by the JSON layer itself)
         let bad = good.replace("\"runs\": 3", "\"runs\": 3, \"runs\": 3");
         assert!(BenchSuite::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn version_1_suites_still_parse() {
-        let v2 = BenchSuite {
-            suite: "s".into(),
-            records: vec![sample_record("a", "fprm")],
-        }
-        .to_json();
-        // a legacy suite: version 1, no salvaged or latency fields
-        let v1 = v2
-            .replace("\"schema_version\": 3", "\"schema_version\": 1")
-            .replace(", \"salvaged\": 0", "")
-            .replace(", \"latency_p50_seconds\": 0.015625", "")
-            .replace(", \"latency_p99_seconds\": 0.015625", "");
-        let back = BenchSuite::from_json(&v1).expect("v1 accepted");
-        assert_eq!(back.records[0].salvaged, 0);
-        assert_eq!(back.records[0].latency_p50_seconds, 0.0);
-        // re-serializing upgrades it to the current schema
-        assert!(back.to_json().contains("\"schema_version\": 3"));
     }
 
     #[test]

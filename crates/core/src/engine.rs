@@ -70,7 +70,7 @@ pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 /// // the second run planned every output from the cache...
 /// assert!(warm.report.cache.polarity_hits > 0);
 /// // ...skipping the polarity descent entirely
-/// assert_eq!(warm.report.polarity_search.candidates_evaluated, 0);
+/// assert_eq!(warm.report.trace.counter("polarity.evaluated"), 0);
 /// // and the result is bit-identical
 /// assert_eq!(
 ///     xsynth_blif::write_blif(&warm.network),
@@ -422,13 +422,14 @@ mod tests {
             .try_synthesize(&spec, &SynthOptions::default())
             .unwrap();
         assert_eq!(cold.report.cache.polarity_hits, 0);
-        assert!(cold.report.polarity_search.candidates_evaluated > 0);
+        assert!(cold.report.trace.counter("polarity.evaluated") > 0);
         let warm = engine
             .try_synthesize(&spec, &SynthOptions::default())
             .unwrap();
         assert_eq!(warm.report.cache.polarity_hits, 2, "both outputs seeded");
         assert_eq!(
-            warm.report.polarity_search.candidates_evaluated, 0,
+            warm.report.trace.counter("polarity.evaluated"),
+            0,
             "descent skipped on the warm run"
         );
         assert_eq!(

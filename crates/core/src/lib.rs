@@ -73,13 +73,12 @@ pub use factor::{
 pub use patterns::{
     literal_mask_to_pattern, merge_patterns, paper_patterns, Pattern, PatternOptions,
 };
-pub use redundancy::{remove_redundancy, RedundancyStats};
+pub use redundancy::remove_redundancy;
 pub use synth::{
     phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PhaseStat, PolarityMode,
     SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome, SynthReport,
 };
 pub use verify::{network_bdds, EquivChecker};
-pub use xsynth_ofdd::PolaritySearchStats;
 
 /// The one-line import for typical users of the synthesis stack.
 ///

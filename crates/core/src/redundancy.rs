@@ -25,8 +25,8 @@
 //! family is enumerated with caps (see [`crate::patterns`]), every accepted
 //! rewrite is additionally verified against the reference function and
 //! reverted if the truncated family was too optimistic — the
-//! [`RedundancyStats`] report how often that safety net fired (on the
-//! paper's benchmark family: essentially never).
+//! `redundancy.reverted` trace counter reports how often that safety net
+//! fired (on the paper's benchmark family: essentially never).
 
 use crate::error::Error;
 use crate::verify::EquivChecker;
@@ -34,27 +34,6 @@ use std::time::Instant;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_sim::PatternBlock;
 use xsynth_trace::TraceBuffer;
-
-/// Counters describing what the redundancy pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RedundancyStats {
-    /// XOR gates rewritten to OR (Property 3).
-    pub xor_to_or: usize,
-    /// XOR gates rewritten to AND-with-complement (Property 4).
-    pub xor_to_and: usize,
-    /// AND/OR fanin wires removed as stuck-at redundant.
-    pub fanin_removed: usize,
-    /// Gates replaced by constants.
-    pub const_replaced: usize,
-    /// Total rewrites attempted.
-    pub attempted: usize,
-    /// Rewrites the equivalence check rejected (pattern family was too
-    /// small to witness testability).
-    pub reverted: usize,
-    /// Whether a phase deadline stopped the sweeps early (the network
-    /// returned is still verified — only further reductions were skipped).
-    pub curtailed: bool,
-}
 
 /// One 64-lane simulation block.
 struct Block {
@@ -203,11 +182,11 @@ fn wire_fault_testable(
 /// a `pass` span of `buf` carrying the rewrite counters it contributed
 /// (`redundancy.xor_to_or`, `redundancy.xor_to_and`,
 /// `redundancy.fanin_removed`, `redundancy.const_replaced`,
-/// `redundancy.reverted`). Sweeping stops when `deadline` passes: the
-/// network already rewritten and verified is kept, and
-/// [`RedundancyStats::curtailed`] plus a `redundancy.curtailed` trace
-/// counter record the early stop. Returns the cleaned network and the pass
-/// statistics.
+/// `redundancy.reverted`; their sum is the number of rewrites attempted).
+/// Sweeping stops when `deadline` passes: the network already rewritten
+/// and verified is kept, and the early stop is returned as `true` and
+/// counted as `redundancy.curtailed`. Returns the cleaned network and that
+/// flag.
 ///
 /// # Errors
 ///
@@ -224,57 +203,36 @@ pub fn remove_redundancy(
     max_passes: usize,
     deadline: Option<Instant>,
     buf: &mut TraceBuffer,
-) -> Result<(Network, RedundancyStats), Error> {
+) -> Result<(Network, bool), Error> {
     assert!(!blocks.is_empty(), "need at least one pattern (AZ/AO)");
     xsynth_trace::fail_point!("core.redundancy");
     let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut cur = net.clone();
-    let mut stats = RedundancyStats::default();
+    let mut curtailed = false;
 
     for _pass in 0..max_passes {
         if past_deadline() {
-            stats.curtailed = true;
+            curtailed = true;
             break;
         }
         buf.begin("pass");
-        let before = stats.clone();
-        let swept = sweep(&mut cur, blocks, checker, &mut stats, &past_deadline);
-        buf.count(
-            "redundancy.xor_to_or",
-            (stats.xor_to_or - before.xor_to_or) as u64,
-        );
-        buf.count(
-            "redundancy.xor_to_and",
-            (stats.xor_to_and - before.xor_to_and) as u64,
-        );
-        buf.count(
-            "redundancy.fanin_removed",
-            (stats.fanin_removed - before.fanin_removed) as u64,
-        );
-        buf.count(
-            "redundancy.const_replaced",
-            (stats.const_replaced - before.const_replaced) as u64,
-        );
-        buf.count(
-            "redundancy.reverted",
-            (stats.reverted - before.reverted) as u64,
-        );
-        // the cross-phase self-checking-rewrite counter (shared with the
-        // emission self-check in synth.rs): every reverted rewrite is a
-        // rollback
-        buf.count(
-            "rewrite.rolled_back",
-            (stats.reverted - before.reverted) as u64,
+        let swept = sweep(
+            &mut cur,
+            blocks,
+            checker,
+            buf,
+            &mut curtailed,
+            &past_deadline,
         );
         buf.end();
-        if !swept? || stats.curtailed {
+        if !swept? || curtailed {
             break;
         }
     }
-    if stats.curtailed {
+    if curtailed {
         buf.count("redundancy.curtailed", 1);
     }
-    Ok((cur.sweep(), stats))
+    Ok((cur.sweep(), curtailed))
 }
 
 /// Every rewrite is accepted only if the equivalence checker still passes;
@@ -285,13 +243,23 @@ fn accept(checker: &mut EquivChecker, cur: &Network) -> Result<bool, Error> {
     checker.try_check(cur)
 }
 
-/// One sweep of the pass over `cur`, rewriting it in place. Returns
-/// whether any rewrite was accepted.
+/// Counts one rejected rewrite: a `redundancy.reverted`, which is also a
+/// `rewrite.rolled_back` (the self-checking-rewrite counter shared with
+/// the emission self-check in synth.rs).
+fn count_reverted(buf: &mut TraceBuffer) {
+    buf.count("redundancy.reverted", 1);
+    buf.count("rewrite.rolled_back", 1);
+}
+
+/// One sweep of the pass over `cur`, rewriting it in place and counting
+/// each rewrite into `buf`. Returns whether any rewrite was accepted; sets
+/// `curtailed` when the deadline cut the sweep short.
 fn sweep(
     cur: &mut Network,
     blocks: &[PatternBlock],
     checker: &mut EquivChecker,
-    stats: &mut RedundancyStats,
+    buf: &mut TraceBuffer,
+    curtailed: &mut bool,
     past_deadline: &impl Fn() -> bool,
 ) -> Result<bool, Error> {
     let mut changed = false;
@@ -303,7 +271,7 @@ fn sweep(
     order_rev.reverse();
     for id in order_rev {
         if past_deadline() {
-            stats.curtailed = true;
+            *curtailed = true;
             break;
         }
         let Some(kind) = cur.gate_kind(id) else {
@@ -329,7 +297,6 @@ fn sweep(
                     None
                 };
                 if let Some((nk, fanins, is_or)) = proposal {
-                    stats.attempted += 1;
                     let snapshot = cur.clone();
                     if is_or {
                         cur.replace_gate(id, nk, fanins);
@@ -341,15 +308,18 @@ fn sweep(
                         cur.replace_gate(id, GateKind::And, vec![keep, nd]);
                     }
                     if accept(checker, cur)? {
-                        if is_or {
-                            stats.xor_to_or += 1;
-                        } else {
-                            stats.xor_to_and += 1;
-                        }
+                        buf.count(
+                            if is_or {
+                                "redundancy.xor_to_or"
+                            } else {
+                                "redundancy.xor_to_and"
+                            },
+                            1,
+                        );
                         changed = true;
                         state = build_sim(cur, blocks);
                     } else {
-                        stats.reverted += 1;
+                        count_reverted(buf);
                         *cur = snapshot;
                         state = build_sim(cur, blocks);
                     }
@@ -366,7 +336,6 @@ fn sweep(
                         _ => (false, true),
                     };
                     if !wire_fault_testable(cur, &state, id, idx, drop_stuck) {
-                        stats.attempted += 1;
                         let snapshot = cur.clone();
                         let mut fanins = cur.fanins(id).to_vec();
                         fanins.remove(idx);
@@ -376,7 +345,7 @@ fn sweep(
                             cur.replace_gate(id, kind, fanins);
                         }
                         if accept(checker, cur)? {
-                            stats.fanin_removed += 1;
+                            buf.count("redundancy.fanin_removed", 1);
                             changed = true;
                             state = build_sim(cur, blocks);
                             if cur.gate_kind(id) == Some(GateKind::Buf) {
@@ -384,12 +353,11 @@ fn sweep(
                             }
                             continue; // same idx now holds next fanin
                         } else {
-                            stats.reverted += 1;
+                            count_reverted(buf);
                             *cur = snapshot;
                             state = build_sim(cur, blocks);
                         }
                     } else if !wire_fault_testable(cur, &state, id, idx, const_stuck) {
-                        stats.attempted += 1;
                         let snapshot = cur.clone();
                         let ck = if kind == GateKind::And {
                             GateKind::Const0
@@ -398,12 +366,12 @@ fn sweep(
                         };
                         cur.replace_gate(id, ck, vec![]);
                         if accept(checker, cur)? {
-                            stats.const_replaced += 1;
+                            buf.count("redundancy.const_replaced", 1);
                             changed = true;
                             state = build_sim(cur, blocks);
                             break;
                         } else {
-                            stats.reverted += 1;
+                            count_reverted(buf);
                             *cur = snapshot;
                             state = build_sim(cur, blocks);
                         }
@@ -423,20 +391,23 @@ mod tests {
     use crate::patterns::{paper_patterns, Pattern, PatternOptions};
     use xsynth_boolean::{Polarity, VarSet};
     use xsynth_sim::{exhaustive_patterns, pack_patterns};
-    use xsynth_trace::TraceSink;
+    use xsynth_trace::{Trace, TraceSink};
 
-    /// The pass over an explicit pattern list, untraced and with no
-    /// deadline.
+    /// The pass over an explicit pattern list with no deadline; returns
+    /// the cleaned network and the trace holding the rewrite counters.
     fn run(
         net: &Network,
         pats: &[Pattern],
         checker: &mut EquivChecker,
         max_passes: usize,
-    ) -> (Network, RedundancyStats) {
+    ) -> (Network, Trace) {
         let blocks = pack_patterns(net.inputs().len(), pats);
         let sink = TraceSink::new();
         let mut buf = sink.buffer(0, "redundancy");
-        remove_redundancy(net, &blocks, checker, max_passes, None, &mut buf).unwrap()
+        let (out, _) =
+            remove_redundancy(net, &blocks, checker, max_passes, None, &mut buf).unwrap();
+        drop(buf);
+        (out, sink.take())
     }
 
     /// Builds the network for cube list in positive polarity via the cube
@@ -477,13 +448,13 @@ mod tests {
         net.add_output("cout", carry);
         let pats = exhaustive_patterns(3);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
         // The outer carry XOR reduces by controllability (ab = 1 forces
         // (a⊕b)·c = 0), and Property 6's domino then makes the a⊕b gate's
         // (1,1) class unobservable (ab = 1 dominates the OR), so BOTH
         // gates become OR: cout = ab + (a+b)·c — the classic carry form.
-        assert_eq!(stats.xor_to_or, 2, "{stats:?}");
-        assert_eq!(stats.reverted, 0);
+        assert_eq!(trace.counter("redundancy.xor_to_or"), 2);
+        assert_eq!(trace.counter("redundancy.reverted"), 0);
         assert_eq!(xor_count(&out), 0);
         for m in 0..8u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
@@ -495,8 +466,9 @@ mod tests {
         let cubes: Vec<VarSet> = (0..4).map(VarSet::singleton).collect();
         let (net, pats) = setup(4, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
-        assert_eq!(stats.xor_to_or + stats.xor_to_and, 0, "{stats:?}");
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
+        assert_eq!(trace.counter("redundancy.xor_to_or"), 0);
+        assert_eq!(trace.counter("redundancy.xor_to_and"), 0);
         assert_eq!(xor_count(&out), 3);
     }
 
@@ -515,8 +487,8 @@ mod tests {
         let cubes = vec![VarSet::from_vars([0]), VarSet::from_vars([0, 1])];
         let pats = paper_patterns(2, &pol, &cubes, &PatternOptions::default());
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
-        assert_eq!(stats.xor_to_and, 1, "{stats:?}");
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
+        assert_eq!(trace.counter("redundancy.xor_to_and"), 1);
         assert_eq!(xor_count(&out), 0);
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m)[0], (m & 1 != 0) && (m & 2 == 0));
@@ -533,8 +505,8 @@ mod tests {
         ];
         let (net, pats) = setup(2, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
-        assert_eq!(xor_count(&out), 0, "{stats:?}");
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
+        assert_eq!(xor_count(&out), 0, "{:?}", trace.counter_totals());
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m)[0], m != 0);
         }
@@ -554,8 +526,8 @@ mod tests {
         net.add_output("f", o);
         let pats = exhaustive_patterns(2);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
-        assert!(stats.fanin_removed >= 1, "{stats:?}");
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
+        assert!(trace.counter("redundancy.fanin_removed") >= 1);
         assert_eq!(out.num_gates(), 0, "f collapses to the wire a");
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m)[0], m & 1 != 0);
@@ -574,8 +546,8 @@ mod tests {
         net.add_output("f", f);
         let pats = exhaustive_patterns(2);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &pats, &mut checker, 8);
-        assert_eq!(xor_count(&out), 0, "{stats:?}");
+        let (out, trace) = run(&net, &pats, &mut checker, 8);
+        assert_eq!(xor_count(&out), 0, "{:?}", trace.counter_totals());
         // final: single OR gate
         assert_eq!(out.num_gates(), 1);
         for m in 0..4u64 {
@@ -591,8 +563,8 @@ mod tests {
         let (net, _) = setup(2, &cubes);
         let az = vec![vec![false, false]];
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = run(&net, &az, &mut checker, 4);
-        assert!(stats.reverted > 0, "{stats:?}");
+        let (out, trace) = run(&net, &az, &mut checker, 4);
+        assert!(trace.counter("redundancy.reverted") > 0);
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
         }
@@ -615,7 +587,7 @@ mod tests {
         let blocks = pack_patterns(3, &pats);
         let mut checker = EquivChecker::new(&net);
         let sink = TraceSink::new();
-        let (out, stats) = {
+        let (out, curtailed) = {
             let mut buf = sink.buffer(0, "redundancy");
             remove_redundancy(
                 &net,
@@ -627,12 +599,13 @@ mod tests {
             )
             .unwrap()
         };
-        assert!(stats.curtailed, "{stats:?}");
-        assert_eq!(stats.xor_to_or + stats.xor_to_and, 0);
+        assert!(curtailed);
         for m in 0..8u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
         }
-        assert_eq!(sink.take().counter_totals()["redundancy.curtailed"], 1);
+        // nothing rewritten: the only counter is the early stop
+        let totals = sink.take().counter_totals();
+        assert_eq!(totals, [("redundancy.curtailed".to_string(), 1)].into());
     }
 
     #[test]
@@ -649,7 +622,7 @@ mod tests {
         ];
         let (net, pats) = setup(3, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, _stats) = run(&net, &pats, &mut checker, 8);
+        let (out, _) = run(&net, &pats, &mut checker, 8);
         assert_eq!(xor_count(&out), 2);
         for m in 0..8u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
@@ -670,8 +643,8 @@ mod tests {
         let mut checker2 = EquivChecker::new(&net2);
         let pol = Polarity::all_positive(3);
         let pats2 = paper_patterns(3, &pol, &cubes, &PatternOptions::default());
-        let (out2, stats2) = run(&net2, &pats2, &mut checker2, 8);
-        assert_eq!(stats2.xor_to_or, 1, "{stats2:?}");
+        let (out2, trace2) = run(&net2, &pats2, &mut checker2, 8);
+        assert_eq!(trace2.counter("redundancy.xor_to_or"), 1);
         assert_eq!(xor_count(&out2), 1);
         for m in 0..8u64 {
             assert_eq!(out2.eval_u64(m), net2.eval_u64(m));

@@ -26,7 +26,7 @@ use crate::error::Error;
 use crate::factor::{factor_cubes, factor_cubes_traced, ofdd_to_network};
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, Pattern, PatternOptions};
-use crate::redundancy::{remove_redundancy, RedundancyStats};
+use crate::redundancy::remove_redundancy;
 use crate::verify::{network_bdds, EquivChecker};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_net::{GateKind, Network, SignalId};
-use xsynth_ofdd::{OfddManager, PolaritySearch, PolaritySearchStats};
+use xsynth_ofdd::{OfddManager, PolaritySearch};
 use xsynth_sim::{exhaustive_patterns, pack_patterns, random_patterns, Simulator};
 use xsynth_sop::SopNet;
 use xsynth_trace::{Trace, TraceBuffer, TraceSink};
@@ -352,28 +352,22 @@ impl CacheUse {
     }
 }
 
-/// What the pipeline did, per output and overall.
+/// What the pipeline did, per output and overall. Everything the run
+/// counted — polarity candidates (`polarity.*`), shared divisors
+/// (`share.divisors`), macro blocks (`blocks.synthesized`), cube-cap
+/// fallbacks (`fprm.cube_cap_fallbacks`), Section 4 rewrites
+/// (`redundancy.*`) — lives in [`SynthReport::trace`] and is read by name
+/// with [`Trace::counter`].
 #[derive(Debug, Clone, Default)]
 pub struct SynthReport {
     /// `(output name, FPRM cube count, polarity)` per output.
     pub outputs: Vec<(String, u64, Polarity)>,
-    /// Redundancy-removal counters.
-    pub redundancy: RedundancyStats,
-    /// Outputs that overflowed the cube cap and used the OFDD method.
-    pub cube_cap_fallbacks: usize,
-    /// Number of macro blocks synthesized (0 unless block mode ran).
-    pub blocks: usize,
-    /// Number of shared GF(2) divisors extracted across outputs.
-    pub divisors: usize,
-    /// Polarity-search counters summed over all outputs.
-    pub polarity_search: PolaritySearchStats,
     /// Phases a resource budget cut short. Each entry names a phase (a
     /// [`phase`] constant) whose best-so-far partial result was kept —
-    /// the network is still verified, just less optimized.
+    /// the network is still verified, just less optimized. [`phase::VERIFY`]
+    /// here means equivalence checking downgraded from exact BDD
+    /// comparison to fixed-seed simulation because the node cap tripped.
     pub curtailed: Vec<String>,
-    /// Whether equivalence checking downgraded from exact BDD comparison
-    /// to fixed-seed simulation because the node cap tripped.
-    pub verify_downgraded: bool,
     /// Outputs recovered by the salvage ladder (or an emission rollback)
     /// instead of failing the run. Empty on a clean pass.
     pub salvaged: Vec<SalvageRecord>,
@@ -538,7 +532,7 @@ fn run_pipeline(
             &PatternOptions::default(),
         ));
         main.begin(phase::FACTORING);
-        let net = synthesize_blocks(&spec, opts, report, &mut main);
+        let net = synthesize_blocks(&spec, opts, &mut main);
         main.end();
         net
     } else {
@@ -562,9 +556,6 @@ fn run_pipeline(
             }
         }
     };
-    if report.polarity_search.budget_trips > 0 {
-        curtail(report, phase::FPRM);
-    }
 
     // cross-output sharing (the role `resub` plays in the paper)
     main.begin(phase::FACTORING);
@@ -577,7 +568,6 @@ fn run_pipeline(
     main.end();
     if !matches!(factored_ok, Ok(true)) {
         main.end(); // synthesize
-        report.verify_downgraded = checker.downgraded();
         return match factored_ok {
             Ok(_) => Err(Error::Verify(
                 "factored network is not equivalent to the spec".into(),
@@ -613,7 +603,7 @@ fn run_pipeline(
             deadline,
             &mut main,
         );
-        let (reduced, stats) = match reduced {
+        let (reduced, curtailed) = match reduced {
             Ok(r) => r,
             Err(e) => {
                 main.end(); // redundancy
@@ -621,16 +611,14 @@ fn run_pipeline(
                 return Err(e);
             }
         };
-        if stats.curtailed {
+        if curtailed {
             curtail(report, phase::REDUNDANCY);
         }
-        report.redundancy = stats;
         result = reduced;
         main.gauge("net.gates", result.num_gates() as f64);
         main.end();
     }
-    report.verify_downgraded = checker.downgraded();
-    if report.verify_downgraded {
+    if checker.downgraded() {
         curtail(report, phase::VERIFY);
     }
 
@@ -684,9 +672,9 @@ struct OutputPlan {
     /// post-merge pass can populate the content cache
     fprm_cubes: Vec<VarSet>,
     cube_count: u64,
-    cube_cap_fallback: bool,
     patterns: Vec<Pattern>,
-    search: PolaritySearchStats,
+    /// whether the polarity search stopped early under the budget
+    search_tripped: bool,
 }
 
 /// Phase 1 for one output: polarity search, OFDD construction, method
@@ -720,15 +708,15 @@ fn plan_output(
     );
     buf.begin("plan");
     let support: Vec<usize> = bm.support(f).iter().collect();
-    let (pol, stats) = match seed {
+    let (pol, search_tripped) = match seed {
         // A cache seed replaces the whole polarity descent: the seeded
         // vector is the winner a search under these options found before
         // (every mode starts from all-positive and flips support vars
-        // only, which is exactly how the seed is reconstructed), so the
-        // search stats stay at their zero defaults.
+        // only, which is exactly how the seed is reconstructed), so no
+        // `polarity.*` counter is recorded.
         Some(s) => {
             buf.count("cache.seeded", 1);
-            (s.pol.clone(), PolaritySearchStats::default())
+            (s.pol.clone(), false)
         }
         None => {
             let mut search = PolaritySearch::new(bm, f)
@@ -736,7 +724,7 @@ fn plan_output(
                 .deadline(deadline)
                 .trace(buf);
             let (pol, _) = search.run(opts.polarity, &support);
-            (pol, search.stats)
+            (pol, search.budget_tripped())
         }
     };
     buf.begin("ofdd");
@@ -829,8 +817,7 @@ fn plan_output(
             })
             .collect::<Vec<VarSet>>()
     });
-    let cube_cap_fallback = opts.method == FactorMethod::Cube && !cube_feasible;
-    if cube_cap_fallback {
+    if opts.method == FactorMethod::Cube && !cube_feasible {
         buf.count("fprm.cube_cap_fallbacks", 1);
     }
     buf.end();
@@ -843,9 +830,8 @@ fn plan_output(
         lit_cubes,
         fprm_cubes: cubes,
         cube_count: count,
-        cube_cap_fallback,
         patterns,
-        search: stats,
+        search_tripped,
     })
 }
 
@@ -888,7 +874,7 @@ fn plan_with_salvage(
     mut make_buf: impl FnMut() -> TraceBuffer,
 ) -> Result<(OutputPlan, Option<SalvageRecord>), Error> {
     let mut buf = make_buf();
-    let first = catch_unwind(AssertUnwindSafe(|| {
+    let first = buf.contain(|buf| {
         plan_output(
             name,
             f,
@@ -899,9 +885,9 @@ fn plan_with_salvage(
             candidate_parallel,
             deadline,
             seed,
-            &mut buf,
+            buf,
         )
-    }));
+    });
     let (cause, first_typed) = match first {
         Ok(Ok(plan)) => return Ok((plan, None)),
         Ok(Err(e)) => {
@@ -932,7 +918,7 @@ fn plan_with_salvage(
         buf.count("salvage.attempts", 1);
         // salvage rungs never reuse the seed: if the seeded attempt died,
         // the cached entry is a suspect and the rung re-derives from scratch
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let attempt = buf.contain(|buf| {
             plan_output(
                 name,
                 f,
@@ -943,9 +929,9 @@ fn plan_with_salvage(
                 candidate_parallel,
                 deadline,
                 None,
-                &mut buf,
+                buf,
             )
-        }));
+        });
         match attempt {
             Ok(Ok(plan)) => {
                 let record = SalvageRecord {
@@ -1194,9 +1180,8 @@ fn synthesize_outputs(
         report
             .outputs
             .push((plan.name.clone(), plan.cube_count, plan.pol.clone()));
-        report.polarity_search.absorb(&plan.search);
-        if plan.cube_cap_fallback {
-            report.cube_cap_fallbacks += 1;
+        if plan.search_tripped {
+            curtail(report, phase::FPRM);
         }
         pattern_lists.push(std::mem::take(&mut plan.patterns));
     }
@@ -1227,7 +1212,7 @@ fn synthesize_outputs(
         // plans still hold their unshared covers, so nothing needs
         // rolling back. With salvage off the fault is fatal and keeps its
         // typed identity where it has one.
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<gfx::Extraction, Error> {
+        let attempt = main.contain(|main| -> Result<gfx::Extraction, Error> {
             xsynth_trace::fail_point!(
                 "core.share",
                 Err(Error::OutputFailed {
@@ -1238,7 +1223,7 @@ fn synthesize_outputs(
             Ok(main.span("gfx_extract", |_| {
                 gfx::extract(funcs, 2 * n, &gfx::ExtractOptions::default())
             }))
-        }));
+        });
         let attempt: Result<gfx::Extraction, (String, Option<Error>)> = match attempt {
             Ok(Ok(ext)) => Ok(ext),
             Ok(Err(e)) => Err((e.to_string(), Some(e))),
@@ -1246,8 +1231,6 @@ fn synthesize_outputs(
         };
         match attempt {
             Ok(ext) => {
-                main.count("share.divisors", ext.divisors.len() as u64);
-                report.divisors = ext.divisors.len();
                 for (&i, rewritten) in cube_outputs.iter().zip(ext.functions.iter()) {
                     plans[i].lit_cubes = Some(rewritten.clone());
                 }
@@ -1329,7 +1312,7 @@ fn synthesize_outputs(
     // pre-extraction cover (which references no divisor literals) and the
     // abandoned attempt's gates are dead, swept by the later strash pass.
     let (mut factored_hits, mut factored_misses) = (0u64, 0u64);
-    let divisors_attempt = catch_unwind(AssertUnwindSafe(|| {
+    let divisors_attempt = main.contain(|main| {
         for k in emit_order {
             let (y, cubes) = &extraction[k];
             let expr = engine.factor_cubes_cached(
@@ -1343,7 +1326,7 @@ fn synthesize_outputs(
             let sig = expr.emit(&mut net, &mut lits);
             divisor_sig.insert(*y, sig);
         }
-    }));
+    });
     if let Err(p) = divisors_attempt {
         let cause = panic_message(p.as_ref());
         if !opts.salvage {
@@ -1360,11 +1343,14 @@ fn synthesize_outputs(
             rung: SalvageRung::SkipSharing,
             cause,
         });
-        report.divisors = 0;
         divisor_sig.clear();
         for (i, cubes) in saved_cubes {
             plans[i].lit_cubes = Some(cubes);
         }
+    } else {
+        // counted only once the divisors are in the network, so a rollback
+        // leaves no trace of sharing
+        main.count("share.divisors", extraction.len() as u64);
     }
     for plan in plans {
         let sig = match &plan.lit_cubes {
@@ -1374,7 +1360,7 @@ fn synthesize_outputs(
                 // to the direct OFDD translation when it diverges (or
                 // panics mid-emit). Gates emitted by an abandoned
                 // attempt are dead and swept by the later strash pass.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                let attempt = main.contain(|main| {
                     let expr = engine.factor_cubes_cached(
                         cubes,
                         opts.apply_rules,
@@ -1388,7 +1374,7 @@ fn synthesize_outputs(
                     #[cfg(feature = "failpoints")]
                     let ok = ok && !xsynth_trace::failpoint::hit("core.emit_check");
                     (sig, ok)
-                }));
+                });
                 match attempt {
                     Ok((sig, true)) => sig,
                     other => {
@@ -1467,12 +1453,7 @@ fn synthesize_outputs(
 
 /// The macro-block synthesis path: rebuild SIS-style blocks with
 /// `eliminate`, then FPRM-synthesize each block function locally.
-fn synthesize_blocks(
-    spec: &Network,
-    opts: &SynthOptions,
-    report: &mut SynthReport,
-    buf: &mut TraceBuffer,
-) -> Network {
+fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer) -> Network {
     use xsynth_boolean::{Fprm, TruthTable};
     let s = buf.span("eliminate", |_| {
         let mut s = SopNet::from_network(spec);
@@ -1492,7 +1473,6 @@ fn synthesize_blocks(
     for sig in s.topo_signals() {
         let cover = s.cover(sig).expect("live").clone();
         let support: Vec<usize> = cover.support().iter().collect();
-        report.blocks += 1;
         buf.count("blocks.synthesized", 1);
         let sid = if support.len() <= 12 && cover.num_cubes() <= 256 {
             // local truth table over the block's fanin signals
@@ -1665,7 +1645,12 @@ mod tests {
             report,
         } = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         check_equiv(&spec, &out);
-        assert_eq!(report.redundancy.reverted, 0, "{:?}", report.redundancy);
+        assert_eq!(
+            report.trace.counter("redundancy.reverted"),
+            0,
+            "{:?}",
+            report.trace.counter_totals()
+        );
         // sum bits keep their XORs; carries become AND/OR
         let xor_gates = out
             .topo_order()
@@ -1927,6 +1912,5 @@ mod tests {
         let spec = adder(2, false);
         let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         assert!(outcome.report.curtailed.is_empty());
-        assert!(!outcome.report.verify_downgraded);
     }
 }

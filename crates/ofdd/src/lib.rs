@@ -432,28 +432,6 @@ pub enum PolarityMode {
 /// all `2^k` polarities.
 pub const EXHAUSTIVE_LIMIT: usize = 10;
 
-/// Counters kept by [`PolaritySearch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolaritySearchStats {
-    /// Polarity vectors whose cube count was actually computed.
-    pub candidates_evaluated: u64,
-    /// Cube-count requests answered from the memo table.
-    pub memo_hits: u64,
-    /// Times the search stopped early (node cap or deadline) and kept the
-    /// best polarity found so far.
-    pub budget_trips: u64,
-}
-
-impl PolaritySearchStats {
-    /// Accumulates another search's counters (used when per-output
-    /// searches are merged into one report).
-    pub fn absorb(&mut self, other: &PolaritySearchStats) {
-        self.candidates_evaluated += other.candidates_evaluated;
-        self.memo_hits += other.memo_hits;
-        self.budget_trips += other.budget_trips;
-    }
-}
-
 /// An incremental polarity search over one function.
 ///
 /// The search owns a borrowed [`BddManager`] for the whole descent — the
@@ -474,8 +452,7 @@ pub struct PolaritySearch<'a> {
     parallel: bool,
     deadline: Option<Instant>,
     trace: Option<&'a mut TraceBuffer>,
-    /// Counters: candidates evaluated and memo hits so far.
-    pub stats: PolaritySearchStats,
+    tripped: bool,
 }
 
 impl<'a> PolaritySearch<'a> {
@@ -492,7 +469,7 @@ impl<'a> PolaritySearch<'a> {
             parallel: false,
             deadline: None,
             trace: None,
-            stats: PolaritySearchStats::default(),
+            tripped: false,
         }
     }
 
@@ -506,7 +483,7 @@ impl<'a> PolaritySearch<'a> {
 
     /// Sets a wall-clock deadline. Once it passes, the search finishes the
     /// candidate in flight, then aborts and keeps the best polarity found
-    /// so far (recorded in [`PolaritySearchStats::budget_trips`]).
+    /// so far (see [`PolaritySearch::budget_tripped`]).
     pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
         self.deadline = deadline;
         self
@@ -515,7 +492,7 @@ impl<'a> PolaritySearch<'a> {
     /// Whether the search has stopped early at least once because of its
     /// node cap or deadline.
     pub fn budget_tripped(&self) -> bool {
-        self.stats.budget_trips > 0
+        self.tripped
     }
 
     /// Records the search into a trace buffer: [`PolaritySearch::run`]
@@ -530,8 +507,6 @@ impl<'a> PolaritySearch<'a> {
     }
 
     fn record(&mut self, evaluated: u64, memo_hits: u64) {
-        self.stats.candidates_evaluated += evaluated;
-        self.stats.memo_hits += memo_hits;
         if let Some(buf) = self.trace.as_deref_mut() {
             buf.count("polarity.evaluated", evaluated);
             buf.count("polarity.memo_hit", memo_hits);
@@ -539,7 +514,7 @@ impl<'a> PolaritySearch<'a> {
     }
 
     fn record_trip(&mut self) {
-        self.stats.budget_trips += 1;
+        self.tripped = true;
         if let Some(buf) = self.trace.as_deref_mut() {
             buf.count("polarity.budget_tripped", 1);
         }

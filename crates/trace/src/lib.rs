@@ -483,6 +483,20 @@ impl TraceBuffer {
         });
     }
 
+    /// Runs `f` under [`std::panic::catch_unwind`], then closes every span
+    /// `f` left open, so a contained panic never nests the caller's later
+    /// spans under the one it escaped from. The caller vouches for the
+    /// unwind safety of whatever else `f` touches, as with
+    /// [`std::panic::AssertUnwindSafe`].
+    pub fn contain<R>(&mut self, f: impl FnOnce(&mut TraceBuffer) -> R) -> std::thread::Result<R> {
+        let depth = self.depth;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
+        while self.depth > depth {
+            self.end();
+        }
+        result
+    }
+
     /// The sink this buffer submits to.
     pub fn sink(&self) -> &TraceSink {
         &self.sink
@@ -523,6 +537,18 @@ impl Trace {
             }
         }
         totals
+    }
+
+    /// Total of one counter across all tracks (0 when never counted).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .map(|e| match e {
+                Event::Count { name: n, delta } if n == name => *delta,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Last recorded value of every gauge, in track order.
@@ -1040,5 +1066,39 @@ mod tests {
         let totals = sink.take().counter_totals();
         assert!(!totals.contains_key("never"));
         assert_eq!(totals["once"], 1);
+    }
+
+    #[test]
+    fn counter_sums_one_name_across_tracks() {
+        let sink = TraceSink::new();
+        sink.buffer(0, "main").count("x", 2);
+        sink.buffer(1, "worker").count("x", 3);
+        let t = sink.take();
+        assert_eq!(t.counter("x"), 5);
+        assert_eq!(t.counter("absent"), 0);
+    }
+
+    #[test]
+    fn contain_closes_the_spans_a_panic_left_open() {
+        let sink = TraceSink::new();
+        {
+            let mut b = sink.buffer(0, "main");
+            b.begin("phase");
+            let caught = b.contain(|b| {
+                b.begin("doomed");
+                panic!("contained");
+            });
+            assert!(caught.is_err());
+            b.end(); // phase
+            b.span("next", |_| ());
+        }
+        let forest = sink.take().forest();
+        let names: Vec<_> = forest.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["phase", "next"],
+            "`next` must not nest under `doomed`"
+        );
+        assert_eq!(forest[0].children[0].name, "doomed");
     }
 }

@@ -495,7 +495,7 @@ fn render_budget_notes(report: &SynthReport) -> String {
             report.curtailed.join(", ")
         );
     }
-    if report.verify_downgraded {
+    if report.curtailed.iter().any(|p| p == phase::VERIFY) {
         let _ = writeln!(
             s,
             "# budget: verification downgraded to fixed-seed simulation"
@@ -513,45 +513,20 @@ fn render_budget_notes(report: &SynthReport) -> String {
     s
 }
 
-/// Renders the `--stats` block: the trace-derived per-phase wall-clock
-/// profile, the polarity-search counters, and the full span tree of a
-/// [`SynthReport`].
+/// Renders the `--stats` block of a [`SynthReport`]: the trace-derived
+/// per-phase wall-clock profile, one line per output, the cache hit
+/// ratios, and the full span tree with its counter totals.
 pub fn render_report(report: &SynthReport) -> String {
-    let p = &report.profile;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut s = String::new();
     let _ = writeln!(s, "# phase timings (ms):");
-    let _ = writeln!(
-        s,
-        "#   fprm generation:    {:9.2}",
-        ms(p.duration(phase::FPRM))
-    );
-    let _ = writeln!(
-        s,
-        "#   factoring:          {:9.2}",
-        ms(p.duration(phase::FACTORING))
-    );
-    let _ = writeln!(
-        s,
-        "#   sharing:            {:9.2}",
-        ms(p.duration(phase::SHARING))
-    );
-    let _ = writeln!(
-        s,
-        "#   redundancy removal: {:9.2}",
-        ms(p.duration(phase::REDUNDANCY))
-    );
-    let _ = writeln!(
-        s,
-        "#   verify:             {:9.2}",
-        ms(p.duration(phase::VERIFY))
-    );
-    let _ = writeln!(s, "#   total:              {:9.2}", ms(p.total));
-    let _ = writeln!(
-        s,
-        "# polarity search: {} candidates evaluated, {} memo hits",
-        report.polarity_search.candidates_evaluated, report.polarity_search.memo_hits
-    );
+    for p in &report.profile.phases {
+        let _ = writeln!(s, "#   {:<12} {:9.2}", p.name, ms(p.duration));
+    }
+    let _ = writeln!(s, "#   {:<12} {:9.2}", "total", ms(report.profile.total));
+    for (name, cubes, pol) in &report.outputs {
+        let _ = writeln!(s, "# output {name}: {cubes} FPRM cubes, polarity {pol:?}");
+    }
     let pct = |hits: f64, lookups: f64| {
         if lookups > 0.0 {
             100.0 * hits / lookups
@@ -1253,7 +1228,7 @@ mod tests {
         assert!(c.stats);
         let out = execute(&c).unwrap();
         assert!(out.contains("phase timings"), "{out}");
-        assert!(out.contains("polarity search:"), "{out}");
+        assert!(out.contains("polarity.evaluated"), "{out}");
         // the structured span tree rides along, with the paper phases
         assert!(out.contains("# trace:"), "{out}");
         assert!(out.contains("synthesize"), "{out}");
@@ -1294,6 +1269,58 @@ mod tests {
         assert!(r.verified.passed());
         assert!(r.map_lits > 0 && r.runs == 1);
         assert!(r.phases.contains_key(phase::FPRM));
+    }
+
+    /// `--stats` and `--bench-json` are mechanical renderings of the
+    /// trace: every counter and gauge the run recorded shows up in both,
+    /// with no hand-picked subset.
+    #[test]
+    fn stats_and_bench_json_render_every_trace_key() {
+        let dir = std::env::temp_dir().join("xsynth_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["z4ml", "rd53", "majority"] {
+            let cmd = parse_args(&argv(&format!("bench {name} --stats"))).unwrap();
+            let spec = load(&cmd).unwrap();
+            let (result, report) = run_flow(&cmd, &spec).unwrap();
+            let report = report.expect("the FPRM flow carries a report");
+            let stats = render_report(&report);
+            let path = dir.join(format!("{name}-keys.json"));
+            let path = path.to_str().unwrap();
+            write_bench_json(path, &cmd, &spec, &result, Some(report.clone()), 0.0).unwrap();
+            let suite =
+                xsynth_bench::BenchSuite::from_json(&std::fs::read_to_string(path).unwrap())
+                    .unwrap();
+            let record = &suite.records[0];
+            for key in report.trace.counter_totals().keys() {
+                assert!(
+                    stats.contains(&format!("{key} = ")),
+                    "{name}: --stats lacks {key}"
+                );
+                assert!(
+                    record.counters.contains_key(key),
+                    "{name}: record lacks {key}"
+                );
+            }
+            for key in report.trace.gauge_maxima().keys() {
+                assert!(
+                    stats.contains(&format!("{key}=")),
+                    "{name}: --stats lacks {key}"
+                );
+                assert!(
+                    record.gauges.contains_key(key),
+                    "{name}: record lacks {key}"
+                );
+            }
+            for p in &report.profile.phases {
+                assert!(stats.contains(&format!("#   {:<12}", p.name)), "{stats}");
+            }
+            for (output, cubes, _) in &report.outputs {
+                assert!(
+                    stats.contains(&format!("# output {output}: {cubes} FPRM cubes")),
+                    "{stats}"
+                );
+            }
+        }
     }
 
     #[test]

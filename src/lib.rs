@@ -33,7 +33,7 @@
 //!
 //! // run the paper's FPRM flow
 //! let outcome = try_synthesize(&spec, &SynthOptions::default())?;
-//! assert!(outcome.report.redundancy.reverted == 0);
+//! assert_eq!(outcome.report.trace.counter("redundancy.reverted"), 0);
 //! for m in 0..8 {
 //!     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
 //! }

@@ -19,7 +19,8 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 use xsynth_core::{
-    try_synthesize, EquivChecker, Error, FactorMethod, SalvageRung, SynthOptions, SynthOutcome,
+    phase, try_synthesize, EquivChecker, Error, FactorMethod, SalvageRung, SynthOptions,
+    SynthOutcome,
 };
 use xsynth_net::Network;
 use xsynth_trace::failpoint::{self, Action, FailPlan};
@@ -71,8 +72,7 @@ fn plan_panic_salvages_at_skip_factor() {
         "{}",
         salvaged[0].cause
     );
-    let attempts = outcome.report.trace.counter_totals();
-    assert!(attempts.get("salvage.attempts").copied().unwrap_or(0) >= 1);
+    assert!(outcome.report.trace.counter("salvage.attempts") >= 1);
 }
 
 #[test]
@@ -165,8 +165,7 @@ fn emission_self_check_rolls_back_to_the_fprm_form() {
         "{}",
         salvaged[0].cause
     );
-    let totals = outcome.report.trace.counter_totals();
-    assert!(totals.get("rewrite.rolled_back").copied().unwrap_or(0) >= 1);
+    assert!(outcome.report.trace.counter("rewrite.rolled_back") >= 1);
 }
 
 #[test]
@@ -188,6 +187,8 @@ fn factoring_panic_during_emission_is_contained() {
             .any(|r| r.output == "y0" && r.rung == SalvageRung::SkipFactor),
         "{salvaged:?}"
     );
+    // the rollback un-shared the divisors, so none are counted
+    assert_eq!(outcome.report.trace.counter("share.divisors"), 0);
     // with salvage off the same panic fails the run with the output's name
     failpoint::arm(&FailPlan::new().point("core.factor", Action::Panic, 1));
     let no_salvage = SynthOptions::builder()
@@ -197,6 +198,32 @@ fn factoring_panic_during_emission_is_contained() {
         .build();
     let err = run_contained(&spec, &no_salvage).expect_err("first fault fatal");
     assert_eq!(err.exit_code(), 9, "{err}");
+}
+
+/// A panic contained mid-span (here inside the `factor_cubes` span of the
+/// shared-divisor emission) must not leave that span open: the phases
+/// after it stay direct children of the pipeline root, where the phase
+/// profile finds them.
+#[test]
+fn contained_panic_keeps_later_phases_in_the_profile() {
+    let _g = exclusive();
+    let spec = circuit("majority");
+    let cube = SynthOptions::builder()
+        .parallel(false)
+        .method(FactorMethod::Cube)
+        .build();
+    failpoint::arm(&FailPlan::new().point("core.factor", Action::Panic, 1));
+    let outcome = run_contained(&spec, &cube).expect("emission falls back to the OFDD form");
+    let phases: Vec<&str> = outcome
+        .report
+        .profile
+        .phases
+        .iter()
+        .map(|p| p.name.as_str())
+        .collect();
+    for want in [phase::VERIFY, phase::SHARING, phase::REDUNDANCY] {
+        assert!(phases.contains(&want), "{want} missing from {phases:?}");
+    }
 }
 
 #[test]
@@ -216,9 +243,12 @@ fn share_extraction_fault_salvages_by_skipping_sharing() {
         assert_eq!(salvaged.len(), 1, "{action:?}: {salvaged:?}");
         assert_eq!(salvaged[0].output, "shared-divisors");
         assert_eq!(salvaged[0].rung, SalvageRung::SkipSharing);
-        assert_eq!(outcome.report.divisors, 0, "{action:?}");
-        let totals = outcome.report.trace.counter_totals();
-        assert!(totals.get("salvage.attempts").copied().unwrap_or(0) >= 1);
+        assert_eq!(
+            outcome.report.trace.counter("share.divisors"),
+            0,
+            "{action:?}"
+        );
+        assert!(outcome.report.trace.counter("salvage.attempts") >= 1);
     }
     // with salvage off the same fault is fatal, with the typed error's
     // exit code
@@ -242,13 +272,20 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
     let spec = circuit("majority");
     failpoint::disarm();
     let clean = try_synthesize(&spec, &opts()).expect("clean run");
-    assert!(
-        clean.report.redundancy.attempted > 0,
-        "the pass must guard at least one rewrite"
-    );
+    let attempted: u64 = [
+        "xor_to_or",
+        "xor_to_and",
+        "fanin_removed",
+        "const_replaced",
+        "reverted",
+    ]
+    .iter()
+    .map(|k| clean.report.trace.counter(&format!("redundancy.{k}")))
+    .sum();
+    assert!(attempted > 0, "the pass must guard at least one rewrite");
     // `verify.checks` counts the traced checks, all made before the
     // redundancy phase; the next hit is the pass's first rewrite guard
-    let before = clean.report.trace.counter_totals()["verify.checks"];
+    let before = clean.report.trace.counter("verify.checks");
     failpoint::arm(&FailPlan::new().point("core.verify", Action::Error, before + 1));
     let err = run_contained(&spec, &opts()).expect_err("the guard's check errored");
     assert!(matches!(err, Error::Verify(_)), "{err}");

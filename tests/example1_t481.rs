@@ -47,7 +47,12 @@ fn t481_synthesizes_to_a_small_and_or_circuit() {
         "t481 should synthesize to ~25 two-input gates, got {gates}"
     );
     assert!(lits <= 80, "got {lits} literals");
-    assert_eq!(report.redundancy.reverted, 0, "{:?}", report.redundancy);
+    assert_eq!(
+        report.trace.counter("redundancy.reverted"),
+        0,
+        "{:?}",
+        report.trace.counter_totals()
+    );
 
     // functional equivalence on the full input space
     for m in 0..(1u64 << 16) {

@@ -39,7 +39,7 @@ fn z4ml_fprm_flow_beats_the_sop_baseline() {
     );
     assert!(our_gates <= 35, "paper reports 21 gates; got {our_gates}");
     assert!(
-        report.divisors >= 1,
+        report.trace.counter("share.divisors") >= 1,
         "the shared carry chain should be extracted"
     );
     for m in 0..(1u64 << 7) {
@@ -56,9 +56,10 @@ fn adder_family_stays_equivalent() {
         let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         let (ours, report) = (outcome.network, outcome.report);
         assert_eq!(
-            report.redundancy.reverted, 0,
+            report.trace.counter("redundancy.reverted"),
+            0,
             "{name}: paper pattern family should suffice, {:?}",
-            report.redundancy
+            report.trace.counter_totals()
         );
         let n = spec.inputs().len();
         for m in 0..(1u64 << n) {
