@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_boolean::Fprm;
-use xsynth_core::{merge_patterns, paper_patterns, try_synthesize, PatternOptions, SynthOptions};
+use xsynth_core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
 use xsynth_sim::{enumerate_faults, fault_simulate};
 
 fn bench_testability(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench_testability(c: &mut Criterion) {
                 .iter()
                 .map(|t| {
                     let f = Fprm::from_table_positive(t);
-                    paper_patterns(n, f.polarity(), f.cubes(), &PatternOptions::default())
+                    paper_patterns(n, f.polarity(), f.cubes())
                 })
                 .collect();
             merge_patterns(lists)
@@ -35,7 +35,7 @@ fn bench_testability(c: &mut Criterion) {
             .iter()
             .map(|t| {
                 let f = Fprm::from_table_positive(t);
-                paper_patterns(n, f.polarity(), f.cubes(), &PatternOptions::default())
+                paper_patterns(n, f.polarity(), f.cubes())
             })
             .collect(),
     );

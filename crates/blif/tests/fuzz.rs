@@ -93,6 +93,6 @@ fn shallow_chain_still_parses() {
     src.push_str(&format!(".names s{} y\n1 1\n.end\n", depth - 1));
     let net = parse_blif(&src).unwrap();
     // a chain of (depth - 1) inverters on top of one buffer
-    let want = ((depth - 1) % 2 == 0) as u64;
+    let want = (depth - 1).is_multiple_of(2) as u64;
     assert_eq!(net.eval_u64(1), vec![want != 0]);
 }

@@ -15,13 +15,18 @@
 //!   missing XOR input patterns.
 
 use xsynth_boolean::{Polarity, VarSet};
+pub use xsynth_sim::Pattern;
 
-/// One input assignment per primary input, in variable space.
-pub type Pattern = Vec<bool>;
+/// Outputs with more cubes than this get only AZ and AO: their OC, SA1 and
+/// closure patterns would dwarf the simulation budget.
+pub(crate) const MAX_CUBES: usize = 512;
+
+/// Cap on closure (cube-union) patterns per output.
+const MAX_CLOSURES: usize = 4096;
 
 /// Converts a literal mask to a variable-space pattern: a variable whose
 /// literal is negative reads `1` when its literal is `0`.
-pub fn literal_mask_to_pattern(n: usize, polarity: &Polarity, mask: &VarSet) -> Pattern {
+fn literal_mask_to_pattern(n: usize, polarity: &Polarity, mask: &VarSet) -> Pattern {
     (0..n)
         .map(|v| {
             let lit = mask.contains(v);
@@ -34,38 +39,13 @@ pub fn literal_mask_to_pattern(n: usize, polarity: &Polarity, mask: &VarSet) -> 
         .collect()
 }
 
-/// Options bounding pattern-set generation.
-#[derive(Debug, Clone)]
-pub struct PatternOptions {
-    /// Skip OC/SA1/closure generation for outputs with more cubes than
-    /// this (their patterns would dwarf the simulation budget).
-    pub max_cubes: usize,
-    /// Cap on closure (cube-union) patterns.
-    pub max_closures: usize,
-}
-
-impl Default for PatternOptions {
-    fn default() -> Self {
-        PatternOptions {
-            max_cubes: 512,
-            max_closures: 4096,
-        }
-    }
-}
-
 #[allow(clippy::needless_range_loop)]
 /// Generates the paper's pattern family for one output function given its
 /// FPRM cubes and polarity. Always includes AZ and AO; includes OC, SA1
-/// and pair/triple closures when the cube count is within
-/// [`PatternOptions::max_cubes`].
-pub fn paper_patterns(
-    n: usize,
-    polarity: &Polarity,
-    cubes: &[VarSet],
-    opts: &PatternOptions,
-) -> Vec<Pattern> {
+/// and up to 4096 pair/triple closures when there are at most 512 cubes.
+pub fn paper_patterns(n: usize, polarity: &Polarity, cubes: &[VarSet]) -> Vec<Pattern> {
     let mut masks: Vec<VarSet> = vec![VarSet::new(), VarSet::full(n)];
-    if cubes.len() <= opts.max_cubes {
+    if cubes.len() <= MAX_CUBES {
         // OC
         masks.extend(cubes.iter().cloned());
         // SA1
@@ -83,11 +63,11 @@ pub fn paper_patterns(
                 let pair = cubes[i].union(&cubes[j]);
                 masks.push(pair.clone());
                 closures += 1;
-                if closures >= opts.max_closures {
+                if closures >= MAX_CLOSURES {
                     break 'outer;
                 }
                 for k in (j + 1)..cubes.len() {
-                    if closures >= opts.max_closures {
+                    if closures >= MAX_CLOSURES {
                         break 'outer;
                     }
                     masks.push(pair.union(&cubes[k]));
@@ -136,7 +116,7 @@ mod tests {
     fn family_contains_az_ao_oc_sa1() {
         let pol = Polarity::all_positive(3);
         let cubes = vec![VarSet::from_vars([0, 1]), VarSet::from_vars([2])];
-        let pats = paper_patterns(3, &pol, &cubes, &PatternOptions::default());
+        let pats = paper_patterns(3, &pol, &cubes);
         let az = vec![false, false, false];
         let ao = vec![true, true, true];
         let oc1 = vec![true, true, false];
@@ -153,27 +133,19 @@ mod tests {
     #[test]
     fn large_cube_counts_fall_back_to_az_ao() {
         let pol = Polarity::all_positive(4);
-        let cubes: Vec<VarSet> = (0..100).map(|i| VarSet::singleton(i % 4)).collect();
-        let opts = PatternOptions {
-            max_cubes: 10,
-            max_closures: 10,
-        };
-        let pats = paper_patterns(4, &pol, &cubes, &opts);
+        let cubes: Vec<VarSet> = (0..=MAX_CUBES).map(|i| VarSet::singleton(i % 4)).collect();
+        let pats = paper_patterns(4, &pol, &cubes);
         assert_eq!(pats.len(), 2, "only AZ and AO expected");
     }
 
     #[test]
     fn closure_cap_respected() {
-        let pol = Polarity::all_positive(8);
-        let cubes: Vec<VarSet> = (0..8).map(VarSet::singleton).collect();
-        let opts = PatternOptions {
-            max_cubes: 512,
-            max_closures: 5,
-        };
-        let pats = paper_patterns(8, &pol, &cubes, &opts);
-        // AZ + AO + 8 OC + 0 SA1 (single-literal cubes: SA1 masks collapse
-        // onto AZ) + ≤5 closures, deduped
-        assert!(pats.len() <= 2 + 8 + 5);
+        // 40 single-literal cubes have 780 pairs and 9880 triples, all
+        // distinct; their SA1 masks collapse onto AZ
+        let pol = Polarity::all_positive(40);
+        let cubes: Vec<VarSet> = (0..40).map(VarSet::singleton).collect();
+        let pats = paper_patterns(40, &pol, &cubes);
+        assert_eq!(pats.len(), 2 + 40 + MAX_CLOSURES);
     }
 
     #[test]

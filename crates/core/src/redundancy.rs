@@ -31,150 +31,9 @@
 use crate::error::Error;
 use crate::verify::EquivChecker;
 use std::time::Instant;
-use xsynth_net::{GateKind, Network, NodeKind, SignalId};
-use xsynth_sim::PatternBlock;
+use xsynth_net::{GateKind, Network};
+use xsynth_sim::{Fault, FaultSim, FaultSite, PatternBlock};
 use xsynth_trace::TraceBuffer;
-
-/// One 64-lane simulation block.
-struct Block {
-    lane_mask: u64,
-    values: Vec<u64>,
-}
-
-struct SimState {
-    order: Vec<SignalId>,
-    /// position of each node in `order` (usize::MAX if unreachable)
-    pos: Vec<usize>,
-    blocks: Vec<Block>,
-}
-
-fn build_sim(net: &Network, pattern_blocks: &[PatternBlock]) -> SimState {
-    let order = net.topo_order();
-    let mut pos = vec![usize::MAX; net.num_nodes()];
-    for (i, &id) in order.iter().enumerate() {
-        pos[id.index()] = i;
-    }
-    let n_in = net.inputs().len();
-    let mut blocks = Vec::new();
-    for pb in pattern_blocks {
-        assert_eq!(pb.words.len(), n_in, "pattern block arity mismatch");
-        let values = simulate(net, &order, &pb.words);
-        blocks.push(Block {
-            lane_mask: pb.lane_mask(),
-            values,
-        });
-    }
-    SimState { order, pos, blocks }
-}
-
-fn simulate(net: &Network, order: &[SignalId], input_words: &[u64]) -> Vec<u64> {
-    let mut val = vec![0u64; net.num_nodes()];
-    for (i, &id) in net.inputs().iter().enumerate() {
-        val[id.index()] = input_words[i];
-    }
-    for &id in order {
-        if let NodeKind::Gate(k) = net.kind(id) {
-            val[id.index()] = k.eval_words(net.fanins(id).iter().map(|f| val[f.index()]));
-        }
-    }
-    val
-}
-
-/// Whether flipping `node`'s value on `flip_mask` lanes of `block` changes
-/// any primary output.
-fn flip_propagates(
-    net: &Network,
-    state: &SimState,
-    block: &Block,
-    node: SignalId,
-    flip_mask: u64,
-) -> bool {
-    if flip_mask == 0 {
-        return false;
-    }
-    let start = state.pos[node.index()];
-    if start == usize::MAX {
-        // the node became unreachable after an earlier rewrite this pass
-        return false;
-    }
-    let mut val = block.values.clone();
-    val[node.index()] ^= flip_mask;
-    for &id in &state.order[start + 1..] {
-        if let NodeKind::Gate(k) = net.kind(id) {
-            val[id.index()] = k.eval_words(net.fanins(id).iter().map(|f| val[f.index()]));
-        }
-    }
-    net.outputs()
-        .iter()
-        .any(|&(_, s)| (val[s.index()] ^ block.values[s.index()]) & block.lane_mask != 0)
-}
-
-/// Whether flipping the `idx`-th *fanin wire* of `gate` (a branch fault —
-/// the driver keeps its value elsewhere) on `flip_mask` lanes changes any
-/// primary output.
-fn wire_flip_propagates(
-    net: &Network,
-    state: &SimState,
-    block: &Block,
-    gate: SignalId,
-    idx: usize,
-    flip_mask: u64,
-) -> bool {
-    if flip_mask == 0 {
-        return false;
-    }
-    let NodeKind::Gate(kind) = net.kind(gate) else {
-        return false;
-    };
-    let new_gate_val = kind.eval_words(net.fanins(gate).iter().enumerate().map(|(k, f)| {
-        let v = block.values[f.index()];
-        if k == idx {
-            v ^ flip_mask
-        } else {
-            v
-        }
-    }));
-    let diff = new_gate_val ^ block.values[gate.index()];
-    flip_propagates(net, state, block, gate, diff)
-}
-
-/// Whether the `(a, b)` input class of two-input gate `gate` is testable
-/// under the simulated pattern set: some pattern exhibits the class and
-/// the gate's output fault effect reaches a primary output there.
-fn class_testable(net: &Network, state: &SimState, gate: SignalId, a: bool, b: bool) -> bool {
-    let f = net.fanins(gate);
-    let (g, h) = (f[0], f[1]);
-    for block in &state.blocks {
-        let wg = block.values[g.index()];
-        let wh = block.values[h.index()];
-        let class = (if a { wg } else { !wg }) & (if b { wh } else { !wh }) & block.lane_mask;
-        if class != 0 && flip_propagates(net, state, block, gate, class) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Whether the stuck-at-`stuck` fault on the `idx`-th fanin wire of `gate`
-/// is testable under the pattern set.
-fn wire_fault_testable(
-    net: &Network,
-    state: &SimState,
-    gate: SignalId,
-    idx: usize,
-    stuck: bool,
-) -> bool {
-    let wire = net.fanins(gate)[idx];
-    for block in &state.blocks {
-        let w = block.values[wire.index()];
-        // the fault is excited on lanes where the wire differs from `stuck`
-        let excited = (if stuck { !w } else { w }) & block.lane_mask;
-        if wire_flip_propagates(net, state, block, gate, idx, excited) {
-            return true;
-        }
-    }
-    false
-}
 
 /// Runs the full redundancy-removal pass over `net`, driving decisions
 /// with the word-packed pattern set `blocks` (one simulation word per 64
@@ -190,12 +49,10 @@ fn wire_fault_testable(
 ///
 /// # Errors
 ///
-/// A checker error while guarding a rewrite (an input mismatch, or an
+/// [`Error::Msg`] if `blocks` is empty (at least the AZ/AO pair is
+/// required) or a block's word count differs from `net`'s input count. A
+/// checker error while guarding a rewrite (an input mismatch, or an
 /// injected verification fault) aborts the pass with that error.
-///
-/// # Panics
-///
-/// Panics if `blocks` is empty (at least the AZ/AO pair is required).
 pub fn remove_redundancy(
     net: &Network,
     blocks: &[PatternBlock],
@@ -204,71 +61,109 @@ pub fn remove_redundancy(
     deadline: Option<Instant>,
     buf: &mut TraceBuffer,
 ) -> Result<(Network, bool), Error> {
-    assert!(!blocks.is_empty(), "need at least one pattern (AZ/AO)");
+    if blocks.is_empty() {
+        return Err(Error::Msg(
+            "redundancy removal needs at least one pattern (AZ/AO)".into(),
+        ));
+    }
+    let n_in = net.inputs().len();
+    if let Some(pb) = blocks.iter().find(|pb| pb.words.len() != n_in) {
+        return Err(Error::Msg(format!(
+            "pattern block has {} input words, the network has {n_in} inputs",
+            pb.words.len()
+        )));
+    }
     xsynth_trace::fail_point!("core.redundancy");
     let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut cur = net.clone();
     let mut curtailed = false;
+    let mut guard = Guard {
+        blocks,
+        checker,
+        buf,
+    };
 
     for _pass in 0..max_passes {
         if past_deadline() {
             curtailed = true;
             break;
         }
-        buf.begin("pass");
-        let swept = sweep(
-            &mut cur,
-            blocks,
-            checker,
-            buf,
-            &mut curtailed,
-            &past_deadline,
-        );
-        buf.end();
+        guard.buf.begin("pass");
+        let swept = sweep(&mut cur, &mut guard, &mut curtailed, &past_deadline);
+        guard.buf.end();
         if !swept? || curtailed {
             break;
         }
     }
     if curtailed {
-        buf.count("redundancy.curtailed", 1);
+        guard.buf.count("redundancy.curtailed", 1);
     }
     Ok((cur.sweep(), curtailed))
 }
 
-/// Every rewrite is accepted only if the equivalence checker still passes;
-/// the `core.redundancy.accept` failpoint forces a rejection to exercise
-/// the rollback path deterministically.
-fn accept(checker: &mut EquivChecker, cur: &Network) -> Result<bool, Error> {
-    xsynth_trace::fail_point!("core.redundancy.accept", Ok(false));
-    checker.try_check(cur)
+/// What a sweep needs to check, count and re-simulate each rewrite.
+struct Guard<'a> {
+    blocks: &'a [PatternBlock],
+    checker: &'a mut EquivChecker,
+    buf: &'a mut TraceBuffer,
 }
 
-/// Counts one rejected rewrite: a `redundancy.reverted`, which is also a
-/// `rewrite.rolled_back` (the self-checking-rewrite counter shared with
-/// the emission self-check in synth.rs).
-fn count_reverted(buf: &mut TraceBuffer) {
-    buf.count("redundancy.reverted", 1);
-    buf.count("rewrite.rolled_back", 1);
+impl Guard<'_> {
+    /// Applies `rewrite` to `cur` and keeps it only if the equivalence
+    /// checker still passes: a kept rewrite counts `counter` and rebuilds
+    /// `sim`; a rejected one restores `cur` and counts a
+    /// `redundancy.reverted`, which is also a `rewrite.rolled_back` (the
+    /// self-checking-rewrite counter shared with the emission self-check
+    /// in synth.rs). The `core.redundancy.accept` failpoint forces a
+    /// rejection to exercise the rollback path deterministically. Returns
+    /// whether the rewrite was kept.
+    fn try_rewrite(
+        &mut self,
+        cur: &mut Network,
+        sim: &mut FaultSim,
+        counter: &str,
+        rewrite: impl FnOnce(&mut Network),
+    ) -> Result<bool, Error> {
+        let snapshot = cur.clone();
+        rewrite(cur);
+        if self.accept(cur)? {
+            self.buf.count(counter, 1);
+            *sim = FaultSim::new(cur, self.blocks);
+            Ok(true)
+        } else {
+            self.buf.count("redundancy.reverted", 1);
+            self.buf.count("rewrite.rolled_back", 1);
+            *cur = snapshot; // `sim` still describes it
+            Ok(false)
+        }
+    }
+
+    fn accept(&mut self, cur: &Network) -> Result<bool, Error> {
+        xsynth_trace::fail_point!("core.redundancy.accept", Ok(false));
+        self.checker.try_check(cur)
+    }
 }
 
 /// One sweep of the pass over `cur`, rewriting it in place and counting
-/// each rewrite into `buf`. Returns whether any rewrite was accepted; sets
-/// `curtailed` when the deadline cut the sweep short.
+/// each rewrite. Returns whether any rewrite was kept; sets `curtailed`
+/// when the deadline cut the sweep short.
+///
+/// An input class of a gate is testable when some pattern produces it at
+/// the gate and flipping the gate output there reaches a primary output;
+/// a fanin is removable when the matching stuck-at fault on its wire is
+/// undetected.
 fn sweep(
     cur: &mut Network,
-    blocks: &[PatternBlock],
-    checker: &mut EquivChecker,
-    buf: &mut TraceBuffer,
+    guard: &mut Guard<'_>,
     curtailed: &mut bool,
     past_deadline: &impl Fn() -> bool,
 ) -> Result<bool, Error> {
     let mut changed = false;
-    let mut state = build_sim(cur, blocks);
+    let mut sim = FaultSim::new(cur, guard.blocks);
     // POs first (reverse topological), per the paper's step 1; the
     // backward domino of Properties 6–7 emerges from re-simulating
-    // after each accepted rewrite.
-    let mut order_rev = state.order.clone();
-    order_rev.reverse();
+    // after each kept rewrite.
+    let order_rev: Vec<_> = sim.order().iter().rev().copied().collect();
     for id in order_rev {
         if past_deadline() {
             *curtailed = true;
@@ -277,103 +172,81 @@ fn sweep(
         let Some(kind) = cur.gate_kind(id) else {
             continue;
         };
-        if state.pos[id.index()] == usize::MAX {
+        if !sim.is_reachable(id) {
             continue; // unreachable after an earlier rewrite this pass
         }
         match kind {
             GateKind::Xor if cur.fanins(id).len() == 2 => {
-                let f = cur.fanins(id).to_vec();
-                let (g, h) = (f[0], f[1]);
-                let t11 = class_testable(cur, &state, id, true, true);
-                let proposal: Option<(GateKind, Vec<SignalId>, bool)> = if !t11 {
-                    Some((GateKind::Or, vec![g, h], true))
-                } else if !class_testable(cur, &state, id, false, true) {
-                    // f = g·¬h ... class (0,1) missing means the XOR
-                    // only ever sees (0,0),(1,0),(1,1) → f = g·¬h
-                    Some((GateKind::And, vec![g, h], false))
-                } else if !class_testable(cur, &state, id, true, false) {
-                    Some((GateKind::And, vec![h, g], false))
-                } else {
-                    None
+                let (g, h) = (cur.fanins(id)[0], cur.fanins(id)[1]);
+                let class_testable = |a: bool, b: bool| {
+                    sim.flip_detected(cur, id, |val| {
+                        let (wg, wh) = (val[g.index()], val[h.index()]);
+                        (if a { wg } else { !wg }) & (if b { wh } else { !wh })
+                    })
                 };
-                if let Some((nk, fanins, is_or)) = proposal {
-                    let snapshot = cur.clone();
-                    if is_or {
-                        cur.replace_gate(id, nk, fanins);
-                    } else {
-                        // And(keep, ¬drop)
-                        let keep = fanins[0];
-                        let drop = fanins[1];
-                        let nd = cur.add_gate(GateKind::Not, vec![drop]);
-                        cur.replace_gate(id, GateKind::And, vec![keep, nd]);
+                // (1,1) untestable → f = g + h; (0,1) untestable means the
+                // XOR only ever sees (0,0),(1,0),(1,1) → f = g·¬h; (1,0)
+                // untestable → f = ¬g·h
+                let and_not = if !class_testable(true, true) {
+                    None
+                } else if !class_testable(false, true) {
+                    Some((g, h))
+                } else if !class_testable(true, false) {
+                    Some((h, g))
+                } else {
+                    continue;
+                };
+                let counter = match and_not {
+                    None => "redundancy.xor_to_or",
+                    Some(_) => "redundancy.xor_to_and",
+                };
+                changed |= guard.try_rewrite(cur, &mut sim, counter, |net| match and_not {
+                    None => net.replace_gate(id, GateKind::Or, vec![g, h]),
+                    Some((keep, drop)) => {
+                        let nd = net.add_gate(GateKind::Not, vec![drop]);
+                        net.replace_gate(id, GateKind::And, vec![keep, nd]);
                     }
-                    if accept(checker, cur)? {
-                        buf.count(
-                            if is_or {
-                                "redundancy.xor_to_or"
-                            } else {
-                                "redundancy.xor_to_and"
-                            },
-                            1,
-                        );
-                        changed = true;
-                        state = build_sim(cur, blocks);
-                    } else {
-                        count_reverted(buf);
-                        *cur = snapshot;
-                        state = build_sim(cur, blocks);
-                    }
-                }
+                })?;
             }
             GateKind::And | GateKind::Or => {
+                // For AND: s-a-1 redundant fanin → drop the wire; s-a-0
+                // redundant → the whole gate is constant 0. For OR the dual.
+                let (drop_stuck, constant) = match kind {
+                    GateKind::And => (true, GateKind::Const0),
+                    _ => (false, GateKind::Const1),
+                };
                 let mut idx = 0;
                 while idx < cur.fanins(id).len() && cur.fanins(id).len() > 1 {
-                    // For AND: s-a-1 redundant fanin → drop the wire;
-                    // s-a-0 redundant → the whole gate is constant 0.
-                    // For OR the dual.
-                    let (drop_stuck, const_stuck) = match kind {
-                        GateKind::And => (true, false),
-                        _ => (false, true),
+                    let untestable = |stuck_at| {
+                        let site = FaultSite::Fanin(id, idx);
+                        !sim.detects(cur, Fault { site, stuck_at })
                     };
-                    if !wire_fault_testable(cur, &state, id, idx, drop_stuck) {
-                        let snapshot = cur.clone();
+                    if untestable(drop_stuck) {
                         let mut fanins = cur.fanins(id).to_vec();
                         fanins.remove(idx);
-                        if fanins.len() == 1 {
-                            cur.replace_gate(id, GateKind::Buf, fanins);
+                        let nk = if fanins.len() == 1 {
+                            GateKind::Buf
                         } else {
-                            cur.replace_gate(id, kind, fanins);
-                        }
-                        if accept(checker, cur)? {
-                            buf.count("redundancy.fanin_removed", 1);
+                            kind
+                        };
+                        let removed = |net: &mut Network| net.replace_gate(id, nk, fanins);
+                        if guard.try_rewrite(cur, &mut sim, "redundancy.fanin_removed", removed)? {
                             changed = true;
-                            state = build_sim(cur, blocks);
-                            if cur.gate_kind(id) == Some(GateKind::Buf) {
+                            if nk == GateKind::Buf {
                                 break;
                             }
                             continue; // same idx now holds next fanin
-                        } else {
-                            count_reverted(buf);
-                            *cur = snapshot;
-                            state = build_sim(cur, blocks);
                         }
-                    } else if !wire_fault_testable(cur, &state, id, idx, const_stuck) {
-                        let snapshot = cur.clone();
-                        let ck = if kind == GateKind::And {
-                            GateKind::Const0
-                        } else {
-                            GateKind::Const1
-                        };
-                        cur.replace_gate(id, ck, vec![]);
-                        if accept(checker, cur)? {
-                            buf.count("redundancy.const_replaced", 1);
+                    } else if untestable(!drop_stuck) {
+                        let to_const = |net: &mut Network| net.replace_gate(id, constant, vec![]);
+                        if guard.try_rewrite(
+                            cur,
+                            &mut sim,
+                            "redundancy.const_replaced",
+                            to_const,
+                        )? {
                             changed = true;
-                            state = build_sim(cur, blocks);
                             break;
-                        } else {
-                            count_reverted(buf);
-                            *cur = snapshot;
-                            state = build_sim(cur, blocks);
                         }
                     }
                     idx += 1;
@@ -388,8 +261,9 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{paper_patterns, Pattern, PatternOptions};
+    use crate::patterns::{paper_patterns, Pattern};
     use xsynth_boolean::{Polarity, VarSet};
+    use xsynth_net::SignalId;
     use xsynth_sim::{exhaustive_patterns, pack_patterns};
     use xsynth_trace::{Trace, TraceSink};
 
@@ -420,7 +294,7 @@ mod tests {
         let mut lits = crate::factor::literal_supplier(&pol, &inputs);
         let s = e.emit(&mut net, &mut lits);
         net.add_output("f", s);
-        let pats = paper_patterns(n, &pol, cubes, &PatternOptions::default());
+        let pats = paper_patterns(n, &pol, cubes);
         (net, pats)
     }
 
@@ -485,7 +359,7 @@ mod tests {
         net.add_output("f", f);
         let pol = Polarity::all_positive(2);
         let cubes = vec![VarSet::from_vars([0]), VarSet::from_vars([0, 1])];
-        let pats = paper_patterns(2, &pol, &cubes, &PatternOptions::default());
+        let pats = paper_patterns(2, &pol, &cubes);
         let mut checker = EquivChecker::new(&net);
         let (out, trace) = run(&net, &pats, &mut checker, 8);
         assert_eq!(trace.counter("redundancy.xor_to_and"), 1);
@@ -609,6 +483,23 @@ mod tests {
     }
 
     #[test]
+    fn bad_pattern_blocks_are_typed_errors() {
+        let mut net = Network::new("and2");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let g = net.add_gate(GateKind::And, vec![a, b]);
+        net.add_output("y", g);
+        let mut checker = EquivChecker::new(&net);
+        let sink = TraceSink::new();
+        let mut buf = sink.buffer(0, "redundancy");
+        let empty = remove_redundancy(&net, &[], &mut checker, 8, None, &mut buf);
+        assert!(matches!(empty, Err(Error::Msg(_))), "{empty:?}");
+        let three_wide = pack_patterns(3, &exhaustive_patterns(3));
+        let wrong = remove_redundancy(&net, &three_wide, &mut checker, 8, None, &mut buf);
+        assert!(matches!(wrong, Err(Error::Msg(_))), "{wrong:?}");
+    }
+
+    #[test]
     fn t481_style_reduction() {
         // f = x0 ⊕ x1 ⊕ x0x1 ⊕ x2. Whether the OR reduction fires depends
         // on how the balanced XOR tree pairs the operands: the cube-method
@@ -642,7 +533,7 @@ mod tests {
         net2.add_output("f", outer);
         let mut checker2 = EquivChecker::new(&net2);
         let pol = Polarity::all_positive(3);
-        let pats2 = paper_patterns(3, &pol, &cubes, &PatternOptions::default());
+        let pats2 = paper_patterns(3, &pol, &cubes);
         let (out2, trace2) = run(&net2, &pats2, &mut checker2, 8);
         assert_eq!(trace2.counter("redundancy.xor_to_or"), 1);
         assert_eq!(xor_count(&out2), 1);

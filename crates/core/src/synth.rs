@@ -23,9 +23,9 @@
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::engine::{Engine, PlanSeed};
 use crate::error::Error;
-use crate::factor::{factor_cubes, factor_cubes_traced, ofdd_to_network};
+use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network};
 use crate::gfx;
-use crate::patterns::{merge_patterns, paper_patterns, Pattern, PatternOptions};
+use crate::patterns::{merge_patterns, paper_patterns, Pattern, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
 use crate::verify::{network_bdds, EquivChecker};
 use std::collections::HashMap;
@@ -525,12 +525,7 @@ fn run_pipeline(
 
     let mut pattern_lists: Vec<Vec<Pattern>> = Vec::new();
     let net = if use_blocks {
-        pattern_lists.push(paper_patterns(
-            n,
-            &Polarity::all_positive(n),
-            &[],
-            &PatternOptions::default(),
-        ));
+        pattern_lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
         main.begin(phase::FACTORING);
         let net = synthesize_blocks(&spec, opts, &mut main);
         main.end();
@@ -754,8 +749,7 @@ fn plan_output(
     buf.observe("fprm.cubes", count as f64);
     buf.observe("plan.support", support.len() as f64);
 
-    let pattern_opts = PatternOptions::default();
-    let cubes: Vec<VarSet> = if count <= pattern_opts.max_cubes as u64 {
+    let cubes: Vec<VarSet> = if count <= MAX_CUBES as u64 {
         // a seeded cube list is exactly what enumeration would produce
         // (same cone, same polarity, OFDD enumeration order is canonical);
         // the count guard is a defensive consistency check
@@ -767,7 +761,7 @@ fn plan_output(
         Vec::new()
     };
     buf.begin("patterns");
-    let mut patterns = paper_patterns(n, &pol, &cubes, &pattern_opts);
+    let mut patterns = paper_patterns(n, &pol, &cubes);
     patterns.truncate(opts.budget.cap_patterns(patterns.len()));
     buf.end();
     buf.count("patterns.generated", patterns.len() as u64);
@@ -1513,7 +1507,7 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
             // block too wide: lower its good-factored form directly
             buf.count("blocks.sop_fallback", 1);
             let fac = xsynth_sop::algebra::factor(&cover);
-            emit_block_factored(&fac, &mut net, &map, &mut not_cache)
+            xsynth_sop::emit_factored(&fac, &mut net, &map, &mut not_cache)
         };
         map.insert(sig, sid);
     }
@@ -1521,43 +1515,6 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
         net.add_output(name.clone(), map[sig]);
     }
     net
-}
-
-fn emit_block_factored(
-    fac: &xsynth_sop::algebra::Factored,
-    net: &mut Network,
-    map: &HashMap<usize, SignalId>,
-    not_cache: &mut HashMap<SignalId, SignalId>,
-) -> SignalId {
-    use xsynth_sop::algebra::Factored;
-    match fac {
-        Factored::Zero => net.add_gate(GateKind::Const0, vec![]),
-        Factored::One => net.add_gate(GateKind::Const1, vec![]),
-        Factored::Literal(v, ph) => {
-            let base = map[v];
-            if *ph {
-                base
-            } else {
-                *not_cache
-                    .entry(base)
-                    .or_insert_with(|| net.add_gate(GateKind::Not, vec![base]))
-            }
-        }
-        Factored::And(xs) => {
-            let fan: Vec<SignalId> = xs
-                .iter()
-                .map(|x| emit_block_factored(x, net, map, not_cache))
-                .collect();
-            net.add_gate(GateKind::And, fan)
-        }
-        Factored::Or(xs) => {
-            let fan: Vec<SignalId> = xs
-                .iter()
-                .map(|x| emit_block_factored(x, net, map, not_cache))
-                .collect();
-            net.add_gate(GateKind::Or, fan)
-        }
-    }
 }
 
 /// The multi-output sharing pass — algebraic resubstitution and common
@@ -1581,17 +1538,7 @@ fn scratch_cost(
 ) -> usize {
     let mut net = Network::new("scratch");
     let inputs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("x{i}"))).collect();
-    let mut cache: HashMap<usize, SignalId> = HashMap::new();
-    let pol = pol.clone();
-    let mut lits = move |net: &mut Network, v: usize| -> SignalId {
-        if pol.is_positive(v) {
-            inputs[v]
-        } else {
-            *cache
-                .entry(v)
-                .or_insert_with(|| net.add_gate(GateKind::Not, vec![inputs[v]]))
-        }
-    };
+    let mut lits = literal_supplier(pol, &inputs);
     let sig = build(&mut net, &mut lits);
     net.add_output("f", sig);
     net.strash().two_input_cost().1

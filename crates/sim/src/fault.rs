@@ -6,7 +6,7 @@
 //! the machinery to check that claim: enumerate the fault universe of a
 //! network and measure which faults a pattern set detects.
 
-use crate::{Pattern, Simulator};
+use crate::{pack_patterns, Pattern, PatternBlock, Simulator};
 use std::fmt;
 use xsynth_net::{Network, NodeKind, SignalId};
 
@@ -106,108 +106,209 @@ impl fmt::Display for FaultReport {
 ///
 /// A fault is detected by a pattern when some primary output differs from
 /// the fault-free value.
+///
+/// # Panics
+///
+/// Panics if any pattern's length differs from the input count.
 pub fn fault_simulate(net: &Network, patterns: &[Pattern], faults: &[Fault]) -> FaultReport {
-    let sim = Simulator::new(net);
-    let order = net.topo_order();
-    let n_in = net.inputs().len();
-    let mut undetected: Vec<bool> = vec![true; faults.len()];
-
-    for chunk in patterns.chunks(64) {
-        let mut words = vec![0u64; n_in];
-        for (k, p) in chunk.iter().enumerate() {
-            assert_eq!(p.len(), n_in, "pattern arity mismatch");
-            for (i, &b) in p.iter().enumerate() {
-                if b {
-                    words[i] |= 1 << k;
-                }
-            }
-        }
-        let mask = if chunk.len() == 64 {
-            !0u64
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
-        let good = sim.simulate_block(&words);
-        for (fi, fault) in faults.iter().enumerate() {
-            if !undetected[fi] {
-                continue;
-            }
-            if differs_under_fault(net, &order, &words, &good, *fault, mask) {
-                undetected[fi] = false;
-            }
-        }
-    }
-
+    let sim = FaultSim::new(net, &pack_patterns(net.inputs().len(), patterns));
     FaultReport {
         total: faults.len(),
         undetected: faults
             .iter()
-            .zip(undetected)
-            .filter_map(|(f, u)| u.then_some(*f))
+            .copied()
+            .filter(|&f| !sim.detects(net, f))
             .collect(),
     }
 }
 
-/// Re-simulates one 64-pattern block with `fault` injected and reports
-/// whether any primary output differs from the fault-free values in any of
-/// the `mask`ed lanes.
-fn differs_under_fault(
-    net: &Network,
-    order: &[SignalId],
-    input_words: &[u64],
-    good: &[u64],
-    fault: Fault,
-    mask: u64,
-) -> bool {
-    let stuck_word = if fault.stuck_at { !0u64 } else { 0u64 };
-    let mut val = vec![0u64; net.num_nodes()];
-    for (i, &id) in net.inputs().iter().enumerate() {
-        val[id.index()] = input_words[i];
-    }
-    if let FaultSite::Output(s) = fault.site {
-        if matches!(net.kind(s), NodeKind::Input) {
-            val[s.index()] = stuck_word;
-        }
-    }
-    for &id in order {
-        if let NodeKind::Gate(k) = net.kind(id) {
-            let v = match fault.site {
-                // evaluate with the idx-th fanin wire overridden
-                FaultSite::Fanin(g, idx) if g == id => {
-                    k.eval_words(net.fanins(id).iter().enumerate().map(|(j, f)| {
-                        if j == idx {
-                            stuck_word
-                        } else {
-                            val[f.index()]
-                        }
-                    }))
-                }
-                _ => k.eval_words(net.fanins(id).iter().map(|f| val[f.index()])),
-            };
-            val[id.index()] = if fault.site == FaultSite::Output(id) {
-                stuck_word
-            } else {
-                v
-            };
-        }
-    }
-    net.outputs()
-        .iter()
-        .any(|&(_, s)| (val[s.index()] ^ good[s.index()]) & mask != 0)
+/// The fault-free simulation of a network over a pattern set, kept so
+/// that fault effects can be propagated from their site onward: the one
+/// fault-propagation engine behind both [`fault_simulate`] and the
+/// redundancy-removal pass.
+///
+/// It owns the topological order, each node's position in it and every
+/// block's fault-free node words, and borrows nothing. Each query takes
+/// the network the snapshot was built from; a caller that rewrites the
+/// network builds a new snapshot.
+#[derive(Debug, Clone)]
+pub struct FaultSim {
+    order: Vec<SignalId>,
+    /// Position of each node in `order` (`usize::MAX` if unreachable).
+    pos: Vec<usize>,
+    blocks: Vec<GoodBlock>,
 }
 
-/// Whether a wire is redundant: no input pattern in `patterns` detects
-/// either stuck-at fault... for a *proof* of redundancy pass the
-/// exhaustive pattern set; for the paper's criterion pass the OC/SA1 sets.
-pub fn is_undetected(net: &Network, patterns: &[Pattern], fault: Fault) -> bool {
-    fault_simulate(net, patterns, &[fault]).undetected.len() == 1
+/// One 64-lane pattern block's fault-free node words.
+#[derive(Debug, Clone)]
+struct GoodBlock {
+    lane_mask: u64,
+    values: Vec<u64>,
+}
+
+impl FaultSim {
+    /// Simulates `net` on every block through [`Simulator::simulate_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's word count differs from the input count.
+    pub fn new(net: &Network, blocks: &[PatternBlock]) -> Self {
+        let sim = Simulator::new(net);
+        let mut pos = vec![usize::MAX; net.num_nodes()];
+        for (i, &id) in sim.order.iter().enumerate() {
+            pos[id.index()] = i;
+        }
+        let blocks = blocks
+            .iter()
+            .map(|pb| GoodBlock {
+                lane_mask: pb.lane_mask(),
+                values: sim.simulate_block(&pb.words),
+            })
+            .collect();
+        FaultSim {
+            order: sim.order,
+            pos,
+            blocks,
+        }
+    }
+
+    /// The nodes reachable from a primary output, children before parents.
+    pub fn order(&self) -> &[SignalId] {
+        &self.order
+    }
+
+    /// Whether `node` is reachable from a primary output.
+    pub fn is_reachable(&self, node: SignalId) -> bool {
+        self.pos[node.index()] != usize::MAX
+    }
+
+    /// Whether flipping `node`'s value reaches a primary output on some
+    /// pattern. `lanes` gets each block's fault-free node words (indexed
+    /// by [`SignalId::index`]) and picks the lanes to flip in that block.
+    pub fn flip_detected(
+        &self,
+        net: &Network,
+        node: SignalId,
+        lanes: impl Fn(&[u64]) -> u64,
+    ) -> bool {
+        self.blocks.iter().any(|b| {
+            let flip = lanes(&b.values) & b.lane_mask;
+            self.flip_propagates(net, b, node, flip)
+        })
+    }
+
+    /// Whether some pattern detects `fault`. The fault flips its site on
+    /// the lanes where the site's fault-free value differs from the stuck
+    /// value; a fanin fault flips only that wire, so the driver keeps its
+    /// value on its other fanout branches.
+    pub fn detects(&self, net: &Network, fault: Fault) -> bool {
+        let excited = |w: u64| if fault.stuck_at { !w } else { w };
+        match fault.site {
+            FaultSite::Output(s) => self.flip_detected(net, s, |val| excited(val[s.index()])),
+            FaultSite::Fanin(gate, idx) => {
+                let (NodeKind::Gate(kind), Some(&wire)) =
+                    (net.kind(gate), net.fanins(gate).get(idx))
+                else {
+                    return false;
+                };
+                self.blocks.iter().any(|b| {
+                    let flip = excited(b.values[wire.index()]) & b.lane_mask;
+                    let faulty =
+                        kind.eval_words(net.fanins(gate).iter().enumerate().map(|(k, f)| {
+                            let v = b.values[f.index()];
+                            if k == idx {
+                                v ^ flip
+                            } else {
+                                v
+                            }
+                        }));
+                    self.flip_propagates(net, b, gate, faulty ^ b.values[gate.index()])
+                })
+            }
+        }
+    }
+
+    /// Whether flipping `node` on the `flip` lanes of `block` changes any
+    /// primary output: the flip is applied at the node's position and the
+    /// rest of the order is re-evaluated.
+    fn flip_propagates(&self, net: &Network, block: &GoodBlock, node: SignalId, flip: u64) -> bool {
+        if flip == 0 || !self.is_reachable(node) {
+            return false;
+        }
+        let mut val = block.values.clone();
+        val[node.index()] ^= flip;
+        for &id in &self.order[self.pos[node.index()] + 1..] {
+            if let NodeKind::Gate(k) = net.kind(id) {
+                val[id.index()] = k.eval_words(net.fanins(id).iter().map(|f| val[f.index()]));
+            }
+        }
+        net.outputs()
+            .iter()
+            .any(|&(_, s)| (val[s.index()] ^ block.values[s.index()]) & block.lane_mask != 0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive_patterns;
+    use proptest::prelude::*;
     use xsynth_net::GateKind;
+
+    /// The full re-simulation oracle: re-simulates one 64-pattern block
+    /// with `fault` injected and reports whether any primary output
+    /// differs from the fault-free values in any of the `mask`ed lanes.
+    fn differs_under_fault(
+        net: &Network,
+        order: &[SignalId],
+        input_words: &[u64],
+        good: &[u64],
+        fault: Fault,
+        mask: u64,
+    ) -> bool {
+        let stuck_word = if fault.stuck_at { !0u64 } else { 0u64 };
+        let mut val = vec![0u64; net.num_nodes()];
+        for (i, &id) in net.inputs().iter().enumerate() {
+            val[id.index()] = input_words[i];
+        }
+        if let FaultSite::Output(s) = fault.site {
+            if matches!(net.kind(s), NodeKind::Input) {
+                val[s.index()] = stuck_word;
+            }
+        }
+        for &id in order {
+            if let NodeKind::Gate(k) = net.kind(id) {
+                let v = match fault.site {
+                    // evaluate with the idx-th fanin wire overridden
+                    FaultSite::Fanin(g, idx) if g == id => {
+                        k.eval_words(net.fanins(id).iter().enumerate().map(|(j, f)| {
+                            if j == idx {
+                                stuck_word
+                            } else {
+                                val[f.index()]
+                            }
+                        }))
+                    }
+                    _ => k.eval_words(net.fanins(id).iter().map(|f| val[f.index()])),
+                };
+                val[id.index()] = if fault.site == FaultSite::Output(id) {
+                    stuck_word
+                } else {
+                    v
+                };
+            }
+        }
+        net.outputs()
+            .iter()
+            .any(|&(_, s)| (val[s.index()] ^ good[s.index()]) & mask != 0)
+    }
+
+    /// Whether no pattern detects `fault`.
+    fn undetected(net: &Network, patterns: &[Pattern], fault: Fault) -> bool {
+        !fault_simulate(net, patterns, &[fault])
+            .undetected
+            .is_empty()
+    }
 
     fn xor_as_aoi() -> Network {
         // a⊕b built from AND/OR/NOT — Hayes: all 4 patterns needed.
@@ -275,7 +376,7 @@ mod tests {
             site: FaultSite::Fanin(o, 1),
             stuck_at: false,
         };
-        assert!(is_undetected(&n, &exhaustive_patterns(2), f));
+        assert!(undetected(&n, &exhaustive_patterns(2), f));
     }
 
     #[test]
@@ -288,8 +389,8 @@ mod tests {
             stuck_at: false,
         };
         // only the pattern a=1 detects stuck-at-0
-        assert!(is_undetected(&n, &[vec![false]], f0));
-        assert!(!is_undetected(&n, &[vec![true]], f0));
+        assert!(undetected(&n, &[vec![false]], f0));
+        assert!(!undetected(&n, &[vec![true]], f0));
     }
 
     #[test]
@@ -298,5 +399,81 @@ mod tests {
         let rep = fault_simulate(&n, &exhaustive_patterns(2), &enumerate_faults(&n));
         let s = rep.to_string();
         assert!(s.contains("100.0%"), "{s}");
+    }
+
+    const KINDS: [GateKind; 4] = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Not];
+
+    /// A random AND/OR/XOR/NOT network: `picks[i]` chooses gate `i`'s kind
+    /// and two fanins among the signals before it; `outs` picks the
+    /// primary outputs, so some gates may be unreachable. Returns the
+    /// network and every node in it.
+    fn random_net(
+        n_inputs: usize,
+        picks: &[(u8, u8, u8)],
+        outs: &[u8],
+    ) -> (Network, Vec<SignalId>) {
+        let mut net = Network::new("rand");
+        let mut sigs: Vec<SignalId> = (0..n_inputs)
+            .map(|i| net.add_input(format!("x{i}")))
+            .collect();
+        for &(k, a, b) in picks {
+            let kind = KINDS[k as usize % KINDS.len()];
+            let fa = sigs[a as usize % sigs.len()];
+            let fb = sigs[b as usize % sigs.len()];
+            let fanins = if kind == GateKind::Not {
+                vec![fa]
+            } else {
+                vec![fa, fb]
+            };
+            sigs.push(net.add_gate(kind, fanins));
+        }
+        for (i, &o) in outs.iter().enumerate() {
+            net.add_output(
+                format!("y{i}"),
+                sigs[sigs.len() - 1 - o as usize % sigs.len()],
+            );
+        }
+        (net, sigs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Start-at-site flip propagation detects exactly the faults the
+        /// full faulty re-simulation detects, fault by fault.
+        #[test]
+        fn fault_simulate_matches_full_resimulation(
+            n_inputs in 1usize..6,
+            picks in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..14),
+            outs in proptest::collection::vec(0u8..4, 1..3),
+            seeds in proptest::collection::vec(any::<u64>(), 1..90),
+        ) {
+            let (net, nodes) = random_net(n_inputs, &picks, &outs);
+            let patterns: Vec<Pattern> = seeds
+                .iter()
+                .map(|s| (0..n_inputs).map(|i| s >> i & 1 != 0).collect())
+                .collect();
+            // every site of every node, reachable or not
+            let mut faults = Vec::new();
+            for id in nodes {
+                for stuck_at in [false, true] {
+                    faults.push(Fault { site: FaultSite::Output(id), stuck_at });
+                    for k in 0..net.fanins(id).len() {
+                        faults.push(Fault { site: FaultSite::Fanin(id, k), stuck_at });
+                    }
+                }
+            }
+            let rep = fault_simulate(&net, &patterns, &faults);
+            let order = net.topo_order();
+            let sim = Simulator::new(&net);
+            let blocks = pack_patterns(n_inputs, &patterns);
+            for f in faults {
+                let oracle = blocks.iter().any(|b| {
+                    let good = sim.simulate_block(&b.words);
+                    differs_under_fault(&net, &order, &b.words, &good, f, b.lane_mask())
+                });
+                prop_assert_eq!(rep.undetected.contains(&f), !oracle, "{}", f);
+            }
+        }
     }
 }

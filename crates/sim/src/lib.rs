@@ -30,13 +30,12 @@
 pub mod fault;
 mod power;
 
-pub use fault::{enumerate_faults, fault_simulate, Fault, FaultReport, FaultSite};
+pub use fault::{enumerate_faults, fault_simulate, Fault, FaultReport, FaultSim, FaultSite};
 pub use power::{power_estimate, signal_activity, PowerReport};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xsynth_net::{Network, NodeKind, SignalId};
-use xsynth_trace::TraceBuffer;
 
 /// A single input assignment: one value per primary input, in declaration
 /// order.
@@ -343,33 +342,6 @@ where
         .all(|blk| sa.output_words(&blk) == sb.output_words(&blk))
 }
 
-/// Complete equivalence check over the full input space, streaming
-/// [`exhaustive_blocks`] so no pattern list is ever materialised.
-///
-/// # Panics
-///
-/// Panics if the networks' input count exceeds 32.
-pub fn equivalent_exhaustive(a: &Network, b: &Network) -> bool {
-    equivalent_on_blocks(a, b, exhaustive_blocks(a.inputs().len()))
-}
-
-/// [`equivalent_on`] recording into a trace buffer: runs inside an
-/// `equivalent_on` span and counts the patterns (`sim.patterns`) and
-/// 64-lane simulation blocks (`sim.blocks`) each network was driven with.
-pub fn equivalent_on_traced(
-    a: &Network,
-    b: &Network,
-    patterns: &[Pattern],
-    buf: &mut TraceBuffer,
-) -> bool {
-    buf.span("equivalent_on", |buf| {
-        buf.count("sim.patterns", 2 * patterns.len() as u64);
-        buf.count("sim.blocks", 2 * patterns.chunks(64).len() as u64);
-        buf.gauge("sim.pattern_blocks", patterns.chunks(64).len() as f64);
-        equivalent_on(a, b, patterns)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,9 +421,8 @@ mod tests {
         let pats = exhaustive_patterns(3);
         for block in pack_patterns(3, &pats) {
             let val = sim.simulate_block(&block.words);
-            for k in 0..block.lanes as usize {
-                let (av, bv, cv) = (pats[k][0], pats[k][1], pats[k][2]);
-                let want = (av && bv) ^ cv;
+            for (k, p) in pats.iter().enumerate().take(block.lanes as usize) {
+                let want = (p[0] && p[1]) ^ p[2];
                 assert_eq!(val[root.index()] & (1 << k) != 0, want, "pattern {k}");
             }
             // nodes outside the cone are untouched
@@ -505,11 +476,11 @@ mod tests {
     fn streaming_equivalence_matches_pattern_equivalence() {
         let n1 = adder2();
         let n2 = adder2().sweep();
-        assert!(equivalent_exhaustive(&n1, &n2));
+        assert!(equivalent_on_blocks(&n1, &n2, exhaustive_blocks(4)));
         let mut broken = adder2();
         let out = broken.outputs()[0].1;
         broken.replace_gate(out, GateKind::Xnor, broken.fanins(out).to_vec());
-        assert!(!equivalent_exhaustive(&n1, &broken));
+        assert!(!equivalent_on_blocks(&n1, &broken, exhaustive_blocks(4)));
     }
 
     #[test]

@@ -33,4 +33,4 @@ mod script;
 mod sopnet;
 
 pub use script::{script_algebraic, ScriptOptions};
-pub use sopnet::SopNet;
+pub use sopnet::{emit_factored, SopNet};

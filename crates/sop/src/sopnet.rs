@@ -639,7 +639,14 @@ fn detect_xor2(cover: &Sop) -> Option<(usize, usize, bool)> {
     }
 }
 
-fn emit_factored(
+/// Lowers a good-factored form into AND/OR/NOT gates of `net`: variable
+/// `v` reads the signal `map[v]`, and each negated signal gets one NOT gate
+/// shared through `not_cache`. Returns the form's root signal.
+///
+/// # Panics
+///
+/// Panics if a literal's variable has no entry in `map`.
+pub fn emit_factored(
     fac: &Factored,
     net: &mut Network,
     map: &HashMap<usize, SignalId>,

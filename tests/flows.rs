@@ -53,6 +53,54 @@ const FPRM_MAPPED: &[(&str, usize, usize)] = &[
     ("z4ml", 15, 33),
 ];
 
+/// The redundancy counters the rewrites are named by, in the column order
+/// of [`FPRM_REDUNDANCY`].
+const REDUNDANCY_COUNTERS: [&str; 5] = [
+    "redundancy.xor_to_or",
+    "redundancy.xor_to_and",
+    "redundancy.fanin_removed",
+    "redundancy.const_replaced",
+    "redundancy.reverted",
+];
+
+/// `(circuit, [xor_to_or, xor_to_and, fanin_removed, const_replaced,
+/// reverted])` of the FPRM flow's redundancy-removal pass, for every
+/// registry circuit with at most 20 inputs: the pass's rewrite decisions,
+/// not just their literal result.
+const FPRM_REDUNDANCY: &[(&str, [u64; 5])] = &[
+    ("5xp1", [1, 1, 8, 0, 0]),
+    ("9sym", [4, 1, 5, 0, 0]),
+    ("adr4", [3, 0, 4, 0, 0]),
+    ("add6", [5, 0, 8, 0, 0]),
+    ("addm4", [7, 0, 16, 0, 0]),
+    ("bcd-div3", [1, 0, 2, 0, 0]),
+    ("co14", [0, 0, 0, 0, 101]),
+    ("cm163a", [0, 0, 0, 0, 0]),
+    ("cm82a", [2, 0, 4, 0, 0]),
+    ("cm85a", [7, 0, 8, 0, 0]),
+    ("cmb", [0, 0, 0, 0, 44]),
+    ("f2", [0, 0, 0, 0, 0]),
+    ("f51m", [3, 0, 14, 0, 0]),
+    ("m181", [7, 0, 12, 0, 0]),
+    ("majority", [3, 0, 6, 0, 0]),
+    ("mlp4", [6, 1, 15, 0, 0]),
+    ("parity", [0, 0, 0, 0, 0]),
+    ("pcle", [9, 0, 0, 0, 0]),
+    ("pm1", [0, 0, 0, 0, 0]),
+    ("radd", [3, 0, 4, 0, 0]),
+    ("rd53", [2, 0, 0, 0, 0]),
+    ("rd73", [7, 0, 6, 0, 0]),
+    ("rd84", [8, 0, 6, 0, 0]),
+    ("shift", [72, 4, 10, 0, 0]),
+    ("sqr6", [3, 0, 8, 0, 0]),
+    ("squar5", [1, 0, 1, 0, 0]),
+    ("sym10", [4, 0, 0, 0, 0]),
+    ("t481", [0, 0, 0, 0, 0]),
+    ("tcon", [0, 0, 0, 0, 0]),
+    ("xor10", [0, 0, 0, 0, 0]),
+    ("z4ml", [3, 0, 6, 0, 0]),
+];
+
 #[test]
 fn fprm_flow_preserves_every_small_benchmark() {
     let lib = Library::mcnc();
@@ -62,14 +110,19 @@ fn fprm_flow_preserves_every_small_benchmark() {
             continue; // wide circuits are covered by the checker test below
         }
         let spec = build(b.name).expect("registered");
-        let out = try_synthesize(&spec, &SynthOptions::default())
-            .unwrap()
-            .network;
+        let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
+        let out = outcome.network;
         assert!(
             equivalent_on(&spec, &out, &check_patterns(b.io.0)),
             "{} FPRM result differs",
             b.name
         );
+        let &(_, counts) = FPRM_REDUNDANCY
+            .iter()
+            .find(|(name, _)| *name == b.name)
+            .unwrap_or_else(|| panic!("{} has no pinned redundancy counters", b.name));
+        let got = REDUNDANCY_COUNTERS.map(|c| outcome.report.trace.counter(c));
+        assert_eq!(got, counts, "{} redundancy counters", b.name);
         let &(_, cells, lits) = FPRM_MAPPED
             .iter()
             .find(|(name, _, _)| *name == b.name)
@@ -84,6 +137,11 @@ fn fprm_flow_preserves_every_small_benchmark() {
         pinned += 1;
     }
     assert_eq!(pinned, FPRM_MAPPED.len(), "a pinned circuit left the suite");
+    assert_eq!(
+        pinned,
+        FPRM_REDUNDANCY.len(),
+        "a pinned circuit left the suite"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use xsynth::boolean::{Fprm, TruthTable};
 use xsynth::circuits::build;
 use xsynth::core::atpg::generate_tests;
-use xsynth::core::{merge_patterns, paper_patterns, try_synthesize, PatternOptions, SynthOptions};
+use xsynth::core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
 use xsynth::sim::{enumerate_faults, exhaustive_patterns, fault_simulate};
 
 /// Derives the paper's pattern family for every output of a circuit.
@@ -18,12 +18,7 @@ fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
         // polarity per output as the flow would choose (positive is enough
         // for the claim; the flow's polarities only shrink the form)
         let f = Fprm::from_table_positive(t);
-        lists.push(paper_patterns(
-            n,
-            f.polarity(),
-            f.cubes(),
-            &PatternOptions::default(),
-        ));
+        lists.push(paper_patterns(n, f.polarity(), f.cubes()));
     }
     merge_patterns(lists)
 }
