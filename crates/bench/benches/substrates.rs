@@ -1,14 +1,72 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, kernel
-//! extraction and technology mapping.
+//! extraction, technology mapping and the redundancy-removal pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable};
-use xsynth_core::{try_synthesize, SynthOptions};
+use xsynth_circuits::builders::{interleaved_buses, ripple_adder};
+use xsynth_core::{
+    merge_patterns, network_bdds, paper_patterns, remove_redundancy, try_synthesize, EquivChecker,
+    SynthOptions,
+};
 use xsynth_map::{map_network, Library};
+use xsynth_net::Network;
 use xsynth_ofdd::OfddManager;
+use xsynth_sim::{pack_patterns, random_patterns, PatternBlock};
 use xsynth_sop::algebra;
+use xsynth_trace::TraceSink;
+
+/// Outputs with more FPRM cubes than this get only the AZ/AO patterns (the
+/// flow's `MAX_CUBES`).
+const MAX_CUBES: u64 = 512;
+
+/// The flow's sweep limit for redundancy removal.
+const MAX_PASSES: usize = 6;
+
+/// What the FPRM flow hands its redundancy-removal phase for `spec`: the
+/// flow's network with that phase switched off (swept, as the flow returns
+/// it), and the flow's patterns — each output's paper patterns under its
+/// chosen polarity (only AZ/AO in block mode) plus the 64-pattern random
+/// booster.
+fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
+    let opts = SynthOptions::builder().redundancy_removal(false).build();
+    let outcome = try_synthesize(spec, &opts).expect("synthesizes");
+    let n = spec.inputs().len();
+    let mut lists = Vec::new();
+    if outcome.report.trace.counter("blocks.synthesized") > 0 {
+        lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
+    } else {
+        let bm = BddManager::new(n);
+        let outs = network_bdds(&spec.sweep(), &bm).expect("uncapped");
+        for (f, (_, _, pol)) in outs.into_iter().zip(&outcome.report.outputs) {
+            let mut om = OfddManager::new(pol.clone());
+            let root = om.from_bdd(&bm, f).expect("uncapped");
+            let cubes = if om.num_cubes(root) <= MAX_CUBES {
+                om.cubes(root)
+            } else {
+                Vec::new()
+            };
+            lists.push(paper_patterns(n, pol, &cubes));
+        }
+    }
+    lists.push(random_patterns(n, 64, 0x0c));
+    let blocks = pack_patterns(n, &merge_patterns(lists));
+    (outcome.network, blocks)
+}
+
+/// An `n`-bit ripple adder with interleaved inputs and a carry-in.
+fn adder(n: usize) -> Network {
+    let mut net = Network::new(format!("adder{n}"));
+    let (a, b) = interleaved_buses(&mut net, "a", "b", n);
+    let cin = net.add_input("cin");
+    let (sums, cout) = ripple_adder(&mut net, &a, &b, Some(cin));
+    for (i, &s) in sums.iter().enumerate() {
+        net.add_output(format!("s{i}"), s);
+    }
+    net.add_output("cout", cout);
+    net
+}
 
 fn bench_substrates(c: &mut Criterion) {
     let t = TruthTable::from_fn(12, |m| (m & 0x3f) + ((m >> 6) & 0x3f) > 0x3f);
@@ -48,6 +106,26 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("tech_map_addm4_fprm", |b| {
         b.iter(|| map_network(&addm4, &lib))
     });
+
+    // Section 4's pass alone, on the network that enters it
+    let specs = [
+        xsynth_circuits::build("shift").expect("registered"),
+        xsynth_circuits::build("my_adder").expect("registered"),
+        adder(16),
+        adder(64),
+    ];
+    for spec in &specs {
+        let (net, blocks) = redundancy_input(spec);
+        let mut checker = EquivChecker::new(spec);
+        let sink = TraceSink::new();
+        c.bench_function(format!("redundancy_{}", spec.name()), |b| {
+            b.iter(|| {
+                let mut buf = sink.buffer(0, "redundancy");
+                remove_redundancy(&net, &blocks, &mut checker, MAX_PASSES, None, &mut buf)
+                    .expect("guarded pass")
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_substrates);

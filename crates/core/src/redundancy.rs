@@ -26,12 +26,14 @@
 //! rewrite is additionally verified against the reference function and
 //! reverted if the truncated family was too optimistic — the
 //! `redundancy.reverted` trace counter reports how often that safety net
-//! fired (on the paper's benchmark family: essentially never).
+//! fired (on the paper's benchmark family: essentially never). The check
+//! is incremental ([`crate::verify::IncrementalCheck`]): it re-evaluates
+//! only the rewritten gate and its transitive fanout.
 
 use crate::error::Error;
-use crate::verify::EquivChecker;
+use crate::verify::{EquivChecker, IncrementalCheck};
 use std::time::Instant;
-use xsynth_net::{GateKind, Network};
+use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_sim::{Fault, FaultSim, FaultSite, PatternBlock};
 use xsynth_trace::TraceBuffer;
 
@@ -45,7 +47,9 @@ use xsynth_trace::TraceBuffer;
 /// Sweeping stops when `deadline` passes: the network already rewritten
 /// and verified is kept, and the early stop is returned as `true` and
 /// counted as `redundancy.curtailed`. Returns the cleaned network and that
-/// flag.
+/// flag. On the exact backend the final size of the guard's pass-local BDD
+/// manager is the `redundancy.bdd_nodes` gauge (absent if that manager hit
+/// the node cap and the guard fell back to whole-network checks).
 ///
 /// # Errors
 ///
@@ -79,6 +83,7 @@ pub fn remove_redundancy(
     let mut curtailed = false;
     let mut guard = Guard {
         blocks,
+        incremental: checker.incremental(&cur),
         checker,
         buf,
     };
@@ -98,6 +103,13 @@ pub fn remove_redundancy(
     if curtailed {
         guard.buf.count("redundancy.curtailed", 1);
     }
+    if let Some(nodes) = guard
+        .incremental
+        .as_ref()
+        .and_then(IncrementalCheck::bdd_nodes)
+    {
+        guard.buf.gauge("redundancy.bdd_nodes", nodes as f64);
+    }
     Ok((cur.sweep(), curtailed))
 }
 
@@ -105,12 +117,16 @@ pub fn remove_redundancy(
 struct Guard<'a> {
     blocks: &'a [PatternBlock],
     checker: &'a mut EquivChecker,
+    /// The checker's per-node values of the last kept network; `None`
+    /// checks each rewrite with a whole-network `try_check`.
+    incremental: Option<IncrementalCheck>,
     buf: &'a mut TraceBuffer,
 }
 
 impl Guard<'_> {
-    /// Applies `rewrite` to `cur` and keeps it only if the equivalence
-    /// checker still passes: a kept rewrite counts `counter` and rebuilds
+    /// Applies `rewrite`, which changes gate `gate` of `cur` in place and
+    /// may append nodes, and keeps it only if the equivalence checker
+    /// still passes: a kept rewrite counts `counter` and rebuilds
     /// `sim`; a rejected one restores `cur` and counts a
     /// `redundancy.reverted`, which is also a `rewrite.rolled_back` (the
     /// self-checking-rewrite counter shared with the emission self-check
@@ -121,26 +137,35 @@ impl Guard<'_> {
         &mut self,
         cur: &mut Network,
         sim: &mut FaultSim,
+        gate: SignalId,
         counter: &str,
         rewrite: impl FnOnce(&mut Network),
     ) -> Result<bool, Error> {
         let snapshot = cur.clone();
         rewrite(cur);
-        if self.accept(cur)? {
+        let kept = self.accept(cur, sim, gate)?;
+        if let Some(inc) = &mut self.incremental {
+            if kept {
+                inc.commit();
+            } else {
+                inc.revert();
+            }
+        }
+        if kept {
             self.buf.count(counter, 1);
             *sim = FaultSim::new(cur, self.blocks);
-            Ok(true)
         } else {
             self.buf.count("redundancy.reverted", 1);
             self.buf.count("rewrite.rolled_back", 1);
             *cur = snapshot; // `sim` still describes it
-            Ok(false)
         }
+        Ok(kept)
     }
 
-    fn accept(&mut self, cur: &Network) -> Result<bool, Error> {
+    fn accept(&mut self, cur: &Network, sim: &FaultSim, gate: SignalId) -> Result<bool, Error> {
         xsynth_trace::fail_point!("core.redundancy.accept", Ok(false));
-        self.checker.try_check(cur)
+        self.checker
+            .check_rewrite(&mut self.incremental, cur, sim.order(), gate)
     }
 }
 
@@ -200,7 +225,7 @@ fn sweep(
                     None => "redundancy.xor_to_or",
                     Some(_) => "redundancy.xor_to_and",
                 };
-                changed |= guard.try_rewrite(cur, &mut sim, counter, |net| match and_not {
+                changed |= guard.try_rewrite(cur, &mut sim, id, counter, |net| match and_not {
                     None => net.replace_gate(id, GateKind::Or, vec![g, h]),
                     Some((keep, drop)) => {
                         let nd = net.add_gate(GateKind::Not, vec![drop]);
@@ -230,7 +255,13 @@ fn sweep(
                             kind
                         };
                         let removed = |net: &mut Network| net.replace_gate(id, nk, fanins);
-                        if guard.try_rewrite(cur, &mut sim, "redundancy.fanin_removed", removed)? {
+                        if guard.try_rewrite(
+                            cur,
+                            &mut sim,
+                            id,
+                            "redundancy.fanin_removed",
+                            removed,
+                        )? {
                             changed = true;
                             if nk == GateKind::Buf {
                                 break;
@@ -242,6 +273,7 @@ fn sweep(
                         if guard.try_rewrite(
                             cur,
                             &mut sim,
+                            id,
                             "redundancy.const_replaced",
                             to_const,
                         )? {
@@ -262,6 +294,7 @@ fn sweep(
 mod tests {
     use super::*;
     use crate::patterns::{paper_patterns, Pattern};
+    use xsynth_blif::write_blif;
     use xsynth_boolean::{Polarity, VarSet};
     use xsynth_net::SignalId;
     use xsynth_sim::{exhaustive_patterns, pack_patterns};
@@ -497,6 +530,57 @@ mod tests {
         let three_wide = pack_patterns(3, &exhaustive_patterns(3));
         let wrong = remove_redundancy(&net, &three_wide, &mut checker, 8, None, &mut buf);
         assert!(matches!(wrong, Err(Error::Msg(_))), "{wrong:?}");
+    }
+
+    /// An `n`-bit ripple adder with interleaved inputs (`a0 b0 a1 b1 …
+    /// cin`) in its XOR form, carry `ab ⊕ (a⊕b)c`: the pass turns each
+    /// carry XOR into an OR.
+    fn xor_ripple_adder(bits: usize) -> Network {
+        let mut net = Network::new("adder");
+        let ab: Vec<_> = (0..bits)
+            .map(|i| {
+                (
+                    net.add_input(format!("a{i}")),
+                    net.add_input(format!("b{i}")),
+                )
+            })
+            .collect();
+        let mut c = net.add_input("cin");
+        for (i, (a, b)) in ab.into_iter().enumerate() {
+            let axb = net.add_gate(GateKind::Xor, vec![a, b]);
+            let s = net.add_gate(GateKind::Xor, vec![axb, c]);
+            net.add_output(format!("s{i}"), s);
+            let g = net.add_gate(GateKind::And, vec![a, b]);
+            let p = net.add_gate(GateKind::And, vec![axb, c]);
+            c = net.add_gate(GateKind::Xor, vec![g, p]);
+        }
+        net.add_output("cout", c);
+        net
+    }
+
+    #[test]
+    fn guard_node_cap_falls_back_to_whole_network_checks() {
+        // With only the AZ/AO pair most proposals are wrong, so the
+        // guard's pass-local manager fills with the rejected candidates'
+        // BDDs, while a whole-network check only ever holds one candidate.
+        let net = xor_ripple_adder(4);
+        let pats = vec![vec![false; 9], vec![true; 9]];
+        let (free, free_trace) = run(&net, &pats, &mut EquivChecker::new(&net), 8);
+        assert!(free_trace.counter("redundancy.reverted") > 0);
+        let guard_nodes = free_trace.gauge_max("redundancy.bdd_nodes").unwrap();
+        // Below the guard manager's final size, above what the reference
+        // and any one whole-network check need: the guard trips partway
+        // through the pass and every `try_check` after it still fits.
+        let cap = 500;
+        assert!((cap as f64) < guard_nodes, "{guard_nodes}");
+        let budget = crate::Budget::default().bdd_node_cap(Some(cap));
+        let mut checker = EquivChecker::with_budget(&net, &budget);
+        assert!(checker.is_exact());
+        let (capped, capped_trace) = run(&net, &pats, &mut checker, 8);
+        assert!(!checker.downgraded(), "every whole-network check fit");
+        assert_eq!(capped_trace.gauge_max("redundancy.bdd_nodes"), None);
+        assert_eq!(capped_trace.counter_totals(), free_trace.counter_totals());
+        assert_eq!(write_blif(&capped), write_blif(&free));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_net::{GateKind, Network, NodeKind};
+use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_sim::fault::{Fault, FaultSite};
-use xsynth_sim::{equivalent_on_blocks, pack_patterns, random_patterns, PatternBlock};
+use xsynth_sim::{pack_patterns, random_patterns, PatternBlock, Simulator};
 use xsynth_trace::TraceBuffer;
 
 /// Input count above which the checker switches from exact BDD comparison
@@ -51,10 +51,19 @@ pub struct EquivChecker {
     reference_outputs: Vec<Bdd>,
     manager: Option<BddManager>,
     input_names: Vec<String>,
-    sim_patterns: Option<Vec<PatternBlock>>,
-    n_sim_patterns: usize,
+    sim: Option<SimBackend>,
     budget: Budget,
     downgraded: bool,
+}
+
+/// The simulation backend: the fixed-seed pattern blocks and the
+/// reference's output words on them, simulated once when the backend is
+/// built, so each check simulates only the candidate.
+#[derive(Debug)]
+struct SimBackend {
+    blocks: Vec<PatternBlock>,
+    /// Per block, one word per output; lanes past the block are zero.
+    reference: Vec<Vec<u64>>,
 }
 
 impl EquivChecker {
@@ -81,8 +90,7 @@ impl EquivChecker {
             reference_outputs: Vec::new(),
             manager: None,
             input_names,
-            sim_patterns: None,
-            n_sim_patterns: 0,
+            sim: None,
             budget: budget.clone(),
             downgraded: false,
         };
@@ -108,8 +116,10 @@ impl EquivChecker {
         let n = self.input_names.len();
         let count = self.budget.cap_patterns(SIM_PATTERNS);
         let patterns = random_patterns(n, count, SIM_SEED);
-        self.n_sim_patterns = patterns.len();
-        self.sim_patterns = Some(pack_patterns(n, &patterns));
+        let blocks = pack_patterns(n, &patterns);
+        let sim = Simulator::new(&self.reference);
+        let reference = blocks.iter().map(|pb| sim.output_words(pb)).collect();
+        self.sim = Some(SimBackend { blocks, reference });
     }
 
     /// Whether the checker is exact (BDD) or statistical (simulation).
@@ -130,10 +140,12 @@ impl EquivChecker {
     /// the checker downgrades itself to fixed-seed simulation (recorded by
     /// [`EquivChecker::downgraded`]) and re-runs the comparison there.
     pub fn try_check(&mut self, candidate: &Network) -> Result<bool, Error> {
-        xsynth_trace::fail_point!(
-            "core.verify",
-            Err(Error::Verify("injected fault: core.verify tripped".into()))
-        );
+        verify_fail_point()?;
+        self.compare(candidate)
+    }
+
+    /// The body of [`EquivChecker::try_check`] past its failpoint.
+    fn compare(&mut self, candidate: &Network) -> Result<bool, Error> {
         let cand_names: Vec<&str> = candidate
             .inputs()
             .iter()
@@ -165,8 +177,15 @@ impl EquivChecker {
             }
         }
         // without a BDD manager the simulation backend is always built
-        let blocks = self.sim_patterns.iter().flatten().cloned();
-        Ok(equivalent_on_blocks(&self.reference, candidate, blocks))
+        let Some(backend) = &self.sim else {
+            return Err(Error::msg("equivalence checker has no backend"));
+        };
+        let sim = Simulator::new(candidate);
+        Ok(backend
+            .blocks
+            .iter()
+            .zip(&backend.reference)
+            .all(|(pb, want)| sim.output_words(pb) == *want))
     }
 
     /// [`EquivChecker::try_check`] recording into a trace buffer: runs
@@ -189,11 +208,302 @@ impl EquivChecker {
         if let Some(bm) = &self.manager {
             buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
         }
-        if self.sim_patterns.is_some() {
-            buf.count("verify.sim_patterns", self.n_sim_patterns as u64);
+        if let Some(sim) = &self.sim {
+            let patterns = sim.blocks.iter().map(|pb| u64::from(pb.lanes)).sum();
+            buf.count("verify.sim_patterns", patterns);
         }
         buf.end();
         result
+    }
+
+    /// Starts guarding a sequence of single-gate rewrites of `net` with an
+    /// [`IncrementalCheck`] on this checker's backend. Returns `None`, and
+    /// every rewrite then goes through [`EquivChecker::try_check`], when
+    /// `net`'s inputs differ from the reference's, `net` has a cycle, or
+    /// the exact backend's pass-local manager trips the node cap while
+    /// taking in the reference and `net`.
+    pub(crate) fn incremental(&self, net: &Network) -> Option<IncrementalCheck> {
+        let names = net
+            .inputs()
+            .iter()
+            .map(|&i| net.node_name(i).unwrap_or("in"));
+        if !names.eq(self.input_names.iter().map(String::as_str)) {
+            return None;
+        }
+        let order = net.try_topo_order().ok()?;
+        if let Some(checker_bm) = &self.manager {
+            let bm = fresh_manager(checker_bm);
+            let reference = checker_bm.copy_roots(&self.reference_outputs, &bm).ok()?;
+            let values = NodeValues::build(
+                net,
+                &order,
+                Bdd::ZERO,
+                |i| bm.var(i).ok(),
+                |kind, fan, val| gate_bdd(&bm, kind, fan.iter().map(|f| val[f.index()])).ok(),
+            )?;
+            return Some(IncrementalCheck::Exact {
+                bm,
+                reference,
+                values,
+            });
+        }
+        let sim = self.sim.as_ref()?;
+        let values = NodeValues::build(
+            net,
+            &order,
+            Vec::new(),
+            |i| Some(sim.blocks.iter().map(|pb| pb.words[i]).collect()),
+            |kind, fan, val| Some(eval_blocks(kind, fan, val, sim.blocks.len())),
+        )?;
+        Some(IncrementalCheck::Sim(values))
+    }
+
+    /// [`EquivChecker::try_check`] of `candidate`, the network `inc` last
+    /// accepted with `gate` rewritten in place and possibly new nodes
+    /// appended: the same `core.verify` failpoint and the same verdict,
+    /// but only the appended nodes, `gate` and the nodes of `order` (the
+    /// accepted network's topological order) downstream of a changed
+    /// value are re-evaluated. The proposal stays pending until
+    /// [`IncrementalCheck::commit`] or [`IncrementalCheck::revert`].
+    ///
+    /// With `inc` absent this is `try_check`. If the exact backend trips
+    /// the node cap, `inc` is dropped and the check (like every later one
+    /// in the pass) runs as `try_check`, including its downgrade to
+    /// simulation.
+    pub(crate) fn check_rewrite(
+        &mut self,
+        inc: &mut Option<IncrementalCheck>,
+        candidate: &Network,
+        order: &[SignalId],
+        gate: SignalId,
+    ) -> Result<bool, Error> {
+        verify_fail_point()?;
+        let outs = candidate.outputs();
+        let verdict = match inc.as_mut() {
+            Some(IncrementalCheck::Exact {
+                bm,
+                reference,
+                values,
+            }) => values
+                .propose(candidate, order, gate, |kind, fan, val| {
+                    gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
+                })
+                .map(|()| {
+                    outs.len() == reference.len()
+                        && outs
+                            .iter()
+                            .zip(reference.iter())
+                            .all(|(&(_, s), r)| values.val[s.index()] == *r)
+                }),
+            Some(IncrementalCheck::Sim(values)) => self.sim.as_ref().and_then(|sim| {
+                let n_blocks = sim.blocks.len();
+                values.propose(candidate, order, gate, |kind, fan, val| {
+                    Some(eval_blocks(kind, fan, val, n_blocks))
+                })?;
+                let mut blocks = sim.blocks.iter().zip(&sim.reference).enumerate();
+                Some(blocks.all(|(b, (pb, want))| {
+                    want.len() == outs.len()
+                        && outs
+                            .iter()
+                            .zip(want)
+                            .all(|(&(_, s), &r)| values.val[s.index()][b] & pb.lane_mask() == r)
+                }))
+            }),
+            None => None,
+        };
+        match verdict {
+            Some(same) => Ok(same),
+            None => {
+                *inc = None;
+                self.compare(candidate)
+            }
+        }
+    }
+}
+
+/// Incremental equivalence checking of one rewrite at a time, for
+/// redundancy removal: it keeps every node's value in the last accepted
+/// network, so a proposal re-evaluates only what the rewrite can have
+/// changed instead of the whole network.
+///
+/// On the exact backend the values are BDDs in a manager local to the
+/// pass (with the checker's node cap), which also holds a copy of the
+/// reference outputs; dropping the check at the end of the pass frees it,
+/// so the checker's long-lived manager never holds a candidate. On the
+/// simulation backend they are words over the checker's fixed pattern
+/// blocks, compared against the reference words the checker simulated
+/// once.
+#[derive(Debug)]
+pub(crate) enum IncrementalCheck {
+    Exact {
+        bm: BddManager,
+        reference: Vec<Bdd>,
+        values: NodeValues<Bdd>,
+    },
+    Sim(NodeValues<Vec<u64>>),
+}
+
+impl IncrementalCheck {
+    /// Keeps the pending proposal: its values become the accepted ones.
+    pub(crate) fn commit(&mut self) {
+        match self {
+            IncrementalCheck::Exact { values, .. } => values.commit(),
+            IncrementalCheck::Sim(values) => values.commit(),
+        }
+    }
+
+    /// Drops the pending proposal, restoring the values it overwrote.
+    pub(crate) fn revert(&mut self) {
+        match self {
+            IncrementalCheck::Exact { values, .. } => values.revert(),
+            IncrementalCheck::Sim(values) => values.revert(),
+        }
+    }
+
+    /// Nodes in the pass-local manager (exact backend only).
+    pub(crate) fn bdd_nodes(&self) -> Option<usize> {
+        match self {
+            IncrementalCheck::Exact { bm, .. } => Some(bm.num_nodes()),
+            IncrementalCheck::Sim(_) => None,
+        }
+    }
+}
+
+/// One value per node of the accepted network, plus the undo log of the
+/// pending proposal. Nodes unreachable from the outputs hold a blank.
+#[derive(Debug)]
+pub(crate) struct NodeValues<V> {
+    val: Vec<V>,
+    blank: V,
+    /// Node count of the accepted network; nodes past it were appended
+    /// by the pending proposal.
+    accepted: usize,
+    /// `(node index, value before the proposal)` per node it changed.
+    undo: Vec<(usize, V)>,
+}
+
+impl<V: Clone + PartialEq> NodeValues<V> {
+    /// Evaluates every input and every gate of `order`, or `None` if an
+    /// evaluation fails.
+    fn build(
+        net: &Network,
+        order: &[SignalId],
+        blank: V,
+        input: impl Fn(usize) -> Option<V>,
+        eval: impl Fn(GateKind, &[SignalId], &[V]) -> Option<V>,
+    ) -> Option<Self> {
+        let mut val = vec![blank.clone(); net.num_nodes()];
+        for (i, &id) in net.inputs().iter().enumerate() {
+            val[id.index()] = input(i)?;
+        }
+        for &id in order {
+            if let NodeKind::Gate(kind) = net.kind(id) {
+                val[id.index()] = eval(*kind, net.fanins(id), &val)?;
+            }
+        }
+        Some(NodeValues {
+            val,
+            blank,
+            accepted: net.num_nodes(),
+            undo: Vec::new(),
+        })
+    }
+
+    /// Brings the values up to date with `net`, the accepted network with
+    /// `gate` rewritten and nodes possibly appended: evaluates the
+    /// appended nodes `gate` reaches, then `gate`, then each node after
+    /// `gate` in `order` with a fanin whose value changed. Every
+    /// overwritten value goes to the undo log. `None` if an evaluation
+    /// fails.
+    ///
+    /// `order` stays a valid order for `net` because a rewrite only ever
+    /// narrows `gate`'s fanins to a subset of the old ones plus appended
+    /// nodes, as all four Section 4 rewrites do.
+    fn propose(
+        &mut self,
+        net: &Network,
+        order: &[SignalId],
+        gate: SignalId,
+        eval: impl Fn(GateKind, &[SignalId], &[V]) -> Option<V>,
+    ) -> Option<()> {
+        let eval_node = |val: &[V], id: SignalId| match net.kind(id) {
+            NodeKind::Gate(kind) => eval(*kind, net.fanins(id), val),
+            NodeKind::Input => None,
+        };
+        self.val.resize(net.num_nodes(), self.blank.clone());
+        // an unreachable gate reaches no output, and nothing a rewrite
+        // appends makes it reachable again
+        let Some(at) = order.iter().position(|&id| id == gate) else {
+            return Some(());
+        };
+        let mut dirty = vec![false; net.num_nodes()];
+        self.eval_appended(net, gate, &mut dirty, &eval_node)?;
+        for &id in &order[at..] {
+            if id != gate && !net.fanins(id).iter().any(|f| dirty[f.index()]) {
+                continue;
+            }
+            let v = eval_node(&self.val, id)?;
+            if v != self.val[id.index()] {
+                let old = std::mem::replace(&mut self.val[id.index()], v);
+                self.undo.push((id.index(), old));
+                dirty[id.index()] = true;
+            }
+        }
+        Some(())
+    }
+
+    /// Evaluates the appended nodes in `node`'s fanin cone, fanins first.
+    fn eval_appended(
+        &mut self,
+        net: &Network,
+        node: SignalId,
+        dirty: &mut [bool],
+        eval_node: &impl Fn(&[V], SignalId) -> Option<V>,
+    ) -> Option<()> {
+        for &f in net.fanins(node) {
+            if f.index() >= self.accepted && !dirty[f.index()] {
+                self.eval_appended(net, f, dirty, eval_node)?;
+                self.val[f.index()] = eval_node(&self.val, f)?;
+                dirty[f.index()] = true;
+            }
+        }
+        Some(())
+    }
+
+    fn commit(&mut self) {
+        self.undo.clear();
+        self.accepted = self.val.len();
+    }
+
+    fn revert(&mut self) {
+        for (i, old) in self.undo.drain(..).rev() {
+            self.val[i] = old;
+        }
+        self.val.truncate(self.accepted);
+    }
+}
+
+/// One gate's words on every pattern block, from its fanins' words.
+fn eval_blocks(kind: GateKind, fan: &[SignalId], val: &[Vec<u64>], n_blocks: usize) -> Vec<u64> {
+    (0..n_blocks)
+        .map(|b| kind.eval_words(fan.iter().map(|f| val[f.index()][b])))
+        .collect()
+}
+
+/// The `core.verify` failpoint every guarded check passes once.
+fn verify_fail_point() -> Result<(), Error> {
+    xsynth_trace::fail_point!(
+        "core.verify",
+        Err(Error::Verify("injected fault: core.verify tripped".into()))
+    );
+    Ok(())
+}
+
+/// An empty manager over `bm`'s variables under `bm`'s node cap.
+fn fresh_manager(bm: &BddManager) -> BddManager {
+    match bm.node_limit() {
+        Some(cap) => BddManager::with_node_limit(bm.num_vars(), cap),
+        None => BddManager::new(bm.num_vars()),
     }
 }
 
@@ -224,10 +534,7 @@ pub fn network_bdds(net: &Network, bm: &BddManager) -> Result<Vec<Bdd>, Error> {
             n
         )));
     }
-    let scratch = match bm.node_limit() {
-        Some(cap) => BddManager::with_node_limit(n, cap),
-        None => BddManager::new(n),
-    };
+    let scratch = fresh_manager(bm);
     let outs = output_bdds(net, &scratch, None)?;
     scratch.copy_roots(&outs, bm).map_err(|_| budget_error(bm))
 }
@@ -302,6 +609,7 @@ fn gate_bdd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xsynth_net::GateKind;
     use xsynth_trace::TraceSink;
 
@@ -501,6 +809,120 @@ mod tests {
         match network_bdds(&net, &capped) {
             Err(Error::Budget(b)) => assert_eq!(b.resource, Resource::BddNodes),
             other => panic!("expected budget error, got {other:?}"),
+        }
+    }
+
+    const KINDS: [GateKind; 4] = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Not];
+
+    /// A random AND/OR/XOR/NOT network: `picks[i]` chooses gate `i`'s kind
+    /// and two fanins among the signals before it; `outs` picks the
+    /// outputs among the last signals, so some gates may be unreachable.
+    fn random_net(n_inputs: usize, picks: &[(u8, u8, u8)], outs: &[u8]) -> Network {
+        let mut net = Network::new("rand");
+        let mut sigs: Vec<SignalId> = (0..n_inputs)
+            .map(|i| net.add_input(format!("x{i}")))
+            .collect();
+        for &(k, a, b) in picks {
+            let kind = KINDS[k as usize % KINDS.len()];
+            let fa = sigs[a as usize % sigs.len()];
+            let fb = sigs[b as usize % sigs.len()];
+            let fanins = if kind == GateKind::Not {
+                vec![fa]
+            } else {
+                vec![fa, fb]
+            };
+            sigs.push(net.add_gate(kind, fanins));
+        }
+        for (i, &o) in outs.iter().enumerate() {
+            net.add_output(
+                format!("y{i}"),
+                sigs[sigs.len() - 1 - o as usize % sigs.len()],
+            );
+        }
+        net
+    }
+
+    /// Applies one of redundancy removal's four rewrites to the reachable
+    /// AND/OR/XOR gate `pick` selects from `order`, the rewrite chosen by
+    /// `how`: an XOR becomes an OR or an AND with one fanin inverted; an
+    /// AND/OR loses a fanin or becomes a constant. Returns the gate, or
+    /// `None` if no such gate is left.
+    fn random_rewrite(
+        net: &mut Network,
+        order: &[SignalId],
+        pick: u8,
+        how: u8,
+    ) -> Option<SignalId> {
+        use GateKind::*;
+        let gates: Vec<SignalId> = order
+            .iter()
+            .copied()
+            .filter(|&id| matches!(net.gate_kind(id), Some(And | Or | Xor)))
+            .collect();
+        let gate = *gates.get(pick as usize % gates.len().max(1))?;
+        let fanins = net.fanins(gate).to_vec();
+        let how = how as usize;
+        match net.gate_kind(gate)? {
+            Xor if how.is_multiple_of(3) => net.replace_gate(gate, Or, fanins),
+            Xor => {
+                let inv = net.add_gate(Not, vec![fanins[how % 2]]);
+                net.replace_gate(gate, And, vec![fanins[1 - how % 2], inv]);
+            }
+            kind if how.is_multiple_of(2) && fanins.len() > 1 => {
+                let mut kept = fanins;
+                kept.remove(how / 2 % kept.len());
+                let kind = if kept.len() == 1 { Buf } else { kind };
+                net.replace_gate(gate, kind, kept);
+            }
+            And => net.replace_gate(gate, Const0, vec![]),
+            _ => net.replace_gate(gate, Const1, vec![]),
+        }
+        Some(gate)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// After every step of a random sequence of kept and reverted
+        /// rewrites, the incremental verdict equals a fresh whole-network
+        /// check, on each backend: exact (0), simulation because the
+        /// reference tripped the node cap (1), and simulation past 40
+        /// inputs (2).
+        #[test]
+        fn incremental_verdict_matches_full_check(
+            backend in 0u8..3,
+            n_inputs in 2usize..7,
+            picks in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..16),
+            outs in proptest::collection::vec(0u8..6, 1..4),
+            steps in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
+        ) {
+            let n_inputs = if backend == 2 { n_inputs + 40 } else { n_inputs };
+            let cap = if backend == 1 { Some(1) } else { None };
+            let budget = Budget::default().bdd_node_cap(cap);
+            let mut cur = random_net(n_inputs, &picks, &outs);
+            let reference = cur.clone();
+            let mut checker = EquivChecker::with_budget(&reference, &budget);
+            // a constant reference fits under any cap
+            prop_assume!(checker.is_exact() == (backend == 0));
+            let mut inc = checker.incremental(&cur);
+            prop_assert!(inc.is_some());
+            for &(pick, how, keep) in &steps {
+                let order = cur.topo_order();
+                let before = cur.clone();
+                let Some(gate) = random_rewrite(&mut cur, &order, pick, how) else {
+                    break;
+                };
+                let got = checker.check_rewrite(&mut inc, &cur, &order, gate).unwrap();
+                let fresh = EquivChecker::with_budget(&reference, &budget).try_check(&cur);
+                prop_assert_eq!(got, fresh.unwrap());
+                let guard = inc.as_mut().expect("no cap to trip");
+                if keep {
+                    guard.commit();
+                } else {
+                    guard.revert();
+                    cur = before;
+                }
+            }
         }
     }
 }

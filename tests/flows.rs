@@ -18,26 +18,36 @@ fn check_patterns(n: usize) -> Vec<Vec<bool>> {
 }
 
 /// `(circuit, mapped cells, mapped literals)` of the FPRM flow's result on
-/// `mcnc`, for every registry circuit with at most 20 inputs.
+/// `mcnc`, for every registry circuit.
 const FPRM_MAPPED: &[(&str, usize, usize)] = &[
     ("5xp1", 74, 149),
     ("9sym", 57, 119),
-    ("adr4", 18, 39),
     ("add6", 28, 61),
     ("addm4", 103, 231),
+    ("adr4", 18, 39),
     ("bcd-div3", 20, 41),
-    ("co14", 45, 98),
+    ("cc", 27, 53),
     ("cm163a", 11, 26),
     ("cm82a", 10, 22),
     ("cm85a", 44, 93),
     ("cmb", 58, 116),
+    ("co14", 45, 98),
     ("f2", 10, 20),
     ("f51m", 51, 103),
+    ("frg1", 35, 99),
+    ("i1", 26, 46),
+    ("i3", 60, 186),
+    ("i4", 84, 270),
+    ("i5", 199, 397),
     ("m181", 41, 90),
     ("majority", 11, 26),
+    ("misg", 46, 115),
+    ("mish", 68, 170),
     ("mlp4", 157, 333),
+    ("my_adder", 80, 176),
     ("parity", 15, 30),
     ("pcle", 28, 55),
+    ("pcler8", 56, 118),
     ("pm1", 22, 41),
     ("radd", 18, 39),
     ("rd53", 19, 41),
@@ -65,27 +75,37 @@ const REDUNDANCY_COUNTERS: [&str; 5] = [
 
 /// `(circuit, [xor_to_or, xor_to_and, fanin_removed, const_replaced,
 /// reverted])` of the FPRM flow's redundancy-removal pass, for every
-/// registry circuit with at most 20 inputs: the pass's rewrite decisions,
-/// not just their literal result.
+/// registry circuit: the pass's rewrite decisions, not just their literal
+/// result.
 const FPRM_REDUNDANCY: &[(&str, [u64; 5])] = &[
     ("5xp1", [1, 1, 8, 0, 0]),
     ("9sym", [4, 1, 5, 0, 0]),
-    ("adr4", [3, 0, 4, 0, 0]),
     ("add6", [5, 0, 8, 0, 0]),
     ("addm4", [7, 0, 16, 0, 0]),
+    ("adr4", [3, 0, 4, 0, 0]),
     ("bcd-div3", [1, 0, 2, 0, 0]),
-    ("co14", [0, 0, 0, 0, 101]),
+    ("cc", [0, 0, 0, 0, 0]),
     ("cm163a", [0, 0, 0, 0, 0]),
     ("cm82a", [2, 0, 4, 0, 0]),
     ("cm85a", [7, 0, 8, 0, 0]),
     ("cmb", [0, 0, 0, 0, 44]),
+    ("co14", [0, 0, 0, 0, 101]),
     ("f2", [0, 0, 0, 0, 0]),
     ("f51m", [3, 0, 14, 0, 0]),
+    ("frg1", [5, 0, 5, 0, 10]),
+    ("i1", [6, 0, 7, 0, 0]),
+    ("i3", [0, 0, 0, 0, 116]),
+    ("i4", [0, 0, 0, 0, 266]),
+    ("i5", [66, 0, 0, 0, 0]),
     ("m181", [7, 0, 12, 0, 0]),
     ("majority", [3, 0, 6, 0, 0]),
+    ("misg", [23, 0, 23, 0, 0]),
+    ("mish", [34, 0, 34, 0, 0]),
     ("mlp4", [6, 1, 15, 0, 0]),
+    ("my_adder", [16, 0, 32, 0, 0]),
     ("parity", [0, 0, 0, 0, 0]),
     ("pcle", [9, 0, 0, 0, 0]),
+    ("pcler8", [12, 0, 0, 0, 48]),
     ("pm1", [0, 0, 0, 0, 0]),
     ("radd", [3, 0, 4, 0, 0]),
     ("rd53", [2, 0, 0, 0, 0]),
@@ -102,13 +122,10 @@ const FPRM_REDUNDANCY: &[(&str, [u64; 5])] = &[
 ];
 
 #[test]
-fn fprm_flow_preserves_every_small_benchmark() {
+fn fprm_flow_preserves_every_benchmark() {
     let lib = Library::mcnc();
     let mut pinned = 0;
     for b in registry() {
-        if b.io.0 > 20 {
-            continue; // wide circuits are covered by the checker test below
-        }
         let spec = build(b.name).expect("registered");
         let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
         let out = outcome.network;
