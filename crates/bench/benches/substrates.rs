@@ -1,6 +1,7 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, kernel
-//! extraction, technology mapping and the redundancy-removal pass.
+//! extraction, technology mapping, the redundancy-removal pass and the SOP
+//! baseline's `eliminate`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_bdd::BddManager;
@@ -14,7 +15,7 @@ use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_ofdd::OfddManager;
 use xsynth_sim::{pack_patterns, random_patterns, PatternBlock};
-use xsynth_sop::algebra;
+use xsynth_sop::{algebra, SopNet};
 use xsynth_trace::TraceSink;
 
 /// Outputs with more FPRM cubes than this get only the AZ/AO patterns (the
@@ -123,6 +124,20 @@ fn bench_substrates(c: &mut Criterion) {
                 let mut buf = sink.buffer(0, "redundancy");
                 remove_redundancy(&net, &blocks, &mut checker, MAX_PASSES, None, &mut buf)
                     .expect("guarded pass")
+            })
+        });
+    }
+
+    // the SOP script's first `eliminate` alone, on the three Table 2 rows
+    // where the SOP script takes longest
+    for name in ["sym10", "rd84", "addm4"] {
+        let spec = xsynth_circuits::build(name).expect("registered");
+        let net = SopNet::from_network(&spec.sweep());
+        c.bench_function(format!("sop_eliminate_{name}"), |b| {
+            b.iter(|| {
+                let mut s = net.clone();
+                s.eliminate(4, 256);
+                s
             })
         });
     }

@@ -1,10 +1,9 @@
 //! Regenerates the paper's Table 2 over the rebuilt benchmark suite.
 //!
-//! Usage: `table2 [--json FILE] [--runs N] [--quick] [circuit ...]`
+//! Usage: `table2 [--json FILE] [--runs N] [circuit ...]`
 //!
-//! With no circuit arguments the full 41-circuit suite runs; `--quick`
-//! selects the CI subset ([`xsynth_bench::QUICK_SUBSET`]); otherwise only
-//! the named circuits. `--json FILE` additionally writes the
+//! With no circuit arguments the full 41-circuit suite runs; otherwise
+//! only the named circuits. `--json FILE` additionally writes the
 //! schema-versioned telemetry suite (`BENCH_*.json`) from the same
 //! measurements; `--runs N` repeats each synthesis N times so the JSON's
 //! `median_seconds`/`min_seconds` are noise-resistant.
@@ -15,7 +14,6 @@ fn main() {
     let mut circuits: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut opts = MeasureOptions::default();
-    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -33,17 +31,13 @@ fn main() {
                 };
                 opts.runs = n.max(1);
             }
-            "--quick" => quick = true,
             f if f.starts_with("--") => {
                 eprintln!("error: unknown flag {f}");
-                eprintln!("usage: table2 [--json FILE] [--runs N] [--quick] [circuit ...]");
+                eprintln!("usage: table2 [--json FILE] [--runs N] [circuit ...]");
                 std::process::exit(2);
             }
             _ => circuits.push(a),
         }
-    }
-    if quick {
-        circuits.extend(xsynth_bench::QUICK_SUBSET.iter().map(|s| s.to_string()));
     }
     // names are 'static, so they outlive the temporary registry
     let known: Vec<&'static str> = xsynth_circuits::registry().iter().map(|b| b.name).collect();

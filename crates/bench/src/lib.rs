@@ -42,14 +42,6 @@ pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
 /// instead of stalling the whole sweep.
 pub const VERIFY_NODE_CAP: usize = 4_000_000;
 
-/// The quick registry subset used by the CI regression gate and the
-/// committed `BENCH_baseline.json`: small enough to run with repetitions
-/// in seconds, broad enough to cover both granularities, XOR-heavy and
-/// SOP-friendly circuits.
-pub const QUICK_SUBSET: [&str; 8] = [
-    "z4ml", "f2", "majority", "t481", "rd53", "cm82a", "adr4", "mlp4",
-];
-
 /// Metrics of one synthesized implementation.
 #[derive(Debug, Clone)]
 pub struct FlowResult {
@@ -575,16 +567,6 @@ mod tests {
         assert!(m.record.phases.is_empty());
         #[cfg(target_os = "linux")]
         assert!(m.record.gauges.contains_key("mem.peak_rss_kb"));
-    }
-
-    #[test]
-    fn quick_subset_names_are_registered() {
-        for name in QUICK_SUBSET {
-            assert!(
-                xsynth_circuits::build(name).is_some(),
-                "{name} not in registry"
-            );
-        }
     }
 
     #[test]

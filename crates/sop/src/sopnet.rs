@@ -1,7 +1,7 @@
 //! A network of SOP nodes — the SIS/MIS working representation.
 
 use crate::algebra::{self, covers_same, Factored};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use xsynth_boolean::{Cube, Sop};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
@@ -270,86 +270,16 @@ impl SopNet {
         }
     }
 
-    /// How many times `signal` is referenced (either phase) across live
-    /// node covers, plus once per primary output it drives.
-    pub fn num_uses(&self, signal: usize) -> usize {
-        let mut uses = 0;
-        for n in self.nodes.iter().flatten() {
-            for c in n.cubes() {
-                if c.phase(signal).is_some() {
-                    uses += 1;
-                }
-            }
-        }
-        uses + self.outputs.iter().filter(|&&(_, s)| s == signal).count()
-    }
-
-    /// Substitutes the cover of node `signal` into every cover that
-    /// references it, then deletes the node. Negative references use the
-    /// Shannon complement of the cover. No-op (returns `false`) if the node
-    /// drives a primary output or is not a live node.
-    pub fn collapse(&mut self, signal: usize) -> bool {
-        let np = self.num_pis();
-        if signal < np || self.cover(signal).is_none() {
-            return false;
-        }
-        if self.outputs.iter().any(|&(_, s)| s == signal) {
-            return false;
-        }
-        let cover = self.cover(signal).expect("checked live").clone();
-        let cover_neg = cover.complement();
-        for i in 0..self.nodes.len() {
-            let Some(f) = &self.nodes[i] else { continue };
-            if i + np == signal || !f.support().contains(signal) {
-                continue;
-            }
-            let mut new_cubes: Vec<Cube> = Vec::new();
-            for c in f.cubes() {
-                match c.phase(signal) {
-                    None => new_cubes.push(c.clone()),
-                    Some(ph) => {
-                        let mut rest = c.clone();
-                        rest.remove_var(signal);
-                        let sub = if ph { &cover } else { &cover_neg };
-                        for sc in sub.cubes() {
-                            if let Some(merged) = rest.intersect(sc) {
-                                new_cubes.push(merged);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut ns = Sop::from_cubes(new_cubes);
-            ns.remove_contained();
-            self.nodes[i] = Some(ns);
-        }
-        self.nodes[signal - np] = None;
-        true
-    }
-
-    /// The exact SOP-literal change that collapsing `signal` into its
-    /// fanouts would cause (negative = shrink), or `None` when the node is
-    /// not collapsible (drives an output, is not live, or needs an
-    /// oversized complement).
-    pub fn collapse_delta(&self, signal: usize, max_cover: usize) -> Option<i64> {
-        let np = self.num_pis();
-        if signal < np || self.outputs.iter().any(|&(_, s)| s == signal) {
-            return None;
-        }
+    /// The exact SOP-literal change that collapsing `signal` into the
+    /// nodes of `fanouts` (every live node reading it) would cause
+    /// (negative = shrink), or `None` when the cover is over `max_cover`
+    /// cubes or a negative reference needs an oversized complement.
+    fn collapse_delta(&self, signal: usize, fanouts: &[usize], max_cover: usize) -> Option<i64> {
         let cover = self.cover(signal)?;
         if cover.num_cubes() > max_cover {
             return None;
         }
-        let uses = self.num_uses(signal);
-        if uses == 0 {
-            return Some(-(cover.num_literals() as i64));
-        }
-        let needs_complement = self
-            .nodes
-            .iter()
-            .flatten()
-            .any(|f| f.cubes().iter().any(|c| c.phase(signal) == Some(false)));
-        let complement = if needs_complement {
+        let complement = if self.read_negated(signal, fanouts) {
             if cover.num_cubes() > 24 {
                 return None; // complement could blow up
             }
@@ -358,8 +288,8 @@ impl SopNet {
             None
         };
         let mut delta: i64 = -(cover.num_literals() as i64);
-        for f in self.nodes.iter().flatten() {
-            for c in f.cubes() {
+        for &f in fanouts {
+            for c in self.cover(f).expect("fanouts are live").cubes() {
                 let Some(ph) = c.phase(signal) else { continue };
                 let sub = if ph {
                     cover
@@ -381,35 +311,142 @@ impl SopNet {
         Some(delta)
     }
 
-    /// SIS-style `eliminate`: repeatedly collapses the node whose exact
-    /// literal delta is smallest, as long as it is at most `threshold`.
-    /// Dead nodes always go; `max_cover` guards against cube blowup.
-    pub fn eliminate(&mut self, threshold: i64, max_cover: usize) {
-        loop {
-            let mut best: Option<(usize, i64)> = None;
-            for sig in self.live_signals() {
-                if self.num_uses(sig) == 0 && !self.outputs.iter().any(|&(_, s)| s == sig) {
-                    best = Some((sig, i64::MIN));
-                    break;
-                }
-                if let Some(delta) = self.collapse_delta(sig, max_cover) {
-                    if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
-                        best = Some((sig, delta));
+    /// Whether some cover in `fanouts` reads `signal` in negative phase.
+    fn read_negated(&self, signal: usize, fanouts: &[usize]) -> bool {
+        fanouts.iter().any(|&f| {
+            self.cover(f)
+                .expect("fanouts are live")
+                .cubes()
+                .iter()
+                .any(|c| c.phase(signal) == Some(false))
+        })
+    }
+
+    /// Substitutes the cover of node `signal` into every node of `fanouts`
+    /// (every live node reading it), then deletes the node. Negative
+    /// references use the Shannon complement of the cover, computed only
+    /// when some fanout has one.
+    fn collapse(&mut self, signal: usize, fanouts: &[usize]) {
+        let np = self.num_pis();
+        let cover = self.nodes[signal - np]
+            .take()
+            .expect("collapsed node is live");
+        let cover_neg = self
+            .read_negated(signal, fanouts)
+            .then(|| cover.complement());
+        for &f in fanouts {
+            let old = self.cover(f).expect("fanouts are live");
+            let mut new_cubes: Vec<Cube> = Vec::new();
+            for c in old.cubes() {
+                match c.phase(signal) {
+                    None => new_cubes.push(c.clone()),
+                    Some(ph) => {
+                        let mut rest = c.clone();
+                        rest.remove_var(signal);
+                        let sub = if ph {
+                            &cover
+                        } else {
+                            cover_neg.as_ref().expect("computed when needed")
+                        };
+                        for sc in sub.cubes() {
+                            if let Some(merged) = rest.intersect(sc) {
+                                new_cubes.push(merged);
+                            }
+                        }
                     }
                 }
             }
-            match best {
-                Some((sig, _)) => {
-                    let np = self.num_pis();
-                    if self.num_uses(sig) == 0 {
-                        self.nodes[sig - np] = None;
-                    } else {
-                        self.collapse(sig);
-                    }
-                }
-                None => break,
+            let mut ns = Sop::from_cubes(new_cubes);
+            ns.remove_contained();
+            self.nodes[f - np] = Some(ns);
+        }
+    }
+
+    /// SIS-style `eliminate`: repeatedly collapses the node whose exact
+    /// literal delta is smallest (ties to the lower signal), as long as it
+    /// is at most `threshold`. Dead nodes always go first, lowest signal
+    /// first; `max_cover` guards against cube blowup.
+    ///
+    /// Incremental: fanout lists and one score per node are built on entry.
+    /// A node's score depends on its own cover and on the fanout cubes that
+    /// read it, so after a collapse only the rewritten fanouts and their
+    /// fanins are re-scored: the signals in their old supports and in the
+    /// removed node's support (which together contain the new supports).
+    pub fn eliminate(&mut self, threshold: i64, max_cover: usize) {
+        let np = self.num_pis();
+        let mut is_output = vec![false; np + self.nodes.len()];
+        for &(_, s) in &self.outputs {
+            is_output[s] = true;
+        }
+        let mut fanouts: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        for sig in self.live_signals() {
+            for v in self.node_fanins(sig) {
+                fanouts[v - np].push(sig);
             }
         }
+        // `Some(i64::MIN)` marks a dead node, so the queue's first entry is
+        // always the lowest dead node, else the lowest-signal minimum delta
+        let score = |s: &SopNet, sig: usize, fanouts: &[usize]| -> Option<i64> {
+            s.cover(sig)?;
+            if is_output[sig] {
+                None
+            } else if fanouts.is_empty() {
+                Some(i64::MIN)
+            } else {
+                s.collapse_delta(sig, fanouts, max_cover)
+                    .filter(|&d| d <= threshold)
+            }
+        };
+        let mut scores: Vec<Option<i64>> = vec![None; self.nodes.len()];
+        let mut queue: BTreeSet<(i64, usize)> = BTreeSet::new();
+        let mut dirty = self.live_signals();
+        loop {
+            dirty.sort_unstable();
+            dirty.dedup();
+            for v in dirty.drain(..) {
+                let s = score(self, v, &fanouts[v - np]);
+                if s != scores[v - np] {
+                    if let Some(d) = scores[v - np] {
+                        queue.remove(&(d, v));
+                    }
+                    if let Some(d) = s {
+                        queue.insert((d, v));
+                    }
+                    scores[v - np] = s;
+                }
+            }
+            let Some((_, sig)) = queue.pop_first() else {
+                break;
+            };
+            scores[sig - np] = None;
+            dirty = self.node_fanins(sig);
+            for &v in &dirty {
+                fanouts[v - np].retain(|&f| f != sig);
+            }
+            let users = std::mem::take(&mut fanouts[sig - np]);
+            let old: Vec<Vec<usize>> = users.iter().map(|&f| self.node_fanins(f)).collect();
+            // a dead node has no users, so this only deletes it
+            self.collapse(sig, &users);
+            for (&f, old) in users.iter().zip(old) {
+                let new = self.node_fanins(f);
+                for &v in old.iter().filter(|v| !new.contains(v)) {
+                    fanouts[v - np].retain(|&g| g != f);
+                }
+                for &v in new.iter().filter(|v| !old.contains(v)) {
+                    fanouts[v - np].push(f);
+                }
+                dirty.push(f);
+                dirty.extend(old);
+            }
+        }
+    }
+
+    /// The node signals in the support of node `signal`'s cover, ascending.
+    fn node_fanins(&self, signal: usize) -> Vec<usize> {
+        let np = self.num_pis();
+        self.cover(signal)
+            .map(|c| c.support().iter().filter(|&v| v >= np).collect())
+            .unwrap_or_default()
     }
 
     /// Greedy common-divisor extraction: collects kernels and common cubes
@@ -748,7 +785,8 @@ mod tests {
         // f = ¬t
         let f = s.add_node(Sop::from_cubes([Cube::literal(t, false)]));
         s.add_output("f", f);
-        assert!(s.collapse(t));
+        s.collapse(t, &[f]);
+        assert!(s.cover(t).is_none());
         // f must now be ¬a + ¬b
         for m in 0..4u64 {
             let expect = !(m & 1 != 0 && m & 2 != 0);
@@ -760,8 +798,11 @@ mod tests {
     fn collapse_refuses_output_nodes() {
         let net = sample_network();
         let mut s = SopNet::from_network(&net);
-        let out_sig = s.outputs()[0].1;
-        assert!(!s.collapse(out_sig));
+        s.eliminate(i64::MAX, usize::MAX);
+        for &(_, sig) in s.outputs() {
+            assert!(s.cover(sig).is_some(), "output node {sig} was collapsed");
+        }
+        check_equiv(&s, &net);
     }
 
     #[test]
@@ -843,5 +884,155 @@ mod tests {
         s.add_output("o", live);
         s.eliminate(-100, 64);
         assert_eq!(s.live_signals().len(), 1);
+    }
+
+    /// The whole-network `eliminate` loop the incremental one replaced:
+    /// every iteration re-scores every live node by rescanning every cover.
+    /// Kept as the oracle for [`SopNet::eliminate`].
+    fn eliminate_reference(s: &mut SopNet, threshold: i64, max_cover: usize) {
+        let is_output = |s: &SopNet, sig: usize| s.outputs.iter().any(|&(_, o)| o == sig);
+        let num_uses = |s: &SopNet, sig: usize| {
+            s.nodes
+                .iter()
+                .flatten()
+                .flat_map(Sop::cubes)
+                .filter(|c| c.phase(sig).is_some())
+                .count()
+        };
+        let collapse_delta = |s: &SopNet, sig: usize| -> Option<i64> {
+            if is_output(s, sig) {
+                return None;
+            }
+            let cover = s.cover(sig)?;
+            if cover.num_cubes() > max_cover {
+                return None;
+            }
+            let needs_complement = s
+                .nodes
+                .iter()
+                .flatten()
+                .any(|f| f.cubes().iter().any(|c| c.phase(sig) == Some(false)));
+            let complement = if needs_complement {
+                if cover.num_cubes() > 24 {
+                    return None;
+                }
+                Some(cover.complement())
+            } else {
+                None
+            };
+            let mut delta: i64 = -(cover.num_literals() as i64);
+            for c in s.nodes.iter().flatten().flat_map(Sop::cubes) {
+                let Some(ph) = c.phase(sig) else { continue };
+                let sub = if ph { cover } else { complement.as_ref()? };
+                let mut rest = c.clone();
+                rest.remove_var(sig);
+                let new: usize = sub
+                    .cubes()
+                    .iter()
+                    .filter_map(|sc| rest.intersect(sc))
+                    .map(|m| m.num_literals())
+                    .sum();
+                delta += new as i64 - c.num_literals() as i64;
+            }
+            Some(delta)
+        };
+        let np = s.num_pis();
+        loop {
+            let mut best: Option<(usize, i64)> = None;
+            for sig in s.live_signals() {
+                if num_uses(s, sig) == 0 && !is_output(s, sig) {
+                    best = Some((sig, i64::MIN));
+                    break;
+                }
+                if let Some(delta) = collapse_delta(s, sig) {
+                    if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
+                        best = Some((sig, delta));
+                    }
+                }
+            }
+            let Some((sig, _)) = best else { break };
+            let cover = s.nodes[sig - np].take().expect("live");
+            let cover_neg = cover.complement();
+            for f in s.nodes.iter_mut().flatten() {
+                if !f.support().contains(sig) {
+                    continue;
+                }
+                let mut new_cubes: Vec<Cube> = Vec::new();
+                for c in f.cubes() {
+                    match c.phase(sig) {
+                        None => new_cubes.push(c.clone()),
+                        Some(ph) => {
+                            let mut rest = c.clone();
+                            rest.remove_var(sig);
+                            let sub = if ph { &cover } else { &cover_neg };
+                            new_cubes
+                                .extend(sub.cubes().iter().filter_map(|sc| rest.intersect(sc)));
+                        }
+                    }
+                }
+                let mut ns = Sop::from_cubes(new_cubes);
+                ns.remove_contained();
+                *f = ns;
+            }
+        }
+    }
+
+    /// A random SOP network over `pis` inputs and `nodes` nodes, drawn from
+    /// `bits`: each node's cover reads inputs and earlier nodes in both
+    /// phases; some nodes drive outputs, the rest may be dead from the start.
+    fn random_sopnet(bits: u64, pis: usize, nodes: usize) -> SopNet {
+        let mut rng = bits | 1;
+        let mut next = move |k: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % k
+        };
+        let mut s = SopNet::new("rand");
+        for i in 0..pis {
+            s.add_pi(format!("x{i}"));
+        }
+        for _ in 0..nodes {
+            let signals = s.num_pis() + s.nodes.len();
+            let cubes = (0..1 + next(4))
+                .filter_map(|_| {
+                    let mut c = Cube::universe();
+                    for _ in 0..1 + next(3) {
+                        // favour recent signals so chains and reconvergence form
+                        let v = signals - 1 - (next(signals as u64) as usize).min(next(6) as usize);
+                        c.add_literal(v, next(3) != 0);
+                    }
+                    (!c.is_universe()).then_some(c)
+                })
+                .collect::<Vec<_>>();
+            let sig = s.add_node(Sop::from_cubes(cubes));
+            if next(4) == 0 {
+                s.add_output(format!("o{sig}"), sig);
+            }
+        }
+        let last = s.num_pis() + s.nodes.len() - 1;
+        s.add_output("last", last);
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(200))]
+
+        #[test]
+        fn eliminate_matches_reference_loop(
+            bits in proptest::arbitrary::any::<u64>(),
+            nodes in 1usize..40,
+            threshold in 0u64..10,
+            cap in 0usize..4,
+        ) {
+            let threshold = threshold as i64 - 2;
+            let max_cover = [4, 16, 64, 256][cap];
+            let mut fast = random_sopnet(bits, 5, nodes);
+            let mut slow = fast.clone();
+            fast.eliminate(threshold, max_cover);
+            eliminate_reference(&mut slow, threshold, max_cover);
+            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
+            proptest::prop_assert_eq!(fast.live_signals(), slow.live_signals());
+        }
     }
 }

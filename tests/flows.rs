@@ -63,6 +63,53 @@ const FPRM_MAPPED: &[(&str, usize, usize)] = &[
     ("z4ml", 15, 33),
 ];
 
+/// `(circuit, premap literals, mapped cells, mapped literals)` of the SOP
+/// baseline's result (`script_algebraic` with its default options) on
+/// `mcnc`, for every registry circuit.
+const SOP_MAPPED: &[(&str, usize, usize, usize)] = &[
+    ("5xp1", 250, 99, 245),
+    ("9sym", 158, 55, 138),
+    ("add6", 102, 26, 59),
+    ("addm4", 450, 177, 455),
+    ("adr4", 104, 32, 74),
+    ("bcd-div3", 50, 22, 50),
+    ("cc", 52, 27, 53),
+    ("cm163a", 30, 11, 26),
+    ("cm82a", 60, 18, 41),
+    ("cm85a", 102, 44, 92),
+    ("cmb", 138, 53, 114),
+    ("co14", 120, 41, 96),
+    ("f2", 28, 12, 26),
+    ("f51m", 252, 97, 231),
+    ("frg1", 128, 35, 99),
+    ("i1", 40, 26, 46),
+    ("i3", 252, 60, 186),
+    ("i4", 372, 84, 270),
+    ("i5", 396, 199, 397),
+    ("m181", 144, 35, 79),
+    ("majority", 26, 10, 25),
+    ("misg", 138, 46, 115),
+    ("mish", 204, 68, 170),
+    ("mlp4", 612, 234, 647),
+    ("my_adder", 288, 67, 151),
+    ("parity", 132, 29, 65),
+    ("pcle", 54, 28, 55),
+    ("pcler8", 124, 56, 118),
+    ("pm1", 38, 22, 41),
+    ("radd", 104, 32, 74),
+    ("rd53", 94, 26, 60),
+    ("rd73", 194, 79, 203),
+    ("rd84", 242, 100, 253),
+    ("shift", 266, 128, 290),
+    ("sqr6", 236, 90, 223),
+    ("squar5", 90, 34, 73),
+    ("sym10", 196, 84, 209),
+    ("t481", 64, 27, 58),
+    ("tcon", 32, 24, 40),
+    ("xor10", 78, 17, 38),
+    ("z4ml", 94, 28, 66),
+];
+
 /// The redundancy counters the rewrites are named by, in the column order
 /// of [`FPRM_REDUNDANCY`].
 const REDUNDANCY_COUNTERS: [&str; 5] = [
@@ -162,25 +209,35 @@ fn fprm_flow_preserves_every_benchmark() {
 }
 
 #[test]
-fn sop_flow_preserves_every_small_benchmark() {
+fn sop_flow_preserves_every_benchmark() {
+    let lib = Library::mcnc();
+    let mut pinned = 0;
     for b in registry() {
-        if b.io.0 > 20 {
-            continue;
-        }
         let spec = build(b.name).expect("registered");
-        // reduced effort: this test checks correctness, not quality
-        let opts = ScriptOptions {
-            max_extracted: 60,
-            rounds: 1,
-            ..ScriptOptions::default()
-        };
-        let out = script_algebraic(&spec, &opts);
+        let out = script_algebraic(&spec, &ScriptOptions::default());
         assert!(
             equivalent_on(&spec, &out, &check_patterns(b.io.0)),
             "{} baseline result differs",
             b.name
         );
+        let &(_, lits, cells, mapped_lits) = SOP_MAPPED
+            .iter()
+            .find(|(name, _, _, _)| *name == b.name)
+            .unwrap_or_else(|| panic!("{} has no pinned SOP result", b.name));
+        let mapped = map_network(&out, &lib);
+        assert_eq!(
+            (
+                out.two_input_cost().1,
+                mapped.num_gates(),
+                mapped.num_literals()
+            ),
+            (lits, cells, mapped_lits),
+            "{} SOP (premap literals, mapped cells, mapped literals)",
+            b.name
+        );
+        pinned += 1;
     }
+    assert_eq!(pinned, SOP_MAPPED.len(), "a pinned circuit left the suite");
 }
 
 #[test]
