@@ -27,7 +27,7 @@ pub mod telemetry;
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
 use xsynth_core::{
-    try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
+    phase, try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
@@ -41,80 +41,6 @@ pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
 /// and degrades to fixed-seed simulation (`verified: "downgraded"`)
 /// instead of stalling the whole sweep.
 pub const VERIFY_NODE_CAP: usize = 4_000_000;
-
-/// Metrics of one synthesized implementation.
-#[derive(Debug, Clone)]
-pub struct FlowResult {
-    /// Two-input AND/OR gates before mapping.
-    pub premap_gates: usize,
-    /// Literals before mapping (2 × gates — the paper's accounting).
-    pub premap_lits: usize,
-    /// Mapped cell count.
-    pub map_gates: usize,
-    /// Mapped literal (pin) count.
-    pub map_lits: usize,
-    /// Mapped area.
-    pub map_area: f64,
-    /// Normalized switching power of the mapped netlist.
-    pub power: f64,
-    /// Synthesis wall-clock seconds (the flow itself).
-    pub synth_seconds: f64,
-    /// Technology-mapping + power-model wall-clock seconds.
-    pub map_seconds: f64,
-    /// Equivalence-check wall-clock seconds.
-    pub verify_seconds: f64,
-    /// Equivalence-check outcome against the specification.
-    pub verified: VerifyStatus,
-    /// The synthesis report with per-phase timings and the run's trace
-    /// (`None` for the SOP baseline, which has no FPRM phases).
-    pub report: Option<SynthReport>,
-}
-
-impl FlowResult {
-    /// Total wall-clock attributed to this flow (synth + map + verify).
-    pub fn total_seconds(&self) -> f64 {
-        self.synth_seconds + self.map_seconds + self.verify_seconds
-    }
-}
-
-/// Runs one synthesized network through mapping/power/verification,
-/// timing each stage separately. Verification runs under `budget` via
-/// `try_check`, so a blowup degrades to simulation instead of stalling.
-fn evaluate(
-    spec: &Network,
-    result: &Network,
-    lib: &Library,
-    synth_seconds: f64,
-    budget: &Budget,
-) -> FlowResult {
-    let (premap_gates, premap_lits) = result.two_input_cost();
-    let t_map = Instant::now();
-    let mapped = map_network(result, lib);
-    let mapped_net = mapped.to_network(lib);
-    let power = power_estimate(&mapped_net).total;
-    let map_seconds = t_map.elapsed().as_secs_f64();
-    let t_verify = Instant::now();
-    let mut checker = EquivChecker::with_budget(spec, budget);
-    let verified = match checker.try_check(result) {
-        Ok(true) if checker.downgraded() => VerifyStatus::Downgraded,
-        Ok(true) => VerifyStatus::Verified,
-        _ => VerifyStatus::Failed,
-    };
-    let verify_seconds = t_verify.elapsed().as_secs_f64();
-    FlowResult {
-        premap_gates,
-        premap_lits,
-        map_gates: mapped.num_gates(),
-        map_lits: mapped.num_literals(),
-        map_area: mapped.area(),
-        power,
-        synth_seconds,
-        map_seconds,
-        verify_seconds,
-        verified,
-        report: None,
-    }
-}
 
 /// Which flow [`measure_flow`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,14 +75,12 @@ impl Default for MeasureOptions {
     }
 }
 
-/// One measured flow: the human-facing [`FlowResult`] plus the
-/// machine-readable [`BenchRecord`] and the synthesized network itself.
+/// One measured flow: its [`BenchRecord`] and the synthesized network.
 #[derive(Debug, Clone)]
 pub struct Measured {
-    /// The telemetry record (persisted in `BENCH_*.json`).
+    /// The telemetry record (persisted in `BENCH_*.json`, rendered by
+    /// [`render_table2`]).
     pub record: BenchRecord,
-    /// The human-facing metrics (drives `render_table2`).
-    pub flow: FlowResult,
     /// The synthesized network of the recorded (last) run.
     pub network: Network,
 }
@@ -213,7 +137,10 @@ pub fn measure_flow(
 
 /// Assembles a [`Measured`] from an already-synthesized network — the
 /// tail of [`measure_flow`], also used by the CLI's `--bench-json` so the
-/// record describes the exact run the CLI performed.
+/// record describes the exact run the CLI performed. The network goes
+/// through mapping, the power model and verification, each timed
+/// separately; verification runs under `verify_budget` via `try_check`,
+/// so a blowup degrades to simulation instead of stalling.
 #[allow(clippy::too_many_arguments)]
 pub fn record_from_run(
     name: &str,
@@ -225,28 +152,38 @@ pub fn record_from_run(
     lib: &Library,
     verify_budget: &Budget,
 ) -> Measured {
-    let synth_seconds = synth_times.last().copied().unwrap_or(0.0);
-    let mut fr = evaluate(spec, &network, lib, synth_seconds, verify_budget);
-    fr.report = report;
+    let (premap_gates, premap_lits) = network.two_input_cost();
+    let t_map = Instant::now();
+    let mapped = map_network(&network, lib);
+    let power = power_estimate(&mapped.to_network(lib)).total;
+    let map_seconds = t_map.elapsed().as_secs_f64();
+    let t_verify = Instant::now();
+    let mut checker = EquivChecker::with_budget(spec, verify_budget);
+    let verified = match checker.try_check(&network) {
+        Ok(true) if checker.downgraded() => VerifyStatus::Downgraded,
+        Ok(true) => VerifyStatus::Verified,
+        _ => VerifyStatus::Failed,
+    };
+    let verify_seconds = t_verify.elapsed().as_secs_f64();
     let mut record = BenchRecord {
         name: name.to_string(),
         flow: flow_label.to_string(),
-        premap_gates: fr.premap_gates as u64,
-        premap_lits: fr.premap_lits as u64,
-        map_gates: fr.map_gates as u64,
-        map_lits: fr.map_lits as u64,
-        map_area: fr.map_area,
-        power: fr.power,
-        verified: fr.verified,
-        salvaged: fr.report.as_ref().map_or(0, |r| r.salvaged.len() as u64),
+        premap_gates: premap_gates as u64,
+        premap_lits: premap_lits as u64,
+        map_gates: mapped.num_gates() as u64,
+        map_lits: mapped.num_literals() as u64,
+        map_area: mapped.area(),
+        power,
+        verified,
+        salvaged: report.as_ref().map_or(0, |r| r.salvaged.len() as u64),
         runs: synth_times.len() as u64,
         median_seconds: median(synth_times),
         min_seconds: synth_times.iter().copied().fold(f64::INFINITY, f64::min),
-        synth_seconds,
+        synth_seconds: synth_times.last().copied().unwrap_or(0.0),
         latency_p50_seconds: latency_quantile(synth_times, 0.50),
         latency_p99_seconds: latency_quantile(synth_times, 0.99),
-        map_seconds: fr.map_seconds,
-        verify_seconds: fr.verify_seconds,
+        map_seconds,
+        verify_seconds,
         phases: Default::default(),
         counters: Default::default(),
         gauges: Default::default(),
@@ -254,7 +191,7 @@ pub fn record_from_run(
     if !record.min_seconds.is_finite() {
         record.min_seconds = 0.0;
     }
-    if let Some(r) = &fr.report {
+    if let Some(r) = &report {
         for p in &r.profile.phases {
             record
                 .phases
@@ -271,11 +208,7 @@ pub fn record_from_run(
             .gauges
             .insert("mem.peak_rss_kb".to_string(), kb as f64);
     }
-    Measured {
-        record,
-        flow: fr,
-        network,
-    }
+    Measured { record, network }
 }
 
 /// Latency percentile via the shared fixed-bucket log-scale histogram
@@ -304,24 +237,38 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Renders a one-line phase-timing breakdown from a flow's report: each
-/// profiled phase's milliseconds in pipeline order, plus the
-/// polarity-search counters from the trace. Returns `None` when the flow
-/// carries no report.
-pub fn render_phases(fr: &FlowResult) -> Option<String> {
-    let r = fr.report.as_ref()?;
-    let mut s = String::new();
-    for p in &r.profile.phases {
-        s.push_str(&format!(
-            "{} {:.1}ms ",
-            p.name,
-            p.duration.as_secs_f64() * 1e3
-        ));
+/// The FPRM pipeline's phases in the order they run.
+const PIPELINE_ORDER: [&str; 5] = [
+    phase::FPRM,
+    phase::FACTORING,
+    phase::VERIFY,
+    phase::SHARING,
+    phase::REDUNDANCY,
+];
+
+/// Renders a one-line phase-timing breakdown from a record: each phase's
+/// milliseconds in pipeline order, plus the polarity-search counters.
+/// Returns `None` when the record has no phases (the SOP baseline).
+pub fn render_phases(r: &BenchRecord) -> Option<String> {
+    if r.phases.is_empty() {
+        return None;
     }
+    let mut phases: Vec<(&String, &f64)> = r.phases.iter().collect();
+    phases.sort_by_key(|(name, _)| {
+        PIPELINE_ORDER
+            .iter()
+            .position(|p| p == name)
+            .unwrap_or(PIPELINE_ORDER.len())
+    });
+    let mut s = String::new();
+    for (name, seconds) in phases {
+        s.push_str(&format!("{name} {:.1}ms ", seconds * 1e3));
+    }
+    let counter = |name: &str| r.counters.get(name).copied().unwrap_or(0);
     s.push_str(&format!(
         "(polarity: {} eval, {} memo)",
-        r.trace.counter("polarity.evaluated"),
-        r.trace.counter("polarity.memo_hit"),
+        counter("polarity.evaluated"),
+        counter("polarity.memo_hit"),
     ));
     Some(s)
 }
@@ -331,10 +278,10 @@ pub fn render_phases(fr: &FlowResult) -> Option<String> {
 pub struct Table2Row {
     /// The benchmark (with the paper's reference numbers).
     pub bench: Benchmark,
-    /// Baseline (SIS-style) result.
-    pub sop: FlowResult,
-    /// FPRM-flow result.
-    pub fprm: FlowResult,
+    /// Baseline (SIS-style) record.
+    pub sop: BenchRecord,
+    /// FPRM-flow record.
+    pub fprm: BenchRecord,
 }
 
 impl Table2Row {
@@ -382,12 +329,12 @@ pub fn run_suite(
         let spec = xsynth_circuits::build(bench.name).expect("registered circuit builds");
         let sop = measure_flow(bench.name, &spec, Flow::Sop, "sop", &lib, opts)?;
         let fprm = measure_flow(bench.name, &spec, Flow::Fprm, "fprm", &lib, opts)?;
-        records.push(sop.record);
-        records.push(fprm.record);
+        records.push(sop.record.clone());
+        records.push(fprm.record.clone());
         rows.push(Table2Row {
             bench,
-            sop: sop.flow,
-            fprm: fprm.flow,
+            sop: sop.record,
+            fprm: fprm.record,
         });
     }
     Ok((

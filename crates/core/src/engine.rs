@@ -186,7 +186,7 @@ impl Engine {
     /// Synthesizes `spec` with the paper's FPRM flow under `opts`,
     /// consulting and populating the engine's cache and substrate pool.
     /// The returned network is verified equivalent to `spec` (exactly via
-    /// BDDs up to 40 inputs, statistically beyond); see
+    /// BDDs unless the budget's node cap trips); see
     /// [`crate::try_synthesize`] for the error contract.
     pub fn try_synthesize(
         &self,

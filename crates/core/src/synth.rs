@@ -391,7 +391,8 @@ pub struct SynthOutcome {
 
 /// Synthesizes `spec` with the paper's FPRM flow and returns the optimized
 /// network plus a report. The result is verified equivalent to `spec`
-/// (exactly via BDDs up to 40 inputs, statistically beyond).
+/// (exactly via BDDs; by fixed-seed simulation only when the budget's
+/// node cap trips, which [`SynthReport::curtailed`] then lists).
 ///
 /// A tripped [`Budget`] surfaces as [`Error::Budget`] (when no degraded
 /// result was possible) and a failed verification as [`Error::Verify`].
@@ -473,7 +474,9 @@ fn curtail(report: &mut SynthReport, name: &str) {
     }
 }
 
-/// The traced pipeline body of [`try_synthesize`].
+/// The traced pipeline body of [`try_synthesize`]. An error returns with
+/// `?` from wherever it arises: dropping `main` closes the spans still
+/// open, so the trace keeps its nesting on every path.
 fn run_pipeline(
     engine: &Engine,
     spec: &Network,
@@ -497,14 +500,7 @@ fn run_pipeline(
     main.end();
     main.gauge("bdd.nodes", bm.num_nodes() as f64);
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
-    let out_bdds = match out_bdds {
-        Ok(b) => b,
-        Err(e) => {
-            main.end(); // fprm
-            main.end(); // synthesize
-            return Err(e);
-        }
-    };
+    let out_bdds = out_bdds?;
 
     // granularity decision: block mode when some output's FPRM would be
     // unreasonably wide (cube counts are cheap to read off the OFDD); a
@@ -531,7 +527,7 @@ fn run_pipeline(
         main.end();
         net
     } else {
-        let net = synthesize_outputs(
+        synthesize_outputs(
             engine,
             &spec,
             opts,
@@ -542,14 +538,7 @@ fn run_pipeline(
             fprm_deadline,
             sink,
             &mut main,
-        );
-        match net {
-            Ok(net) => net,
-            Err(e) => {
-                main.end(); // synthesize (phase spans were closed by callee)
-                return Err(e);
-            }
-        }
+        )?
     };
 
     // cross-output sharing (the role `resub` plays in the paper)
@@ -559,17 +548,12 @@ fn run_pipeline(
     main.end();
     main.begin(phase::VERIFY);
     let mut checker = EquivChecker::with_budget(&spec, &opts.budget);
-    let factored_ok = checker.try_check_traced(&result, &mut main);
-    main.end();
-    if !matches!(factored_ok, Ok(true)) {
-        main.end(); // synthesize
-        return match factored_ok {
-            Ok(_) => Err(Error::Verify(
-                "factored network is not equivalent to the spec".into(),
-            )),
-            Err(e) => Err(e),
-        };
+    if !checker.try_check_traced(&result, &mut main)? {
+        return Err(Error::Verify(
+            "factored network is not equivalent to the spec".into(),
+        ));
     }
+    main.end();
     if opts.share {
         main.begin(phase::SHARING);
         let shared = share_pass(&result);
@@ -590,22 +574,14 @@ fn run_pipeline(
         patterns.truncate(opts.budget.cap_patterns(patterns.len()));
         main.gauge("redundancy.patterns", patterns.len() as f64);
         let blocks = pack_patterns(n, &patterns);
-        let reduced = remove_redundancy(
+        let (reduced, curtailed) = remove_redundancy(
             &result,
             &blocks,
             &mut checker,
             MAX_PASSES,
             deadline,
             &mut main,
-        );
-        let (reduced, curtailed) = match reduced {
-            Ok(r) => r,
-            Err(e) => {
-                main.end(); // redundancy
-                main.end(); // synthesize
-                return Err(e);
-            }
-        };
+        )?;
         if curtailed {
             curtail(report, phase::REDUNDANCY);
         }
@@ -724,19 +700,9 @@ fn plan_output(
     };
     buf.begin("ofdd");
     let mut om = OfddManager::new(pol.clone());
-    let root = match om.from_bdd(bm, f) {
-        Ok(root) => root,
-        Err(e) => {
-            buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
-            buf.end(); // ofdd
-            buf.end(); // plan
-            return Err(Error::Budget(BudgetExceeded::new(
-                phase::FPRM,
-                Resource::BddNodes,
-                e.limit as u64,
-            )));
-        }
-    };
+    let root = om
+        .from_bdd(bm, f)
+        .map_err(|e| BudgetExceeded::new(phase::FPRM, Resource::BddNodes, e.limit as u64))?;
     let count = om.num_cubes(root);
     buf.end();
     buf.gauge("ofdd.nodes", om.num_nodes() as f64);
@@ -840,6 +806,53 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Why a contained attempt failed: the cause text for the
+/// [`SalvageRecord`], and the typed error (`None` for a panic).
+type Failure = (String, Option<Error>);
+
+/// Splits the result of a [`TraceBuffer::contain`]ed attempt into its value
+/// or its [`Failure`].
+fn classify<T>(attempt: std::thread::Result<Result<T, Error>>) -> Result<T, Failure> {
+    match attempt {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err((e.to_string(), Some(e))),
+        Err(p) => Err((panic_message(p.as_ref()), None)),
+    }
+}
+
+/// The error a [`Failure`] of `output` propagates as: its typed error,
+/// or [`Error::OutputFailed`] for a panic.
+fn fatal(output: &str, (cause, typed): Failure) -> Error {
+    typed.unwrap_or_else(|| Error::OutputFailed {
+        output: output.to_string(),
+        cause,
+    })
+}
+
+/// Accounts for a contained fault in the structure built for `output`:
+/// fatal with [`SynthOptions::salvage`] off, otherwise counted as a
+/// `salvage.attempts` and recorded as salvaged on `rung`. The caller rolls
+/// the structure back.
+fn salvage(
+    opts: &SynthOptions,
+    report: &mut SynthReport,
+    buf: &mut TraceBuffer,
+    output: &str,
+    rung: SalvageRung,
+    failure: Failure,
+) -> Result<(), Error> {
+    if !opts.salvage {
+        return Err(fatal(output, failure));
+    }
+    buf.count("salvage.attempts", 1);
+    report.salvaged.push(SalvageRecord {
+        output: output.to_string(),
+        rung,
+        cause: failure.0,
+    });
+    Ok(())
+}
+
 /// [`plan_output`] behind the per-output salvage ladder. A panic in the
 /// attempt is contained with `catch_unwind` and — like a typed error —
 /// retried down the rungs when [`SynthOptions::salvage`] is on:
@@ -867,51 +880,25 @@ fn plan_with_salvage(
     seed: Option<&PlanSeed>,
     mut make_buf: impl FnMut() -> TraceBuffer,
 ) -> Result<(OutputPlan, Option<SalvageRecord>), Error> {
-    let mut buf = make_buf();
-    let first = buf.contain(|buf| {
-        plan_output(
-            name,
-            f,
-            bm,
-            n,
-            num_outputs,
-            opts,
-            candidate_parallel,
-            deadline,
-            seed,
-            buf,
-        )
-    });
-    let (cause, first_typed) = match first {
-        Ok(Ok(plan)) => return Ok((plan, None)),
-        Ok(Err(e)) => {
-            buf.discard();
-            (e.to_string(), Some(e))
-        }
-        Err(p) => {
-            buf.discard();
-            (panic_message(p.as_ref()), None)
-        }
-    };
-    let fail = |typed: Option<Error>, cause: String| {
-        typed.unwrap_or_else(|| Error::OutputFailed {
-            output: name.to_string(),
-            cause,
-        })
-    };
-    if !opts.salvage {
-        return Err(fail(first_typed, cause));
-    }
-    for rung in [SalvageRung::SkipFactor, SalvageRung::DirectFprm] {
-        let mut ropts = opts.clone();
-        ropts.method = FactorMethod::Ofdd;
-        if rung == SalvageRung::DirectFprm {
-            ropts.polarity = PolarityMode::AllPositive;
-        }
+    let mut first: Option<Failure> = None;
+    for rung in [
+        None,
+        Some(SalvageRung::SkipFactor),
+        Some(SalvageRung::DirectFprm),
+    ] {
         let mut buf = make_buf();
-        buf.count("salvage.attempts", 1);
+        let mut ropts = opts.clone();
         // salvage rungs never reuse the seed: if the seeded attempt died,
         // the cached entry is a suspect and the rung re-derives from scratch
+        let mut seed = seed;
+        if let Some(rung) = rung {
+            ropts.method = FactorMethod::Ofdd;
+            if rung == SalvageRung::DirectFprm {
+                ropts.polarity = PolarityMode::AllPositive;
+            }
+            seed = None;
+            buf.count("salvage.attempts", 1);
+        }
         let attempt = buf.contain(|buf| {
             plan_output(
                 name,
@@ -922,23 +909,29 @@ fn plan_with_salvage(
                 &ropts,
                 candidate_parallel,
                 deadline,
-                None,
+                seed,
                 buf,
             )
         });
-        match attempt {
-            Ok(Ok(plan)) => {
-                let record = SalvageRecord {
+        match classify(attempt) {
+            Ok(plan) => {
+                let record = rung.zip(first).map(|(rung, (cause, _))| SalvageRecord {
                     output: name.to_string(),
                     rung,
-                    cause: cause.clone(),
-                };
-                return Ok((plan, Some(record)));
+                    cause,
+                });
+                return Ok((plan, record));
             }
-            Ok(Err(_)) | Err(_) => buf.discard(),
+            Err(failure) => {
+                buf.discard();
+                first.get_or_insert(failure);
+            }
+        }
+        if !opts.salvage {
+            break;
         }
     }
-    Err(fail(first_typed, cause))
+    Err(fatal(name, first.expect("a failed attempt")))
 }
 
 /// Word-packed simulation check that the cone rooted at `sig` in `net`
@@ -976,8 +969,65 @@ fn emitted_cone_matches(net: &Network, sig: SignalId, bm: &BddManager, f: xsynth
     true
 }
 
-/// The per-output (collapsed) synthesis path. On a hard budget trip the
-/// phase spans opened here are closed before the error propagates.
+/// Literal signals of the network under construction: id `2v` is input
+/// `v`, `2v + 1` its complement (one shared inverter per variable), and
+/// ids from `2n` up are the shared divisors emitted so far.
+struct Literals {
+    inputs: Vec<SignalId>,
+    nots: HashMap<usize, SignalId>,
+    divisors: HashMap<usize, SignalId>,
+}
+
+impl Literals {
+    fn signal(&mut self, net: &mut Network, id: usize) -> SignalId {
+        let v = id / 2;
+        if v >= self.inputs.len() {
+            return self.divisors[&id];
+        }
+        let input = self.inputs[v];
+        if id.is_multiple_of(2) {
+            input
+        } else {
+            *self
+                .nots
+                .entry(v)
+                .or_insert_with(|| net.add_gate(GateKind::Not, vec![input]))
+        }
+    }
+}
+
+/// Dependency order of the extracted divisors: each divisor after every
+/// divisor its cubes reference.
+fn divisor_order(divisors: &[(usize, Vec<VarSet>)], n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = Vec::new();
+    let mut emitted: Vec<bool> = vec![false; divisors.len()];
+    let index_of: HashMap<usize, usize> = divisors
+        .iter()
+        .enumerate()
+        .map(|(k, (y, _))| (*y, k))
+        .collect();
+    while order.len() < divisors.len() {
+        let before = order.len();
+        for (k, (_, cubes)) in divisors.iter().enumerate() {
+            if emitted[k] {
+                continue;
+            }
+            let ready = cubes.iter().all(|c| {
+                c.iter()
+                    .all(|l| l < 2 * n || index_of.get(&l).is_none_or(|&dk| emitted[dk]))
+            });
+            if ready {
+                emitted[k] = true;
+                order.push(k);
+            }
+        }
+        assert!(order.len() > before, "cyclic divisor dependency");
+    }
+    order
+}
+
+/// The per-output (collapsed) synthesis path. An error returns with the
+/// phase span still open; the caller's buffer closes it.
 #[allow(clippy::too_many_arguments)]
 fn synthesize_outputs(
     engine: &Engine,
@@ -993,11 +1043,15 @@ fn synthesize_outputs(
 ) -> Result<Network, Error> {
     let n = spec.inputs().len();
     let mut net = Network::new(spec.name().to_string());
-    let inputs: Vec<SignalId> = spec
-        .inputs()
-        .iter()
-        .map(|&i| net.add_input(spec.node_name(i).unwrap_or("in").to_string()))
-        .collect();
+    let mut lits = Literals {
+        inputs: spec
+            .inputs()
+            .iter()
+            .map(|&i| net.add_input(spec.node_name(i).unwrap_or("in").to_string()))
+            .collect(),
+        nots: HashMap::new(),
+        divisors: HashMap::new(),
+    };
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. With
     // multiple outputs the planning fans out across worker threads, all
@@ -1010,7 +1064,8 @@ fn synthesize_outputs(
     // that index — which makes both the result and the trace independent
     // of thread scheduling.
     main.begin(phase::FPRM);
-    let num_outputs = spec.outputs().len();
+    let outs = spec.outputs();
+    let num_outputs = outs.len();
     let parallel_outputs = opts.parallel && num_outputs > 1;
     let candidate_parallel = opts.parallel && !parallel_outputs;
     // Cache pre-pass (sequential, before the fan-out): hash each output
@@ -1019,24 +1074,20 @@ fn synthesize_outputs(
     // order, so worker threads never touch the cache and the
     // parallel ≡ sequential determinism contract is preserved.
     let mode_salt = polarity_mode_salt(opts.polarity);
-    let cones: Vec<xsynth_cache::Cone> = spec
-        .outputs()
+    let cones: Vec<xsynth_cache::Cone> = outs
         .iter()
         .map(|(_, sig)| xsynth_cache::cone_of(spec, *sig))
         .collect();
     // A disabled cache (zero byte budget) bypasses the lookup entirely:
     // no seeds, and no per-job miss accounting for lookups never made.
-    let seeds: Vec<Option<PlanSeed>> = if engine.cache_enabled() {
-        cones
-            .iter()
-            .map(|cone| engine.lookup_seed(cone, n, mode_salt))
-            .collect()
-    } else {
-        cones.iter().map(|_| None).collect()
-    };
-    if engine.cache_enabled() {
-        for seed in &seeds {
-            match seed {
+    let seeds: Vec<Option<PlanSeed>> = cones
+        .iter()
+        .map(|cone| {
+            if !engine.cache_enabled() {
+                return None;
+            }
+            let seed = engine.lookup_seed(cone, n, mode_salt);
+            match &seed {
                 Some(s) => {
                     report.cache.polarity_hits += 1;
                     if s.cubes.is_some() {
@@ -1047,49 +1098,48 @@ fn synthesize_outputs(
                 }
                 None => report.cache.lookup_misses += 2, // polarity + cubes tiers
             }
-        }
-    }
-    let plan_buffer =
-        |i: usize, name: &str| sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM);
+            seed
+        })
+        .collect();
     type Planned = (OutputPlan, Option<SalvageRecord>);
-    type PlanSlots = (Vec<(usize, Result<Planned, Error>)>, Vec<String>);
-    let plans: Result<Vec<Planned>, Error> = if parallel_outputs {
-        let workers = xsynth_bdd::worker_threads(num_outputs);
-        let next = AtomicUsize::new(0);
-        let outs = spec.outputs();
-        // Workers are panic-isolated twice over: plan_with_salvage
-        // contains panics inside each attempt, and a worker that still
-        // dies (a panic outside the contained region) is recorded here
-        // instead of aborting the process — its unplanned outputs become
-        // typed errors below.
-        let (done, worker_deaths): PlanSlots = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= num_outputs {
-                                break;
-                            }
-                            let plan = plan_with_salvage(
-                                &outs[i].0,
-                                out_bdds[i],
-                                bm,
-                                n,
-                                num_outputs,
-                                opts,
-                                false,
-                                deadline,
-                                seeds[i].as_ref(),
-                                || plan_buffer(i, &outs[i].0),
-                            );
-                            mine.push((i, plan));
-                        }
-                        mine
-                    })
-                })
-                .collect();
+    // Each worker claims output indices until none are left; one worker
+    // runs the loop inline.
+    let next = AtomicUsize::new(0);
+    let claim = || -> Vec<(usize, Result<Planned, Error>)> {
+        std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+            .take_while(|&i| i < num_outputs)
+            .map(|i| {
+                let name = &outs[i].0;
+                let plan = plan_with_salvage(
+                    name,
+                    out_bdds[i],
+                    bm,
+                    n,
+                    num_outputs,
+                    opts,
+                    candidate_parallel,
+                    deadline,
+                    seeds[i].as_ref(),
+                    || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
+                );
+                (i, plan)
+            })
+            .collect()
+    };
+    let workers = if parallel_outputs {
+        xsynth_bdd::worker_threads(num_outputs)
+    } else {
+        1
+    };
+    // Workers are panic-isolated twice over: plan_with_salvage contains
+    // panics inside each attempt, and a worker that still dies (a panic
+    // outside the contained region) is recorded here instead of aborting
+    // the process — its unplanned outputs become typed errors below.
+    let (done, worker_deaths) = if workers == 1 {
+        (claim(), Vec::new())
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
             let mut done = Vec::new();
             let mut deaths = Vec::new();
             for h in handles {
@@ -1099,78 +1149,44 @@ fn synthesize_outputs(
                 }
             }
             (done, deaths)
-        });
-        let mut slots: Vec<Option<Result<Planned, Error>>> =
-            (0..num_outputs).map(|_| None).collect();
-        for (i, plan) in done {
-            slots[i] = Some(plan);
-        }
-        // errors propagate in output-index order, so the reported trip is
-        // deterministic regardless of thread scheduling; an output whose
-        // worker died before planning it carries the worker's panic
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| {
-                p.unwrap_or_else(|| {
-                    Err(Error::OutputFailed {
-                        output: outs[i].0.clone(),
-                        cause: worker_deaths.first().cloned().unwrap_or_else(|| {
-                            "planner worker terminated before planning this output".to_string()
-                        }),
-                    })
+        })
+    };
+    let mut slots: Vec<Option<Result<Planned, Error>>> = (0..num_outputs).map(|_| None).collect();
+    for (i, plan) in done {
+        slots[i] = Some(plan);
+    }
+    // errors propagate in output-index order, so the reported trip is
+    // deterministic regardless of thread scheduling; an output whose
+    // worker died before planning it carries the worker's panic
+    let planned = slots
+        .into_iter()
+        .zip(outs)
+        .map(|(p, (name, _))| {
+            p.unwrap_or_else(|| {
+                Err(Error::OutputFailed {
+                    output: name.clone(),
+                    cause: worker_deaths.first().cloned().unwrap_or_else(|| {
+                        "planner worker terminated before planning this output".to_string()
+                    }),
                 })
             })
-            .collect()
-    } else {
-        spec.outputs()
-            .iter()
-            .zip(out_bdds.iter())
-            .enumerate()
-            .map(|(i, ((name, _), &f))| {
-                plan_with_salvage(
-                    name,
-                    f,
-                    bm,
-                    n,
-                    num_outputs,
-                    opts,
-                    candidate_parallel,
-                    deadline,
-                    seeds[i].as_ref(),
-                    || plan_buffer(i, name),
-                )
-            })
-            .collect()
-    };
-    let plans = match plans {
-        Ok(plans) => plans,
-        Err(e) => {
-            main.end(); // fprm
-            return Err(e);
-        }
-    };
-    let mut plans: Vec<OutputPlan> = plans
-        .into_iter()
-        .enumerate()
-        .map(|(i, (plan, salvage))| {
-            match salvage {
-                Some(record) => report.salvaged.push(record),
-                // populate the cache from clean plans only: a salvaged
-                // plan's polarity/cubes reflect a degraded rung, not the
-                // winner these options would find on a healthy run
-                None => engine.store_plan(
-                    &cones[i],
-                    mode_salt,
-                    &plan.pol,
-                    plan.cube_count,
-                    &plan.fprm_cubes,
-                ),
-            }
-            plan
         })
-        .collect();
-    for plan in &mut plans {
+        .collect::<Result<Vec<Planned>, Error>>()?;
+    let mut plans: Vec<OutputPlan> = Vec::with_capacity(num_outputs);
+    for (cone, (mut plan, salvaged)) in cones.iter().zip(planned) {
+        match salvaged {
+            Some(record) => report.salvaged.push(record),
+            // populate the cache from clean plans only: a salvaged plan's
+            // polarity/cubes reflect a degraded rung, not the winner these
+            // options would find on a healthy run
+            None => engine.store_plan(
+                cone,
+                mode_salt,
+                &plan.pol,
+                plan.cube_count,
+                &plan.fprm_cubes,
+            ),
+        }
         report
             .outputs
             .push((plan.name.clone(), plan.cube_count, plan.pol.clone()));
@@ -1178,35 +1194,29 @@ fn synthesize_outputs(
             curtail(report, phase::FPRM);
         }
         pattern_lists.push(std::mem::take(&mut plan.patterns));
+        plans.push(plan);
     }
     main.end();
     main.begin(phase::FACTORING);
 
     // Phase 2: GF(2) common-divisor extraction across the cube-method
-    // outputs (the cross-output merge the paper delegates to resub).
+    // outputs (the cross-output merge the paper delegates to resub), and
+    // the divisors' emission in dependency order. The divisors are shared
+    // structure, so both halves are one contained attempt: a fault in
+    // either (typed error or panic) un-shares every cube output back to
+    // its saved pre-extraction cover, which references no divisor, and
+    // the abandoned attempt's gates are dead, swept by the later strash
+    // pass. With salvage off the fault is fatal and keeps its typed
+    // identity where it has one.
+    let (mut factored_hits, mut factored_misses) = (0u64, 0u64);
     let cube_outputs: Vec<usize> = plans
         .iter()
         .enumerate()
         .filter_map(|(i, p)| p.lit_cubes.is_some().then_some(i))
         .collect();
-    let (extraction, saved_cubes) = if opts.share && !cube_outputs.is_empty() {
-        // the covers are pulled from the plans by presence (the same
-        // predicate that built `cube_outputs`), so no indexed unwrap can
-        // ever observe a cube-less plan
-        let funcs: Vec<Vec<VarSet>> = plans.iter().filter_map(|p| p.lit_cubes.clone()).collect();
-        // pre-extraction covers, kept so a failed divisor emission can
-        // roll the outputs back to their unshared forms
-        let saved: Vec<(usize, Vec<VarSet>)> = cube_outputs
-            .iter()
-            .copied()
-            .zip(funcs.iter().cloned())
-            .collect();
-        // The extraction is a pure cover rewrite: a fault inside it is
-        // contained by skipping cross-output sharing for this run — the
-        // plans still hold their unshared covers, so nothing needs
-        // rolling back. With salvage off the fault is fatal and keeps its
-        // typed identity where it has one.
-        let attempt = main.contain(|main| -> Result<gfx::Extraction, Error> {
+    if opts.share && !cube_outputs.is_empty() {
+        let saved: Vec<Vec<VarSet>> = plans.iter().filter_map(|p| p.lit_cubes.clone()).collect();
+        let attempt = main.contain(|main| -> Result<usize, Error> {
             xsynth_trace::fail_point!(
                 "core.share",
                 Err(Error::OutputFailed {
@@ -1214,140 +1224,45 @@ fn synthesize_outputs(
                     cause: "injected fault: core.share tripped".to_string(),
                 })
             );
-            Ok(main.span("gfx_extract", |_| {
-                gfx::extract(funcs, 2 * n, &gfx::ExtractOptions::default())
-            }))
-        });
-        let attempt: Result<gfx::Extraction, (String, Option<Error>)> = match attempt {
-            Ok(Ok(ext)) => Ok(ext),
-            Ok(Err(e)) => Err((e.to_string(), Some(e))),
-            Err(p) => Err((panic_message(p.as_ref()), None)),
-        };
-        match attempt {
-            Ok(ext) => {
-                for (&i, rewritten) in cube_outputs.iter().zip(ext.functions.iter()) {
-                    plans[i].lit_cubes = Some(rewritten.clone());
-                }
-                (ext.divisors, saved)
-            }
-            Err((cause, typed)) => {
-                if !opts.salvage {
-                    main.end(); // factoring
-                    return Err(typed.unwrap_or_else(|| Error::OutputFailed {
-                        output: "shared-divisors".to_string(),
-                        cause,
-                    }));
-                }
-                main.count("salvage.attempts", 1);
-                report.salvaged.push(SalvageRecord {
-                    output: "shared-divisors".to_string(),
-                    rung: SalvageRung::SkipSharing,
-                    cause,
-                });
-                (Vec::new(), Vec::new())
-            }
-        }
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    // Phase 3: emit divisors (dependency order), then outputs.
-    let mut not_cache: HashMap<usize, SignalId> = HashMap::new();
-    let mut divisor_sig: HashMap<usize, SignalId> = HashMap::new();
-    // dependency order over divisor literal references
-    let emit_order = {
-        let mut order: Vec<usize> = Vec::new();
-        let mut emitted: Vec<bool> = vec![false; extraction.len()];
-        let index_of: HashMap<usize, usize> = extraction
-            .iter()
-            .enumerate()
-            .map(|(k, (y, _))| (*y, k))
-            .collect();
-        while order.len() < extraction.len() {
-            let before = order.len();
-            for (k, (_, cubes)) in extraction.iter().enumerate() {
-                if emitted[k] {
-                    continue;
-                }
-                let ready = cubes.iter().all(|c| {
-                    c.iter()
-                        .all(|l| l < 2 * n || index_of.get(&l).is_none_or(|&dk| emitted[dk]))
-                });
-                if ready {
-                    emitted[k] = true;
-                    order.push(k);
-                }
-            }
-            assert!(order.len() > before, "cyclic divisor dependency");
-        }
-        order
-    };
-    // literal resolver shared by divisors and outputs
-    macro_rules! resolve_lits {
-        () => {
-            |net: &mut Network, id: usize| -> SignalId {
-                if id < 2 * n {
-                    let v = id / 2;
-                    if id % 2 == 0 {
-                        inputs[v]
-                    } else {
-                        *not_cache
-                            .entry(v)
-                            .or_insert_with(|| net.add_gate(GateKind::Not, vec![inputs[v]]))
-                    }
-                } else {
-                    divisor_sig[&id]
-                }
-            }
-        };
-    }
-    // The divisors are shared structure: a fault emitting any of them is
-    // contained by un-sharing — every cube output rolls back to its saved
-    // pre-extraction cover (which references no divisor literals) and the
-    // abandoned attempt's gates are dead, swept by the later strash pass.
-    let (mut factored_hits, mut factored_misses) = (0u64, 0u64);
-    let divisors_attempt = main.contain(|main| {
-        for k in emit_order {
-            let (y, cubes) = &extraction[k];
-            let expr = engine.factor_cubes_cached(
-                cubes,
-                opts.apply_rules,
-                main,
-                &mut factored_hits,
-                &mut factored_misses,
-            );
-            let mut lits = resolve_lits!();
-            let sig = expr.emit(&mut net, &mut lits);
-            divisor_sig.insert(*y, sig);
-        }
-    });
-    if let Err(p) = divisors_attempt {
-        let cause = panic_message(p.as_ref());
-        if !opts.salvage {
-            main.end(); // factoring
-            return Err(Error::OutputFailed {
-                output: "shared-divisors".to_string(),
-                cause,
+            let ext = main.span("gfx_extract", |_| {
+                gfx::extract(saved.clone(), 2 * n, &gfx::ExtractOptions::default())
             });
-        }
-        main.count("salvage.attempts", 1);
-        main.count("rewrite.rolled_back", 1);
-        report.salvaged.push(SalvageRecord {
-            output: "shared-divisors".to_string(),
-            rung: SalvageRung::SkipSharing,
-            cause,
+            for (&i, rewritten) in cube_outputs.iter().zip(ext.functions) {
+                plans[i].lit_cubes = Some(rewritten);
+            }
+            for k in divisor_order(&ext.divisors, n) {
+                let (y, cubes) = &ext.divisors[k];
+                let expr = engine.factor_cubes_cached(
+                    cubes,
+                    opts.apply_rules,
+                    main,
+                    &mut factored_hits,
+                    &mut factored_misses,
+                );
+                let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
+                lits.divisors.insert(*y, sig);
+            }
+            Ok(ext.divisors.len())
         });
-        divisor_sig.clear();
-        for (i, cubes) in saved_cubes {
-            plans[i].lit_cubes = Some(cubes);
+        match classify(attempt) {
+            // counted only once the divisors are in the network, so a
+            // rollback leaves no trace of sharing
+            Ok(divisors) => main.count("share.divisors", divisors as u64),
+            Err(failure) => {
+                let rung = SalvageRung::SkipSharing;
+                salvage(opts, report, main, "shared-divisors", rung, failure)?;
+                main.count("rewrite.rolled_back", 1);
+                lits.divisors.clear();
+                for (&i, cubes) in cube_outputs.iter().zip(saved) {
+                    plans[i].lit_cubes = Some(cubes);
+                }
+            }
         }
-    } else {
-        // counted only once the divisors are in the network, so a rollback
-        // leaves no trace of sharing
-        main.count("share.divisors", extraction.len() as u64);
     }
+
+    // Phase 3: emit the outputs.
     for plan in plans {
-        let sig = match &plan.lit_cubes {
+        let factored = match &plan.lit_cubes {
             Some(cubes) => {
                 // Self-checking rewrite: the factored emission is
                 // re-simulated against the output's BDD and rolled back
@@ -1362,81 +1277,48 @@ fn synthesize_outputs(
                         &mut factored_hits,
                         &mut factored_misses,
                     );
-                    let mut lits = resolve_lits!();
-                    let sig = expr.emit(&mut net, &mut lits);
+                    let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
                     let ok = emitted_cone_matches(&net, sig, bm, plan.bdd);
                     #[cfg(feature = "failpoints")]
                     let ok = ok && !xsynth_trace::failpoint::hit("core.emit_check");
-                    (sig, ok)
+                    ok.then_some(sig)
                 });
+                let rung = SalvageRung::SkipFactor;
                 match attempt {
-                    Ok((sig, true)) => sig,
-                    other => {
-                        let cause = match &other {
-                            Ok(_) => {
-                                "factored emission diverged from its FPRM reference".to_string()
-                            }
-                            Err(p) => panic_message(p.as_ref()),
-                        };
-                        if other.is_err() && !opts.salvage {
-                            main.end(); // factoring
-                            return Err(Error::OutputFailed {
-                                output: plan.name.clone(),
-                                cause,
-                            });
-                        }
-                        main.count("rewrite.rolled_back", 1);
-                        if other.is_err() {
-                            main.count("salvage.attempts", 1);
-                        }
+                    Ok(Some(sig)) => Some(sig),
+                    Ok(None) => {
                         report.salvaged.push(SalvageRecord {
                             output: plan.name.clone(),
-                            rung: SalvageRung::SkipFactor,
-                            cause,
+                            rung,
+                            cause: "factored emission diverged from its FPRM reference".to_string(),
                         });
-                        let pol = plan.pol.clone();
-                        let mut lits = |net: &mut Network, v: usize| -> SignalId {
-                            if pol.is_positive(v) {
-                                inputs[v]
-                            } else {
-                                *not_cache
-                                    .entry(v)
-                                    .or_insert_with(|| net.add_gate(GateKind::Not, vec![inputs[v]]))
-                            }
-                        };
-                        main.count("factor.ofdd_lowered", 1);
-                        ofdd_to_network(&plan.om, plan.root, &mut net, &mut lits)
+                        main.count("rewrite.rolled_back", 1);
+                        None
+                    }
+                    Err(p) => {
+                        let failure = (panic_message(p.as_ref()), None);
+                        salvage(opts, report, main, &plan.name, rung, failure)?;
+                        main.count("rewrite.rolled_back", 1);
+                        None
                     }
                 }
             }
             None if opts.method == FactorMethod::Kfdd => {
-                match xsynth_ofdd::kfdd::optimize_decomposition(bm, plan.bdd) {
-                    Ok((km, kroot)) => km.to_network(kroot, &mut net, &inputs),
-                    Err(e) => {
-                        main.end(); // factoring
-                        return Err(Error::Budget(BudgetExceeded::new(
-                            phase::FACTORING,
-                            Resource::BddNodes,
-                            e.limit as u64,
-                        )));
-                    }
-                }
+                let (km, kroot) =
+                    xsynth_ofdd::kfdd::optimize_decomposition(bm, plan.bdd).map_err(|e| {
+                        BudgetExceeded::new(phase::FACTORING, Resource::BddNodes, e.limit as u64)
+                    })?;
+                Some(km.to_network(kroot, &mut net, &lits.inputs))
             }
-            None => {
-                let pol = plan.pol.clone();
-                let mut lits = |net: &mut Network, v: usize| -> SignalId {
-                    if pol.is_positive(v) {
-                        inputs[v]
-                    } else {
-                        *not_cache
-                            .entry(v)
-                            .or_insert_with(|| net.add_gate(GateKind::Not, vec![inputs[v]]))
-                    }
-                };
-                main.count("factor.ofdd_lowered", 1);
-                ofdd_to_network(&plan.om, plan.root, &mut net, &mut lits)
-            }
+            None => None,
         };
+        let sig = factored.unwrap_or_else(|| {
+            main.count("factor.ofdd_lowered", 1);
+            let pol = &plan.pol;
+            ofdd_to_network(&plan.om, plan.root, &mut net, &mut |net, v| {
+                lits.signal(net, 2 * v + usize::from(!pol.is_positive(v)))
+            })
+        });
         net.add_output(plan.name.clone(), sig);
     }
     report.cache.factored_hits += factored_hits;

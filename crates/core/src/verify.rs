@@ -9,10 +9,6 @@ use xsynth_sim::fault::{Fault, FaultSite};
 use xsynth_sim::{pack_patterns, random_patterns, PatternBlock, Simulator};
 use xsynth_trace::TraceBuffer;
 
-/// Input count above which the checker switches from exact BDD comparison
-/// to high-confidence random simulation.
-const BDD_INPUT_LIMIT: usize = 40;
-
 /// Fixed-seed pattern budget of the simulation backend (before any
 /// [`Budget::max_patterns`] cap).
 const SIM_PATTERNS: usize = 4096;
@@ -22,11 +18,10 @@ const SIM_SEED: u64 = 0xec;
 
 /// An equivalence checker pinned to a reference network.
 ///
-/// Comparison is exact (canonical ROBDD equality) up to 40 primary
-/// inputs and falls back to fixed-seed random
-/// simulation beyond that. Under a [`Budget`] with a BDD node cap, a
-/// checker that trips the cap mid-check downgrades itself to the
-/// simulation backend instead of failing — [`EquivChecker::downgraded`]
+/// Comparison is exact (canonical ROBDD equality) at any input count.
+/// Under a [`Budget`] with a BDD node cap, a checker that trips the cap —
+/// building the reference or mid-check — downgrades itself to fixed-seed
+/// random simulation instead of failing; [`EquivChecker::downgraded`]
 /// reports when that happened. Candidate networks must have the same
 /// primary inputs (same names, same order) and the same outputs.
 ///
@@ -67,9 +62,8 @@ struct SimBackend {
 }
 
 impl EquivChecker {
-    /// Builds the checker, computing the reference output BDDs (or the
-    /// simulation signature for very wide networks), with no resource
-    /// budget.
+    /// Builds the checker, computing the reference output BDDs, with no
+    /// resource budget.
     pub fn new(reference: &Network) -> Self {
         Self::with_budget(reference, &Budget::default())
     }
@@ -94,21 +88,20 @@ impl EquivChecker {
             budget: budget.clone(),
             downgraded: false,
         };
-        if n <= BDD_INPUT_LIMIT {
-            let bm = match budget.bdd_node_cap {
-                Some(cap) => BddManager::with_node_limit(n, cap),
-                None => BddManager::new(n),
-            };
-            match network_bdds(reference, &bm) {
-                Ok(outs) => {
-                    checker.reference_outputs = outs;
-                    checker.manager = Some(bm);
-                    return checker;
-                }
-                Err(_) => checker.downgraded = true,
+        let bm = match budget.bdd_node_cap {
+            Some(cap) => BddManager::with_node_limit(n, cap),
+            None => BddManager::new(n),
+        };
+        match network_bdds(reference, &bm) {
+            Ok(outs) => {
+                checker.reference_outputs = outs;
+                checker.manager = Some(bm);
+            }
+            Err(_) => {
+                checker.downgraded = true;
+                checker.build_sim_backend();
             }
         }
-        checker.build_sim_backend();
         checker
     }
 
@@ -651,22 +644,22 @@ mod tests {
     }
 
     #[test]
-    fn wide_networks_use_simulation() {
+    fn wide_networks_are_checked_exactly() {
+        // A 48-input AND and constant 0 differ on one minterm of 2^48,
+        // which no random pattern set finds; only the exact checker can
+        // tell them apart.
         let build = |kind: GateKind| {
             let mut n = Network::new("wide");
             let ins: Vec<_> = (0..48).map(|i| n.add_input(format!("x{i}"))).collect();
-            let g = n.add_gate(kind, ins);
+            let fanins = if kind == GateKind::And { ins } else { vec![] };
+            let g = n.add_gate(kind, fanins);
             n.add_output("f", g);
             n
         };
         let mut c = EquivChecker::new(&build(GateKind::And));
-        assert!(!c.is_exact());
+        assert!(c.is_exact());
         assert!(c.try_check(&build(GateKind::And)).unwrap());
-        // AND vs NAND of 48 inputs differ almost everywhere under random
-        // patterns? they differ only where all inputs are 1, which random
-        // patterns will never hit — use OR vs AND instead, which differ on
-        // nearly every pattern.
-        assert!(!c.try_check(&build(GateKind::Or)).unwrap());
+        assert!(!c.try_check(&build(GateKind::Const0)).unwrap());
     }
 
     #[test]
@@ -885,18 +878,16 @@ mod tests {
 
         /// After every step of a random sequence of kept and reverted
         /// rewrites, the incremental verdict equals a fresh whole-network
-        /// check, on each backend: exact (0), simulation because the
-        /// reference tripped the node cap (1), and simulation past 40
-        /// inputs (2).
+        /// check, on each backend: exact (0) and simulation because the
+        /// reference tripped the node cap (1).
         #[test]
         fn incremental_verdict_matches_full_check(
-            backend in 0u8..3,
+            backend in 0u8..2,
             n_inputs in 2usize..7,
             picks in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..16),
             outs in proptest::collection::vec(0u8..6, 1..4),
             steps in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
         ) {
-            let n_inputs = if backend == 2 { n_inputs + 40 } else { n_inputs };
             let cap = if backend == 1 { Some(1) } else { None };
             let budget = Budget::default().bdd_node_cap(cap);
             let mut cur = random_net(n_inputs, &picks, &outs);

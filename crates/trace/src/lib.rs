@@ -502,9 +502,11 @@ impl TraceBuffer {
         &self.sink
     }
 
-    /// Discards the buffer without submitting anything.
+    /// Discards the buffer without submitting anything, open spans
+    /// included.
     pub fn discard(mut self) {
         self.track.events.clear();
+        self.depth = 0;
     }
 }
 
@@ -917,6 +919,17 @@ mod tests {
         b.count("x", 1);
         drop(b);
         assert_eq!(sink2.take().counter_totals()["x"], 1);
+    }
+
+    #[test]
+    fn discard_drops_open_spans_too() {
+        let sink = TraceSink::new();
+        let mut b = sink.buffer(0, "main");
+        b.begin("x");
+        b.discard();
+        let t = sink.take();
+        assert!(t.tracks.is_empty(), "{:?}", t.tracks);
+        assert!(!t.to_chrome_json().contains(r#""ph":"E""#));
     }
 
     #[test]

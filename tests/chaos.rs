@@ -24,6 +24,7 @@ use xsynth_core::{
 };
 use xsynth_net::Network;
 use xsynth_trace::failpoint::{self, Action, FailPlan};
+use xsynth_trace::TraceSink;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -290,6 +291,46 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
     let err = run_contained(&spec, &opts()).expect_err("the guard's check errored");
     assert!(matches!(err, Error::Verify(_)), "{err}");
     assert_eq!(err.exit_code(), 7);
+}
+
+/// A run that fails inside a phase — planning, the check of the factored
+/// network, a redundancy-removal guard — returns with that phase's spans
+/// open. Its trace still reaches the external sink with one `synthesize`
+/// root, the failed phase last under it, and every span closed.
+#[test]
+fn failed_runs_leave_balanced_traces() {
+    let _g = exclusive();
+    let spec = circuit("majority");
+    failpoint::disarm();
+    let clean = try_synthesize(&spec, &opts()).expect("clean run");
+    let checks = clean.report.trace.counter("verify.checks");
+    for (site, nth, failed_phase, code) in [
+        ("core.plan", 1, phase::FPRM, 9),
+        ("core.verify", 1, phase::VERIFY, 7),
+        ("core.verify", checks + 1, phase::REDUNDANCY, 7),
+    ] {
+        let sink = TraceSink::new();
+        let strict = SynthOptions::builder()
+            .parallel(false)
+            .salvage(false)
+            .trace(sink.clone())
+            .build();
+        failpoint::arm(&FailPlan::new().point(site, Action::Error, nth));
+        let err = run_contained(&spec, &strict).expect_err(site);
+        assert_eq!(err.exit_code(), code, "{site}: {err}");
+        let trace = sink.take();
+        let forest = trace.forest();
+        assert_eq!(forest.len(), 1, "{site}: {forest:?}");
+        assert_eq!(forest[0].name, phase::SYNTHESIZE);
+        let last = forest[0].children.last().map(|c| c.name.as_str());
+        assert_eq!(last, Some(failed_phase), "{site}");
+        let chrome = trace.to_chrome_json();
+        assert_eq!(
+            chrome.matches(r#""ph":"B""#).count(),
+            chrome.matches(r#""ph":"E""#).count(),
+            "{site}: {chrome}"
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Cross-crate integration: both synthesis flows and the technology mapper
 //! preserve functionality over the benchmark suite.
 
+use xsynth::bench::VERIFY_NODE_CAP;
 use xsynth::circuits::{build, registry};
-use xsynth::core::{try_synthesize, EquivChecker, FactorMethod, SynthOptions};
+use xsynth::core::{try_synthesize, Budget, EquivChecker, FactorMethod, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::sim::{equivalent_on, exhaustive_patterns, random_patterns};
 use xsynth::sop::{script_algebraic, ScriptOptions};
@@ -181,6 +182,12 @@ fn fprm_flow_preserves_every_benchmark() {
             "{} FPRM result differs",
             b.name
         );
+        // proven, not sampled: the harness's verification budget keeps the
+        // checker on the exact BDD backend for every circuit
+        let budget = Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP));
+        let mut checker = EquivChecker::with_budget(&spec, &budget);
+        assert!(checker.try_check(&out).unwrap(), "{} not proven", b.name);
+        assert!(checker.is_exact(), "{} checked by simulation", b.name);
         let &(_, counts) = FPRM_REDUNDANCY
             .iter()
             .find(|(name, _)| *name == b.name)

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xsynth::circuits;
-use xsynth::core::{phase, try_synthesize, SynthOptions};
+use xsynth::core::{phase, try_synthesize, Budget, Error, SynthOptions};
 use xsynth::trace::{bucket_of, json, Histogram, SpanNode, TraceSink};
 
 /// Finds the first span named `name` anywhere in the forest.
@@ -174,6 +174,33 @@ fn external_sink_collects_across_circuits() {
     assert!(trace.tracks.iter().any(|t| t.label.starts_with("rd53/")));
     assert!(trace.tracks.iter().any(|t| t.label.starts_with("z4ml/")));
     assert_eq!(count_named(&trace.forest(), phase::SYNTHESIZE), 2);
+}
+
+/// A run that fails returns from inside its open phase spans; its trace
+/// still reaches the external sink with every span closed.
+#[test]
+fn failed_run_leaves_a_balanced_trace() {
+    let sink = TraceSink::new();
+    let spec = circuits::build("rd53").expect("registered");
+    // too small for the spec's BDDs: the run fails inside the fprm phase
+    let opts = SynthOptions::builder()
+        .budget(Budget::default().bdd_node_cap(Some(4)))
+        .trace(sink.clone())
+        .build();
+    let err = try_synthesize(&spec, &opts).expect_err("the cap trips at BDD build");
+    assert!(matches!(err, Error::Budget(_)), "{err}");
+    assert_eq!(err.exit_code(), 8);
+    let trace = sink.take();
+    let forest = trace.forest();
+    assert_eq!(forest.len(), 1, "{forest:?}");
+    assert_eq!(forest[0].name, phase::SYNTHESIZE);
+    assert!(forest[0].children.iter().any(|c| c.name == phase::FPRM));
+    let chrome = trace.to_chrome_json();
+    assert_eq!(
+        chrome.matches(r#""ph":"B""#).count(),
+        chrome.matches(r#""ph":"E""#).count(),
+        "{chrome}"
+    );
 }
 
 proptest! {
