@@ -1,8 +1,9 @@
-//! Concurrency contract of the shared BDD substrate: clones of one
-//! manager address the same DAG, so threads hash-consing the same
-//! functions get *identical* handles, the node count matches a sequential
-//! build (no duplicate insertion, ever), the global node cap binds all
-//! threads together, and interleaved operations never deadlock.
+//! Concurrency contract of one BDD manager shared by borrowing: scoped
+//! threads driving one `&BddManager` address the same DAG, so threads
+//! hash-consing the same functions get *identical* handles, the node
+//! count matches a sequential build (no duplicate insertion, ever), the
+//! global node cap binds all threads together, and interleaved operations
+//! never deadlock.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};

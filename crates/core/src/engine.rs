@@ -1,13 +1,14 @@
 //! The long-lived synthesis engine.
 //!
 //! [`Engine`] is the primary entry point of the crate: a handle that owns
-//! the pieces worth keeping warm across calls — the content-addressed
-//! result cache ([`xsynth_cache::ResultCache`]) and a pool of BDD
-//! substrates keyed by arity. The free function [`crate::try_synthesize`]
-//! is a thin one-shot wrapper over a throwaway engine; a daemon constructs
-//! one engine and routes every job through it, which is what lets
-//! duplicate and near-duplicate traffic skip the polarity descent via
-//! cache hits.
+//! the one piece worth keeping warm across calls, the content-addressed
+//! result cache ([`xsynth_cache::ResultCache`]). Everything else is scoped
+//! to one job: each synthesis builds its own BDD manager and drops it at
+//! the end, so no job sees another's nodes, apply cache or gauges. The
+//! free function [`crate::try_synthesize`] is a thin one-shot wrapper over
+//! a throwaway engine; a daemon constructs one engine and routes every job
+//! through it, which is what lets duplicate and near-duplicate traffic
+//! skip the polarity descent via cache hits.
 //!
 //! # Cache tiers
 //!
@@ -25,31 +26,23 @@
 //! parallel ≡ sequential determinism contract is untouched: worker
 //! threads never read or write the cache.
 
-use crate::budget::Budget;
 use crate::error::Error;
 use crate::expr::Gexpr;
 use crate::factor::factor_cubes_traced;
 use crate::synth::{SynthOptions, SynthOutcome};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_cache::{cubes_key, CacheEntry, CacheStats, Cone, FactoredExpr, ResultCache, Tier};
 use xsynth_net::Network;
 use xsynth_trace::TraceBuffer;
 
-/// Substrate node count past which [`Engine::checkin`] attempts a
-/// generational reclamation before pooling the manager for reuse.
-pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
-
-/// A long-lived synthesis handle owning the BDD substrate pool and the
-/// content-addressed result cache.
+/// A long-lived synthesis handle owning the content-addressed result
+/// cache.
 ///
 /// All methods take `&self`; the engine is `Sync`, so one instance can be
-/// shared across the worker threads of a daemon. Each job gets per-job
-/// trace/memory scoping; only the cache and (for uncapped jobs) the warm
-/// BDD substrate persist between calls.
+/// shared across the worker threads of a daemon. Each job gets its own BDD
+/// manager and per-job trace/memory scoping; only the cache persists
+/// between calls.
 ///
 /// # Examples
 ///
@@ -78,59 +71,21 @@ pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 /// );
 /// # Ok::<(), xsynth_core::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Engine {
     cache: ResultCache,
-    pool: Mutex<HashMap<usize, BddManager>>,
-    reclaim_watermark: usize,
-    reclaim_refused: AtomicU64,
-}
-
-/// Point-in-time statistics of one pooled BDD substrate (see
-/// [`Engine::substrate_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstrateStats {
-    /// Variable count the substrate was built for (the pool key).
-    pub arity: usize,
-    /// Live node count, terminal included.
-    pub nodes: usize,
-    /// Apply-cache hits over the substrate's lifetime (schedule-dependent
-    /// under parallelism — report as a gauge, never a checked counter).
-    pub apply_hits: u64,
-    /// Apply-cache misses over the substrate's lifetime.
-    pub apply_misses: u64,
-    /// Node count per unique-table shard, indexed by shard.
-    pub shard_occupancy: Vec<usize>,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
-    }
 }
 
 impl Engine {
-    /// An engine with an empty substrate pool and a default-budget cache.
+    /// An engine with a default-budget cache.
     pub fn new() -> Engine {
-        Engine {
-            cache: ResultCache::default(),
-            pool: Mutex::new(HashMap::new()),
-            reclaim_watermark: DEFAULT_RECLAIM_NODE_WATERMARK,
-            reclaim_refused: AtomicU64::new(0),
-        }
+        Engine::default()
     }
 
     /// Replaces the result cache with one bounded to `bytes` (builder
     /// style, for construction time).
     pub fn cache_budget(mut self, bytes: usize) -> Engine {
         self.cache = ResultCache::new(bytes);
-        self
-    }
-
-    /// Sets the substrate node count past which a checked-in manager is
-    /// generationally reclaimed instead of kept warm (builder style).
-    pub fn reclaim_watermark(mut self, nodes: usize) -> Engine {
-        self.reclaim_watermark = nodes;
         self
     }
 
@@ -153,38 +108,13 @@ impl Engine {
         self.cache.lookup_hist()
     }
 
-    /// A snapshot of every *pooled* (currently idle) BDD substrate, in
-    /// ascending arity order. Substrates checked out by in-flight jobs are
-    /// not visible until they check back in; capped jobs use throwaway
-    /// private substrates that never pool. Feeds the daemon's `metrics`
-    /// exposition (`bdd.nodes`, apply-cache hit ratio, per-shard
-    /// occupancy).
-    pub fn substrate_stats(&self) -> Vec<SubstrateStats> {
-        let pool = self.lock_pool();
-        let mut stats: Vec<SubstrateStats> = pool
-            .values()
-            .map(|bm| {
-                let (apply_hits, apply_misses) = bm.apply_cache_stats();
-                SubstrateStats {
-                    arity: bm.num_vars(),
-                    nodes: bm.num_nodes(),
-                    apply_hits,
-                    apply_misses,
-                    shard_occupancy: bm.shard_occupancy(),
-                }
-            })
-            .collect();
-        stats.sort_by_key(|s| s.arity);
-        stats
-    }
-
     /// Drops every cached entry (statistics are kept).
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
 
     /// Synthesizes `spec` with the paper's FPRM flow under `opts`,
-    /// consulting and populating the engine's cache and substrate pool.
+    /// consulting and populating the engine's cache.
     /// The returned network is verified equivalent to `spec` (exactly via
     /// BDDs unless the budget's node cap trips); see
     /// [`crate::try_synthesize`] for the error contract.
@@ -194,54 +124,6 @@ impl Engine {
         opts: &SynthOptions,
     ) -> Result<SynthOutcome, Error> {
         crate::synth::try_synthesize_on(self, spec, opts)
-    }
-
-    fn lock_pool(&self) -> MutexGuard<'_, HashMap<usize, BddManager>> {
-        self.pool.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Hands out a BDD manager for an `n`-variable job. Capped jobs get a
-    /// fresh private substrate so the node cap stays a true per-job limit;
-    /// uncapped jobs reuse the pooled substrate of the same arity (warm
-    /// unique-table and apply caches) when one is available.
-    pub(crate) fn checkout(&self, n: usize, budget: &Budget) -> BddManager {
-        if let Some(cap) = budget.bdd_node_cap {
-            return BddManager::with_node_limit(n, cap);
-        }
-        self.lock_pool()
-            .remove(&n)
-            .unwrap_or_else(|| BddManager::new(n))
-    }
-
-    /// Returns a manager to the pool. Capped managers are dropped (their
-    /// cap was per-job). A substrate grown past the reclaim watermark is
-    /// generationally reclaimed first; if reclamation is refused (a clone
-    /// is still alive somewhere) the bloated substrate is dropped, a
-    /// *fresh* substrate of the same arity is pooled in its place so the
-    /// next job does not pay an unannounced cold start, and the
-    /// `engine.reclaim_refused` counter records the refusal.
-    pub(crate) fn checkin(&self, mut bm: BddManager) {
-        if bm.node_limit().is_some() {
-            return;
-        }
-        if bm.num_nodes() > self.reclaim_watermark && !bm.try_reclaim() {
-            self.reclaim_refused.fetch_add(1, Ordering::Relaxed);
-            let fresh = BddManager::new(bm.num_vars());
-            self.lock_pool().insert(fresh.num_vars(), fresh);
-            return;
-        }
-        self.lock_pool().insert(bm.num_vars(), bm);
-    }
-
-    /// Lifetime count of check-ins where generational reclamation was
-    /// refused by a live substrate clone (`engine.reclaim_refused`). A
-    /// steadily rising value means some component is pinning manager
-    /// clones across jobs, forcing fresh substrates into the pool instead
-    /// of reclaimed warm ones. Kept off the per-job trace on purpose: the
-    /// refusal depends on drop timing, which would break the
-    /// parallel ≡ sequential counter-equality contract.
-    pub fn reclaim_refused(&self) -> u64 {
-        self.reclaim_refused.load(Ordering::Relaxed)
     }
 
     /// Looks up the polarity + cube seed for one output cone. `mode_salt`
@@ -481,69 +363,21 @@ mod tests {
     }
 
     #[test]
-    fn capped_jobs_get_private_substrates() {
+    fn every_job_starts_on_a_fresh_substrate() {
+        let opts = SynthOptions::default();
+        let z4ml = xsynth_circuits::build("z4ml").unwrap();
+        let c5xp1 = xsynth_circuits::build("5xp1").unwrap();
+        assert_eq!(z4ml.inputs().len(), c5xp1.inputs().len());
+        let final_nodes = |o: &SynthOutcome| o.report.trace.gauge_finals()["bdd.nodes"];
+        let alone = Engine::new().try_synthesize(&z4ml, &opts).unwrap();
+        // a same-arity job before it must leave no nodes behind
         let engine = Engine::new();
-        let budget = Budget {
-            bdd_node_cap: Some(64),
-            ..Budget::default()
-        };
-        let bm = engine.checkout(4, &budget);
-        assert_eq!(bm.node_limit(), Some(64));
-        engine.checkin(bm);
-        // capped managers are never pooled
-        let again = engine.checkout(4, &Budget::default());
-        assert_eq!(again.node_limit(), None);
-        assert_eq!(again.num_nodes(), 1, "fresh substrate, not the capped one");
-    }
-
-    #[test]
-    fn pooled_substrate_is_reused_and_reclaimed_past_watermark() {
-        let engine = Engine::new().reclaim_watermark(8);
-        let bm = engine.checkout(4, &Budget::default());
-        let a = bm.var(0).unwrap();
-        let b = bm.var(1).unwrap();
-        bm.and(a, b).unwrap();
-        let grown = bm.num_nodes();
-        assert!(grown > 1 && grown <= 8);
-        engine.checkin(bm);
-        // under the watermark: the same warm substrate comes back
-        let bm = engine.checkout(4, &Budget::default());
-        assert_eq!(bm.num_nodes(), grown);
-        assert_eq!(bm.generation(), 0);
-        engine.checkin(bm);
-        // grow past the watermark: checkin reclaims to a fresh generation
-        let bm = engine.checkout(4, &Budget::default());
-        let c = bm.var(2).unwrap();
-        let d = bm.var(3).unwrap();
-        let cd = bm.and(c, d).unwrap();
-        bm.xor(cd, a).unwrap();
-        bm.or(cd, a).unwrap();
-        assert!(bm.num_nodes() > 8);
-        engine.checkin(bm);
-        let bm = engine.checkout(4, &Budget::default());
-        assert_eq!(bm.num_nodes(), 1, "reclaimed past the watermark");
-        assert_eq!(bm.generation(), 1);
-        assert_eq!(engine.reclaim_refused(), 0, "nothing pinned the substrate");
-    }
-
-    #[test]
-    fn refused_reclaim_pools_a_fresh_substrate_and_counts() {
-        let engine = Engine::new().reclaim_watermark(4);
-        let bm = engine.checkout(4, &Budget::default());
-        let pin = bm.clone(); // a live clone makes try_reclaim refuse
-        let a = bm.var(0).unwrap();
-        let b = bm.var(1).unwrap();
-        let ab = bm.and(a, b).unwrap();
-        bm.xor(ab, a).unwrap();
-        assert!(bm.num_nodes() > 4, "must be past the watermark");
-        assert_eq!(engine.reclaim_refused(), 0);
-        engine.checkin(bm);
-        assert_eq!(engine.reclaim_refused(), 1, "the refusal is counted");
-        // the old behavior dropped the substrate silently; now a fresh one
-        // is pooled so the next checkout is not an unannounced cold start
-        let next = engine.checkout(4, &Budget::default());
-        assert_eq!(next.num_nodes(), 1, "fresh substrate pooled on refusal");
-        assert_eq!(next.generation(), 0);
-        drop(pin);
+        engine.try_synthesize(&c5xp1, &opts).unwrap();
+        let after = engine.try_synthesize(&z4ml, &opts).unwrap();
+        assert_eq!(final_nodes(&after), final_nodes(&alone));
+        assert_eq!(
+            xsynth_blif::write_blif(&after.network),
+            xsynth_blif::write_blif(&alone.network)
+        );
     }
 }

@@ -17,7 +17,7 @@
 //!    rewrite verified against the specification ([`EquivChecker`]).
 //!
 //! The entry points are [`try_synthesize`] (one-shot) and
-//! [`Engine::try_synthesize`] (warm cache and substrate pool across jobs).
+//! [`Engine::try_synthesize`] (result cache kept warm across jobs).
 //! Every operation has one fallible form: budget trips, verification
 //! failures and malformed inputs come back as a typed [`Error`].
 //!
@@ -64,7 +64,7 @@ mod synth;
 mod verify;
 
 pub use budget::{Budget, BudgetExceeded, Resource};
-pub use engine::{Engine, SubstrateStats, DEFAULT_RECLAIM_NODE_WATERMARK};
+pub use engine::Engine;
 pub use error::Error;
 pub use expr::Gexpr;
 pub use factor::{

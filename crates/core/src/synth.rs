@@ -27,7 +27,7 @@ use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, Pattern, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
-use crate::verify::{network_bdds, EquivChecker};
+use crate::verify::{network_bdds, new_manager, EquivChecker};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -401,10 +401,10 @@ pub struct SynthOutcome {
 /// against the specification.
 ///
 /// This is a one-shot convenience over a throwaway [`Engine`]: the
-/// content cache and substrate pool start empty and are dropped with the
-/// call, so repeated invocations behave identically. Long-lived callers
-/// should hold an [`Engine`] and use [`Engine::try_synthesize`], which
-/// keeps both warm across jobs.
+/// content cache starts empty and is dropped with the call, so repeated
+/// invocations behave identically. Long-lived callers should hold an
+/// [`Engine`] and use [`Engine::try_synthesize`], which keeps the cache
+/// warm across jobs.
 ///
 /// # Examples
 ///
@@ -492,10 +492,9 @@ fn run_pipeline(
     main.begin(phase::FPRM);
     let fprm_deadline = opts.budget.phase_deadline();
     main.begin("bdd");
-    let bm = engine.checkout(n, &opts.budget);
+    let bm = new_manager(n, opts.budget.bdd_node_cap);
     // Compact build: gate-level intermediates live and die in a scratch
-    // manager, so the (possibly pooled, possibly shared) job substrate
-    // only ever holds the live output cones.
+    // manager, so the job's manager only ever holds the live output cones.
     let out_bdds = network_bdds(&spec, &bm);
     main.end();
     main.gauge("bdd.nodes", bm.num_nodes() as f64);
@@ -593,7 +592,7 @@ fn run_pipeline(
         curtail(report, phase::VERIFY);
     }
 
-    // Apply-cache effectiveness over the whole shared substrate. The
+    // Apply-cache effectiveness over the job's manager. The
     // hit/miss split is schedule-dependent under parallel planning (which
     // thread warms an entry decides who hits it), so these are gauges —
     // the determinism contract only covers counters.
@@ -616,7 +615,6 @@ fn run_pipeline(
     let result = result.sweep();
     main.gauge("net.gates", result.num_gates() as f64);
     main.end();
-    engine.checkin(bm);
     Ok(result)
 }
 
@@ -1055,7 +1053,7 @@ fn synthesize_outputs(
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. With
     // multiple outputs the planning fans out across worker threads, all
-    // sharing the one BDD substrate through `&BddManager`, so every
+    // borrowing the job's one BDD manager as `&BddManager`, so every
     // worker hash-conses into the same DAG (and the node budget is one
     // global cap, not a per-worker one); with a single output the
     // parallelism moves inside the polarity search instead, so the

@@ -88,10 +88,7 @@ impl EquivChecker {
             budget: budget.clone(),
             downgraded: false,
         };
-        let bm = match budget.bdd_node_cap {
-            Some(cap) => BddManager::with_node_limit(n, cap),
-            None => BddManager::new(n),
-        };
+        let bm = new_manager(n, budget.bdd_node_cap);
         match network_bdds(reference, &bm) {
             Ok(outs) => {
                 checker.reference_outputs = outs;
@@ -225,7 +222,7 @@ impl EquivChecker {
         }
         let order = net.try_topo_order().ok()?;
         if let Some(checker_bm) = &self.manager {
-            let bm = fresh_manager(checker_bm);
+            let bm = new_manager(checker_bm.num_vars(), checker_bm.node_limit());
             let reference = checker_bm.copy_roots(&self.reference_outputs, &bm).ok()?;
             let values = NodeValues::build(
                 net,
@@ -492,11 +489,12 @@ fn verify_fail_point() -> Result<(), Error> {
     Ok(())
 }
 
-/// An empty manager over `bm`'s variables under `bm`'s node cap.
-fn fresh_manager(bm: &BddManager) -> BddManager {
-    match bm.node_limit() {
-        Some(cap) => BddManager::with_node_limit(bm.num_vars(), cap),
-        None => BddManager::new(bm.num_vars()),
+/// An empty manager over `n` variables, capped at `node_cap` nodes when
+/// one is given.
+pub(crate) fn new_manager(n: usize, node_cap: Option<usize>) -> BddManager {
+    match node_cap {
+        Some(cap) => BddManager::with_node_limit(n, cap),
+        None => BddManager::new(n),
     }
 }
 
@@ -509,8 +507,9 @@ fn fresh_manager(bm: &BddManager) -> BddManager {
 /// internal gate, most of which are dead the moment their fanouts are
 /// folded — but the substrate has no reference counts, so a build straight
 /// into `bm` would leave them in its unique tables forever. Routing the
-/// build through a scratch manager means `bm` — which may be a long-lived
-/// pooled or shared substrate — only ever holds live cones. The copy is a
+/// build through a scratch manager means `bm` — a job's manager, or an
+/// equivalence checker's across many checks — only ever holds live cones,
+/// so a node cap on `bm` counts live nodes. The copy is a
 /// sequential DFS in output order, so the set of nodes it interns is
 /// schedule-independent and the parallel≡sequential `bdd.nodes` contract is
 /// preserved.
@@ -527,7 +526,7 @@ pub fn network_bdds(net: &Network, bm: &BddManager) -> Result<Vec<Bdd>, Error> {
             n
         )));
     }
-    let scratch = fresh_manager(bm);
+    let scratch = new_manager(n, bm.node_limit());
     let outs = output_bdds(net, &scratch, None)?;
     scratch.copy_roots(&outs, bm).map_err(|_| budget_error(bm))
 }

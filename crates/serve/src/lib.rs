@@ -1,13 +1,13 @@
 //! `xsynth serve` — a long-lived synthesis daemon.
 //!
 //! The one-shot CLI pays the full pipeline cost on every invocation:
-//! substrate allocation, polarity descent, factoring. Interactive use —
+//! process start-up, polarity descent, factoring. Interactive use —
 //! an editor plugin resynthesizing on save, a design-space sweep
 //! resubmitting near-identical cones — repeats almost all of that work.
 //! This crate keeps a single [`xsynth_core::Engine`] alive behind TCP
 //! and/or unix-socket listeners: the engine's content-addressed result
 //! cache answers resubmitted cones without rerunning the polarity
-//! search, and its substrate pool skips per-job BDD re-allocation.
+//! search. Each job still builds (and drops) its own BDD manager.
 //!
 //! The wire protocol is newline-delimited JSON (see [`proto`]), framed
 //! with the same zero-dependency [`xsynth_trace::json`] parser the

@@ -10,8 +10,8 @@
 //!   out round-robin across connections, so a client that pipelines a
 //!   hundred jobs cannot starve a client that sends one;
 //! - a **worker pool** executes jobs against one shared
-//!   [`Engine`] — the long-lived substrate pool and content-addressed
-//!   result cache are what make resubmitting a job cheap — and writes
+//!   [`Engine`] — its long-lived content-addressed result cache is what
+//!   makes resubmitting a job cheap — and writes
 //!   each reply under the connection's write lock.
 //!
 //! Worker panics are contained per job: the connection receives a typed
@@ -49,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xsynth_bench::{record_from_run, BenchSuite};
+use xsynth_bench::{record_from_run, BenchSuite, VERIFY_NODE_CAP};
 use xsynth_blif::{parse_blif, parse_pla, write_blif};
 use xsynth_core::{Budget, Engine, Error, SynthOptions};
 use xsynth_map::Library;
@@ -85,10 +85,6 @@ const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 /// Drain complete (or timed out); every thread family is exiting.
 const STATE_STOPPED: u8 = 2;
-
-/// BDD node cap for per-job telemetry verification, matching the
-/// benchmark harness's bounded-verify discipline.
-const VERIFY_NODE_CAP: usize = 1 << 22;
 
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -545,6 +541,10 @@ struct Telemetry {
     req_seq: AtomicU64,
     /// Engine-lifetime maximum of the per-job `bdd.peak_nodes` gauge.
     peak_nodes: AtomicU64,
+    /// Sums of every successful job's final `bdd.apply_hits` and
+    /// `bdd.apply_misses` gauges.
+    apply_hits: AtomicU64,
+    apply_misses: AtomicU64,
     /// The wall-clock histograms (see [`DaemonHists`]).
     hists: Mutex<DaemonHists>,
     /// Bounded ring of per-job summaries, newest at the back.
@@ -564,6 +564,8 @@ impl Telemetry {
             conns_reaped: AtomicU64::new(0),
             req_seq: AtomicU64::new(0),
             peak_nodes: AtomicU64::new(0),
+            apply_hits: AtomicU64::new(0),
+            apply_misses: AtomicU64::new(0),
             hists: Mutex::new(DaemonHists::default()),
             recorder: Mutex::new(VecDeque::with_capacity(FLIGHT_RECORDER_CAP)),
         }
@@ -763,7 +765,7 @@ impl Server {
         self.unix_path.as_deref()
     }
 
-    /// The daemon's engine (cache and substrate statistics).
+    /// The daemon's engine (cache statistics).
     pub fn engine(&self) -> &Engine {
         &self.ctx.engine
     }
@@ -1325,37 +1327,15 @@ fn metrics_response(ctx: &Ctx) -> Result<String, Error> {
         &ctx.engine.cache_lookup_hist(),
     );
     exp.counter(
-        "xsynth_engine_reclaim_refused_total",
+        "xsynth_bdd_apply_hits_total",
         &[],
-        ctx.engine.reclaim_refused(),
+        tel.apply_hits.load(Ordering::Relaxed),
     );
-
-    for s in ctx.engine.substrate_stats() {
-        let arity = s.arity.to_string();
-        let l = [("arity", arity.as_str())];
-        exp.gauge("xsynth_bdd_nodes", &l, s.nodes as f64);
-        exp.counter("xsynth_bdd_apply_hits_total", &l, s.apply_hits);
-        exp.counter("xsynth_bdd_apply_misses_total", &l, s.apply_misses);
-        let lookups = s.apply_hits + s.apply_misses;
-        if lookups > 0 {
-            exp.gauge(
-                "xsynth_bdd_apply_hit_ratio",
-                &l,
-                s.apply_hits as f64 / lookups as f64,
-            );
-        }
-        for (shard, occ) in s.shard_occupancy.iter().enumerate() {
-            if *occ == 0 {
-                continue;
-            }
-            let shard = shard.to_string();
-            exp.gauge(
-                "xsynth_bdd_shard_nodes",
-                &[("arity", arity.as_str()), ("shard", shard.as_str())],
-                *occ as f64,
-            );
-        }
-    }
+    exp.counter(
+        "xsynth_bdd_apply_misses_total",
+        &[],
+        tel.apply_misses.load(Ordering::Relaxed),
+    );
     exp.gauge(
         "xsynth_bdd_peak_nodes",
         &[],
@@ -1492,13 +1472,9 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         .trace
         .gauge_max("bdd.peak_nodes")
         .unwrap_or(0.0) as u64;
-    let bdd_nodes = outcome
-        .report
-        .trace
-        .gauge_finals()
-        .get("bdd.nodes")
-        .copied()
-        .unwrap_or(0.0);
+    let finals = outcome.report.trace.gauge_finals();
+    let final_gauge = |name: &str| finals.get(name).copied().unwrap_or(0.0);
+    let bdd_nodes = final_gauge("bdd.nodes");
     {
         let mut h = lock(&ctx.telemetry.hists);
         h.job_seconds.observe(seconds);
@@ -1511,6 +1487,11 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         }
     }
     ctx.telemetry.observe_peak_nodes(peak_nodes);
+    let tel = &ctx.telemetry;
+    tel.apply_hits
+        .fetch_add(final_gauge("bdd.apply_hits") as u64, Ordering::Relaxed);
+    tel.apply_misses
+        .fetch_add(final_gauge("bdd.apply_misses") as u64, Ordering::Relaxed);
     let cone_hash = {
         let mut h: u128 = 0;
         for (_, sig) in spec.outputs() {

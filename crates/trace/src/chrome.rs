@@ -7,33 +7,14 @@
 //!
 //! [trace event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::{escape, number};
 use crate::{Event, Trace};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Microsecond timestamp with sub-µs precision, as Chrome expects.
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 pub(crate) fn to_chrome_json(trace: &Trace) -> String {
@@ -88,7 +69,7 @@ pub(crate) fn to_chrome_json(trace: &Trace) -> String {
                         r#"{{"name":"{}","cat":"xsynth","ph":"C","ts":{:.3},"pid":1,"tid":{tid},"args":{{"value":{}}}}}"#,
                         escape(name),
                         us(now),
-                        json_number(*value)
+                        number(*value)
                     ));
                 }
                 // histogram samples surface as instant events carrying the
@@ -99,7 +80,7 @@ pub(crate) fn to_chrome_json(trace: &Trace) -> String {
                         r#"{{"name":"hist:{}","cat":"xsynth","ph":"i","s":"t","ts":{:.3},"pid":1,"tid":{tid},"args":{{"value":{},"bucket":{}}}}}"#,
                         escape(name),
                         us(now),
-                        json_number(*value),
+                        number(*value),
                         crate::bucket_of(*value)
                     ));
                 }
@@ -110,19 +91,6 @@ pub(crate) fn to_chrome_json(trace: &Trace) -> String {
         "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"program\":\"xsynth\"}}}}\n",
         events.join(",\n")
     )
-}
-
-/// Formats an f64 as a valid JSON number (JSON has no NaN/Infinity).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            format!("{v:.0}")
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! which the strict schema readers rely on.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -381,7 +382,21 @@ impl Parser<'_> {
 /// Escapes a string for embedding in a JSON string literal (shared by the
 /// Chrome-trace and benchmark-telemetry writers).
 pub fn escape(s: &str) -> String {
-    crate::chrome::escape(s)
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Formats an `f64` as a valid JSON number. JSON has no NaN/Infinity, so

@@ -11,8 +11,8 @@
 //! * `bench <circuit>` — run a built-in Table 2 benchmark by name.
 //! * `verify <a> <b>` — check two networks for combinational equivalence.
 //! * `serve` — run the long-lived synthesis daemon (`--tcp` and/or
-//!   `--socket`), sharing one engine, substrate pool, and
-//!   content-addressed result cache across all jobs.
+//!   `--socket`), sharing one engine and its content-addressed result
+//!   cache across all jobs.
 //!
 //! Every run can be resource-governed with `--bdd-node-cap`,
 //! `--phase-timeout-ms` and `--max-patterns`; error families map to
@@ -137,8 +137,8 @@ usage: xsynth <synth|stats|map|bench|verify|serve|top> [input] [options]
   bench <name>             run a built-in Table 2 circuit by name
   verify <a> <b>           check two networks for equivalence
   serve                    run the synthesis daemon (newline-delimited JSON
-                           over --tcp and/or --socket; one shared engine,
-                           substrate pool and result cache for all jobs)
+                           over --tcp and/or --socket; one shared engine
+                           and result cache for all jobs)
   top <addr>               live daemon dashboard: poll `metrics`/`recent`
                            and redraw (host:port = TCP, else a unix socket
                            path)

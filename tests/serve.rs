@@ -362,11 +362,20 @@ fn metrics_exposition_parses_strictly_and_counts_jobs() {
         "xsynth_cache_entries",
         "xsynth_cache_lookup_seconds",
         "xsynth_bdd_peak_nodes",
+        "xsynth_bdd_apply_hits_total",
+        "xsynth_bdd_apply_misses_total",
         "xsynth_queue_seconds",
         "xsynth_job_bdd_nodes",
     ] {
         assert!(families.contains_key(name), "missing family {name}");
     }
+    // the apply-cache counters sum the jobs' final gauges, so three
+    // finished jobs must have looked something up
+    let value = |family: &str| families[family].samples[0].value;
+    assert!(
+        value("xsynth_bdd_apply_hits_total") + value("xsynth_bdd_apply_misses_total") > 0.0,
+        "{text}"
+    );
 
     server.shutdown();
     server.wait();
