@@ -1,12 +1,13 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, kernel
-//! extraction, technology mapping, the redundancy-removal pass and the SOP
-//! baseline's `eliminate`.
+//! extraction, technology mapping, the redundancy-removal pass, the SOP
+//! baseline's `eliminate` and the FPRM flow's GF(2) divisor extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_bdd::BddManager;
-use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable};
+use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable, VarSet};
 use xsynth_circuits::builders::{interleaved_buses, ripple_adder};
+use xsynth_core::gfx::{extract, ExtractOptions};
 use xsynth_core::{
     merge_patterns, network_bdds, paper_patterns, remove_redundancy, try_synthesize, EquivChecker,
     SynthOptions,
@@ -21,6 +22,10 @@ use xsynth_trace::TraceSink;
 /// Outputs with more FPRM cubes than this get only the AZ/AO patterns (the
 /// flow's `MAX_CUBES`).
 const MAX_CUBES: u64 = 512;
+
+/// Outputs with more FPRM cubes than this skip the cube method (the flow's
+/// `CUBE_CAP`).
+const CUBE_CAP: u64 = 512;
 
 /// The flow's sweep limit for redundancy removal.
 const MAX_PASSES: usize = 6;
@@ -54,6 +59,47 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
     lists.push(random_patterns(n, 64, 0x0c));
     let blocks = pack_patterns(n, &merge_patterns(lists));
     (outcome.network, blocks)
+}
+
+/// What the FPRM flow hands `gfx::extract` for a multi-output `spec`: each
+/// cube-method output's FPRM cubes under its chosen polarity, in literal
+/// space (`2v` positive, `2v + 1` negative), with divisor literals from
+/// `2n` up. Checked against the flow's own extraction counters.
+fn extract_input(spec: &Network) -> (Vec<Vec<VarSet>>, usize) {
+    let outcome = try_synthesize(spec, &SynthOptions::default()).expect("synthesizes");
+    let n = spec.inputs().len();
+    let bm = BddManager::new(n);
+    let outs = network_bdds(&spec.sweep(), &bm).expect("uncapped");
+    let funcs: Vec<Vec<VarSet>> = outs
+        .into_iter()
+        .zip(&outcome.report.outputs)
+        .filter(|(_, (_, count, _))| *count <= CUBE_CAP)
+        .map(|(f, (_, _, pol))| {
+            let mut om = OfddManager::new(pol.clone());
+            let root = om.from_bdd(&bm, f).expect("uncapped");
+            om.cubes(root)
+                .iter()
+                .map(|c| {
+                    c.iter()
+                        .map(|v| 2 * v + usize::from(!pol.is_positive(v)))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let ext = extract(funcs.clone(), 2 * n, &ExtractOptions::default());
+    let trace = &outcome.report.trace;
+    assert_eq!(
+        (ext.divisors.len() as u64, ext.rounds, ext.candidates),
+        (
+            trace.counter("share.divisors"),
+            trace.counter("gfx.rounds"),
+            trace.counter("gfx.candidates")
+        ),
+        "{}: not the flow's extraction input",
+        spec.name()
+    );
+    (funcs, 2 * n)
 }
 
 /// An `n`-bit ripple adder with interleaved inputs and a carry-in.
@@ -139,6 +185,22 @@ fn bench_substrates(c: &mut Criterion) {
                 s.eliminate(4, 256);
                 s
             })
+        });
+    }
+
+    // cross-output divisor extraction alone, on the circuits where the
+    // FPRM flow spends longest in it
+    let specs = [
+        xsynth_circuits::build("m181").expect("registered"),
+        xsynth_circuits::build("addm4").expect("registered"),
+        xsynth_circuits::build("shift").expect("registered"),
+        adder(8),
+    ];
+    for spec in &specs {
+        let (funcs, next_literal) = extract_input(spec);
+        let opts = ExtractOptions::default();
+        c.bench_function(format!("gfx_extract_{}", spec.name()), |b| {
+            b.iter(|| extract(funcs.clone(), next_literal, &opts))
         });
     }
 }

@@ -354,7 +354,8 @@ impl CacheUse {
 
 /// What the pipeline did, per output and overall. Everything the run
 /// counted — polarity candidates (`polarity.*`), shared divisors
-/// (`share.divisors`), macro blocks (`blocks.synthesized`), cube-cap
+/// (`share.divisors`) and the extraction work behind them (`gfx.rounds`,
+/// `gfx.candidates`), macro blocks (`blocks.synthesized`), cube-cap
 /// fallbacks (`fprm.cube_cap_fallbacks`), Section 4 rewrites
 /// (`redundancy.*`) — lives in [`SynthReport::trace`] and is read by name
 /// with [`Trace::counter`].
@@ -1222,8 +1223,11 @@ fn synthesize_outputs(
                     cause: "injected fault: core.share tripped".to_string(),
                 })
             );
-            let ext = main.span("gfx_extract", |_| {
-                gfx::extract(saved.clone(), 2 * n, &gfx::ExtractOptions::default())
+            let ext = main.span("gfx_extract", |span| {
+                let ext = gfx::extract(saved.clone(), 2 * n, &gfx::ExtractOptions::default());
+                span.count("gfx.rounds", ext.rounds);
+                span.count("gfx.candidates", ext.candidates);
+                ext
             });
             for (&i, rewritten) in cube_outputs.iter().zip(ext.functions) {
                 plans[i].lit_cubes = Some(rewritten);

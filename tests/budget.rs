@@ -30,8 +30,9 @@ fn i4_under_node_cap_degrades_or_errors_cleanly() {
         .build();
     match try_synthesize(&spec, &opts) {
         Ok(outcome) => {
-            // 192 inputs is far beyond the exact-BDD verification limit,
-            // so a successful run must have been verified by simulation
+            // the flow's own check may have proven the result exactly or,
+            // when the cap cut that short, downgraded to sampling; either
+            // way, cross-check it on independent random patterns
             let patterns = xsynth::sim::random_patterns(192, 256, 0xb4d9e7);
             let blocks = xsynth::sim::pack_patterns(192, &patterns);
             assert!(xsynth::sim::equivalent_on_blocks(
