@@ -1,7 +1,8 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
-//! transform, ISOP covers, BDD construction, BDD→OFDD conversion, kernel
-//! extraction, technology mapping, the redundancy-removal pass, the SOP
-//! baseline's `eliminate` and the FPRM flow's GF(2) divisor extraction.
+//! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
+//! output's polarity search, kernel extraction, technology mapping, the
+//! redundancy-removal pass, the SOP baseline's `eliminate` and the FPRM
+//! flow's GF(2) divisor extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_bdd::BddManager;
@@ -14,7 +15,7 @@ use xsynth_core::{
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
-use xsynth_ofdd::OfddManager;
+use xsynth_ofdd::{OfddManager, PolarityMode, PolaritySearch};
 use xsynth_sim::{pack_patterns, random_patterns, PatternBlock};
 use xsynth_sop::{algebra, SopNet};
 use xsynth_trace::TraceSink;
@@ -133,6 +134,20 @@ fn bench_substrates(c: &mut Criterion) {
         let f = bm.from_table(&t).expect("uncapped");
         b.iter(|| OfddManager::new(Polarity::all_positive(12)).from_bdd(&bm, f))
     });
+
+    // one output's polarity search as the flow runs it, swept over the
+    // support width: exhaustive at 8 and 10 variables, greedy at 12 and 16;
+    // the function is the carry out of a (k/2)-bit adder
+    for k in [8, 10, 12, 16] {
+        let mask = (1u64 << (k / 2)) - 1;
+        let carry = TruthTable::from_fn(k, |m| (m & mask) + (m >> (k / 2) & mask) > mask);
+        let bm = BddManager::new(k);
+        let f = bm.from_table(&carry).expect("uncapped");
+        let support: Vec<usize> = (0..k).collect();
+        c.bench_function(format!("polarity_search_k{k}"), |b| {
+            b.iter(|| PolaritySearch::new(&bm, f).run(PolarityMode::Exhaustive, &support))
+        });
+    }
 
     let cover = Sop::isop(&t);
     c.bench_function("kernels_of_isop_cover", |b| {

@@ -3,8 +3,9 @@
 //! An FPRM form represents a Boolean function as an XOR-sum of cubes in
 //! which every variable appears with a single fixed polarity (Section 2 of
 //! the paper). This module provides the form itself, the fast
-//! fixed-polarity Reed-Muller transform from truth tables, polarity search,
-//! and prime-cube analysis (Csanky et al.).
+//! fixed-polarity Reed-Muller transform from truth tables, a coefficient
+//! vector that moves between polarities one variable at a time
+//! ([`Spectrum`]), polarity search, and prime-cube analysis (Csanky et al.).
 
 use crate::{TruthTable, VarSet};
 use std::fmt;
@@ -85,22 +86,6 @@ impl Polarity {
         self.n
     }
 
-    /// Encodes the polarity as an integer, the inverse of
-    /// [`Polarity::from_index`]: bit `i` is set iff variable `i` is
-    /// positive. Used as a compact memo key by the polarity search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polarity has more than 64 variables.
-    pub fn index(&self) -> u64 {
-        assert!(self.n <= 64, "polarity index overflows u64");
-        let mut idx = 0u64;
-        for v in self.positive.iter() {
-            idx |= 1 << v;
-        }
-        idx
-    }
-
     /// Whether variable `var` is positive.
     pub fn is_positive(&self, var: usize) -> bool {
         self.positive.contains(var)
@@ -122,21 +107,6 @@ impl Polarity {
         } else {
             self.positive.insert(var);
         }
-    }
-
-    /// Translates a *literal-space* assignment (bit = value of the literal)
-    /// into a *variable-space* assignment (bit = value of the variable):
-    /// a negative-polarity literal at 1 means the variable is 0.
-    pub fn literals_to_inputs(&self, literals: u64) -> u64 {
-        let mut inputs = 0u64;
-        for v in 0..self.n {
-            let lit = literals & (1 << v) != 0;
-            let val = if self.is_positive(v) { lit } else { !lit };
-            if val {
-                inputs |= 1 << v;
-            }
-        }
-        inputs
     }
 }
 
@@ -342,6 +312,100 @@ impl Fprm {
     }
 }
 
+/// The Reed–Muller coefficient vector of one function, held under one
+/// polarity and moved between polarities one variable at a time.
+///
+/// Bit `m` is the coefficient of the cube whose variables are the set bits
+/// of `m`, under [`Spectrum::polarity`]. Flipping variable `i` maps every
+/// coefficient `c[S]` with `i ∉ S` to `c[S] ⊕ c[S ∪ {i}]` and leaves the
+/// others: one in-place pass over the words, the same in both directions.
+/// The cube count is a popcount, so a Gray-code walk visits all `2^n`
+/// polarities at one pass each.
+///
+/// # Examples
+///
+/// ```
+/// use xsynth_boolean::{Spectrum, TruthTable};
+///
+/// // ¬x0·¬x1 = 1 ⊕ x0 ⊕ x1 ⊕ x0·x1 in positive polarity, one cube in
+/// // all-negative polarity.
+/// let t = TruthTable::from_fn(2, |m| m == 0);
+/// let mut s = Spectrum::new(&t);
+/// assert_eq!(s.num_cubes(), 4);
+/// s.flip(0);
+/// s.flip(1);
+/// assert_eq!(s.num_cubes(), 1);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Spectrum {
+    polarity: Polarity,
+    words: Vec<u64>,
+}
+
+impl Spectrum {
+    /// The spectrum of `t` in all-positive polarity (the positive Davio
+    /// transform).
+    pub fn new(t: &TruthTable) -> Self {
+        let n = t.num_vars();
+        let mut words = t.words().to_vec();
+        for var in 0..n {
+            davio_butterfly(&mut words, var, true);
+        }
+        Spectrum {
+            polarity: Polarity::all_positive(n),
+            words,
+        }
+    }
+
+    /// The polarity the coefficients are currently held under.
+    pub fn polarity(&self) -> &Polarity {
+        &self.polarity
+    }
+
+    /// Moves the spectrum to the polarity with `var` flipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is not below the table's arity.
+    pub fn flip(&mut self, var: usize) {
+        assert!(
+            var < self.polarity.num_vars(),
+            "variable {var} out of range"
+        );
+        if var >= 6 {
+            let stride = 1usize << (var - 6);
+            for block in self.words.chunks_exact_mut(2 * stride) {
+                let (lo, hi) = block.split_at_mut(stride);
+                for (l, h) in lo.iter_mut().zip(hi.iter()) {
+                    *l ^= h;
+                }
+            }
+        } else {
+            let shift = 1u32 << var;
+            for w in &mut self.words {
+                *w ^= (*w & HI_BITS[var]) >> shift;
+            }
+        }
+        self.polarity.flip(var);
+    }
+
+    /// Number of cubes of the FPRM form under the current polarity.
+    pub fn num_cubes(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+/// For each in-word variable `v < 6`, the bit positions whose index has bit
+/// `v` set (the high half of every `v`-butterfly).
+const HI_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// Applies one Davio butterfly stage in place over the packed table.
 ///
 /// Positive polarity maps `(f0, f1)` blocks to `(f0, f0 ^ f1)` — the
@@ -366,12 +430,7 @@ fn davio_butterfly(words: &mut [u64], var: usize, positive: bool) {
         }
     } else {
         let shift = 1u32 << var;
-        let mut vpat = 0u64;
-        for i in 0..64u64 {
-            if i & (1 << var) != 0 {
-                vpat |= 1 << i;
-            }
-        }
+        let vpat = HI_BITS[var];
         for w in words.iter_mut() {
             let lo = *w & !vpat;
             let hi = *w & vpat;
@@ -568,13 +627,26 @@ mod tests {
     }
 
     #[test]
-    fn literal_space_mapping() {
-        let p = Polarity::from_bits(&[true, false, true]);
-        // literal pattern 0b011: lit0=1, lit1=1, lit2=0
-        // var0 positive -> 1; var1 negative, lit=1 -> var=0; var2 positive, lit=0 -> 0
-        assert_eq!(p.literals_to_inputs(0b011), 0b001);
-        // all literals 0: var1 negative lit 0 -> var 1
-        assert_eq!(p.literals_to_inputs(0), 0b010);
+    fn spectrum_follows_the_transform_through_a_gray_walk() {
+        for n in 0..=8 {
+            let t = random_table(n, 40 + n as u64);
+            let mut s = Spectrum::new(&t);
+            for i in 0..(1u64 << n) {
+                if i > 0 {
+                    s.flip(i.trailing_zeros() as usize);
+                }
+                let f = Fprm::from_table(&t, s.polarity());
+                assert_eq!(s.num_cubes(), f.num_cubes() as u64, "n {n} step {i}");
+            }
+            if n > 0 {
+                // flipping is its own inverse
+                let before = s.clone();
+                s.flip(n - 1);
+                s.flip(n - 1);
+                assert_eq!(s.polarity(), before.polarity());
+                assert_eq!(s.words, before.words);
+            }
+        }
     }
 
     #[test]

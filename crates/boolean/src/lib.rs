@@ -7,8 +7,9 @@
 //! * [`VarSet`] — compact variable sets,
 //! * [`TruthTable`] — bit-parallel complete truth tables,
 //! * [`Cube`] / [`Sop`] — three-valued cubes and sum-of-products covers,
-//! * [`Polarity`] / [`Fprm`] — fixed-polarity Reed-Muller forms with the
-//!   fast Davio transform, polarity search, and prime-cube analysis.
+//! * [`Polarity`] / [`Fprm`] / [`Spectrum`] — fixed-polarity Reed-Muller
+//!   forms with the fast Davio transform, polarity search, and prime-cube
+//!   analysis.
 //!
 //! # Examples
 //!
@@ -34,7 +35,7 @@ mod tt;
 mod varset;
 
 pub use cube::Cube;
-pub use fprm::{Fprm, Polarity};
+pub use fprm::{Fprm, Polarity, Spectrum};
 pub use sop::Sop;
 pub use tt::{TruthTable, MAX_TT_VARS};
 pub use varset::{Iter as VarSetIter, VarSet};

@@ -36,11 +36,13 @@
 #![forbid(unsafe_code)]
 
 pub mod kfdd;
+#[cfg(test)]
+mod reference;
 
 use std::collections::HashMap;
 use std::time::Instant;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_boolean::{Fprm, Polarity, TruthTable, VarSet};
+use xsynth_boolean::{Fprm, Polarity, Spectrum, TruthTable, VarSet};
 use xsynth_trace::TraceBuffer;
 
 /// A handle to an OFDD node inside an [`OfddManager`].
@@ -432,22 +434,37 @@ pub enum PolarityMode {
 /// all `2^k` polarities.
 pub const EXHAUSTIVE_LIMIT: usize = 10;
 
+/// Support size up to which a search scores candidates on the function's
+/// Reed–Muller spectrum (a `2^16`-bit table is 8 KiB); wider functions
+/// convert the BDD to an OFDD per candidate.
+const SPECTRUM_LIMIT: usize = 16;
+
 /// An incremental polarity search over one function.
 ///
-/// The search owns a borrowed [`BddManager`] for the whole descent — the
-/// BDD of the function is built once and candidate polarities only pay for
-/// the BDD→OFDD conversion. Evaluated polarities are memoized (keyed by
-/// the polarity vector itself), so greedy rounds never re-evaluate a visited
-/// vector, and the independent single-flip candidates of a round can be
-/// evaluated in parallel (`parallel(true)`), every worker hash-consing into
-/// the same shared manager under one global node cap.
-/// Results are bit-identical with and without parallelism: workers only
-/// compute cube counts, and the selection logic is a pure function of
-/// those counts applied in a fixed order.
+/// For a function of at most 16 support variables the search reads the
+/// support truth table from the BDD once, on its first evaluation, and
+/// keeps its Reed–Muller coefficient vector (a [`Spectrum`]). Scoring a
+/// candidate moves that vector to the candidate's polarity, one pass over
+/// the words per flipped variable, and takes its popcount: the cube count
+/// the OFDD would have. Such a search allocates no BDD nodes.
+///
+/// A wider function pays a BDD→OFDD conversion per candidate. The
+/// conversion drives the borrowed [`BddManager`] through XORs under its
+/// node cap, and the independent single-flip candidates of a greedy round
+/// can be converted in parallel (`parallel(true)`), every worker
+/// hash-consing into the same shared manager under one global node cap.
+///
+/// Greedy rounds memoize evaluated polarities (keyed by the polarity
+/// vector itself), so they never re-evaluate a visited vector. Results are
+/// bit-identical with and without parallelism: workers only compute cube
+/// counts, and the selection logic is a pure function of those counts
+/// applied in a fixed order.
 #[derive(Debug)]
 pub struct PolaritySearch<'a> {
     bm: &'a BddManager,
     f: Bdd,
+    /// chosen on the first evaluation
+    scorer: Option<Scorer>,
     memo: HashMap<Polarity, u64>,
     parallel: bool,
     deadline: Option<Instant>,
@@ -455,16 +472,77 @@ pub struct PolaritySearch<'a> {
     tripped: bool,
 }
 
+/// How a [`PolaritySearch`] scores a candidate polarity.
+#[derive(Debug)]
+enum Scorer {
+    /// The spectrum of the function's support truth table, whose variable
+    /// `j` is `support[j]`.
+    Spectrum {
+        support: Vec<usize>,
+        spectrum: Spectrum,
+    },
+    /// A BDD→OFDD conversion per candidate.
+    Ofdd,
+}
+
+impl Scorer {
+    fn new(bm: &BddManager, f: Bdd) -> Scorer {
+        let support: Vec<usize> = bm.support(f).iter().collect();
+        if support.len() > SPECTRUM_LIMIT {
+            return Scorer::Ofdd;
+        }
+        let mut table = TruthTable::zero(support.len());
+        support_table(bm, f, &support, 0, 0, &mut table);
+        Scorer::Spectrum {
+            spectrum: Spectrum::new(&table),
+            support,
+        }
+    }
+}
+
+/// Sets the minterms of `b` in `table` by a cofactor walk down the sorted
+/// `support`: bit `j` of a minterm is the value of `support[j]`, and
+/// `base` holds the bits of the `j` variables fixed on the way down.
+fn support_table(
+    bm: &BddManager,
+    b: Bdd,
+    support: &[usize],
+    j: usize,
+    base: u64,
+    table: &mut TruthTable,
+) {
+    if b == Bdd::ZERO {
+        return;
+    }
+    if b == Bdd::ONE {
+        for high in 0..(1u64 << (support.len() - j)) {
+            table.set(base | high << j, true);
+        }
+        return;
+    }
+    // `b` depends only on support variables from `support[j]` on, so a
+    // different top variable means `b` does not depend on `support[j]`
+    let (lo, hi) = if bm.top_var(b) == Some(support[j]) {
+        (bm.low(b), bm.high(b))
+    } else {
+        (b, b)
+    };
+    support_table(bm, lo, support, j + 1, base, table);
+    support_table(bm, hi, support, j + 1, base | 1 << j, table);
+}
+
 impl<'a> PolaritySearch<'a> {
     /// Starts a search for `f` inside `bm`.
     ///
     /// A node cap set on `bm` (see [`BddManager::set_node_limit`]) governs
-    /// the search: when a candidate evaluation trips it, the search stops
-    /// and keeps the best polarity found so far instead of panicking.
+    /// the OFDD conversions of a function wider than 16 variables: when a
+    /// candidate trips it, the search stops and keeps the best polarity
+    /// found so far instead of panicking.
     pub fn new(bm: &'a BddManager, f: Bdd) -> Self {
         PolaritySearch {
             bm,
             f,
+            scorer: None,
             memo: HashMap::new(),
             parallel: false,
             deadline: None,
@@ -473,17 +551,20 @@ impl<'a> PolaritySearch<'a> {
         }
     }
 
-    /// Enables or disables parallel candidate evaluation (off by default —
-    /// callers that already fan out across outputs keep each search
-    /// single-threaded to avoid oversubscription).
+    /// Enables or disables parallel candidate conversion for functions
+    /// wider than 16 variables (off by default — callers that already fan
+    /// out across outputs keep each search single-threaded to avoid
+    /// oversubscription).
     pub fn parallel(mut self, enabled: bool) -> Self {
         self.parallel = enabled;
         self
     }
 
-    /// Sets a wall-clock deadline. Once it passes, the search finishes the
-    /// candidate in flight, then aborts and keeps the best polarity found
-    /// so far (see [`PolaritySearch::budget_tripped`]).
+    /// Sets a wall-clock deadline, checked at the start of each greedy
+    /// round, before each candidate the round evaluates, and before each
+    /// block of 256 exhaustive candidates. Once it has passed, the search
+    /// aborts at the next check and keeps the best polarity found so far
+    /// (see [`PolaritySearch::budget_tripped`]).
     pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
         self.deadline = deadline;
         self
@@ -524,6 +605,28 @@ impl<'a> PolaritySearch<'a> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
+    fn scorer(&mut self) -> &mut Scorer {
+        let (bm, f) = (self.bm, self.f);
+        self.scorer.get_or_insert_with(|| Scorer::new(bm, f))
+    }
+
+    /// One candidate, unmemoized: the spectrum moved to `pol` and counted,
+    /// or an OFDD conversion (`None` when it trips the node cap).
+    fn evaluate(&mut self, pol: &Polarity) -> Option<u64> {
+        let (bm, f) = (self.bm, self.f);
+        match self.scorer() {
+            Scorer::Spectrum { support, spectrum } => {
+                for (j, &v) in support.iter().enumerate() {
+                    if spectrum.polarity().is_positive(j) != pol.is_positive(v) {
+                        spectrum.flip(j);
+                    }
+                }
+                Some(spectrum.num_cubes())
+            }
+            Scorer::Ofdd => eval_polarity(bm, f, pol),
+        }
+    }
+
     /// The FPRM cube count of the function under `pol`, memoized; `None`
     /// when the evaluation trips the manager's node cap (recorded as a
     /// budget trip).
@@ -532,7 +635,7 @@ impl<'a> PolaritySearch<'a> {
             self.record(0, 1);
             return Some(c);
         }
-        match eval_polarity(self.bm, self.f, pol) {
+        match self.evaluate(pol) {
             Some(c) => {
                 self.record(1, 0);
                 self.memo.insert(pol.clone(), c);
@@ -565,19 +668,17 @@ impl<'a> PolaritySearch<'a> {
                 }
             }
         }
-        // a batch may name the same uncached polarity twice; computing it
-        // twice would double-count, so dedup by key first
-        missing.dedup_by_key(|&mut i| pols[i].clone());
         let mut tripped = false;
         let mut evaluated = 0u64;
         if self.past_deadline() {
             tripped = true;
         } else {
-            let workers = if self.parallel && missing.len() >= 2 {
-                xsynth_bdd::worker_threads(missing.len())
-            } else {
-                1
-            };
+            let workers =
+                if self.parallel && missing.len() >= 2 && matches!(self.scorer(), Scorer::Ofdd) {
+                    xsynth_bdd::worker_threads(missing.len())
+                } else {
+                    1
+                };
             if workers > 1 {
                 let bm = self.bm;
                 let f = self.f;
@@ -615,7 +716,7 @@ impl<'a> PolaritySearch<'a> {
                         tripped = true;
                         break;
                     }
-                    match eval_polarity(self.bm, self.f, &pols[i]) {
+                    match self.evaluate(&pols[i]) {
                         Some(c) => {
                             evaluated += 1;
                             self.memo.insert(pols[i].clone(), c);
@@ -689,43 +790,47 @@ impl<'a> PolaritySearch<'a> {
     }
 
     /// Exhaustive enumeration of all `2^k` polarities over `support`, in
-    /// gray-code order (each step flips exactly one variable, the order a
-    /// future incremental OFDD update can exploit). Ties keep the earliest
-    /// polarity in gray order. Returns the winner and its count.
+    /// Gray-code order: each step flips exactly one variable, which moves
+    /// the spectrum by one pass over its words. Ties keep the earliest
+    /// polarity in Gray order. Returns the winner and its count.
     pub fn exhaustive_gray(&mut self, support: &[usize]) -> (Polarity, u64) {
         let n = self.bm.num_vars();
         let k = support.len();
         assert!(k <= 24, "exhaustive polarity space too large for {k} vars");
-        // candidate i: the i-th gray code, a set bit meaning the variable
+        // step i visits the i-th gray code, a set bit meaning the variable
         // is flipped to negative (gray 0 = all-positive)
-        let make = |i: u64| {
-            let g = i ^ (i >> 1);
-            let mut p = Polarity::all_positive(n);
-            for (b, &v) in support.iter().enumerate() {
-                if g & (1 << b) != 0 {
-                    p.set(v, false);
-                }
-            }
-            p
-        };
+        let mut pol = Polarity::all_positive(n);
         let mut best: Option<(u64, Polarity)> = None;
-        // batches keep peak memory flat and still feed the parallel path
+        // the deadline is checked once per block
         const BATCH: u64 = 256;
         let total = 1u64 << k;
         let mut start = 0u64;
         while start < total {
+            if self.past_deadline() {
+                self.record_trip();
+                break;
+            }
             let end = (start + BATCH).min(total);
-            let pols: Vec<Polarity> = (start..end).map(make).collect();
-            let (counts, tripped) = self.counts_governed(&pols);
-            for (p, c) in pols.into_iter().zip(counts) {
-                if let Some(c) = c {
-                    if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-                        best = Some((c, p));
-                    }
+            let mut evaluated = 0u64;
+            let mut tripped = false;
+            for i in start..end {
+                if i > 0 {
+                    // gray(i) and gray(i - 1) differ in bit tz(i)
+                    pol.flip(support[i.trailing_zeros() as usize]);
+                }
+                let Some(c) = self.evaluate(&pol) else {
+                    tripped = true;
+                    break;
+                };
+                evaluated += 1;
+                if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
+                    best = Some((c, pol.clone()));
                 }
             }
+            self.record(evaluated, 0);
             if tripped {
                 // abort-and-keep-best under the budget
+                self.record_trip();
                 break;
             }
             start = end;
@@ -784,9 +889,9 @@ fn eval_polarity(bm: &BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
     Some(om.num_cubes(o))
 }
 
-/// Searches for a cube-minimizing polarity of `t` under `mode` by the
-/// memoized descent of [`PolaritySearch`], evaluating candidates through
-/// OFDD cube counts. Returns the winning manager and root.
+/// Searches for a cube-minimizing polarity of `t` under `mode` with
+/// [`PolaritySearch`], then builds the OFDD under the winner. Returns the
+/// winning manager and root.
 ///
 /// This is the practical polarity-optimization loop of the paper's
 /// reference \[20\] scaled to functions whose truth tables fit in memory; for
@@ -945,10 +1050,13 @@ mod tests {
 
     #[test]
     fn capped_search_aborts_and_keeps_best() {
-        let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
-        let bm = BddManager::new(6);
+        // 17 support variables: too wide for the spectrum, so every
+        // candidate converts the BDD to an OFDD
+        let t = TruthTable::from_fn(17, |m| (m * 37 + 11) % 5 < 2);
+        let bm = BddManager::new(17);
         let f = bm.from_table(&t).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
+        assert!(support.len() > SPECTRUM_LIMIT);
         // cap at the current size: the very first candidate is
         // unaffordable, so the search must fall back to all-positive with
         // an unknown count — without panicking
@@ -956,8 +1064,162 @@ mod tests {
         let mut search = PolaritySearch::new(&bm, f);
         let (pol, count) = search.run(PolarityMode::Greedy, &support);
         assert!(search.budget_tripped());
-        assert_eq!(pol, Polarity::all_positive(6));
+        assert_eq!(pol, Polarity::all_positive(17));
         assert_eq!(count, u64::MAX);
+    }
+
+    #[test]
+    fn narrow_search_allocates_no_bdd_nodes() {
+        let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
+        for mode in MODES {
+            let free_bm = BddManager::new(6);
+            let free_f = free_bm.from_table(&t).expect("uncapped");
+            let support: Vec<usize> = free_bm.support(free_f).iter().collect();
+            let uncapped = PolaritySearch::new(&free_bm, free_f).run(mode, &support);
+
+            let bm = BddManager::new(6);
+            let f = bm.from_table(&t).expect("uncapped");
+            let nodes = bm.num_nodes();
+            bm.set_node_limit(Some(nodes));
+            let mut search = PolaritySearch::new(&bm, f);
+            assert_eq!(search.run(mode, &support), uncapped, "{mode:?}");
+            assert!(!search.budget_tripped(), "{mode:?}");
+            assert_eq!(bm.num_nodes(), nodes, "{mode:?}");
+        }
+    }
+
+    const MODES: [PolarityMode; 3] = [
+        PolarityMode::AllPositive,
+        PolarityMode::Greedy,
+        PolarityMode::Exhaustive,
+    ];
+
+    /// A random function of `k` variables placed on variables of a wider
+    /// manager with gaps of 0–2 unused variables before each, and one
+    /// random polarity bit per manager variable.
+    fn placed_function(seed: u64, k: usize) -> (BddManager, Bdd, Vec<usize>, Vec<bool>) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let mut vars = Vec::with_capacity(k);
+        let mut v = 0;
+        for _ in 0..k {
+            v += (next() % 3) as usize;
+            vars.push(v);
+            v += 1;
+        }
+        let n = v + (next() % 3) as usize;
+        let t = TruthTable::from_fn(k, |_| next() & 1 == 1);
+        let phases: Vec<bool> = (0..n).map(|_| next() & 1 == 1).collect();
+        let bm = BddManager::new(n);
+        let f = place(&bm, &t, &vars, 0, 0);
+        (bm, f, vars, phases)
+    }
+
+    /// `t` with its variable `j` placed on manager variable `vars[j]`.
+    fn place(bm: &BddManager, t: &TruthTable, vars: &[usize], j: usize, prefix: u64) -> Bdd {
+        if j == vars.len() {
+            return bm.constant(t.eval(prefix));
+        }
+        let lo = place(bm, t, vars, j + 1, prefix);
+        let hi = place(bm, t, vars, j + 1, prefix | 1 << j);
+        let x = bm.var(vars[j]).expect("uncapped");
+        bm.ite(x, hi, lo).expect("uncapped")
+    }
+
+    /// Runs a search with a fresh trace buffer; returns its result, its
+    /// budget flag and every `polarity.*` counter and gauge it recorded.
+    fn traced<T>(
+        go: impl FnOnce(&mut TraceBuffer) -> (T, bool),
+    ) -> (T, bool, Vec<(String, u64)>, Option<f64>) {
+        let sink = xsynth_trace::TraceSink::new();
+        let mut buf = sink.buffer(0, "search");
+        let (result, tripped) = go(&mut buf);
+        drop(buf);
+        let trace = sink.take();
+        let counters = trace
+            .counter_totals()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("polarity."))
+            .collect();
+        (
+            result,
+            tripped,
+            counters,
+            trace.gauge_max("polarity.best_cubes"),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        #[test]
+        fn spectrum_count_matches_ofdd_on_every_polarity(
+            seed in proptest::arbitrary::any::<u64>(),
+            k in 0usize..=10,
+        ) {
+            let (bm, f, vars, phases) = placed_function(seed, k);
+            let mut search = PolaritySearch::new(&bm, f);
+            // variables off the support keep a random phase throughout
+            let mut pol = Polarity::from_bits(&phases);
+            for &v in &vars {
+                pol.set(v, true);
+            }
+            for i in 0..(1u64 << k) {
+                if i > 0 {
+                    pol.flip(vars[i.trailing_zeros() as usize]);
+                }
+                let want = eval_polarity(&bm, f, &pol).expect("uncapped");
+                proptest::prop_assert_eq!(search.evaluate(&pol), Some(want), "{:?}", pol);
+            }
+            proptest::prop_assert!(matches!(search.scorer, Some(Scorer::Spectrum { .. })));
+        }
+
+        #[test]
+        fn search_matches_reference(
+            seed in proptest::arbitrary::any::<u64>(),
+            k in 0usize..=12,
+            mode in 0usize..3,
+            flags in 0u8..4,
+        ) {
+            let (bm, f, vars, _) = placed_function(seed, k);
+            let support: Vec<usize> = bm.support(f).iter().collect();
+            let mode = MODES[mode];
+            let parallel = flags & 1 == 1;
+            let deadline = (flags & 2 == 2)
+                .then(|| Instant::now() - std::time::Duration::from_millis(1));
+            let want = traced(|buf| {
+                let mut s = reference::PolaritySearch::new(&bm, f)
+                    .parallel(parallel)
+                    .deadline(deadline)
+                    .trace(buf);
+                (s.run(mode, &support), s.budget_tripped())
+            });
+            let got = traced(|buf| {
+                let mut s = PolaritySearch::new(&bm, f)
+                    .parallel(parallel)
+                    .deadline(deadline)
+                    .trace(buf);
+                (s.run(mode, &support), s.budget_tripped())
+            });
+            proptest::prop_assert_eq!(&got, &want, "run {:?} on {:?}", mode, vars);
+            // a direct greedy call builds the spectrum on its own
+            let want = traced(|buf| {
+                let mut s = reference::PolaritySearch::new(&bm, f)
+                    .deadline(deadline)
+                    .trace(buf);
+                (s.greedy(&support), s.budget_tripped())
+            });
+            let got = traced(|buf| {
+                let mut s = PolaritySearch::new(&bm, f).deadline(deadline).trace(buf);
+                (s.greedy(&support), s.budget_tripped())
+            });
+            proptest::prop_assert_eq!(&got, &want, "greedy on {:?}", vars);
+        }
     }
 
     #[test]
