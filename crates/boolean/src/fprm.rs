@@ -264,52 +264,6 @@ impl Fprm {
             .filter(|c| !self.cubes.iter().any(|d| c != &d && c.is_subset(d)))
             .collect()
     }
-
-    /// Searches all `2^n` polarities for the one with the fewest cubes.
-    /// Only feasible for small `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t.num_vars() > 16`.
-    pub fn best_polarity_exhaustive(t: &TruthTable) -> Self {
-        let n = t.num_vars();
-        assert!(n <= 16, "exhaustive polarity search infeasible for n={n}");
-        let mut best: Option<Fprm> = None;
-        for idx in 0..(1u64 << n) {
-            let p = Polarity::from_index(n, idx);
-            let f = Fprm::from_table(t, &p);
-            if best.as_ref().is_none_or(|b| f.num_cubes() < b.num_cubes()) {
-                best = Some(f);
-            }
-        }
-        best.expect("at least one polarity")
-    }
-
-    /// Greedy polarity search: starting from all-positive, repeatedly flips
-    /// the single variable polarity that most reduces the cube count, until
-    /// a local minimum. A good practical surrogate for the exhaustive
-    /// search on larger functions.
-    pub fn best_polarity_greedy(t: &TruthTable) -> Self {
-        let n = t.num_vars();
-        let mut pol = Polarity::all_positive(n);
-        let mut cur = Fprm::from_table(t, &pol);
-        loop {
-            let mut improved = false;
-            for v in 0..n {
-                let mut p2 = pol.clone();
-                p2.flip(v);
-                let f2 = Fprm::from_table(t, &p2);
-                if f2.num_cubes() < cur.num_cubes() {
-                    pol = p2;
-                    cur = f2;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
-        }
-    }
 }
 
 /// The Reed–Muller coefficient vector of one function, held under one
@@ -605,25 +559,6 @@ mod tests {
         assert_eq!(primes.len(), 2);
         assert!(primes.contains(&&VarSet::from_vars([0, 1])));
         assert!(primes.contains(&&VarSet::from_vars([2])));
-    }
-
-    #[test]
-    fn exhaustive_beats_or_ties_positive() {
-        for seed in 0..6u64 {
-            let t = random_table(4, seed);
-            let pos = Fprm::from_table_positive(&t);
-            let best = Fprm::best_polarity_exhaustive(&t);
-            assert!(best.num_cubes() <= pos.num_cubes());
-            assert_eq!(best.to_table(), t);
-        }
-    }
-
-    #[test]
-    fn greedy_is_valid_and_not_worse_than_positive() {
-        let t = random_table(7, 99);
-        let g = Fprm::best_polarity_greedy(&t);
-        assert_eq!(g.to_table(), t);
-        assert!(g.num_cubes() <= Fprm::from_table_positive(&t).num_cubes());
     }
 
     #[test]

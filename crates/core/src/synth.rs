@@ -28,6 +28,7 @@ use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, Pattern, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
 use crate::verify::{network_bdds, new_manager, EquivChecker};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,8 +36,8 @@ use std::time::{Duration, Instant};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_net::{GateKind, Network, SignalId};
-use xsynth_ofdd::{OfddManager, PolaritySearch};
-use xsynth_sim::{exhaustive_patterns, pack_patterns, random_patterns, Simulator};
+use xsynth_ofdd::{optimize_polarity, OfddManager, PolaritySearch};
+use xsynth_sim::{exhaustive_patterns, pack_patterns, random_patterns, PatternBlock, Simulator};
 use xsynth_sop::SopNet;
 use xsynth_trace::{Trace, TraceBuffer, TraceSink};
 
@@ -117,10 +118,9 @@ pub struct SynthOptions {
     pub redundancy_removal: bool,
     /// Run the multi-output sharing pass (the paper's `resub` merge step).
     pub share: bool,
-    /// Fan the per-output planning (and, for single-output circuits, the
-    /// polarity-candidate evaluation) out across threads. The result is
-    /// bit-identical to the sequential path; disable only to benchmark or
-    /// to pin the flow to one core.
+    /// Fan the per-output planning of multi-output circuits out across
+    /// threads. The result is bit-identical to the sequential path; disable
+    /// only to benchmark or to pin the flow to one core.
     pub parallel: bool,
     /// Resource budget governing the run (BDD node cap, per-phase
     /// wall-clock, simulation-pattern cap). Unlimited by default. Phases
@@ -664,7 +664,6 @@ fn plan_output(
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
-    candidate_parallel: bool,
     deadline: Option<Instant>,
     seed: Option<&PlanSeed>,
     buf: &mut TraceBuffer,
@@ -689,10 +688,7 @@ fn plan_output(
             (s.pol.clone(), false)
         }
         None => {
-            let mut search = PolaritySearch::new(bm, f)
-                .parallel(candidate_parallel)
-                .deadline(deadline)
-                .trace(buf);
+            let mut search = PolaritySearch::new(bm, f).deadline(deadline).trace(buf);
             let (pol, _) = search.run(opts.polarity, &support);
             (pol, search.budget_tripped())
         }
@@ -874,7 +870,6 @@ fn plan_with_salvage(
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
-    candidate_parallel: bool,
     deadline: Option<Instant>,
     seed: Option<&PlanSeed>,
     mut make_buf: impl FnMut() -> TraceBuffer,
@@ -898,20 +893,8 @@ fn plan_with_salvage(
             seed = None;
             buf.count("salvage.attempts", 1);
         }
-        let attempt = buf.contain(|buf| {
-            plan_output(
-                name,
-                f,
-                bm,
-                n,
-                num_outputs,
-                &ropts,
-                candidate_parallel,
-                deadline,
-                seed,
-                buf,
-            )
-        });
+        let attempt = buf
+            .contain(|buf| plan_output(name, f, bm, n, num_outputs, &ropts, deadline, seed, buf));
         match classify(attempt) {
             Ok(plan) => {
                 let record = rung.zip(first).map(|(rung, (cause, _))| SalvageRecord {
@@ -933,39 +916,49 @@ fn plan_with_salvage(
     Err(fatal(name, first.expect("a failed attempt")))
 }
 
-/// Word-packed simulation check that the cone rooted at `sig` in `net`
-/// computes `f`. Exhaustive up to 11 inputs, otherwise 128 fixed-seed
-/// random patterns; past 64 inputs the packed minterm encoding runs out,
-/// so the cone is trusted and the full verification pass is the backstop.
-fn emitted_cone_matches(net: &Network, sig: SignalId, bm: &BddManager, f: xsynth_bdd::Bdd) -> bool {
-    let n = net.inputs().len();
-    if n > 64 {
-        return true;
+/// The fixed patterns a factored emission is self-checked on: exhaustive
+/// up to 11 inputs, otherwise 128 fixed-seed random patterns. Built once
+/// per job, on the first check, and shared by every output.
+struct EmissionCheck {
+    patterns: Vec<Pattern>,
+    blocks: Vec<PatternBlock>,
+}
+
+impl EmissionCheck {
+    fn new(n: usize) -> Self {
+        let patterns = if n <= 11 {
+            exhaustive_patterns(n)
+        } else {
+            random_patterns(n, 128, 0x5eed_fa11)
+        };
+        let blocks = pack_patterns(n, &patterns);
+        EmissionCheck { patterns, blocks }
     }
-    let patterns = if n <= 11 {
-        exhaustive_patterns(n)
-    } else {
-        random_patterns(n, 128, 0x5eed_fa11)
-    };
-    let sim = Simulator::for_cone(net, sig);
-    for (block, chunk) in pack_patterns(n, &patterns).iter().zip(patterns.chunks(64)) {
-        let vals = sim.simulate_block(&block.words);
-        let got = vals[sig.index()];
-        let mut want = 0u64;
-        for (lane, pattern) in chunk.iter().enumerate() {
-            let minterm = pattern
-                .iter()
-                .enumerate()
-                .fold(0u64, |m, (v, &bit)| m | (u64::from(bit) << v));
-            if bm.eval(f, minterm) {
-                want |= 1 << lane;
+
+    /// Word-packed simulation check that the cone rooted at `sig` in `net`
+    /// computes `f` on every pattern.
+    fn matches(&self, net: &Network, sig: SignalId, bm: &BddManager, f: xsynth_bdd::Bdd) -> bool {
+        let sim = Simulator::for_cone(net, sig);
+        for (block, chunk) in self.blocks.iter().zip(self.patterns.chunks(64)) {
+            let vals = sim.simulate_block(&block.words);
+            let got = vals[sig.index()];
+            let mut want = 0u64;
+            for (lane, pattern) in chunk.iter().enumerate() {
+                // walk `f` down the pattern's bits: any input count works
+                let mut b = f;
+                while let Some(v) = bm.top_var(b) {
+                    b = if pattern[v] { bm.high(b) } else { bm.low(b) };
+                }
+                if b == xsynth_bdd::Bdd::ONE {
+                    want |= 1 << lane;
+                }
+            }
+            if (got ^ want) & block.lane_mask() != 0 {
+                return false;
             }
         }
-        if (got ^ want) & block.lane_mask() != 0 {
-            return false;
-        }
+        true
     }
-    true
 }
 
 /// Literal signals of the network under construction: id `2v` is input
@@ -1056,17 +1049,13 @@ fn synthesize_outputs(
     // multiple outputs the planning fans out across worker threads, all
     // borrowing the job's one BDD manager as `&BddManager`, so every
     // worker hash-conses into the same DAG (and the node budget is one
-    // global cap, not a per-worker one); with a single output the
-    // parallelism moves inside the polarity search instead, so the
-    // machine is never oversubscribed. Plans are merged back by output
+    // global cap, not a per-worker one). Plans are merged back by output
     // index — and each output records into its own trace buffer keyed by
     // that index — which makes both the result and the trace independent
     // of thread scheduling.
     main.begin(phase::FPRM);
     let outs = spec.outputs();
     let num_outputs = outs.len();
-    let parallel_outputs = opts.parallel && num_outputs > 1;
-    let candidate_parallel = opts.parallel && !parallel_outputs;
     // Cache pre-pass (sequential, before the fan-out): hash each output
     // cone and pull whatever seeds the engine's cache holds for it. The
     // seed set is fixed here, and stores happen post-merge in output-index
@@ -1116,7 +1105,6 @@ fn synthesize_outputs(
                     n,
                     num_outputs,
                     opts,
-                    candidate_parallel,
                     deadline,
                     seeds[i].as_ref(),
                     || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
@@ -1125,7 +1113,7 @@ fn synthesize_outputs(
             })
             .collect()
     };
-    let workers = if parallel_outputs {
+    let workers = if opts.parallel && num_outputs > 1 {
         xsynth_bdd::worker_threads(num_outputs)
     } else {
         1
@@ -1263,6 +1251,7 @@ fn synthesize_outputs(
     }
 
     // Phase 3: emit the outputs.
+    let check = OnceCell::new();
     for plan in plans {
         let factored = match &plan.lit_cubes {
             Some(cubes) => {
@@ -1280,7 +1269,9 @@ fn synthesize_outputs(
                         &mut factored_misses,
                     );
                     let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
-                    let ok = emitted_cone_matches(&net, sig, bm, plan.bdd);
+                    let ok = check
+                        .get_or_init(|| EmissionCheck::new(n))
+                        .matches(&net, sig, bm, plan.bdd);
                     #[cfg(feature = "failpoints")]
                     let ok = ok && !xsynth_trace::failpoint::hit("core.emit_check");
                     ok.then_some(sig)
@@ -1363,18 +1354,8 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
                     })
                 })
             });
-            let fprm = match opts.polarity {
-                PolarityMode::AllPositive => Fprm::from_table_positive(&tt),
-                PolarityMode::Greedy => Fprm::best_polarity_greedy(&tt),
-                PolarityMode::Exhaustive => {
-                    if k <= 8 {
-                        Fprm::best_polarity_exhaustive(&tt)
-                    } else {
-                        Fprm::best_polarity_greedy(&tt)
-                    }
-                }
-            };
-            let pol = fprm.polarity().clone();
+            let pol = optimize_polarity(&tt, opts.polarity);
+            let fprm = Fprm::from_table(&tt, &pol);
             let expr = factor_cubes_traced(fprm.cubes(), opts.apply_rules, buf);
             let mut lits = |net: &mut Network, b: usize| -> SignalId {
                 let base = map[&support[b]];
@@ -1489,6 +1470,20 @@ mod tests {
             .filter(|&&id| out.gate_kind(id) == Some(GateKind::Xor))
             .count();
         assert!(xor_gates >= 2, "sum bits need XOR gates");
+    }
+
+    #[test]
+    fn emission_check_covers_networks_past_64_inputs() {
+        // f = x0·x69, emitted right as an AND and wrong as an OR
+        let mut net = Network::new("wide");
+        let inputs: Vec<_> = (0..70).map(|i| net.add_input(format!("x{i}"))).collect();
+        let and = net.add_gate(GateKind::And, vec![inputs[0], inputs[69]]);
+        let or = net.add_gate(GateKind::Or, vec![inputs[0], inputs[69]]);
+        let bm = BddManager::new(70);
+        let f = bm.and(bm.var(0).unwrap(), bm.var(69).unwrap()).unwrap();
+        let check = EmissionCheck::new(70);
+        assert!(check.matches(&net, and, &bm, f));
+        assert!(!check.matches(&net, or, &bm, f));
     }
 
     #[test]

@@ -448,17 +448,12 @@ const SPECTRUM_LIMIT: usize = 16;
 /// the words per flipped variable, and takes its popcount: the cube count
 /// the OFDD would have. Such a search allocates no BDD nodes.
 ///
-/// A wider function pays a BDD→OFDD conversion per candidate. The
-/// conversion drives the borrowed [`BddManager`] through XORs under its
-/// node cap, and the independent single-flip candidates of a greedy round
-/// can be converted in parallel (`parallel(true)`), every worker
-/// hash-consing into the same shared manager under one global node cap.
+/// A wider function pays a BDD→OFDD conversion per candidate, one after
+/// another. The conversion drives the borrowed [`BddManager`] through XORs
+/// under its node cap.
 ///
 /// Greedy rounds memoize evaluated polarities (keyed by the polarity
-/// vector itself), so they never re-evaluate a visited vector. Results are
-/// bit-identical with and without parallelism: workers only compute cube
-/// counts, and the selection logic is a pure function of those counts
-/// applied in a fixed order.
+/// vector itself), so they never re-evaluate a visited vector.
 #[derive(Debug)]
 pub struct PolaritySearch<'a> {
     bm: &'a BddManager,
@@ -466,7 +461,6 @@ pub struct PolaritySearch<'a> {
     /// chosen on the first evaluation
     scorer: Option<Scorer>,
     memo: HashMap<Polarity, u64>,
-    parallel: bool,
     deadline: Option<Instant>,
     trace: Option<&'a mut TraceBuffer>,
     tripped: bool,
@@ -544,20 +538,10 @@ impl<'a> PolaritySearch<'a> {
             f,
             scorer: None,
             memo: HashMap::new(),
-            parallel: false,
             deadline: None,
             trace: None,
             tripped: false,
         }
-    }
-
-    /// Enables or disables parallel candidate conversion for functions
-    /// wider than 16 variables (off by default — callers that already fan
-    /// out across outputs keep each search single-threaded to avoid
-    /// oversubscription).
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
     }
 
     /// Sets a wall-clock deadline, checked at the start of each greedy
@@ -578,10 +562,7 @@ impl<'a> PolaritySearch<'a> {
 
     /// Records the search into a trace buffer: [`PolaritySearch::run`]
     /// opens a `polarity_search` span and the evaluation sites emit the
-    /// `polarity.evaluated` / `polarity.memo_hit` counters. The counter
-    /// stream is deterministic — the memo logic is identical with and
-    /// without [`PolaritySearch::parallel`], only *where* a candidate is
-    /// evaluated changes.
+    /// `polarity.evaluated` / `polarity.memo_hit` counters.
     pub fn trace(mut self, buf: &'a mut TraceBuffer) -> Self {
         self.trace = Some(buf);
         self
@@ -670,61 +651,24 @@ impl<'a> PolaritySearch<'a> {
         }
         let mut tripped = false;
         let mut evaluated = 0u64;
+        // an expired deadline trips the round even when the memo answers
+        // every candidate
         if self.past_deadline() {
             tripped = true;
         } else {
-            let workers =
-                if self.parallel && missing.len() >= 2 && matches!(self.scorer(), Scorer::Ofdd) {
-                    xsynth_bdd::worker_threads(missing.len())
-                } else {
-                    1
-                };
-            if workers > 1 {
-                let bm = self.bm;
-                let f = self.f;
-                let counts: Vec<(usize, Option<u64>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let chunk: Vec<usize> =
-                                missing.iter().copied().skip(w).step_by(workers).collect();
-                            let pols = &pols;
-                            s.spawn(move || {
-                                chunk
-                                    .into_iter()
-                                    .map(|i| (i, eval_polarity(bm, f, &pols[i])))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("polarity worker panicked"))
-                        .collect()
-                });
-                for (i, c) in counts {
-                    match c {
-                        Some(c) => {
-                            evaluated += 1;
-                            self.memo.insert(pols[i].clone(), c);
-                        }
-                        None => tripped = true,
-                    }
+            for &i in &missing {
+                if self.past_deadline() {
+                    tripped = true;
+                    break;
                 }
-            } else {
-                for &i in &missing {
-                    if self.past_deadline() {
+                match self.evaluate(&pols[i]) {
+                    Some(c) => {
+                        evaluated += 1;
+                        self.memo.insert(pols[i].clone(), c);
+                    }
+                    None => {
                         tripped = true;
                         break;
-                    }
-                    match self.evaluate(&pols[i]) {
-                        Some(c) => {
-                            evaluated += 1;
-                            self.memo.insert(pols[i].clone(), c);
-                        }
-                        None => {
-                            tripped = true;
-                            break;
-                        }
                     }
                 }
             }
@@ -890,26 +834,23 @@ fn eval_polarity(bm: &BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
 }
 
 /// Searches for a cube-minimizing polarity of `t` under `mode` with
-/// [`PolaritySearch`], then builds the OFDD under the winner. Returns the
-/// winning manager and root.
+/// [`PolaritySearch`] and returns the winner: the truth-table entry point
+/// to the search the per-output planning runs on its BDDs, with the same
+/// rule (Gray-code exhaustive up to [`EXHAUSTIVE_LIMIT`] support
+/// variables, greedy beyond).
 ///
-/// This is the practical polarity-optimization loop of the paper's
-/// reference \[20\] scaled to functions whose truth tables fit in memory; for
-/// larger functions build from a [`BddManager`] directly with
-/// [`PolaritySearch`] and the polarity of your choice.
-pub fn optimize_polarity(
-    t: &TruthTable,
-    mode: PolarityMode,
-) -> Result<(OfddManager, Ofdd), NodeLimitExceeded> {
+/// The search runs on `t`'s BDD in a manager of its own, over that BDD's
+/// support, with no deadline, node cap or trace buffer; variables off the
+/// support stay positive. Build the form under the winner with
+/// [`Fprm::from_table`].
+pub fn optimize_polarity(t: &TruthTable, mode: PolarityMode) -> Polarity {
     let bm = BddManager::new(t.num_vars());
-    let f = bm.from_table(t)?;
+    let f = bm.from_table(t).expect("a manager without a node cap");
     let support: Vec<usize> = bm.support(f).iter().collect();
-    let (pol, _) = PolaritySearch::new(&bm, f)
-        .parallel(true)
-        .run(mode, &support);
-    let mut om = OfddManager::new(pol);
-    let o = om.from_bdd(&bm, f)?;
-    Ok((om, o))
+    // `dispatch`, not `run`: no `polarity_search` span and no
+    // `ofdd.polarity_search` failpoint, which only a caller with a salvage
+    // ladder can survive
+    PolaritySearch::new(&bm, f).dispatch(mode, &support).0
 }
 
 #[cfg(test)]
@@ -1023,13 +964,12 @@ mod tests {
     fn optimize_polarity_beats_positive_on_negated_and() {
         // ¬x0·¬x1·¬x2 has 1 cube in all-negative polarity but 8 in positive.
         let t = TruthTable::from_fn(3, |m| m == 0);
-        let pos = Fprm::from_table_positive(&t);
-        assert_eq!(pos.num_cubes(), 8);
-        let (om, o) = optimize_polarity(&t, PolarityMode::Greedy).expect("uncapped");
-        assert_eq!(om.num_cubes(o), 1);
-        for m in 0..8u64 {
-            assert_eq!(om.eval(o, m), t.eval(m));
-        }
+        assert_eq!(Fprm::from_table_positive(&t).num_cubes(), 8);
+        let pol = optimize_polarity(&t, PolarityMode::Greedy);
+        assert_eq!(pol, Polarity::all_negative(3));
+        let f = Fprm::from_table(&t, &pol);
+        assert_eq!(f.num_cubes(), 1);
+        assert_eq!(f.to_table(), t);
     }
 
     #[test]
@@ -1200,10 +1140,7 @@ mod tests {
                 (s.run(mode, &support), s.budget_tripped())
             });
             let got = traced(|buf| {
-                let mut s = PolaritySearch::new(&bm, f)
-                    .parallel(parallel)
-                    .deadline(deadline)
-                    .trace(buf);
+                let mut s = PolaritySearch::new(&bm, f).deadline(deadline).trace(buf);
                 (s.run(mode, &support), s.budget_tripped())
             });
             proptest::prop_assert_eq!(&got, &want, "run {:?} on {:?}", mode, vars);

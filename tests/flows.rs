@@ -3,7 +3,9 @@
 
 use xsynth::bench::VERIFY_NODE_CAP;
 use xsynth::circuits::{build, registry};
-use xsynth::core::{try_synthesize, Budget, EquivChecker, FactorMethod, SynthOptions};
+use xsynth::core::{
+    try_synthesize, Budget, EquivChecker, FactorMethod, PolarityMode, SynthOptions,
+};
 use xsynth::map::{map_network, Library};
 use xsynth::sim::{equivalent_on, exhaustive_patterns, random_patterns};
 use xsynth::sop::{script_algebraic, ScriptOptions};
@@ -259,6 +261,42 @@ fn wide_benchmarks_verify_through_the_checker() {
             checker.try_check(&out).unwrap(),
             "{name} failed verification"
         );
+    }
+}
+
+/// `(circuit, premap literals)` of the FPRM flow on the circuits it
+/// synthesizes as macro blocks; the same under every polarity mode.
+const BLOCK_PREMAP: &[(&str, usize)] = &[
+    ("co14", 114),
+    ("cmb", 134),
+    ("frg1", 128),
+    ("i3", 252),
+    ("i4", 372),
+    ("my_adder", 320),
+    ("pcler8", 124),
+];
+
+#[test]
+fn block_mode_holds_its_literals_under_every_polarity_mode() {
+    for mode in [
+        PolarityMode::AllPositive,
+        PolarityMode::Greedy,
+        PolarityMode::Exhaustive,
+    ] {
+        let opts = SynthOptions::builder().polarity(mode).build();
+        for &(name, literals) in BLOCK_PREMAP {
+            let spec = build(name).expect("registered");
+            let outcome = try_synthesize(&spec, &opts).unwrap();
+            assert!(
+                outcome.report.trace.counter("blocks.synthesized") > 0,
+                "{name} left block mode"
+            );
+            assert_eq!(
+                outcome.network.two_input_cost().1,
+                literals,
+                "{name} premap literals under {mode:?}"
+            );
+        }
     }
 }
 

@@ -126,12 +126,5 @@ proptest! {
 
         prop_assert_eq!(count, ref_count);
         prop_assert_eq!(pol, ref_pol);
-        // and the parallel candidate evaluation must not change the answer
-        let bm2 = BddManager::new(n);
-        let f2 = bm2.from_table(&tt).expect("uncapped");
-        let mut psearch = PolaritySearch::new(&bm2, f2).parallel(true);
-        let (ppol, pcount) = psearch.greedy(&support);
-        prop_assert_eq!(pcount, ref_count);
-        prop_assert_eq!(ppol, ref_pol);
     }
 }

@@ -7,7 +7,7 @@ use xsynth::boolean::{Fprm, Polarity, Sop, TruthTable};
 use xsynth::core::{phase, try_synthesize, Budget, Error, FactorMethod, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::net::{GateKind, Network};
-use xsynth::ofdd::OfddManager;
+use xsynth::ofdd::{optimize_polarity, OfddManager, PolarityMode};
 use xsynth::sop::{script_algebraic, ScriptOptions};
 
 /// A random truth table of `n ≤ 6` variables from raw bits.
@@ -188,11 +188,24 @@ proptest! {
     }
 
     #[test]
-    fn fprm_polarity_search_never_worse(bits in any::<u64>()) {
-        let t = table(5, bits);
-        let best = Fprm::best_polarity_exhaustive(&t);
-        let positive = Fprm::from_table_positive(&t);
-        prop_assert!(best.num_cubes() <= positive.num_cubes());
-        prop_assert_eq!(best.to_table(), t);
+    fn fprm_polarity_search_never_worse(
+        words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        n in 0usize..=8,
+    ) {
+        let words = [words.0, words.1, words.2, words.3];
+        let t = TruthTable::from_fn(n, |m| words[(m / 64) as usize] >> (m % 64) & 1 == 1);
+        let cubes = |pol: &Polarity| Fprm::from_table(&t, pol).num_cubes();
+        let minimum = (0..1u64 << n)
+            .map(|i| cubes(&Polarity::from_index(n, i)))
+            .min()
+            .expect("at least one polarity");
+        let positive = cubes(&Polarity::all_positive(n));
+        let exhaustive = optimize_polarity(&t, PolarityMode::Exhaustive);
+        prop_assert_eq!(cubes(&exhaustive), minimum);
+        let greedy = optimize_polarity(&t, PolarityMode::Greedy);
+        prop_assert!(cubes(&greedy) <= positive);
+        for pol in [exhaustive, greedy] {
+            prop_assert_eq!(Fprm::from_table(&t, &pol).to_table(), t.clone());
+        }
     }
 }
