@@ -1,5 +1,5 @@
-//! A reduced ordered binary decision diagram (ROBDD) package with a
-//! concurrent node store and complement edges.
+//! A reduced ordered binary decision diagram (ROBDD) package with
+//! complement edges.
 //!
 //! This is the workspace's stand-in for the "SIS 1.2 ROBDD package" the
 //! paper builds on (Bryant, 1986). It provides a [`BddManager`] arena with a
@@ -23,23 +23,27 @@
 //! complemented handle, so two handles are equal if and only if they
 //! denote the same function, exactly as before.
 //!
-//! # Concurrency
+//! # Ownership
 //!
-//! Every operation takes `&self` and a manager is an owned, internally
-//! locked value: worker threads borrow one `&BddManager` (inside scoped
-//! threads), and handles created on any thread are valid — and canonical
-//! — on every other. The store is lock-striped: nodes, the unique table
-//! and the operation caches are split across [`NUM_SHARDS`] shards
-//! selected by a deterministic hash of the node (or cache key), so threads
-//! hash-consing different subfunctions rarely contend. Node *reads* (child
-//! traversal, evaluation, counting) take no lock at all — the arena is
-//! append-only and slots are published through `OnceLock`.
+//! A manager is a plain single-owner value: one node vector, one unique
+//! table, one apply cache and plain counters. Operations that can
+//! allocate take `&mut self`; reads (child traversal, evaluation,
+//! counting, support) take `&self`. A synthesis job owns its manager and
+//! runs on one thread, so the borrow checker, not a lock, proves the
+//! manager is never shared.
 //!
-//! The node cap ([`BddManager::set_node_limit`]) is a single atomic
-//! allocation counter on the manager: N worker threads driving one
-//! manager collectively observe one global cap, not N private ones.
-//! Nodes are never freed individually; a manager's nodes all go when it
-//! is dropped, which is why the synthesis pipeline builds one per job.
+//! Every mutation is one complete insert: a node is pushed and entered
+//! in the unique table, or an apply result is cached, only after it has
+//! been fully computed. A panic that unwinds out of an operation (an
+//! armed failpoint, contained by `TraceBuffer::contain` further up) can
+//! therefore leave only extra valid nodes and cache entries behind,
+//! never a half-built one, and every handle made before it stays valid.
+//!
+//! The node cap ([`BddManager::set_node_limit`]) is checked against the
+//! node count on every allocation. Nodes are never freed individually; a
+//! manager's nodes all go when it is dropped, which is why the synthesis
+//! pipeline builds one per job and garbage-collects by copying live roots
+//! out of scratch managers ([`BddManager::copy_roots`]).
 //!
 //! # Errors
 //!
@@ -52,7 +56,7 @@
 //! ```
 //! use xsynth_bdd::{BddManager, NodeLimitExceeded};
 //!
-//! let m = BddManager::new(3);
+//! let mut m = BddManager::new(3);
 //! let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
 //! let ab = m.and(a, b)?;
 //! let f = m.or(ab, c)?;
@@ -68,11 +72,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use xsynth_boolean::{Sop, TruthTable, VarSet};
 
 /// Error returned by an operation that would allocate past the manager's
@@ -96,27 +96,18 @@ impl std::fmt::Display for NodeLimitExceeded {
 
 impl std::error::Error for NodeLimitExceeded {}
 
-/// Number of shards the unique table, node arena and operation caches are
-/// striped across.
-pub const NUM_SHARDS: usize = 1 << SHARD_BITS;
-
-const SHARD_BITS: u32 = 6;
-const SHARD_MASK: u32 = (NUM_SHARDS as u32) - 1;
-/// First arena chunk holds 2^10 slots; each subsequent chunk doubles.
-const CHUNK_BASE_BITS: u32 = 10;
-/// 16 doubling chunks cover the full 25-bit per-shard slot space (one
-/// handle bit goes to the complement edge).
-const MAX_CHUNKS: usize = 16;
-const MAX_SLOT: u32 = (1 << (32 - SHARD_BITS - 1)) - 1;
+/// Most nodes one manager can address: a handle is a `u32` whose low bit
+/// is the complement edge.
+const MAX_NODES: usize = 1 << 31;
 
 /// A handle to a BDD node inside a [`BddManager`].
 ///
 /// Handles are canonical: two handles from the same manager are equal if
-/// and only if they denote the same Boolean function. The numeric value of a handle encodes a complement
-/// bit (bit 0 — `f` and `¬f` address the same stored node) plus the
-/// node's shard and arena slot; under parallel construction the value a
-/// given function gets depends on allocation interleaving, so nothing
-/// semantic may depend on handle numbering — only on handle *equality*.
+/// and only if they denote the same Boolean function. The numeric value
+/// of a handle is the node's index in allocation order shifted left by
+/// one, plus a complement bit (bit 0 — `f` and `¬f` address the same
+/// stored node). Nothing semantic may depend on handle numbering — only
+/// on handle *equality*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bdd(u32);
 
@@ -157,12 +148,9 @@ impl Bdd {
         Bdd(self.0 ^ c)
     }
 
-    fn shard(self) -> usize {
-        ((self.0 >> 1) & SHARD_MASK) as usize
-    }
-
-    fn slot(self) -> u32 {
-        self.0 >> (1 + SHARD_BITS)
+    /// Position of the stored node in the manager's node vector.
+    fn slot(self) -> usize {
+        (self.0 >> 1) as usize
     }
 }
 
@@ -183,156 +171,39 @@ enum Op {
     Xor,
 }
 
-/// Append-only node storage for one shard: a fixed directory of doubling
-/// chunks whose slots are published through `OnceLock`, so readers need no
-/// lock and never observe a half-written node. Writers are already
-/// serialized by the shard's unique-table mutex.
-#[derive(Debug)]
-struct Arena {
-    chunks: [OnceLock<Box<[OnceLock<Node>]>>; MAX_CHUNKS],
-}
-
-impl Arena {
-    fn new() -> Self {
-        Arena {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// Chunk index and offset of `slot`: chunk `c` starts at
-    /// `2^BASE · (2^c − 1)` and holds `2^(BASE+c)` slots.
-    fn locate(slot: u32) -> (usize, usize) {
-        let c = u32::BITS - 1 - ((slot >> CHUNK_BASE_BITS) + 1).leading_zeros();
-        let start = ((1u32 << c) - 1) << CHUNK_BASE_BITS;
-        (c as usize, (slot - start) as usize)
-    }
-
-    fn get(&self, slot: u32) -> Node {
-        let (c, off) = Self::locate(slot);
-        *self.chunks[c]
-            .get()
-            .and_then(|chunk| chunk[off].get())
-            .expect("BDD handle does not belong to this manager")
-    }
-
-    /// Publishes `node` at `slot`. Caller holds the shard's unique-table
-    /// lock, so slots are written exactly once, in order.
-    fn set(&self, slot: u32, node: Node) {
-        let (c, off) = Self::locate(slot);
-        let chunk = self.chunks[c].get_or_init(|| {
-            (0..1usize << (CHUNK_BASE_BITS as usize + c))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        let _ = chunk[off].set(node);
-    }
-}
-
-/// The unique table of one shard plus that shard's next free arena slot;
-/// guarded by one mutex so lookup + allocate + insert is atomic and a node
-/// can never be inserted twice.
-#[derive(Debug, Default)]
-struct UniqueTable {
-    map: HashMap<(u32, Bdd, Bdd), Bdd>,
-    len: u32,
-}
-
-#[derive(Debug)]
-struct Shard {
-    nodes: Arena,
-    unique: Mutex<UniqueTable>,
-    apply: Mutex<HashMap<(Op, Bdd, Bdd), Bdd>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            nodes: Arena::new(),
-            unique: Mutex::new(UniqueTable::default()),
-            apply: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-/// Locks a shard-level mutex, ignoring poisoning: a panic inside the
-/// package only ever fires *before* the guarded state is mutated (the
-/// fault-injection site sits ahead of the allocation), so the data behind
-/// a poisoned lock is still consistent and the fault-containment layers
-/// above keep using the manager.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Shard selector: a deterministic (fixed-key) hash, so a key's shard —
-/// and therefore the node set each shard ends up with — is stable across
-/// runs and processes.
-fn shard_of<T: Hash>(key: &T) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) & (NUM_SHARDS - 1)
-}
-
-/// Worker-thread count for the workspace's parallel fan-outs: the
-/// `XSYNTH_THREADS` environment variable when set to a positive integer,
-/// otherwise the machine's available parallelism, clamped to `cap` (the
-/// number of independent work items). `XSYNTH_THREADS=1` forces every
-/// fan-out onto the calling thread, which CI uses to run the determinism
-/// and chaos suites across a thread-count matrix.
-pub fn worker_threads(cap: usize) -> usize {
-    let configured = std::env::var("XSYNTH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    let threads = configured.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    threads.min(cap.max(1))
-}
-
-/// An arena of shared, reduced, ordered BDD nodes over a fixed number of
+/// A store of shared, reduced, ordered BDD nodes over a fixed number of
 /// variables in natural index order.
-///
-/// Every operation takes `&self` and the manager is `Sync`, so the
-/// per-output synthesis workers and the polarity search fan out across
-/// threads on one borrowed `&BddManager`, hash-consing into one DAG under
-/// one node cap.
 #[derive(Debug)]
 pub struct BddManager {
     n: usize,
-    shards: Vec<Shard>,
-    /// Total nodes allocated, the terminal included — the single global
-    /// counter the node cap is enforced against.
-    node_count: AtomicUsize,
-    /// The node cap; `usize::MAX` means uncapped.
-    limit: AtomicUsize,
-    apply_hits: AtomicU64,
-    apply_misses: AtomicU64,
+    /// Every node in allocation order; slot 0 is the terminal.
+    nodes: Vec<Node>,
+    unique: HashMap<(u32, Bdd, Bdd), Bdd>,
+    apply: HashMap<(Op, Bdd, Bdd), Bdd>,
+    /// The node cap, terminal included; `usize::MAX` means uncapped.
+    limit: usize,
+    apply_hits: u64,
+    apply_misses: u64,
 }
 
 impl BddManager {
     /// Creates a manager for functions of `n` variables.
     pub fn new(n: usize) -> Self {
-        let shards: Vec<Shard> = (0..NUM_SHARDS).map(|_| Shard::new()).collect();
-        // the single terminal lives at slot 0 of shard 0, so its regular
-        // handle is the fixed 0 (`ONE`) and its complement 1 (`ZERO`)
-        shards[0].nodes.set(
-            0,
-            Node {
-                var: TERMINAL_VAR,
-                lo: Bdd::ONE,
-                hi: Bdd::ONE,
-            },
-        );
-        lock(&shards[0].unique).len = 1;
+        // the single terminal lives at slot 0, so its regular handle is
+        // the fixed 0 (`ONE`) and its complement 1 (`ZERO`)
+        let terminal = Node {
+            var: TERMINAL_VAR,
+            lo: Bdd::ONE,
+            hi: Bdd::ONE,
+        };
         BddManager {
             n,
-            shards,
-            node_count: AtomicUsize::new(1),
-            limit: AtomicUsize::new(usize::MAX),
-            apply_hits: AtomicU64::new(0),
-            apply_misses: AtomicU64::new(0),
+            nodes: vec![terminal],
+            unique: HashMap::new(),
+            apply: HashMap::new(),
+            limit: usize::MAX,
+            apply_hits: 0,
+            apply_misses: 0,
         }
     }
 
@@ -340,26 +211,20 @@ impl BddManager {
     /// `limit` nodes (the terminal included): an operation that would
     /// allocate past it returns [`NodeLimitExceeded`].
     pub fn with_node_limit(n: usize, limit: usize) -> Self {
-        let m = Self::new(n);
-        m.limit.store(limit, Ordering::Relaxed);
+        let mut m = Self::new(n);
+        m.limit = limit;
         m
     }
 
     /// Sets (`Some`) or clears (`None`) the node cap. Nodes already
-    /// allocated are unaffected; only future allocations are checked. The
-    /// cap is one counter on the manager, so N worker threads sharing it
-    /// collectively stay under one global budget.
-    pub fn set_node_limit(&self, limit: Option<usize>) {
-        self.limit
-            .store(limit.unwrap_or(usize::MAX), Ordering::Relaxed);
+    /// allocated are unaffected; only future allocations are checked.
+    pub fn set_node_limit(&mut self, limit: Option<usize>) {
+        self.limit = limit.unwrap_or(usize::MAX);
     }
 
     /// The node cap, if one is set.
     pub fn node_limit(&self) -> Option<usize> {
-        match self.limit.load(Ordering::Relaxed) {
-            usize::MAX => None,
-            l => Some(l),
-        }
+        (self.limit != usize::MAX).then_some(self.limit)
     }
 
     /// Number of variables.
@@ -371,43 +236,35 @@ impl BddManager {
     /// terminal). `f` and `¬f` share one node, so building
     /// the negation of an existing function allocates nothing.
     pub fn num_nodes(&self) -> usize {
-        self.node_count.load(Ordering::Relaxed)
+        self.nodes.len()
     }
 
     /// Apply-cache hits and misses accumulated over the life of the
-    /// manager (all threads). The *ratio* proves cache
-    /// effectiveness — e.g. that commutative operand normalization turns
-    /// `and(g, f)` into a hit after `and(f, g)`, that `or` shares the
-    /// `and` cache through De Morgan, and that `xor` keys are
-    /// complement-stripped so `xor(¬f, g)` hits the `xor(f, g)` entry —
-    /// but the split between hits and misses is schedule-dependent under
-    /// parallelism, so callers must report these as gauges, never as
-    /// determinism-checked counters.
+    /// manager. The *ratio* proves cache effectiveness — e.g. that
+    /// commutative operand normalization turns `and(g, f)` into a hit
+    /// after `and(f, g)`, that `or` shares the `and` cache through De
+    /// Morgan, and that `xor` keys are complement-stripped so `xor(¬f, g)`
+    /// hits the `xor(f, g)` entry.
     pub fn apply_cache_stats(&self) -> (u64, u64) {
-        (
-            self.apply_hits.load(Ordering::Relaxed),
-            self.apply_misses.load(Ordering::Relaxed),
-        )
+        (self.apply_hits, self.apply_misses)
     }
 
     /// Canonical-form violations in the stored node set: entries whose
     /// then-edge carries a complement, whose children are equal (the
     /// reduction rule should have elided the node), or whose unique-table
-    /// key disagrees with the stored node. Always 0 — exposed so the
-    /// concurrency suites can assert the invariant after racing threads
-    /// hammer the manager.
+    /// key disagrees with the stored node, plus stored nodes missing from
+    /// the unique table. Always 0 — exposed so tests can assert the
+    /// invariant.
     #[doc(hidden)]
     pub fn canonical_violations(&self) -> usize {
-        let mut violations = 0;
-        for (sh, shard) in self.shards.iter().enumerate() {
-            let tab = lock(&shard.unique);
-            for (&(var, lo, hi), &id) in tab.map.iter() {
-                let n = shard.nodes.get(id.slot());
-                let stored_matches = n.var == var && n.lo == lo && n.hi == hi;
-                let id_in_shard = id.shard() == sh && id.cbit() == 0;
-                if hi.cbit() != 0 || lo == hi || !stored_matches || !id_in_shard {
-                    violations += 1;
-                }
+        let mut violations = (self.nodes.len() - 1).abs_diff(self.unique.len());
+        for (&(var, lo, hi), &id) in &self.unique {
+            let stored_matches = self
+                .nodes
+                .get(id.slot())
+                .is_some_and(|n| n.var == var && n.lo == lo && n.hi == hi);
+            if hi.cbit() != 0 || lo == hi || !stored_matches || id.cbit() != 0 {
+                violations += 1;
             }
         }
         violations
@@ -427,7 +284,7 @@ impl BddManager {
     /// # Panics
     ///
     /// Panics if `var >= self.num_vars()` (a programming error).
-    pub fn var(&self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn var(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
         assert!(var < self.n, "variable {var} out of range");
         self.mk(var as u32, Bdd::ZERO, Bdd::ONE)
     }
@@ -438,62 +295,39 @@ impl BddManager {
     /// # Panics
     ///
     /// Panics if `var >= self.num_vars()` (a programming error).
-    pub fn nvar(&self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn nvar(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
         Ok(self.var(var)?.complement())
     }
 
     /// Hash-conses `(var, lo, hi)` after complement normalization: a
     /// complemented then-edge is rewritten by complementing both children
     /// and returning a complemented handle, so the *stored* then-edge is
-    /// always regular and `f`/`¬f` resolve to one node. One shard
-    /// (selected by node hash) owns both the unique-table entry and the
-    /// arena slot, and its mutex is held across lookup + cap check +
-    /// allocate + insert, so two threads racing on the same node serialize
-    /// and double-insertion is impossible. Lock order is strictly
-    /// unique(shard) → nothing: the arena write needs no lock and no other
-    /// mutex is taken while the unique lock is held, so interleaved
-    /// operations cannot deadlock.
-    fn mk(&self, var: u32, lo: Bdd, hi: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    /// always regular and `f`/`¬f` resolve to one node.
+    fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         if lo == hi {
             return Ok(lo);
         }
         // canonical form: complements live on the else-edge only
         let c = hi.cbit();
-        let (lo, hi) = (lo.xor_c(c), hi.xor_c(c));
-        let sh = shard_of(&(var, lo, hi));
-        let shard = &self.shards[sh];
-        let mut tab = lock(&shard.unique);
-        if let Some(&b) = tab.map.get(&(var, lo, hi)) {
+        let key = (var, lo.xor_c(c), hi.xor_c(c));
+        if let Some(&b) = self.unique.get(&key) {
             return Ok(b.xor_c(c));
         }
-        let limit = self.limit.load(Ordering::Relaxed);
+        let limit = self.limit;
         xsynth_trace::fail_point!("bdd.alloc", Err(NodeLimitExceeded { limit }));
-        // the global cap: claim one allocation or refuse
-        if self
-            .node_count
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                (c < limit).then_some(c + 1)
-            })
-            .is_err()
-        {
+        if self.nodes.len() >= limit.min(MAX_NODES) {
             return Err(NodeLimitExceeded { limit });
         }
-        let slot = tab.len;
-        if slot > MAX_SLOT {
-            // handle space exhausted in this shard; give the claim back
-            self.node_count.fetch_sub(1, Ordering::Relaxed);
-            return Err(NodeLimitExceeded { limit });
-        }
-        let id = Bdd(((slot << SHARD_BITS) | sh as u32) << 1);
-        shard.nodes.set(slot, Node { var, lo, hi });
-        tab.len += 1;
-        tab.map.insert((var, lo, hi), id);
+        let id = Bdd((self.nodes.len() as u32) << 1);
+        let (var, lo, hi) = key;
+        self.nodes.push(Node { var, lo, hi });
+        self.unique.insert(key, id);
         Ok(id.xor_c(c))
     }
 
     /// The stored node a handle (of either polarity) addresses.
     fn node(&self, b: Bdd) -> Node {
-        self.shards[b.shard()].nodes.get(b.slot())
+        self.nodes[b.slot()]
     }
 
     /// Top variable of a non-constant handle.
@@ -543,7 +377,7 @@ impl BddManager {
         }
     }
 
-    fn and_rec(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    fn and_rec(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         if f == Bdd::ZERO || g == Bdd::ZERO || f == g.complement() {
             return Ok(Bdd::ZERO);
         }
@@ -560,23 +394,22 @@ impl BddManager {
         } else {
             (Op::And, g, f)
         };
-        let cache = &self.shards[shard_of(&key)].apply;
-        if let Some(&r) = lock(cache).get(&key) {
-            self.apply_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(&r) = self.apply.get(&key) {
+            self.apply_hits += 1;
             return Ok(r);
         }
-        self.apply_misses.fetch_add(1, Ordering::Relaxed);
+        self.apply_misses += 1;
         let var = self.var_of(f).min(self.var_of(g));
         let (f0, f1) = self.cofactors_at(f, var);
         let (g0, g1) = self.cofactors_at(g, var);
         let lo = self.and_rec(f0, g0)?;
         let hi = self.and_rec(f1, g1)?;
         let r = self.mk(var, lo, hi)?;
-        lock(cache).insert(key, r);
+        self.apply.insert(key, r);
         Ok(r)
     }
 
-    fn xor_rec(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    fn xor_rec(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         if f == Bdd::ZERO {
             return Ok(g);
         }
@@ -605,36 +438,35 @@ impl BddManager {
         } else {
             (Op::Xor, g, f)
         };
-        let cache = &self.shards[shard_of(&key)].apply;
-        if let Some(&r) = lock(cache).get(&key) {
-            self.apply_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(&r) = self.apply.get(&key) {
+            self.apply_hits += 1;
             return Ok(r.xor_c(c));
         }
-        self.apply_misses.fetch_add(1, Ordering::Relaxed);
+        self.apply_misses += 1;
         let var = self.var_of(f).min(self.var_of(g));
         let (f0, f1) = self.cofactors_at(f, var);
         let (g0, g1) = self.cofactors_at(g, var);
         let lo = self.xor_rec(f0, g0)?;
         let hi = self.xor_rec(f1, g1)?;
         let r = self.mk(var, lo, hi)?;
-        lock(cache).insert(key, r);
+        self.apply.insert(key, r);
         Ok(r.xor_c(c))
     }
 
     /// Conjunction.
-    pub fn and(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn and(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.and_rec(f, g)
     }
 
     /// Disjunction, computed by De Morgan over the conjunction — with
     /// complement edges the negations are free, and `or(f, g)` shares the
     /// apply-cache entries of `and(¬f, ¬g)`.
-    pub fn or(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn or(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         Ok(self.and_rec(f.complement(), g.complement())?.complement())
     }
 
     /// Exclusive or.
-    pub fn xor(&self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn xor(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.xor_rec(f, g)
     }
 
@@ -645,20 +477,20 @@ impl BddManager {
     }
 
     /// If-then-else: `c·t + ¬c·e`.
-    pub fn ite(&self, c: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         let ct = self.and(c, t)?;
         let nce = self.and(c.complement(), e)?;
         self.or(ct, nce)
     }
 
     /// Cofactor of `f` with `var` fixed to `phase`.
-    pub fn cofactor(&self, f: Bdd, var: usize, phase: bool) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn cofactor(&mut self, f: Bdd, var: usize, phase: bool) -> Result<Bdd, NodeLimitExceeded> {
         let mut memo = HashMap::new();
         self.cofactor_rec(f, var as u32, phase, &mut memo)
     }
 
     fn cofactor_rec(
-        &self,
+        &mut self,
         f: Bdd,
         var: u32,
         phase: bool,
@@ -829,14 +661,14 @@ impl BddManager {
     ///
     /// Panics if the table's arity differs from the manager's (a
     /// programming error).
-    pub fn from_table(&self, t: &TruthTable) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn from_table(&mut self, t: &TruthTable) -> Result<Bdd, NodeLimitExceeded> {
         assert_eq!(t.num_vars(), self.n, "arity mismatch");
         self.from_table_rec(t, 0, 0)
     }
 
     #[allow(clippy::wrong_self_convention)]
     fn from_table_rec(
-        &self,
+        &mut self,
         t: &TruthTable,
         var: usize,
         prefix: u64,
@@ -850,7 +682,7 @@ impl BddManager {
     }
 
     /// Builds a BDD from a sum-of-products cover.
-    pub fn from_sop(&self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
+    pub fn from_sop(&mut self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
         let mut acc = Bdd::ZERO;
         for c in s.cubes() {
             let mut cube = Bdd::ONE;
@@ -889,7 +721,7 @@ impl BddManager {
     pub fn copy_roots(
         &self,
         roots: &[Bdd],
-        dst: &BddManager,
+        dst: &mut BddManager,
     ) -> Result<Vec<Bdd>, NodeLimitExceeded> {
         assert_eq!(self.n, dst.n, "arity mismatch");
         let mut memo: HashMap<Bdd, Bdd> = HashMap::new();
@@ -902,7 +734,7 @@ impl BddManager {
     fn copy_rec(
         &self,
         f: Bdd,
-        dst: &BddManager,
+        dst: &mut BddManager,
         memo: &mut HashMap<Bdd, Bdd>,
     ) -> Result<Bdd, NodeLimitExceeded> {
         if f.is_const() {
@@ -956,7 +788,7 @@ mod tests {
 
     #[test]
     fn canonical_equality() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(3);
+        let mut m = BddManager::new(3);
         let (a, b) = (m.var(0)?, m.var(1)?);
         let ab = m.and(a, b)?;
         let ba = m.and(b, a)?;
@@ -969,7 +801,7 @@ mod tests {
 
     #[test]
     fn complement_edges_share_nodes_and_negation_is_free() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(4);
+        let mut m = BddManager::new(4);
         assert_eq!(Bdd::ZERO, Bdd::ONE.complement());
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
         let ab = m.and(a, b)?;
@@ -991,7 +823,7 @@ mod tests {
 
     #[test]
     fn stored_then_edges_are_always_regular() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(5);
+        let mut m = BddManager::new(5);
         let t = TruthTable::from_fn(5, |v| (v * 31 + 7) % 3 == 0);
         let f = m.from_table(&t)?;
         let g = m.not(f);
@@ -1003,7 +835,7 @@ mod tests {
 
     #[test]
     fn demorgan() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(2);
+        let mut m = BddManager::new(2);
         let (a, b) = (m.var(0)?, m.var(1)?);
         let and = m.and(a, b)?;
         let nand = m.not(and);
@@ -1015,7 +847,7 @@ mod tests {
 
     #[test]
     fn xor_identities() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(4);
+        let mut m = BddManager::new(4);
         let (a, b) = (m.var(0)?, m.var(1)?);
         let x = m.xor(a, b)?;
         let x2 = m.xor(x, b)?;
@@ -1031,7 +863,7 @@ mod tests {
 
     #[test]
     fn eval_matches_semantics() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(3);
+        let mut m = BddManager::new(3);
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
         let ab = m.and(a, b)?;
         let f = m.or(ab, c)?;
@@ -1050,7 +882,7 @@ mod tests {
     #[test]
     fn table_roundtrip() -> Result<(), NodeLimitExceeded> {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
-        let m = BddManager::new(6);
+        let mut m = BddManager::new(6);
         let f = m.from_table(&t)?;
         assert_eq!(m.to_table(f), t);
         assert_eq!(m.count_sat(f), t.count_ones() as u128);
@@ -1068,7 +900,7 @@ mod tests {
             Cube::new([], [0, 1]).unwrap(),
         ]);
         let t = s.to_table(4);
-        let m = BddManager::new(4);
+        let mut m = BddManager::new(4);
         let via_sop = m.from_sop(&s)?;
         let via_tab = m.from_table(&t)?;
         assert_eq!(via_sop, via_tab);
@@ -1077,7 +909,7 @@ mod tests {
 
     #[test]
     fn cofactor_and_support() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(3);
+        let mut m = BddManager::new(3);
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
         let bc = m.and(b, c)?;
         let f = m.ite(a, bc, c)?;
@@ -1099,7 +931,7 @@ mod tests {
 
     #[test]
     fn sat_fraction_of_var() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(5);
+        let mut m = BddManager::new(5);
         let a = m.var(3)?;
         assert_eq!(m.sat_fraction(a), 0.5);
         let b = m.var(1)?;
@@ -1117,7 +949,7 @@ mod tests {
         // carry-out of an 8-bit adder has a linear-size BDD with interleaved
         // variable order.
         let n = 16;
-        let m = BddManager::new(n);
+        let mut m = BddManager::new(n);
         let mut carry = Bdd::ZERO;
         for i in 0..8 {
             let a = m.var(2 * i)?;
@@ -1133,7 +965,7 @@ mod tests {
 
     #[test]
     fn size_counts_shared_nodes_once() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(2);
+        let mut m = BddManager::new(2);
         let a = m.var(0)?;
         assert_eq!(m.size(a), 1);
         let b = m.var(1)?;
@@ -1144,7 +976,7 @@ mod tests {
 
     #[test]
     fn any_sat_finds_witnesses() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(4);
+        let mut m = BddManager::new(4);
         let (a, b) = (m.var(0)?, m.var(3)?);
         let nb = m.not(b);
         let f = m.and(a, nb)?;
@@ -1166,7 +998,7 @@ mod tests {
 
     #[test]
     fn cofactor_of_unrelated_var_is_identity() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(4);
+        let mut m = BddManager::new(4);
         let (a, b) = (m.var(0)?, m.var(1)?);
         let f = m.and(a, b)?;
         assert_eq!(m.cofactor(f, 3, true)?, f);
@@ -1180,7 +1012,7 @@ mod tests {
         // rounded this to 2^60 exactly (off by one past 52 bits of
         // mantissa).
         let n = 60;
-        let m = BddManager::new(n);
+        let mut m = BddManager::new(n);
         let mut f = Bdd::ZERO;
         for v in 0..n {
             let x = m.var(v)?;
@@ -1204,7 +1036,7 @@ mod tests {
         // A single variable among 100: half the space is satisfying, and
         // the free variables on both sides of the tested one must be
         // accounted for exactly.
-        let m = BddManager::new(100);
+        let mut m = BddManager::new(100);
         let x = m.var(57)?;
         assert_eq!(m.count_sat(x), 1u128 << 99);
         Ok(())
@@ -1212,7 +1044,7 @@ mod tests {
 
     #[test]
     fn node_limit_trips_as_error_and_keeps_manager_usable() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::with_node_limit(8, 3);
+        let mut m = BddManager::with_node_limit(8, 3);
         assert_eq!(m.node_limit(), Some(3));
         let a = m.var(0)?;
         let b = m.var(1)?;
@@ -1237,7 +1069,7 @@ mod tests {
 
     #[test]
     fn uncapped_manager_never_errors() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(6);
+        let mut m = BddManager::new(6);
         let t = TruthTable::from_fn(6, |v| v % 3 == 1);
         let f = m.from_table(&t)?;
         assert_eq!(m.to_table(f), t);
@@ -1246,7 +1078,7 @@ mod tests {
 
     #[test]
     fn commuted_apply_hits_the_cache() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(6);
+        let mut m = BddManager::new(6);
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
         let ab = m.and(a, b)?;
         let f = m.or(ab, c)?;
@@ -1269,7 +1101,7 @@ mod tests {
 
     #[test]
     fn complement_normalized_keys_survive_negation() -> Result<(), NodeLimitExceeded> {
-        let m = BddManager::new(6);
+        let mut m = BddManager::new(6);
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
         let ab = m.and(a, b)?;
         let f = m.or(ab, c)?;
@@ -1299,7 +1131,7 @@ mod tests {
 
     #[test]
     fn copy_roots_is_garbage_collection_by_copy() -> Result<(), NodeLimitExceeded> {
-        let scratch = BddManager::new(6);
+        let mut scratch = BddManager::new(6);
         // build a function with throwaway intermediates
         let (a, b, c) = (scratch.var(0)?, scratch.var(1)?, scratch.var(2)?);
         let ab = scratch.and(a, b)?;
@@ -1309,8 +1141,8 @@ mod tests {
         let _ = dead;
         let built = scratch.num_nodes();
 
-        let dst = BddManager::new(6);
-        let copied = scratch.copy_roots(&[f, nf], &dst)?;
+        let mut dst = BddManager::new(6);
+        let copied = scratch.copy_roots(&[f, nf], &mut dst)?;
         // dst holds only the live DAG: terminal + reachable nodes of f
         // (¬f shares all of them via its complement bit)
         assert_eq!(dst.num_nodes(), 1 + scratch.size(f), "{built} built");
@@ -1323,49 +1155,157 @@ mod tests {
         // f and ¬f still share one node on the other side
         assert_eq!(copied[1], dst.not(copied[0]));
         assert_eq!(dst.canonical_violations(), 0);
-        // copying into the same manager is the identity
-        let same = scratch.copy_roots(&[f, nf], &scratch)?;
-        assert_eq!(same, vec![f, nf]);
         Ok(())
     }
 
     #[test]
     fn copy_roots_observes_the_destination_cap() -> Result<(), NodeLimitExceeded> {
-        let scratch = BddManager::new(6);
+        let mut scratch = BddManager::new(6);
         let (a, b, c) = (scratch.var(0)?, scratch.var(1)?, scratch.var(2)?);
         let ab = scratch.and(a, b)?;
         let f = scratch.or(ab, c)?;
-        let tiny = BddManager::with_node_limit(6, 2);
-        assert!(scratch.copy_roots(&[f], &tiny).is_err());
+        let mut tiny = BddManager::with_node_limit(6, 2);
+        assert!(scratch.copy_roots(&[f], &mut tiny).is_err());
         Ok(())
     }
 
-    #[test]
-    fn worker_threads_respects_cap() {
-        // no env manipulation here (tests run concurrently); just the
-        // clamping contract
-        assert_eq!(worker_threads(0), 1);
-        assert!(worker_threads(1) == 1);
-        assert!(worker_threads(usize::MAX) >= 1);
+    /// A deterministic little formula family over `n` variables (XOR-chains,
+    /// AND/OR ladders and their negations, selected by `seed`); a capped
+    /// manager reports the trip as an error.
+    fn build_formula(m: &mut BddManager, n: usize, seed: u64) -> Result<Bdd, NodeLimitExceeded> {
+        let mut acc = m.constant(seed & 1 == 0);
+        for v in 0..n {
+            let x = if (seed >> (v % 48)) & 1 == 0 {
+                m.var(v)?
+            } else {
+                m.nvar(v)?
+            };
+            acc = match (seed >> (2 * v)) % 3 {
+                0 => m.and(acc, x)?,
+                1 => m.or(acc, x)?,
+                _ => m.xor(acc, x)?,
+            };
+            if (seed >> (v % 31)) & 4 == 4 {
+                acc = m.not(acc);
+            }
+        }
+        Ok(acc)
     }
 
     #[test]
-    fn arena_locate_is_dense_and_in_bounds() {
-        // every slot maps into its chunk's bounds, consecutive slots are
-        // consecutive, and chunk starts line up with the doubling layout
-        let mut expected_start = 0u32;
-        for c in 0..MAX_CHUNKS as u32 {
-            let size = 1u32 << (CHUNK_BASE_BITS + c);
-            assert_eq!(Arena::locate(expected_start), (c as usize, 0));
-            assert_eq!(
-                Arena::locate(expected_start + size - 1),
-                (c as usize, size as usize - 1)
-            );
-            expected_start += size;
-            if expected_start > MAX_SLOT {
-                break;
+    fn refused_allocation_keeps_earlier_handles_and_canonicity() -> Result<(), NodeLimitExceeded> {
+        // a cap of `k` nodes admits the terminal and k − 1 allocations; the
+        // next allocation is refused with the typed error
+        const CAP: usize = 40;
+        let n = 12;
+        let mut m = BddManager::with_node_limit(n, CAP);
+        let mut built: Vec<(u64, Bdd)> = Vec::new();
+        let mut refused = None;
+        for seed in 0..256u64 {
+            match build_formula(&mut m, n, seed) {
+                Ok(f) => built.push((seed, f)),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
             }
         }
-        assert!(expected_start >= MAX_SLOT, "chunks must cover slot space");
+        assert_eq!(refused, Some(NodeLimitExceeded { limit: CAP }));
+        assert_eq!(
+            m.num_nodes(),
+            CAP,
+            "the refused allocation was number {}",
+            CAP + 1
+        );
+        // every handle made before the refusal still denotes its function:
+        // an uncapped manager rebuilds each formula and agrees everywhere
+        let mut free = BddManager::new(n);
+        for &(seed, f) in &built {
+            let g = build_formula(&mut free, n, seed)?;
+            for minterm in (0..1u64 << n).step_by(7) {
+                assert_eq!(m.eval(f, minterm), free.eval(g, minterm), "seed {seed}");
+            }
+        }
+        assert_eq!(m.canonical_violations(), 0);
+        // reads and negations still work at the cap; lifting it lets the
+        // refused build through
+        let a = m.var(0)?;
+        assert_eq!(m.not(m.not(a)), a);
+        m.set_node_limit(None);
+        let seed = built.len() as u64;
+        build_formula(&mut m, n, seed)?;
+        assert_eq!(m.canonical_violations(), 0);
+        Ok(())
+    }
+
+    /// `f` and `¬f` built across a formula family and its negations share
+    /// one stored node each, negating allocates nothing, and the stored
+    /// node set stays canonical.
+    #[test]
+    fn negations_keep_the_stored_node_set_canonical() -> Result<(), NodeLimitExceeded> {
+        let n = 12;
+        let mut m = BddManager::new(n);
+        for seed in 0..24u64 {
+            let f = build_formula(&mut m, n, seed)?;
+            let g = if seed % 2 == 0 { f } else { m.not(f) };
+            assert_eq!(m.xor(g, Bdd::ONE)?, m.not(g), "xor-with-one is negation");
+        }
+        assert_eq!(m.canonical_violations(), 0);
+        let before = m.num_nodes();
+        for seed in 0..24u64 {
+            let f = build_formula(&mut m, n, seed)?;
+            let nf = m.not(f);
+            assert_eq!(nf.index(), f.index() ^ 1, "f and ¬f share one stored node");
+            assert_eq!(m.size(f), m.size(nf), "shared DAG, equal size");
+            assert_eq!(m.not(nf), f, "double negation is the identity");
+        }
+        assert_eq!(
+            m.num_nodes(),
+            before,
+            "rebuilding and negating allocates nothing"
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(16))]
+
+        /// Boolean identities that exercise every complement-normalization
+        /// path — De Morgan, ITE expansion, XOR-as-negation, absorption of
+        /// `f · ¬f` — hold as *handle equalities* on randomly built pairs,
+        /// and none of them leave a non-canonical node behind.
+        #[test]
+        fn complement_identities_hold_as_handle_equalities(
+            sa in 0u64..1 << 40,
+            sb in 0u64..1 << 40,
+        ) {
+            let n = 10;
+            let mut m = BddManager::new(n);
+            let f = build_formula(&mut m, n, sa).expect("uncapped");
+            let g = build_formula(&mut m, n, sb).expect("uncapped");
+            let (nf, ng) = (m.not(f), m.not(g));
+            // De Morgan, both directions
+            let and_fg = m.and(f, g).expect("uncapped");
+            let or_nf_ng = m.or(nf, ng).expect("uncapped");
+            proptest::prop_assert_eq!(m.not(and_fg), or_nf_ng);
+            let or_fg = m.or(f, g).expect("uncapped");
+            let and_nf_ng = m.and(nf, ng).expect("uncapped");
+            proptest::prop_assert_eq!(m.not(or_fg), and_nf_ng);
+            // ITE via its and/or expansion
+            let ite = m.ite(f, g, ng).expect("uncapped");
+            let t = m.and(f, g).expect("uncapped");
+            let e = m.and(nf, ng).expect("uncapped");
+            proptest::prop_assert_eq!(ite, m.or(t, e).expect("uncapped"));
+            // XOR with ONE is negation; XOR with itself annihilates
+            proptest::prop_assert_eq!(m.xor(f, Bdd::ONE).expect("uncapped"), nf);
+            proptest::prop_assert_eq!(m.xor(f, f).expect("uncapped"), Bdd::ZERO);
+            proptest::prop_assert_eq!(m.xor(f, nf).expect("uncapped"), Bdd::ONE);
+            // f · ¬f = 0 and f + ¬f = 1 without allocating
+            let before = m.num_nodes();
+            proptest::prop_assert_eq!(m.and(f, nf).expect("uncapped"), Bdd::ZERO);
+            proptest::prop_assert_eq!(m.or(f, nf).expect("uncapped"), Bdd::ONE);
+            proptest::prop_assert_eq!(m.num_nodes(), before);
+            proptest::prop_assert_eq!(m.canonical_violations(), 0);
+        }
     }
 }

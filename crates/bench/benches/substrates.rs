@@ -44,11 +44,11 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
     if outcome.report.trace.counter("blocks.synthesized") > 0 {
         lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
     } else {
-        let bm = BddManager::new(n);
-        let outs = network_bdds(&spec.sweep(), &bm).expect("uncapped");
+        let mut bm = BddManager::new(n);
+        let outs = network_bdds(&spec.sweep(), &mut bm).expect("uncapped");
         for (f, (_, _, pol)) in outs.into_iter().zip(&outcome.report.outputs) {
             let mut om = OfddManager::new(pol.clone());
-            let root = om.from_bdd(&bm, f).expect("uncapped");
+            let root = om.from_bdd(&mut bm, f).expect("uncapped");
             let cubes = if om.num_cubes(root) <= MAX_CUBES {
                 om.cubes(root)
             } else {
@@ -69,15 +69,15 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
 fn extract_input(spec: &Network) -> (Vec<Vec<VarSet>>, usize) {
     let outcome = try_synthesize(spec, &SynthOptions::default()).expect("synthesizes");
     let n = spec.inputs().len();
-    let bm = BddManager::new(n);
-    let outs = network_bdds(&spec.sweep(), &bm).expect("uncapped");
+    let mut bm = BddManager::new(n);
+    let outs = network_bdds(&spec.sweep(), &mut bm).expect("uncapped");
     let funcs: Vec<Vec<VarSet>> = outs
         .into_iter()
         .zip(&outcome.report.outputs)
         .filter(|(_, (_, count, _))| *count <= CUBE_CAP)
         .map(|(f, (_, _, pol))| {
             let mut om = OfddManager::new(pol.clone());
-            let root = om.from_bdd(&bm, f).expect("uncapped");
+            let root = om.from_bdd(&mut bm, f).expect("uncapped");
             om.cubes(root)
                 .iter()
                 .map(|c| {
@@ -130,9 +130,9 @@ fn bench_substrates(c: &mut Criterion) {
     });
 
     c.bench_function("ofdd_from_bdd_12var", |b| {
-        let bm = BddManager::new(12);
+        let mut bm = BddManager::new(12);
         let f = bm.from_table(&t).expect("uncapped");
-        b.iter(|| OfddManager::new(Polarity::all_positive(12)).from_bdd(&bm, f))
+        b.iter(|| OfddManager::new(Polarity::all_positive(12)).from_bdd(&mut bm, f))
     });
 
     // one output's polarity search as the flow runs it, swept over the
@@ -141,11 +141,11 @@ fn bench_substrates(c: &mut Criterion) {
     for k in [8, 10, 12, 16] {
         let mask = (1u64 << (k / 2)) - 1;
         let carry = TruthTable::from_fn(k, |m| (m & mask) + (m >> (k / 2) & mask) > mask);
-        let bm = BddManager::new(k);
+        let mut bm = BddManager::new(k);
         let f = bm.from_table(&carry).expect("uncapped");
         let support: Vec<usize> = (0..k).collect();
         c.bench_function(format!("polarity_search_k{k}"), |b| {
-            b.iter(|| PolaritySearch::new(&bm, f).run(PolarityMode::Exhaustive, &support))
+            b.iter(|| PolaritySearch::new(&mut bm, f).run(PolarityMode::Exhaustive, &support))
         });
     }
 

@@ -13,9 +13,8 @@
 //! synthesis / mapping / verification), and functional equivalence of
 //! every result against the specification.
 //!
-//! The measuring binaries (`table2`, `par_speedup`) report from one
-//! measurement path, [`measure_flow`], which also produces the
-//! machine-readable [`telemetry::BenchRecord`] persisted as
+//! The `table2` binary measures through one path, [`measure_flow`],
+//! which also produces the machine-readable [`telemetry::BenchRecord`] persisted as
 //! `BENCH_*.json` and gated in CI by `bench_compare` (see [`compare`]).
 
 #![warn(missing_docs)]
@@ -202,7 +201,7 @@ pub fn record_from_run(
     }
     // sampled by the harness, not the pipeline trace: peak RSS is
     // process-wide and nondeterministic, so it must never enter the trace
-    // the parallel≡sequential tests compare
+    // the repeatability tests compare
     if let Some(kb) = xsynth_trace::mem::peak_rss_kb() {
         record
             .gauges

@@ -152,7 +152,7 @@ pub struct BenchRecord {
 /// `BENCH_*.json` and diffed by `bench_compare`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchSuite {
-    /// Label of the producing harness (`"table2"`, `"par_speedup"`, `"cli"`).
+    /// Label of the producing harness (`"table2"`, `"cli"`).
     pub suite: String,
     /// The records, in production order.
     pub records: Vec<BenchRecord>,

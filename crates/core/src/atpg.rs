@@ -46,9 +46,9 @@ impl AtpgResult {
 /// A combinational cycle in `net`; the BDDs are built uncapped, so no
 /// budget applies.
 pub fn generate_test(net: &Network, fault: Fault) -> Result<Option<Pattern>, Error> {
-    let bm = BddManager::new(net.inputs().len());
-    let good = output_bdds(net, &bm, None)?;
-    let bad = output_bdds(net, &bm, Some(fault))?;
+    let mut bm = BddManager::new(net.inputs().len());
+    let good = output_bdds(net, &mut bm, None)?;
+    let bad = output_bdds(net, &mut bm, Some(fault))?;
     let mut diff = Bdd::ZERO;
     for (&g, &b) in good.iter().zip(bad.iter()) {
         let x = bm.xor(g, b).map_err(|_| budget_error(&bm))?;

@@ -21,10 +21,9 @@
 //! * **factored** — keyed separately by the exact literal-cube list, the
 //!   factored expression (a pure-function memo, so hits are exact).
 //!
-//! Seeding happens in a sequential pre-pass before the planning fan-out
-//! and stores happen post-merge in output-index order, so the
-//! parallel ≡ sequential determinism contract is untouched: worker
-//! threads never read or write the cache.
+//! Seeding happens in a pre-pass before any output is planned and stores
+//! happen after the last one, in output-index order, so a job never reads
+//! an entry it wrote itself.
 
 use crate::error::Error;
 use crate::expr::Gexpr;

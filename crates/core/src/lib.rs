@@ -91,7 +91,7 @@ pub use verify::{network_bdds, EquivChecker};
 /// let b = spec.add_input("b");
 /// let g = spec.add_gate(GateKind::Xor, vec![a, b]);
 /// spec.add_output("f", g);
-/// let opts = SynthOptions::builder().parallel(false).build();
+/// let opts = SynthOptions::builder().method(FactorMethod::Ofdd).build();
 /// let SynthOutcome { network, report } = Engine::new().try_synthesize(&spec, &opts)?;
 /// assert_eq!(network.eval_u64(1), spec.eval_u64(1));
 /// assert!(!report.outputs.is_empty());

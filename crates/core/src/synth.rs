@@ -15,10 +15,13 @@
 //! ```
 //!
 //! Every run is traced: the pipeline records hierarchical spans, counters
-//! and gauges into a [`TraceSink`] (per-output planning gets its own
-//! deterministic per-thread buffers under the parallel fan-out), the
-//! resulting [`Trace`] rides back in the [`SynthReport`], and the
-//! [`PhaseProfile`] is derived from it.
+//! and gauges into a [`TraceSink`] (each output's planning records into a
+//! buffer of its own), the resulting [`Trace`] rides back in the
+//! [`SynthReport`], and the [`PhaseProfile`] is derived from it.
+//!
+//! A job runs on the calling thread from start to finish: outputs are
+//! planned one after another in index order, all in the job's one
+//! [`BddManager`].
 
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::engine::{Engine, PlanSeed};
@@ -31,7 +34,6 @@ use crate::verify::{network_bdds, new_manager, EquivChecker};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
@@ -100,10 +102,10 @@ const MAX_PASSES: usize = 6;
 ///
 /// let opts = SynthOptions::builder()
 ///     .method(FactorMethod::Cube)
-///     .parallel(false)
+///     .salvage(false)
 ///     .build();
 /// assert_eq!(opts.method, FactorMethod::Cube);
-/// assert!(!opts.parallel);
+/// assert!(!opts.salvage);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -118,10 +120,6 @@ pub struct SynthOptions {
     pub redundancy_removal: bool,
     /// Run the multi-output sharing pass (the paper's `resub` merge step).
     pub share: bool,
-    /// Fan the per-output planning of multi-output circuits out across
-    /// threads. The result is bit-identical to the sequential path; disable
-    /// only to benchmark or to pin the flow to one core.
-    pub parallel: bool,
     /// Resource budget governing the run (BDD node cap, per-phase
     /// wall-clock, simulation-pattern cap). Unlimited by default. Phases
     /// that can degrade gracefully do (polarity search keeps its best so
@@ -152,7 +150,6 @@ impl Default for SynthOptions {
             apply_rules: true,
             redundancy_removal: true,
             share: true,
-            parallel: true,
             budget: Budget::default(),
             salvage: true,
             trace: None,
@@ -200,8 +197,6 @@ impl SynthOptionsBuilder {
         redundancy_removal: bool,
         /// Enables or disables the multi-output sharing pass.
         share: bool,
-        /// Enables or disables the thread fan-out.
-        parallel: bool,
         /// Sets the resource budget.
         budget: Budget,
         /// Enables or disables the per-output salvage ladder.
@@ -493,10 +488,10 @@ fn run_pipeline(
     main.begin(phase::FPRM);
     let fprm_deadline = opts.budget.phase_deadline();
     main.begin("bdd");
-    let bm = new_manager(n, opts.budget.bdd_node_cap);
+    let mut bm = new_manager(n, opts.budget.bdd_node_cap);
     // Compact build: gate-level intermediates live and die in a scratch
     // manager, so the job's manager only ever holds the live output cones.
-    let out_bdds = network_bdds(&spec, &bm);
+    let out_bdds = network_bdds(&spec, &mut bm);
     main.end();
     main.gauge("bdd.nodes", bm.num_nodes() as f64);
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
@@ -508,7 +503,7 @@ fn run_pipeline(
     // block mode rather than failing
     let use_blocks = out_bdds.iter().any(|&f| {
         let mut om = OfddManager::new(Polarity::all_positive(n));
-        match om.from_bdd(&bm, f) {
+        match om.from_bdd(&mut bm, f) {
             Ok(root) => om.num_cubes(root) > CUBE_CAP,
             Err(_) => {
                 curtail(report, phase::FPRM);
@@ -531,7 +526,7 @@ fn run_pipeline(
             engine,
             &spec,
             opts,
-            &bm,
+            &mut bm,
             &out_bdds,
             report,
             &mut pattern_lists,
@@ -593,10 +588,8 @@ fn run_pipeline(
         curtail(report, phase::VERIFY);
     }
 
-    // Apply-cache effectiveness over the job's manager. The
-    // hit/miss split is schedule-dependent under parallel planning (which
-    // thread warms an entry decides who hits it), so these are gauges —
-    // the determinism contract only covers counters.
+    // Apply-cache effectiveness over the job's manager, as gauges: a
+    // whole-manager reading taken once, like `bdd.nodes`.
     let (apply_hits, apply_misses) = bm.apply_cache_stats();
     main.gauge("bdd.apply_hits", apply_hits as f64);
     main.gauge("bdd.apply_misses", apply_misses as f64);
@@ -648,10 +641,8 @@ struct OutputPlan {
 }
 
 /// Phase 1 for one output: polarity search, OFDD construction, method
-/// decision, and pattern generation. Pure in `(bm contents, f, opts)` —
-/// callers may run it on the shared manager from a worker thread and the
-/// result is identical to a sequential run. Trace events land in `buf`,
-/// the output's own deterministic-order buffer.
+/// decision, and pattern generation. Trace events land in `buf`, the
+/// output's own buffer.
 ///
 /// Under a budget: the polarity search keeps its best polarity so far
 /// when the node cap or `deadline` trips, and only the final OFDD build
@@ -660,7 +651,7 @@ struct OutputPlan {
 fn plan_output(
     name: &str,
     f: xsynth_bdd::Bdd,
-    bm: &BddManager,
+    bm: &mut BddManager,
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
@@ -705,8 +696,7 @@ fn plan_output(
     buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
     // per-output distribution samples: both are pure functions of the
     // spec (cube count under the winning polarity, structural support
-    // width), so the merged bucket totals stay schedule-independent and
-    // the parallel ≡ sequential suite checks them like counters
+    // width), never wall-clock
     buf.observe("fprm.cubes", count as f64);
     buf.observe("plan.support", support.len() as f64);
 
@@ -866,7 +856,7 @@ fn salvage(
 fn plan_with_salvage(
     name: &str,
     f: xsynth_bdd::Bdd,
-    bm: &BddManager,
+    bm: &mut BddManager,
     n: usize,
     num_outputs: usize,
     opts: &SynthOptions,
@@ -1025,7 +1015,7 @@ fn synthesize_outputs(
     engine: &Engine,
     spec: &Network,
     opts: &SynthOptions,
-    bm: &BddManager,
+    bm: &mut BddManager,
     out_bdds: &[xsynth_bdd::Bdd],
     report: &mut SynthReport,
     pattern_lists: &mut Vec<Vec<Pattern>>,
@@ -1045,22 +1035,17 @@ fn synthesize_outputs(
         divisors: HashMap::new(),
     };
 
-    // Phase 1: per-output polarity + FPRM cubes; decide the method. With
-    // multiple outputs the planning fans out across worker threads, all
-    // borrowing the job's one BDD manager as `&BddManager`, so every
-    // worker hash-conses into the same DAG (and the node budget is one
-    // global cap, not a per-worker one). Plans are merged back by output
-    // index — and each output records into its own trace buffer keyed by
-    // that index — which makes both the result and the trace independent
-    // of thread scheduling.
+    // Phase 1: per-output polarity + FPRM cubes; decide the method. The
+    // outputs are planned in index order, all in the job's one BDD
+    // manager, so they hash-cons into one DAG under one node cap. Each
+    // output records into its own trace buffer, keyed by its index.
     main.begin(phase::FPRM);
     let outs = spec.outputs();
     let num_outputs = outs.len();
-    // Cache pre-pass (sequential, before the fan-out): hash each output
-    // cone and pull whatever seeds the engine's cache holds for it. The
-    // seed set is fixed here, and stores happen post-merge in output-index
-    // order, so worker threads never touch the cache and the
-    // parallel ≡ sequential determinism contract is preserved.
+    // Cache pre-pass, before any planning: hash each output cone and pull
+    // whatever seeds the engine's cache holds for it. The seed set is
+    // fixed here and stores happen after every output is planned, in
+    // index order, so a job never reads an entry it wrote itself.
     let mode_salt = polarity_mode_salt(opts.polarity);
     let cones: Vec<xsynth_cache::Cone> = outs
         .iter()
@@ -1089,76 +1074,20 @@ fn synthesize_outputs(
             seed
         })
         .collect();
-    type Planned = (OutputPlan, Option<SalvageRecord>);
-    // Each worker claims output indices until none are left; one worker
-    // runs the loop inline.
-    let next = AtomicUsize::new(0);
-    let claim = || -> Vec<(usize, Result<Planned, Error>)> {
-        std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
-            .take_while(|&i| i < num_outputs)
-            .map(|i| {
-                let name = &outs[i].0;
-                let plan = plan_with_salvage(
-                    name,
-                    out_bdds[i],
-                    bm,
-                    n,
-                    num_outputs,
-                    opts,
-                    deadline,
-                    seeds[i].as_ref(),
-                    || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
-                );
-                (i, plan)
-            })
-            .collect()
-    };
-    let workers = if opts.parallel && num_outputs > 1 {
-        xsynth_bdd::worker_threads(num_outputs)
-    } else {
-        1
-    };
-    // Workers are panic-isolated twice over: plan_with_salvage contains
-    // panics inside each attempt, and a worker that still dies (a panic
-    // outside the contained region) is recorded here instead of aborting
-    // the process — its unplanned outputs become typed errors below.
-    let (done, worker_deaths) = if workers == 1 {
-        (claim(), Vec::new())
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
-            let mut done = Vec::new();
-            let mut deaths = Vec::new();
-            for h in handles {
-                match h.join() {
-                    Ok(mine) => done.extend(mine),
-                    Err(p) => deaths.push(panic_message(p.as_ref())),
-                }
-            }
-            (done, deaths)
-        })
-    };
-    let mut slots: Vec<Option<Result<Planned, Error>>> = (0..num_outputs).map(|_| None).collect();
-    for (i, plan) in done {
-        slots[i] = Some(plan);
+    let mut planned = Vec::with_capacity(num_outputs);
+    for (i, (name, _)) in outs.iter().enumerate() {
+        planned.push(plan_with_salvage(
+            name,
+            out_bdds[i],
+            bm,
+            n,
+            num_outputs,
+            opts,
+            deadline,
+            seeds[i].as_ref(),
+            || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
+        )?);
     }
-    // errors propagate in output-index order, so the reported trip is
-    // deterministic regardless of thread scheduling; an output whose
-    // worker died before planning it carries the worker's panic
-    let planned = slots
-        .into_iter()
-        .zip(outs)
-        .map(|(p, (name, _))| {
-            p.unwrap_or_else(|| {
-                Err(Error::OutputFailed {
-                    output: name.clone(),
-                    cause: worker_deaths.first().cloned().unwrap_or_else(|| {
-                        "planner worker terminated before planning this output".to_string()
-                    }),
-                })
-            })
-        })
-        .collect::<Result<Vec<Planned>, Error>>()?;
     let mut plans: Vec<OutputPlan> = Vec::with_capacity(num_outputs);
     for (cone, (mut plan, salvaged)) in cones.iter().zip(planned) {
         match salvaged {
@@ -1479,8 +1408,9 @@ mod tests {
         let inputs: Vec<_> = (0..70).map(|i| net.add_input(format!("x{i}"))).collect();
         let and = net.add_gate(GateKind::And, vec![inputs[0], inputs[69]]);
         let or = net.add_gate(GateKind::Or, vec![inputs[0], inputs[69]]);
-        let bm = BddManager::new(70);
-        let f = bm.and(bm.var(0).unwrap(), bm.var(69).unwrap()).unwrap();
+        let mut bm = BddManager::new(70);
+        let (x0, x69) = (bm.var(0).unwrap(), bm.var(69).unwrap());
+        let f = bm.and(x0, x69).unwrap();
         let check = EmissionCheck::new(70);
         assert!(check.matches(&net, and, &bm, f));
         assert!(!check.matches(&net, or, &bm, f));
@@ -1648,7 +1578,6 @@ mod tests {
             .apply_rules(false)
             .redundancy_removal(false)
             .share(false)
-            .parallel(false)
             .budget(Budget::default().bdd_node_cap(Some(1000)))
             .salvage(false)
             .build();
@@ -1657,7 +1586,6 @@ mod tests {
         assert!(!opts.apply_rules);
         assert!(!opts.redundancy_removal);
         assert!(!opts.share);
-        assert!(!opts.parallel);
         assert_eq!(opts.budget.bdd_node_cap, Some(1000));
         assert!(!opts.salvage);
         assert!(opts.trace.is_none());
@@ -1671,7 +1599,6 @@ mod tests {
         for cap in [8, 64, 512, 100_000] {
             let opts = SynthOptions::builder()
                 .budget(Budget::default().bdd_node_cap(Some(cap)))
-                .parallel(false)
                 .build();
             match try_synthesize(&spec, &opts) {
                 Ok(outcome) => {
@@ -1700,7 +1627,6 @@ mod tests {
         let spec = adder(2, true);
         let opts = SynthOptions::builder()
             .budget(Budget::default().phase_timeout(Some(Duration::ZERO)))
-            .parallel(false)
             .build();
         let outcome = try_synthesize(&spec, &opts).expect("time budgets degrade, never fail");
         check_equiv(&spec, &outcome.network);
@@ -1721,7 +1647,6 @@ mod tests {
         let spec = adder(3, true);
         let opts = SynthOptions::builder()
             .budget(Budget::default().max_patterns(Some(8)))
-            .parallel(false)
             .build();
         let outcome = try_synthesize(&spec, &opts).expect("pattern caps degrade, never fail");
         check_equiv(&spec, &outcome.network);

@@ -88,8 +88,8 @@ impl EquivChecker {
             budget: budget.clone(),
             downgraded: false,
         };
-        let bm = new_manager(n, budget.bdd_node_cap);
-        match network_bdds(reference, &bm) {
+        let mut bm = new_manager(n, budget.bdd_node_cap);
+        match network_bdds(reference, &mut bm) {
             Ok(outs) => {
                 checker.reference_outputs = outs;
                 checker.manager = Some(bm);
@@ -147,7 +147,7 @@ impl EquivChecker {
                 found: cand_names.iter().map(|s| s.to_string()).collect(),
             });
         }
-        if let Some(bm) = &self.manager {
+        if let Some(bm) = &mut self.manager {
             // Compact build: an equivalent candidate hash-conses onto the
             // reference cones and interns zero new nodes, so the checker's
             // manager stays near live-reference size across arbitrarily
@@ -222,15 +222,16 @@ impl EquivChecker {
         }
         let order = net.try_topo_order().ok()?;
         if let Some(checker_bm) = &self.manager {
-            let bm = new_manager(checker_bm.num_vars(), checker_bm.node_limit());
-            let reference = checker_bm.copy_roots(&self.reference_outputs, &bm).ok()?;
-            let values = NodeValues::build(
-                net,
-                &order,
-                Bdd::ZERO,
-                |i| bm.var(i).ok(),
-                |kind, fan, val| gate_bdd(&bm, kind, fan.iter().map(|f| val[f.index()])).ok(),
-            )?;
+            let mut bm = new_manager(checker_bm.num_vars(), checker_bm.node_limit());
+            let reference = checker_bm
+                .copy_roots(&self.reference_outputs, &mut bm)
+                .ok()?;
+            let inputs = (0..bm.num_vars())
+                .map(|i| bm.var(i).ok())
+                .collect::<Option<Vec<Bdd>>>()?;
+            let values = NodeValues::build(net, &order, Bdd::ZERO, inputs, |kind, fan, val| {
+                gate_bdd(&mut bm, kind, fan.iter().map(|f| val[f.index()])).ok()
+            })?;
             return Some(IncrementalCheck::Exact {
                 bm,
                 reference,
@@ -238,13 +239,12 @@ impl EquivChecker {
             });
         }
         let sim = self.sim.as_ref()?;
-        let values = NodeValues::build(
-            net,
-            &order,
-            Vec::new(),
-            |i| Some(sim.blocks.iter().map(|pb| pb.words[i]).collect()),
-            |kind, fan, val| Some(eval_blocks(kind, fan, val, sim.blocks.len())),
-        )?;
+        let inputs = (0..net.inputs().len())
+            .map(|i| sim.blocks.iter().map(|pb| pb.words[i]).collect())
+            .collect();
+        let values = NodeValues::build(net, &order, Vec::new(), inputs, |kind, fan, val| {
+            Some(eval_blocks(kind, fan, val, sim.blocks.len()))
+        })?;
         Some(IncrementalCheck::Sim(values))
     }
 
@@ -373,18 +373,18 @@ pub(crate) struct NodeValues<V> {
 }
 
 impl<V: Clone + PartialEq> NodeValues<V> {
-    /// Evaluates every input and every gate of `order`, or `None` if an
-    /// evaluation fails.
+    /// Takes the input values `inputs`, in input order, and evaluates
+    /// every gate of `order`, or `None` if an evaluation fails.
     fn build(
         net: &Network,
         order: &[SignalId],
         blank: V,
-        input: impl Fn(usize) -> Option<V>,
-        eval: impl Fn(GateKind, &[SignalId], &[V]) -> Option<V>,
+        inputs: Vec<V>,
+        mut eval: impl FnMut(GateKind, &[SignalId], &[V]) -> Option<V>,
     ) -> Option<Self> {
         let mut val = vec![blank.clone(); net.num_nodes()];
-        for (i, &id) in net.inputs().iter().enumerate() {
-            val[id.index()] = input(i)?;
+        for (&id, v) in net.inputs().iter().zip(inputs) {
+            val[id.index()] = v;
         }
         for &id in order {
             if let NodeKind::Gate(kind) = net.kind(id) {
@@ -414,9 +414,9 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         net: &Network,
         order: &[SignalId],
         gate: SignalId,
-        eval: impl Fn(GateKind, &[SignalId], &[V]) -> Option<V>,
+        mut eval: impl FnMut(GateKind, &[SignalId], &[V]) -> Option<V>,
     ) -> Option<()> {
-        let eval_node = |val: &[V], id: SignalId| match net.kind(id) {
+        let mut eval_node = |val: &[V], id: SignalId| match net.kind(id) {
             NodeKind::Gate(kind) => eval(*kind, net.fanins(id), val),
             NodeKind::Input => None,
         };
@@ -427,7 +427,7 @@ impl<V: Clone + PartialEq> NodeValues<V> {
             return Some(());
         };
         let mut dirty = vec![false; net.num_nodes()];
-        self.eval_appended(net, gate, &mut dirty, &eval_node)?;
+        self.eval_appended(net, gate, &mut dirty, &mut eval_node)?;
         for &id in &order[at..] {
             if id != gate && !net.fanins(id).iter().any(|f| dirty[f.index()]) {
                 continue;
@@ -448,7 +448,7 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         net: &Network,
         node: SignalId,
         dirty: &mut [bool],
-        eval_node: &impl Fn(&[V], SignalId) -> Option<V>,
+        eval_node: &mut impl FnMut(&[V], SignalId) -> Option<V>,
     ) -> Option<()> {
         for &f in net.fanins(node) {
             if f.index() >= self.accepted && !dirty[f.index()] {
@@ -509,15 +509,13 @@ pub(crate) fn new_manager(n: usize, node_cap: Option<usize>) -> BddManager {
 /// into `bm` would leave them in its unique tables forever. Routing the
 /// build through a scratch manager means `bm` — a job's manager, or an
 /// equivalence checker's across many checks — only ever holds live cones,
-/// so a node cap on `bm` counts live nodes. The copy is a
-/// sequential DFS in output order, so the set of nodes it interns is
-/// schedule-independent and the parallel≡sequential `bdd.nodes` contract is
-/// preserved.
+/// so a node cap on `bm` counts live nodes. The copy is a DFS in output
+/// order.
 ///
 /// Arity mismatches and combinational cycles are errors, and a tripped
 /// node cap is [`Error::Budget`], so governed callers can degrade instead
 /// of dying.
-pub fn network_bdds(net: &Network, bm: &BddManager) -> Result<Vec<Bdd>, Error> {
+pub fn network_bdds(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, Error> {
     let n = net.inputs().len();
     if bm.num_vars() != n {
         return Err(Error::msg(format!(
@@ -526,8 +524,8 @@ pub fn network_bdds(net: &Network, bm: &BddManager) -> Result<Vec<Bdd>, Error> {
             n
         )));
     }
-    let scratch = new_manager(n, bm.node_limit());
-    let outs = output_bdds(net, &scratch, None)?;
+    let mut scratch = new_manager(n, bm.node_limit());
+    let outs = output_bdds(net, &mut scratch, None)?;
     scratch.copy_roots(&outs, bm).map_err(|_| budget_error(bm))
 }
 
@@ -546,13 +544,13 @@ pub(crate) fn budget_error(bm: &BddManager) -> Error {
 /// the faulty machine.
 pub(crate) fn output_bdds(
     net: &Network,
-    bm: &BddManager,
+    bm: &mut BddManager,
     fault: Option<Fault>,
 ) -> Result<Vec<Bdd>, Error> {
     let stuck = |site: FaultSite| {
         fault
             .filter(|f| f.site == site)
-            .map(|f| bm.constant(f.stuck_at))
+            .map(|f| if f.stuck_at { Bdd::ONE } else { Bdd::ZERO })
     };
     let mut val = vec![Bdd::ZERO; net.num_nodes()];
     for (i, &id) in net.inputs().iter().enumerate() {
@@ -582,7 +580,7 @@ pub(crate) fn output_bdds(
 /// like one-input ANDs (`1·x = x` allocates nothing), constants like
 /// zero-input ORs.
 fn gate_bdd(
-    bm: &BddManager,
+    bm: &mut BddManager,
     kind: GateKind,
     mut fan: impl Iterator<Item = Bdd>,
 ) -> Result<Bdd, NodeLimitExceeded> {
@@ -795,10 +793,10 @@ mod tests {
     #[test]
     fn network_bdds_reports_arity_and_budget() {
         let net = xor_net(0);
-        let wrong = BddManager::new(3);
-        assert!(matches!(network_bdds(&net, &wrong), Err(Error::Msg(_))));
-        let capped = BddManager::with_node_limit(2, 2);
-        match network_bdds(&net, &capped) {
+        let mut wrong = BddManager::new(3);
+        assert!(matches!(network_bdds(&net, &mut wrong), Err(Error::Msg(_))));
+        let mut capped = BddManager::with_node_limit(2, 2);
+        match network_bdds(&net, &mut capped) {
             Err(Error::Budget(b)) => assert_eq!(b.resource, Resource::BddNodes),
             other => panic!("expected budget error, got {other:?}"),
         }

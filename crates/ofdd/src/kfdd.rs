@@ -126,7 +126,7 @@ impl KfddManager {
     /// # Panics
     ///
     /// Panics on arity mismatch (a programming error, not a resource one).
-    pub fn from_bdd(&mut self, bm: &BddManager, f: Bdd) -> Result<Kfdd, NodeLimitExceeded> {
+    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Kfdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
         let mut memo = HashMap::new();
         self.from_bdd_rec(bm, f, &mut memo)
@@ -135,7 +135,7 @@ impl KfddManager {
     #[allow(clippy::wrong_self_convention)]
     fn from_bdd_rec(
         &mut self,
-        bm: &BddManager,
+        bm: &mut BddManager,
         f: Bdd,
         memo: &mut HashMap<Bdd, Kfdd>,
     ) -> Result<Kfdd, NodeLimitExceeded> {
@@ -163,9 +163,9 @@ impl KfddManager {
     /// Convenience: builds from a truth table through a private, uncapped
     /// BDD manager.
     pub fn from_table(&mut self, t: &TruthTable) -> Result<Kfdd, NodeLimitExceeded> {
-        let bm = BddManager::new(t.num_vars());
+        let mut bm = BddManager::new(t.num_vars());
         let f = bm.from_table(t)?;
-        self.from_bdd(&bm, f)
+        self.from_bdd(&mut bm, f)
     }
 
     /// Evaluates on a variable-space assignment.
@@ -329,7 +329,7 @@ impl KfddManager {
 /// call only errors when even the base all-positive-Davio build is
 /// unaffordable.
 pub fn optimize_decomposition(
-    bm: &BddManager,
+    bm: &mut BddManager,
     f: Bdd,
 ) -> Result<(KfddManager, Kfdd), NodeLimitExceeded> {
     let n = bm.num_vars();
@@ -423,7 +423,7 @@ mod tests {
     fn pure_shannon_matches_bdd_size() {
         let t = TruthTable::from_fn(6, |m| (m * 13 + 5) % 11 < 5);
         let kfdd_size = check(&t, vec![Decomposition::Shannon; 6]);
-        let bm = BddManager::new(6);
+        let mut bm = BddManager::new(6);
         let f = bm.from_table(&t).expect("uncapped");
         // the KFDD has no complement edges, so compare against the
         // complement-free ROBDD: distinct non-constant subfunctions, with
@@ -471,9 +471,9 @@ mod tests {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(m + 3);
                 (s >> 40) & 7 < 3
             });
-            let bm = BddManager::new(6);
+            let mut bm = BddManager::new(6);
             let f = bm.from_table(&t).expect("uncapped");
-            let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
+            let (m, r) = optimize_decomposition(&mut bm, f).expect("uncapped");
             assert!(m.size(r) <= ofdd_node_count(&t), "seed {seed}");
             for mt in 0..64u64 {
                 assert_eq!(m.eval(r, mt), t.eval(mt));
@@ -485,9 +485,9 @@ mod tests {
     fn mux_prefers_shannon() {
         // f = s ? a : b — one Shannon node at s beats Davio chains
         let t = TruthTable::from_fn(3, |m| if m & 1 != 0 { m & 2 != 0 } else { m & 4 != 0 });
-        let bm = BddManager::new(3);
+        let mut bm = BddManager::new(3);
         let f = bm.from_table(&t).expect("uncapped");
-        let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
+        let (m, r) = optimize_decomposition(&mut bm, f).expect("uncapped");
         assert!(
             m.size(r) <= 3,
             "mux should be tiny under mixed types, got {}",
@@ -498,9 +498,9 @@ mod tests {
     #[test]
     fn parity_prefers_davio() {
         let t = TruthTable::from_fn(8, |m| m.count_ones() % 2 == 1);
-        let bm = BddManager::new(8);
+        let mut bm = BddManager::new(8);
         let f = bm.from_table(&t).expect("uncapped");
-        let (m, r) = optimize_decomposition(&bm, f).expect("uncapped");
+        let (m, r) = optimize_decomposition(&mut bm, f).expect("uncapped");
         // pure Davio gives n nodes; Shannon would give 2n-1
         assert_eq!(m.size(r), 8);
         assert!(m.types().iter().all(|d| *d != Decomposition::Shannon));

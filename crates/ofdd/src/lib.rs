@@ -24,10 +24,10 @@
 //!
 //! // x0 OR x1 = x0 ⊕ x1 ⊕ x0·x1 in positive polarity.
 //! let t = TruthTable::var(2, 0) | TruthTable::var(2, 1);
-//! let bm = BddManager::new(2);
+//! let mut bm = BddManager::new(2);
 //! let f = bm.from_table(&t)?;
 //! let mut om = OfddManager::new(Polarity::all_positive(2));
-//! let o = om.from_bdd(&bm, f)?;
+//! let o = om.from_bdd(&mut bm, f)?;
 //! assert_eq!(om.num_cubes(o), 3);
 //! # Ok::<(), xsynth_bdd::NodeLimitExceeded>(())
 //! ```
@@ -222,7 +222,7 @@ impl OfddManager {
     /// # Panics
     ///
     /// Panics if the BDD manager's arity differs (a programming error).
-    pub fn from_bdd(&mut self, bm: &BddManager, f: Bdd) -> Result<Ofdd, NodeLimitExceeded> {
+    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Ofdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
         xsynth_trace::fail_point!(
             "ofdd.from_bdd",
@@ -237,7 +237,7 @@ impl OfddManager {
     #[allow(clippy::wrong_self_convention)]
     fn from_bdd_rec(
         &mut self,
-        bm: &BddManager,
+        bm: &mut BddManager,
         f: Bdd,
         memo: &mut HashMap<Bdd, Ofdd>,
     ) -> Result<Ofdd, NodeLimitExceeded> {
@@ -266,9 +266,9 @@ impl OfddManager {
     /// Convenience: builds the OFDD of a truth table through a private,
     /// uncapped BDD manager.
     pub fn from_table(&mut self, t: &TruthTable) -> Result<Ofdd, NodeLimitExceeded> {
-        let bm = BddManager::new(t.num_vars());
+        let mut bm = BddManager::new(t.num_vars());
         let f = bm.from_table(t)?;
-        self.from_bdd(&bm, f)
+        self.from_bdd(&mut bm, f)
     }
 
     /// Number of FPRM cubes (paths to the 1-terminal).
@@ -456,7 +456,7 @@ const SPECTRUM_LIMIT: usize = 16;
 /// vector itself), so they never re-evaluate a visited vector.
 #[derive(Debug)]
 pub struct PolaritySearch<'a> {
-    bm: &'a BddManager,
+    bm: &'a mut BddManager,
     f: Bdd,
     /// chosen on the first evaluation
     scorer: Option<Scorer>,
@@ -532,7 +532,7 @@ impl<'a> PolaritySearch<'a> {
     /// the OFDD conversions of a function wider than 16 variables: when a
     /// candidate trips it, the search stops and keeps the best polarity
     /// found so far instead of panicking.
-    pub fn new(bm: &'a BddManager, f: Bdd) -> Self {
+    pub fn new(bm: &'a mut BddManager, f: Bdd) -> Self {
         PolaritySearch {
             bm,
             f,
@@ -586,16 +586,11 @@ impl<'a> PolaritySearch<'a> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    fn scorer(&mut self) -> &mut Scorer {
-        let (bm, f) = (self.bm, self.f);
-        self.scorer.get_or_insert_with(|| Scorer::new(bm, f))
-    }
-
     /// One candidate, unmemoized: the spectrum moved to `pol` and counted,
     /// or an OFDD conversion (`None` when it trips the node cap).
     fn evaluate(&mut self, pol: &Polarity) -> Option<u64> {
-        let (bm, f) = (self.bm, self.f);
-        match self.scorer() {
+        let (bm, f) = (&mut *self.bm, self.f);
+        match self.scorer.get_or_insert_with(|| Scorer::new(bm, f)) {
             Scorer::Spectrum { support, spectrum } => {
                 for (j, &v) in support.iter().enumerate() {
                     if spectrum.polarity().is_positive(j) != pol.is_positive(v) {
@@ -827,7 +822,7 @@ impl<'a> PolaritySearch<'a> {
 
 /// One candidate evaluation: BDD→OFDD conversion under `pol`, cube count.
 /// `None` when the conversion trips the manager's node cap.
-fn eval_polarity(bm: &BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
+fn eval_polarity(bm: &mut BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
     let mut om = OfddManager::new(pol.clone());
     let o = om.from_bdd(bm, f).ok()?;
     Some(om.num_cubes(o))
@@ -844,13 +839,13 @@ fn eval_polarity(bm: &BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
 /// support stay positive. Build the form under the winner with
 /// [`Fprm::from_table`].
 pub fn optimize_polarity(t: &TruthTable, mode: PolarityMode) -> Polarity {
-    let bm = BddManager::new(t.num_vars());
+    let mut bm = BddManager::new(t.num_vars());
     let f = bm.from_table(t).expect("a manager without a node cap");
     let support: Vec<usize> = bm.support(f).iter().collect();
     // `dispatch`, not `run`: no `polarity_search` span and no
     // `ofdd.polarity_search` failpoint, which only a caller with a salvage
     // ladder can survive
-    PolaritySearch::new(&bm, f).dispatch(mode, &support).0
+    PolaritySearch::new(&mut bm, f).dispatch(mode, &support).0
 }
 
 #[cfg(test)]
@@ -975,16 +970,16 @@ mod tests {
     #[test]
     fn from_bdd_trips_capped_manager() {
         let t = TruthTable::from_fn(8, |m| (m * 31 + 7) % 11 < 4);
-        let bm = BddManager::new(8);
+        let mut bm = BddManager::new(8);
         let f = bm.from_table(&t).expect("uncapped");
         // the conversion drives the BDD manager through fresh XORs, so a
         // cap at the current size must trip
         bm.set_node_limit(Some(bm.num_nodes()));
         let mut om = OfddManager::new(Polarity::all_positive(8));
-        assert!(om.from_bdd(&bm, f).is_err());
+        assert!(om.from_bdd(&mut bm, f).is_err());
         // uncapped, the same conversion succeeds
         bm.set_node_limit(None);
-        let o = om.from_bdd(&bm, f).expect("uncapped");
+        let o = om.from_bdd(&mut bm, f).expect("uncapped");
         assert_eq!(om.num_cubes(o), om.num_cubes(o));
     }
 
@@ -993,7 +988,7 @@ mod tests {
         // 17 support variables: too wide for the spectrum, so every
         // candidate converts the BDD to an OFDD
         let t = TruthTable::from_fn(17, |m| (m * 37 + 11) % 5 < 2);
-        let bm = BddManager::new(17);
+        let mut bm = BddManager::new(17);
         let f = bm.from_table(&t).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
         assert!(support.len() > SPECTRUM_LIMIT);
@@ -1001,7 +996,7 @@ mod tests {
         // unaffordable, so the search must fall back to all-positive with
         // an unknown count — without panicking
         bm.set_node_limit(Some(bm.num_nodes()));
-        let mut search = PolaritySearch::new(&bm, f);
+        let mut search = PolaritySearch::new(&mut bm, f);
         let (pol, count) = search.run(PolarityMode::Greedy, &support);
         assert!(search.budget_tripped());
         assert_eq!(pol, Polarity::all_positive(17));
@@ -1012,16 +1007,16 @@ mod tests {
     fn narrow_search_allocates_no_bdd_nodes() {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
         for mode in MODES {
-            let free_bm = BddManager::new(6);
+            let mut free_bm = BddManager::new(6);
             let free_f = free_bm.from_table(&t).expect("uncapped");
             let support: Vec<usize> = free_bm.support(free_f).iter().collect();
-            let uncapped = PolaritySearch::new(&free_bm, free_f).run(mode, &support);
+            let uncapped = PolaritySearch::new(&mut free_bm, free_f).run(mode, &support);
 
-            let bm = BddManager::new(6);
+            let mut bm = BddManager::new(6);
             let f = bm.from_table(&t).expect("uncapped");
             let nodes = bm.num_nodes();
             bm.set_node_limit(Some(nodes));
-            let mut search = PolaritySearch::new(&bm, f);
+            let mut search = PolaritySearch::new(&mut bm, f);
             assert_eq!(search.run(mode, &support), uncapped, "{mode:?}");
             assert!(!search.budget_tripped(), "{mode:?}");
             assert_eq!(bm.num_nodes(), nodes, "{mode:?}");
@@ -1055,13 +1050,13 @@ mod tests {
         let n = v + (next() % 3) as usize;
         let t = TruthTable::from_fn(k, |_| next() & 1 == 1);
         let phases: Vec<bool> = (0..n).map(|_| next() & 1 == 1).collect();
-        let bm = BddManager::new(n);
-        let f = place(&bm, &t, &vars, 0, 0);
+        let mut bm = BddManager::new(n);
+        let f = place(&mut bm, &t, &vars, 0, 0);
         (bm, f, vars, phases)
     }
 
     /// `t` with its variable `j` placed on manager variable `vars[j]`.
-    fn place(bm: &BddManager, t: &TruthTable, vars: &[usize], j: usize, prefix: u64) -> Bdd {
+    fn place(bm: &mut BddManager, t: &TruthTable, vars: &[usize], j: usize, prefix: u64) -> Bdd {
         if j == vars.len() {
             return bm.constant(t.eval(prefix));
         }
@@ -1102,8 +1097,11 @@ mod tests {
             seed in proptest::arbitrary::any::<u64>(),
             k in 0usize..=10,
         ) {
-            let (bm, f, vars, phases) = placed_function(seed, k);
-            let mut search = PolaritySearch::new(&bm, f);
+            let (mut bm, f, vars, phases) = placed_function(seed, k);
+            // the reference conversions run on a copy of the function, since
+            // the search holds its manager
+            let (mut ref_bm, ref_f, _, _) = placed_function(seed, k);
+            let mut search = PolaritySearch::new(&mut bm, f);
             // variables off the support keep a random phase throughout
             let mut pol = Polarity::from_bits(&phases);
             for &v in &vars {
@@ -1113,7 +1111,7 @@ mod tests {
                 if i > 0 {
                     pol.flip(vars[i.trailing_zeros() as usize]);
                 }
-                let want = eval_polarity(&bm, f, &pol).expect("uncapped");
+                let want = eval_polarity(&mut ref_bm, ref_f, &pol).expect("uncapped");
                 proptest::prop_assert_eq!(search.evaluate(&pol), Some(want), "{:?}", pol);
             }
             proptest::prop_assert!(matches!(search.scorer, Some(Scorer::Spectrum { .. })));
@@ -1124,35 +1122,33 @@ mod tests {
             seed in proptest::arbitrary::any::<u64>(),
             k in 0usize..=12,
             mode in 0usize..3,
-            flags in 0u8..4,
+            expired in proptest::arbitrary::any::<bool>(),
         ) {
-            let (bm, f, vars, _) = placed_function(seed, k);
+            let (mut bm, f, vars, _) = placed_function(seed, k);
             let support: Vec<usize> = bm.support(f).iter().collect();
             let mode = MODES[mode];
-            let parallel = flags & 1 == 1;
-            let deadline = (flags & 2 == 2)
+            let deadline = expired
                 .then(|| Instant::now() - std::time::Duration::from_millis(1));
             let want = traced(|buf| {
-                let mut s = reference::PolaritySearch::new(&bm, f)
-                    .parallel(parallel)
+                let mut s = reference::PolaritySearch::new(&mut bm, f)
                     .deadline(deadline)
                     .trace(buf);
                 (s.run(mode, &support), s.budget_tripped())
             });
             let got = traced(|buf| {
-                let mut s = PolaritySearch::new(&bm, f).deadline(deadline).trace(buf);
+                let mut s = PolaritySearch::new(&mut bm, f).deadline(deadline).trace(buf);
                 (s.run(mode, &support), s.budget_tripped())
             });
             proptest::prop_assert_eq!(&got, &want, "run {:?} on {:?}", mode, vars);
             // a direct greedy call builds the spectrum on its own
             let want = traced(|buf| {
-                let mut s = reference::PolaritySearch::new(&bm, f)
+                let mut s = reference::PolaritySearch::new(&mut bm, f)
                     .deadline(deadline)
                     .trace(buf);
                 (s.greedy(&support), s.budget_tripped())
             });
             let got = traced(|buf| {
-                let mut s = PolaritySearch::new(&bm, f).deadline(deadline).trace(buf);
+                let mut s = PolaritySearch::new(&mut bm, f).deadline(deadline).trace(buf);
                 (s.greedy(&support), s.budget_tripped())
             });
             proptest::prop_assert_eq!(&got, &want, "greedy on {:?}", vars);
@@ -1162,11 +1158,11 @@ mod tests {
     #[test]
     fn expired_deadline_keeps_base_polarity_result() {
         let t = TruthTable::from_fn(6, |m| m.count_ones() % 3 == 1);
-        let bm = BddManager::new(6);
+        let mut bm = BddManager::new(6);
         let f = bm.from_table(&t).expect("uncapped");
         let support: Vec<usize> = bm.support(f).iter().collect();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let mut search = PolaritySearch::new(&bm, f).deadline(Some(past));
+        let mut search = PolaritySearch::new(&mut bm, f).deadline(Some(past));
         let (pol, count) = search.run(PolarityMode::Greedy, &support);
         // greedy evaluates the base polarity before the deadline gates the
         // flip rounds, so the result is the real all-positive count
@@ -1174,9 +1170,9 @@ mod tests {
         assert_eq!(pol, Polarity::all_positive(6));
         assert_ne!(count, u64::MAX);
         // an unconstrained search finds a result at least as good
-        let bm2 = BddManager::new(6);
+        let mut bm2 = BddManager::new(6);
         let f2 = bm2.from_table(&t).expect("uncapped");
-        let mut free = PolaritySearch::new(&bm2, f2);
+        let mut free = PolaritySearch::new(&mut bm2, f2);
         let (_, free_count) = free.run(PolarityMode::Greedy, &support);
         assert!(free_count <= count);
     }

@@ -1,5 +1,5 @@
 //! The polarity search as it was before the spectrum scorer: every
-//! candidate converts the BDD to a fresh OFDD. Kept unchanged as the
+//! candidate converts the BDD to a fresh OFDD, one after another. Kept as the
 //! oracle the tests hold [`super::PolaritySearch`] to — same winners, same
 //! counts, same `polarity.*` counters.
 
@@ -13,10 +13,9 @@ use xsynth_trace::TraceBuffer;
 /// The polarity search with one BDD→OFDD conversion per candidate.
 #[derive(Debug)]
 pub struct PolaritySearch<'a> {
-    bm: &'a BddManager,
+    bm: &'a mut BddManager,
     f: Bdd,
     memo: HashMap<Polarity, u64>,
-    parallel: bool,
     deadline: Option<Instant>,
     trace: Option<&'a mut TraceBuffer>,
     tripped: bool,
@@ -28,24 +27,15 @@ impl<'a> PolaritySearch<'a> {
     /// A node cap set on `bm` (see [`BddManager::set_node_limit`]) governs
     /// the search: when a candidate evaluation trips it, the search stops
     /// and keeps the best polarity found so far instead of panicking.
-    pub fn new(bm: &'a BddManager, f: Bdd) -> Self {
+    pub fn new(bm: &'a mut BddManager, f: Bdd) -> Self {
         PolaritySearch {
             bm,
             f,
             memo: HashMap::new(),
-            parallel: false,
             deadline: None,
             trace: None,
             tripped: false,
         }
-    }
-
-    /// Enables or disables parallel candidate evaluation (off by default —
-    /// callers that already fan out across outputs keep each search
-    /// single-threaded to avoid oversubscription).
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
     }
 
     /// Sets a wall-clock deadline. Once it passes, the search finishes the
@@ -64,10 +54,7 @@ impl<'a> PolaritySearch<'a> {
 
     /// Records the search into a trace buffer: [`PolaritySearch::run`]
     /// opens a `polarity_search` span and the evaluation sites emit the
-    /// `polarity.evaluated` / `polarity.memo_hit` counters. The counter
-    /// stream is deterministic — the memo logic is identical with and
-    /// without [`PolaritySearch::parallel`], only *where* a candidate is
-    /// evaluated changes.
+    /// `polarity.evaluated` / `polarity.memo_hit` counters.
     pub fn trace(mut self, buf: &'a mut TraceBuffer) -> Self {
         self.trace = Some(buf);
         self
@@ -140,57 +127,19 @@ impl<'a> PolaritySearch<'a> {
         if self.past_deadline() {
             tripped = true;
         } else {
-            let workers = if self.parallel && missing.len() >= 2 {
-                xsynth_bdd::worker_threads(missing.len())
-            } else {
-                1
-            };
-            if workers > 1 {
-                let bm = self.bm;
-                let f = self.f;
-                let counts: Vec<(usize, Option<u64>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let chunk: Vec<usize> =
-                                missing.iter().copied().skip(w).step_by(workers).collect();
-                            let pols = &pols;
-                            s.spawn(move || {
-                                chunk
-                                    .into_iter()
-                                    .map(|i| (i, eval_polarity(bm, f, &pols[i])))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("polarity worker panicked"))
-                        .collect()
-                });
-                for (i, c) in counts {
-                    match c {
-                        Some(c) => {
-                            evaluated += 1;
-                            self.memo.insert(pols[i].clone(), c);
-                        }
-                        None => tripped = true,
-                    }
+            for &i in &missing {
+                if self.past_deadline() {
+                    tripped = true;
+                    break;
                 }
-            } else {
-                for &i in &missing {
-                    if self.past_deadline() {
+                match eval_polarity(self.bm, self.f, &pols[i]) {
+                    Some(c) => {
+                        evaluated += 1;
+                        self.memo.insert(pols[i].clone(), c);
+                    }
+                    None => {
                         tripped = true;
                         break;
-                    }
-                    match eval_polarity(self.bm, self.f, &pols[i]) {
-                        Some(c) => {
-                            evaluated += 1;
-                            self.memo.insert(pols[i].clone(), c);
-                        }
-                        None => {
-                            tripped = true;
-                            break;
-                        }
                     }
                 }
             }
@@ -276,7 +225,7 @@ impl<'a> PolaritySearch<'a> {
             p
         };
         let mut best: Option<(u64, Polarity)> = None;
-        // batches keep peak memory flat and still feed the parallel path
+        // batches keep peak memory flat
         const BATCH: u64 = 256;
         let total = 1u64 << k;
         let mut start = 0u64;

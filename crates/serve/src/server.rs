@@ -515,8 +515,8 @@ fn drain_failpoint_tripped() -> bool {
 /// Engine-lifetime observability state behind the `metrics` and `recent`
 /// wire ops. Everything here is *daemon-side* aggregation: the wall-clock
 /// histograms (latency, queue wait, phase durations) are
-/// schedule-dependent by nature, so they live outside the per-job trace
-/// that the parallel ≡ sequential determinism suite compares.
+/// schedule-dependent by nature, so they live outside the per-job trace,
+/// whose counters and gauges repeat exactly from run to run.
 struct Telemetry {
     /// Daemon start, for the uptime gauge.
     start: Instant,

@@ -18,9 +18,8 @@
 //! Trips are deterministic: a plan entry fires on the Nth *hit* of the
 //! site (1-based) and keeps firing for a configurable number of
 //! consecutive hits (default: every hit from the Nth on). Hit counts are
-//! process-global, so deterministic trip ordering requires a
-//! single-threaded pipeline (`SynthOptions.parallel = false` in the chaos
-//! suites).
+//! process-global; a synthesis job runs on one thread, so the order in
+//! which its sites are hit is fixed by the job itself.
 //!
 //! The environment syntax accepted by [`FailPlan::parse`] /
 //! [`arm_from_env`] (variable `XSYNTH_FAILPOINTS`):

@@ -15,9 +15,8 @@
 //! Recording is contention-free: each worker owns a plain [`TraceBuffer`]
 //! (a `Vec` of events, no locks) and submits it to the shared
 //! [`TraceSink`] once, when the buffer drops. Buffers carry an explicit
-//! ordering key, so the merged [`Trace`] is identical regardless of thread
-//! scheduling — the same discipline the parallel synthesis fan-out uses
-//! for the networks themselves.
+//! ordering key, so the merged [`Trace`] is identical regardless of the
+//! order in which buffers are submitted.
 //!
 //! Two exporters ship with the crate: a human-readable tree
 //! ([`Trace::render_tree`]) and Chrome `trace_event` JSON
@@ -474,8 +473,8 @@ impl TraceBuffer {
     /// bucketed at aggregation time with the fixed log-scale layout of
     /// [`bucket_of`]; like counters, merged bucket totals are independent
     /// of scheduling, so only schedule-independent values (cube counts,
-    /// support sizes — not wall-clock durations) belong in a trace that is
-    /// checked by the parallel≡sequential determinism suite.
+    /// support sizes — not wall-clock durations) belong in a trace whose
+    /// totals are compared across runs.
     pub fn observe(&mut self, name: &str, value: f64) {
         self.track.events.push(Event::Hist {
             name: name.to_string(),

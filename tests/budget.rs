@@ -121,22 +121,19 @@ fn cli_exit_codes_match_the_documented_contract() {
     assert_eq!(err.exit_code(), 8, "{err}");
 }
 
-/// Parallel synthesis observes the node cap as ONE global budget: the
-/// planner workers share a single BDD substrate with one atomic
-/// allocation counter, so the traced peak can never show N workers each
-/// consuming the full cap (which the old clone-per-worker managers
-/// allowed — N clones, N private caps, N× the memory).
+/// A multi-output job plans every output in its one BDD manager, so the
+/// node cap is one budget for the whole job: the traced peak never
+/// exceeds it, whether the run completes or stops with a budget error.
 #[test]
-fn parallel_node_cap_is_one_global_budget() {
+fn multi_output_peak_nodes_stay_under_the_cap() {
     let spec = xsynth::circuits::build("adr4").expect("adr4 is in the registry");
     assert!(
         spec.outputs().len() > 1,
-        "the global-cap regression needs a multi-output circuit"
+        "one budget across outputs needs a multi-output circuit"
     );
     const CAP: usize = 3000;
     let sink = TraceSink::new();
     let opts = SynthOptions::builder()
-        .parallel(true)
         .budget(Budget::default().bdd_node_cap(Some(CAP)))
         .trace(sink.clone())
         .build();
@@ -153,10 +150,7 @@ fn parallel_node_cap_is_one_global_budget() {
     let peak = trace
         .gauge_max("bdd.peak_nodes")
         .expect("the pipeline gauges its substrate");
-    assert!(
-        peak <= CAP as f64,
-        "peak {peak} exceeds the global cap {CAP} — workers are not sharing one budget"
-    );
+    assert!(peak <= CAP as f64, "peak {peak} exceeds the cap {CAP}");
 }
 
 /// Negation is allocation-free with complement edges: `not` is a
@@ -166,7 +160,7 @@ fn parallel_node_cap_is_one_global_budget() {
 #[test]
 fn double_negation_allocates_zero_nodes() -> Result<(), xsynth::bdd::NodeLimitExceeded> {
     use xsynth::bdd::BddManager;
-    let m = BddManager::new(8);
+    let mut m = BddManager::new(8);
     let mut f = m.constant(false);
     for v in 0..8 {
         let x = m.var(v)?;
@@ -202,7 +196,6 @@ fn negate_heavy_fprm_descent_completes_under_a_tight_cap() {
     const CAP: usize = 700;
     let sink = TraceSink::new();
     let opts = SynthOptions::builder()
-        .parallel(false)
         .budget(Budget::default().bdd_node_cap(Some(CAP)))
         .trace(sink.clone())
         .build();
@@ -239,7 +232,6 @@ fn starved_run_survives_with_curtailment_report() {
                 .phase_timeout(Some(std::time::Duration::ZERO))
                 .max_patterns(Some(8)),
         )
-        .parallel(false)
         .build();
     let outcome = try_synthesize(&spec, &opts).expect("time starvation degrades, never errors");
     for m in 0..32u64 {

@@ -9,9 +9,7 @@
 //! the sites away entirely.
 //!
 //! The armed plan and hit counts are process-global, so every test here
-//! serializes on one lock, re-arms from scratch, and runs the pipeline
-//! with `parallel(false)` — across threads the global hit ordering is
-//! scheduling-dependent, which would make trip placement nondeterministic.
+//! serializes on one lock and re-arms from scratch.
 
 #![cfg(feature = "failpoints")]
 
@@ -30,10 +28,6 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn opts() -> SynthOptions {
-    SynthOptions::builder().parallel(false).build()
 }
 
 fn circuit(name: &str) -> Network {
@@ -63,7 +57,8 @@ fn plan_panic_salvages_at_skip_factor() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Panic, 1, 1));
-    let outcome = run_contained(&spec, &opts()).expect("rung 2 salvages the output");
+    let outcome =
+        run_contained(&spec, &SynthOptions::default()).expect("rung 2 salvages the output");
     let salvaged = &outcome.report.salvaged;
     assert_eq!(salvaged.len(), 1, "{salvaged:?}");
     assert_eq!(salvaged[0].output, "y0");
@@ -81,7 +76,8 @@ fn plan_double_fault_salvages_at_direct_fprm() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Panic, 1, 2));
-    let outcome = run_contained(&spec, &opts()).expect("rung 3 salvages the output");
+    let outcome =
+        run_contained(&spec, &SynthOptions::default()).expect("rung 3 salvages the output");
     let salvaged = &outcome.report.salvaged;
     assert_eq!(salvaged.len(), 1, "{salvaged:?}");
     assert_eq!(salvaged[0].rung, SalvageRung::DirectFprm);
@@ -92,7 +88,7 @@ fn exhausted_ladder_fails_just_that_output() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Panic, 1, 3));
-    let err = run_contained(&spec, &opts()).expect_err("all three rungs tripped");
+    let err = run_contained(&spec, &SynthOptions::default()).expect_err("all three rungs tripped");
     match &err {
         Error::OutputFailed { output, cause } => {
             assert_eq!(output, "y0");
@@ -109,15 +105,12 @@ fn no_salvage_makes_the_first_fault_fatal() {
     let spec = circuit("majority");
     // a single tripped hit that the ladder would recover from...
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Error, 1, 1));
-    let strict = SynthOptions::builder()
-        .parallel(false)
-        .salvage(false)
-        .build();
+    let strict = SynthOptions::builder().salvage(false).build();
     let err = run_contained(&spec, &strict).expect_err("salvage disabled");
     assert_eq!(err.exit_code(), 9, "{err}");
     // ...and indeed the same plan with salvage on succeeds
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Error, 1, 1));
-    run_contained(&spec, &opts()).expect("ladder recovers the same fault");
+    run_contained(&spec, &SynthOptions::default()).expect("ladder recovers the same fault");
 }
 
 #[test]
@@ -127,7 +120,7 @@ fn bdd_alloc_fault_keeps_the_budget_taxonomy() {
     // a node-cap fault while building the spec BDDs is a hard Budget
     // error — exit 8, not remapped to a generic OutputFailed
     failpoint::arm(&FailPlan::new().point("bdd.alloc", Action::Error, 1));
-    let err = run_contained(&spec, &opts()).expect_err("no BDD, no pipeline");
+    let err = run_contained(&spec, &SynthOptions::default()).expect_err("no BDD, no pipeline");
     assert!(matches!(err, Error::Budget(_)), "{err}");
     assert_eq!(err.exit_code(), 8);
 }
@@ -140,7 +133,7 @@ fn ofdd_faults_degrade_to_the_curtailed_fallback() {
     // error, which the budget layer then absorbs: the FPRM phase is
     // curtailed and the two-level fallback still produces a verified net
     failpoint::arm(&FailPlan::new().point("ofdd.from_bdd", Action::Error, 1));
-    let outcome = run_contained(&spec, &opts()).expect("curtailed fallback");
+    let outcome = run_contained(&spec, &SynthOptions::default()).expect("curtailed fallback");
     assert!(
         outcome.report.curtailed.iter().any(|p| p == "fprm"),
         "{:?}",
@@ -152,10 +145,7 @@ fn ofdd_faults_degrade_to_the_curtailed_fallback() {
 fn emission_self_check_rolls_back_to_the_fprm_form() {
     let _g = exclusive();
     let spec = circuit("majority");
-    let opts = SynthOptions::builder()
-        .parallel(false)
-        .method(FactorMethod::Cube)
-        .build();
+    let opts = SynthOptions::builder().method(FactorMethod::Cube).build();
     failpoint::arm(&FailPlan::new().point("core.emit_check", Action::Error, 1));
     let outcome = run_contained(&spec, &opts).expect("rollback keeps the run alive");
     let salvaged = &outcome.report.salvaged;
@@ -173,10 +163,7 @@ fn emission_self_check_rolls_back_to_the_fprm_form() {
 fn factoring_panic_during_emission_is_contained() {
     let _g = exclusive();
     let spec = circuit("majority");
-    let cube = SynthOptions::builder()
-        .parallel(false)
-        .method(FactorMethod::Cube)
-        .build();
+    let cube = SynthOptions::builder().method(FactorMethod::Cube).build();
     failpoint::arm(&FailPlan::new().point("core.factor", Action::Panic, 1));
     let outcome = run_contained(&spec, &cube).expect("emission falls back to the OFDD form");
     // the shared-divisor emission un-shares, then the output's own
@@ -193,7 +180,6 @@ fn factoring_panic_during_emission_is_contained() {
     // with salvage off the same panic fails the run with the output's name
     failpoint::arm(&FailPlan::new().point("core.factor", Action::Panic, 1));
     let no_salvage = SynthOptions::builder()
-        .parallel(false)
         .method(FactorMethod::Cube)
         .salvage(false)
         .build();
@@ -209,10 +195,7 @@ fn factoring_panic_during_emission_is_contained() {
 fn contained_panic_keeps_later_phases_in_the_profile() {
     let _g = exclusive();
     let spec = circuit("majority");
-    let cube = SynthOptions::builder()
-        .parallel(false)
-        .method(FactorMethod::Cube)
-        .build();
+    let cube = SynthOptions::builder().method(FactorMethod::Cube).build();
     failpoint::arm(&FailPlan::new().point("core.factor", Action::Panic, 1));
     let outcome = run_contained(&spec, &cube).expect("emission falls back to the OFDD form");
     let phases: Vec<&str> = outcome
@@ -231,10 +214,7 @@ fn contained_panic_keeps_later_phases_in_the_profile() {
 fn share_extraction_fault_salvages_by_skipping_sharing() {
     let _g = exclusive();
     let spec = circuit("majority");
-    let cube = SynthOptions::builder()
-        .parallel(false)
-        .method(FactorMethod::Cube)
-        .build();
+    let cube = SynthOptions::builder().method(FactorMethod::Cube).build();
     // a fault inside the cross-output divisor extraction — typed error or
     // panic — skips sharing and keeps the per-output covers
     for action in [Action::Error, Action::Panic] {
@@ -255,7 +235,6 @@ fn share_extraction_fault_salvages_by_skipping_sharing() {
     // exit code
     failpoint::arm(&FailPlan::new().point("core.share", Action::Error, 1));
     let strict = SynthOptions::builder()
-        .parallel(false)
         .method(FactorMethod::Cube)
         .salvage(false)
         .build();
@@ -272,7 +251,7 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::disarm();
-    let clean = try_synthesize(&spec, &opts()).expect("clean run");
+    let clean = try_synthesize(&spec, &SynthOptions::default()).expect("clean run");
     let attempted: u64 = [
         "xor_to_or",
         "xor_to_and",
@@ -288,7 +267,8 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
     // redundancy phase; the next hit is the pass's first rewrite guard
     let before = clean.report.trace.counter("verify.checks");
     failpoint::arm(&FailPlan::new().point("core.verify", Action::Error, before + 1));
-    let err = run_contained(&spec, &opts()).expect_err("the guard's check errored");
+    let err =
+        run_contained(&spec, &SynthOptions::default()).expect_err("the guard's check errored");
     assert!(matches!(err, Error::Verify(_)), "{err}");
     assert_eq!(err.exit_code(), 7);
 }
@@ -302,7 +282,7 @@ fn failed_runs_leave_balanced_traces() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::disarm();
-    let clean = try_synthesize(&spec, &opts()).expect("clean run");
+    let clean = try_synthesize(&spec, &SynthOptions::default()).expect("clean run");
     let checks = clean.report.trace.counter("verify.checks");
     for (site, nth, failed_phase, code) in [
         ("core.plan", 1, phase::FPRM, 9),
@@ -311,7 +291,6 @@ fn failed_runs_leave_balanced_traces() {
     ] {
         let sink = TraceSink::new();
         let strict = SynthOptions::builder()
-            .parallel(false)
             .salvage(false)
             .trace(sink.clone())
             .build();
@@ -338,7 +317,7 @@ fn delay_action_only_slows_the_pipeline() {
     let _g = exclusive();
     let spec = circuit("majority");
     failpoint::arm(&FailPlan::parse("sim.block=delay(1)@1x2").expect("valid plan"));
-    let outcome = run_contained(&spec, &opts()).expect("delays are not faults");
+    let outcome = run_contained(&spec, &SynthOptions::default()).expect("delays are not faults");
     assert!(outcome.report.salvaged.is_empty());
 }
 
@@ -351,12 +330,9 @@ fn swept_sites() -> &'static [String] {
         for name in ["majority", "f2"] {
             let spec = circuit(name);
             // the cube method reaches the emission self-check site
-            let cube = SynthOptions::builder()
-                .parallel(false)
-                .method(FactorMethod::Cube)
-                .build();
+            let cube = SynthOptions::builder().method(FactorMethod::Cube).build();
             try_synthesize(&spec, &cube).expect("clean warmup");
-            try_synthesize(&spec, &opts()).expect("clean warmup");
+            try_synthesize(&spec, &SynthOptions::default()).expect("clean warmup");
         }
         let sites = failpoint::registered();
         assert!(
@@ -387,7 +363,7 @@ fn every_registered_failpoint_is_contained() {
     for site in &sites {
         for action in [Action::Error, Action::Panic] {
             failpoint::arm(&FailPlan::new().point(site, action, 1));
-            let result = run_contained(&spec, &opts());
+            let result = run_contained(&spec, &SynthOptions::default());
             if let Err(e) = result {
                 let code = e.exit_code();
                 assert!(
@@ -418,7 +394,7 @@ proptest! {
         let action = if panic_action { Action::Panic } else { Action::Error };
         let spec = circuit(if alt_circuit { "f2" } else { "majority" });
         failpoint::arm(&FailPlan::new().point(site, action, nth));
-        let result = run_contained(&spec, &opts());
+        let result = run_contained(&spec, &SynthOptions::default());
         if let Err(e) = result {
             prop_assert!((2..=9).contains(&e.exit_code()), "{site}: {e}");
         }

@@ -7,7 +7,7 @@ use xsynth::boolean::{Fprm, Polarity, Sop, TruthTable};
 use xsynth::core::{phase, try_synthesize, Budget, Error, FactorMethod, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::net::{GateKind, Network};
-use xsynth::ofdd::{optimize_polarity, OfddManager, PolarityMode};
+use xsynth::ofdd::{optimize_polarity, OfddManager, PolarityMode, PolaritySearch};
 use xsynth::sop::{script_algebraic, ScriptOptions};
 
 /// A random truth table of `n ≤ 6` variables from raw bits.
@@ -68,10 +68,10 @@ proptest! {
     #[test]
     fn bdd_and_ofdd_agree(bits in any::<u64>(), pol_idx in 0u64..64) {
         let t = table(6, bits);
-        let bm = BddManager::new(6);
+        let mut bm = BddManager::new(6);
         let f = bm.from_table(&t).expect("uncapped");
         let mut om = OfddManager::new(Polarity::from_index(6, pol_idx));
-        let o = om.from_bdd(&bm, f).expect("uncapped");
+        let o = om.from_bdd(&mut bm, f).expect("uncapped");
         for m in 0..64u64 {
             prop_assert_eq!(om.eval(o, m), t.eval(m));
         }
@@ -161,7 +161,6 @@ proptest! {
             .max_patterns((max_patterns > 0).then_some(max_patterns));
         let opts = SynthOptions::builder()
             .budget(budget)
-            .parallel(false)
             .build();
         // the contract: a verified network, or a budget-family error —
         // never a panic. Full-strength (non-downgraded) verification means
@@ -207,5 +206,60 @@ proptest! {
         for pol in [exhaustive, greedy] {
             prop_assert_eq!(Fprm::from_table(&t, &pol).to_table(), t.clone());
         }
+    }
+}
+
+/// The reference loop the memoized polarity search must agree with:
+/// round-based steepest descent with a fresh OFDD build per candidate and
+/// no caching.
+fn greedy_unmemoized(t: &TruthTable) -> (Polarity, u64) {
+    let n = t.num_vars();
+    let mut bm = BddManager::new(n);
+    let f = bm.from_table(t).expect("uncapped");
+    let support: Vec<usize> = bm.support(f).iter().collect();
+    let mut count_of = |pol: &Polarity| {
+        let mut om = OfddManager::new(pol.clone());
+        let root = om.from_bdd(&mut bm, f).expect("uncapped");
+        om.num_cubes(root)
+    };
+    let mut pol = Polarity::all_positive(n);
+    let mut best = count_of(&pol);
+    loop {
+        let mut winner: Option<(u64, Polarity)> = None;
+        for &v in &support {
+            let mut p2 = pol.clone();
+            p2.flip(v);
+            let c = count_of(&p2);
+            if c < best && winner.as_ref().is_none_or(|(wc, _)| c < *wc) {
+                winner = Some((c, p2));
+            }
+        }
+        match winner {
+            Some((c, p)) => {
+                best = c;
+                pol = p;
+            }
+            None => return (pol, best),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memoized_polarity_search_matches_reference(bits in 0u64..u64::MAX, n in 3usize..=6) {
+        // n ≤ 6, so every minterm indexes a distinct bit of `bits`
+        let tt = TruthTable::from_fn(n, |m| (bits >> m) & 1 == 1);
+        let (ref_pol, ref_count) = greedy_unmemoized(&tt);
+
+        let mut bm = BddManager::new(n);
+        let f = bm.from_table(&tt).expect("uncapped");
+        let support: Vec<usize> = bm.support(f).iter().collect();
+        let mut search = PolaritySearch::new(&mut bm, f);
+        let (pol, count) = search.greedy(&support);
+
+        prop_assert_eq!(count, ref_count);
+        prop_assert_eq!(pol, ref_pol);
     }
 }

@@ -1,5 +1,5 @@
-//! Integration tests for the structured tracing layer: span nesting under
-//! parallel fan-out, scheduling-independence of the merged trace, Chrome
+//! Integration tests for the structured tracing layer: span nesting of the
+//! per-output plans, repeatability of the merged trace, Chrome
 //! trace_event export validity and order-independent counter merging.
 
 use proptest::prelude::*;
@@ -51,42 +51,51 @@ fn paper_phases_nest_under_the_pipeline_root() {
 
 #[test]
 fn parallel_fan_out_grafts_one_plan_per_output() {
+    // each output's plan buffer grafts under the fprm phase
     let spec = circuits::build("z4ml").expect("registered");
     let num_outputs = spec.outputs().len();
-    for parallel in [false, true] {
-        let opts = SynthOptions::builder().parallel(parallel).build();
-        let outcome = try_synthesize(&spec, &opts).unwrap();
-        let forest = outcome.report.trace.forest();
-        let fprm = find(&forest, phase::FPRM).expect("fprm span");
-        // per-output plan tracks graft under the fprm phase even when the
-        // work ran on worker threads
-        assert_eq!(
-            count_named(std::slice::from_ref(fprm), "plan"),
-            num_outputs,
-            "parallel={parallel}: one plan span per output under fprm"
-        );
-        assert!(
-            find(std::slice::from_ref(fprm), "polarity_search").is_some(),
-            "parallel={parallel}: polarity_search nests inside a plan"
-        );
-    }
+    let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
+    let forest = outcome.report.trace.forest();
+    let fprm = find(&forest, phase::FPRM).expect("fprm span");
+    assert_eq!(
+        count_named(std::slice::from_ref(fprm), "plan"),
+        num_outputs,
+        "one plan span per output under fprm"
+    );
+    assert!(
+        find(std::slice::from_ref(fprm), "polarity_search").is_some(),
+        "polarity_search nests inside a plan"
+    );
 }
 
 #[test]
 fn parallel_and_sequential_traces_agree_on_everything_but_time() {
+    // two runs of the same job agree on everything a trace records except
+    // durations: spans, counters, histogram buckets and every gauge, the
+    // apply-cache and node-count gauges of the job's BDD manager included
+    let mut saw_histograms = false;
     for name in ["z4ml", "rd53", "5xp1"] {
         let spec = circuits::build(name).expect("registered");
-        let par = try_synthesize(&spec, &SynthOptions::builder().parallel(true).build()).unwrap();
-        let seq = try_synthesize(&spec, &SynthOptions::builder().parallel(false).build()).unwrap();
-        let (pt, st) = (&par.report.trace, &seq.report.trace);
-        assert_eq!(pt.span_names(), st.span_names(), "{name}: phase sets");
+        let first = try_synthesize(&spec, &SynthOptions::default()).unwrap();
+        let again = try_synthesize(&spec, &SynthOptions::default()).unwrap();
+        let (ft, at) = (&first.report.trace, &again.report.trace);
+        assert_eq!(ft.span_names(), at.span_names(), "{name}: phase sets");
         assert_eq!(
-            pt.counter_totals(),
-            st.counter_totals(),
+            ft.counter_totals(),
+            at.counter_totals(),
             "{name}: counter totals"
         );
-        assert_eq!(pt.gauge_finals(), st.gauge_finals(), "{name}: gauges");
+        assert_eq!(ft.hist_totals(), at.hist_totals(), "{name}: histograms");
+        assert_eq!(ft.gauge_finals(), at.gauge_finals(), "{name}: gauges");
+        for gauge in ["bdd.apply_hits", "bdd.apply_misses", "bdd.nodes"] {
+            assert!(ft.gauge_finals().contains_key(gauge), "{name}: {gauge}");
+        }
+        saw_histograms |= ft.hist_totals().contains_key("fprm.cubes");
     }
+    assert!(
+        saw_histograms,
+        "the FPRM flow observes value-based histograms"
+    );
 }
 
 #[test]
