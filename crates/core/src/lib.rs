@@ -16,8 +16,7 @@
 //!    to OR/AND ([`remove_redundancy`], Properties 1–7), with every
 //!    rewrite verified against the specification ([`EquivChecker`]).
 //!
-//! The entry points are [`try_synthesize`] (one-shot) and
-//! [`Engine::try_synthesize`] (result cache kept warm across jobs).
+//! The entry point is [`try_synthesize`]; nothing is kept between calls.
 //! Every operation has one fallible form: budget trips, verification
 //! failures and malformed inputs come back as a typed [`Error`].
 //!
@@ -53,7 +52,6 @@
 
 pub mod atpg;
 mod budget;
-mod engine;
 mod error;
 mod expr;
 mod factor;
@@ -64,7 +62,6 @@ mod synth;
 mod verify;
 
 pub use budget::{Budget, BudgetExceeded, Resource};
-pub use engine::Engine;
 pub use error::Error;
 pub use expr::Gexpr;
 pub use factor::{
@@ -92,19 +89,17 @@ pub use verify::{network_bdds, EquivChecker};
 /// let g = spec.add_gate(GateKind::Xor, vec![a, b]);
 /// spec.add_output("f", g);
 /// let opts = SynthOptions::builder().method(FactorMethod::Ofdd).build();
-/// let SynthOutcome { network, report } = Engine::new().try_synthesize(&spec, &opts)?;
+/// let SynthOutcome { network, report } = try_synthesize(&spec, &opts)?;
 /// assert_eq!(network.eval_u64(1), spec.eval_u64(1));
 /// assert!(!report.outputs.is_empty());
 /// # Ok::<(), Error>(())
 /// ```
 pub mod prelude {
     pub use crate::budget::{Budget, BudgetExceeded};
-    pub use crate::engine::Engine;
     pub use crate::error::Error;
     pub use crate::synth::{
         phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PolarityMode, SalvageRecord,
         SalvageRung, SynthOptions, SynthOutcome, SynthReport,
     };
-    pub use xsynth_cache::{CacheStats, ResultCache};
     pub use xsynth_trace::{Trace, TraceBuffer, TraceSink};
 }

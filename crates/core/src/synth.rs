@@ -24,7 +24,6 @@
 //! [`BddManager`].
 
 use crate::budget::{Budget, BudgetExceeded, Resource};
-use crate::engine::{Engine, PlanSeed};
 use crate::error::Error;
 use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network};
 use crate::gfx;
@@ -316,22 +315,19 @@ pub struct SalvageRecord {
     pub cause: String,
 }
 
-/// Per-job content-cache interaction summary. Deterministic given the
-/// engine's cache state when the job started (lookups happen in a
-/// sequential pre-pass, stores post-merge), so the same job replayed
-/// against the same cache reports the same numbers; one-shot calls
-/// through a throwaway [`Engine`] always report zero hits on the
-/// polarity/cube tiers.
+/// Result-cache use of one job. Every field is always zero: no state is
+/// kept between jobs, so there is nothing to hit. The type remains only
+/// because the benchmark harness in `xbench/` still reads it; it goes
+/// with the next change to that harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheUse {
-    /// Outputs whose winning polarity was seeded from the cache (each
-    /// skips its polarity descent entirely).
+    /// Always zero.
     pub polarity_hits: u64,
-    /// Outputs whose FPRM cube list was seeded from the cache.
+    /// Always zero.
     pub cubes_hits: u64,
-    /// Factoring calls answered from the factored-expression memo.
+    /// Always zero.
     pub factored_hits: u64,
-    /// Cache lookups that found nothing.
+    /// Always zero.
     pub lookup_misses: u64,
 }
 
@@ -367,7 +363,7 @@ pub struct SynthReport {
     /// Outputs recovered by the salvage ladder (or an emission rollback)
     /// instead of failing the run. Empty on a clean pass.
     pub salvaged: Vec<SalvageRecord>,
-    /// Content-cache hits/misses for this job (see [`CacheUse`]).
+    /// Always zero (see [`CacheUse`]).
     pub cache: CacheUse,
     /// Per-phase wall-clock breakdown, derived from `trace`.
     pub profile: PhaseProfile,
@@ -396,11 +392,9 @@ pub struct SynthOutcome {
 /// [`SynthReport::curtailed`]; the returned network is always verified
 /// against the specification.
 ///
-/// This is a one-shot convenience over a throwaway [`Engine`]: the
-/// content cache starts empty and is dropped with the call, so repeated
-/// invocations behave identically. Long-lived callers should hold an
-/// [`Engine`] and use [`Engine::try_synthesize`], which keeps the cache
-/// warm across jobs.
+/// This is the one synthesis entry point. Nothing is kept between
+/// calls: each job builds its own BDD manager and drops it at the end, so
+/// repeated invocations behave identically.
 ///
 /// # Examples
 ///
@@ -423,16 +417,6 @@ pub struct SynthOutcome {
 /// # Ok::<(), xsynth_core::Error>(())
 /// ```
 pub fn try_synthesize(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Error> {
-    Engine::new().try_synthesize(spec, opts)
-}
-
-/// The traced, fault-contained synthesis body behind
-/// [`Engine::try_synthesize`].
-pub(crate) fn try_synthesize_on(
-    engine: &Engine,
-    spec: &Network,
-    opts: &SynthOptions,
-) -> Result<SynthOutcome, Error> {
     let sink = TraceSink::new();
     // remember where this call starts on the external sink's timeline, so
     // aggregated runs line up end-to-end in the exported view
@@ -443,7 +427,7 @@ pub(crate) fn try_synthesize_on(
     // unwinding into the caller. Buffers dropped during the unwind still
     // submit, so the partial trace survives for diagnosis.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run_pipeline(engine, spec, opts, &sink, &mut report)
+        run_pipeline(spec, opts, &sink, &mut report)
     }))
     .unwrap_or_else(|p| {
         Err(Error::OutputFailed {
@@ -474,7 +458,6 @@ fn curtail(report: &mut SynthReport, name: &str) {
 /// `?` from wherever it arises: dropping `main` closes the spans still
 /// open, so the trace keeps its nesting on every path.
 fn run_pipeline(
-    engine: &Engine,
     spec: &Network,
     opts: &SynthOptions,
     sink: &TraceSink,
@@ -512,10 +495,10 @@ fn run_pipeline(
         }
     });
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
-    main.end();
 
     let mut pattern_lists: Vec<Vec<Pattern>> = Vec::new();
     let net = if use_blocks {
+        main.end();
         pattern_lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
         main.begin(phase::FACTORING);
         let net = synthesize_blocks(&spec, opts, &mut main);
@@ -523,7 +506,6 @@ fn run_pipeline(
         net
     } else {
         synthesize_outputs(
-            engine,
             &spec,
             opts,
             &mut bm,
@@ -596,30 +578,10 @@ fn run_pipeline(
     main.gauge("bdd.nodes", bm.num_nodes() as f64);
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
 
-    // Content-cache effectiveness. The per-job hit/miss split depends on
-    // what earlier jobs populated — engine state, not this job's inputs —
-    // so like the apply-cache stats these are gauges, never counters.
-    let cache = engine.cache_stats();
-    main.gauge("cache.hits", report.cache.hits() as f64);
-    main.gauge("cache.misses", report.cache.misses() as f64);
-    main.gauge("cache.evictions", cache.evictions as f64);
-    main.gauge("cache.bytes", cache.bytes as f64);
-    main.gauge("cache.entries", cache.entries as f64);
-
     let result = result.sweep();
     main.gauge("net.gates", result.num_gates() as f64);
     main.end();
     Ok(result)
-}
-
-/// Stable per-mode code used to salt cone cache keys, so a polarity found
-/// under one search mode is never served to a job running another.
-fn polarity_mode_salt(mode: PolarityMode) -> u64 {
-    match mode {
-        PolarityMode::AllPositive => 1,
-        PolarityMode::Greedy => 2,
-        PolarityMode::Exhaustive => 3,
-    }
 }
 
 /// One output's Phase 1 result: polarity, OFDD, method decision, patterns.
@@ -631,9 +593,6 @@ struct OutputPlan {
     bdd: xsynth_bdd::Bdd,
     /// literal-space cubes (id = 2v for positive, 2v+1 for negative)
     lit_cubes: Option<Vec<VarSet>>,
-    /// variable-space FPRM cubes (empty when not enumerated), kept so the
-    /// post-merge pass can populate the content cache
-    fprm_cubes: Vec<VarSet>,
     cube_count: u64,
     patterns: Vec<Pattern>,
     /// whether the polarity search stopped early under the budget
@@ -656,7 +615,6 @@ fn plan_output(
     num_outputs: usize,
     opts: &SynthOptions,
     deadline: Option<Instant>,
-    seed: Option<&PlanSeed>,
     buf: &mut TraceBuffer,
 ) -> Result<OutputPlan, Error> {
     xsynth_trace::fail_point!(
@@ -668,22 +626,9 @@ fn plan_output(
     );
     buf.begin("plan");
     let support: Vec<usize> = bm.support(f).iter().collect();
-    let (pol, search_tripped) = match seed {
-        // A cache seed replaces the whole polarity descent: the seeded
-        // vector is the winner a search under these options found before
-        // (every mode starts from all-positive and flips support vars
-        // only, which is exactly how the seed is reconstructed), so no
-        // `polarity.*` counter is recorded.
-        Some(s) => {
-            buf.count("cache.seeded", 1);
-            (s.pol.clone(), false)
-        }
-        None => {
-            let mut search = PolaritySearch::new(bm, f).deadline(deadline).trace(buf);
-            let (pol, _) = search.run(opts.polarity, &support);
-            (pol, search.budget_tripped())
-        }
-    };
+    let mut search = PolaritySearch::new(bm, f).deadline(deadline).trace(buf);
+    let (pol, _) = search.run(opts.polarity, &support);
+    let search_tripped = search.budget_tripped();
     buf.begin("ofdd");
     let mut om = OfddManager::new(pol.clone());
     let root = om
@@ -701,13 +646,7 @@ fn plan_output(
     buf.observe("plan.support", support.len() as f64);
 
     let cubes: Vec<VarSet> = if count <= MAX_CUBES as u64 {
-        // a seeded cube list is exactly what enumeration would produce
-        // (same cone, same polarity, OFDD enumeration order is canonical);
-        // the count guard is a defensive consistency check
-        match seed.and_then(|s| s.cubes.as_ref()) {
-            Some((c, list)) if *c == count => list.clone(),
-            _ => om.cubes(root),
-        }
+        om.cubes(root)
     } else {
         Vec::new()
     };
@@ -773,7 +712,6 @@ fn plan_output(
         root,
         bdd: f,
         lit_cubes,
-        fprm_cubes: cubes,
         cube_count: count,
         patterns,
         search_tripped,
@@ -861,7 +799,6 @@ fn plan_with_salvage(
     num_outputs: usize,
     opts: &SynthOptions,
     deadline: Option<Instant>,
-    seed: Option<&PlanSeed>,
     mut make_buf: impl FnMut() -> TraceBuffer,
 ) -> Result<(OutputPlan, Option<SalvageRecord>), Error> {
     let mut first: Option<Failure> = None;
@@ -872,19 +809,15 @@ fn plan_with_salvage(
     ] {
         let mut buf = make_buf();
         let mut ropts = opts.clone();
-        // salvage rungs never reuse the seed: if the seeded attempt died,
-        // the cached entry is a suspect and the rung re-derives from scratch
-        let mut seed = seed;
         if let Some(rung) = rung {
             ropts.method = FactorMethod::Ofdd;
             if rung == SalvageRung::DirectFprm {
                 ropts.polarity = PolarityMode::AllPositive;
             }
-            seed = None;
             buf.count("salvage.attempts", 1);
         }
-        let attempt = buf
-            .contain(|buf| plan_output(name, f, bm, n, num_outputs, &ropts, deadline, seed, buf));
+        let attempt =
+            buf.contain(|buf| plan_output(name, f, bm, n, num_outputs, &ropts, deadline, buf));
         match classify(attempt) {
             Ok(plan) => {
                 let record = rung.zip(first).map(|(rung, (cause, _))| SalvageRecord {
@@ -1008,11 +941,13 @@ fn divisor_order(divisors: &[(usize, Vec<VarSet>)], n: usize) -> Vec<usize> {
     order
 }
 
-/// The per-output (collapsed) synthesis path. An error returns with the
-/// phase span still open; the caller's buffer closes it.
+/// The per-output (collapsed) synthesis path. It starts inside the
+/// caller's open [`phase::FPRM`] span, so the per-output `plan` spans
+/// graft under the span they run in, and closes it once every output is
+/// planned. An error returns with the phase span still open; the
+/// caller's buffer closes it.
 #[allow(clippy::too_many_arguments)]
 fn synthesize_outputs(
-    engine: &Engine,
     spec: &Network,
     opts: &SynthOptions,
     bm: &mut BddManager,
@@ -1039,41 +974,8 @@ fn synthesize_outputs(
     // outputs are planned in index order, all in the job's one BDD
     // manager, so they hash-cons into one DAG under one node cap. Each
     // output records into its own trace buffer, keyed by its index.
-    main.begin(phase::FPRM);
     let outs = spec.outputs();
     let num_outputs = outs.len();
-    // Cache pre-pass, before any planning: hash each output cone and pull
-    // whatever seeds the engine's cache holds for it. The seed set is
-    // fixed here and stores happen after every output is planned, in
-    // index order, so a job never reads an entry it wrote itself.
-    let mode_salt = polarity_mode_salt(opts.polarity);
-    let cones: Vec<xsynth_cache::Cone> = outs
-        .iter()
-        .map(|(_, sig)| xsynth_cache::cone_of(spec, *sig))
-        .collect();
-    // A disabled cache (zero byte budget) bypasses the lookup entirely:
-    // no seeds, and no per-job miss accounting for lookups never made.
-    let seeds: Vec<Option<PlanSeed>> = cones
-        .iter()
-        .map(|cone| {
-            if !engine.cache_enabled() {
-                return None;
-            }
-            let seed = engine.lookup_seed(cone, n, mode_salt);
-            match &seed {
-                Some(s) => {
-                    report.cache.polarity_hits += 1;
-                    if s.cubes.is_some() {
-                        report.cache.cubes_hits += 1;
-                    } else {
-                        report.cache.lookup_misses += 1;
-                    }
-                }
-                None => report.cache.lookup_misses += 2, // polarity + cubes tiers
-            }
-            seed
-        })
-        .collect();
     let mut planned = Vec::with_capacity(num_outputs);
     for (i, (name, _)) in outs.iter().enumerate() {
         planned.push(plan_with_salvage(
@@ -1084,25 +986,12 @@ fn synthesize_outputs(
             num_outputs,
             opts,
             deadline,
-            seeds[i].as_ref(),
             || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
         )?);
     }
     let mut plans: Vec<OutputPlan> = Vec::with_capacity(num_outputs);
-    for (cone, (mut plan, salvaged)) in cones.iter().zip(planned) {
-        match salvaged {
-            Some(record) => report.salvaged.push(record),
-            // populate the cache from clean plans only: a salvaged plan's
-            // polarity/cubes reflect a degraded rung, not the winner these
-            // options would find on a healthy run
-            None => engine.store_plan(
-                cone,
-                mode_salt,
-                &plan.pol,
-                plan.cube_count,
-                &plan.fprm_cubes,
-            ),
-        }
+    for (mut plan, salvaged) in planned {
+        report.salvaged.extend(salvaged);
         report
             .outputs
             .push((plan.name.clone(), plan.cube_count, plan.pol.clone()));
@@ -1124,7 +1013,6 @@ fn synthesize_outputs(
     // the abandoned attempt's gates are dead, swept by the later strash
     // pass. With salvage off the fault is fatal and keeps its typed
     // identity where it has one.
-    let (mut factored_hits, mut factored_misses) = (0u64, 0u64);
     let cube_outputs: Vec<usize> = plans
         .iter()
         .enumerate()
@@ -1151,13 +1039,7 @@ fn synthesize_outputs(
             }
             for k in divisor_order(&ext.divisors, n) {
                 let (y, cubes) = &ext.divisors[k];
-                let expr = engine.factor_cubes_cached(
-                    cubes,
-                    opts.apply_rules,
-                    main,
-                    &mut factored_hits,
-                    &mut factored_misses,
-                );
+                let expr = factor_cubes_traced(cubes, opts.apply_rules, main);
                 let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
                 lits.divisors.insert(*y, sig);
             }
@@ -1190,13 +1072,7 @@ fn synthesize_outputs(
                 // panics mid-emit). Gates emitted by an abandoned
                 // attempt are dead and swept by the later strash pass.
                 let attempt = main.contain(|main| {
-                    let expr = engine.factor_cubes_cached(
-                        cubes,
-                        opts.apply_rules,
-                        main,
-                        &mut factored_hits,
-                        &mut factored_misses,
-                    );
+                    let expr = factor_cubes_traced(cubes, opts.apply_rules, main);
                     let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
                     let ok = check
                         .get_or_init(|| EmissionCheck::new(n))
@@ -1243,8 +1119,6 @@ fn synthesize_outputs(
         });
         net.add_output(plan.name.clone(), sig);
     }
-    report.cache.factored_hits += factored_hits;
-    report.cache.lookup_misses += factored_misses;
     main.end();
     Ok(net)
 }
@@ -1656,6 +1530,25 @@ mod tests {
             .gauge_max("redundancy.patterns")
             .expect("pattern gauge recorded");
         assert!(pats <= 8.0, "{pats} patterns exceed the cap");
+    }
+
+    #[test]
+    fn every_job_starts_on_a_fresh_substrate() {
+        let opts = SynthOptions::default();
+        let z4ml = xsynth_circuits::build("z4ml").unwrap();
+        let c5xp1 = xsynth_circuits::build("5xp1").unwrap();
+        assert_eq!(z4ml.inputs().len(), c5xp1.inputs().len());
+        let final_nodes = |o: &SynthOutcome| o.report.trace.gauge_finals()["bdd.nodes"];
+        let alone = try_synthesize(&z4ml, &opts).unwrap();
+        // a same-arity job before it must leave no nodes behind
+        try_synthesize(&c5xp1, &opts).unwrap();
+        let after = try_synthesize(&z4ml, &opts).unwrap();
+        assert_eq!(final_nodes(&after), final_nodes(&alone));
+        assert_eq!(
+            xsynth_blif::write_blif(&after.network),
+            xsynth_blif::write_blif(&alone.network)
+        );
+        assert_eq!(after.report.cache, CacheUse::default());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! `xsynth serve` — a long-lived synthesis daemon.
 //!
-//! The one-shot CLI pays the full pipeline cost on every invocation:
-//! process start-up, polarity descent, factoring. Interactive use —
-//! an editor plugin resynthesizing on save, a design-space sweep
-//! resubmitting near-identical cones — repeats almost all of that work.
-//! This crate keeps a single [`xsynth_core::Engine`] alive behind TCP
-//! and/or unix-socket listeners: the engine's content-addressed result
-//! cache answers resubmitted cones without rerunning the polarity
-//! search. Each job still builds (and drops) its own BDD manager.
+//! The one-shot CLI pays process start-up and library loading on every
+//! invocation. Interactive use — an editor plugin resynthesizing on
+//! save, a design-space sweep — sends many small jobs, so this crate
+//! keeps a worker pool alive behind TCP and/or unix-socket listeners.
+//! Each job is one [`xsynth_core::try_synthesize`] call on its own BDD
+//! manager; nothing is kept between jobs, so a resubmitted job gives the
+//! same network and the same trace counters as its first run.
 //!
 //! The wire protocol is newline-delimited JSON (see [`proto`]), framed
 //! with the same zero-dependency [`xsynth_trace::json`] parser the

@@ -62,7 +62,7 @@ pub enum Request {
     Synth(JobRequest),
     /// Liveness probe (`op: "ping"`).
     Ping,
-    /// Prometheus-style text exposition of the daemon's engine-lifetime
+    /// Prometheus-style text exposition of the daemon-lifetime
     /// counters, gauges and latency histograms (`op: "metrics"`).
     Metrics,
     /// Lifecycle probe (`op: "health"`): reports `ready`, `shedding`

@@ -9,10 +9,9 @@
 //! - the **scheduler** keeps one FIFO queue per connection and hands jobs
 //!   out round-robin across connections, so a client that pipelines a
 //!   hundred jobs cannot starve a client that sends one;
-//! - a **worker pool** executes jobs against one shared
-//!   [`Engine`] — its long-lived content-addressed result cache is what
-//!   makes resubmitting a job cheap — and writes
-//!   each reply under the connection's write lock.
+//! - a **worker pool** runs each job as one
+//!   [`xsynth_core::try_synthesize`] call — nothing is kept between
+//!   jobs — and writes each reply under the connection's write lock.
 //!
 //! Worker panics are contained per job: the connection receives a typed
 //! `status: "error"` reply instead of being dropped.
@@ -51,8 +50,9 @@ use std::time::{Duration, Instant};
 
 use xsynth_bench::{record_from_run, BenchSuite, VERIFY_NODE_CAP};
 use xsynth_blif::{parse_blif, parse_pla, write_blif};
-use xsynth_core::{Budget, Engine, Error, SynthOptions};
+use xsynth_core::{try_synthesize, Budget, Error, SynthOptions};
 use xsynth_map::Library;
+use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_trace::metrics::Exposition;
 use xsynth_trace::{json, Histogram};
 
@@ -96,11 +96,9 @@ pub struct ServeOptions {
     /// socket file (left by a killed daemon) is removed and rebound; a
     /// *live* one is an [`Error::Io`].
     pub unix: Option<PathBuf>,
-    /// Worker pool size; `0` sizes from available parallelism (capped
-    /// at 4 — each job may fan out internally).
+    /// Worker pool size; `0` sizes from available parallelism, capped
+    /// at 4, which bounds how many jobs (and their BDD memory) run at once.
     pub workers: usize,
-    /// Byte budget of the engine's content-addressed result cache.
-    pub cache_bytes: usize,
     /// Default synthesis options for jobs that don't override them.
     pub options: SynthOptions,
     /// Per-connection queue bound: a connection pipelining more
@@ -131,7 +129,6 @@ impl Default for ServeOptions {
             tcp: None,
             unix: None,
             workers: 0,
-            cache_bytes: xsynth_cache::DEFAULT_CACHE_BYTES,
             options: SynthOptions::default(),
             per_conn_queue: 64,
             global_queue: 1024,
@@ -409,7 +406,6 @@ impl Scheduler {
 
 /// Shared per-daemon state every worker sees.
 struct Ctx {
-    engine: Engine,
     /// Default synthesis options for jobs that don't override them.
     options: SynthOptions,
     lib: Library,
@@ -512,7 +508,7 @@ fn drain_failpoint_tripped() -> bool {
     false
 }
 
-/// Engine-lifetime observability state behind the `metrics` and `recent`
+/// Daemon-lifetime observability state behind the `metrics` and `recent`
 /// wire ops. Everything here is *daemon-side* aggregation: the wall-clock
 /// histograms (latency, queue wait, phase durations) are
 /// schedule-dependent by nature, so they live outside the per-job trace,
@@ -539,7 +535,7 @@ struct Telemetry {
     /// Server-assigned request-ID sequence (`job-N`) for synth requests
     /// that arrive without a client-supplied `id`.
     req_seq: AtomicU64,
-    /// Engine-lifetime maximum of the per-job `bdd.peak_nodes` gauge.
+    /// Daemon-lifetime maximum of the per-job `bdd.peak_nodes` gauge.
     peak_nodes: AtomicU64,
     /// Sums of every successful job's final `bdd.apply_hits` and
     /// `bdd.apply_misses` gauges.
@@ -576,7 +572,7 @@ impl Telemetry {
         format!("job-{}", self.req_seq.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
-    /// Raises the engine-lifetime peak-node gauge to at least `nodes`.
+    /// Raises the daemon-lifetime peak-node gauge to at least `nodes`.
     fn observe_peak_nodes(&self, nodes: u64) {
         self.peak_nodes.fetch_max(nodes, Ordering::Relaxed);
     }
@@ -592,7 +588,7 @@ impl Telemetry {
     }
 }
 
-/// The daemon's engine-lifetime latency/size distributions.
+/// The daemon-lifetime latency/size distributions.
 #[derive(Default)]
 struct DaemonHists {
     /// End-to-end synthesis seconds per job (parse → reply body built).
@@ -625,10 +621,6 @@ struct JobSummary {
     salvage_rungs: String,
     /// Phases a budget cut short.
     budget_trips: u64,
-    /// Result-cache hits (polarity + cubes + factored tiers).
-    cache_hits: u64,
-    /// Result-cache lookup misses.
-    cache_misses: u64,
     /// Peak `bdd.peak_nodes` gauge of the job.
     peak_nodes: u64,
     /// Peak RSS in KiB, when the platform exposes it.
@@ -663,7 +655,6 @@ impl Server {
         if opts.tcp.is_none() && opts.unix.is_none() {
             return Err(Error::msg("serve needs at least one of --tcp / --socket"));
         }
-        let engine = Engine::new().cache_budget(opts.cache_bytes);
         let workers = if opts.workers > 0 {
             opts.workers
         } else {
@@ -673,7 +664,6 @@ impl Server {
                 .min(4)
         };
         let ctx = Arc::new(Ctx {
-            engine,
             options: opts.options.clone(),
             lib: Library::mcnc(),
             verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
@@ -763,11 +753,6 @@ impl Server {
     /// The bound unix socket path.
     pub fn unix_path(&self) -> Option<&std::path::Path> {
         self.unix_path.as_deref()
-    }
-
-    /// The daemon's engine (cache statistics).
-    pub fn engine(&self) -> &Engine {
-        &self.ctx.engine
     }
 
     /// Requests graceful drain programmatically: equivalent to a
@@ -1012,7 +997,11 @@ fn read_loop(
     let mut last_byte = Instant::now();
     let mut line_started: Option<Instant> = None;
     loop {
-        if !conn_state.is_alive() || ctx.state() == STATE_STOPPED {
+        // A stopped daemon still answers the lines it has already read off
+        // the socket: each one is submitted, refused and answered with a
+        // typed `overloaded` shed before the reader exits. Returning at
+        // once would drop pipelined requests the drain never saw queued.
+        if !conn_state.is_alive() || (ctx.state() == STATE_STOPPED && reader.buffer().is_empty()) {
             return;
         }
         if let Some(t0) = line_started {
@@ -1207,8 +1196,6 @@ fn handle_line(ctx: &Ctx, line: &str, queued_for: Duration) -> (String, bool) {
                         cone_hash: String::new(),
                         salvage_rungs: String::new(),
                         budget_trips: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
                         peak_nodes: 0,
                         peak_rss_kb: None,
                         seconds: started.elapsed().as_secs_f64(),
@@ -1224,8 +1211,8 @@ fn handle_line(ctx: &Ctx, line: &str, queued_for: Duration) -> (String, bool) {
 /// Answers the `health` wire op: the lifecycle state (`ready`,
 /// `shedding` when the global queue is at capacity, `draining`, or
 /// `stopped`), plus the queue gauges a load balancer needs to steer
-/// traffic — all without touching the engine, so the probe stays cheap
-/// under load.
+/// traffic — all without running a job, so the probe stays cheap under
+/// load.
 fn health_response(ctx: &Ctx) -> String {
     let depth = ctx.sched.depth();
     let state = match ctx.state() {
@@ -1252,7 +1239,7 @@ fn health_response(ctx: &Ctx) -> String {
     o.finish()
 }
 
-/// Renders the engine-lifetime Prometheus-style text exposition behind
+/// Renders the daemon-lifetime Prometheus-style text exposition behind
 /// the `metrics` wire op. The `serve.metrics` failpoint injects a typed
 /// failure here for the chaos suite: a broken exposition must answer
 /// `status: "error"`, never wedge the scheduler or drop the connection.
@@ -1313,19 +1300,6 @@ fn metrics_response(ctx: &Ctx) -> Result<String, Error> {
         busy / tel.workers.max(1) as f64,
     );
 
-    let cs = ctx.engine.cache_stats();
-    exp.counter("xsynth_cache_hits_total", &[], cs.hits);
-    exp.counter("xsynth_cache_misses_total", &[], cs.misses);
-    exp.counter("xsynth_cache_evictions_total", &[], cs.evictions);
-    exp.counter("xsynth_cache_insertions_total", &[], cs.insertions);
-    exp.gauge("xsynth_cache_entries", &[], cs.entries as f64);
-    exp.gauge("xsynth_cache_bytes", &[], cs.bytes as f64);
-    exp.gauge("xsynth_cache_budget_bytes", &[], cs.budget as f64);
-    exp.histogram(
-        "xsynth_cache_lookup_seconds",
-        &[],
-        &ctx.engine.cache_lookup_hist(),
-    );
     exp.counter(
         "xsynth_bdd_apply_hits_total",
         &[],
@@ -1384,8 +1358,6 @@ fn recent_response(ctx: &Ctx, limit: Option<usize>) -> String {
         jo.str("cone_hash", &s.cone_hash);
         jo.str("salvage_rungs", &s.salvage_rungs);
         jo.num("budget_trips", s.budget_trips as f64);
-        jo.num("cache_hits", s.cache_hits as f64);
-        jo.num("cache_misses", s.cache_misses as f64);
         jo.num("peak_nodes", s.peak_nodes as f64);
         match s.peak_rss_kb {
             Some(kb) => jo.num("peak_rss_kb", kb as f64),
@@ -1407,9 +1379,8 @@ fn recent_response(ctx: &Ctx, limit: Option<usize>) -> String {
 }
 
 /// Executes one synthesis job end to end: admission failpoint, parse,
-/// synthesize on the shared engine, record flight-recorder and histogram
-/// telemetry, reply with the network and cache accounting (plus bench
-/// telemetry on request). `job.id` is always set by `handle_line`.
+/// synthesize, record flight-recorder and histogram telemetry, reply with
+/// the network (plus bench telemetry on request). `job.id` is always set by `handle_line`.
 fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, Error> {
     xsynth_trace::fail_point!(
         "serve.accept",
@@ -1456,7 +1427,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         });
     }
     let t0 = Instant::now();
-    let mut outcome = ctx.engine.try_synthesize(&spec, &opts)?;
+    let mut outcome = try_synthesize(&spec, &opts)?;
     let seconds = t0.elapsed().as_secs_f64();
 
     // Stamp the request ID onto the job's trace spans so an exported
@@ -1492,42 +1463,30 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         .fetch_add(final_gauge("bdd.apply_hits") as u64, Ordering::Relaxed);
     tel.apply_misses
         .fetch_add(final_gauge("bdd.apply_misses") as u64, Ordering::Relaxed);
-    let cone_hash = {
-        let mut h: u128 = 0;
-        for (_, sig) in spec.outputs() {
-            h ^= xsynth_cache::cone_of(&spec, *sig).key.raw();
-        }
-        format!("{h:032x}")
-    };
+    let cone_hash = spec
+        .outputs()
+        .iter()
+        .fold(0, |h, (_, sig)| h ^ cone_hash(&spec, *sig));
     let rungs: Vec<&str> = outcome
         .report
         .salvaged
         .iter()
         .map(|s| s.rung.as_str())
         .collect();
-    let use_ = outcome.report.cache;
     ctx.telemetry.jobs_ok.fetch_add(1, Ordering::Relaxed);
     ctx.telemetry.record(JobSummary {
         id: id.clone(),
         name: spec.name().to_string(),
         outcome: "ok",
         error_kind: None,
-        cone_hash,
+        cone_hash: format!("{cone_hash:032x}"),
         salvage_rungs: rungs.join(","),
         budget_trips: outcome.report.curtailed.len() as u64,
-        cache_hits: use_.polarity_hits + use_.cubes_hits + use_.factored_hits,
-        cache_misses: use_.lookup_misses,
         peak_nodes,
         peak_rss_kb: mem.peak_kb(),
         seconds,
         queue_seconds: queued_for.as_secs_f64(),
     });
-
-    let mut cache = proto::Obj::new();
-    cache.num("polarity_hits", outcome.report.cache.polarity_hits as f64);
-    cache.num("cubes_hits", outcome.report.cache.cubes_hits as f64);
-    cache.num("factored_hits", outcome.report.cache.factored_hits as f64);
-    cache.num("lookup_misses", outcome.report.cache.lookup_misses as f64);
 
     let mut o = proto::Obj::new();
     o.num("protocol_version", proto::PROTOCOL_VERSION as f64);
@@ -1540,7 +1499,6 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
     o.str("network_blif", &write_blif(&outcome.network));
     o.num("outputs", outcome.network.outputs().len() as f64);
     o.num("salvaged", outcome.report.salvaged.len() as f64);
-    o.raw("cache", &cache.finish());
     o.num("seconds", seconds);
     match mem.peak_kb() {
         Some(kb) => o.num("peak_rss_kb", kb as f64),
@@ -1572,6 +1530,60 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
     Ok(o.finish())
 }
 
+/// Canonical structural hash of the cone rooted at `root` (the
+/// flight recorder's `cone_hash` XORs it over a job's outputs).
+///
+/// The cone is walked depth-first from the root, fanins in order, and
+/// every node is numbered by first visit; FNV-1a-128 then covers the node
+/// count and each node's kind and its fanins' numbers. Node ids and names
+/// never enter it, so two cones hash equal exactly when their DAGs have
+/// the same shape, whatever circuit they come from.
+fn cone_hash(net: &Network, root: SignalId) -> u128 {
+    let mut number: HashMap<SignalId, u64> = HashMap::new();
+    let mut order: Vec<SignalId> = Vec::new();
+    let mut stack = vec![root];
+    while let Some(sig) = stack.pop() {
+        if number.contains_key(&sig) {
+            continue;
+        }
+        number.insert(sig, order.len() as u64);
+        order.push(sig);
+        // fanins pushed in reverse so they pop in declaration order
+        stack.extend(net.fanins(sig).iter().rev());
+    }
+    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u128::from(byte)).wrapping_mul(0x0000000001000000000000000000013b);
+        }
+    };
+    word(order.len() as u64);
+    for &sig in &order {
+        let NodeKind::Gate(kind) = net.kind(sig) else {
+            word(1);
+            continue;
+        };
+        word(match kind {
+            GateKind::Const0 => 2,
+            GateKind::Const1 => 3,
+            GateKind::Buf => 4,
+            GateKind::Not => 5,
+            GateKind::And => 6,
+            GateKind::Or => 7,
+            GateKind::Nand => 8,
+            GateKind::Nor => 9,
+            GateKind::Xor => 10,
+            GateKind::Xnor => 11,
+        });
+        let fanins = net.fanins(sig);
+        word(fanins.len() as u64);
+        for f in fanins {
+            word(number[f]);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1584,6 +1596,174 @@ mod tests {
             conn_state: Arc::new(ConnState::new()),
             enqueued: Instant::now(),
         }
+    }
+
+    #[test]
+    fn cone_hash_sees_shape_not_names() {
+        let cone = |names: [&str; 3], kind| {
+            let mut net = Network::new(names[0]);
+            let a = net.add_input(names[1]);
+            let b = net.add_input(names[2]);
+            let x = net.add_gate(kind, vec![a, b]);
+            let y = net.add_gate(GateKind::And, vec![x, a]);
+            net.add_output("f", y);
+            cone_hash(&net, y)
+        };
+        let xor = cone(["one", "a", "b"], GateKind::Xor);
+        assert_eq!(xor, cone(["two", "p", "q"], GateKind::Xor));
+        assert_ne!(xor, cone(["one", "a", "b"], GateKind::Or));
+    }
+
+    #[test]
+    fn fanin_order_is_part_of_the_shape() {
+        let cone = |swap: bool| {
+            let mut net = Network::new("n");
+            let a = net.add_input("a");
+            let b = net.add_input("b");
+            let fanins = if swap { vec![b, a] } else { vec![a, b] };
+            let x = net.add_gate(GateKind::And, fanins);
+            let g = net.add_gate(GateKind::Xor, vec![x, a]);
+            net.add_output("f", g);
+            cone_hash(&net, g)
+        };
+        assert_ne!(
+            cone(false),
+            cone(true),
+            "swapped fanins are a different shape"
+        );
+    }
+
+    const KINDS: [GateKind; 6] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Xor,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xnor,
+    ];
+
+    /// A reproducible random DAG: `picks[i]` chooses the kind and the
+    /// second fanin of gate `i`; the first fanin is always the newest
+    /// signal, so the gates form a chain and all lie in the root's cone.
+    /// Returns the network and its root.
+    fn random_dag(
+        name: &str,
+        input_prefix: &str,
+        n_inputs: usize,
+        picks: &[(u8, u8)],
+    ) -> (Network, SignalId) {
+        let mut net = Network::new(name);
+        let mut sigs: Vec<SignalId> = (0..n_inputs)
+            .map(|i| net.add_input(format!("{input_prefix}{i}")))
+            .collect();
+        for &(k, b) in picks {
+            let kind = KINDS[k as usize % KINDS.len()];
+            let fa = *sigs.last().expect("inputs exist");
+            let fb = sigs[b as usize % sigs.len()];
+            sigs.push(net.add_gate(kind, vec![fa, fb]));
+        }
+        let root = *sigs.last().expect("at least one signal");
+        net.add_output("f", root);
+        (net, root)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Structurally equal cones hash equal even when every name
+        /// differs between the two circuits.
+        #[test]
+        fn structurally_equal_cones_hash_equal(
+            n_inputs in 1usize..6,
+            picks in proptest::collection::vec((0u8..6, 0u8..8), 1..12),
+        ) {
+            let (n1, r1) = random_dag("left", "a", n_inputs, &picks);
+            let (n2, r2) = random_dag("right", "zz", n_inputs, &picks);
+            proptest::prop_assert_eq!(cone_hash(&n1, r1), cone_hash(&n2, r2));
+        }
+
+        /// Changing one gate's kind changes the cone hash.
+        #[test]
+        fn gate_kind_mutation_changes_cone_hash(
+            n_inputs in 1usize..6,
+            picks in proptest::collection::vec((0u8..6, 0u8..8), 1..12),
+            which in 0usize..12,
+            bump in 1u8..6,
+        ) {
+            let idx = which % picks.len();
+            let mut mutated = picks.clone();
+            mutated[idx].0 = (mutated[idx].0 + bump) % 6;
+            let (n1, r1) = random_dag("left", "a", n_inputs, &picks);
+            let (n2, r2) = random_dag("right", "a", n_inputs, &mutated);
+            proptest::prop_assert_ne!(cone_hash(&n1, r1), cone_hash(&n2, r2));
+        }
+    }
+
+    /// A request stream whose one burst arrives in the same read that
+    /// stops the daemon, the way a drain can land between a client's
+    /// write and the reader's next tick.
+    struct StopOnFirstRead {
+        ctx: Arc<Ctx>,
+        burst: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for StopOnFirstRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.ctx.state() != STATE_STOPPED {
+                drop(self.ctx.sched.shed_remaining_and_stop());
+                self.ctx.state.store(STATE_STOPPED, Ordering::SeqCst);
+            }
+            self.burst.read(buf)
+        }
+    }
+
+    /// A writer whose bytes the test can read back.
+    struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            lock(&self.0).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stopped_reader_sheds_every_line_it_already_read() {
+        let opts = ServeOptions::default();
+        let ctx = Arc::new(Ctx {
+            options: opts.options.clone(),
+            lib: Library::mcnc(),
+            verify_budget: Budget::default(),
+            requests: AtomicU64::new(0),
+            state: AtomicU8::new(STATE_RUNNING),
+            limits: Limits::from_options(&opts),
+            sched: Scheduler::new(),
+            telemetry: Telemetry::new(1),
+        });
+        let burst = "{\"op\":\"ping\"}\n".repeat(3).into_bytes();
+        let reader = StopOnFirstRead {
+            ctx: ctx.clone(),
+            burst: std::io::Cursor::new(burst),
+        };
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(SharedSink(out.clone()))));
+        read_loop(
+            &ctx,
+            0,
+            &Arc::new(ConnState::new()),
+            Box::new(reader),
+            &writer,
+        );
+        let replies = String::from_utf8(lock(&out).clone()).expect("utf-8 replies");
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(lines.len(), 3, "one reply per buffered line: {replies}");
+        for line in lines {
+            assert!(line.contains("\"kind\":\"overloaded\""), "{line}");
+        }
+        assert_eq!(ctx.telemetry.jobs_shed.load(Ordering::Relaxed), 3);
     }
 
     /// Bounds loose enough that only tests targeting them trip them.

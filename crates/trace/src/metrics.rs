@@ -1,7 +1,7 @@
 //! Prometheus-style text exposition: a serde-free writer and a strict
 //! parser.
 //!
-//! The serve daemon's `metrics` wire op renders its engine-lifetime
+//! The serve daemon's `metrics` wire op renders its daemon-lifetime
 //! counters, gauges and [`Histogram`]s with [`Exposition`]; `xsynth top`
 //! and the test suite read the text back with [`parse`], which enforces
 //! the invariants the writer guarantees: one `# TYPE` line per family,

@@ -11,8 +11,7 @@
 //! * `bench <circuit>` — run a built-in Table 2 benchmark by name.
 //! * `verify <a> <b>` — check two networks for combinational equivalence.
 //! * `serve` — run the long-lived synthesis daemon (`--tcp` and/or
-//!   `--socket`), sharing one engine and its content-addressed result
-//!   cache across all jobs.
+//!   `--socket`); each job is one independent synthesis call.
 //!
 //! Every run can be resource-governed with `--bdd-node-cap`,
 //! `--phase-timeout-ms` and `--max-patterns`; error families map to
@@ -66,8 +65,6 @@ pub struct Command {
     pub socket: Option<String>,
     /// `serve`: worker pool size (`--workers`, 0 = auto).
     pub workers: usize,
-    /// `serve`: result-cache byte budget in MiB (`--cache-mb`).
-    pub cache_mb: Option<usize>,
     /// `serve`: per-connection queue bound (`--queue`).
     pub per_conn_queue: Option<usize>,
     /// `serve`: daemon-wide queue bound (`--global-queue`).
@@ -137,8 +134,7 @@ usage: xsynth <synth|stats|map|bench|verify|serve|top> [input] [options]
   bench <name>             run a built-in Table 2 circuit by name
   verify <a> <b>           check two networks for equivalence
   serve                    run the synthesis daemon (newline-delimited JSON
-                           over --tcp and/or --socket; one shared engine
-                           and result cache for all jobs)
+                           over --tcp and/or --socket)
   top <addr>               live daemon dashboard: poll `metrics`/`recent`
                            and redraw (host:port = TCP, else a unix socket
                            path)
@@ -147,8 +143,6 @@ serve options:
   --tcp ADDR            listen on a TCP address (e.g. 127.0.0.1:7171)
   --socket PATH         listen on a unix-domain socket at PATH
   --workers N           worker pool size (default: sized from CPU count)
-  --cache-mb N          result-cache byte budget in MiB (default 64;
-                        0 disables the result cache entirely)
   --queue N             per-connection queue bound (default 64); excess
                         pipelined jobs are shed as typed `overloaded`
   --global-queue N      daemon-wide queue bound (default 1024)
@@ -247,7 +241,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut tcp = None;
     let mut socket = None;
     let mut workers = 0usize;
-    let mut cache_mb = None;
     let mut per_conn_queue = None;
     let mut global_queue = None;
     let mut read_timeout_ms = None;
@@ -320,9 +313,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--workers" if action == Action::Serve => {
                 workers = number(a, it.next())? as usize;
             }
-            "--cache-mb" if action == Action::Serve => {
-                cache_mb = Some(number(a, it.next())? as usize);
-            }
             "--queue" if action == Action::Serve => {
                 per_conn_queue = Some(number(a, it.next())? as usize);
             }
@@ -364,7 +354,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         tcp,
         socket,
         workers,
-        cache_mb,
         per_conn_queue,
         global_queue,
         read_timeout_ms,
@@ -514,8 +503,8 @@ fn render_budget_notes(report: &SynthReport) -> String {
 }
 
 /// Renders the `--stats` block of a [`SynthReport`]: the trace-derived
-/// per-phase wall-clock profile, one line per output, the cache hit
-/// ratios, and the full span tree with its counter totals.
+/// per-phase wall-clock profile, one line per output, the apply-cache
+/// hit ratio, and the full span tree with its counter totals.
 pub fn render_report(report: &SynthReport) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut s = String::new();
@@ -543,19 +532,6 @@ pub fn render_report(report: &SynthReport) -> String {
         pct(apply_hits, apply_hits + apply_misses),
         apply_hits,
         apply_hits + apply_misses
-    );
-    let c = &report.cache;
-    let result_hits = (c.polarity_hits + c.cubes_hits + c.factored_hits) as f64;
-    let result_lookups = result_hits + c.lookup_misses as f64;
-    let _ = writeln!(
-        s,
-        "# result cache: {:.1}% hit ({:.0} of {:.0} lookups; polarity {}, cubes {}, factored {})",
-        pct(result_hits, result_lookups),
-        result_hits,
-        result_lookups,
-        c.polarity_hits,
-        c.cubes_hits,
-        c.factored_hits
     );
     let _ = writeln!(s, "# trace:");
     for line in report.trace.render_tree().lines() {
@@ -820,9 +796,6 @@ fn run_serve(cmd: &Command) -> Result<String, Error> {
         options,
         ..xsynth_serve::ServeOptions::default()
     };
-    if let Some(mb) = cmd.cache_mb {
-        opts.cache_bytes = mb << 20;
-    }
     if let Some(n) = cmd.per_conn_queue {
         opts.per_conn_queue = n;
     }
@@ -917,7 +890,7 @@ fn run_serve_supervisor(cmd: &Command) -> Result<String, Error> {
 /// Reconstructs the `serve` argv of a parsed [`Command`] so the
 /// supervisor can re-execute itself as the daemon child. Inverse of
 /// [`parse_args`] for the serve-relevant subset (listeners, workers,
-/// cache, flow, redundancy/salvage, budget, overload limits).
+/// flow, redundancy/salvage, budget, overload limits).
 fn serve_argv(cmd: &Command) -> Vec<String> {
     let mut v = vec!["serve".to_string()];
     let mut flag = |name: &str, value: Option<String>| {
@@ -934,9 +907,6 @@ fn serve_argv(cmd: &Command) -> Vec<String> {
     }
     if cmd.workers != 0 {
         flag("--workers", Some(cmd.workers.to_string()));
-    }
-    if let Some(mb) = cmd.cache_mb {
-        flag("--cache-mb", Some(mb.to_string()));
     }
     if cmd.flow != Flow::Fprm {
         let name = match cmd.flow {
@@ -1097,13 +1067,6 @@ fn render_top<S: std::io::Read + std::io::Write>(
             .map(|s| s.value)
             .unwrap_or(0.0)
     };
-    let pct = |hits: f64, lookups: f64| {
-        if lookups > 0.0 {
-            100.0 * hits / lookups
-        } else {
-            0.0
-        }
-    };
 
     let mut s = String::new();
     let _ = writeln!(
@@ -1113,18 +1076,11 @@ fn render_top<S: std::io::Read + std::io::Write>(
         value("xsynth_workers", None),
         value("xsynth_workers_busy", None),
     );
-    let hits = value("xsynth_cache_hits_total", None);
-    let lookups = hits + value("xsynth_cache_misses_total", None);
     let _ = writeln!(
         s,
-        "jobs: {:.0} ok / {:.0} error   result cache: {:.1}% hit ({:.0}/{:.0}), {:.0} entries, {:.1} MiB",
+        "jobs: {:.0} ok / {:.0} error",
         value("xsynth_jobs_total", Some(("outcome", "ok"))),
         value("xsynth_jobs_total", Some(("outcome", "error"))),
-        pct(hits, lookups),
-        hits,
-        lookups,
-        value("xsynth_cache_entries", None),
-        value("xsynth_cache_bytes", None) / (1024.0 * 1024.0),
     );
     let _ = writeln!(
         s,
@@ -1149,8 +1105,8 @@ fn render_top<S: std::io::Read + std::io::Write>(
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "{:<12} {:<14} {:<8} {:>9} {:>6} {:>6} {:>10}",
-        "ID", "NAME", "OUTCOME", "SECONDS", "HITS", "MISS", "PEAK-NODES"
+        "{:<12} {:<14} {:<8} {:>9} {:>10}",
+        "ID", "NAME", "OUTCOME", "SECONDS", "PEAK-NODES"
     );
     for job in r.get("jobs").and_then(Value::as_arr).unwrap_or(&[]) {
         let g = |k: &str| {
@@ -1162,13 +1118,11 @@ fn render_top<S: std::io::Read + std::io::Write>(
         let n = |k: &str| job.get(k).and_then(Value::as_f64).unwrap_or(0.0);
         let _ = writeln!(
             s,
-            "{:<12} {:<14} {:<8} {:>9.4} {:>6.0} {:>6.0} {:>10.0}",
+            "{:<12} {:<14} {:<8} {:>9.4} {:>10.0}",
             g("id"),
             g("name"),
             g("outcome"),
             n("seconds"),
-            n("cache_hits"),
-            n("cache_misses"),
             n("peak_nodes"),
         );
     }
@@ -1400,7 +1354,6 @@ mod tests {
             tcp: None,
             socket: None,
             workers: 0,
-            cache_mb: None,
             per_conn_queue: None,
             global_queue: None,
             read_timeout_ms: None,
@@ -1449,7 +1402,7 @@ mod tests {
     #[test]
     fn parse_serve_flags() {
         let c = parse_args(&argv(
-            "serve --tcp 127.0.0.1:0 --socket /tmp/x.sock --workers 2 --cache-mb 16",
+            "serve --tcp 127.0.0.1:0 --socket /tmp/x.sock --workers 2",
         ))
         .unwrap();
         assert_eq!(c.action, Action::Serve);
@@ -1457,7 +1410,7 @@ mod tests {
         assert_eq!(c.tcp.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(c.socket.as_deref(), Some("/tmp/x.sock"));
         assert_eq!(c.workers, 2);
-        assert_eq!(c.cache_mb, Some(16));
+        assert!(parse_args(&argv("serve --tcp 127.0.0.1:0 --cache-mb 16")).is_err());
         // serve-only flags stay serve-only
         assert!(parse_args(&argv("bench rd53 --tcp 127.0.0.1:0")).is_err());
     }
@@ -1488,7 +1441,7 @@ mod tests {
 
     #[test]
     fn serve_argv_roundtrips_through_parse_args() {
-        let line = "serve --tcp 127.0.0.1:0 --socket /tmp/x.sock --workers 3 --cache-mb 8 \
+        let line = "serve --tcp 127.0.0.1:0 --socket /tmp/x.sock --workers 3 \
                     --method kfdd --no-redundancy --no-salvage --bdd-node-cap 5000 \
                     --phase-timeout-ms 250 --max-patterns 64 --queue 4 --global-queue 16 \
                     --read-timeout-ms 250 --idle-timeout-ms 9000 --drain-timeout-ms 1500 \
@@ -1571,7 +1524,7 @@ mod tests {
     fn stats_flag_prints_cache_hit_ratios() {
         let out = run(&argv("bench rd53 --stats")).unwrap();
         assert!(out.contains("# apply cache:"), "{out}");
-        assert!(out.contains("# result cache:"), "{out}");
+        assert!(!out.contains("# result cache:"), "{out}");
         assert!(out.contains("% hit ("), "{out}");
     }
 
@@ -1580,7 +1533,7 @@ mod tests {
         // no listener at all
         let c = parse_args(&argv("serve")).unwrap();
         assert_eq!(execute(&c).unwrap_err().exit_code(), 2);
-        // the SOP baseline has no FPRM engine to keep warm
+        // the daemon runs only the FPRM-family flows
         let c = parse_args(&argv("serve --tcp 127.0.0.1:0 --method sop")).unwrap();
         assert_eq!(execute(&c).unwrap_err().exit_code(), 2);
     }
@@ -1668,7 +1621,6 @@ mod tests {
                 tcp: None,
                 socket: None,
                 workers: 0,
-                cache_mb: None,
                 per_conn_queue: None,
                 global_queue: None,
                 read_timeout_ms: None,

@@ -83,8 +83,5 @@ pub use xsynth_circuits as circuits;
 /// Benchmark harness, telemetry schema, and regression comparison.
 pub use xsynth_bench as bench;
 
-/// Content-addressed synthesis result cache (structural cone hashing).
-pub use xsynth_cache as cache;
-
 /// The `xsynth serve` daemon: NDJSON protocol, scheduler, worker pool.
 pub use xsynth_serve as serve;

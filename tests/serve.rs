@@ -1,5 +1,5 @@
 //! End-to-end tests of the `xsynth serve` daemon over real sockets:
-//! warm-cache resubmission, concurrent clients under tight budgets,
+//! history-independent resubmission, concurrent clients under tight budgets,
 //! protocol-version enforcement, and graceful shutdown.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -29,8 +29,7 @@ const ADDER_BLIF: &str = "\
 .end
 ";
 
-/// A structurally identical circuit under different net names — must hit
-/// the content-addressed cache.
+/// A structurally identical circuit under different net names.
 const ADDER_BLIF_RENAMED: &str = "\
 .model adder2
 .inputs x y z
@@ -83,70 +82,117 @@ fn field_str<'a>(v: &'a Value, key: &str) -> &'a str {
         .unwrap_or_else(|| panic!("missing string {key} in {v:?}"))
 }
 
+/// One telemetry-carrying synth job; returns its network BLIF and the
+/// trace counters of its telemetry record.
+fn job_result(
+    client: &mut Client<std::os::unix::net::UnixStream>,
+    blif: &str,
+    id: &str,
+) -> (String, Value) {
+    let reply = client
+        .synth(blif, JobFormat::Blif, Some(id), None, true)
+        .expect("synth job");
+    assert_eq!(field_str(&reply, "status"), "ok", "{reply:?}");
+    assert!(reply.get("cache").is_none(), "no result cache: {reply:?}");
+    let record = &reply
+        .get("telemetry")
+        .and_then(|t| t.get("records"))
+        .and_then(Value::as_arr)
+        .expect("telemetry records")[0];
+    assert_eq!(field_str(record, "verified"), "verified");
+    let counters = record.get("counters").expect("counters").clone();
+    (field_str(&reply, "network_blif").to_string(), counters)
+}
+
 #[test]
-fn duplicate_jobs_hit_the_cache_and_return_bit_identical_networks() {
+fn duplicate_and_renamed_jobs_give_identical_networks_and_counters() {
     let server = spawn(2);
     let path = server.unix_path().expect("unix bound").to_path_buf();
     let mut client = Client::connect_unix(&path).expect("connect");
 
-    let cold = client
-        .synth(ADDER_BLIF, JobFormat::Blif, Some("cold"), None, false)
-        .expect("cold job");
-    assert_eq!(field_str(&cold, "status"), "ok", "{cold:?}");
-    assert_eq!(field_u64(&cold, &["cache", "polarity_hits"]), 0);
-    let cold_blif = field_str(&cold, "network_blif").to_string();
-    assert!(cold_blif.contains(".model"), "{cold_blif}");
-
-    // Same circuit again, with telemetry: the polarity descent is skipped
-    // (no candidates evaluated), the cache-hit gauge is nonzero, and the
-    // network is byte-for-byte the cold result.
-    let warm = client
-        .synth(ADDER_BLIF, JobFormat::Blif, Some("warm"), None, true)
-        .expect("warm job");
-    assert_eq!(field_str(&warm, "status"), "ok", "{warm:?}");
-    assert_eq!(field_u64(&warm, &["cache", "polarity_hits"]), 2);
-    assert_eq!(field_str(&warm, "network_blif"), cold_blif);
-    let telemetry = warm.get("telemetry").expect("telemetry attached");
-    let record = &telemetry
-        .get("records")
-        .and_then(Value::as_arr)
-        .expect("records")[0];
-    assert_eq!(field_str(record, "verified"), "verified");
-    let gauges = record.get("gauges").expect("gauges");
+    let (first_blif, first_counters) = job_result(&mut client, ADDER_BLIF, "first");
+    assert!(first_blif.contains(".model adder"), "{first_blif}");
     assert!(
-        field_u64(gauges, &["cache.hits"]) >= 2,
-        "warm run must report cache hits: {gauges:?}"
-    );
-    let counters = record.get("counters").expect("counters");
-    assert!(
-        counters.get("polarity.evaluated").is_none(),
-        "warm run must not run the polarity descent: {counters:?}"
+        first_counters.get("polarity.evaluated").is_some(),
+        "every job runs the polarity descent: {first_counters:?}"
     );
 
-    // A structurally identical circuit under fresh names also hits.
-    let renamed = client
+    // the renamed circuit is the same job under other names: same counters,
+    // and the same network once its names are mapped back
+    let (renamed_blif, renamed_counters) = job_result(&mut client, ADDER_BLIF_RENAMED, "renamed");
+    assert_eq!(renamed_counters, first_counters);
+    fn back(token: &str) -> &str {
+        match token {
+            "adder2" => "adder",
+            "x" => "a",
+            "y" => "b",
+            "z" => "cin",
+            "s" => "sum",
+            "c" => "cout",
+            other => other,
+        }
+    }
+    let mapped: String = renamed_blif
+        .lines()
+        .map(|line| line.split(' ').map(back).collect::<Vec<_>>().join(" ") + "\n")
+        .collect();
+    assert_eq!(mapped, first_blif);
+
+    // whatever ran before, a duplicate gives the first answer again
+    client
         .synth(
-            ADDER_BLIF_RENAMED,
+            ".model other\n.inputs p q\n.outputs y\n.names p q y\n10 1\n01 1\n.end\n",
             JobFormat::Blif,
-            Some("renamed"),
+            Some("other"),
             None,
             false,
         )
-        .expect("renamed job");
-    assert_eq!(field_u64(&renamed, &["cache", "polarity_hits"]), 2);
+        .expect("unrelated job");
+    let (again_blif, again_counters) = job_result(&mut client, ADDER_BLIF, "again");
+    assert_eq!(again_blif, first_blif);
+    assert_eq!(again_counters, first_counters);
 
-    // The metrics op sees the shared engine's cache accounting.
+    // the metrics surface carries no result-cache families
     let reply = client.metrics().expect("metrics");
     let text = field_str(&reply, "text");
     let families = xsynth::trace::metrics::parse(text).expect("strict parse");
-    let value = |family: &str| families[family].samples[0].value;
-    assert!(value("xsynth_cache_hits_total") >= 4.0, "{text}");
-    assert!(value("xsynth_cache_entries") >= 1.0, "{text}");
-    assert!(value("xsynth_requests_total") >= 3.0, "{text}");
+    assert!(
+        families
+            .keys()
+            .all(|name| !name.starts_with("xsynth_cache_")),
+        "{text}"
+    );
+    assert!(
+        families["xsynth_requests_total"].samples[0].value >= 4.0,
+        "{text}"
+    );
 
     server.shutdown();
     server.wait();
     assert!(!path.exists(), "unix socket must be unlinked on shutdown");
+}
+
+#[test]
+fn recent_reports_the_pinned_cone_hash_of_the_full_adder() {
+    let server = spawn(1);
+    let path = server.unix_path().expect("unix bound").to_path_buf();
+    let mut client = Client::connect_unix(&path).expect("connect");
+    let blif = ".model m\n.inputs a b c\n.outputs s co\n\
+                .names a b c s\n100 1\n010 1\n001 1\n111 1\n\
+                .names a b c co\n11- 1\n1-1 1\n-11 1\n.end\n";
+    let reply = client
+        .synth(blif, JobFormat::Blif, None, None, false)
+        .expect("synth job");
+    assert_eq!(field_str(&reply, "status"), "ok", "{reply:?}");
+    let recent = client.recent(None).expect("recent");
+    let jobs = recent.get("jobs").and_then(Value::as_arr).expect("jobs");
+    assert_eq!(
+        field_str(&jobs[0], "cone_hash"),
+        "7501adb32b9587f62c8d0447a28492e8"
+    );
+    assert!(jobs[0].get("cache_hits").is_none(), "{:?}", jobs[0]);
+    server.shutdown();
+    server.wait();
 }
 
 #[test]
@@ -207,7 +253,7 @@ fn protocol_violations_answer_exit_code_10_and_keep_the_connection() {
         ),
         r#"{"op":"ping"}"#.to_string(),
         r#"{"protocol_version":1,"op":"transmogrify"}"#.to_string(),
-        // `stats` is not an op: `metrics` reports the cache and request totals
+        // `stats` is not an op: `metrics` reports the request totals
         r#"{"protocol_version":1,"op":"stats"}"#.to_string(),
         r#"{"protocol_version":1,"op":"synth","source":"x","extra":1}"#.to_string(),
         "this is not json".to_string(),
@@ -322,7 +368,7 @@ fn metrics_exposition_parses_strictly_and_counts_jobs() {
     let text = field_str(&reply, "text");
     let families = xsynth::trace::metrics::parse(text).expect("strict parse");
 
-    // engine-lifetime totals
+    // daemon-lifetime totals
     let jobs = &families["xsynth_jobs_total"];
     let ok = jobs
         .samples
@@ -357,10 +403,6 @@ fn metrics_exposition_parses_strictly_and_counts_jobs() {
         "xsynth_uptime_seconds",
         "xsynth_workers",
         "xsynth_workers_busy",
-        "xsynth_cache_hits_total",
-        "xsynth_cache_misses_total",
-        "xsynth_cache_entries",
-        "xsynth_cache_lookup_seconds",
         "xsynth_bdd_peak_nodes",
         "xsynth_bdd_apply_hits_total",
         "xsynth_bdd_apply_misses_total",

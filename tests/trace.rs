@@ -66,6 +66,17 @@ fn parallel_fan_out_grafts_one_plan_per_output() {
         find(std::slice::from_ref(fprm), "polarity_search").is_some(),
         "polarity_search nests inside a plan"
     );
+    // each plan span ran inside the fprm span it grafts under
+    for plan in fprm.children.iter().filter(|c| c.name == "plan") {
+        assert!(
+            plan.start >= fprm.start && plan.start + plan.duration <= fprm.start + fprm.duration,
+            "plan [{:?} +{:?}] lies outside its parent [{:?} +{:?}]",
+            plan.start,
+            plan.duration,
+            fprm.start,
+            fprm.duration
+        );
+    }
 }
 
 #[test]
