@@ -154,6 +154,14 @@ impl Bdd {
     }
 }
 
+/// An [`BddManager::eval_words`] operand: the slot of its value (slot 0
+/// holds the `one` terminal) and a complement mask (`0` or `!0`).
+type WordOperand = (u32, u64);
+
+/// One node of an [`BddManager::eval_words`] evaluation order: its
+/// variable and its low and high operands.
+type WordNode = (usize, WordOperand, WordOperand);
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     var: u32,
@@ -537,6 +545,60 @@ impl BddManager {
             cur = next.xor_c(cur.cbit());
         }
         cur == Bdd::ONE
+    }
+
+    /// Evaluates `f` on 64 assignments per block at once: in each block,
+    /// word `v` holds variable `v`'s value in every bit lane, and bit `k`
+    /// of the block's result is `f` on lane `k`'s assignment. The DAG
+    /// under `f` is walked once; each block then costs one word
+    /// multiplexer per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block has no word for a variable `f` depends on.
+    pub fn eval_words<'w>(&self, f: Bdd, blocks: impl IntoIterator<Item = &'w [u64]>) -> Vec<u64> {
+        // children before parents
+        let mut slot_of: HashMap<Bdd, u32> = HashMap::new();
+        let mut prog: Vec<WordNode> = Vec::new();
+        let root = self.word_operand(f, &mut slot_of, &mut prog);
+        let mut val = vec![!0u64; prog.len() + 1];
+        blocks
+            .into_iter()
+            .map(|words| {
+                for (i, &(var, lo, hi)) in prog.iter().enumerate() {
+                    let x = words[var];
+                    let l = val[lo.0 as usize] ^ lo.1;
+                    let h = val[hi.0 as usize] ^ hi.1;
+                    val[i + 1] = (x & h) | (!x & l);
+                }
+                val[root.0 as usize] ^ root.1
+            })
+            .collect()
+    }
+
+    /// The [`BddManager::eval_words`] operand of `b`, appending the nodes
+    /// under it to `prog` first.
+    fn word_operand(
+        &self,
+        b: Bdd,
+        slot_of: &mut HashMap<Bdd, u32>,
+        prog: &mut Vec<WordNode>,
+    ) -> WordOperand {
+        let mask = if b.cbit() == 1 { !0 } else { 0 };
+        if b.is_const() {
+            return (0, mask);
+        }
+        let r = b.regular();
+        if let Some(&slot) = slot_of.get(&r) {
+            return (slot, mask);
+        }
+        let n = self.node(r);
+        let lo = self.word_operand(n.lo, slot_of, prog);
+        let hi = self.word_operand(n.hi, slot_of, prog);
+        prog.push((n.var as usize, lo, hi));
+        let slot = prog.len() as u32;
+        slot_of.insert(r, slot);
+        (slot, mask)
     }
 
     /// Number of satisfying assignments over all `n` variables, computed

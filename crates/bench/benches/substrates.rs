@@ -1,10 +1,12 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
 //! output's polarity search, kernel extraction, technology mapping, the
-//! redundancy-removal pass, the SOP baseline's `eliminate` and the FPRM
-//! flow's GF(2) divisor extraction.
+//! redundancy-removal pass, the SOP baseline's `eliminate`, the FPRM
+//! flow's GF(2) divisor extraction, and pattern simulation (the paper
+//! family's word rows, event-driven fault propagation and the power
+//! estimate), each of the last three swept over the input count.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable, VarSet};
 use xsynth_circuits::builders::{interleaved_buses, ripple_adder};
@@ -16,7 +18,9 @@ use xsynth_core::{
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_ofdd::{OfddManager, PolarityMode, PolaritySearch};
-use xsynth_sim::{pack_patterns, random_patterns, PatternBlock};
+use xsynth_sim::{
+    enumerate_faults, power_estimate, random_blocks, FaultSim, PatternBlock, PatternRows,
+};
 use xsynth_sop::{algebra, SopNet};
 use xsynth_trace::TraceSink;
 
@@ -57,8 +61,8 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
             lists.push(paper_patterns(n, pol, &cubes));
         }
     }
-    lists.push(random_patterns(n, 64, 0x0c));
-    let blocks = pack_patterns(n, &merge_patterns(lists));
+    lists.push(PatternRows::from_blocks(n, &random_blocks(n, 64, 0x0c)));
+    let blocks = merge_patterns(n, lists).to_blocks();
     (outcome.network, blocks)
 }
 
@@ -220,5 +224,75 @@ fn bench_substrates(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_substrates);
+/// Input counts the pattern-simulation groups sweep.
+const SWEEP: [usize; 5] = [8, 16, 32, 64, 128];
+
+/// An `n`-input ripple adder (`n / 2` bits, interleaved, no carry-in).
+fn adder_of_width(n: usize) -> Network {
+    let mut net = Network::new(format!("adder_n{n}"));
+    let (a, b) = interleaved_buses(&mut net, "a", "b", n / 2);
+    let (sums, cout) = ripple_adder(&mut net, &a, &b, None);
+    for (i, &s) in sums.iter().enumerate() {
+        net.add_output(format!("s{i}"), s);
+    }
+    net.add_output("cout", cout);
+    net
+}
+
+/// 64 fixed cubes of one to four literals spread over `n` variables:
+/// with 64 cubes the pair and triple closures reach the family's 4096
+/// cap.
+fn spread_cubes(n: usize) -> Vec<VarSet> {
+    (0..64)
+        .map(|i| (0..=i % 4).map(|k| (i * 7 + k * 13 + k * k) % n).collect())
+        .collect()
+}
+
+fn bench_pattern_simulation(c: &mut Criterion) {
+    // one output's paper family (AZ/AO, OC, SA1, closures) and its
+    // merge with the random booster into simulator blocks
+    let mut group = c.benchmark_group("patterns_paper_family");
+    for n in SWEEP {
+        let cubes = spread_cubes(n);
+        let pol = Polarity::from_bits(&(0..n).map(|v| v % 3 != 0).collect::<Vec<_>>());
+        group.bench_with_input(BenchmarkId::from_parameter(n), &cubes, |b, cubes| {
+            b.iter(|| {
+                let family = paper_patterns(n, &pol, cubes);
+                let booster = PatternRows::from_blocks(n, &random_blocks(n, 64, 0x0c));
+                merge_patterns(n, [family, booster]).to_blocks()
+            })
+        });
+    }
+    group.finish();
+
+    // every single-stuck-at fault of an n-input adder against 256 random
+    // patterns: one fault-free snapshot, then one event-driven flip per
+    // fault and block
+    let mut group = c.benchmark_group("fault_sim_detect_all");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        let blocks = random_blocks(n, 256, 0xfa);
+        let faults = enumerate_faults(&net);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
+            b.iter(|| {
+                let mut sim = FaultSim::new(net, &blocks);
+                faults.iter().filter(|&&f| sim.detects(net, f)).count()
+            })
+        });
+    }
+    group.finish();
+
+    // the power estimate of an n-input adder: exhaustive blocks up to 16
+    // inputs, 4096 random patterns drawn into blocks past that
+    let mut group = c.benchmark_group("power_estimate_adder");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
+            b.iter(|| power_estimate(net).total)
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_substrates, bench_pattern_simulation);
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use xsynth_boolean::Fprm;
 use xsynth_core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
-use xsynth_sim::{enumerate_faults, fault_simulate};
+use xsynth_sim::{enumerate_faults, fault_simulate, unpack_blocks};
 
 fn bench_testability(c: &mut Criterion) {
     let spec = xsynth_circuits::build("z4ml").expect("registered");
@@ -26,19 +26,18 @@ fn bench_testability(c: &mut Criterion) {
                     paper_patterns(n, f.polarity(), f.cubes())
                 })
                 .collect();
-            merge_patterns(lists)
+            merge_patterns(n, lists)
         })
     });
 
-    let patterns = merge_patterns(
-        tables
-            .iter()
-            .map(|t| {
-                let f = Fprm::from_table_positive(t);
-                paper_patterns(n, f.polarity(), f.cubes())
-            })
-            .collect(),
+    let family = merge_patterns(
+        n,
+        tables.iter().map(|t| {
+            let f = Fprm::from_table_positive(t);
+            paper_patterns(n, f.polarity(), f.cubes())
+        }),
     );
+    let patterns = unpack_blocks(&family.to_blocks());
     let faults = enumerate_faults(&out);
     group.bench_function("fault_simulate_family", |b| {
         b.iter(|| fault_simulate(&out, &patterns, &faults))

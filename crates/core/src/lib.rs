@@ -67,7 +67,7 @@ pub use expr::Gexpr;
 pub use factor::{
     disjoint_groups, factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network,
 };
-pub use patterns::{merge_patterns, paper_patterns, Pattern};
+pub use patterns::{merge_patterns, paper_patterns};
 pub use redundancy::remove_redundancy;
 pub use synth::{
     phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PhaseStat, PolarityMode,

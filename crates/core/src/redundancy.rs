@@ -29,6 +29,18 @@
 //! fired (on the paper's benchmark family: essentially never). The check
 //! is incremental ([`crate::verify::IncrementalCheck`]): it re-evaluates
 //! only the rewritten gate and its transitive fanout.
+//!
+//! The pattern set arrives as word-packed 64-lane blocks. Each output's
+//! family is built as word rows of literal masks: unions are word ORs,
+//! deduplication is an integer sort and the polarity is one XOR per word.
+//! The synthesis flow merges the per-output rows with the random booster
+//! the same way, caps the merged list and transposes it into blocks once;
+//! no pattern is ever a `Vec<bool>`. Every testability question is a
+//! flip query on one [`FaultSim`] snapshot, propagated event by event
+//! through the flipped node's fanout cone only. A kept rewrite
+//! re-simulates the snapshot. A rejected one is undone in place: the
+//! gate gets its old kind and fanins back, and the nodes the rewrite
+//! appended are dropped. The network is never cloned per attempt.
 
 use crate::error::Error;
 use crate::verify::{EquivChecker, IncrementalCheck};
@@ -127,7 +139,8 @@ impl Guard<'_> {
     /// Applies `rewrite`, which changes gate `gate` of `cur` in place and
     /// may append nodes, and keeps it only if the equivalence checker
     /// still passes: a kept rewrite counts `counter` and rebuilds
-    /// `sim`; a rejected one restores `cur` and counts a
+    /// `sim`; a rejected one is undone (the gate's old kind and fanins
+    /// restored, the appended nodes dropped) and counts a
     /// `redundancy.reverted`, which is also a `rewrite.rolled_back` (the
     /// self-checking-rewrite counter shared with the emission self-check
     /// in synth.rs). The `core.redundancy.accept` failpoint forces a
@@ -141,7 +154,9 @@ impl Guard<'_> {
         counter: &str,
         rewrite: impl FnOnce(&mut Network),
     ) -> Result<bool, Error> {
-        let snapshot = cur.clone();
+        let undo = cur
+            .gate_kind(gate)
+            .map(|kind| (kind, cur.fanins(gate).to_vec(), cur.num_nodes()));
         rewrite(cur);
         let kept = self.accept(cur, sim, gate)?;
         if let Some(inc) = &mut self.incremental {
@@ -157,7 +172,10 @@ impl Guard<'_> {
         } else {
             self.buf.count("redundancy.reverted", 1);
             self.buf.count("rewrite.rolled_back", 1);
-            *cur = snapshot; // `sim` still describes it
+            if let Some((kind, fanins, len)) = undo {
+                cur.replace_gate(gate, kind, fanins);
+                cur.truncate(len); // `sim` still describes it
+            }
         }
         Ok(kept)
     }
@@ -203,7 +221,7 @@ fn sweep(
         match kind {
             GateKind::Xor if cur.fanins(id).len() == 2 => {
                 let (g, h) = (cur.fanins(id)[0], cur.fanins(id)[1]);
-                let class_testable = |a: bool, b: bool| {
+                let mut class_testable = |a: bool, b: bool| {
                     sim.flip_detected(cur, id, |val| {
                         let (wg, wh) = (val[g.index()], val[h.index()]);
                         (if a { wg } else { !wg }) & (if b { wh } else { !wh })
@@ -242,7 +260,7 @@ fn sweep(
                 };
                 let mut idx = 0;
                 while idx < cur.fanins(id).len() && cur.fanins(id).len() > 1 {
-                    let untestable = |stuck_at| {
+                    let mut untestable = |stuck_at| {
                         let site = FaultSite::Fanin(id, idx);
                         !sim.detects(cur, Fault { site, stuck_at })
                     };
@@ -293,11 +311,11 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{paper_patterns, Pattern};
+    use crate::patterns::paper_patterns;
     use xsynth_blif::write_blif;
     use xsynth_boolean::{Polarity, VarSet};
     use xsynth_net::SignalId;
-    use xsynth_sim::{exhaustive_patterns, pack_patterns};
+    use xsynth_sim::{exhaustive_patterns, pack_patterns, unpack_blocks, Pattern};
     use xsynth_trace::{Trace, TraceSink};
 
     /// The pass over an explicit pattern list with no deadline; returns
@@ -327,8 +345,13 @@ mod tests {
         let mut lits = crate::factor::literal_supplier(&pol, &inputs);
         let s = e.emit(&mut net, &mut lits);
         net.add_output("f", s);
-        let pats = paper_patterns(n, &pol, cubes);
+        let pats = family(n, &pol, cubes);
         (net, pats)
+    }
+
+    /// The paper family of one output as patterns.
+    fn family(n: usize, pol: &Polarity, cubes: &[VarSet]) -> Vec<Pattern> {
+        unpack_blocks(&paper_patterns(n, pol, cubes).to_blocks())
     }
 
     fn xor_count(net: &Network) -> usize {
@@ -392,7 +415,7 @@ mod tests {
         net.add_output("f", f);
         let pol = Polarity::all_positive(2);
         let cubes = vec![VarSet::from_vars([0]), VarSet::from_vars([0, 1])];
-        let pats = paper_patterns(2, &pol, &cubes);
+        let pats = family(2, &pol, &cubes);
         let mut checker = EquivChecker::new(&net);
         let (out, trace) = run(&net, &pats, &mut checker, 8);
         assert_eq!(trace.counter("redundancy.xor_to_and"), 1);
@@ -617,7 +640,7 @@ mod tests {
         net2.add_output("f", outer);
         let mut checker2 = EquivChecker::new(&net2);
         let pol = Polarity::all_positive(3);
-        let pats2 = paper_patterns(3, &pol, &cubes);
+        let pats2 = family(3, &pol, &cubes);
         let (out2, trace2) = run(&net2, &pats2, &mut checker2, 8);
         assert_eq!(trace2.counter("redundancy.xor_to_or"), 1);
         assert_eq!(xor_count(&out2), 1);

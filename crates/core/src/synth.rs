@@ -27,7 +27,7 @@ use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
 use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network};
 use crate::gfx;
-use crate::patterns::{merge_patterns, paper_patterns, Pattern, MAX_CUBES};
+use crate::patterns::{merge_patterns, paper_patterns, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
 use crate::verify::{network_bdds, new_manager, EquivChecker};
 use std::cell::OnceCell;
@@ -38,7 +38,7 @@ use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_ofdd::{optimize_polarity, OfddManager, PolaritySearch};
-use xsynth_sim::{exhaustive_patterns, pack_patterns, random_patterns, PatternBlock, Simulator};
+use xsynth_sim::{exhaustive_blocks, random_blocks, PatternBlock, PatternRows, Simulator};
 use xsynth_sop::SopNet;
 use xsynth_trace::{Trace, TraceBuffer, TraceSink};
 
@@ -496,7 +496,7 @@ fn run_pipeline(
     });
     main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
 
-    let mut pattern_lists: Vec<Vec<Pattern>> = Vec::new();
+    let mut pattern_lists: Vec<PatternRows> = Vec::new();
     let net = if use_blocks {
         main.end();
         pattern_lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
@@ -546,11 +546,12 @@ fn run_pipeline(
         // outputs whose cube sets were too large to enumerate
         main.begin(phase::REDUNDANCY);
         let deadline = opts.budget.phase_deadline();
-        pattern_lists.push(random_patterns(n, opts.budget.cap_patterns(64), 0x0c));
-        let mut patterns = merge_patterns(pattern_lists);
+        let booster = random_blocks(n, opts.budget.cap_patterns(64), 0x0c);
+        pattern_lists.push(PatternRows::from_blocks(n, &booster));
+        let mut patterns = merge_patterns(n, pattern_lists);
         patterns.truncate(opts.budget.cap_patterns(patterns.len()));
         main.gauge("redundancy.patterns", patterns.len() as f64);
-        let blocks = pack_patterns(n, &patterns);
+        let blocks = patterns.to_blocks();
         let (reduced, curtailed) = remove_redundancy(
             &result,
             &blocks,
@@ -594,7 +595,7 @@ struct OutputPlan {
     /// literal-space cubes (id = 2v for positive, 2v+1 for negative)
     lit_cubes: Option<Vec<VarSet>>,
     cube_count: u64,
-    patterns: Vec<Pattern>,
+    patterns: PatternRows,
     /// whether the polarity search stopped early under the budget
     search_tripped: bool,
 }
@@ -843,44 +844,29 @@ fn plan_with_salvage(
 /// up to 11 inputs, otherwise 128 fixed-seed random patterns. Built once
 /// per job, on the first check, and shared by every output.
 struct EmissionCheck {
-    patterns: Vec<Pattern>,
     blocks: Vec<PatternBlock>,
 }
 
 impl EmissionCheck {
     fn new(n: usize) -> Self {
-        let patterns = if n <= 11 {
-            exhaustive_patterns(n)
+        let blocks = if n <= 11 {
+            exhaustive_blocks(n).collect()
         } else {
-            random_patterns(n, 128, 0x5eed_fa11)
+            random_blocks(n, 128, 0x5eed_fa11)
         };
-        let blocks = pack_patterns(n, &patterns);
-        EmissionCheck { patterns, blocks }
+        EmissionCheck { blocks }
     }
 
     /// Word-packed simulation check that the cone rooted at `sig` in `net`
-    /// computes `f` on every pattern.
+    /// computes `f` on every pattern: both sides are evaluated 64 lanes
+    /// at a time, `f` by one pass over its BDD per block.
     fn matches(&self, net: &Network, sig: SignalId, bm: &BddManager, f: xsynth_bdd::Bdd) -> bool {
         let sim = Simulator::for_cone(net, sig);
-        for (block, chunk) in self.blocks.iter().zip(self.patterns.chunks(64)) {
-            let vals = sim.simulate_block(&block.words);
-            let got = vals[sig.index()];
-            let mut want = 0u64;
-            for (lane, pattern) in chunk.iter().enumerate() {
-                // walk `f` down the pattern's bits: any input count works
-                let mut b = f;
-                while let Some(v) = bm.top_var(b) {
-                    b = if pattern[v] { bm.high(b) } else { bm.low(b) };
-                }
-                if b == xsynth_bdd::Bdd::ONE {
-                    want |= 1 << lane;
-                }
-            }
-            if (got ^ want) & block.lane_mask() != 0 {
-                return false;
-            }
-        }
-        true
+        let want = bm.eval_words(f, self.blocks.iter().map(|b| &b.words[..]));
+        self.blocks.iter().zip(want).all(|(block, want)| {
+            let got = sim.simulate_block(&block.words)[sig.index()];
+            (got ^ want) & block.lane_mask() == 0
+        })
     }
 }
 
@@ -953,7 +939,7 @@ fn synthesize_outputs(
     bm: &mut BddManager,
     out_bdds: &[xsynth_bdd::Bdd],
     report: &mut SynthReport,
-    pattern_lists: &mut Vec<Vec<Pattern>>,
+    pattern_lists: &mut Vec<PatternRows>,
     deadline: Option<Instant>,
     sink: &TraceSink,
     main: &mut TraceBuffer,
@@ -998,7 +984,7 @@ fn synthesize_outputs(
         if plan.search_tripped {
             curtail(report, phase::FPRM);
         }
-        pattern_lists.push(std::mem::take(&mut plan.patterns));
+        pattern_lists.push(std::mem::replace(&mut plan.patterns, PatternRows::new(n)));
         plans.push(plan);
     }
     main.end();
@@ -1288,6 +1274,68 @@ mod tests {
         let check = EmissionCheck::new(70);
         assert!(check.matches(&net, and, &bm, f));
         assert!(!check.matches(&net, or, &bm, f));
+    }
+
+    /// The per-lane BDD walk the bit-parallel check replaced: lane `k`
+    /// of the result is `f` walked down lane `k`'s input bits.
+    fn per_lane_words(bm: &BddManager, f: xsynth_bdd::Bdd, block: &PatternBlock) -> u64 {
+        let mut want = 0u64;
+        for lane in 0..block.lanes {
+            let mut b = f;
+            while let Some(v) = bm.top_var(b) {
+                b = if block.words[v] >> lane & 1 != 0 {
+                    bm.high(b)
+                } else {
+                    bm.low(b)
+                };
+            }
+            if b == xsynth_bdd::Bdd::ONE {
+                want |= 1 << lane;
+            }
+        }
+        want
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The bit-parallel emission check computes the same words as the
+        /// per-lane walk on every block (exhaustive up to 11 inputs,
+        /// random past it, 70 inputs included) and so gives the same
+        /// verdict on right and wrong cones.
+        #[test]
+        fn bit_parallel_emission_check_matches_the_per_lane_walk(
+            width in 0usize..4,
+            picks in proptest::collection::vec((0u8..3, proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()), 1..24),
+        ) {
+            let n = [3, 11, 12, 70][width];
+            let mut net = Network::new("rand");
+            let mut sigs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("x{i}"))).collect();
+            for &(k, a, b) in &picks {
+                let kind = [GateKind::And, GateKind::Or, GateKind::Xor][k as usize];
+                let fanins = vec![sigs[a as usize % sigs.len()], sigs[b as usize % sigs.len()]];
+                sigs.push(net.add_gate(kind, fanins));
+            }
+            let root = *sigs.last().expect("a gate");
+            let wrong = net.add_gate(GateKind::Not, vec![root]);
+            let near = sigs[sigs.len() / 2];
+            net.add_output("f", root);
+            let mut bm = BddManager::new(n);
+            let f = crate::verify::network_bdds(&net, &mut bm).expect("uncapped")[0];
+            let check = EmissionCheck::new(n);
+            let words = bm.eval_words(f, check.blocks.iter().map(|b| &b.words[..]));
+            for (block, got) in check.blocks.iter().zip(&words) {
+                proptest::prop_assert_eq!(*got & block.lane_mask(), per_lane_words(&bm, f, block));
+            }
+            for sig in [root, wrong, near] {
+                let sim = Simulator::for_cone(&net, sig);
+                let oracle = check.blocks.iter().all(|block| {
+                    let got = sim.simulate_block(&block.words)[sig.index()];
+                    (got ^ per_lane_words(&bm, f, block)) & block.lane_mask() == 0
+                });
+                proptest::prop_assert_eq!(check.matches(&net, sig, &bm, f), oracle);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::error::Error;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_sim::fault::{Fault, FaultSite};
-use xsynth_sim::{pack_patterns, random_patterns, PatternBlock, Simulator};
+use xsynth_sim::{random_blocks, PatternBlock, Simulator};
 use xsynth_trace::TraceBuffer;
 
 /// Fixed-seed pattern budget of the simulation backend (before any
@@ -105,8 +105,7 @@ impl EquivChecker {
     fn build_sim_backend(&mut self) {
         let n = self.input_names.len();
         let count = self.budget.cap_patterns(SIM_PATTERNS);
-        let patterns = random_patterns(n, count, SIM_SEED);
-        let blocks = pack_patterns(n, &patterns);
+        let blocks = random_blocks(n, count, SIM_SEED);
         let sim = Simulator::new(&self.reference);
         let reference = blocks.iter().map(|pb| sim.output_words(pb)).collect();
         self.sim = Some(SimBackend { blocks, reference });

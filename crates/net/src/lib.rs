@@ -338,6 +338,25 @@ impl Network {
         self.nodes[id.index()].fanins = fanins;
     }
 
+    /// Drops every node from index `len` on, undoing the
+    /// [`Network::add_gate`] calls made since the network had `len`
+    /// nodes. A caller that pointed an existing gate at a dropped node
+    /// restores that gate's fanins first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a primary input or output is among the dropped nodes.
+    pub fn truncate(&mut self, len: usize) {
+        assert!(
+            self.inputs
+                .iter()
+                .chain(self.outputs.iter().map(|(_, s)| s))
+                .all(|s| s.index() < len),
+            "cannot drop a primary input or output node"
+        );
+        self.nodes.truncate(len);
+    }
+
     /// All nodes reachable from the outputs, children before parents.
     ///
     /// # Panics

@@ -58,8 +58,14 @@ use xsynth_trace::{json, Histogram};
 
 use crate::proto::{self, JobFormat, JobRequest, Request};
 
-/// How often the accept loops check the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long an accept loop backs off after a failed `accept` (for
+/// example, the process is out of file descriptors) before retrying.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
+
+/// How long [`Server::wait`] waits for an accept loop to exit once the
+/// workers are done. A loop the drain's wake-up connection reached exits
+/// at once; one it could not reach is left blocked in `accept`.
+const ACCEPT_EXIT_GRACE: Duration = Duration::from_secs(1);
 
 /// Socket read-timeout tick: the longest a reader thread blocks in
 /// `read` before re-checking lifecycle state (stop flag, line stall,
@@ -419,6 +425,16 @@ struct Ctx {
     limits: Limits,
     sched: Scheduler,
     telemetry: Telemetry,
+    /// Where the listeners are bound: a drain connects to each once so
+    /// the accept loops, blocked in `accept`, wake and see the new state.
+    listeners: Vec<Listener>,
+}
+
+/// A bound listener's address, for the drain's wake-up connection.
+enum Listener {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
 }
 
 impl Ctx {
@@ -459,6 +475,7 @@ fn begin_drain(ctx: &Arc<Ctx>) {
         return; // already draining or stopped
     }
     ctx.sched.set_draining();
+    wake_acceptors(ctx);
     let watchdog = ctx.clone();
     if std::thread::Builder::new()
         .name("xsynth-serve-drain".into())
@@ -500,6 +517,30 @@ fn drain_watchdog(ctx: &Arc<Ctx>) {
         }
     }
     ctx.state.store(STATE_STOPPED, Ordering::SeqCst);
+}
+
+/// Connects once to each listener, so an accept loop blocked in
+/// `accept` returns and sees that the daemon is no longer running. The
+/// connection is dropped unread; a listener already closed refuses it.
+fn wake_acceptors(ctx: &Ctx) {
+    for listener in &ctx.listeners {
+        match listener {
+            Listener::Tcp(addr) => {
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
+            #[cfg(unix)]
+            Listener::Unix(path) => {
+                let _ = UnixStream::connect(path);
+            }
+        }
+    }
 }
 
 /// The `serve.drain` fault-injection site (see [`drain_watchdog`]).
@@ -639,7 +680,8 @@ pub struct Server {
     ctx: Arc<Ctx>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
-    handles: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    acceptors: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -663,6 +705,36 @@ impl Server {
                 .unwrap_or(2)
                 .min(4)
         };
+        #[cfg(not(unix))]
+        if opts.unix.is_some() {
+            return Err(Error::msg(
+                "unix sockets are not available on this platform",
+            ));
+        }
+
+        // Bind first: the drain connects to every bound address once.
+        let mut listeners = Vec::new();
+        let tcp = match &opts.tcp {
+            Some(addr) => {
+                let listener = TcpListener::bind(addr).map_err(|e| Error::io(addr.clone(), e))?;
+                let local = listener
+                    .local_addr()
+                    .map_err(|e| Error::io(addr.clone(), e))?;
+                listeners.push(Listener::Tcp(local));
+                Some((listener, local))
+            }
+            None => None,
+        };
+        #[cfg(unix)]
+        let unix = match &opts.unix {
+            Some(path) => {
+                let listener = bind_unix(path)?;
+                listeners.push(Listener::Unix(path.clone()));
+                Some((listener, path.clone()))
+            }
+            None => None,
+        };
+
         let ctx = Arc::new(Ctx {
             options: opts.options.clone(),
             lib: Library::mcnc(),
@@ -672,12 +744,13 @@ impl Server {
             limits: Limits::from_options(&opts),
             sched: Scheduler::new(),
             telemetry: Telemetry::new(workers),
+            listeners,
         });
 
-        let mut handles = Vec::new();
+        let mut worker_handles = Vec::new();
         for w in 0..workers {
             let ctx = ctx.clone();
-            handles.push(
+            worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("xsynth-serve-worker-{w}"))
                     .spawn(move || worker_loop(&ctx))
@@ -686,20 +759,13 @@ impl Server {
         }
 
         let conn_ids = Arc::new(AtomicU64::new(0));
+        let mut acceptors = Vec::new();
         let mut tcp_addr = None;
-        if let Some(addr) = &opts.tcp {
-            let listener = TcpListener::bind(addr).map_err(|e| Error::io(addr.clone(), e))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::io(addr.clone(), e))?;
-            tcp_addr = Some(
-                listener
-                    .local_addr()
-                    .map_err(|e| Error::io(addr.clone(), e))?,
-            );
+        if let Some((listener, local)) = tcp {
+            tcp_addr = Some(local);
             let ctx = ctx.clone();
             let ids = conn_ids.clone();
-            handles.push(
+            acceptors.push(
                 std::thread::Builder::new()
                     .name("xsynth-serve-tcp".into())
                     .spawn(move || accept_tcp(listener, &ctx, &ids))
@@ -708,34 +774,24 @@ impl Server {
         }
         let mut unix_path = None;
         #[cfg(unix)]
-        if let Some(path) = &opts.unix {
-            let listener = bind_unix(path)?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
+        if let Some((listener, path)) = unix {
             unix_path = Some(path.clone());
             let ctx = ctx.clone();
             let ids = conn_ids.clone();
-            let path = path.clone();
-            handles.push(
+            acceptors.push(
                 std::thread::Builder::new()
                     .name("xsynth-serve-unix".into())
                     .spawn(move || accept_unix(listener, path, &ctx, &ids))
                     .map_err(|e| Error::io("spawn acceptor", e))?,
             );
         }
-        #[cfg(not(unix))]
-        if opts.unix.is_some() {
-            return Err(Error::msg(
-                "unix sockets are not available on this platform",
-            ));
-        }
 
         Ok(Server {
             ctx,
             tcp_addr,
             unix_path,
-            handles,
+            workers: worker_handles,
+            acceptors,
         })
     }
 
@@ -771,11 +827,24 @@ impl Server {
         }
     }
 
-    /// Joins the accept loops and worker pool. Returns once shutdown was
-    /// requested and all queued jobs have been answered or shed.
+    /// Joins the worker pool, then the accept loops. Returns once
+    /// shutdown was requested and all queued jobs have been answered or
+    /// shed. An accept loop still blocked a second after the workers
+    /// finish (the drain's wake-up connection could not reach it: its
+    /// socket file was deleted, say) is left behind, not joined, so
+    /// shutdown never hangs.
     pub fn wait(self) {
-        for h in self.handles {
+        for h in self.workers {
             let _ = h.join();
+        }
+        let deadline = Instant::now() + ACCEPT_EXIT_GRACE;
+        for h in self.acceptors {
+            while !h.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if h.is_finished() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -811,27 +880,28 @@ fn bind_unix(path: &std::path::Path) -> Result<UnixListener, Error> {
     }
 }
 
+/// Accepts connections in blocking mode until the daemon stops running;
+/// a drain wakes the loop with a connection of its own
+/// ([`wake_acceptors`]), which is dropped like any connection accepted
+/// after the drain began.
 fn accept_tcp(listener: TcpListener, ctx: &Arc<Ctx>, ids: &AtomicU64) {
     while ctx.state() == STATE_RUNNING {
         match listener.accept() {
-            Ok((stream, _)) => spawn_conn(stream, ctx, ids),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Ok((stream, _)) if ctx.state() == STATE_RUNNING => spawn_conn(stream, ctx, ids),
+            Ok(_) => {}
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 }
 
+/// The unix-socket form of [`accept_tcp`]; unlinks the socket on exit.
 #[cfg(unix)]
 fn accept_unix(listener: UnixListener, path: PathBuf, ctx: &Arc<Ctx>, ids: &AtomicU64) {
     while ctx.state() == STATE_RUNNING {
         match listener.accept() {
-            Ok((stream, _)) => spawn_conn(stream, ctx, ids),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Ok((stream, _)) if ctx.state() == STATE_RUNNING => spawn_conn(stream, ctx, ids),
+            Ok(_) => {}
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
     let _ = std::fs::remove_file(&path);
@@ -853,7 +923,6 @@ impl Conn for TcpStream {
         self,
         write_timeout: Duration,
     ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-        self.set_nonblocking(false)?;
         // replies are whole lines: send each at once, no Nagle delay
         self.set_nodelay(true)?;
         self.set_read_timeout(Some(READ_TICK))?;
@@ -869,7 +938,6 @@ impl Conn for UnixStream {
         self,
         write_timeout: Duration,
     ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-        self.set_nonblocking(false)?;
         self.set_read_timeout(Some(READ_TICK))?;
         self.set_write_timeout(Some(write_timeout))?;
         let reader = self.try_clone()?;
@@ -1474,6 +1542,8 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         .map(|s| s.rung.as_str())
         .collect();
     ctx.telemetry.jobs_ok.fetch_add(1, Ordering::Relaxed);
+    // one `/proc/self/status` read serves the flight recorder and the reply
+    let peak_rss_kb = mem.peak_kb();
     ctx.telemetry.record(JobSummary {
         id: id.clone(),
         name: spec.name().to_string(),
@@ -1483,7 +1553,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         salvage_rungs: rungs.join(","),
         budget_trips: outcome.report.curtailed.len() as u64,
         peak_nodes,
-        peak_rss_kb: mem.peak_kb(),
+        peak_rss_kb,
         seconds,
         queue_seconds: queued_for.as_secs_f64(),
     });
@@ -1500,7 +1570,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
     o.num("outputs", outcome.network.outputs().len() as f64);
     o.num("salvaged", outcome.report.salvaged.len() as f64);
     o.num("seconds", seconds);
-    match mem.peak_kb() {
+    match peak_rss_kb {
         Some(kb) => o.num("peak_rss_kb", kb as f64),
         None => o.null("peak_rss_kb"),
     }
@@ -1730,6 +1800,66 @@ mod tests {
         }
     }
 
+    /// Time for freshly spawned accept loops to block in `accept`; a
+    /// drain begun sooner finds them before their first `accept` and
+    /// would pass without a wake.
+    const ACCEPTOR_SETTLE: Duration = Duration::from_millis(100);
+
+    /// Runs [`Server::wait`] on a thread and reports whether it returned
+    /// within `limit`.
+    fn waits_within(server: Server, limit: Duration) -> bool {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.wait();
+            let _ = done.send(());
+        });
+        finished.recv_timeout(limit).is_ok()
+    }
+
+    /// The accept loops block in `accept`; with no client ever connected,
+    /// only the drain's own wake-up connection can return them, so the
+    /// unix loop unlinking its socket proves the wake reaches it.
+    #[test]
+    fn shutdown_with_no_client_connected_never_hangs() {
+        let path = std::env::temp_dir().join(format!("xsynth-wake-{}.sock", std::process::id()));
+        let server = Server::bind(ServeOptions {
+            tcp: Some("127.0.0.1:0".into()),
+            unix: Some(path.clone()),
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .expect("binds");
+        assert!(path.exists());
+        std::thread::sleep(ACCEPTOR_SETTLE);
+        server.shutdown();
+        assert!(
+            waits_within(server, Duration::from_secs(10)),
+            "wait returns after a shutdown with no client connected"
+        );
+        assert!(!path.exists(), "the unix accept loop unlinks its socket");
+    }
+
+    /// A deleted socket file leaves the drain's wake-up connection
+    /// nowhere to go; `wait` still returns, leaving the blocked accept
+    /// loop behind after the grace period.
+    #[test]
+    fn shutdown_never_hangs_when_the_socket_file_was_deleted() {
+        let path = std::env::temp_dir().join(format!("xsynth-gone-{}.sock", std::process::id()));
+        let server = Server::bind(ServeOptions {
+            unix: Some(path.clone()),
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .expect("binds");
+        std::fs::remove_file(&path).expect("the socket file exists");
+        std::thread::sleep(ACCEPTOR_SETTLE);
+        server.shutdown();
+        assert!(
+            waits_within(server, ACCEPT_EXIT_GRACE + Duration::from_secs(10)),
+            "wait returns although no wake-up connection reached the accept loop"
+        );
+    }
+
     #[test]
     fn stopped_reader_sheds_every_line_it_already_read() {
         let opts = ServeOptions::default();
@@ -1742,6 +1872,7 @@ mod tests {
             limits: Limits::from_options(&opts),
             sched: Scheduler::new(),
             telemetry: Telemetry::new(1),
+            listeners: Vec::new(),
         });
         let burst = "{\"op\":\"ping\"}\n".repeat(3).into_bytes();
         let reader = StopOnFirstRead {

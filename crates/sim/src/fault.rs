@@ -5,6 +5,19 @@
 //! and SA1 pattern sets) with no conventional ATPG. This module provides
 //! the machinery to check that claim: enumerate the fault universe of a
 //! network and measure which faults a pattern set detects.
+//!
+//! [`FaultSim`] is the engine, shared with the redundancy-removal pass.
+//! It simulates the fault-free network once per 64-pattern block. After
+//! that, each query flips one node on some lanes and propagates the
+//! flip event by event. Each node's fanout positions in the topological
+//! order are stored flat, CSR-style, once per snapshot. A bitset over
+//! the positions schedules the gates to re-evaluate, and they are
+//! evaluated in order. A gate whose value changes schedules its own
+//! fanouts. The walk stops at the first primary output that differs.
+//! Faulty values live in a per-node scratch array that a per-query
+//! stamp invalidates, so a query clones nothing and clears only the
+//! event bits it left set. A query costs the changed part of the
+//! flipped node's fanout cone, not the rest of the network.
 
 use crate::{pack_patterns, Pattern, PatternBlock, Simulator};
 use std::fmt;
@@ -111,7 +124,7 @@ impl fmt::Display for FaultReport {
 ///
 /// Panics if any pattern's length differs from the input count.
 pub fn fault_simulate(net: &Network, patterns: &[Pattern], faults: &[Fault]) -> FaultReport {
-    let sim = FaultSim::new(net, &pack_patterns(net.inputs().len(), patterns));
+    let mut sim = FaultSim::new(net, &pack_patterns(net.inputs().len(), patterns));
     FaultReport {
         total: faults.len(),
         undetected: faults
@@ -127,16 +140,26 @@ pub fn fault_simulate(net: &Network, patterns: &[Pattern], faults: &[Fault]) -> 
 /// fault-propagation engine behind both [`fault_simulate`] and the
 /// redundancy-removal pass.
 ///
-/// It owns the topological order, each node's position in it and every
-/// block's fault-free node words, and borrows nothing. Each query takes
-/// the network the snapshot was built from; a caller that rewrites the
-/// network builds a new snapshot.
+/// It owns the topological order, each node's position in it, the fanout
+/// positions of every position (flat, CSR-style) and every block's
+/// fault-free node words, and borrows nothing. A flip propagates event by
+/// event: only gates with a fanin whose value changed are re-evaluated,
+/// in order, and the walk stops at the first primary output that
+/// differs. Each query takes the network the snapshot was built from; a
+/// caller that rewrites the network builds a new snapshot.
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     order: Vec<SignalId>,
     /// Position of each node in `order` (`usize::MAX` if unreachable).
     pos: Vec<usize>,
+    /// `fanouts[fanout_start[p]..fanout_start[p + 1]]` are the positions
+    /// of the gates that read the node at position `p`.
+    fanout_start: Vec<u32>,
+    fanouts: Vec<u32>,
+    /// Whether the node at each position drives a primary output.
+    drives_output: Vec<bool>,
     blocks: Vec<GoodBlock>,
+    events: Events,
 }
 
 /// One 64-lane pattern block's fault-free node words.
@@ -144,6 +167,18 @@ pub struct FaultSim {
 struct GoodBlock {
     lane_mask: u64,
     values: Vec<u64>,
+}
+
+/// Scratch state of one flip's propagation, reused across queries.
+#[derive(Debug, Clone)]
+struct Events {
+    /// Faulty value of each node changed in the current query: valid
+    /// where `stamp` equals `epoch`, the fault-free value elsewhere.
+    faulty: Vec<u64>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Positions scheduled for re-evaluation, one bit each.
+    pending: Vec<u64>,
 }
 
 impl FaultSim {
@@ -154,10 +189,6 @@ impl FaultSim {
     /// Panics if a block's word count differs from the input count.
     pub fn new(net: &Network, blocks: &[PatternBlock]) -> Self {
         let sim = Simulator::new(net);
-        let mut pos = vec![usize::MAX; net.num_nodes()];
-        for (i, &id) in sim.order.iter().enumerate() {
-            pos[id.index()] = i;
-        }
         let blocks = blocks
             .iter()
             .map(|pb| GoodBlock {
@@ -165,9 +196,45 @@ impl FaultSim {
                 values: sim.simulate_block(&pb.words),
             })
             .collect();
+        let order = sim.order;
+        let mut pos = vec![usize::MAX; net.num_nodes()];
+        for (i, &id) in order.iter().enumerate() {
+            pos[id.index()] = i;
+        }
+        let mut fanout_start = vec![0u32; order.len() + 1];
+        for &id in &order {
+            for f in net.fanins(id) {
+                fanout_start[pos[f.index()] + 1] += 1;
+            }
+        }
+        for p in 0..order.len() {
+            fanout_start[p + 1] += fanout_start[p];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanouts = vec![0u32; fanout_start[order.len()] as usize];
+        for (q, &id) in order.iter().enumerate() {
+            for f in net.fanins(id) {
+                let slot = &mut fill[pos[f.index()]];
+                fanouts[*slot as usize] = q as u32;
+                *slot += 1;
+            }
+        }
+        let mut drives_output = vec![false; order.len()];
+        for (_, s) in net.outputs() {
+            drives_output[pos[s.index()]] = true;
+        }
         FaultSim {
-            order: sim.order,
+            events: Events {
+                faulty: vec![0; net.num_nodes()],
+                stamp: vec![0; net.num_nodes()],
+                epoch: 0,
+                pending: vec![0; order.len().div_ceil(64)],
+            },
+            order,
             pos,
+            fanout_start,
+            fanouts,
+            drives_output,
             blocks,
         }
     }
@@ -186,13 +253,14 @@ impl FaultSim {
     /// pattern. `lanes` gets each block's fault-free node words (indexed
     /// by [`SignalId::index`]) and picks the lanes to flip in that block.
     pub fn flip_detected(
-        &self,
+        &mut self,
         net: &Network,
         node: SignalId,
         lanes: impl Fn(&[u64]) -> u64,
     ) -> bool {
-        self.blocks.iter().any(|b| {
-            let flip = lanes(&b.values) & b.lane_mask;
+        (0..self.blocks.len()).any(|b| {
+            let block = &self.blocks[b];
+            let flip = lanes(&block.values) & block.lane_mask;
             self.flip_propagates(net, b, node, flip)
         })
     }
@@ -201,7 +269,7 @@ impl FaultSim {
     /// the lanes where the site's fault-free value differs from the stuck
     /// value; a fanin fault flips only that wire, so the driver keeps its
     /// value on its other fanout branches.
-    pub fn detects(&self, net: &Network, fault: Fault) -> bool {
+    pub fn detects(&mut self, net: &Network, fault: Fault) -> bool {
         let excited = |w: u64| if fault.stuck_at { !w } else { w };
         match fault.site {
             FaultSite::Output(s) => self.flip_detected(net, s, |val| excited(val[s.index()])),
@@ -211,40 +279,89 @@ impl FaultSim {
                 else {
                     return false;
                 };
-                self.blocks.iter().any(|b| {
-                    let flip = excited(b.values[wire.index()]) & b.lane_mask;
+                (0..self.blocks.len()).any(|b| {
+                    let GoodBlock { lane_mask, values } = &self.blocks[b];
+                    let flip = excited(values[wire.index()]) & lane_mask;
                     let faulty =
                         kind.eval_words(net.fanins(gate).iter().enumerate().map(|(k, f)| {
-                            let v = b.values[f.index()];
+                            let v = values[f.index()];
                             if k == idx {
                                 v ^ flip
                             } else {
                                 v
                             }
                         }));
-                    self.flip_propagates(net, b, gate, faulty ^ b.values[gate.index()])
+                    let flip = faulty ^ values[gate.index()];
+                    self.flip_propagates(net, b, gate, flip)
                 })
             }
         }
     }
 
-    /// Whether flipping `node` on the `flip` lanes of `block` changes any
-    /// primary output: the flip is applied at the node's position and the
-    /// rest of the order is re-evaluated.
-    fn flip_propagates(&self, net: &Network, block: &GoodBlock, node: SignalId, flip: u64) -> bool {
+    /// Whether flipping `node` on the `flip` lanes of block `b` changes
+    /// any primary output. The flip is an event at the node's position;
+    /// each event schedules the node's fanouts, and scheduled gates are
+    /// re-evaluated in order, a gate whose value changes raising the next
+    /// event. Every gate computes lane by lane, so values can only change
+    /// on the `flip` lanes.
+    fn flip_propagates(&mut self, net: &Network, b: usize, node: SignalId, flip: u64) -> bool {
         if flip == 0 || !self.is_reachable(node) {
             return false;
         }
-        let mut val = block.values.clone();
-        val[node.index()] ^= flip;
-        for &id in &self.order[self.pos[node.index()] + 1..] {
-            if let NodeKind::Gate(k) = net.kind(id) {
-                val[id.index()] = k.eval_words(net.fanins(id).iter().map(|f| val[f.index()]));
-            }
+        let start = self.pos[node.index()];
+        if self.drives_output[start] {
+            return true;
         }
-        net.outputs()
-            .iter()
-            .any(|&(_, s)| (val[s.index()] ^ block.values[s.index()]) & block.lane_mask != 0)
+        let good = &self.blocks[b].values;
+        let ev = &mut self.events;
+        ev.epoch = ev.epoch.wrapping_add(1);
+        if ev.epoch == 0 {
+            ev.stamp.fill(0);
+            ev.epoch = 1;
+        }
+        ev.faulty[node.index()] = good[node.index()] ^ flip;
+        ev.stamp[node.index()] = ev.epoch;
+        let mut last = 0; // highest pending word
+        let schedule = |pending: &mut [u64], p: usize, last: &mut usize| {
+            for &q in
+                &self.fanouts[self.fanout_start[p] as usize..self.fanout_start[p + 1] as usize]
+            {
+                let q = q as usize;
+                pending[q / 64] |= 1 << (q % 64);
+                *last = (*last).max(q / 64);
+            }
+        };
+        schedule(&mut ev.pending, start, &mut last);
+        let mut w = start / 64;
+        while w <= last {
+            while ev.pending[w] != 0 {
+                let p = 64 * w + ev.pending[w].trailing_zeros() as usize;
+                ev.pending[w] &= ev.pending[w] - 1;
+                let id = self.order[p];
+                let NodeKind::Gate(kind) = net.kind(id) else {
+                    continue;
+                };
+                let value = kind.eval_words(net.fanins(id).iter().map(|f| {
+                    if ev.stamp[f.index()] == ev.epoch {
+                        ev.faulty[f.index()]
+                    } else {
+                        good[f.index()]
+                    }
+                }));
+                if value == good[id.index()] {
+                    continue;
+                }
+                if self.drives_output[p] {
+                    ev.pending[w..=last].fill(0);
+                    return true;
+                }
+                ev.faulty[id.index()] = value;
+                ev.stamp[id.index()] = ev.epoch;
+                schedule(&mut ev.pending, p, &mut last);
+            }
+            w += 1;
+        }
+        false
     }
 }
 
@@ -475,5 +592,89 @@ mod tests {
                 prop_assert_eq!(rep.undetected.contains(&f), !oracle, "{}", f);
             }
         }
+
+        /// Event-driven propagation answers every `flip_detected` and
+        /// `detects` query of one reused snapshot exactly as flipping the
+        /// node and re-evaluating the whole rest of the order does: on
+        /// networks past 64 positions (a multi-word event set) and over
+        /// more than 64 patterns with a partial last block.
+        #[test]
+        fn event_driven_flips_match_full_resimulation(
+            n_inputs in 1usize..9,
+            picks in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 40..120),
+            outs in proptest::collection::vec(0u8..40, 1..4),
+            seeds in proptest::collection::vec(any::<u64>(), 65..200),
+            lane_seeds in proptest::collection::vec(any::<u64>(), 1..5),
+        ) {
+            let (net, nodes) = random_net(n_inputs, &picks, &outs);
+            let mut patterns: Vec<Pattern> = seeds
+                .iter()
+                .map(|s| (0..n_inputs).map(|i| s >> i & 1 != 0).collect())
+                .collect();
+            if patterns.len().is_multiple_of(64) {
+                patterns.pop();
+            }
+            let blocks = pack_patterns(n_inputs, &patterns);
+            let mut fsim = FaultSim::new(&net, &blocks);
+            let order = net.topo_order();
+            let sim = Simulator::new(&net);
+            let good: Vec<Vec<u64>> = blocks.iter().map(|b| sim.simulate_block(&b.words)).collect();
+            for &id in &nodes {
+                for (k, &seed) in lane_seeds.iter().enumerate() {
+                    // lanes picked from the node's own value and a
+                    // neighbour's, thinned or filled by a fixed seed
+                    let other = nodes[(id.index() + k) % nodes.len()];
+                    let lanes = |val: &[u64]| {
+                        let x = val[id.index()] ^ val[other.index()];
+                        if k % 2 == 0 { x & seed } else { x | seed }
+                    };
+                    let oracle = blocks.iter().zip(&good).any(|(b, g)| {
+                        flip_reaches_output(&net, &order, g, id, lanes(g) & b.lane_mask(), b.lane_mask())
+                    });
+                    prop_assert_eq!(fsim.flip_detected(&net, id, lanes), oracle, "flip n{}", id.index());
+                }
+                for stuck_at in [false, true] {
+                    let mut faults = vec![Fault { site: FaultSite::Output(id), stuck_at }];
+                    for k in 0..net.fanins(id).len() {
+                        faults.push(Fault { site: FaultSite::Fanin(id, k), stuck_at });
+                    }
+                    for f in faults {
+                        let oracle = blocks.iter().zip(&good).any(|(b, g)| {
+                            differs_under_fault(&net, &order, &b.words, g, f, b.lane_mask())
+                        });
+                        prop_assert_eq!(fsim.detects(&net, f), oracle, "{}", f);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The flip oracle: XORs `flip` into `node`'s fault-free value, then
+    /// re-evaluates every node after it in `order` and compares the
+    /// primary outputs on the `mask`ed lanes.
+    fn flip_reaches_output(
+        net: &Network,
+        order: &[SignalId],
+        good: &[u64],
+        node: SignalId,
+        flip: u64,
+        mask: u64,
+    ) -> bool {
+        let Some(at) = order.iter().position(|&id| id == node) else {
+            return false;
+        };
+        if flip == 0 {
+            return false;
+        }
+        let mut val = good.to_vec();
+        val[node.index()] ^= flip;
+        for &id in &order[at + 1..] {
+            if let NodeKind::Gate(k) = net.kind(id) {
+                val[id.index()] = k.eval_words(net.fanins(id).iter().map(|f| val[f.index()]));
+            }
+        }
+        net.outputs()
+            .iter()
+            .any(|&(_, s)| (val[s.index()] ^ good[s.index()]) & mask != 0)
     }
 }

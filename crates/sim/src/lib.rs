@@ -8,6 +8,15 @@
 //! engines: 64-way bit-parallel simulation, fault enumeration/simulation,
 //! and the zero-delay, uniform-input switching-activity power model.
 //!
+//! Patterns travel as 64-bit words end to end. A [`PatternRows`] list
+//! holds one pattern per row of words, which is the form that is built,
+//! sorted and deduplicated (the paper's pattern family, merged pattern
+//! sets). A [`PatternBlock`] holds 64 patterns as one word per input,
+//! which is the form the simulator consumes. One transpose links the two.
+//! Random patterns are drawn straight into blocks ([`random_blocks`]). A
+//! [`Pattern`] (`Vec<bool>`) is only the unpacked view that tests and
+//! test generation read and write.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,7 +47,8 @@ use rand::{Rng, SeedableRng};
 use xsynth_net::{Network, NodeKind, SignalId};
 
 /// A single input assignment: one value per primary input, in declaration
-/// order.
+/// order. The unpacked view of a pattern, for tests and test generation;
+/// the pipeline keeps patterns in [`PatternRows`] and [`PatternBlock`]s.
 pub type Pattern = Vec<bool>;
 
 /// The largest input count [`exhaustive_patterns`] will materialise.
@@ -69,9 +79,10 @@ pub fn exhaustive_patterns(n: usize) -> Vec<Pattern> {
 /// A word-packed block of up to 64 input patterns: `words[i]` holds the
 /// values of primary input `i`, one pattern per bit lane.
 ///
-/// This is the form the simulator consumes directly; packing once up
-/// front (or streaming blocks from a generator) avoids materialising one
-/// `Vec<bool>` per pattern.
+/// This is the form the simulator consumes directly; building blocks
+/// from [`PatternRows`], drawing them ([`random_blocks`]) or streaming
+/// them ([`exhaustive_blocks`]) never materialises one `Vec<bool>` per
+/// pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternBlock {
     /// One word per primary input; bit `k` is the value in lane `k`.
@@ -115,6 +126,165 @@ pub fn pack_patterns(n: usize, patterns: &[Pattern]) -> Vec<PatternBlock> {
             }
         })
         .collect()
+}
+
+/// The patterns of packed blocks, one `Vec<bool>` each: the inverse of
+/// [`pack_patterns`].
+pub fn unpack_blocks(blocks: &[PatternBlock]) -> Vec<Pattern> {
+    blocks
+        .iter()
+        .flat_map(|b| (0..b.lanes).map(move |k| b.words.iter().map(|w| w >> k & 1 != 0).collect()))
+        .collect()
+}
+
+/// A pattern list stored row by row, one pattern per row of 64-bit
+/// words: input `i` is bit `i % 64` of word `i / 64`, and the bits past
+/// the last input are zero. Rows compare and sort as plain integers, so
+/// building, deduplicating and merging pattern sets never materialises a
+/// `Vec<bool>`; [`PatternRows::to_blocks`] transposes them into the
+/// simulator's lane-per-pattern form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatternRows {
+    inputs: usize,
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl PatternRows {
+    /// An empty list of `n`-input patterns.
+    pub fn new(n: usize) -> Self {
+        PatternRows {
+            inputs: n,
+            // an input-less pattern still takes one (zero) word, so the
+            // row count stays `words.len() / stride`
+            stride: n.div_ceil(64).max(1),
+            words: Vec::new(),
+        }
+    }
+
+    /// The rows of packed blocks, lane `k` of block `b` becoming row
+    /// `64 b + k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's word count differs from `n`.
+    pub fn from_blocks(n: usize, blocks: &[PatternBlock]) -> Self {
+        let mut rows = PatternRows::new(n);
+        for b in blocks {
+            assert_eq!(b.words.len(), n, "pattern arity mismatch");
+            for k in 0..b.lanes {
+                let row = rows.push_zero();
+                for (i, w) in b.words.iter().enumerate() {
+                    row[i / 64] |= (w >> k & 1) << (i % 64);
+                }
+            }
+        }
+        rows
+    }
+
+    /// Words per row.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Number of patterns.
+    pub fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// Whether the list holds no pattern.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Row `p`.
+    pub fn row(&self, p: usize) -> &[u64] {
+        &self.words[p * self.stride..(p + 1) * self.stride]
+    }
+
+    /// Every row, in order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.stride)
+    }
+
+    /// Appends an all-zero row and returns it for filling in.
+    pub fn push_zero(&mut self) -> &mut [u64] {
+        let at = self.words.len();
+        self.words.resize(at + self.stride, 0);
+        &mut self.words[at..]
+    }
+
+    /// Appends every row of `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different input count.
+    pub fn append(&mut self, other: &PatternRows) {
+        assert_eq!(self.inputs, other.inputs, "pattern arity mismatch");
+        self.words.extend_from_slice(&other.words);
+    }
+
+    /// Keeps the first `len` rows.
+    pub fn truncate(&mut self, len: usize) {
+        self.words.truncate(len * self.stride);
+    }
+
+    /// XORs `mask` (one row) into every row.
+    pub fn xor_all(&mut self, mask: &[u64]) {
+        for row in self.words.chunks_exact_mut(self.stride) {
+            for (w, m) in row.iter_mut().zip(mask) {
+                *w ^= m;
+            }
+        }
+    }
+
+    /// Sorts the rows and drops duplicates. Rows compare word 0 first,
+    /// each word through `key`, numerically: the identity sorts like the
+    /// rows' variable sets, `u64::reverse_bits` like their `Vec<bool>`
+    /// patterns (input 0 first, `false` before `true`). `key` must be its
+    /// own inverse, as both of those are: the words are keyed once before
+    /// the sort and mapped back after it.
+    pub fn sort_dedup(&mut self, key: fn(u64) -> u64) {
+        for w in &mut self.words {
+            *w = key(*w);
+        }
+        if self.stride == 1 {
+            self.words.sort_unstable();
+            self.words.dedup();
+        } else {
+            let mut rows: Vec<&[u64]> = self.rows().collect();
+            rows.sort_unstable();
+            rows.dedup();
+            self.words = rows.concat();
+        }
+        for w in &mut self.words {
+            *w = key(*w);
+        }
+    }
+
+    /// The rows as 64-lane blocks for the simulator: row `64 b + k` is
+    /// lane `k` of block `b`.
+    pub fn to_blocks(&self) -> Vec<PatternBlock> {
+        self.words
+            .chunks(64 * self.stride)
+            .map(|chunk| {
+                let mut words = vec![0u64; self.inputs];
+                for (k, row) in chunk.chunks_exact(self.stride).enumerate() {
+                    for (j, &w) in row.iter().enumerate() {
+                        let mut bits = w;
+                        while bits != 0 {
+                            words[64 * j + bits.trailing_zeros() as usize] |= 1 << k;
+                            bits &= bits - 1;
+                        }
+                    }
+                }
+                PatternBlock {
+                    words,
+                    lanes: (chunk.len() / self.stride) as u32,
+                }
+            })
+            .collect()
+    }
 }
 
 // Periodic lane masks for inputs 0..6 within a full 64-lane block: bit `k`
@@ -176,12 +346,29 @@ impl Iterator for ExhaustiveBlocks {
     }
 }
 
-/// `count` uniformly random patterns from a fixed seed (reproducible).
-pub fn random_patterns(n: usize, count: usize, seed: u64) -> Vec<Pattern> {
+/// `count` uniformly random patterns from a fixed seed (reproducible),
+/// drawn straight into 64-lane blocks: one `gen::<bool>()` per input
+/// value, pattern after pattern, input 0 first.
+pub fn random_blocks(n: usize, count: usize, seed: u64) -> Vec<PatternBlock> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
-        .map(|_| (0..n).map(|_| rng.gen::<bool>()).collect())
+        .step_by(64)
+        .map(|start| {
+            let lanes = (count - start).min(64) as u32;
+            let mut words = vec![0u64; n];
+            for k in 0..lanes {
+                for w in &mut words {
+                    *w |= u64::from(rng.gen::<bool>()) << k;
+                }
+            }
+            PatternBlock { words, lanes }
+        })
         .collect()
+}
+
+/// The patterns of [`random_blocks`], one `Vec<bool>` each.
+pub fn random_patterns(n: usize, count: usize, seed: u64) -> Vec<Pattern> {
+    unpack_blocks(&random_blocks(n, count, seed))
 }
 
 /// A prepared bit-parallel simulator over a network.
@@ -427,6 +614,63 @@ mod tests {
             }
             // nodes outside the cone are untouched
             assert_eq!(val[stray.index()], 0);
+        }
+    }
+
+    /// The pattern-at-a-time draw `random_blocks` replaced: one
+    /// `gen::<bool>()` per input value, pattern after pattern.
+    fn random_patterns_oracle(n: usize, count: usize, seed: u64) -> Vec<Pattern> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| (0..n).map(|_| rng.gen::<bool>()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn random_blocks_match_the_packed_pattern_stream() {
+        for n in [0usize, 1, 7, 64, 65, 130] {
+            for count in [0usize, 1, 63, 64, 65, 200, 4096] {
+                let oracle = random_patterns_oracle(n, count, 0x5eed);
+                assert_eq!(
+                    random_blocks(n, count, 0x5eed),
+                    pack_patterns(n, &oracle),
+                    "n={n} count={count}"
+                );
+                assert_eq!(random_patterns(n, count, 0x5eed), oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_rows_transpose_like_pack_patterns() {
+        for n in [0usize, 3, 64, 65, 130] {
+            let pats = random_patterns_oracle(n, 150, n as u64);
+            let mut rows = PatternRows::new(n);
+            for p in &pats {
+                let row = rows.push_zero();
+                for (i, &b) in p.iter().enumerate() {
+                    row[i / 64] |= u64::from(b) << (i % 64);
+                }
+            }
+            assert_eq!(rows.len(), 150);
+            let blocks = rows.to_blocks();
+            assert_eq!(blocks, pack_patterns(n, &pats), "n={n}");
+            assert_eq!(unpack_blocks(&blocks), pats);
+            assert_eq!(PatternRows::from_blocks(n, &blocks), rows);
+        }
+    }
+
+    #[test]
+    fn sorted_rows_follow_pattern_order_under_reverse_bits() {
+        for n in [5usize, 64, 70, 140] {
+            let mut pats = random_patterns_oracle(n, 300, 3);
+            pats.extend(pats.clone().into_iter().take(40)); // duplicates
+            let blocks = pack_patterns(n, &pats);
+            let mut rows = PatternRows::from_blocks(n, &blocks);
+            rows.sort_dedup(u64::reverse_bits);
+            pats.sort();
+            pats.dedup();
+            assert_eq!(unpack_blocks(&rows.to_blocks()), pats, "n={n}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! output). The absolute scale is arbitrary; only ratios between circuits
 //! are meaningful, which is all the paper's `improve%power` column uses.
 
-use crate::{exhaustive_blocks, pack_patterns, random_patterns, PatternBlock, Simulator};
+use crate::{exhaustive_blocks, random_blocks, PatternBlock, Simulator};
 use std::fmt;
 use xsynth_net::{Network, NodeKind};
 
@@ -48,14 +48,14 @@ where
 ///
 /// Signal probabilities are exact (exhaustive simulation) for up to 16
 /// inputs and Monte-Carlo (4096 fixed-seed random patterns) beyond that.
-/// The exhaustive patterns are streamed as packed blocks, never
-/// materialised one by one.
+/// Both pattern sets go to the simulator as packed blocks: the exhaustive
+/// ones are streamed, the random ones drawn straight into block words.
 pub fn power_estimate(net: &Network) -> PowerReport {
     let n = net.inputs().len();
     let activity = if n <= 16 {
         signal_activity(net, exhaustive_blocks(n))
     } else {
-        signal_activity(net, pack_patterns(n, &random_patterns(n, 4096, 0x5eed)))
+        signal_activity(net, random_blocks(n, 4096, 0x5eed))
     };
     let fanouts = net.fanouts();
     let mut per_node = vec![0.0; net.num_nodes()];

@@ -7,7 +7,7 @@ use xsynth::boolean::{Fprm, TruthTable};
 use xsynth::circuits::build;
 use xsynth::core::atpg::generate_tests;
 use xsynth::core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
-use xsynth::sim::{enumerate_faults, exhaustive_patterns, fault_simulate};
+use xsynth::sim::{enumerate_faults, exhaustive_patterns, fault_simulate, unpack_blocks};
 
 /// Derives the paper's pattern family for every output of a circuit.
 fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
@@ -20,7 +20,7 @@ fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
         let f = Fprm::from_table_positive(t);
         lists.push(paper_patterns(n, f.polarity(), f.cubes()));
     }
-    merge_patterns(lists)
+    unpack_blocks(&merge_patterns(n, lists).to_blocks())
 }
 
 #[test]
