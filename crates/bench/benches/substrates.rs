@@ -2,9 +2,10 @@
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
 //! output's polarity search, kernel extraction, technology mapping, the
 //! redundancy-removal pass, the SOP baseline's `eliminate`, the FPRM
-//! flow's GF(2) divisor extraction, and pattern simulation (the paper
+//! flow's GF(2) divisor extraction, pattern simulation (the paper
 //! family's word rows, event-driven fault propagation and the power
-//! estimate), each of the last three swept over the input count.
+//! estimate), and an adder's BDD apply and carry-out BDD→OFDD
+//! conversion, each of the last five swept over the input count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
@@ -294,5 +295,38 @@ fn bench_pattern_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_substrates, bench_pattern_simulation);
+fn bench_bdd_sweeps(c: &mut Criterion) {
+    // every output BDD of an n-input adder, built gate by gate in a
+    // scratch manager and copied out (the flow's spec build)
+    let mut group = c.benchmark_group("bdd_apply_adder");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
+            b.iter(|| network_bdds(net, &mut BddManager::new(n)).expect("uncapped"))
+        });
+    }
+    group.finish();
+
+    // the positive-polarity OFDD of that adder's carry out, from its BDD
+    let mut group = c.benchmark_group("ofdd_from_bdd_adder");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        let mut bm = BddManager::new(n);
+        let cout = *network_bdds(&net, &mut bm)
+            .expect("uncapped")
+            .last()
+            .expect("cout");
+        group.bench_function(BenchmarkId::from_parameter(n), |b| {
+            b.iter(|| OfddManager::new(Polarity::all_positive(n)).from_bdd(&mut bm, cout))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_substrates,
+    bench_pattern_simulation,
+    bench_bdd_sweeps
+);
 criterion_main!(benches);

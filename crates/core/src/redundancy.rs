@@ -27,8 +27,9 @@
 //! reverted if the truncated family was too optimistic — the
 //! `redundancy.reverted` trace counter reports how often that safety net
 //! fired (on the paper's benchmark family: essentially never). The check
-//! is incremental ([`crate::verify::IncrementalCheck`]): it re-evaluates
-//! only the rewritten gate and its transitive fanout.
+//! is incremental ([`EquivChecker::check_rewrite`]): it re-evaluates only
+//! the rewritten gate and its transitive fanout, as BDDs in the job's own
+//! manager against the spec's output BDDs the job already built there.
 //!
 //! The pattern set arrives as word-packed 64-lane blocks. Each output's
 //! family is built as word rows of literal masks: unions are word ORs,
@@ -43,7 +44,7 @@
 //! appended are dropped. The network is never cloned per attempt.
 
 use crate::error::Error;
-use crate::verify::{EquivChecker, IncrementalCheck};
+use crate::verify::EquivChecker;
 use std::time::Instant;
 use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_sim::{Fault, FaultSim, FaultSite, PatternBlock};
@@ -59,9 +60,9 @@ use xsynth_trace::TraceBuffer;
 /// Sweeping stops when `deadline` passes: the network already rewritten
 /// and verified is kept, and the early stop is returned as `true` and
 /// counted as `redundancy.curtailed`. Returns the cleaned network and that
-/// flag. On the exact backend the final size of the guard's pass-local BDD
-/// manager is the `redundancy.bdd_nodes` gauge (absent if that manager hit
-/// the node cap and the guard fell back to whole-network checks).
+/// flag. The pass ends by gauging the checker's BDD manager, the guard's
+/// values included, as `bdd.*` in `buf` and counting its compactions as
+/// `verify.compacted`.
 ///
 /// # Errors
 ///
@@ -93,9 +94,9 @@ pub fn remove_redundancy(
     let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut cur = net.clone();
     let mut curtailed = false;
+    checker.begin_rewrites(&cur);
     let mut guard = Guard {
         blocks,
-        incremental: checker.incremental(&cur),
         checker,
         buf,
     };
@@ -115,13 +116,7 @@ pub fn remove_redundancy(
     if curtailed {
         guard.buf.count("redundancy.curtailed", 1);
     }
-    if let Some(nodes) = guard
-        .incremental
-        .as_ref()
-        .and_then(IncrementalCheck::bdd_nodes)
-    {
-        guard.buf.gauge("redundancy.bdd_nodes", nodes as f64);
-    }
+    guard.checker.record(guard.buf);
     Ok((cur.sweep(), curtailed))
 }
 
@@ -129,9 +124,6 @@ pub fn remove_redundancy(
 struct Guard<'a> {
     blocks: &'a [PatternBlock],
     checker: &'a mut EquivChecker,
-    /// The checker's per-node values of the last kept network; `None`
-    /// checks each rewrite with a whole-network `try_check`.
-    incremental: Option<IncrementalCheck>,
     buf: &'a mut TraceBuffer,
 }
 
@@ -159,13 +151,7 @@ impl Guard<'_> {
             .map(|kind| (kind, cur.fanins(gate).to_vec(), cur.num_nodes()));
         rewrite(cur);
         let kept = self.accept(cur, sim, gate)?;
-        if let Some(inc) = &mut self.incremental {
-            if kept {
-                inc.commit();
-            } else {
-                inc.revert();
-            }
-        }
+        self.checker.settle_rewrite(kept);
         if kept {
             self.buf.count(counter, 1);
             *sim = FaultSim::new(cur, self.blocks);
@@ -182,8 +168,7 @@ impl Guard<'_> {
 
     fn accept(&mut self, cur: &Network, sim: &FaultSim, gate: SignalId) -> Result<bool, Error> {
         xsynth_trace::fail_point!("core.redundancy.accept", Ok(false));
-        self.checker
-            .check_rewrite(&mut self.incremental, cur, sim.order(), gate)
+        self.checker.check_rewrite(cur, sim.order(), gate)
     }
 }
 
@@ -584,25 +569,26 @@ mod tests {
     #[test]
     fn guard_node_cap_falls_back_to_whole_network_checks() {
         // With only the AZ/AO pair most proposals are wrong, so the
-        // guard's pass-local manager fills with the rejected candidates'
-        // BDDs, while a whole-network check only ever holds one candidate.
+        // checker's manager fills with the rejected candidates' BDDs,
+        // while a whole-network check only ever adds one candidate.
         let net = xor_ripple_adder(4);
         let pats = vec![vec![false; 9], vec![true; 9]];
         let (free, free_trace) = run(&net, &pats, &mut EquivChecker::new(&net), 8);
         assert!(free_trace.counter("redundancy.reverted") > 0);
-        let guard_nodes = free_trace.gauge_max("redundancy.bdd_nodes").unwrap();
-        // Below the guard manager's final size, above what the reference
-        // and any one whole-network check need: the guard trips partway
-        // through the pass and every `try_check` after it still fits.
-        let cap = 500;
-        assert!((cap as f64) < guard_nodes, "{guard_nodes}");
+        let peak = free_trace.gauge_max("bdd.peak_nodes").unwrap() as usize;
+        // Below the manager's size after the uncapped pass, above what the
+        // reference and any one whole-network check need: the guard trips
+        // partway through the pass, the manager compacts, and every check
+        // after it still fits.
+        let cap = peak / 2;
         let budget = crate::Budget::default().bdd_node_cap(Some(cap));
         let mut checker = EquivChecker::with_budget(&net, &budget);
-        assert!(checker.is_exact());
         let (capped, capped_trace) = run(&net, &pats, &mut checker, 8);
-        assert!(!checker.downgraded(), "every whole-network check fit");
-        assert_eq!(capped_trace.gauge_max("redundancy.bdd_nodes"), None);
-        assert_eq!(capped_trace.counter_totals(), free_trace.counter_totals());
+        assert!(checker.is_exact() && !checker.downgraded(), "cap {cap}");
+        let mut counters = capped_trace.counter_totals();
+        let compacted = counters.remove("verify.compacted").unwrap_or(0);
+        assert!(compacted >= 1, "cap {cap} of {peak} never tripped");
+        assert_eq!(counters, free_trace.counter_totals());
         assert_eq!(write_blif(&capped), write_blif(&free));
     }
 

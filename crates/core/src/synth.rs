@@ -524,7 +524,7 @@ fn run_pipeline(
     main.gauge("net.gates", result.num_gates() as f64);
     main.end();
     main.begin(phase::VERIFY);
-    let mut checker = EquivChecker::with_budget(&spec, &opts.budget);
+    let mut checker = EquivChecker::from_spec(&spec, bm, out_bdds, &opts.budget);
     if !checker.try_check_traced(&result, &mut main)? {
         return Err(Error::Verify(
             "factored network is not equivalent to the spec".into(),
@@ -571,13 +571,8 @@ fn run_pipeline(
         curtail(report, phase::VERIFY);
     }
 
-    // Apply-cache effectiveness over the job's manager, as gauges: a
-    // whole-manager reading taken once, like `bdd.nodes`.
-    let (apply_hits, apply_misses) = bm.apply_cache_stats();
-    main.gauge("bdd.apply_hits", apply_hits as f64);
-    main.gauge("bdd.apply_misses", apply_misses as f64);
-    main.gauge("bdd.nodes", bm.num_nodes() as f64);
-    main.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
+    // the job's manager, now the checker's, read once at the end
+    checker.record(&mut main);
 
     let result = result.sweep();
     main.gauge("net.gates", result.num_gates() as f64);

@@ -1,5 +1,6 @@
 //! Combinational equivalence checking (the role `verify` plays in the
-//! paper's experimental procedure).
+//! paper's experimental procedure), in the BDD manager where the synthesis
+//! job built the spec's output BDDs ([`EquivChecker::from_spec`]).
 
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
@@ -19,11 +20,14 @@ const SIM_SEED: u64 = 0xec;
 /// An equivalence checker pinned to a reference network.
 ///
 /// Comparison is exact (canonical ROBDD equality) at any input count.
-/// Under a [`Budget`] with a BDD node cap, a checker that trips the cap —
-/// building the reference or mid-check — downgrades itself to fixed-seed
-/// random simulation instead of failing; [`EquivChecker::downgraded`]
-/// reports when that happened. Candidate networks must have the same
-/// primary inputs (same names, same order) and the same outputs.
+/// Under a [`Budget`] with a BDD node cap, a check that trips the cap
+/// garbage-collects by copy — the reference roots move into a fresh
+/// manager under the same cap — and retries once. A trip on the
+/// just-compacted manager, or a reference that does not fit at all,
+/// downgrades the checker to fixed-seed random simulation instead of
+/// failing; [`EquivChecker::downgraded`] reports when that happened.
+/// Candidate networks must have the same primary inputs (same names, same
+/// order) and the same outputs.
 ///
 /// # Examples
 ///
@@ -43,12 +47,19 @@ const SIM_SEED: u64 = 0xec;
 #[derive(Debug)]
 pub struct EquivChecker {
     reference: Network,
+    /// Holds `reference_outputs`; kept after a downgrade for its gauges.
+    bm: BddManager,
     reference_outputs: Vec<Bdd>,
-    manager: Option<BddManager>,
-    input_names: Vec<String>,
+    /// The network under rewrite (see [`EquivChecker::begin_rewrites`]).
+    rewrites: Option<Rewrites>,
+    /// The simulation backend, built when the checker downgrades.
     sim: Option<SimBackend>,
     budget: Budget,
-    downgraded: bool,
+    /// Compactions not yet counted in a trace.
+    compacted: u64,
+    /// The largest size, apply-cache hits and apply-cache misses of the
+    /// managers compaction retired.
+    retired: (usize, u64, u64),
 }
 
 /// The simulation backend: the fixed-seed pattern blocks and the
@@ -61,6 +72,15 @@ struct SimBackend {
     reference: Vec<Vec<u64>>,
 }
 
+/// Every node's value in the network under rewrite, so a proposal
+/// re-evaluates only what the rewrite can have changed: BDDs in the
+/// checker's manager, or words over the simulation backend's blocks.
+#[derive(Debug)]
+enum Rewrites {
+    Exact(NodeValues<Bdd>),
+    Sim(NodeValues<Vec<u64>>),
+}
+
 impl EquivChecker {
     /// Builds the checker, computing the reference output BDDs, with no
     /// resource budget.
@@ -69,41 +89,43 @@ impl EquivChecker {
     }
 
     /// Builds the checker under a resource budget: the BDD backend runs in
-    /// a node-capped manager (falling back to simulation if even the
+    /// a new node-capped manager (falling back to simulation if even the
     /// reference trips the cap), and the simulation backend's pattern set
     /// respects [`Budget::max_patterns`].
     pub fn with_budget(reference: &Network, budget: &Budget) -> Self {
-        let input_names: Vec<String> = reference
-            .inputs()
-            .iter()
-            .map(|&i| reference.node_name(i).unwrap_or("in").to_string())
-            .collect();
-        let n = input_names.len();
-        let mut checker = EquivChecker {
-            reference: reference.clone(),
-            reference_outputs: Vec::new(),
-            manager: None,
-            input_names,
-            sim: None,
-            budget: budget.clone(),
-            downgraded: false,
-        };
-        let mut bm = new_manager(n, budget.bdd_node_cap);
-        match network_bdds(reference, &mut bm) {
-            Ok(outs) => {
-                checker.reference_outputs = outs;
-                checker.manager = Some(bm);
-            }
-            Err(_) => {
-                checker.downgraded = true;
-                checker.build_sim_backend();
-            }
+        let mut bm = new_manager(reference.inputs().len(), budget.bdd_node_cap);
+        let outputs = network_bdds(reference, &mut bm);
+        let mut checker = Self::from_spec(reference, bm, Vec::new(), budget);
+        match outputs {
+            Ok(outputs) => checker.reference_outputs = outputs,
+            Err(_) => checker.downgrade(),
         }
         checker
     }
 
-    fn build_sim_backend(&mut self) {
-        let n = self.input_names.len();
+    /// The checker of a job that has built `reference`'s output BDDs
+    /// `outputs` in its manager `bm`: the checker takes `bm` over, node
+    /// cap included, instead of rebuilding them.
+    pub(crate) fn from_spec(
+        reference: &Network,
+        bm: BddManager,
+        outputs: Vec<Bdd>,
+        budget: &Budget,
+    ) -> Self {
+        EquivChecker {
+            reference: reference.clone(),
+            bm,
+            reference_outputs: outputs,
+            rewrites: None,
+            sim: None,
+            budget: budget.clone(),
+            compacted: 0,
+            retired: (0, 0, 0),
+        }
+    }
+
+    fn downgrade(&mut self) {
+        let n = self.reference.inputs().len();
         let count = self.budget.cap_patterns(SIM_PATTERNS);
         let blocks = random_blocks(n, count, SIM_SEED);
         let sim = Simulator::new(&self.reference);
@@ -111,64 +133,91 @@ impl EquivChecker {
         self.sim = Some(SimBackend { blocks, reference });
     }
 
+    /// Garbage collection by copy: moves the reference roots into a fresh
+    /// manager under the same node cap, dropping every other node and the
+    /// rewrite values with them.
+    fn compact(&mut self) {
+        let mut fresh = new_manager(self.bm.num_vars(), self.bm.node_limit());
+        if let Ok(outputs) = self.bm.copy_roots(&self.reference_outputs, &mut fresh) {
+            let ((peak, hits, misses), (h, m)) = (self.retired, self.bm.apply_cache_stats());
+            self.retired = (peak.max(self.bm.num_nodes()), hits + h, misses + m);
+            self.bm = fresh;
+            self.reference_outputs = outputs;
+            self.compacted += 1;
+        }
+        self.rewrites = None;
+    }
+
+    /// Records the manager's readings, those of the managers compaction
+    /// retired included, as the `bdd.apply_hits`, `bdd.apply_misses`,
+    /// `bdd.nodes` and `bdd.peak_nodes` gauges, and the compactions since
+    /// the last record as `verify.compacted`.
+    pub(crate) fn record(&mut self, buf: &mut TraceBuffer) {
+        let ((_, hits, misses), (h, m)) = (self.retired, self.bm.apply_cache_stats());
+        buf.gauge("bdd.apply_hits", (hits + h) as f64);
+        buf.gauge("bdd.apply_misses", (misses + m) as f64);
+        buf.gauge("bdd.nodes", self.bm.num_nodes() as f64);
+        buf.gauge("bdd.peak_nodes", self.peak_nodes() as f64);
+        let compacted = std::mem::take(&mut self.compacted);
+        if compacted > 0 {
+            buf.count("verify.compacted", compacted);
+        }
+    }
+
+    /// The largest size of the checker's manager so far.
+    fn peak_nodes(&self) -> usize {
+        self.retired.0.max(self.bm.num_nodes())
+    }
+
     /// Whether the checker is exact (BDD) or statistical (simulation).
     pub fn is_exact(&self) -> bool {
-        self.manager.is_some()
+        self.sim.is_none()
     }
 
     /// Whether a budget trip forced this checker down from exact BDD
     /// comparison to fixed-seed simulation.
     pub fn downgraded(&self) -> bool {
-        self.downgraded
+        self.sim.is_some()
     }
 
     /// Checks a candidate network against the reference, reporting input
     /// mismatches as [`Error::InputMismatch`] instead of panicking.
     ///
     /// On the BDD backend, tripping the node cap does not fail the check:
-    /// the checker downgrades itself to fixed-seed simulation (recorded by
+    /// the checker compacts its manager and retries, and if that trips
+    /// too, downgrades itself to fixed-seed simulation (recorded by
     /// [`EquivChecker::downgraded`]) and re-runs the comparison there.
     pub fn try_check(&mut self, candidate: &Network) -> Result<bool, Error> {
         verify_fail_point()?;
-        self.compare(candidate)
+        self.compare(candidate, false)
     }
 
-    /// The body of [`EquivChecker::try_check`] past its failpoint.
-    fn compare(&mut self, candidate: &Network) -> Result<bool, Error> {
-        let cand_names: Vec<&str> = candidate
-            .inputs()
-            .iter()
-            .map(|&i| candidate.node_name(i).unwrap_or("in"))
-            .collect();
-        if cand_names != self.input_names {
+    /// The body of [`EquivChecker::try_check`] past its failpoint;
+    /// `compacted` says the manager was compacted for this very check.
+    fn compare(&mut self, candidate: &Network, compacted: bool) -> Result<bool, Error> {
+        if !input_names(candidate).eq(input_names(&self.reference)) {
             return Err(Error::InputMismatch {
-                expected: self.input_names.clone(),
-                found: cand_names.iter().map(|s| s.to_string()).collect(),
+                expected: input_names(&self.reference).map(String::from).collect(),
+                found: input_names(candidate).map(String::from).collect(),
             });
         }
-        if let Some(bm) = &mut self.manager {
+        if self.sim.is_none() {
             // Compact build: an equivalent candidate hash-conses onto the
-            // reference cones and interns zero new nodes, so the checker's
-            // manager stays near live-reference size across arbitrarily
-            // many redundancy-removal checks.
-            match network_bdds(candidate, bm) {
+            // reference cones and interns zero new nodes.
+            match network_bdds(candidate, &mut self.bm) {
                 Ok(outs) => return Ok(outs == self.reference_outputs),
-                Err(Error::Budget(_)) => {
-                    // The candidate's BDD blew the node cap; keep going
-                    // with the statistical backend rather than rejecting a
-                    // possibly fine network.
-                    self.manager = None;
-                    self.reference_outputs.clear();
-                    self.downgraded = true;
-                    self.build_sim_backend();
+                Err(Error::Budget(_)) if !compacted => {
+                    self.compact();
+                    return self.compare(candidate, true);
                 }
+                // The candidate's BDD blew the node cap even next to the
+                // reference alone; keep going with the statistical backend
+                // rather than rejecting a possibly fine network.
+                Err(Error::Budget(_)) => self.downgrade(),
                 Err(e) => return Err(e),
             }
         }
-        // without a BDD manager the simulation backend is always built
-        let Some(backend) = &self.sim else {
-            return Err(Error::msg("equivalence checker has no backend"));
-        };
+        let backend = self.sim.as_ref().expect("a downgraded checker");
         let sim = Simulator::new(candidate);
         Ok(backend
             .blocks
@@ -180,8 +229,9 @@ impl EquivChecker {
     /// [`EquivChecker::try_check`] recording into a trace buffer: runs
     /// inside a `check` span (closed on every path, including errors),
     /// counts `verify.checks`, counts a mid-check downgrade as
-    /// `verify.downgraded` and, on the simulation backend, the patterns
-    /// simulated as `verify.sim_patterns`.
+    /// `verify.downgraded`, gauges the manager's peak as `bdd.peak_nodes`
+    /// and, on the simulation backend, counts the patterns simulated as
+    /// `verify.sim_patterns`.
     pub fn try_check_traced(
         &mut self,
         candidate: &Network,
@@ -189,14 +239,12 @@ impl EquivChecker {
     ) -> Result<bool, Error> {
         buf.begin("check");
         buf.count("verify.checks", 1);
-        let was_downgraded = self.downgraded;
+        let was_downgraded = self.downgraded();
         let result = self.try_check(candidate);
-        if self.downgraded && !was_downgraded {
+        if self.downgraded() && !was_downgraded {
             buf.count("verify.downgraded", 1);
         }
-        if let Some(bm) = &self.manager {
-            buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
-        }
+        buf.gauge("bdd.peak_nodes", self.peak_nodes() as f64);
         if let Some(sim) = &self.sim {
             let patterns = sim.blocks.iter().map(|pb| u64::from(pb.lanes)).sum();
             buf.count("verify.sim_patterns", patterns);
@@ -205,155 +253,114 @@ impl EquivChecker {
         result
     }
 
-    /// Starts guarding a sequence of single-gate rewrites of `net` with an
-    /// [`IncrementalCheck`] on this checker's backend. Returns `None`, and
-    /// every rewrite then goes through [`EquivChecker::try_check`], when
-    /// `net`'s inputs differ from the reference's, `net` has a cycle, or
-    /// the exact backend's pass-local manager trips the node cap while
-    /// taking in the reference and `net`.
-    pub(crate) fn incremental(&self, net: &Network) -> Option<IncrementalCheck> {
-        let names = net
-            .inputs()
-            .iter()
-            .map(|&i| net.node_name(i).unwrap_or("in"));
-        if !names.eq(self.input_names.iter().map(String::as_str)) {
-            return None;
+    /// Starts guarding a sequence of single-gate rewrites of `net` with
+    /// every node's value in it, which [`EquivChecker::check_rewrite`]
+    /// then updates one rewrite at a time. There are no values, and every
+    /// rewrite is checked as a whole network, when `net`'s inputs differ
+    /// from the reference's, `net` has a cycle, or the values trip the
+    /// node cap even after a compaction.
+    pub(crate) fn begin_rewrites(&mut self, net: &Network) {
+        self.rewrites = None;
+        let Ok(order) = net.try_topo_order() else {
+            return;
+        };
+        if !input_names(net).eq(input_names(&self.reference)) {
+            return;
         }
-        let order = net.try_topo_order().ok()?;
-        if let Some(checker_bm) = &self.manager {
-            let mut bm = new_manager(checker_bm.num_vars(), checker_bm.node_limit());
-            let reference = checker_bm
-                .copy_roots(&self.reference_outputs, &mut bm)
-                .ok()?;
-            let inputs = (0..bm.num_vars())
-                .map(|i| bm.var(i).ok())
-                .collect::<Option<Vec<Bdd>>>()?;
-            let values = NodeValues::build(net, &order, Bdd::ZERO, inputs, |kind, fan, val| {
-                gate_bdd(&mut bm, kind, fan.iter().map(|f| val[f.index()])).ok()
-            })?;
-            return Some(IncrementalCheck::Exact {
-                bm,
-                reference,
-                values,
-            });
-        }
-        let sim = self.sim.as_ref()?;
-        let inputs = (0..net.inputs().len())
-            .map(|i| sim.blocks.iter().map(|pb| pb.words[i]).collect())
-            .collect();
-        let values = NodeValues::build(net, &order, Vec::new(), inputs, |kind, fan, val| {
-            Some(eval_blocks(kind, fan, val, sim.blocks.len()))
-        })?;
-        Some(IncrementalCheck::Sim(values))
+        self.rewrites = match &self.sim {
+            None => self
+                .exact_values(net, &order)
+                .or_else(|| {
+                    self.compact();
+                    self.exact_values(net, &order)
+                })
+                .map(Rewrites::Exact),
+            Some(sim) => {
+                let inputs = (0..net.inputs().len())
+                    .map(|i| sim.blocks.iter().map(|pb| pb.words[i]).collect())
+                    .collect();
+                NodeValues::build(net, &order, Vec::new(), inputs, |kind, fan, val| {
+                    Some(eval_blocks(kind, fan, val, sim.blocks.len()))
+                })
+                .map(Rewrites::Sim)
+            }
+        };
     }
 
-    /// [`EquivChecker::try_check`] of `candidate`, the network `inc` last
+    /// `net`'s per-node BDDs in the checker's manager, or `None` if they
+    /// trip its node cap.
+    fn exact_values(&mut self, net: &Network, order: &[SignalId]) -> Option<NodeValues<Bdd>> {
+        let bm = &mut self.bm;
+        let inputs = (0..bm.num_vars())
+            .map(|i| bm.var(i).ok())
+            .collect::<Option<Vec<Bdd>>>()?;
+        NodeValues::build(net, order, Bdd::ZERO, inputs, |kind, fan, val| {
+            gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
+        })
+    }
+
+    /// [`EquivChecker::try_check`] of `candidate`, the network last
     /// accepted with `gate` rewritten in place and possibly new nodes
     /// appended: the same `core.verify` failpoint and the same verdict,
     /// but only the appended nodes, `gate` and the nodes of `order` (the
     /// accepted network's topological order) downstream of a changed
     /// value are re-evaluated. The proposal stays pending until
-    /// [`IncrementalCheck::commit`] or [`IncrementalCheck::revert`].
+    /// [`EquivChecker::settle_rewrite`].
     ///
-    /// With `inc` absent this is `try_check`. If the exact backend trips
-    /// the node cap, `inc` is dropped and the check (like every later one
-    /// in the pass) runs as `try_check`, including its downgrade to
-    /// simulation.
+    /// Without values from [`EquivChecker::begin_rewrites`] this is
+    /// `try_check`. If the values trip the node cap, the checker compacts,
+    /// which drops them, and checks `candidate` and every later rewrite
+    /// as a whole network.
     pub(crate) fn check_rewrite(
         &mut self,
-        inc: &mut Option<IncrementalCheck>,
         candidate: &Network,
         order: &[SignalId],
         gate: SignalId,
     ) -> Result<bool, Error> {
         verify_fail_point()?;
         let outs = candidate.outputs();
-        let verdict = match inc.as_mut() {
-            Some(IncrementalCheck::Exact {
-                bm,
-                reference,
-                values,
-            }) => values
-                .propose(candidate, order, gate, |kind, fan, val| {
-                    gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
-                })
-                .map(|()| {
-                    outs.len() == reference.len()
-                        && outs
-                            .iter()
-                            .zip(reference.iter())
-                            .all(|(&(_, s), r)| values.val[s.index()] == *r)
-                }),
-            Some(IncrementalCheck::Sim(values)) => self.sim.as_ref().and_then(|sim| {
+        let verdict = match &mut self.rewrites {
+            Some(Rewrites::Exact(values)) => {
+                let bm = &mut self.bm;
+                values
+                    .propose(candidate, order, gate, |kind, fan, val| {
+                        gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
+                    })
+                    .map(|()| {
+                        let got = outs.iter().map(|&(_, s)| values.val[s.index()]);
+                        got.eq(self.reference_outputs.iter().copied())
+                    })
+            }
+            Some(Rewrites::Sim(values)) => self.sim.as_ref().and_then(|sim| {
                 let n_blocks = sim.blocks.len();
                 values.propose(candidate, order, gate, |kind, fan, val| {
                     Some(eval_blocks(kind, fan, val, n_blocks))
                 })?;
                 let mut blocks = sim.blocks.iter().zip(&sim.reference).enumerate();
                 Some(blocks.all(|(b, (pb, want))| {
-                    want.len() == outs.len()
-                        && outs
-                            .iter()
-                            .zip(want)
-                            .all(|(&(_, s), &r)| values.val[s.index()][b] & pb.lane_mask() == r)
+                    let got = outs.iter().map(|&(_, s)| values.val[s.index()][b]);
+                    got.map(|w| w & pb.lane_mask()).eq(want.iter().copied())
                 }))
             }),
-            None => None,
+            None => return self.compare(candidate, false),
         };
         match verdict {
             Some(same) => Ok(same),
+            // the values tripped the node cap
             None => {
-                *inc = None;
-                self.compare(candidate)
+                self.compact();
+                self.compare(candidate, true)
             }
         }
     }
-}
 
-/// Incremental equivalence checking of one rewrite at a time, for
-/// redundancy removal: it keeps every node's value in the last accepted
-/// network, so a proposal re-evaluates only what the rewrite can have
-/// changed instead of the whole network.
-///
-/// On the exact backend the values are BDDs in a manager local to the
-/// pass (with the checker's node cap), which also holds a copy of the
-/// reference outputs; dropping the check at the end of the pass frees it,
-/// so the checker's long-lived manager never holds a candidate. On the
-/// simulation backend they are words over the checker's fixed pattern
-/// blocks, compared against the reference words the checker simulated
-/// once.
-#[derive(Debug)]
-pub(crate) enum IncrementalCheck {
-    Exact {
-        bm: BddManager,
-        reference: Vec<Bdd>,
-        values: NodeValues<Bdd>,
-    },
-    Sim(NodeValues<Vec<u64>>),
-}
-
-impl IncrementalCheck {
-    /// Keeps the pending proposal: its values become the accepted ones.
-    pub(crate) fn commit(&mut self) {
-        match self {
-            IncrementalCheck::Exact { values, .. } => values.commit(),
-            IncrementalCheck::Sim(values) => values.commit(),
-        }
-    }
-
-    /// Drops the pending proposal, restoring the values it overwrote.
-    pub(crate) fn revert(&mut self) {
-        match self {
-            IncrementalCheck::Exact { values, .. } => values.revert(),
-            IncrementalCheck::Sim(values) => values.revert(),
-        }
-    }
-
-    /// Nodes in the pass-local manager (exact backend only).
-    pub(crate) fn bdd_nodes(&self) -> Option<usize> {
-        match self {
-            IncrementalCheck::Exact { bm, .. } => Some(bm.num_nodes()),
-            IncrementalCheck::Sim(_) => None,
+    /// Ends the pending proposal: `kept`, its values become the accepted
+    /// ones; otherwise the values it overwrote are restored.
+    pub(crate) fn settle_rewrite(&mut self, kept: bool) {
+        match &mut self.rewrites {
+            Some(Rewrites::Exact(values)) => values.settle(kept),
+            Some(Rewrites::Sim(values)) => values.settle(kept),
+            None => {}
         }
     }
 }
@@ -361,7 +368,7 @@ impl IncrementalCheck {
 /// One value per node of the accepted network, plus the undo log of the
 /// pending proposal. Nodes unreachable from the outputs hold a blank.
 #[derive(Debug)]
-pub(crate) struct NodeValues<V> {
+struct NodeValues<V> {
     val: Vec<V>,
     blank: V,
     /// Node count of the accepted network; nodes past it were appended
@@ -459,16 +466,18 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         Some(())
     }
 
-    fn commit(&mut self) {
-        self.undo.clear();
-        self.accepted = self.val.len();
-    }
-
-    fn revert(&mut self) {
-        for (i, old) in self.undo.drain(..).rev() {
-            self.val[i] = old;
+    /// Keeps the pending proposal's values, or restores the ones it
+    /// overwrote.
+    fn settle(&mut self, kept: bool) {
+        if kept {
+            self.undo.clear();
+            self.accepted = self.val.len();
+        } else {
+            for (i, old) in self.undo.drain(..).rev() {
+                self.val[i] = old;
+            }
+            self.val.truncate(self.accepted);
         }
-        self.val.truncate(self.accepted);
     }
 }
 
@@ -477,6 +486,13 @@ fn eval_blocks(kind: GateKind, fan: &[SignalId], val: &[Vec<u64>], n_blocks: usi
     (0..n_blocks)
         .map(|b| kind.eval_words(fan.iter().map(|f| val[f.index()][b])))
         .collect()
+}
+
+/// `net`'s primary input names, in order.
+fn input_names(net: &Network) -> impl Iterator<Item = &str> {
+    net.inputs()
+        .iter()
+        .map(|&i| net.node_name(i).unwrap_or("in"))
 }
 
 /// The `core.verify` failpoint every guarded check passes once.
@@ -506,10 +522,10 @@ pub(crate) fn new_manager(n: usize, node_cap: Option<usize>) -> BddManager {
 /// internal gate, most of which are dead the moment their fanouts are
 /// folded — but the substrate has no reference counts, so a build straight
 /// into `bm` would leave them in its unique tables forever. Routing the
-/// build through a scratch manager means `bm` — a job's manager, or an
-/// equivalence checker's across many checks — only ever holds live cones,
-/// so a node cap on `bm` counts live nodes. The copy is a DFS in output
-/// order.
+/// build through a scratch manager means `bm` — a job's manager, which its
+/// equivalence checker takes over for every later check — only ever holds
+/// live cones, so a node cap on `bm` counts live nodes. The copy is a DFS
+/// in output order.
 ///
 /// Arity mismatches and combinational cycles are errors, and a tripped
 /// node cap is [`Error::Budget`], so governed callers can degrade instead
@@ -869,16 +885,29 @@ mod tests {
         Some(gate)
     }
 
+    /// A synthesis job's checker: a manager already holding unrelated
+    /// nodes (every gate BDD of `junk`) takes in the reference's outputs
+    /// and is handed over through [`EquivChecker::from_spec`].
+    fn job_checker(reference: &Network, junk: &Network) -> EquivChecker {
+        let mut bm = BddManager::new(reference.inputs().len());
+        output_bdds(junk, &mut bm, None).expect("uncapped");
+        let outputs = network_bdds(reference, &mut bm).expect("uncapped");
+        EquivChecker::from_spec(reference, bm, outputs, &Budget::default())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// After every step of a random sequence of kept and reverted
         /// rewrites, the incremental verdict equals a fresh whole-network
-        /// check, on each backend: exact (0) and simulation because the
-        /// reference tripped the node cap (1).
+        /// check, on each backend: exact (0), simulation because the
+        /// reference tripped the node cap (1), and a job's checker (2)
+        /// whose manager is capped at its size once the rewrites begin, so
+        /// that the first step needing a new node trips the cap and
+        /// compacts it.
         #[test]
         fn incremental_verdict_matches_full_check(
-            backend in 0u8..2,
+            backend in 0u8..3,
             n_inputs in 2usize..7,
             picks in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..16),
             outs in proptest::collection::vec(0u8..6, 1..4),
@@ -888,28 +917,46 @@ mod tests {
             let budget = Budget::default().bdd_node_cap(cap);
             let mut cur = random_net(n_inputs, &picks, &outs);
             let reference = cur.clone();
-            let mut checker = EquivChecker::with_budget(&reference, &budget);
+            let junk_picks: Vec<_> = picks.iter().rev().map(|&(k, a, b)| (k + 1, b, a)).collect();
+            let junk = random_net(n_inputs, &junk_picks, &[0]);
+            let mut checker = match backend {
+                2 => job_checker(&reference, &junk),
+                _ => EquivChecker::with_budget(&reference, &budget),
+            };
             // a constant reference fits under any cap
-            prop_assume!(checker.is_exact() == (backend == 0));
-            let mut inc = checker.incremental(&cur);
-            prop_assert!(inc.is_some());
+            prop_assume!(checker.is_exact() == (backend != 1));
+            // backend 2's uncapped twin: until the first trip the two
+            // managers are identical, so the twin shows whether a step
+            // needed a node past the cap
+            let mut twin = (backend == 2).then(|| job_checker(&reference, &junk));
+            checker.begin_rewrites(&cur);
+            prop_assert!(checker.rewrites.is_some());
+            let mut twin_nodes_at_cap = 0;
+            if let Some(twin) = &mut twin {
+                twin.begin_rewrites(&cur);
+                checker.bm.set_node_limit(Some(checker.bm.num_nodes()));
+                twin_nodes_at_cap = twin.bm.num_nodes();
+            }
             for &(pick, how, keep) in &steps {
                 let order = cur.topo_order();
                 let before = cur.clone();
                 let Some(gate) = random_rewrite(&mut cur, &order, pick, how) else {
                     break;
                 };
-                let got = checker.check_rewrite(&mut inc, &cur, &order, gate).unwrap();
+                let got = checker.check_rewrite(&cur, &order, gate).unwrap();
                 let fresh = EquivChecker::with_budget(&reference, &budget).try_check(&cur);
                 prop_assert_eq!(got, fresh.unwrap());
-                let guard = inc.as_mut().expect("no cap to trip");
-                if keep {
-                    guard.commit();
-                } else {
-                    guard.revert();
+                checker.settle_rewrite(keep);
+                if let Some(twin) = &mut twin {
+                    twin.check_rewrite(&cur, &order, gate).unwrap();
+                    twin.settle_rewrite(keep);
+                }
+                if !keep {
                     cur = before;
                 }
             }
+            let grew = twin.is_some_and(|twin| twin.bm.num_nodes() > twin_nodes_at_cap);
+            prop_assert_eq!(checker.compacted > 0, grew);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! for parse, budget and verification failures.
 
 use xsynth::cli::run;
-use xsynth::core::{try_synthesize, Budget, Error, SynthOptions};
+use xsynth::core::{phase, try_synthesize, Budget, Error, SynthOptions};
 use xsynth::trace::TraceSink;
 
 fn argv(s: &str) -> Vec<String> {
@@ -50,6 +50,24 @@ fn i4_under_node_cap_degrades_or_errors_cleanly() {
     if let Some(peak) = trace.gauge_max("bdd.peak_nodes") {
         assert!(peak <= CAP as f64, "peak {peak} exceeds cap {CAP}");
     }
+}
+
+/// The node cap is one budget on the job's one manager: on i4 at 5000
+/// nodes the redundancy guard's values fill it, the checker compacts it
+/// down to the spec's output BDDs, and verification stays exact.
+#[test]
+fn i4_under_node_cap_compacts_and_stays_exact() {
+    let spec = xsynth::circuits::build("i4").expect("i4 is in the registry");
+    let opts = SynthOptions::builder()
+        .budget(Budget::default().bdd_node_cap(Some(5000)))
+        .build();
+    let outcome = try_synthesize(&spec, &opts).expect("i4 fits a 5000-node cap");
+    let curtailed = &outcome.report.curtailed;
+    assert!(
+        !curtailed.iter().any(|p| p == phase::VERIFY),
+        "{curtailed:?}"
+    );
+    assert!(outcome.report.trace.counter("verify.compacted") >= 1);
 }
 
 /// The same run through the CLI front end: `xsynth bench i4

@@ -28,6 +28,16 @@ fn count_named(nodes: &[SpanNode], name: &str) -> usize {
         .sum()
 }
 
+/// Every span named `name` anywhere in the forest, in preorder.
+fn all_named<'a>(nodes: &'a [SpanNode], name: &str, out: &mut Vec<&'a SpanNode>) {
+    for n in nodes {
+        if n.name == name {
+            out.push(n);
+        }
+        all_named(&n.children, name, out);
+    }
+}
+
 #[test]
 fn paper_phases_nest_under_the_pipeline_root() {
     let spec = circuits::build("z4ml").expect("registered");
@@ -194,6 +204,32 @@ fn external_sink_collects_across_circuits() {
     assert!(trace.tracks.iter().any(|t| t.label.starts_with("rd53/")));
     assert!(trace.tracks.iter().any(|t| t.label.starts_with("z4ml/")));
     assert_eq!(count_named(&trace.forest(), phase::SYNTHESIZE), 2);
+}
+
+/// The largest `bdd.peak_nodes` reading in `node`'s subtree.
+fn peak_nodes(node: &SpanNode) -> f64 {
+    let own = node.gauges.get("bdd.peak_nodes").copied().unwrap_or(0.0);
+    node.children.iter().map(peak_nodes).fold(own, f64::max)
+}
+
+/// The equivalence checker takes over the job's BDD manager: every `check`
+/// span reads that manager, which still holds everything the `fprm` phase
+/// built, and the redundancy guard has no manager of its own to gauge.
+#[test]
+fn checks_run_in_the_jobs_bdd_manager() {
+    let spec = circuits::build("addm4").expect("registered");
+    let outcome = try_synthesize(&spec, &SynthOptions::default()).unwrap();
+    let trace = &outcome.report.trace;
+    let forest = trace.forest();
+    let fprm = peak_nodes(find(&forest, phase::FPRM).expect("fprm span"));
+    let mut checks = Vec::new();
+    all_named(&forest, "check", &mut checks);
+    assert!(!checks.is_empty());
+    for check in checks {
+        let nodes = check.gauges["bdd.peak_nodes"];
+        assert!(nodes >= fprm, "check reads {nodes} nodes, fprm {fprm}");
+    }
+    assert!(!trace.gauge_maxima().contains_key("redundancy.bdd_nodes"));
 }
 
 /// A run that fails returns from inside its open phase spans; its trace
