@@ -1,11 +1,12 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
 //! output's polarity search, kernel extraction, technology mapping, the
-//! redundancy-removal pass, the SOP baseline's `eliminate`, the FPRM
-//! flow's GF(2) divisor extraction, pattern simulation (the paper
-//! family's word rows, event-driven fault propagation and the power
-//! estimate), and an adder's BDD apply and carry-out BDD→OFDD
-//! conversion, each of the last five swept over the input count.
+//! redundancy-removal pass, the SOP baseline's `eliminate`, `extract` and
+//! `resubstitute`, the FPRM flow's GF(2) divisor extraction, pattern
+//! simulation (the paper family's word rows, event-driven fault
+//! propagation and the power estimate), an adder's BDD apply and
+//! carry-out BDD→OFDD conversion, each of the last five swept over the
+//! input count, and ISOP swept over the table width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
@@ -225,6 +226,41 @@ fn bench_substrates(c: &mut Criterion) {
     }
 }
 
+fn bench_sop_script(c: &mut Criterion) {
+    // the SOP script's first `extract` and `resubstitute` alone, on the
+    // state its first `eliminate` + `simplify` leave, for the three rows
+    // of the timed Table 2 sweep where the script takes longest
+    for name in ["f51m", "5xp1", "sqr6"] {
+        let spec = xsynth_circuits::build(name).expect("registered");
+        let mut net = SopNet::from_network(&spec.sweep());
+        net.eliminate(4, 256);
+        net.simplify();
+        c.bench_function(format!("sop_extract_{name}"), |b| {
+            b.iter(|| {
+                let mut s = net.clone();
+                s.extract(400);
+                s
+            })
+        });
+        c.bench_function(format!("sop_resubstitute_{name}"), |b| {
+            b.iter(|| {
+                let mut s = net.clone();
+                s.resubstitute();
+                s
+            })
+        });
+    }
+
+    // ISOP of the most significant sum bit of a (k/2)-bit adder
+    for k in [6, 8, 10, 12] {
+        let half = (1u64 << (k / 2)) - 1;
+        let msb = TruthTable::from_fn(k, |m| {
+            ((m & half) + (m >> (k / 2) & half)) >> (k / 2 - 1) & 1 != 0
+        });
+        c.bench_function(format!("isop_k{k}"), |b| b.iter(|| Sop::isop(&msb)));
+    }
+}
+
 /// Input counts the pattern-simulation groups sweep.
 const SWEEP: [usize; 5] = [8, 16, 32, 64, 128];
 
@@ -326,6 +362,7 @@ fn bench_bdd_sweeps(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_substrates,
+    bench_sop_script,
     bench_pattern_simulation,
     bench_bdd_sweeps
 );

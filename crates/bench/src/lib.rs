@@ -26,12 +26,14 @@ pub mod telemetry;
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
 use xsynth_core::{
-    phase, try_synthesize, Budget, EquivChecker, Error, SynthOptions, SynthOutcome, SynthReport,
+    phase, try_synthesize, Budget, EquivChecker, Error, PhaseProfile, SynthOptions, SynthOutcome,
+    SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_sim::power_estimate;
-use xsynth_sop::{script_algebraic, ScriptOptions};
+use xsynth_sop::{script_algebraic_traced, ScriptOptions};
+use xsynth_trace::TraceSink;
 
 pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
 
@@ -116,7 +118,10 @@ pub fn measure_flow(
                 let SynthOutcome { network, report } = try_synthesize(spec, &opts.synth)?;
                 (network, Some(report))
             }
-            Flow::Sop => (script_algebraic(spec, &opts.script), None),
+            Flow::Sop => {
+                let (network, report) = run_sop(spec, &opts.script);
+                (network, Some(report))
+            }
         };
         times.push(t0.elapsed().as_secs_f64());
         if times.len() == runs {
@@ -132,6 +137,22 @@ pub fn measure_flow(
             ));
         }
     }
+}
+
+/// Runs the SOP baseline ([`xsynth_sop::script_algebraic_traced`]) under
+/// a [`phase::SYNTHESIZE`] root span, so its report carries the script's
+/// trace and a [`PhaseProfile`] of its steps (`eliminate`, `simplify`,
+/// `extract`, `resubstitute`, `lower`); the report's other fields stay
+/// empty.
+pub fn run_sop(spec: &Network, opts: &ScriptOptions) -> (Network, SynthReport) {
+    let sink = TraceSink::new();
+    let network = sink.buffer(0, "sop").span(phase::SYNTHESIZE, |buf| {
+        script_algebraic_traced(spec, opts, buf)
+    });
+    let mut report = SynthReport::default();
+    report.trace = sink.take();
+    report.profile = PhaseProfile::from_trace(&report.trace);
+    (network, report)
 }
 
 /// Assembles a [`Measured`] from an already-synthesized network — the
@@ -236,18 +257,25 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// The FPRM pipeline's phases in the order they run.
-const PIPELINE_ORDER: [&str; 5] = [
+/// The FPRM pipeline's phases in the order they run, then the SOP
+/// baseline's steps.
+const PIPELINE_ORDER: [&str; 10] = [
     phase::FPRM,
     phase::FACTORING,
     phase::VERIFY,
     phase::SHARING,
     phase::REDUNDANCY,
+    "eliminate",
+    "simplify",
+    "extract",
+    "resubstitute",
+    "lower",
 ];
 
 /// Renders a one-line phase-timing breakdown from a record: each phase's
-/// milliseconds in pipeline order, plus the polarity-search counters.
-/// Returns `None` when the record has no phases (the SOP baseline).
+/// milliseconds in pipeline order, plus the polarity-search counters (the
+/// extraction counters for the SOP baseline). Returns `None` when the
+/// record has no phases.
 pub fn render_phases(r: &BenchRecord) -> Option<String> {
     if r.phases.is_empty() {
         return None;
@@ -264,11 +292,19 @@ pub fn render_phases(r: &BenchRecord) -> Option<String> {
         s.push_str(&format!("{name} {:.1}ms ", seconds * 1e3));
     }
     let counter = |name: &str| r.counters.get(name).copied().unwrap_or(0);
-    s.push_str(&format!(
-        "(polarity: {} eval, {} memo)",
-        counter("polarity.evaluated"),
-        counter("polarity.memo_hit"),
-    ));
+    s.push_str(&if r.flow == "sop" {
+        format!(
+            "(extracted {}, resubstituted {})",
+            counter("sop.extracted"),
+            counter("sop.resubstituted"),
+        )
+    } else {
+        format!(
+            "(polarity: {} eval, {} memo)",
+            counter("polarity.evaluated"),
+            counter("polarity.memo_hit"),
+        )
+    });
     Some(s)
 }
 
@@ -425,10 +461,14 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     }
     emit_group(&mut s, &all, "Σ all");
     s.push_str("~ = substituted synthetic circuit (original MCNC function not public)\n");
-    s.push_str("\nper-phase timings of the FPRM flow (from SynthReport):\n");
-    for r in rows {
-        if let Some(phases) = render_phases(&r.fprm) {
-            s.push_str(&format!("{:<10} {phases}\n", r.bench.name));
+    for (flow, sop) in [("the FPRM flow", false), ("the SOP baseline", true)] {
+        s.push_str(&format!(
+            "\nper-phase timings of {flow} (from SynthReport):\n"
+        ));
+        for r in rows {
+            if let Some(phases) = render_phases(if sop { &r.sop } else { &r.fprm }) {
+                s.push_str(&format!("{:<10} {phases}\n", r.bench.name));
+            }
         }
     }
     s
@@ -508,9 +548,12 @@ mod tests {
         );
         #[cfg(target_os = "linux")]
         assert!(r.gauges["mem.peak_rss_kb"] > 0.0);
-        // SOP flow has no pipeline trace but still gets the memory gauge
+        // the SOP flow records its script's steps and the memory gauge
         let m = measure_flow("z4ml", &spec, Flow::Sop, "sop", &lib, &opts).unwrap();
-        assert!(m.record.phases.is_empty());
+        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
+            assert!(m.record.phases.contains_key(step), "{:?}", m.record.phases);
+        }
+        assert!(render_phases(&m.record).is_some_and(|p| p.contains("(extracted ")));
         #[cfg(target_os = "linux")]
         assert!(m.record.gauges.contains_key("mem.peak_rss_kb"));
     }

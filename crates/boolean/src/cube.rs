@@ -158,7 +158,17 @@ impl Cube {
 
     /// The number of variables on which the two cubes have opposite phases.
     pub fn distance(&self, other: &Cube) -> usize {
-        self.pos.intersection(&other.neg).len() + self.neg.intersection(&other.pos).len()
+        self.pos.intersection_len(&other.neg) + self.neg.intersection_len(&other.pos)
+    }
+
+    /// The literal count of `self ∩ other` (the AND of the two cubes), or
+    /// `None` if it is contradictory; nothing is built.
+    pub fn intersect_len(&self, other: &Cube) -> Option<usize> {
+        (self.distance(other) == 0).then(|| {
+            self.num_literals() + other.num_literals()
+                - self.pos.intersection_len(&other.pos)
+                - self.neg.intersection_len(&other.neg)
+        })
     }
 
     /// Algebraic cube division: `self / other`, defined when `other`'s
@@ -172,6 +182,13 @@ impl Cube {
         } else {
             None
         }
+    }
+
+    /// Whether `self / d == other / e` for cubes `d` and `e` dividing
+    /// `self` and `other`, compared without building either quotient.
+    pub fn same_quotient(&self, d: &Cube, other: &Cube, e: &Cube) -> bool {
+        self.pos.difference_eq(&d.pos, &other.pos, &e.pos)
+            && self.neg.difference_eq(&d.neg, &other.neg, &e.neg)
     }
 
     /// Converts to a truth table over `n` variables.
@@ -253,6 +270,9 @@ mod tests {
         assert_eq!(a.distance(&an), 1);
         assert_eq!(ab.distance(&an), 1);
         assert_eq!(a.distance(&ab), 0);
+        assert_eq!(a.intersect_len(&ab), Some(2));
+        assert_eq!(ab.intersect_len(&an), None);
+        assert_eq!(an.intersect_len(&Cube::new([2], [3]).unwrap()), Some(3));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Sum-of-products covers.
 
+use crate::tt;
 use crate::{Cube, TruthTable, VarSet};
 use std::fmt;
 
@@ -309,49 +310,59 @@ impl Sop {
     /// assert_eq!(cover.to_table(3), maj);
     /// ```
     pub fn isop(t: &TruthTable) -> Sop {
-        fn rec(lower: &TruthTable, upper: &TruthTable, vars: &[usize]) -> Sop {
-            if lower.is_zero() {
-                return Sop::zero();
+        let n = t.num_vars();
+        let w = t.words().len();
+        let mut cover = vec![0; w];
+        // one frame of ISOP_FRAME tables per recursion level; the split
+        // variable strictly increases, so there are at most `n` levels
+        let mut scratch = vec![0; ISOP_FRAME * w * n];
+        let mut cubes = Vec::new();
+        isop_rec(
+            t.words(),
+            t.words(),
+            0,
+            n,
+            &mut cover,
+            &mut scratch,
+            &mut cubes,
+        );
+        let set = |bits: u32| VarSet::from_vars((0..n).filter(|&v| bits >> v & 1 != 0));
+        Sop::from_cubes(
+            cubes
+                .into_iter()
+                .map(|(pos, neg)| Cube::from_sets(set(pos), set(neg)).expect("disjoint phases")),
+        )
+    }
+
+    /// The table of the cover over the inputs `vars`: input `b` of the
+    /// table is variable `vars[b]`. One word AND per literal and word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cube mentions a variable not in `vars`, or `vars` has
+    /// more than [`crate::MAX_TT_VARS`] entries.
+    pub fn table_over(&self, vars: &[usize]) -> TruthTable {
+        let n = vars.len();
+        let mut table = vec![0; tt::words_for(n)];
+        let mut cube = table.clone();
+        let input = |v: usize| {
+            vars.iter()
+                .position(|&x| x == v)
+                .expect("every variable of the cover is in `vars`")
+        };
+        for c in &self.cubes {
+            cube.fill(!0);
+            for v in c.positive().iter() {
+                tt::words::and_literal(&mut cube, input(v), true);
             }
-            if upper.is_one() {
-                return Sop::one();
+            for v in c.negative().iter() {
+                tt::words::and_literal(&mut cube, input(v), false);
             }
-            // first variable both bounds depend on
-            let Some((pos, &x)) = vars
-                .iter()
-                .enumerate()
-                .find(|&(_, &v)| lower.depends_on(v) || upper.depends_on(v))
-            else {
-                // bounds are constant: lower != 0 ⇒ cover with the universe
-                return Sop::one();
-            };
-            let rest = &vars[pos + 1..];
-            let (l0, l1) = (lower.cofactor0(x), lower.cofactor1(x));
-            let (u0, u1) = (upper.cofactor0(x), upper.cofactor1(x));
-            // cubes that must contain ¬x / x
-            let c0 = rec(&(&l0 & &!&u1), &u0, rest);
-            let c1 = rec(&(&l1 & &!&u0), &u1, rest);
-            let cov0 = c0.to_table(lower.num_vars());
-            let cov1 = c1.to_table(lower.num_vars());
-            let d0 = &l0 & &!&cov0;
-            let d1 = &l1 & &!&cov1;
-            let cstar = rec(&(&d0 | &d1), &(&u0 & &u1), rest);
-            let mut cubes = Vec::new();
-            for c in c0.cubes() {
-                let mut c = c.clone();
-                c.add_literal(x, false);
-                cubes.push(c);
+            for (t, c) in table.iter_mut().zip(&cube) {
+                *t |= c;
             }
-            for c in c1.cubes() {
-                let mut c = c.clone();
-                c.add_literal(x, true);
-                cubes.push(c);
-            }
-            cubes.extend(cstar.cubes().iter().cloned());
-            Sop::from_cubes(cubes)
         }
-        let vars: Vec<usize> = (0..t.num_vars()).collect();
-        rec(t, t, &vars)
+        TruthTable::from_words(n, table)
     }
 
     /// The variable occurring in the most cubes (ties broken by index).
@@ -359,6 +370,86 @@ impl Sop {
         let sup = self.support();
         sup.iter()
             .max_by_key(|&v| self.cubes.iter().filter(|c| c.phase(v).is_some()).count())
+    }
+}
+
+/// Tables per [`isop_rec`] frame: both cofactors of both bounds, the
+/// child bounds, and the three child covers.
+const ISOP_FRAME: usize = 9;
+
+/// The Minato-Morreale recursion of [`Sop::isop`] on flat word tables over
+/// `n` inputs. Appends the cover of the interval `[lower, upper]` to
+/// `cubes` as `(positive, negative)` bit masks, writes its table into
+/// `cover`, and splits only on inputs `first..n`: the first one either
+/// bound depends on. Cube order: the cubes with `¬x`, then with `x`, then
+/// the rest.
+fn isop_rec(
+    lower: &[u64],
+    upper: &[u64],
+    first: usize,
+    n: usize,
+    cover: &mut [u64],
+    scratch: &mut [u64],
+    cubes: &mut Vec<(u32, u32)>,
+) {
+    if lower.iter().all(|&w| w == 0) {
+        cover.fill(0);
+        return;
+    }
+    let tail = tt::tail_mask(n);
+    let (last, full) = upper.split_last().expect("tables have a word");
+    let upper_one = *last == tail && full.iter().all(|&w| w == !0);
+    let split = if upper_one {
+        None
+    } else {
+        (first..n).find(|&v| tt::words::depends_on(lower, v) || tt::words::depends_on(upper, v))
+    };
+    let Some(x) = split else {
+        // the upper bound is one, or both bounds are constant with
+        // `lower != 0`: the universe cube covers the interval
+        cover.fill(!0);
+        cover[cover.len() - 1] = tail;
+        cubes.push((0, 0));
+        return;
+    };
+    let w = lower.len();
+    let (frame, rest) = scratch.split_at_mut(ISOP_FRAME * w);
+    let mut tables = frame.chunks_exact_mut(w);
+    let mut next = || tables.next().expect("ISOP_FRAME tables per frame");
+    let (l0, l1, u0, u1) = (next(), next(), next(), next());
+    let (lo, up, cov0, cov1, covs) = (next(), next(), next(), next(), next());
+    tt::words::cofactor(lower, x, false, l0);
+    tt::words::cofactor(lower, x, true, l1);
+    tt::words::cofactor(upper, x, false, u0);
+    tt::words::cofactor(upper, x, true, u1);
+    // cubes that must contain ¬x, then x
+    let start = cubes.len();
+    for i in 0..w {
+        lo[i] = l0[i] & !u1[i];
+    }
+    isop_rec(lo, u0, x + 1, n, cov0, rest, cubes);
+    let mid = cubes.len();
+    for i in 0..w {
+        lo[i] = l1[i] & !u0[i];
+    }
+    isop_rec(lo, u1, x + 1, n, cov1, rest, cubes);
+    let end = cubes.len();
+    for i in 0..w {
+        lo[i] = (l0[i] & !cov0[i]) | (l1[i] & !cov1[i]);
+        up[i] = u0[i] & u1[i];
+    }
+    isop_rec(lo, up, x + 1, n, covs, rest, cubes);
+    for c in &mut cubes[start..mid] {
+        c.1 |= 1 << x;
+    }
+    for c in &mut cubes[mid..end] {
+        c.0 |= 1 << x;
+    }
+    // cover = ¬x·cov0 + x·cov1 + covs
+    tt::words::and_literal(cov0, x, false);
+    tt::words::and_literal(cov1, x, true);
+    for i in 0..w {
+        cover[i] = cov0[i] | cov1[i] | covs[i];
     }
 }
 
@@ -489,6 +580,113 @@ mod tests {
         assert!(isop.num_literals() <= merged.num_literals());
         assert_eq!(isop.to_table(6), t);
         assert!(isop.num_cubes() <= 10, "got {}", isop.num_cubes());
+    }
+
+    /// The table-per-cofactor ISOP recursion the word-buffer one replaced;
+    /// the oracle for [`Sop::isop`].
+    fn isop_reference(t: &TruthTable) -> Sop {
+        fn rec(lower: &TruthTable, upper: &TruthTable, vars: &[usize]) -> Sop {
+            if lower.is_zero() {
+                return Sop::zero();
+            }
+            if upper.is_one() {
+                return Sop::one();
+            }
+            let Some((pos, &x)) = vars
+                .iter()
+                .enumerate()
+                .find(|&(_, &v)| lower.depends_on(v) || upper.depends_on(v))
+            else {
+                return Sop::one();
+            };
+            let rest = &vars[pos + 1..];
+            let (l0, l1) = (lower.cofactor0(x), lower.cofactor1(x));
+            let (u0, u1) = (upper.cofactor0(x), upper.cofactor1(x));
+            let c0 = rec(&(&l0 & &!&u1), &u0, rest);
+            let c1 = rec(&(&l1 & &!&u0), &u1, rest);
+            let cov0 = c0.to_table(lower.num_vars());
+            let cov1 = c1.to_table(lower.num_vars());
+            let d0 = &l0 & &!&cov0;
+            let d1 = &l1 & &!&cov1;
+            let cstar = rec(&(&d0 | &d1), &(&u0 & &u1), rest);
+            let mut cubes = Vec::new();
+            for c in c0.cubes() {
+                let mut c = c.clone();
+                c.add_literal(x, false);
+                cubes.push(c);
+            }
+            for c in c1.cubes() {
+                let mut c = c.clone();
+                c.add_literal(x, true);
+                cubes.push(c);
+            }
+            cubes.extend(cstar.cubes().iter().cloned());
+            Sop::from_cubes(cubes)
+        }
+        let vars: Vec<usize> = (0..t.num_vars()).collect();
+        rec(t, t, &vars)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(300))]
+
+        #[test]
+        fn isop_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            n in 0usize..13,
+            density in 0u64..8,
+        ) {
+            // an on-set of density/8 (0 and 7 give near-constant tables)
+            let mut rng = bits | 1;
+            let t = TruthTable::from_fn(n, |_| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % 8 < density + u64::from(density == 7)
+            });
+            let cover = Sop::isop(&t);
+            proptest::prop_assert_eq!(cover.cubes(), isop_reference(&t).cubes());
+            proptest::prop_assert_eq!(cover.to_table(n), t);
+        }
+
+        #[test]
+        fn table_over_matches_minterm_evaluation(
+            bits in proptest::arbitrary::any::<u64>(),
+            cubes in 0usize..6,
+        ) {
+            // a cover over sparse variable indices, read back over a
+            // permuted input order
+            let vars = [3usize, 70, 9, 1, 130, 12, 5];
+            let mut rng = bits | 1;
+            let mut next = move |k: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % k
+            };
+            let f = Sop::from_cubes((0..cubes).map(|_| {
+                let mut c = Cube::universe();
+                for &v in &vars {
+                    match next(3) {
+                        0 => {}
+                        p => {
+                            c.add_literal(v, p == 1);
+                        }
+                    }
+                }
+                c
+            }));
+            let t = f.table_over(&vars);
+            for m in 0..(1u64 << vars.len()) {
+                let on = f.cubes().iter().any(|c| {
+                    vars.iter().enumerate().all(|(b, &v)| match c.phase(v) {
+                        None => true,
+                        Some(ph) => ph == (m >> b & 1 != 0),
+                    })
+                });
+                proptest::prop_assert_eq!(t.eval(m), on, "minterm {}", m);
+            }
+        }
     }
 
     #[test]

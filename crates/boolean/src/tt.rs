@@ -36,7 +36,7 @@ pub struct TruthTable {
     words: Vec<u64>,
 }
 
-fn words_for(n: usize) -> usize {
+pub(crate) fn words_for(n: usize) -> usize {
     if n >= 6 {
         1 << (n - 6)
     } else {
@@ -45,7 +45,7 @@ fn words_for(n: usize) -> usize {
 }
 
 /// Mask of the valid bits in the single word of a table with `n < 6` inputs.
-fn tail_mask(n: usize) -> u64 {
+pub(crate) fn tail_mask(n: usize) -> u64 {
     if n >= 6 {
         !0
     } else {
@@ -84,28 +84,16 @@ impl TruthTable {
     /// Panics if `var >= n` or `n > MAX_TT_VARS`.
     pub fn var(n: usize, var: usize) -> Self {
         assert!(var < n, "variable {var} out of range for {n} inputs");
-        let mut t = TruthTable::zero(n);
-        if var >= 6 {
-            let stride = 1usize << (var - 6);
-            let mut i = 0;
-            while i < t.words.len() {
-                for j in 0..stride {
-                    t.words[i + stride + j] = !0;
-                }
-                i += 2 * stride;
-            }
-        } else {
-            // pattern within a word, e.g. var 0 -> 0xAAAA...
-            let mut pat = 0u64;
-            for i in 0..64u64 {
-                if i & (1 << var) != 0 {
-                    pat |= 1 << i;
-                }
-            }
-            for w in &mut t.words {
-                *w = pat;
-            }
-        }
+        let mut t = TruthTable::one(n);
+        words::and_literal(&mut t.words, var, true);
+        t
+    }
+
+    /// Builds a table from raw words (bit `i` = the value on assignment
+    /// `i`), clearing the bits past `2^n`.
+    pub(crate) fn from_words(n: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), words_for(n), "wrong word count for {n} inputs");
+        let mut t = TruthTable { n, words };
         t.mask_tail();
         t
     }
@@ -189,63 +177,33 @@ impl TruthTable {
     /// returned as a table over the same `n` variables (independent of
     /// `var`).
     pub fn cofactor1(&self, var: usize) -> Self {
-        let v = TruthTable::var(self.n, var);
-        let hi = self & &v;
-        hi.expand_from(var, true)
+        self.cofactor(var, true)
     }
 
     /// The negative cofactor with respect to `var` (`f` with `var = 0`).
     pub fn cofactor0(&self, var: usize) -> Self {
-        let v = TruthTable::var(self.n, var);
-        let lo = self & &!&v;
-        lo.expand_from(var, false)
+        self.cofactor(var, false)
     }
 
-    /// Duplicates the half of the table where `var == from_half` onto the
-    /// other half, making the function independent of `var`.
-    fn expand_from(&self, var: usize, from_half: bool) -> Self {
-        let mut t = self.clone();
-        if var >= 6 {
-            let stride = 1usize << (var - 6);
-            let mut i = 0;
-            while i < t.words.len() {
-                for j in 0..stride {
-                    if from_half {
-                        t.words[i + j] = t.words[i + stride + j];
-                    } else {
-                        t.words[i + stride + j] = t.words[i + j];
-                    }
-                }
-                i += 2 * stride;
-            }
-        } else {
-            let shift = 1u32 << var;
-            let vpat = {
-                let mut pat = 0u64;
-                for i in 0..64u64 {
-                    if i & (1 << var) != 0 {
-                        pat |= 1 << i;
-                    }
-                }
-                pat
-            };
-            for w in &mut t.words {
-                if from_half {
-                    let hi = *w & vpat;
-                    *w = hi | (hi >> shift);
-                } else {
-                    let lo = *w & !vpat;
-                    *w = lo | (lo << shift);
-                }
-            }
-        }
-        t.mask_tail();
+    fn cofactor(&self, var: usize, phase: bool) -> Self {
+        self.check_var(var);
+        let mut t = TruthTable::zero(self.n);
+        words::cofactor(&self.words, var, phase, &mut t.words);
         t
     }
 
     /// Whether the function depends on `var`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
+        self.check_var(var);
+        words::depends_on(&self.words, var)
+    }
+
+    fn check_var(&self, var: usize) {
+        assert!(
+            var < self.n,
+            "variable {var} out of range for {} inputs",
+            self.n
+        );
     }
 
     /// The set of variables the function actually depends on.
@@ -327,6 +285,83 @@ impl Not for TruthTable {
     type Output = TruthTable;
     fn not(self) -> TruthTable {
         !&self
+    }
+}
+
+/// Word-level kernels over raw tables (`&[u64]`, bit `i` = the value on
+/// assignment `i`), shared by [`TruthTable`] and the ISOP recursion of
+/// [`crate::Sop::isop`], which works on flat word buffers.
+pub(crate) mod words {
+    /// Bit `i` is set when bit `var` of `i` is: input `var < 6` within a
+    /// word.
+    const PATTERNS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+
+    /// ANDs the literal `var` (negated unless `phase`) into `t`. Bits past
+    /// `2^n` of a table with `n < 6` inputs may be set afterwards.
+    pub(crate) fn and_literal(t: &mut [u64], var: usize, phase: bool) {
+        if var < 6 {
+            let pat = if phase { PATTERNS[var] } else { !PATTERNS[var] };
+            for w in t {
+                *w &= pat;
+            }
+        } else {
+            let shift = var - 6;
+            for (i, w) in t.iter_mut().enumerate() {
+                if (i >> shift) & 1 != usize::from(phase) {
+                    *w = 0;
+                }
+            }
+        }
+    }
+
+    /// Writes into `out` the cofactor of `t` with `var = phase`, as a
+    /// table over the same inputs (independent of `var`).
+    pub(crate) fn cofactor(t: &[u64], var: usize, phase: bool, out: &mut [u64]) {
+        if var < 6 {
+            let (pat, shift) = (PATTERNS[var], 1u32 << var);
+            for (o, &w) in out.iter_mut().zip(t) {
+                *o = if phase {
+                    let hi = w & pat;
+                    hi | (hi >> shift)
+                } else {
+                    let lo = w & !pat;
+                    lo | (lo << shift)
+                };
+            }
+        } else {
+            let stride = 1usize << (var - 6);
+            for (o, src) in out
+                .chunks_exact_mut(2 * stride)
+                .zip(t.chunks_exact(2 * stride))
+            {
+                let half = if phase {
+                    &src[stride..]
+                } else {
+                    &src[..stride]
+                };
+                o[..stride].copy_from_slice(half);
+                o[stride..].copy_from_slice(half);
+            }
+        }
+    }
+
+    /// Whether `t` depends on `var`.
+    pub(crate) fn depends_on(t: &[u64], var: usize) -> bool {
+        if var < 6 {
+            let (pat, shift) = (PATTERNS[var], 1u32 << var);
+            t.iter().any(|&w| (w ^ (w >> shift)) & !pat != 0)
+        } else {
+            let stride = 1usize << (var - 6);
+            t.chunks_exact(2 * stride)
+                .any(|c| c[..stride] != c[stride..])
+        }
     }
 }
 

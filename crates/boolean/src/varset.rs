@@ -162,6 +162,15 @@ impl VarSet {
         s
     }
 
+    /// `|self ∩ other|`, counted without building the intersection.
+    pub fn intersection_len(&self, other: &VarSet) -> usize {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &VarSet) -> VarSet {
         let words: Vec<u64> = self
@@ -197,6 +206,14 @@ impl VarSet {
         for (i, w) in other.words.iter().enumerate() {
             self.words[i] |= w;
         }
+    }
+
+    /// Whether `self \ minus == other \ other_minus`, compared word by
+    /// word without building either difference.
+    pub fn difference_eq(&self, minus: &VarSet, other: &VarSet, other_minus: &VarSet) -> bool {
+        let word = |s: &VarSet, i: usize| s.words.get(i).copied().unwrap_or(0);
+        (0..self.words.len().max(other.words.len()))
+            .all(|i| word(self, i) & !word(minus, i) == word(other, i) & !word(other_minus, i))
     }
 
     /// Iterates over the member variables in increasing order.
@@ -346,8 +363,20 @@ mod tests {
         let b = VarSet::from_vars([2, 3]);
         assert_eq!(a.union(&b), VarSet::from_vars([0, 1, 2, 3]));
         assert_eq!(a.intersection(&b), VarSet::from_vars([2]));
+        assert_eq!(a.intersection_len(&b), 1);
+        assert_eq!(a.intersection_len(&VarSet::from_vars([0, 2, 99])), 2);
         assert_eq!(a.difference(&b), VarSet::from_vars([0, 1]));
         assert_eq!(a.symmetric_difference(&b), VarSet::from_vars([0, 1, 3]));
+    }
+
+    #[test]
+    fn difference_eq_compares_differences() {
+        let a = VarSet::from_vars([1, 2, 70]);
+        let b = VarSet::from_vars([1, 2, 5, 130]);
+        let (ma, mb) = (VarSet::from_vars([70]), VarSet::from_vars([5, 130]));
+        assert!(a.difference_eq(&ma, &b, &mb)); // {1,2} both
+        assert!(!a.difference_eq(&VarSet::new(), &b, &mb)); // {1,2,70} vs {1,2}
+        assert!(!b.difference_eq(&ma, &a, &ma)); // {1,2,5,130} vs {1,2}
     }
 
     #[test]

@@ -1107,7 +1107,7 @@ fn synthesize_outputs(
 /// The macro-block synthesis path: rebuild SIS-style blocks with
 /// `eliminate`, then FPRM-synthesize each block function locally.
 fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer) -> Network {
-    use xsynth_boolean::{Fprm, TruthTable};
+    use xsynth_boolean::Fprm;
     let s = buf.span("eliminate", |_| {
         let mut s = SopNet::from_network(spec);
         s.eliminate(8, 64);
@@ -1129,15 +1129,7 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
         buf.count("blocks.synthesized", 1);
         let sid = if support.len() <= 12 && cover.num_cubes() <= 256 {
             // local truth table over the block's fanin signals
-            let k = support.len();
-            let tt = TruthTable::from_fn(k, |m| {
-                cover.cubes().iter().any(|c| {
-                    support.iter().enumerate().all(|(b, &v)| match c.phase(v) {
-                        None => true,
-                        Some(ph) => ph == (m & (1 << b) != 0),
-                    })
-                })
-            });
+            let tt = cover.table_over(&support);
             let pol = optimize_polarity(&tt, opts.polarity);
             let fprm = Fprm::from_table(&tt, &pol);
             let expr = factor_cubes_traced(fprm.cubes(), opts.apply_rules, buf);

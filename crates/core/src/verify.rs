@@ -57,6 +57,9 @@ pub struct EquivChecker {
     budget: Budget,
     /// Compactions not yet counted in a trace.
     compacted: u64,
+    /// Downgrades and simulated patterns of rewrite checks not yet
+    /// counted in a trace.
+    untraced: (u64, u64),
     /// The largest size, apply-cache hits and apply-cache misses of the
     /// managers compaction retired.
     retired: (usize, u64, u64),
@@ -120,6 +123,7 @@ impl EquivChecker {
             sim: None,
             budget: budget.clone(),
             compacted: 0,
+            untraced: (0, 0),
             retired: (0, 0, 0),
         }
     }
@@ -150,18 +154,31 @@ impl EquivChecker {
 
     /// Records the manager's readings, those of the managers compaction
     /// retired included, as the `bdd.apply_hits`, `bdd.apply_misses`,
-    /// `bdd.nodes` and `bdd.peak_nodes` gauges, and the compactions since
-    /// the last record as `verify.compacted`.
+    /// `bdd.nodes` and `bdd.peak_nodes` gauges, the compactions since
+    /// the last record as `verify.compacted`, and what the rewrite checks
+    /// since then did on the simulation backend as `verify.downgraded`
+    /// and `verify.sim_patterns`.
     pub(crate) fn record(&mut self, buf: &mut TraceBuffer) {
         let ((_, hits, misses), (h, m)) = (self.retired, self.bm.apply_cache_stats());
         buf.gauge("bdd.apply_hits", (hits + h) as f64);
         buf.gauge("bdd.apply_misses", (misses + m) as f64);
         buf.gauge("bdd.nodes", self.bm.num_nodes() as f64);
         buf.gauge("bdd.peak_nodes", self.peak_nodes() as f64);
-        let compacted = std::mem::take(&mut self.compacted);
-        if compacted > 0 {
-            buf.count("verify.compacted", compacted);
-        }
+        buf.count("verify.compacted", std::mem::take(&mut self.compacted));
+        let (downgraded, patterns) = std::mem::take(&mut self.untraced);
+        buf.count("verify.downgraded", downgraded);
+        buf.count("verify.sim_patterns", patterns);
+    }
+
+    /// What a check just made adds to the trace: whether it downgraded the
+    /// checker (it was not `was_downgraded`), and the patterns it
+    /// simulated when the checker is on the simulation backend.
+    fn check_counts(&self, was_downgraded: bool) -> (u64, u64) {
+        let downgraded = u64::from(self.downgraded() && !was_downgraded);
+        let patterns = self.sim.as_ref().map_or(0, |sim| {
+            sim.blocks.iter().map(|pb| u64::from(pb.lanes)).sum()
+        });
+        (downgraded, patterns)
     }
 
     /// The largest size of the checker's manager so far.
@@ -241,14 +258,10 @@ impl EquivChecker {
         buf.count("verify.checks", 1);
         let was_downgraded = self.downgraded();
         let result = self.try_check(candidate);
-        if self.downgraded() && !was_downgraded {
-            buf.count("verify.downgraded", 1);
-        }
+        let (downgraded, patterns) = self.check_counts(was_downgraded);
+        buf.count("verify.downgraded", downgraded);
         buf.gauge("bdd.peak_nodes", self.peak_nodes() as f64);
-        if let Some(sim) = &self.sim {
-            let patterns = sim.blocks.iter().map(|pb| u64::from(pb.lanes)).sum();
-            buf.count("verify.sim_patterns", patterns);
-        }
+        buf.count("verify.sim_patterns", patterns);
         buf.end();
         result
     }
@@ -310,8 +323,24 @@ impl EquivChecker {
     /// Without values from [`EquivChecker::begin_rewrites`] this is
     /// `try_check`. If the values trip the node cap, the checker compacts,
     /// which drops them, and checks `candidate` and every later rewrite
-    /// as a whole network.
+    /// as a whole network. A downgrade and the patterns simulated are
+    /// counted for the next [`EquivChecker::record`].
     pub(crate) fn check_rewrite(
+        &mut self,
+        candidate: &Network,
+        order: &[SignalId],
+        gate: SignalId,
+    ) -> Result<bool, Error> {
+        let was_downgraded = self.downgraded();
+        let result = self.rewrite_verdict(candidate, order, gate);
+        let (downgraded, patterns) = self.check_counts(was_downgraded);
+        self.untraced.0 += downgraded;
+        self.untraced.1 += patterns;
+        result
+    }
+
+    /// The body of [`EquivChecker::check_rewrite`].
+    fn rewrite_verdict(
         &mut self,
         candidate: &Network,
         order: &[SignalId],
@@ -765,11 +794,9 @@ mod tests {
         assert!(!c.try_check(&build(true)).unwrap());
     }
 
-    #[test]
-    fn mid_check_downgrade_keeps_checking() {
-        // The reference (a single AND) fits in a tight manager, but a
-        // candidate with a wide XOR layer blows the cap mid-check. The
-        // checker must downgrade and still return a verdict.
+    /// A single 10-input AND, and an equivalent candidate with a wide XOR
+    /// layer whose BDDs need far more nodes.
+    fn and_with_xor_detour() -> (Network, Network) {
         let mut reference = Network::new("r");
         let ins: Vec<_> = (0..10)
             .map(|i| reference.add_input(format!("x{i}")))
@@ -788,7 +815,15 @@ mod tests {
         let h = candidate.add_gate(GateKind::And, cins);
         let o = candidate.add_gate(GateKind::Or, vec![acc, h]);
         candidate.add_output("f", o);
+        (reference, candidate)
+    }
 
+    #[test]
+    fn mid_check_downgrade_keeps_checking() {
+        // The reference (a single AND) fits in a tight manager, but a
+        // candidate with a wide XOR layer blows the cap mid-check. The
+        // checker must downgrade and still return a verdict.
+        let (reference, candidate) = and_with_xor_detour();
         let budget = Budget::default().bdd_node_cap(Some(80));
         let mut c = EquivChecker::with_budget(&reference, &budget);
         assert!(c.is_exact(), "reference fits under the cap");
@@ -803,6 +838,30 @@ mod tests {
         assert!(!c.is_exact());
         let t = sink.take();
         assert_eq!(t.counter_totals()["verify.downgraded"], 1);
+    }
+
+    #[test]
+    fn rewrite_check_downgrade_is_counted() {
+        // A job's checker capped at the reference's size: a rewrite check
+        // without node values is a whole-network check, which trips the
+        // cap, compacts, trips again and downgrades. The next record
+        // counts the downgrade and the patterns simulated.
+        let (reference, candidate) = and_with_xor_detour();
+        let mut bm = new_manager(10, None);
+        let outputs = network_bdds(&reference, &mut bm).expect("uncapped");
+        bm.set_node_limit(Some(bm.num_nodes()));
+        let mut c = EquivChecker::from_spec(&reference, bm, outputs, &Budget::default());
+        let order = candidate.topo_order();
+        let gate = candidate.outputs()[0].1;
+        assert!(c.check_rewrite(&candidate, &order, gate).unwrap());
+        assert!(c.downgraded());
+        assert!(c.check_rewrite(&candidate, &order, gate).unwrap());
+        let sink = TraceSink::new();
+        c.record(&mut sink.buffer(0, "main"));
+        let counters = sink.take().counter_totals();
+        assert_eq!(counters["verify.compacted"], 1);
+        assert_eq!(counters["verify.downgraded"], 1);
+        assert_eq!(counters["verify.sim_patterns"], 2 * SIM_PATTERNS as u64);
     }
 
     #[test]

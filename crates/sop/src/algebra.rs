@@ -1,7 +1,7 @@
 //! Algebraic (weak) division, kernel extraction and factoring over
 //! sum-of-products covers — the Brayton–McMullen toolbox behind MIS/SIS.
 
-use xsynth_boolean::{Cube, Sop};
+use xsynth_boolean::{Cube, Sop, VarSet};
 
 /// Weak (algebraic) division `f / d`, returning `(quotient, remainder)`
 /// with `f = quotient·d + remainder` and the quotient maximal.
@@ -99,89 +99,168 @@ pub struct Kernel {
 /// Computes the kernels of `f` (Brayton–McMullen recursive algorithm),
 /// including `f` itself when it is cube-free and has ≥ 2 cubes. The result
 /// is capped at `limit` kernels to bound runtime on pathological covers.
+///
+/// The recursion runs on `MaskCover` words: a cube is a bit mask over
+/// `f`'s literals, so co-kernels, quotients and the duplicate check are
+/// word operations, and only the kernels returned are built as covers.
 pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
-    let mut out = Vec::new();
-    // literal universe in a stable order
-    let mut lits: Vec<(usize, bool)> = Vec::new();
+    let mc = MaskCover::new(f);
+    let w = mc.w;
+    let mut base: Vec<u64> = Vec::with_capacity(f.num_cubes() * w);
     for c in f.cubes() {
-        for v in c.positive().iter() {
-            if !lits.contains(&(v, true)) {
-                lits.push((v, true));
-            }
-        }
-        for v in c.negative().iter() {
-            if !lits.contains(&(v, false)) {
-                lits.push((v, false));
-            }
+        mc.push_mask(c, &mut base);
+    }
+    let mut cc = vec![0; w];
+    mc.common(&base, &mut cc);
+    for m in base.chunks_exact_mut(w) {
+        for (x, c) in m.iter_mut().zip(&cc) {
+            *x &= !c;
         }
     }
-    lits.sort_unstable();
-    let base = {
-        let cc = common_cube(f);
-        let (q, _) = if cc.is_universe() {
-            (f.clone(), Sop::zero())
-        } else {
-            divide(f, &Sop::from_cubes([cc]))
-        };
-        q
-    };
-    if base.num_cubes() >= 2 {
+    let co = mc.cube(&cc);
+    let mut out = Vec::new();
+    let mut found: Vec<Vec<u64>> = Vec::new();
+    if base.len() >= 2 * w {
         out.push(Kernel {
-            kernel: base.clone(),
-            cokernel: common_cube(f),
+            kernel: mc.sop(&base),
+            cokernel: co.clone(),
         });
+        found.push(base.clone());
     }
-    kernels_rec(&base, &lits, 0, &common_cube(f), &mut out, limit);
+    kernels_rec(&mc, &base, 0, &co, &mut found, &mut out, limit);
     out
 }
 
+/// A cover's literals in sorted order; bit `i` of a cube mask stands for
+/// `lits[i]`, and each mask takes `w` words.
+struct MaskCover {
+    lits: Vec<(usize, bool)>,
+    w: usize,
+}
+
+impl MaskCover {
+    fn new(f: &Sop) -> MaskCover {
+        let mut lits: Vec<(usize, bool)> = f
+            .cubes()
+            .iter()
+            .flat_map(|c| {
+                let pos = c.positive().iter().map(|v| (v, true));
+                pos.chain(c.negative().iter().map(|v| (v, false)))
+            })
+            .collect();
+        lits.sort_unstable();
+        lits.dedup();
+        let w = lits.len().div_ceil(64).max(1);
+        MaskCover { lits, w }
+    }
+
+    /// Appends the mask of `c` (a cube over these literals) to `out`.
+    fn push_mask(&self, c: &Cube, out: &mut Vec<u64>) {
+        let at = out.len();
+        out.resize(at + self.w, 0);
+        let pos = c.positive().iter().map(|v| (v, true));
+        for lit in pos.chain(c.negative().iter().map(|v| (v, false))) {
+            let i = self
+                .lits
+                .binary_search(&lit)
+                .expect("a literal of the cover");
+            out[at + i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// The AND of the masks in `cubes` (zero when there are none).
+    fn common(&self, cubes: &[u64], cc: &mut [u64]) {
+        cc.fill(if cubes.is_empty() { 0 } else { !0 });
+        for m in cubes.chunks_exact(self.w) {
+            for (c, x) in cc.iter_mut().zip(m) {
+                *c &= x;
+            }
+        }
+    }
+
+    fn cube(&self, mask: &[u64]) -> Cube {
+        let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
+        for (k, &word) in mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let (v, ph) = self.lits[k * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if ph {
+                    pos.insert(v);
+                } else {
+                    neg.insert(v);
+                }
+            }
+        }
+        Cube::from_sets(pos, neg).expect("the literals of one cube")
+    }
+
+    fn sop(&self, masks: &[u64]) -> Sop {
+        masks.chunks_exact(self.w).map(|m| self.cube(m)).collect()
+    }
+}
+
+/// `covers_same` on masks: as many cubes, each of `a`'s also in `b`.
+fn same_masks(a: &[u64], b: &[u64], w: usize) -> bool {
+    a.len() == b.len() && a.chunks_exact(w).all(|x| b.chunks_exact(w).any(|y| x == y))
+}
+
 fn kernels_rec(
-    f: &Sop,
-    lits: &[(usize, bool)],
+    mc: &MaskCover,
+    f: &[u64],
     start: usize,
     co_so_far: &Cube,
+    found: &mut Vec<Vec<u64>>,
     out: &mut Vec<Kernel>,
     limit: usize,
 ) {
     if out.len() >= limit {
         return;
     }
-    for (i, &(v, ph)) in lits.iter().enumerate().skip(start) {
-        let lit_cube = Cube::literal(v, ph);
-        let containing: Vec<&Cube> = f.cubes().iter().filter(|c| c.implies(&lit_cube)).collect();
-        if containing.len() < 2 {
+    let w = mc.w;
+    let mut cc = vec![0; w];
+    let mut q: Vec<u64> = Vec::new();
+    for i in start..mc.lits.len() {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        q.clear();
+        for m in f.chunks_exact(w).filter(|m| m[word] & bit != 0) {
+            q.extend_from_slice(m);
+        }
+        if q.len() < 2 * w {
             continue;
         }
         // co-kernel: largest cube common to the containing cubes
-        let sub = Sop::from_cubes(containing.into_iter().cloned().collect::<Vec<_>>());
-        let cc = common_cube(&sub);
+        mc.common(&q, &mut cc);
         // skip if a smaller-indexed literal is in cc: that kernel was
         // already produced from that literal
-        let dominated = lits[..i].iter().any(|&(u, up)| {
-            let l = Cube::literal(u, up);
-            cc.implies(&l)
-        });
-        if dominated {
+        if cc[..word].iter().any(|&x| x != 0) || cc[word] & (bit - 1) != 0 {
             continue;
         }
-        let (q, _) = divide(&sub, &Sop::from_cubes([cc.clone()]));
-        if q.num_cubes() < 2 || q.has_universe() {
+        for m in q.chunks_exact_mut(w) {
+            for (x, c) in m.iter_mut().zip(&cc) {
+                *x &= !c;
+            }
+        }
+        if q.chunks_exact(w).any(|m| m.iter().all(|&x| x == 0)) {
             // a universe cube in the quotient only arises from duplicate
             // cubes in the cover; such a "kernel" is degenerate (dividing
             // by it returns the cover itself and factoring would loop)
             continue;
         }
-        let co = co_so_far.intersect(&cc).unwrap_or_else(Cube::universe);
-        if !out.iter().any(|k| covers_same(&k.kernel, &q)) {
+        let co = co_so_far
+            .intersect(&mc.cube(&cc))
+            .unwrap_or_else(Cube::universe);
+        if !found.iter().any(|k| same_masks(k, &q, w)) {
             out.push(Kernel {
-                kernel: q.clone(),
+                kernel: mc.sop(&q),
                 cokernel: co.clone(),
             });
+            found.push(q.clone());
             if out.len() >= limit {
                 return;
             }
         }
-        kernels_rec(&q, lits, i + 1, &co, out, limit);
+        kernels_rec(mc, &q, i + 1, &co, found, out, limit);
     }
 }
 

@@ -32,5 +32,5 @@ pub mod algebra;
 mod script;
 mod sopnet;
 
-pub use script::{script_algebraic, ScriptOptions};
+pub use script::{script_algebraic, script_algebraic_traced, ScriptOptions};
 pub use sopnet::{emit_factored, SopNet};

@@ -3,6 +3,7 @@
 
 use crate::sopnet::SopNet;
 use xsynth_net::Network;
+use xsynth_trace::{TraceBuffer, TraceSink};
 
 /// Options controlling the [`script_algebraic`] flow.
 #[derive(Debug, Clone)]
@@ -38,6 +39,8 @@ impl Default for ScriptOptions {
 /// 4. algebraic resubstitution,
 /// 5. final `eliminate -1`-style cleanup and good-factor lowering.
 ///
+/// [`script_algebraic_traced`] is the same script recording its steps.
+///
 /// # Examples
 ///
 /// ```
@@ -58,17 +61,61 @@ impl Default for ScriptOptions {
 /// }
 /// ```
 pub fn script_algebraic(net: &Network, opts: &ScriptOptions) -> Network {
-    let mut s = SopNet::from_network(&net.sweep());
-    s.eliminate(opts.eliminate_threshold, opts.max_cover_cubes);
-    s.simplify();
+    let sink = TraceSink::new();
+    let mut buf = sink.buffer(0, "sop");
+    let out = script_algebraic_traced(net, opts, &mut buf);
+    buf.discard();
+    out
+}
+
+/// [`script_algebraic`] recording into `buf`: one span per step, named
+/// `eliminate` (the first one includes the conversion to SOP nodes),
+/// `simplify`, `extract`, `resubstitute` and `lower`, with the divisors
+/// extracted and the rewrites resubstitution applied counted as
+/// `sop.extracted` and `sop.resubstituted`.
+///
+/// # Examples
+///
+/// ```
+/// use xsynth_net::{GateKind, Network};
+/// use xsynth_sop::script_algebraic_traced;
+/// use xsynth_trace::TraceSink;
+///
+/// let mut n = Network::new("f");
+/// let (a, b, c) = (n.add_input("a"), n.add_input("b"), n.add_input("c"));
+/// let ab = n.add_gate(GateKind::And, vec![a, b]);
+/// let ac = n.add_gate(GateKind::And, vec![a, c]);
+/// let o = n.add_gate(GateKind::Or, vec![ab, ac]);
+/// n.add_output("o", o);
+/// let sink = TraceSink::new();
+/// script_algebraic_traced(&n, &Default::default(), &mut sink.buffer(0, "sop"));
+/// assert!(sink.take().span_names().contains("extract"));
+/// ```
+pub fn script_algebraic_traced(
+    net: &Network,
+    opts: &ScriptOptions,
+    buf: &mut TraceBuffer,
+) -> Network {
+    let mut s = buf.span("eliminate", |_| {
+        let mut s = SopNet::from_network(&net.sweep());
+        s.eliminate(opts.eliminate_threshold, opts.max_cover_cubes);
+        s
+    });
+    buf.span("simplify", |_| s.simplify());
     for _ in 0..opts.rounds {
-        s.extract(opts.max_extracted);
-        s.resubstitute();
-        s.simplify();
+        buf.span("extract", |b| {
+            let made = s.extract(opts.max_extracted);
+            b.count("sop.extracted", made as u64);
+        });
+        buf.span("resubstitute", |b| {
+            let applied = s.resubstitute();
+            b.count("sop.resubstituted", applied as u64);
+        });
+        buf.span("simplify", |_| s.simplify());
         // drop single-use leftovers created by extraction
-        s.eliminate(0, opts.max_cover_cubes);
+        buf.span("eliminate", |_| s.eliminate(0, opts.max_cover_cubes));
     }
-    s.to_network().sweep()
+    buf.span("lower", |_| s.to_network().sweep())
 }
 
 #[cfg(test)]
@@ -149,6 +196,22 @@ mod tests {
         }
         let (g, _) = opt.two_input_cost();
         assert!(g <= 4, "shared (a+b) should leave ≤4 gates, got {g}");
+    }
+
+    #[test]
+    fn traced_script_records_every_step() {
+        let net = two_level(5, |m| (m * 7 + 3) % 11 < 4);
+        let sink = TraceSink::new();
+        let traced = script_algebraic_traced(&net, &Default::default(), &mut sink.buffer(0, "t"));
+        let untraced = script_algebraic(&net, &Default::default());
+        assert_eq!(traced.to_string(), untraced.to_string());
+        let trace = sink.take();
+        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
+            assert!(trace.span_names().contains(step), "missing {step}");
+        }
+        // two rounds: each extract and resubstitute span is one step
+        let forest = trace.forest();
+        assert_eq!(forest.iter().filter(|n| n.name == "extract").count(), 2);
     }
 
     #[test]

@@ -1,8 +1,23 @@
 //! A network of SOP nodes — the SIS/MIS working representation.
+//!
+//! The greedy loops do work only where a cover changed, and give the
+//! results of the whole-network loops they replaced (kept as test
+//! oracles) byte for byte. Every trial division is filtered first by a
+//! `Signature` of the covers' literals and counted without building the
+//! quotient (`rewritten_literals`). [`SopNet::extract`] keeps each
+//! node's candidate divisors and each candidate's per-node savings
+//! (`Extraction`), so a round re-derives only the rewritten nodes and
+//! the new divisor node, with the same candidate order, representatives,
+//! 500-candidate cut and first-strictly-best pick. [`SopNet::eliminate`]
+//! re-scores only the nodes a collapse touched and caches each node's
+//! complement; [`SopNet::resubstitute`] keeps the signatures.
 
 use crate::algebra::{self, covers_same, Factored};
-use std::collections::{BTreeSet, HashMap};
-use xsynth_boolean::{Cube, Sop};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
+use xsynth_boolean::{Cube, Sop, VarSet};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
 /// A multilevel network in which every internal node carries a
@@ -236,16 +251,7 @@ impl SopNet {
         for n in self.nodes.iter_mut().flatten() {
             let support: Vec<usize> = n.support().iter().collect();
             if support.len() <= 12 && n.num_cubes() <= 512 {
-                let k = support.len();
-                let cover = n.clone();
-                let t = xsynth_boolean::TruthTable::from_fn(k, |m| {
-                    cover.cubes().iter().any(|c| {
-                        support.iter().enumerate().all(|(b, &v)| match c.phase(v) {
-                            None => true,
-                            Some(ph) => ph == (m & (1 << b) != 0),
-                        })
-                    })
-                });
+                let t = n.table_over(&support);
                 let local = Sop::isop(&t);
                 let mut cubes = Vec::new();
                 for c in local.cubes() {
@@ -274,7 +280,14 @@ impl SopNet {
     /// nodes of `fanouts` (every live node reading it) would cause
     /// (negative = shrink), or `None` when the cover is over `max_cover`
     /// cubes or a negative reference needs an oversized complement.
-    fn collapse_delta(&self, signal: usize, fanouts: &[usize], max_cover: usize) -> Option<i64> {
+    /// `complements` caches each node's complement (see [`SopNet::eliminate`]).
+    fn collapse_delta(
+        &self,
+        signal: usize,
+        fanouts: &[usize],
+        max_cover: usize,
+        complements: &mut [Option<Sop>],
+    ) -> Option<i64> {
         let cover = self.cover(signal)?;
         if cover.num_cubes() > max_cover {
             return None;
@@ -283,7 +296,7 @@ impl SopNet {
             if cover.num_cubes() > 24 {
                 return None; // complement could blow up
             }
-            Some(cover.complement())
+            Some(self.complement(signal, complements))
         } else {
             None
         };
@@ -294,21 +307,28 @@ impl SopNet {
                 let sub = if ph {
                     cover
                 } else {
-                    complement.as_ref().expect("computed when needed")
+                    complement.expect("computed when needed")
                 };
                 let mut rest = c.clone();
                 rest.remove_var(signal);
                 let old = c.num_literals() as i64;
-                let mut new = 0i64;
-                for sc in sub.cubes() {
-                    if let Some(m) = rest.intersect(sc) {
-                        new += m.num_literals() as i64;
-                    }
-                }
-                delta += new - old;
+                let new: usize = sub
+                    .cubes()
+                    .iter()
+                    .filter_map(|sc| rest.intersect_len(sc))
+                    .sum();
+                delta += new as i64 - old;
             }
         }
         Some(delta)
+    }
+
+    /// The complement of node `signal`'s cover, from `cache` (indexed by
+    /// node) or computed into it. It depends on that cover alone, so only
+    /// a rewrite of the node itself invalidates it.
+    fn complement<'c>(&self, signal: usize, cache: &'c mut [Option<Sop>]) -> &'c Sop {
+        let cover = self.cover(signal).expect("complemented node is live");
+        cache[signal - self.num_pis()].get_or_insert_with(|| cover.complement())
     }
 
     /// Whether some cover in `fanouts` reads `signal` in negative phase.
@@ -324,16 +344,18 @@ impl SopNet {
 
     /// Substitutes the cover of node `signal` into every node of `fanouts`
     /// (every live node reading it), then deletes the node. Negative
-    /// references use the Shannon complement of the cover, computed only
-    /// when some fanout has one.
-    fn collapse(&mut self, signal: usize, fanouts: &[usize]) {
+    /// references use the Shannon complement of the cover (from
+    /// `complements`), computed only when some fanout has one; the
+    /// rewritten fanouts' cached complements are dropped.
+    fn collapse(&mut self, signal: usize, fanouts: &[usize], complements: &mut [Option<Sop>]) {
         let np = self.num_pis();
+        let cover_neg = self
+            .read_negated(signal, fanouts)
+            .then(|| self.complement(signal, complements).clone());
         let cover = self.nodes[signal - np]
             .take()
             .expect("collapsed node is live");
-        let cover_neg = self
-            .read_negated(signal, fanouts)
-            .then(|| cover.complement());
+        complements[signal - np] = None;
         for &f in fanouts {
             let old = self.cover(f).expect("fanouts are live");
             let mut new_cubes: Vec<Cube> = Vec::new();
@@ -359,6 +381,7 @@ impl SopNet {
             let mut ns = Sop::from_cubes(new_cubes);
             ns.remove_contained();
             self.nodes[f - np] = Some(ns);
+            complements[f - np] = None;
         }
     }
 
@@ -372,6 +395,8 @@ impl SopNet {
     /// read it, so after a collapse only the rewritten fanouts and their
     /// fanins are re-scored: the signals in their old supports and in the
     /// removed node's support (which together contain the new supports).
+    /// Each node's complement is cached until its own cover is rewritten,
+    /// so re-scoring a node whose fanouts changed does not recompute it.
     pub fn eliminate(&mut self, threshold: i64, max_cover: usize) {
         let np = self.num_pis();
         let mut is_output = vec![false; np + self.nodes.len()];
@@ -384,16 +409,17 @@ impl SopNet {
                 fanouts[v - np].push(sig);
             }
         }
+        let mut complements: Vec<Option<Sop>> = vec![None; self.nodes.len()];
         // `Some(i64::MIN)` marks a dead node, so the queue's first entry is
         // always the lowest dead node, else the lowest-signal minimum delta
-        let score = |s: &SopNet, sig: usize, fanouts: &[usize]| -> Option<i64> {
+        let score = |s: &SopNet, sig: usize, fanouts: &[usize], complements: &mut [Option<Sop>]| {
             s.cover(sig)?;
             if is_output[sig] {
                 None
             } else if fanouts.is_empty() {
                 Some(i64::MIN)
             } else {
-                s.collapse_delta(sig, fanouts, max_cover)
+                s.collapse_delta(sig, fanouts, max_cover, complements)
                     .filter(|&d| d <= threshold)
             }
         };
@@ -404,7 +430,7 @@ impl SopNet {
             dirty.sort_unstable();
             dirty.dedup();
             for v in dirty.drain(..) {
-                let s = score(self, v, &fanouts[v - np]);
+                let s = score(self, v, &fanouts[v - np], &mut complements);
                 if s != scores[v - np] {
                     if let Some(d) = scores[v - np] {
                         queue.remove(&(d, v));
@@ -426,7 +452,7 @@ impl SopNet {
             let users = std::mem::take(&mut fanouts[sig - np]);
             let old: Vec<Vec<usize>> = users.iter().map(|&f| self.node_fanins(f)).collect();
             // a dead node has no users, so this only deletes it
-            self.collapse(sig, &users);
+            self.collapse(sig, &users, &mut complements);
             for (&f, old) in users.iter().zip(old) {
                 let new = self.node_fanins(f);
                 for &v in old.iter().filter(|v| !new.contains(v)) {
@@ -453,99 +479,70 @@ impl SopNet {
     /// from every node, evaluates each candidate's exact literal saving by
     /// trial division against all nodes, and extracts the best until no
     /// candidate saves literals. Returns the number of divisors extracted.
+    ///
+    /// Incremental (see `Extraction`): a node's candidates and its share
+    /// of every candidate's saving depend on its cover alone, so after a
+    /// round only the rewritten nodes and the new divisor node are
+    /// recomputed. The result is the whole-network loop's: the same
+    /// candidate order and representatives, the same cut after 500
+    /// candidates, and the first strictly best saving wins.
     pub fn extract(&mut self, max_new_nodes: usize) -> usize {
+        let mut x = Extraction::new(self);
         let mut created = 0;
         while created < max_new_nodes {
-            let Some((divisor, gain)) = self.best_divisor() else {
+            let Some(id) = x.best(self) else {
                 break;
             };
-            if gain <= 0 {
-                break;
-            }
-            let y = self.add_node(divisor.clone());
-            for sig in self.live_signals() {
-                if sig == y {
-                    continue;
-                }
-                let f = self.cover(sig).expect("live").clone();
-                if let Some(nf) = rewrite_with_divisor(&f, &divisor, y) {
+            let divisor = Rc::clone(&x.candidates[id].sop);
+            let y = self.add_node(Sop::clone(&divisor));
+            // the nodes with a positive share are exactly those the
+            // division rewrites, each independently of the others
+            let users: Vec<usize> = x.candidates[id].shares.iter().map(|&(n, _)| n).collect();
+            for sig in users {
+                let f = self.cover(sig).expect("live");
+                if let Some(nf) = rewrite_with_divisor(f, &divisor, y) {
                     *self.cover_mut(sig).expect("live") = nf;
+                    x.touch(self, sig);
                 }
             }
+            x.touch(self, y);
             created += 1;
         }
         created
-    }
-
-    /// The candidate divisor with the best total literal saving, if any.
-    fn best_divisor(&self) -> Option<(Sop, i64)> {
-        let mut candidates: Vec<Sop> = Vec::new();
-        let push = |s: Sop, candidates: &mut Vec<Sop>| {
-            if s.num_cubes() >= 1 && !candidates.iter().any(|c| covers_same(c, &s)) {
-                candidates.push(s);
-            }
-        };
-        for sig in self.live_signals() {
-            let f = self.cover(sig).expect("live");
-            if f.num_cubes() < 2 {
-                continue;
-            }
-            for k in algebra::kernels(f, 30) {
-                if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
-                    push(k.kernel, &mut candidates);
-                }
-            }
-            // common cubes of pairs
-            for (i, a) in f.cubes().iter().enumerate() {
-                for b in f.cubes().iter().skip(i + 1) {
-                    let pos = a.positive().intersection(b.positive());
-                    let neg = a.negative().intersection(b.negative());
-                    if pos.len() + neg.len() >= 2 {
-                        let c = Cube::from_sets(pos, neg).expect("intersections disjoint");
-                        push(Sop::from_cubes([c]), &mut candidates);
-                    }
-                }
-            }
-            if candidates.len() > 500 {
-                break;
-            }
-        }
-        let mut best: Option<(Sop, i64)> = None;
-        for cand in candidates {
-            let mut gain: i64 = -(cand.num_literals() as i64); // cost of the new node
-            for sig in self.live_signals() {
-                let f = self.cover(sig).expect("live");
-                gain += rewrite_gain(f, &cand);
-            }
-            if best.as_ref().is_none_or(|(_, g)| gain > *g) && gain > 0 {
-                best = Some((cand, gain));
-            }
-        }
-        best
     }
 
     /// Algebraic resubstitution: for every ordered node pair, try dividing
     /// one node by another existing node (positive phase) and rewrite when
     /// it saves literals and keeps the network acyclic. Returns rewrites
     /// applied.
+    ///
+    /// Every node's `Signature` is kept (and refreshed on a rewrite), so
+    /// most pairs whose divisor uses a literal the target lacks are
+    /// skipped before any division.
     pub fn resubstitute(&mut self) -> usize {
+        let np = self.num_pis();
         let mut applied = 0;
         let sigs = self.live_signals();
+        let mut signatures = vec![Signature::default(); self.nodes.len()];
+        for &sig in &sigs {
+            signatures[sig - np] = Signature::of(self.cover(sig).expect("live"));
+        }
         for &target in &sigs {
             for &divisor_sig in &sigs {
                 if target == divisor_sig {
                     continue;
                 }
-                let Some(d) = self.cover(divisor_sig) else {
-                    continue;
-                };
+                let d = self
+                    .cover(divisor_sig)
+                    .expect("resubstitution kills no node");
                 if d.num_cubes() < 2 {
                     continue;
                 }
-                let Some(f) = self.cover(target) else {
-                    continue;
-                };
-                if f.support().contains(divisor_sig) {
+                if !signatures[target - np].may_divide(signatures[divisor_sig - np]) {
+                    continue; // the quotient is zero
+                }
+                let f = self.cover(target).expect("live");
+                if f.cubes().iter().any(|c| c.phase(divisor_sig).is_some()) {
                     continue; // already expressed through it
                 }
                 if rewrite_gain(f, d) <= 1 {
@@ -556,9 +553,8 @@ impl SopNet {
                 if self.depends_on(divisor_sig, target) {
                     continue;
                 }
-                let f = f.clone();
-                let d = d.clone();
-                if let Some(nf) = rewrite_with_divisor(&f, &d, divisor_sig) {
+                if let Some(nf) = rewrite_with_divisor(f, d, divisor_sig) {
+                    signatures[target - np] = Signature::of(&nf);
                     *self.cover_mut(target).expect("live") = nf;
                     applied += 1;
                 }
@@ -568,17 +564,30 @@ impl SopNet {
     }
 
     /// Whether the cone of `signal` (transitively) references `other`.
+    /// An iterative search that visits each node once.
     pub fn depends_on(&self, signal: usize, other: usize) -> bool {
         if signal == other {
             return true;
         }
-        let Some(cover) = self.cover(signal) else {
-            return false;
-        };
-        cover
-            .support()
-            .iter()
-            .any(|v| v == other || (v >= self.num_pis() && self.depends_on(v, other)))
+        let np = self.num_pis();
+        let mut seen = VarSet::new();
+        let mut stack = vec![signal];
+        while let Some(sig) = stack.pop() {
+            let Some(cover) = self.cover(sig) else {
+                continue;
+            };
+            for c in cover.cubes() {
+                for v in c.positive().iter().chain(c.negative().iter()) {
+                    if v == other {
+                        return true;
+                    }
+                    if v >= np && seen.insert(v) {
+                        stack.push(v);
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// Lowers the SOP network to a gate [`Network`], factoring every node
@@ -619,16 +628,329 @@ impl SopNet {
     }
 }
 
+/// A 128-bit digest of a cover's literals: literal `(v, phase)` sets bit
+/// `(2v + phase) mod 128`. Weak division `f/d` is non-zero only when `d`'s
+/// literals are a subset of `f`'s, hence its bits of `f`'s, so this is the
+/// filter every trial division passes first.
+#[derive(Debug, Clone, Copy, Default)]
+struct Signature(u128);
+
+impl Signature {
+    fn of(cover: &Sop) -> Signature {
+        let mut bits = 0u128;
+        for c in cover.cubes() {
+            for v in c.positive().iter() {
+                bits |= 1 << ((2 * v + 1) % 128);
+            }
+            for v in c.negative().iter() {
+                bits |= 1 << (2 * v % 128);
+            }
+        }
+        Signature(bits)
+    }
+
+    /// Whether a cover with this signature may be divided by one with
+    /// signature `d` (false means the quotient is certainly zero).
+    fn may_divide(self, d: Signature) -> bool {
+        d.0 & !self.0 == 0
+    }
+}
+
+/// A candidate divisor of [`SopNet::extract`]: a cover exactly as a node
+/// produced it (its cube order is the order the new node gets), with its
+/// saving as of the round in `scored`.
+#[derive(Debug)]
+struct Candidate {
+    sop: Rc<Sop>,
+    signature: Signature,
+    /// Its cube set's index among duplicate-free candidates, which
+    /// `covers_same` treats as sets; `None` when a cube repeats, where it
+    /// does not.
+    class: Option<usize>,
+    /// The saving: minus the candidate's own literals, plus `shares`.
+    gain: i64,
+    /// `(node signal, rewrite_gain)` for every node it would rewrite.
+    shares: Vec<(usize, i64)>,
+    /// The round `gain` is valid for; 0 = never scored.
+    scored: usize,
+}
+
+/// The state of one [`SopNet::extract`] call. Candidates are interned by
+/// their exact cover; each node keeps its signature and its list of
+/// candidates, and each scored candidate its per-node shares, so a round
+/// re-derives only what the previous round's rewrites touched.
+#[derive(Debug)]
+struct Extraction {
+    /// Per node: the signature of its cover (live nodes only).
+    signatures: Vec<Signature>,
+    /// Per node: the distinct candidates it yields, in first-yield
+    /// order; `None` when its cover changed since they were derived.
+    yields: Vec<Option<Vec<usize>>>,
+    ids: HashMap<Rc<Sop>, usize>,
+    candidates: Vec<Candidate>,
+    /// Classes by the order-free hash of their cube set, linearly probed
+    /// on a collision.
+    classes: HashMap<u64, usize>,
+    /// Per class: its first candidate, and the last round that listed it.
+    class_first: Vec<usize>,
+    listed: Vec<usize>,
+    /// Node signals whose covers changed since the last round.
+    touched: Vec<usize>,
+    round: usize,
+}
+
+impl Extraction {
+    fn new(s: &SopNet) -> Extraction {
+        let signatures = s
+            .nodes
+            .iter()
+            .map(|n| n.as_ref().map(Signature::of).unwrap_or_default())
+            .collect();
+        Extraction {
+            signatures,
+            yields: vec![None; s.nodes.len()],
+            ids: HashMap::new(),
+            candidates: Vec::new(),
+            classes: HashMap::new(),
+            class_first: Vec::new(),
+            listed: Vec::new(),
+            touched: Vec::new(),
+            round: 0,
+        }
+    }
+
+    /// Records that node `sig` was rewritten (or created).
+    fn touch(&mut self, s: &SopNet, sig: usize) {
+        let i = sig - s.num_pis();
+        let signature = Signature::of(s.cover(sig).expect("live"));
+        if i == self.signatures.len() {
+            self.signatures.push(signature);
+            self.yields.push(None);
+        } else {
+            self.signatures[i] = signature;
+            self.yields[i] = None;
+        }
+        self.touched.push(sig);
+    }
+
+    /// The candidate with the best positive saving this round, first in
+    /// candidate order on ties.
+    fn best(&mut self, s: &SopNet) -> Option<usize> {
+        self.round += 1;
+        let list = self.list(s);
+        let touched = std::mem::take(&mut self.touched);
+        let mut best: Option<(usize, i64)> = None;
+        for id in list {
+            // scored last round: only the nodes touched since then changed
+            let scored = self.candidates[id].scored;
+            if scored != 0 && scored + 1 == self.round {
+                for &sig in &touched {
+                    self.rescore(s, id, sig);
+                }
+            } else {
+                self.score(s, id);
+            }
+            let c = &mut self.candidates[id];
+            c.scored = self.round;
+            if best.is_none_or(|(_, g)| c.gain > g) && c.gain > 0 {
+                best = Some((id, c.gain));
+            }
+        }
+        best.map(|(id, _)| id)
+    }
+
+    /// This round's candidate list: every live node's yields in signal
+    /// order, each kept unless `covers_same` an earlier one, up to the
+    /// node after which there are over 500.
+    fn list(&mut self, s: &SopNet) -> Vec<usize> {
+        let mut list = Vec::new();
+        let mut repeating: Vec<usize> = Vec::new(); // listed with class None
+        for sig in s.live_signals() {
+            let f = s.cover(sig).expect("live");
+            if f.num_cubes() < 2 {
+                continue;
+            }
+            let i = sig - s.num_pis();
+            if self.yields[i].is_none() {
+                // a repeat is never listed: its first yield was listed or
+                // `covers_same` an earlier candidate
+                let (mut ys, mut seen) = (Vec::new(), HashSet::new());
+                node_candidates(f, |c| {
+                    let id = self.intern(c);
+                    if seen.insert(id) {
+                        ys.push(id);
+                    }
+                });
+                self.yields[i] = Some(ys);
+            }
+            for &id in self.yields[i].as_ref().expect("derived above") {
+                let c = &self.candidates[id];
+                let seen = c.class.is_some_and(|k| self.listed[k] == self.round)
+                    || repeating
+                        .iter()
+                        .any(|&r| covers_same(&self.candidates[r].sop, &c.sop));
+                if seen {
+                    continue;
+                }
+                match c.class {
+                    Some(k) => self.listed[k] = self.round,
+                    None => repeating.push(id),
+                }
+                list.push(id);
+            }
+            if list.len() > 500 {
+                break;
+            }
+        }
+        list
+    }
+
+    fn intern(&mut self, sop: Sop) -> usize {
+        if let Some(&id) = self.ids.get(&sop) {
+            return id;
+        }
+        let cubes = sop.cubes();
+        let repeats = (1..cubes.len()).any(|i| cubes[..i].contains(&cubes[i]));
+        let class = (!repeats).then(|| {
+            // the sum of the cubes' hashes does not depend on their order
+            let key = cubes.iter().fold(0u64, |h, c| {
+                let mut hasher = DefaultHasher::new();
+                c.hash(&mut hasher);
+                h.wrapping_add(hasher.finish())
+            });
+            let mut key = key;
+            loop {
+                match self.classes.get(&key) {
+                    Some(&k) if covers_same(&self.candidates[self.class_first[k]].sop, &sop) => {
+                        break k;
+                    }
+                    Some(_) => key = key.wrapping_add(1),
+                    None => {
+                        let k = self.class_first.len();
+                        self.classes.insert(key, k);
+                        self.class_first.push(self.candidates.len());
+                        self.listed.push(0);
+                        break k;
+                    }
+                }
+            }
+        });
+        let id = self.candidates.len();
+        let sop = Rc::new(sop);
+        self.ids.insert(Rc::clone(&sop), id);
+        self.candidates.push(Candidate {
+            signature: Signature::of(&sop),
+            gain: 0,
+            shares: Vec::new(),
+            scored: 0,
+            class,
+            sop,
+        });
+        id
+    }
+
+    /// Node `sig`'s share of candidate `id`'s saving.
+    fn share(&self, s: &SopNet, id: usize, sig: usize) -> i64 {
+        let c = &self.candidates[id];
+        if self.signatures[sig - s.num_pis()].may_divide(c.signature) {
+            rewrite_gain(s.cover(sig).expect("live"), &c.sop)
+        } else {
+            0
+        }
+    }
+
+    /// Scores candidate `id` against every live node.
+    fn score(&mut self, s: &SopNet, id: usize) {
+        let shares: Vec<(usize, i64)> = s
+            .live_signals()
+            .into_iter()
+            .map(|sig| (sig, self.share(s, id, sig)))
+            .filter(|&(_, g)| g != 0)
+            .collect();
+        let c = &mut self.candidates[id];
+        c.gain = shares.iter().map(|&(_, g)| g).sum::<i64>() - c.sop.num_literals() as i64;
+        c.shares = shares;
+    }
+
+    /// Replaces node `sig`'s share of candidate `id`'s saving.
+    fn rescore(&mut self, s: &SopNet, id: usize, sig: usize) {
+        let g = self.share(s, id, sig);
+        let c = &mut self.candidates[id];
+        if let Some(i) = c.shares.iter().position(|&(n, _)| n == sig) {
+            c.gain -= c.shares.swap_remove(i).1;
+        }
+        if g != 0 {
+            c.gain += g;
+            c.shares.push((sig, g));
+        }
+    }
+}
+
+/// Hands `yield_` the divisor candidates a node with cover `f` yields, in
+/// order: its kernels other than `f` itself, then the common cube (of two
+/// or more literals) of each cube pair. One at a time, so the pairs of a
+/// wide cover, mostly repeats, are never all held at once.
+fn node_candidates(f: &Sop, mut yield_: impl FnMut(Sop)) {
+    for k in algebra::kernels(f, 30) {
+        if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
+            yield_(k.kernel);
+        }
+    }
+    for (i, a) in f.cubes().iter().enumerate() {
+        for b in f.cubes().iter().skip(i + 1) {
+            let pos = a.positive().intersection(b.positive());
+            let neg = a.negative().intersection(b.negative());
+            if pos.len() + neg.len() >= 2 {
+                let c = Cube::from_sets(pos, neg).expect("intersections disjoint");
+                yield_(Sop::from_cubes([c]));
+            }
+        }
+    }
+}
+
 /// The literal saving from rewriting `f = q·y + r` with divisor `d` (the
 /// new literal `y` counted), or 0 when `d` does not divide `f`.
 fn rewrite_gain(f: &Sop, d: &Sop) -> i64 {
-    let (q, r) = algebra::divide(f, d);
-    if q.is_zero() {
-        return 0;
+    rewritten_literals(f, d).map_or(0, |new| (f.num_literals() as i64 - new as i64).max(0))
+}
+
+/// The literals of `q·y + r` for the weak division `f = q·d + r` with a
+/// new literal `y` for `d`, or `None` when the quotient is zero.
+///
+/// Counts the quotient and remainder without building them. A cube `c0`
+/// of `f` holding the first divisor cube `d0` yields the quotient cube
+/// `c0/d0` when every other divisor cube `di` lies in some cube `c` of `f`
+/// with `c/di == c0/d0`; the remainder is every cube of `f` that no
+/// quotient cube times a divisor cube reproduces.
+fn rewritten_literals(f: &Sop, d: &Sop) -> Option<usize> {
+    let (d0, rest) = d.cubes().split_first()?;
+    let fc = f.cubes();
+    let in_quotient = |c0: &Cube| {
+        c0.implies(d0)
+            && rest.iter().all(|di| {
+                fc.iter()
+                    .any(|c| c.implies(di) && c.same_quotient(di, c0, d0))
+            })
+    };
+    let quotient: Vec<&Cube> = fc.iter().filter(|c0| in_quotient(c0)).collect();
+    if quotient.is_empty() {
+        return None;
     }
-    let old = f.num_literals() as i64;
-    let new = q.num_literals() as i64 + q.num_cubes() as i64 + r.num_literals() as i64;
-    (old - new).max(0)
+    let q_lits: usize = quotient
+        .iter()
+        .map(|c0| c0.num_literals() - d0.num_literals())
+        .sum();
+    let reproduced = |c: &Cube| {
+        d.cubes()
+            .iter()
+            .any(|dj| c.implies(dj) && quotient.iter().any(|c0| c.same_quotient(dj, c0, d0)))
+    };
+    let r_lits: usize = fc
+        .iter()
+        .filter(|c| !reproduced(c))
+        .map(Cube::num_literals)
+        .sum();
+    Some(q_lits + quotient.len() + r_lits)
 }
 
 /// Rewrites `f` as `q·y + r` when that saves literals; `None` otherwise.
@@ -785,7 +1107,7 @@ mod tests {
         // f = ¬t
         let f = s.add_node(Sop::from_cubes([Cube::literal(t, false)]));
         s.add_output("f", f);
-        s.collapse(t, &[f]);
+        s.collapse(t, &[f], &mut [None, None]);
         assert!(s.cover(t).is_none());
         // f must now be ¬a + ¬b
         for m in 0..4u64 {
@@ -1015,8 +1337,345 @@ mod tests {
         s
     }
 
+    /// `rewritten_literals` by building the quotient and remainder with
+    /// [`algebra::divide`]; the oracle for the counting one.
+    fn rewritten_literals_reference(f: &Sop, d: &Sop) -> Option<usize> {
+        let (q, r) = algebra::divide(f, d);
+        (!q.is_zero()).then(|| q.num_literals() + q.num_cubes() + r.num_literals())
+    }
+
+    fn rewrite_gain_reference(f: &Sop, d: &Sop) -> i64 {
+        rewritten_literals_reference(f, d)
+            .map_or(0, |new| (f.num_literals() as i64 - new as i64).max(0))
+    }
+
+    /// The whole-network `extract` loop the incremental one replaced:
+    /// every round rebuilds every node's candidates and divides every
+    /// candidate into every node. Kept as the oracle for
+    /// [`SopNet::extract`].
+    fn extract_reference(s: &mut SopNet, max_new_nodes: usize) -> usize {
+        let mut created = 0;
+        while created < max_new_nodes {
+            let Some((divisor, gain)) = best_divisor_reference(s) else {
+                break;
+            };
+            if gain <= 0 {
+                break;
+            }
+            let y = s.add_node(divisor.clone());
+            for sig in s.live_signals() {
+                if sig == y {
+                    continue;
+                }
+                let f = s.cover(sig).expect("live").clone();
+                if let Some(nf) = rewrite_with_divisor(&f, &divisor, y) {
+                    *s.cover_mut(sig).expect("live") = nf;
+                }
+            }
+            created += 1;
+        }
+        created
+    }
+
+    /// The whole-network round's candidate list.
+    fn candidates_reference(s: &SopNet) -> Vec<Sop> {
+        let mut candidates: Vec<Sop> = Vec::new();
+        let push = |c: Sop, candidates: &mut Vec<Sop>| {
+            if c.num_cubes() >= 1 && !candidates.iter().any(|k| covers_same(k, &c)) {
+                candidates.push(c);
+            }
+        };
+        for sig in s.live_signals() {
+            let f = s.cover(sig).expect("live");
+            if f.num_cubes() < 2 {
+                continue;
+            }
+            for k in algebra::kernels(f, 30) {
+                if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
+                    push(k.kernel, &mut candidates);
+                }
+            }
+            for (i, a) in f.cubes().iter().enumerate() {
+                for b in f.cubes().iter().skip(i + 1) {
+                    let pos = a.positive().intersection(b.positive());
+                    let neg = a.negative().intersection(b.negative());
+                    if pos.len() + neg.len() >= 2 {
+                        let c = Cube::from_sets(pos, neg).expect("intersections disjoint");
+                        push(Sop::from_cubes([c]), &mut candidates);
+                    }
+                }
+            }
+            if candidates.len() > 500 {
+                break;
+            }
+        }
+        candidates
+    }
+
+    fn best_divisor_reference(s: &SopNet) -> Option<(Sop, i64)> {
+        let mut best: Option<(Sop, i64)> = None;
+        for cand in candidates_reference(s) {
+            let mut gain: i64 = -(cand.num_literals() as i64);
+            for sig in s.live_signals() {
+                gain += rewrite_gain_reference(s.cover(sig).expect("live"), &cand);
+            }
+            if best.as_ref().is_none_or(|(_, g)| gain > *g) && gain > 0 {
+                best = Some((cand, gain));
+            }
+        }
+        best
+    }
+
+    /// The recursive `depends_on` the iterative search replaced: it
+    /// revisits a node once per path to it. The oracle for
+    /// [`SopNet::depends_on`].
+    fn depends_on_reference(s: &SopNet, signal: usize, other: usize) -> bool {
+        if signal == other {
+            return true;
+        }
+        let Some(cover) = s.cover(signal) else {
+            return false;
+        };
+        cover
+            .support()
+            .iter()
+            .any(|v| v == other || (v >= s.num_pis() && depends_on_reference(s, v, other)))
+    }
+
+    /// The pairwise `resubstitute` loop without literal filters. Kept as
+    /// the oracle for [`SopNet::resubstitute`].
+    fn resubstitute_reference(s: &mut SopNet) -> usize {
+        let mut applied = 0;
+        let sigs = s.live_signals();
+        for &target in &sigs {
+            for &divisor_sig in &sigs {
+                if target == divisor_sig {
+                    continue;
+                }
+                let Some(d) = s.cover(divisor_sig) else {
+                    continue;
+                };
+                if d.num_cubes() < 2 {
+                    continue;
+                }
+                let Some(f) = s.cover(target) else {
+                    continue;
+                };
+                if f.support().contains(divisor_sig) {
+                    continue;
+                }
+                if rewrite_gain_reference(f, d) <= 1 {
+                    continue;
+                }
+                if s.depends_on(divisor_sig, target) {
+                    continue;
+                }
+                let (f, d) = (f.clone(), d.clone());
+                if let Some(nf) = rewrite_with_divisor(&f, &d, divisor_sig) {
+                    *s.cover_mut(target).expect("live") = nf;
+                    applied += 1;
+                }
+            }
+        }
+        applied
+    }
+
+    /// A ladder of `levels` XOR nodes over two inputs (node `i` reads
+    /// nodes `i-1` and `i-2`), every path reconverging, plus an unrelated
+    /// input `z`.
+    fn xor_ladder(levels: usize) -> (SopNet, usize) {
+        let mut s = SopNet::new("ladder");
+        let (mut a, mut b) = (s.add_pi("a"), s.add_pi("b"));
+        let z = s.add_pi("z");
+        for _ in 0..levels {
+            let x = s.add_node(Sop::from_cubes([
+                Cube::new([a], [b]).unwrap(),
+                Cube::new([b], [a]).unwrap(),
+            ]));
+            (a, b) = (b, x);
+        }
+        s.add_output("top", b);
+        (s, z)
+    }
+
+    #[test]
+    fn resubstitution_sees_its_own_rewrites() {
+        // y = a + b, f = ac + bc + e, d = y·c + e: resubstituting y turns f
+        // into y·c + e, which d then divides, but only if f's signature
+        // was refreshed to read y
+        let mut s = SopNet::new("r");
+        let [a, b, c, e] = ["a", "b", "c", "e"].map(|n| s.add_pi(n));
+        let y = s.add_node(Sop::from_cubes([
+            Cube::literal(a, true),
+            Cube::literal(b, true),
+        ]));
+        let f = s.add_node(Sop::from_cubes([
+            Cube::new([a, c], []).unwrap(),
+            Cube::new([b, c], []).unwrap(),
+            Cube::literal(e, true),
+        ]));
+        let d = s.add_node(Sop::from_cubes([
+            Cube::new([y, c], []).unwrap(),
+            Cube::literal(e, true),
+        ]));
+        for o in [y, f, d] {
+            s.add_output(format!("o{o}"), o);
+        }
+        let mut slow = s.clone();
+        assert_eq!(s.resubstitute(), 2);
+        assert_eq!(resubstitute_reference(&mut slow), 2);
+        assert_eq!(s.cover(f), Some(&Sop::from_cubes([Cube::literal(d, true)])));
+        assert_eq!(s.nodes, slow.nodes);
+    }
+
+    #[test]
+    fn depends_on_visits_each_node_once() {
+        let (s, z) = xor_ladder(64);
+        let top = s.outputs()[0].1;
+        let t0 = std::time::Instant::now();
+        assert!(!s.depends_on(top, z));
+        assert!(s.depends_on(top, 0));
+        assert!(s.depends_on(top, top - 10));
+        assert!(!s.depends_on(top - 10, top));
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(200))]
+
+        #[test]
+        fn rewritten_literals_match_division(
+            bits in proptest::arbitrary::any::<u64>(),
+            f_cubes in 1usize..12,
+            d_cubes in 1usize..4,
+        ) {
+            // f = (random divisor d) · (random quotient cubes) + noise, over
+            // few variables so cubes repeat and divisions half-succeed
+            let mut rng = bits | 1;
+            let mut next = move |k: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % k
+            };
+            let cube = |next: &mut dyn FnMut(u64) -> u64, vars: u64| {
+                let mut c = Cube::universe();
+                for v in 0..vars as usize {
+                    match next(5) {
+                        0 => {
+                            c.add_literal(v * 37, true);
+                        }
+                        1 => {
+                            c.add_literal(v * 37, false);
+                        }
+                        _ => {}
+                    }
+                }
+                c
+            };
+            let d = Sop::from_cubes((0..d_cubes).map(|_| cube(&mut next, 6)));
+            let q: Vec<Cube> = (0..1 + next(3)).map(|_| cube(&mut next, 6)).collect();
+            let mut cubes: Vec<Cube> = Vec::new();
+            for qc in &q {
+                for dc in d.cubes() {
+                    if next(5) != 0 {
+                        cubes.extend(qc.intersect(dc));
+                    }
+                }
+            }
+            while cubes.len() < f_cubes {
+                cubes.push(cube(&mut next, 6));
+            }
+            let f = Sop::from_cubes(cubes);
+            proptest::prop_assert_eq!(
+                rewritten_literals(&f, &d),
+                rewritten_literals_reference(&f, &d)
+            );
+        }
+
+        #[test]
+        fn extract_candidates_match_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            nodes in 1usize..40,
+            collapse in proptest::arbitrary::any::<bool>(),
+        ) {
+            // raw random covers repeat cubes, so some candidates do too
+            let mut s = random_sopnet(bits, 5, nodes);
+            if collapse {
+                s.eliminate(4, 64);
+            }
+            let mut x = Extraction::new(&s);
+            x.round = 1;
+            let fast: Vec<&Sop> = x.list(&s).into_iter().map(|id| &*x.candidates[id].sop).collect();
+            let slow = candidates_reference(&s);
+            proptest::prop_assert_eq!(fast, slow.iter().collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn extract_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            nodes in 1usize..40,
+            threshold in 0u64..12,
+            max_new in 0usize..6,
+        ) {
+            // collapse first, as the script does, so covers are wide
+            // enough to share kernels and cubes
+            let mut fast = random_sopnet(bits, 5, nodes);
+            fast.eliminate(threshold as i64, 64);
+            let mut slow = fast.clone();
+            let max_new = [1, 2, 3, 5, 10, 400][max_new];
+            let made = fast.extract(max_new);
+            proptest::prop_assert_eq!(made, extract_reference(&mut slow, max_new));
+            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
+        }
+
+        #[test]
+        fn depends_on_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            nodes in 1usize..16,
+        ) {
+            let s = random_sopnet(bits, 4, nodes);
+            let signals = s.num_pis() + s.nodes.len();
+            for a in 0..signals {
+                for b in 0..signals {
+                    proptest::prop_assert_eq!(
+                        s.depends_on(a, b),
+                        depends_on_reference(&s, a, b),
+                        "{} on {}", a, b
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn resubstitute_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            nodes in 1usize..60,
+            threshold in 0u64..12,
+        ) {
+            // a light collapse keeps many multi-cube nodes to divide by;
+            // the added nodes each contain one of them times a literal
+            let mut fast = random_sopnet(bits, 4, nodes);
+            fast.eliminate(threshold as i64 - 4, 64);
+            let sigs = fast.live_signals();
+            for (k, &d) in sigs.iter().enumerate().filter(|&(k, _)| k % 3 == 0) {
+                let lit = Cube::literal((bits as usize >> (k % 60)) % 4, k % 2 == 0);
+                let mut cubes: Vec<Cube> = fast.cover(d).expect("live").cubes().iter()
+                    .filter_map(|c| c.intersect(&lit))
+                    .collect();
+                cubes.push(Cube::literal(sigs[k / 2], true));
+                let sig = fast.add_node(Sop::from_cubes(cubes));
+                fast.add_output(format!("r{sig}"), sig);
+            }
+            let mut slow = fast.clone();
+            let applied = fast.resubstitute();
+            proptest::prop_assert_eq!(applied, resubstitute_reference(&mut slow));
+            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
+        }
 
         #[test]
         fn eliminate_matches_reference_loop(

@@ -26,7 +26,7 @@ use xsynth_core::{
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
-use xsynth_sop::{script_algebraic, ScriptOptions};
+use xsynth_sop::ScriptOptions;
 use xsynth_trace::json::Value;
 use xsynth_trace::Trace;
 
@@ -441,9 +441,10 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
     }
 }
 
-/// Runs the chosen flow. FPRM-family flows also return the synthesis
-/// report (for `--stats` and `--trace-json`); the SOP baseline and `none`
-/// have no report.
+/// Runs the chosen flow. FPRM-family flows and the SOP baseline also
+/// return the synthesis report (for `--stats` and `--trace-json`; the
+/// baseline's holds only its trace and step profile); `none` has no
+/// report.
 ///
 /// # Errors
 ///
@@ -452,7 +453,10 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
 pub fn run_flow(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
     match cmd.flow {
         Flow::None => Ok((spec.sweep(), None)),
-        Flow::Sop => Ok((script_algebraic(spec, &ScriptOptions::default()), None)),
+        Flow::Sop => {
+            let (network, report) = xsynth_bench::run_sop(spec, &ScriptOptions::default());
+            Ok((network, Some(report)))
+        }
         Flow::Fprm | Flow::FprmCube | Flow::FprmOfdd | Flow::Kfdd => {
             let method = match cmd.flow {
                 Flow::FprmCube => FactorMethod::Cube,
@@ -526,13 +530,16 @@ pub fn render_report(report: &SynthReport) -> String {
     let gauges = report.trace.gauge_finals();
     let apply_hits = gauges.get("bdd.apply_hits").copied().unwrap_or(0.0);
     let apply_misses = gauges.get("bdd.apply_misses").copied().unwrap_or(0.0);
-    let _ = writeln!(
-        s,
-        "# apply cache: {:.1}% hit ({:.0} of {:.0} lookups)",
-        pct(apply_hits, apply_hits + apply_misses),
-        apply_hits,
-        apply_hits + apply_misses
-    );
+    // the SOP baseline builds no BDDs
+    if apply_hits + apply_misses > 0.0 {
+        let _ = writeln!(
+            s,
+            "# apply cache: {:.1}% hit ({:.0} of {:.0} lookups)",
+            pct(apply_hits, apply_hits + apply_misses),
+            apply_hits,
+            apply_hits + apply_misses
+        );
+    }
     let _ = writeln!(s, "# trace:");
     for line in report.trace.render_tree().lines() {
         let _ = writeln!(s, "#   {line}");
@@ -1518,6 +1525,19 @@ mod tests {
         assert!(frame.contains("cli_top"), "{frame}");
         client.shutdown().expect("shutdown");
         server.wait();
+    }
+
+    #[test]
+    fn sop_bench_stats_show_the_script_steps() {
+        let out = run(&argv("bench rd53 --method sop --stats")).unwrap();
+        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
+            assert!(
+                out.contains(&format!("#   {step} ")),
+                "missing {step}: {out}"
+            );
+        }
+        assert!(out.contains("sop.extracted = "), "{out}");
+        assert!(!out.contains("# apply cache:"), "{out}");
     }
 
     #[test]
