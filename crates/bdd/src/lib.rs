@@ -72,8 +72,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-use xsynth_boolean::{Sop, TruthTable, VarSet};
+use xsynth_boolean::{FxHashMap, FxHashSet, Sop, TruthTable, VarSet};
 
 /// Error returned by an operation that would allocate past the manager's
 /// node cap (see
@@ -186,8 +185,8 @@ pub struct BddManager {
     n: usize,
     /// Every node in allocation order; slot 0 is the terminal.
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Bdd, Bdd), Bdd>,
-    apply: HashMap<(Op, Bdd, Bdd), Bdd>,
+    unique: FxHashMap<(u32, Bdd, Bdd), Bdd>,
+    apply: FxHashMap<(Op, Bdd, Bdd), Bdd>,
     /// The node cap, terminal included; `usize::MAX` means uncapped.
     limit: usize,
     apply_hits: u64,
@@ -207,8 +206,8 @@ impl BddManager {
         BddManager {
             n,
             nodes: vec![terminal],
-            unique: HashMap::new(),
-            apply: HashMap::new(),
+            unique: FxHashMap::default(),
+            apply: FxHashMap::default(),
             limit: usize::MAX,
             apply_hits: 0,
             apply_misses: 0,
@@ -493,7 +492,7 @@ impl BddManager {
 
     /// Cofactor of `f` with `var` fixed to `phase`.
     pub fn cofactor(&mut self, f: Bdd, var: usize, phase: bool) -> Result<Bdd, NodeLimitExceeded> {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.cofactor_rec(f, var as u32, phase, &mut memo)
     }
 
@@ -502,7 +501,7 @@ impl BddManager {
         f: Bdd,
         var: u32,
         phase: bool,
-        memo: &mut HashMap<Bdd, Bdd>,
+        memo: &mut FxHashMap<Bdd, Bdd>,
     ) -> Result<Bdd, NodeLimitExceeded> {
         if f.is_const() {
             return Ok(f);
@@ -558,7 +557,7 @@ impl BddManager {
     /// Panics if a block has no word for a variable `f` depends on.
     pub fn eval_words<'w>(&self, f: Bdd, blocks: impl IntoIterator<Item = &'w [u64]>) -> Vec<u64> {
         // children before parents
-        let mut slot_of: HashMap<Bdd, u32> = HashMap::new();
+        let mut slot_of: FxHashMap<Bdd, u32> = FxHashMap::default();
         let mut prog: Vec<WordNode> = Vec::new();
         let root = self.word_operand(f, &mut slot_of, &mut prog);
         let mut val = vec![!0u64; prog.len() + 1];
@@ -581,7 +580,7 @@ impl BddManager {
     fn word_operand(
         &self,
         b: Bdd,
-        slot_of: &mut HashMap<Bdd, u32>,
+        slot_of: &mut FxHashMap<Bdd, u32>,
         prog: &mut Vec<WordNode>,
     ) -> WordOperand {
         let mask = if b.cbit() == 1 { !0 } else { 0 };
@@ -610,7 +609,7 @@ impl BddManager {
     pub fn count_sat(&self, f: Bdd) -> u128 {
         // weight(b) = satisfying assignments over variables >= level(b),
         // where level is the node's variable index and n for terminals.
-        let mut memo: HashMap<Bdd, u128> = HashMap::new();
+        let mut memo: FxHashMap<Bdd, u128> = FxHashMap::default();
         let w = self.sat_weight(f, &mut memo);
         Self::shl_sat(w, self.level(f))
     }
@@ -633,7 +632,7 @@ impl BddManager {
         }
     }
 
-    fn sat_weight(&self, f: Bdd, memo: &mut HashMap<Bdd, u128>) -> u128 {
+    fn sat_weight(&self, f: Bdd, memo: &mut FxHashMap<Bdd, u128>) -> u128 {
         if f == Bdd::ZERO {
             return 0;
         }
@@ -659,11 +658,11 @@ impl BddManager {
     /// Fraction of the input space on which `f` is one (the signal
     /// probability under uniform independent inputs).
     pub fn sat_fraction(&self, f: Bdd) -> f64 {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.sat_frac(f, &mut memo)
     }
 
-    fn sat_frac(&self, f: Bdd, memo: &mut HashMap<Bdd, f64>) -> f64 {
+    fn sat_frac(&self, f: Bdd, memo: &mut FxHashMap<Bdd, f64>) -> f64 {
         if f == Bdd::ZERO {
             return 0.0;
         }
@@ -680,7 +679,7 @@ impl BddManager {
 
     /// The set of variables `f` depends on.
     pub fn support(&self, f: Bdd) -> VarSet {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut sup = VarSet::new();
         // complement bits never change the support; traverse the stored
         // (regular) node graph so f and ¬f walk identical sets
@@ -701,7 +700,7 @@ impl BddManager {
     /// Complement edges are transparent: `f` and `¬f` share every node,
     /// so their sizes are equal.
     pub fn size(&self, f: Bdd) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![f.regular()];
         let mut count = 0;
         while let Some(b) = stack.pop() {
@@ -786,7 +785,7 @@ impl BddManager {
         dst: &mut BddManager,
     ) -> Result<Vec<Bdd>, NodeLimitExceeded> {
         assert_eq!(self.n, dst.n, "arity mismatch");
-        let mut memo: HashMap<Bdd, Bdd> = HashMap::new();
+        let mut memo: FxHashMap<Bdd, Bdd> = FxHashMap::default();
         roots
             .iter()
             .map(|&r| self.copy_rec(r, dst, &mut memo))
@@ -797,7 +796,7 @@ impl BddManager {
         &self,
         f: Bdd,
         dst: &mut BddManager,
-        memo: &mut HashMap<Bdd, Bdd>,
+        memo: &mut FxHashMap<Bdd, Bdd>,
     ) -> Result<Bdd, NodeLimitExceeded> {
         if f.is_const() {
             return Ok(f);

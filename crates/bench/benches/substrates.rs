@@ -10,12 +10,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
-use xsynth_boolean::{Fprm, Polarity, Sop, TruthTable, VarSet};
-use xsynth_circuits::builders::{interleaved_buses, ripple_adder};
+use xsynth_boolean::{mask_ones, CubeRows, Fprm, Polarity, Sop, TruthTable};
+use xsynth_circuits::builders::{interleaved_buses, ripple_adder, two_level, word_function};
 use xsynth_core::gfx::{extract, ExtractOptions};
 use xsynth_core::{
-    merge_patterns, network_bdds, paper_patterns, remove_redundancy, try_synthesize, EquivChecker,
-    SynthOptions,
+    factor_cubes, merge_patterns, network_bdds, paper_patterns, remove_redundancy, try_synthesize,
+    EquivChecker, SynthOptions,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
@@ -48,7 +48,11 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
     let n = spec.inputs().len();
     let mut lists = Vec::new();
     if outcome.report.trace.counter("blocks.synthesized") > 0 {
-        lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
+        lists.push(paper_patterns(
+            n,
+            &Polarity::all_positive(n),
+            &CubeRows::new(n),
+        ));
     } else {
         let mut bm = BddManager::new(n);
         let outs = network_bdds(&spec.sweep(), &mut bm).expect("uncapped");
@@ -58,7 +62,7 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
             let cubes = if om.num_cubes(root) <= MAX_CUBES {
                 om.cubes(root)
             } else {
-                Vec::new()
+                CubeRows::new(n)
             };
             lists.push(paper_patterns(n, pol, &cubes));
         }
@@ -72,29 +76,30 @@ fn redundancy_input(spec: &Network) -> (Network, Vec<PatternBlock>) {
 /// cube-method output's FPRM cubes under its chosen polarity, in literal
 /// space (`2v` positive, `2v + 1` negative), with divisor literals from
 /// `2n` up. Checked against the flow's own extraction counters.
-fn extract_input(spec: &Network) -> (Vec<Vec<VarSet>>, usize) {
+fn extract_input(spec: &Network) -> (Vec<CubeRows>, usize) {
     let outcome = try_synthesize(spec, &SynthOptions::default()).expect("synthesizes");
     let n = spec.inputs().len();
     let mut bm = BddManager::new(n);
     let outs = network_bdds(&spec.sweep(), &mut bm).expect("uncapped");
-    let funcs: Vec<Vec<VarSet>> = outs
+    let funcs: Vec<CubeRows> = outs
         .into_iter()
         .zip(&outcome.report.outputs)
         .filter(|(_, (_, count, _))| *count <= CUBE_CAP)
         .map(|(f, (_, _, pol))| {
             let mut om = OfddManager::new(pol.clone());
             let root = om.from_bdd(&mut bm, f).expect("uncapped");
-            om.cubes(root)
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|v| 2 * v + usize::from(!pol.is_positive(v)))
-                        .collect()
-                })
-                .collect()
+            let mut lits = CubeRows::new(2 * n);
+            for c in om.cubes(root).rows() {
+                let row = lits.push_zero();
+                for v in mask_ones(c) {
+                    let l = 2 * v + usize::from(!pol.is_positive(v));
+                    row[l / 64] |= 1 << (l % 64);
+                }
+            }
+            lits
         })
         .collect();
-    let ext = extract(funcs.clone(), 2 * n, &ExtractOptions::default());
+    let ext = extract(&funcs, 2 * n, &ExtractOptions::default());
     let trace = &outcome.report.trace;
     assert_eq!(
         (ext.divisors.len() as u64, ext.rounds, ext.candidates),
@@ -210,20 +215,45 @@ fn bench_substrates(c: &mut Criterion) {
     }
 
     // cross-output divisor extraction alone, on the circuits where the
-    // FPRM flow spends longest in it
+    // FPRM flow spends longest in it, and the cube method on what it
+    // leaves: every rewritten output and every divisor, with the
+    // Reduction rules, as the flow factors them
     let specs = [
         xsynth_circuits::build("m181").expect("registered"),
         xsynth_circuits::build("addm4").expect("registered"),
         xsynth_circuits::build("shift").expect("registered"),
         adder(8),
+        mul_4x4_k3(),
     ];
     for spec in &specs {
         let (funcs, next_literal) = extract_input(spec);
         let opts = ExtractOptions::default();
         c.bench_function(format!("gfx_extract_{}", spec.name()), |b| {
-            b.iter(|| extract(funcs.clone(), next_literal, &opts))
+            b.iter(|| extract(&funcs, next_literal, &opts))
+        });
+        let ext = extract(&funcs, next_literal, &opts);
+        let factored: Vec<&CubeRows> = ext
+            .functions
+            .iter()
+            .chain(ext.divisors.iter().map(|(_, d)| d))
+            .collect();
+        c.bench_function(format!("factor_cubes_{}", spec.name()), |b| {
+            b.iter(|| {
+                factored
+                    .iter()
+                    .map(|f| factor_cubes(f, true))
+                    .collect::<Vec<_>>()
+            })
         });
     }
+}
+
+/// `a·b + 3` over two 4-bit operands as a two-level spec: the
+/// arithmetic function whose divisor extraction takes longest per job
+/// in the daemon's arithmetic workload.
+fn mul_4x4_k3() -> Network {
+    let tables = word_function(8, 8, |m| (m & 15) * (m >> 4) + 3);
+    two_level("mul_4x4_k3", &tables)
 }
 
 fn bench_sop_script(c: &mut Criterion) {
@@ -279,10 +309,11 @@ fn adder_of_width(n: usize) -> Network {
 /// 64 fixed cubes of one to four literals spread over `n` variables:
 /// with 64 cubes the pair and triple closures reach the family's 4096
 /// cap.
-fn spread_cubes(n: usize) -> Vec<VarSet> {
-    (0..64)
+fn spread_cubes(n: usize) -> CubeRows {
+    let sets: Vec<_> = (0..64)
         .map(|i| (0..=i % 4).map(|k| (i * 7 + k * 13 + k * k) % n).collect())
-        .collect()
+        .collect();
+    CubeRows::from_sets(n, &sets)
 }
 
 fn bench_pattern_simulation(c: &mut Criterion) {

@@ -3,7 +3,7 @@
 //! single-stuck-at fault universe of a synthesized network.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xsynth_boolean::Fprm;
+use xsynth_boolean::{CubeRows, Fprm};
 use xsynth_core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
 use xsynth_sim::{enumerate_faults, fault_simulate, unpack_blocks};
 
@@ -23,7 +23,7 @@ fn bench_testability(c: &mut Criterion) {
                 .iter()
                 .map(|t| {
                     let f = Fprm::from_table_positive(t);
-                    paper_patterns(n, f.polarity(), f.cubes())
+                    paper_patterns(n, f.polarity(), &CubeRows::from_sets(n, f.cubes()))
                 })
                 .collect();
             merge_patterns(n, lists)
@@ -34,7 +34,7 @@ fn bench_testability(c: &mut Criterion) {
         n,
         tables.iter().map(|t| {
             let f = Fprm::from_table_positive(t);
-            paper_patterns(n, f.polarity(), f.cubes())
+            paper_patterns(n, f.polarity(), &CubeRows::from_sets(n, f.cubes()))
         }),
     );
     let patterns = unpack_blocks(&family.to_blocks());

@@ -9,7 +9,10 @@
 //! * [`Cube`] / [`Sop`] — three-valued cubes and sum-of-products covers,
 //! * [`Polarity`] / [`Fprm`] / [`Spectrum`] — fixed-polarity Reed-Muller
 //!   forms with the fast Davio transform, polarity search, and prime-cube
-//!   analysis.
+//!   analysis,
+//! * [`CubeRows`] — cube lists as fixed-stride rows of literal masks,
+//! * [`FxHashMap`] / [`FxHashSet`] — maps under one fixed, fast hasher
+//!   for internal integer and bitset keys.
 //!
 //! # Examples
 //!
@@ -30,12 +33,16 @@
 
 mod cube;
 mod fprm;
+mod hash;
+mod rows;
 mod sop;
 mod tt;
 mod varset;
 
 pub use cube::Cube;
 pub use fprm::{Fprm, Polarity, Spectrum};
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use rows::{mask_ones, CubeRows};
 pub use sop::Sop;
 pub use tt::{TruthTable, MAX_TT_VARS};
 pub use varset::{Iter as VarSetIter, VarSet};

@@ -152,12 +152,12 @@ impl Sop {
     /// Repeatedly merges pairs of cubes that differ in exactly one
     /// variable's phase and agree elsewhere (`a·x + a·¬x = a`).
     pub fn merge_distance1(&mut self) {
-        use std::collections::HashMap;
         let mut changed = true;
         while changed {
             changed = false;
             // bucket cubes by support so only same-support pairs are tried
-            let mut buckets: HashMap<crate::VarSet, Vec<usize>> = HashMap::new();
+            let mut buckets: crate::FxHashMap<crate::VarSet, Vec<usize>> =
+                crate::FxHashMap::default();
             for (i, c) in self.cubes.iter().enumerate() {
                 buckets.entry(c.support()).or_default().push(i);
             }

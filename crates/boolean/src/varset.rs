@@ -20,23 +20,9 @@ use std::fmt;
 /// assert!(!s.contains(4));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarSet {
     words: Vec<u64>,
-}
-
-impl Clone for VarSet {
-    fn clone(&self) -> Self {
-        VarSet {
-            words: self.words.clone(),
-        }
-    }
-
-    /// Reuses `self`'s allocation, so a scratch set can be refilled in a
-    /// loop without allocating.
-    fn clone_from(&mut self, source: &Self) {
-        self.words.clone_from(&source.words);
-    }
 }
 
 impl VarSet {

@@ -250,7 +250,9 @@ impl Gexpr {
 }
 
 /// One bottom-up rewrite sweep applying rules (a), (b), (c) where they
-/// match inside XOR operator lists.
+/// match inside XOR operator lists. Each rule scans the operand pairs (or
+/// triples) in order and applies at the first match, then rescans; the
+/// operands' factor lists are computed once per scan, not once per pair.
 fn rewrite_once(e: Gexpr) -> Gexpr {
     match e {
         Gexpr::Zero | Gexpr::One | Gexpr::Lit(_) => e,
@@ -259,39 +261,36 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
         Gexpr::Or(xs) => Gexpr::Or(xs.into_iter().map(rewrite_once).collect()),
         Gexpr::Xor(xs) => {
             let mut kids: Vec<Gexpr> = xs.into_iter().map(rewrite_once).collect();
+            let remove = |kids: &mut Vec<Gexpr>, mut rm: Vec<usize>| {
+                rm.sort_unstable_by(|a, b| b.cmp(a));
+                for idx in rm {
+                    kids.remove(idx);
+                }
+            };
 
             // rule (b): X ⊕ Y ⊕ XY = X + Y   (check before rule (a), which
             // would otherwise consume the X / XY pair first)
             'b: loop {
+                let factors: Vec<Vec<Gexpr>> = kids.iter().map(Gexpr::factors).collect();
+                let sets: Vec<Vec<Gexpr>> = factors.iter().cloned().map(sorted_set).collect();
                 for i in 0..kids.len() {
                     for j in 0..kids.len() {
-                        if i == j {
+                        // X and Y must not share factors for XY = X∪Y
+                        if i == j || factors[i].iter().any(|f| factors[j].contains(f)) {
                             continue;
                         }
+                        // the factor sets are disjoint, so their union is
+                        // Z's exactly when the sizes add up and Z holds both
+                        let size = sets[i].len() + sets[j].len();
                         for k in 0..kids.len() {
-                            if k == i || k == j {
+                            if k == i || k == j || sets[k].len() != size {
                                 continue;
                             }
-                            let fi = kids[i].factors();
-                            let fj = kids[j].factors();
-                            let fk = kids[k].factors();
-                            let mut merged = fi.clone();
-                            merged.extend(fj.clone());
-                            merged.sort();
-                            merged.dedup();
-                            let mut fk_sorted = fk.clone();
-                            fk_sorted.sort();
-                            fk_sorted.dedup();
-                            // X and Y must not share factors for XY = X∪Y
-                            let disjoint = fi.iter().all(|f| !fj.contains(f));
-                            if disjoint && merged == fk_sorted {
+                            let inside = |f: &Gexpr| sets[k].binary_search(f).is_ok();
+                            if sets[i].iter().chain(&sets[j]).all(inside) {
                                 let x = kids[i].clone();
                                 let y = kids[j].clone();
-                                let mut rm: Vec<usize> = vec![i, j, k];
-                                rm.sort_unstable_by(|a, b| b.cmp(a));
-                                for idx in rm {
-                                    kids.remove(idx);
-                                }
+                                remove(&mut kids, vec![i, j, k]);
                                 kids.push(Gexpr::Or(vec![x, y]));
                                 continue 'b;
                             }
@@ -303,15 +302,14 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
 
             // rule (c): AB ⊕ ¬B = A + ¬B
             'c: loop {
+                let factors: Vec<Vec<Gexpr>> = kids.iter().map(Gexpr::factors).collect();
                 for i in 0..kids.len() {
                     let Gexpr::Not(b) = &kids[i] else { continue };
-                    let b = (**b).clone();
                     let b_factors = b.factors();
-                    for j in 0..kids.len() {
+                    for (j, fj) in factors.iter().enumerate() {
                         if i == j {
                             continue;
                         }
-                        let fj = kids[j].factors();
                         // B's factors must all be in the product
                         if b_factors.iter().all(|f| fj.contains(f)) && fj.len() > b_factors.len() {
                             let a_factors: Vec<Gexpr> = fj
@@ -321,11 +319,7 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
                                 .collect();
                             let a = Gexpr::from_factors(a_factors);
                             let nb = kids[i].clone();
-                            let mut rm = [i, j];
-                            rm.sort_unstable_by(|x, y| y.cmp(x));
-                            for idx in rm {
-                                kids.remove(idx);
-                            }
+                            remove(&mut kids, vec![i, j]);
                             kids.push(Gexpr::Or(vec![a, nb]));
                             continue 'c;
                         }
@@ -336,13 +330,13 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
 
             // rule (a): A ⊕ AB = A·¬B   (A's factors strictly inside B's)
             'a: loop {
+                let factors: Vec<Vec<Gexpr>> = kids.iter().map(Gexpr::factors).collect();
                 for i in 0..kids.len() {
                     for j in 0..kids.len() {
                         if i == j {
                             continue;
                         }
-                        let fi = kids[i].factors();
-                        let fj = kids[j].factors();
+                        let (fi, fj) = (&factors[i], &factors[j]);
                         if fi.len() < fj.len() && fi.iter().all(|f| fj.contains(f)) {
                             let b_factors: Vec<Gexpr> =
                                 fj.iter().filter(|f| !fi.contains(f)).cloned().collect();
@@ -350,11 +344,7 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
                             let mut new_factors = fi.clone();
                             new_factors.push(Gexpr::Not(Box::new(b)).normalize());
                             let merged = Gexpr::from_factors(new_factors);
-                            let mut rm = [i, j];
-                            rm.sort_unstable_by(|x, y| y.cmp(x));
-                            for idx in rm {
-                                kids.remove(idx);
-                            }
+                            remove(&mut kids, vec![i, j]);
                             kids.push(merged);
                             continue 'a;
                         }
@@ -366,6 +356,13 @@ fn rewrite_once(e: Gexpr) -> Gexpr {
             Gexpr::Xor(kids)
         }
     }
+}
+
+/// A factor list sorted, without repeats.
+fn sorted_set(mut fs: Vec<Gexpr>) -> Vec<Gexpr> {
+    fs.sort();
+    fs.dedup();
+    fs
 }
 
 impl fmt::Display for Gexpr {
@@ -413,6 +410,145 @@ impl fmt::Display for Gexpr {
                     }
                 }
                 Ok(())
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    use super::Gexpr;
+
+    /// [`Gexpr::apply_rules`] over the reference sweep.
+    pub(super) fn apply_rules(e: Gexpr) -> Gexpr {
+        let mut cur = e.normalize();
+        for _ in 0..64 {
+            let next = rewrite_once(cur.clone()).normalize();
+            if next == cur {
+                return cur;
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    /// The rewrite sweep as first written, re-deriving every operand's
+    /// factors for each pair and triple it tries.
+    pub(super) fn rewrite_once(e: Gexpr) -> Gexpr {
+        match e {
+            Gexpr::Zero | Gexpr::One | Gexpr::Lit(_) => e,
+            Gexpr::Not(x) => Gexpr::Not(Box::new(rewrite_once(*x))),
+            Gexpr::And(xs) => Gexpr::And(xs.into_iter().map(rewrite_once).collect()),
+            Gexpr::Or(xs) => Gexpr::Or(xs.into_iter().map(rewrite_once).collect()),
+            Gexpr::Xor(xs) => {
+                let mut kids: Vec<Gexpr> = xs.into_iter().map(rewrite_once).collect();
+
+                // rule (b): X ⊕ Y ⊕ XY = X + Y   (check before rule (a), which
+                // would otherwise consume the X / XY pair first)
+                'b: loop {
+                    for i in 0..kids.len() {
+                        for j in 0..kids.len() {
+                            if i == j {
+                                continue;
+                            }
+                            for k in 0..kids.len() {
+                                if k == i || k == j {
+                                    continue;
+                                }
+                                let fi = kids[i].factors();
+                                let fj = kids[j].factors();
+                                let fk = kids[k].factors();
+                                let mut merged = fi.clone();
+                                merged.extend(fj.clone());
+                                merged.sort();
+                                merged.dedup();
+                                let mut fk_sorted = fk.clone();
+                                fk_sorted.sort();
+                                fk_sorted.dedup();
+                                // X and Y must not share factors for XY = X∪Y
+                                let disjoint = fi.iter().all(|f| !fj.contains(f));
+                                if disjoint && merged == fk_sorted {
+                                    let x = kids[i].clone();
+                                    let y = kids[j].clone();
+                                    let mut rm: Vec<usize> = vec![i, j, k];
+                                    rm.sort_unstable_by(|a, b| b.cmp(a));
+                                    for idx in rm {
+                                        kids.remove(idx);
+                                    }
+                                    kids.push(Gexpr::Or(vec![x, y]));
+                                    continue 'b;
+                                }
+                            }
+                        }
+                    }
+                    break;
+                }
+
+                // rule (c): AB ⊕ ¬B = A + ¬B
+                'c: loop {
+                    for i in 0..kids.len() {
+                        let Gexpr::Not(b) = &kids[i] else { continue };
+                        let b = (**b).clone();
+                        let b_factors = b.factors();
+                        for j in 0..kids.len() {
+                            if i == j {
+                                continue;
+                            }
+                            let fj = kids[j].factors();
+                            // B's factors must all be in the product
+                            if b_factors.iter().all(|f| fj.contains(f))
+                                && fj.len() > b_factors.len()
+                            {
+                                let a_factors: Vec<Gexpr> = fj
+                                    .iter()
+                                    .filter(|f| !b_factors.contains(f))
+                                    .cloned()
+                                    .collect();
+                                let a = Gexpr::from_factors(a_factors);
+                                let nb = kids[i].clone();
+                                let mut rm = [i, j];
+                                rm.sort_unstable_by(|x, y| y.cmp(x));
+                                for idx in rm {
+                                    kids.remove(idx);
+                                }
+                                kids.push(Gexpr::Or(vec![a, nb]));
+                                continue 'c;
+                            }
+                        }
+                    }
+                    break;
+                }
+
+                // rule (a): A ⊕ AB = A·¬B   (A's factors strictly inside B's)
+                'a: loop {
+                    for i in 0..kids.len() {
+                        for j in 0..kids.len() {
+                            if i == j {
+                                continue;
+                            }
+                            let fi = kids[i].factors();
+                            let fj = kids[j].factors();
+                            if fi.len() < fj.len() && fi.iter().all(|f| fj.contains(f)) {
+                                let b_factors: Vec<Gexpr> =
+                                    fj.iter().filter(|f| !fi.contains(f)).cloned().collect();
+                                let b = Gexpr::from_factors(b_factors);
+                                let mut new_factors = fi.clone();
+                                new_factors.push(Gexpr::Not(Box::new(b)).normalize());
+                                let merged = Gexpr::from_factors(new_factors);
+                                let mut rm = [i, j];
+                                rm.sort_unstable_by(|x, y| y.cmp(x));
+                                for idx in rm {
+                                    kids.remove(idx);
+                                }
+                                kids.push(merged);
+                                continue 'a;
+                            }
+                        }
+                    }
+                    break;
+                }
+
+                Gexpr::Xor(kids)
             }
         }
     }
@@ -577,5 +713,85 @@ mod tests {
         ]);
         assert_eq!(e.num_literals(), 6);
         assert_eq!(e.num_xor_ops(), 2);
+    }
+
+    /// An expression for the rule oracle. Even seeds give the cube
+    /// method's expression (rules off) for up to 10 cubes of 0–3
+    /// literals from a 5-literal alphabet, the sweep's real input; odd
+    /// seeds an XOR of 2–6 products of 1–2 literals over 3, a quarter of
+    /// them negated, so `a ⊕ b ⊕ ab` (rule (b)) and `ab ⊕ ¬b` (rule (c))
+    /// shapes are common.
+    fn random_expr(seed: u64) -> Gexpr {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        if seed.is_multiple_of(2) {
+            let sets: Vec<xsynth_boolean::VarSet> = (0..next(11))
+                .map(|_| (0..next(4)).map(|_| next(5)).collect())
+                .collect();
+            return crate::factor::factor_cubes(
+                &xsynth_boolean::CubeRows::from_sets(5, &sets),
+                false,
+            );
+        }
+        let kids = (0..2 + next(5))
+            .map(|_| {
+                let product = Gexpr::cube((0..1 + next(2)).map(|_| next(3)).collect::<Vec<_>>());
+                if next(4) == 0 {
+                    Gexpr::Not(Box::new(product))
+                } else {
+                    product
+                }
+            })
+            .collect();
+        Gexpr::Xor(kids)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(500))]
+
+        /// The sweep that derives factor lists once per scan rewrites
+        /// exactly as the one that derived them per pair and triple.
+        #[test]
+        fn apply_rules_matches_reference(seed in proptest::arbitrary::any::<u64>()) {
+            let e = random_expr(seed);
+            proptest::prop_assert_eq!(e.clone().apply_rules(), reference::apply_rules(e));
+        }
+    }
+
+    /// The oracle's expressions reach every rule: (b) leaves an `Or` of
+    /// two operands, (c) an `Or` with a negated one, (a) a negated factor
+    /// under an `And`.
+    #[test]
+    fn rule_oracle_generator_reaches_every_rule() {
+        fn has(e: &Gexpr, pred: &dyn Fn(&Gexpr) -> bool) -> bool {
+            pred(e)
+                || match e {
+                    Gexpr::Not(x) => has(x, pred),
+                    Gexpr::And(xs) | Gexpr::Or(xs) | Gexpr::Xor(xs) => {
+                        xs.iter().any(|x| has(x, pred))
+                    }
+                    _ => false,
+                }
+        }
+        let (mut or_b, mut or_c, mut and_not) = (0, 0, 0);
+        for seed in 0..200 {
+            let e = random_expr(seed).apply_rules();
+            let negated = |xs: &[Gexpr]| xs.iter().any(|k| matches!(k, Gexpr::Not(_)));
+            or_b += usize::from(has(&e, &|x| matches!(x, Gexpr::Or(xs) if !negated(xs))));
+            or_c += usize::from(has(&e, &|x| matches!(x, Gexpr::Or(xs) if negated(xs))));
+            and_not += usize::from(has(
+                &e,
+                &|x| matches!(x, Gexpr::And(xs) if xs.iter().any(|k| matches!(k, Gexpr::Not(_)))),
+            ));
+        }
+        // (b) needs X, Y and XY in one XOR list: the rarest case, 8 of 200
+        assert!(or_b >= 5, "rule (b) in {or_b}/200");
+        assert!(or_c >= 10, "rule (c) in {or_c}/200");
+        assert!(and_not >= 20, "rule (a) in {and_not}/200");
     }
 }

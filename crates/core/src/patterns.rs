@@ -19,7 +19,7 @@
 //! polarity vector applies as one XOR per word. The rows go to the
 //! simulator through one transpose ([`PatternRows::to_blocks`]).
 
-use xsynth_boolean::{Polarity, VarSet};
+use xsynth_boolean::{mask_ones, CubeRows, Polarity};
 use xsynth_sim::PatternRows;
 
 /// Outputs with more cubes than this get only AZ and AO: their OC, SA1 and
@@ -30,23 +30,26 @@ pub(crate) const MAX_CUBES: usize = 512;
 const MAX_CLOSURES: usize = 4096;
 
 /// Generates the paper's pattern family for one output function given its
-/// FPRM cubes and polarity. Always includes AZ and AO; includes OC, SA1
+/// FPRM cubes (rows of variables, as [`OfddManager::cubes`] gives them)
+/// and polarity. Always includes AZ and AO; includes OC, SA1
 /// and up to 4096 pair/triple closures when there are at most 512 cubes.
 ///
 /// The rows are distinct and sorted by literal mask (numerically, word 0
-/// first: the order of the masks' [`VarSet`]s), then mapped to variable
+/// first: the order of the masks' [`VarSet`](xsynth_boolean::VarSet)s), then mapped to variable
 /// space: a variable whose literal is negative reads `1` when its literal
 /// is `0`.
-pub fn paper_patterns(n: usize, polarity: &Polarity, cubes: &[VarSet]) -> PatternRows {
+///
+/// [`OfddManager::cubes`]: xsynth_ofdd::OfddManager::cubes
+pub fn paper_patterns(n: usize, polarity: &Polarity, cubes: &CubeRows) -> PatternRows {
     let mut masks = PatternRows::new(n);
     masks.push_zero(); // AZ
     let ao = masks.push_zero();
     (0..n).for_each(|v| set_var(ao, v));
     if cubes.len() <= MAX_CUBES {
         let mut oc = PatternRows::new(n);
-        for c in cubes {
+        for c in cubes.rows() {
             let row = oc.push_zero();
-            c.iter().for_each(|v| set_var(row, v));
+            mask_ones(c).for_each(|v| set_var(row, v));
         }
         masks.append(&oc);
         // SA1
@@ -123,7 +126,12 @@ pub fn merge_patterns(n: usize, lists: impl IntoIterator<Item = PatternRows>) ->
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use xsynth_boolean::VarSet;
     use xsynth_sim::{unpack_blocks, Pattern};
+
+    fn cube_rows(n: usize, cubes: &[VarSet]) -> CubeRows {
+        CubeRows::from_sets(n, cubes)
+    }
 
     fn unpack(rows: &PatternRows) -> Vec<Pattern> {
         unpack_blocks(&rows.to_blocks())
@@ -208,7 +216,7 @@ mod tests {
     fn az_pattern_respects_polarity() {
         // negative-polarity variables read 1 when their literal is 0
         let pol = Polarity::from_bits(&[true, false, true]);
-        let p = unpack(&paper_patterns(3, &pol, &[]));
+        let p = unpack(&paper_patterns(3, &pol, &CubeRows::new(3)));
         // AZ (mask 0) sorts before AO (the full mask)
         assert_eq!(p, vec![vec![false, true, false], vec![true, false, true]]);
     }
@@ -217,7 +225,7 @@ mod tests {
     fn oc_pattern_sets_cube_literals() {
         let pol = Polarity::all_positive(4);
         let cube = VarSet::from_vars([1, 3]);
-        let p = unpack(&paper_patterns(4, &pol, &[cube]));
+        let p = unpack(&paper_patterns(4, &pol, &cube_rows(4, &[cube])));
         // masks in order: AZ, SA1 {1}, SA1 {3}, OC {1,3}, AO
         let want: Vec<Pattern> = [0b0000u8, 0b0010, 0b1000, 0b1010, 0b1111]
             .iter()
@@ -231,7 +239,7 @@ mod tests {
     fn family_contains_az_ao_oc_sa1() {
         let pol = Polarity::all_positive(3);
         let cubes = vec![VarSet::from_vars([0, 1]), VarSet::from_vars([2])];
-        let pats = unpack(&paper_patterns(3, &pol, &cubes));
+        let pats = unpack(&paper_patterns(3, &pol, &cube_rows(3, &cubes)));
         let az = vec![false, false, false];
         let ao = vec![true, true, true];
         let oc1 = vec![true, true, false];
@@ -249,7 +257,7 @@ mod tests {
     fn large_cube_counts_fall_back_to_az_ao() {
         let pol = Polarity::all_positive(4);
         let cubes: Vec<VarSet> = (0..=MAX_CUBES).map(|i| VarSet::singleton(i % 4)).collect();
-        let pats = paper_patterns(4, &pol, &cubes);
+        let pats = paper_patterns(4, &pol, &cube_rows(4, &cubes));
         assert_eq!(pats.len(), 2, "only AZ and AO expected");
         assert_eq!(unpack(&pats), paper_patterns_oracle(4, &pol, &cubes));
     }
@@ -260,7 +268,7 @@ mod tests {
         // distinct; their SA1 masks collapse onto AZ
         let pol = Polarity::all_positive(40);
         let cubes: Vec<VarSet> = (0..40).map(VarSet::singleton).collect();
-        let pats = paper_patterns(40, &pol, &cubes);
+        let pats = paper_patterns(40, &pol, &cube_rows(40, &cubes));
         assert_eq!(pats.len(), 2 + 40 + MAX_CLOSURES);
         assert_eq!(unpack(&pats), paper_patterns_oracle(40, &pol, &cubes));
     }
@@ -301,7 +309,7 @@ mod tests {
             let mut oracles = Vec::new();
             for picks in &outputs {
                 let cubes = cubes_from(n, picks);
-                let mut got = paper_patterns(n, &pol, &cubes);
+                let mut got = paper_patterns(n, &pol, &cube_rows(n, &cubes));
                 let mut want = paper_patterns_oracle(n, &pol, &cubes);
                 prop_assert_eq!(unpack(&got), want.clone());
                 got.truncate(cap);

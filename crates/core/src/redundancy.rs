@@ -298,7 +298,7 @@ mod tests {
     use super::*;
     use crate::patterns::paper_patterns;
     use xsynth_blif::write_blif;
-    use xsynth_boolean::{Polarity, VarSet};
+    use xsynth_boolean::{CubeRows, Polarity, VarSet};
     use xsynth_net::SignalId;
     use xsynth_sim::{exhaustive_patterns, pack_patterns, unpack_blocks, Pattern};
     use xsynth_trace::{Trace, TraceSink};
@@ -323,7 +323,7 @@ mod tests {
     /// Builds the network for cube list in positive polarity via the cube
     /// method without rules, plus its paper pattern family.
     fn setup(n: usize, cubes: &[VarSet]) -> (Network, Vec<Pattern>) {
-        let e = crate::factor::factor_cubes(cubes, false);
+        let e = crate::factor::factor_cubes(&CubeRows::from_sets(n, cubes), false);
         let mut net = Network::new("t");
         let inputs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("x{i}"))).collect();
         let pol = Polarity::all_positive(n);
@@ -336,7 +336,7 @@ mod tests {
 
     /// The paper family of one output as patterns.
     fn family(n: usize, pol: &Polarity, cubes: &[VarSet]) -> Vec<Pattern> {
-        unpack_blocks(&paper_patterns(n, pol, cubes).to_blocks())
+        unpack_blocks(&paper_patterns(n, pol, &CubeRows::from_sets(n, cubes)).to_blocks())
     }
 
     fn xor_count(net: &Network) -> usize {

@@ -31,11 +31,10 @@ use crate::patterns::{merge_patterns, paper_patterns, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
 use crate::verify::{network_bdds, new_manager, EquivChecker};
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use xsynth_bdd::BddManager;
-use xsynth_boolean::{Polarity, VarSet};
+use xsynth_boolean::{mask_ones, CubeRows, FxHashMap, Polarity};
 use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_ofdd::{optimize_polarity, OfddManager, PolaritySearch};
 use xsynth_sim::{exhaustive_blocks, random_blocks, PatternBlock, PatternRows, Simulator};
@@ -84,6 +83,9 @@ pub enum FactorMethod {
 /// switches to macro-block synthesis when some output's positive-polarity
 /// FPRM has more cubes than this.
 const CUBE_CAP: u64 = 512;
+
+// a cube-feasible output's cubes are the ones its patterns were built from
+const _: () = assert!(CUBE_CAP <= MAX_CUBES as u64);
 
 /// Maximum redundancy-removal sweeps.
 const MAX_PASSES: usize = 6;
@@ -499,7 +501,11 @@ fn run_pipeline(
     let mut pattern_lists: Vec<PatternRows> = Vec::new();
     let net = if use_blocks {
         main.end();
-        pattern_lists.push(paper_patterns(n, &Polarity::all_positive(n), &[]));
+        pattern_lists.push(paper_patterns(
+            n,
+            &Polarity::all_positive(n),
+            &CubeRows::new(n),
+        ));
         main.begin(phase::FACTORING);
         let net = synthesize_blocks(&spec, opts, &mut main);
         main.end();
@@ -520,7 +526,7 @@ fn run_pipeline(
 
     // cross-output sharing (the role `resub` plays in the paper)
     main.begin(phase::FACTORING);
-    let mut result = net.strash().sweep();
+    let mut result = main.span("strash", |_| net.strash().sweep());
     main.gauge("net.gates", result.num_gates() as f64);
     main.end();
     main.begin(phase::VERIFY);
@@ -588,7 +594,7 @@ struct OutputPlan {
     root: xsynth_ofdd::Ofdd,
     bdd: xsynth_bdd::Bdd,
     /// literal-space cubes (id = 2v for positive, 2v+1 for negative)
-    lit_cubes: Option<Vec<VarSet>>,
+    lit_cubes: Option<CubeRows>,
     cube_count: u64,
     patterns: PatternRows,
     /// whether the polarity search stopped early under the budget
@@ -641,10 +647,10 @@ fn plan_output(
     buf.observe("fprm.cubes", count as f64);
     buf.observe("plan.support", support.len() as f64);
 
-    let cubes: Vec<VarSet> = if count <= MAX_CUBES as u64 {
+    let cubes = if count <= MAX_CUBES as u64 {
         om.cubes(root)
     } else {
-        Vec::new()
+        CubeRows::new(n)
     };
     buf.begin("patterns");
     let mut patterns = paper_patterns(n, &pol, &cubes);
@@ -665,12 +671,7 @@ fn plan_output(
                     // functions pick the cheaper method directly
                     (opts.share && num_outputs > 1) || {
                         buf.span("method_select", |buf| {
-                            let cube_list = if cubes.is_empty() {
-                                om.cubes(root)
-                            } else {
-                                cubes.clone()
-                            };
-                            let expr = factor_cubes(&cube_list, opts.apply_rules);
+                            let expr = factor_cubes(&cubes, opts.apply_rules);
                             let cube_cost = scratch_cost(n, &pol, |net, lits| expr.emit(net, lits));
                             let ofdd_cost = scratch_cost(n, &pol, |net, lits| {
                                 ofdd_to_network(&om, root, net, lits)
@@ -684,18 +685,15 @@ fn plan_output(
         }
     };
     let lit_cubes = use_cubes.then(|| {
-        let list = if cubes.is_empty() {
-            om.cubes(root)
-        } else {
-            cubes.clone()
-        };
-        list.iter()
-            .map(|c| {
-                c.iter()
-                    .map(|v| 2 * v + usize::from(!pol.is_positive(v)))
-                    .collect::<VarSet>()
-            })
-            .collect::<Vec<VarSet>>()
+        let mut lits = CubeRows::new(2 * n);
+        for c in cubes.rows() {
+            let row = lits.push_zero();
+            for v in mask_ones(c) {
+                let l = 2 * v + usize::from(!pol.is_positive(v));
+                row[l / 64] |= 1 << (l % 64);
+            }
+        }
+        lits
     });
     if opts.method == FactorMethod::Cube && !cube_feasible {
         buf.count("fprm.cube_cap_fallbacks", 1);
@@ -870,8 +868,8 @@ impl EmissionCheck {
 /// ids from `2n` up are the shared divisors emitted so far.
 struct Literals {
     inputs: Vec<SignalId>,
-    nots: HashMap<usize, SignalId>,
-    divisors: HashMap<usize, SignalId>,
+    nots: FxHashMap<usize, SignalId>,
+    divisors: FxHashMap<usize, SignalId>,
 }
 
 impl Literals {
@@ -894,10 +892,10 @@ impl Literals {
 
 /// Dependency order of the extracted divisors: each divisor after every
 /// divisor its cubes reference.
-fn divisor_order(divisors: &[(usize, Vec<VarSet>)], n: usize) -> Vec<usize> {
+fn divisor_order(divisors: &[(usize, CubeRows)], n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::new();
     let mut emitted: Vec<bool> = vec![false; divisors.len()];
-    let index_of: HashMap<usize, usize> = divisors
+    let index_of: FxHashMap<usize, usize> = divisors
         .iter()
         .enumerate()
         .map(|(k, (y, _))| (*y, k))
@@ -908,9 +906,8 @@ fn divisor_order(divisors: &[(usize, Vec<VarSet>)], n: usize) -> Vec<usize> {
             if emitted[k] {
                 continue;
             }
-            let ready = cubes.iter().all(|c| {
-                c.iter()
-                    .all(|l| l < 2 * n || index_of.get(&l).is_none_or(|&dk| emitted[dk]))
+            let ready = cubes.rows().all(|c| {
+                mask_ones(c).all(|l| l < 2 * n || index_of.get(&l).is_none_or(|&dk| emitted[dk]))
             });
             if ready {
                 emitted[k] = true;
@@ -947,8 +944,8 @@ fn synthesize_outputs(
             .iter()
             .map(|&i| net.add_input(spec.node_name(i).unwrap_or("in").to_string()))
             .collect(),
-        nots: HashMap::new(),
-        divisors: HashMap::new(),
+        nots: FxHashMap::default(),
+        divisors: FxHashMap::default(),
     };
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. The
@@ -1000,7 +997,7 @@ fn synthesize_outputs(
         .filter_map(|(i, p)| p.lit_cubes.is_some().then_some(i))
         .collect();
     if opts.share && !cube_outputs.is_empty() {
-        let saved: Vec<Vec<VarSet>> = plans.iter().filter_map(|p| p.lit_cubes.clone()).collect();
+        let saved: Vec<CubeRows> = plans.iter().filter_map(|p| p.lit_cubes.clone()).collect();
         let attempt = main.contain(|main| -> Result<usize, Error> {
             xsynth_trace::fail_point!(
                 "core.share",
@@ -1010,7 +1007,7 @@ fn synthesize_outputs(
                 })
             );
             let ext = main.span("gfx_extract", |span| {
-                let ext = gfx::extract(saved.clone(), 2 * n, &gfx::ExtractOptions::default());
+                let ext = gfx::extract(&saved, 2 * n, &gfx::ExtractOptions::default());
                 span.count("gfx.rounds", ext.rounds);
                 span.count("gfx.candidates", ext.candidates);
                 ext
@@ -1055,9 +1052,11 @@ fn synthesize_outputs(
                 let attempt = main.contain(|main| {
                     let expr = factor_cubes_traced(cubes, opts.apply_rules, main);
                     let sig = expr.emit(&mut net, &mut |net, id| lits.signal(net, id));
-                    let ok = check
-                        .get_or_init(|| EmissionCheck::new(n))
-                        .matches(&net, sig, bm, plan.bdd);
+                    let ok = main.span("emission_check", |_| {
+                        check
+                            .get_or_init(|| EmissionCheck::new(n))
+                            .matches(&net, sig, bm, plan.bdd)
+                    });
                     #[cfg(feature = "failpoints")]
                     let ok = ok && !xsynth_trace::failpoint::hit("core.emit_check");
                     ok.then_some(sig)
@@ -1116,12 +1115,12 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
     });
 
     let mut net = Network::new(spec.name().to_string());
-    let mut map: HashMap<usize, SignalId> = HashMap::new();
+    let mut map: FxHashMap<usize, SignalId> = FxHashMap::default();
     for (i, &pi) in spec.inputs().iter().enumerate() {
         let sid = net.add_input(spec.node_name(pi).unwrap_or("in").to_string());
         map.insert(i, sid);
     }
-    let mut not_cache: HashMap<SignalId, SignalId> = HashMap::new();
+    let mut not_cache: FxHashMap<SignalId, SignalId> = FxHashMap::default();
 
     for sig in s.topo_signals() {
         let cover = s.cover(sig).expect("live").clone();
@@ -1132,7 +1131,8 @@ fn synthesize_blocks(spec: &Network, opts: &SynthOptions, buf: &mut TraceBuffer)
             let tt = cover.table_over(&support);
             let pol = optimize_polarity(&tt, opts.polarity);
             let fprm = Fprm::from_table(&tt, &pol);
-            let expr = factor_cubes_traced(fprm.cubes(), opts.apply_rules, buf);
+            let cubes = CubeRows::from_sets(support.len(), fprm.cubes());
+            let expr = factor_cubes_traced(&cubes, opts.apply_rules, buf);
             let mut lits = |net: &mut Network, b: usize| -> SignalId {
                 let base = map[&support[b]];
                 if pol.is_positive(b) {
@@ -1455,6 +1455,16 @@ mod tests {
             .expect("fprm phase");
         let plans = fprm.children.iter().filter(|c| c.name == "plan").count();
         assert_eq!(plans, spec.outputs().len());
+        // the factoring phase attributes its self-check and its strash
+        let factoring: Vec<&str> = root
+            .children
+            .iter()
+            .filter(|c| c.name == phase::FACTORING)
+            .flat_map(|c| c.children.iter().map(|k| k.name.as_str()))
+            .collect();
+        for span in ["gfx_extract", "factor_cubes", "emission_check", "strash"] {
+            assert!(factoring.contains(&span), "no {span} under factoring");
+        }
     }
 
     #[test]

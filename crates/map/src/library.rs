@@ -1,8 +1,7 @@
 //! Cell libraries for technology mapping.
 
-use std::collections::HashMap;
 use xsynth_blif::GenlibGate;
-use xsynth_boolean::TruthTable;
+use xsynth_boolean::{FxHashMap, TruthTable};
 
 /// A combinational standard cell: name, area, and function over its input
 /// pins (at most four — the mapper enumerates 4-feasible cuts).
@@ -69,14 +68,14 @@ pub struct Library {
     cells: Vec<Cell>,
     /// (pins, canonical tt) → (cell index, permutation): `perm[i]` is the
     /// cut-leaf position feeding pin `i`.
-    matches: HashMap<(usize, u16), (usize, Vec<usize>)>,
+    matches: FxHashMap<(usize, u16), (usize, Vec<usize>)>,
 }
 
 impl Library {
     /// Builds a library from cells, indexing every input permutation of
     /// every cell (cheapest cell wins collisions).
     pub fn new(cells: Vec<Cell>) -> Self {
-        let mut matches: HashMap<(usize, u16), (usize, Vec<usize>)> = HashMap::new();
+        let mut matches: FxHashMap<(usize, u16), (usize, Vec<usize>)> = FxHashMap::default();
         for (ci, cell) in cells.iter().enumerate() {
             for perm in permutations(cell.pins) {
                 // tt_perm(m) — the function seen from the cut: leaf j of

@@ -2,6 +2,7 @@
 
 use crate::library::{tt_mask, Library};
 use std::collections::HashMap;
+use xsynth_boolean::FxHashMap;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
 /// The result of technology mapping: a netlist of library cells.
@@ -406,7 +407,7 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
         .iter()
         .map(|&s| subject.node_name(s).unwrap_or("in").to_string())
         .collect();
-    let input_pos: HashMap<usize, usize> = subject
+    let input_pos: FxHashMap<usize, usize> = subject
         .inputs()
         .iter()
         .enumerate()
@@ -416,11 +417,11 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
 
     struct Builder<'a> {
         best_choice: &'a [Option<Choice<'a>>],
-        input_pos: &'a HashMap<usize, usize>,
+        input_pos: &'a FxHashMap<usize, usize>,
         n_inputs: usize,
         lib: &'a Library,
         gates: Vec<(usize, Vec<usize>)>,
-        materialized: HashMap<usize, usize>,
+        materialized: FxHashMap<usize, usize>,
         area: f64,
     }
     impl Builder<'_> {
@@ -455,7 +456,7 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
         n_inputs,
         lib,
         gates: Vec::new(),
-        materialized: HashMap::new(),
+        materialized: FxHashMap::default(),
         area: 0.0,
     };
     let mut outputs = Vec::new();
@@ -549,7 +550,7 @@ fn dedup_cuts(cs: &mut Vec<Cut>, node: usize) {
 fn to_subject(net: &Network) -> Network {
     let d = net.decompose2().sweep();
     let mut out = Network::new(d.name().to_string());
-    let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+    let mut map: FxHashMap<SignalId, SignalId> = FxHashMap::default();
     for &i in d.inputs() {
         let ni = out.add_input(d.node_name(i).unwrap_or("in").to_string());
         map.insert(i, ni);
@@ -592,7 +593,7 @@ mod tests {
     fn cut_function(subject: &Network, handle: &[Option<SignalId>], node: usize, cut: &Cut) -> u16 {
         let mut tt = 0u16;
         for m in 0..1u16 << cut.n {
-            let mut vals: HashMap<usize, bool> = HashMap::new();
+            let mut vals: FxHashMap<usize, bool> = FxHashMap::default();
             for (b, &l) in cut.leaves().iter().enumerate() {
                 vals.insert(l as usize, m & (1 << b) != 0);
             }
@@ -607,7 +608,7 @@ mod tests {
         subject: &Network,
         handle: &[Option<SignalId>],
         node: usize,
-        vals: &mut HashMap<usize, bool>,
+        vals: &mut FxHashMap<usize, bool>,
     ) -> bool {
         if let Some(&v) = vals.get(&node) {
             return v;

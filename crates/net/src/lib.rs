@@ -28,9 +28,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::fmt;
-use xsynth_boolean::TruthTable;
+use xsynth_boolean::{FxHashMap, TruthTable};
 
 /// The logic function of a gate node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -481,7 +480,7 @@ impl Network {
     /// Output functions are preserved.
     pub fn sweep(&self) -> Network {
         let mut out = Network::new(self.name.clone());
-        let mut map: HashMap<SignalId, SigRef> = HashMap::new();
+        let mut map: FxHashMap<SignalId, SigRef> = FxHashMap::default();
         for &i in &self.inputs {
             let ni = out.add_input(self.node_name(i).unwrap_or("in").to_string());
             map.insert(i, SigRef::plain(ni));
@@ -611,7 +610,7 @@ impl Network {
     /// a·¬b + ¬a·b`). This is the paper's pre-mapping normal form.
     pub fn decompose2(&self) -> Network {
         let mut out = Network::new(self.name.clone());
-        let mut map: HashMap<SignalId, SigRef> = HashMap::new();
+        let mut map: FxHashMap<SignalId, SigRef> = FxHashMap::default();
         for &i in &self.inputs {
             let ni = out.add_input(self.node_name(i).unwrap_or("in").to_string());
             map.insert(i, SigRef::plain(ni));
@@ -736,7 +735,7 @@ impl Network {
     /// Logic depth: the longest input-to-output path counted in gates
     /// (buffers and constants are free, inverters count).
     pub fn depth(&self) -> usize {
-        let mut depth: HashMap<SignalId, usize> = HashMap::new();
+        let mut depth: FxHashMap<SignalId, usize> = FxHashMap::default();
         let mut max = 0;
         for id in self.topo_order() {
             let d = match self.kind(id) {
@@ -763,8 +762,8 @@ impl Network {
     /// uses in place of SIS `resub` when merging per-output networks.
     pub fn strash(&self) -> Network {
         let mut out = Network::new(self.name.clone());
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
-        let mut cache: HashMap<(GateKind, Vec<SignalId>), SignalId> = HashMap::new();
+        let mut map: FxHashMap<SignalId, SignalId> = FxHashMap::default();
+        let mut cache: FxHashMap<(GateKind, Vec<SignalId>), SignalId> = FxHashMap::default();
         for &i in &self.inputs {
             let ni = out.add_input(self.node_name(i).unwrap_or("in").to_string());
             map.insert(i, ni);
@@ -916,7 +915,7 @@ mod tests {
     fn topo_order_is_topological() {
         let n = full_adder();
         let order = n.topo_order();
-        let pos: HashMap<SignalId, usize> =
+        let pos: FxHashMap<SignalId, usize> =
             order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         for &id in &order {
             for f in n.fanins(id) {

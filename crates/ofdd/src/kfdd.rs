@@ -14,9 +14,8 @@
 //! flow. This module provides the diagram, a BDD→KFDD conversion, a greedy
 //! per-variable decomposition search, and network lowering.
 
-use std::collections::HashMap;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_boolean::TruthTable;
+use xsynth_boolean::{FxHashMap, FxHashSet, TruthTable};
 use xsynth_net::{GateKind, Network, SignalId};
 
 /// The expansion used for one variable of a KFDD.
@@ -61,7 +60,7 @@ const TERMINAL_VAR: u32 = u32::MAX;
 pub struct KfddManager {
     types: Vec<Decomposition>,
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Kfdd, Kfdd), Kfdd>,
+    unique: FxHashMap<(u32, Kfdd, Kfdd), Kfdd>,
 }
 
 impl KfddManager {
@@ -81,7 +80,7 @@ impl KfddManager {
                     hi: Kfdd::ONE,
                 },
             ],
-            unique: HashMap::new(),
+            unique: FxHashMap::default(),
         }
     }
 
@@ -128,7 +127,7 @@ impl KfddManager {
     /// Panics on arity mismatch (a programming error, not a resource one).
     pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Kfdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.from_bdd_rec(bm, f, &mut memo)
     }
 
@@ -137,7 +136,7 @@ impl KfddManager {
         &mut self,
         bm: &mut BddManager,
         f: Bdd,
-        memo: &mut HashMap<Bdd, Kfdd>,
+        memo: &mut FxHashMap<Bdd, Kfdd>,
     ) -> Result<Kfdd, NodeLimitExceeded> {
         let Some(var) = bm.top_var(f) else {
             return Ok(if f == Bdd::ONE { Kfdd::ONE } else { Kfdd::ZERO });
@@ -170,11 +169,11 @@ impl KfddManager {
 
     /// Evaluates on a variable-space assignment.
     pub fn eval(&self, k: Kfdd, minterm: u64) -> bool {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.eval_rec(k, minterm, &mut memo)
     }
 
-    fn eval_rec(&self, k: Kfdd, minterm: u64, memo: &mut HashMap<Kfdd, bool>) -> bool {
+    fn eval_rec(&self, k: Kfdd, minterm: u64, memo: &mut FxHashMap<Kfdd, bool>) -> bool {
         if k == Kfdd::ZERO {
             return false;
         }
@@ -216,7 +215,7 @@ impl KfddManager {
 
     /// Number of distinct internal nodes reachable from `k`.
     pub fn size(&self, k: Kfdd) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![k];
         let mut count = 0;
         while let Some(x) = stack.pop() {
@@ -242,13 +241,8 @@ impl KfddManager {
         }
         // topological order, children first
         let mut order = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        fn topo(
-            m: &KfddManager,
-            k: Kfdd,
-            seen: &mut std::collections::HashSet<Kfdd>,
-            order: &mut Vec<Kfdd>,
-        ) {
+        let mut seen = FxHashSet::default();
+        fn topo(m: &KfddManager, k: Kfdd, seen: &mut FxHashSet<Kfdd>, order: &mut Vec<Kfdd>) {
             if k.is_const() || !seen.insert(k) {
                 return;
             }
@@ -259,13 +253,13 @@ impl KfddManager {
         }
         topo(self, root, &mut seen, &mut order);
 
-        let mut not_cache: HashMap<SignalId, SignalId> = HashMap::new();
+        let mut not_cache: FxHashMap<SignalId, SignalId> = FxHashMap::default();
         let mut zero: Option<SignalId> = None;
         let mut one: Option<SignalId> = None;
-        let mut sig: HashMap<Kfdd, SignalId> = HashMap::new();
+        let mut sig: FxHashMap<Kfdd, SignalId> = FxHashMap::default();
         let resolve = |k: Kfdd,
                        net: &mut Network,
-                       sig: &HashMap<Kfdd, SignalId>,
+                       sig: &FxHashMap<Kfdd, SignalId>,
                        zero: &mut Option<SignalId>,
                        one: &mut Option<SignalId>| {
             match k {
@@ -428,7 +422,7 @@ mod tests {
         // the KFDD has no complement edges, so compare against the
         // complement-free ROBDD: distinct non-constant subfunctions, with
         // g and ¬g counted apart
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![f];
         while let Some(g) = stack.pop() {
             if !g.is_const() && seen.insert(g) {

@@ -39,10 +39,9 @@ pub mod kfdd;
 #[cfg(test)]
 mod reference;
 
-use std::collections::HashMap;
 use std::time::Instant;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_boolean::{Fprm, Polarity, Spectrum, TruthTable, VarSet};
+use xsynth_boolean::{CubeRows, Fprm, FxHashMap, FxHashSet, Polarity, Spectrum, TruthTable};
 use xsynth_trace::TraceBuffer;
 
 /// A handle to an OFDD node inside an [`OfddManager`].
@@ -83,8 +82,8 @@ const TERMINAL_VAR: u32 = u32::MAX;
 pub struct OfddManager {
     polarity: Polarity,
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Ofdd, Ofdd), Ofdd>,
-    xor_cache: HashMap<(Ofdd, Ofdd), Ofdd>,
+    unique: FxHashMap<(u32, Ofdd, Ofdd), Ofdd>,
+    xor_cache: FxHashMap<(Ofdd, Ofdd), Ofdd>,
 }
 
 impl OfddManager {
@@ -104,8 +103,8 @@ impl OfddManager {
                     hi: Ofdd::ONE,
                 },
             ],
-            unique: HashMap::new(),
-            xor_cache: HashMap::new(),
+            unique: FxHashMap::default(),
+            xor_cache: FxHashMap::default(),
         }
     }
 
@@ -230,7 +229,7 @@ impl OfddManager {
                 limit: bm.node_limit().unwrap_or(0),
             })
         );
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.from_bdd_rec(bm, f, &mut memo)
     }
 
@@ -239,7 +238,7 @@ impl OfddManager {
         &mut self,
         bm: &mut BddManager,
         f: Bdd,
-        memo: &mut HashMap<Bdd, Ofdd>,
+        memo: &mut FxHashMap<Bdd, Ofdd>,
     ) -> Result<Ofdd, NodeLimitExceeded> {
         let Some(var) = bm.top_var(f) else {
             return Ok(if f == Bdd::ONE { Ofdd::ONE } else { Ofdd::ZERO });
@@ -273,11 +272,11 @@ impl OfddManager {
 
     /// Number of FPRM cubes (paths to the 1-terminal).
     pub fn num_cubes(&self, o: Ofdd) -> u64 {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.count_rec(o, &mut memo)
     }
 
-    fn count_rec(&self, o: Ofdd, memo: &mut HashMap<Ofdd, u64>) -> u64 {
+    fn count_rec(&self, o: Ofdd, memo: &mut FxHashMap<Ofdd, u64>) -> u64 {
         if o == Ofdd::ZERO {
             return 0;
         }
@@ -293,57 +292,59 @@ impl OfddManager {
         c
     }
 
-    /// Extracts all FPRM cubes of `o` (each a set of variables; phases come
-    /// from the manager's polarity).
-    pub fn cubes(&self, o: Ofdd) -> Vec<VarSet> {
-        match o {
-            Ofdd::ZERO => Vec::new(),
-            Ofdd::ONE => vec![VarSet::new()],
-            _ => {
-                let mut memo: HashMap<Ofdd, Vec<VarSet>> = HashMap::new();
-                self.cubes_rec(o, &mut memo);
-                memo.remove(&o).expect("root visited")
-            }
-        }
+    /// Extracts all FPRM cubes of `o`, one row of variables per cube
+    /// (phases come from the manager's polarity): a node's cubes are its
+    /// low branch's, then its high branch's with the node's variable
+    /// added.
+    pub fn cubes(&self, o: Ofdd) -> CubeRows {
+        let mut out = CubeRows::new(self.num_vars());
+        let mut memo: FxHashMap<Ofdd, CubeRows> = FxHashMap::default();
+        self.cubes_rec(o, &mut memo);
+        self.append_cubes(o, &memo, &mut out);
+        out
     }
 
-    fn cubes_rec(&self, o: Ofdd, memo: &mut HashMap<Ofdd, Vec<VarSet>>) {
+    fn cubes_rec(&self, o: Ofdd, memo: &mut FxHashMap<Ofdd, CubeRows>) {
         if o.is_const() || memo.contains_key(&o) {
             return;
         }
         let n = self.node(o);
         self.cubes_rec(n.lo, memo);
         self.cubes_rec(n.hi, memo);
-        let lo_cubes: Vec<VarSet> = match n.lo {
-            Ofdd::ZERO => Vec::new(),
-            Ofdd::ONE => vec![VarSet::new()],
-            _ => memo[&n.lo].clone(),
-        };
-        let hi_cubes: Vec<VarSet> = match n.hi {
-            Ofdd::ZERO => Vec::new(),
-            Ofdd::ONE => vec![VarSet::new()],
-            _ => memo[&n.hi].clone(),
-        };
-        let mut out = lo_cubes;
-        for mut c in hi_cubes {
-            c.insert(n.var as usize);
-            out.push(c);
+        let mut out = CubeRows::new(self.num_vars());
+        self.append_cubes(n.lo, memo, &mut out);
+        let start = out.len();
+        self.append_cubes(n.hi, memo, &mut out);
+        let (w, bit) = (n.var as usize / 64, 1u64 << (n.var % 64));
+        for i in start..out.len() {
+            out.row_mut(i)[w] |= bit;
         }
         memo.insert(o, out);
     }
 
+    /// Appends the cubes of `o`, already in `memo` unless constant.
+    fn append_cubes(&self, o: Ofdd, memo: &FxHashMap<Ofdd, CubeRows>, out: &mut CubeRows) {
+        match o {
+            Ofdd::ZERO => {}
+            Ofdd::ONE => {
+                out.push_zero();
+            }
+            _ => out.append(&memo[&o]),
+        }
+    }
+
     /// The FPRM form of `o` under this manager's polarity.
     pub fn to_fprm(&self, o: Ofdd) -> Fprm {
-        Fprm::new(self.polarity.clone(), self.cubes(o))
+        Fprm::new(self.polarity.clone(), self.cubes(o).to_sets())
     }
 
     /// Evaluates `o` on a variable-space assignment.
     pub fn eval(&self, o: Ofdd, minterm: u64) -> bool {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.eval_rec(o, minterm, &mut memo)
     }
 
-    fn eval_rec(&self, o: Ofdd, minterm: u64, memo: &mut HashMap<Ofdd, bool>) -> bool {
+    fn eval_rec(&self, o: Ofdd, minterm: u64, memo: &mut FxHashMap<Ofdd, bool>) -> bool {
         if o == Ofdd::ZERO {
             return false;
         }
@@ -373,7 +374,7 @@ impl OfddManager {
 
     /// Number of distinct internal nodes in the DAG rooted at `o`.
     pub fn size(&self, o: Ofdd) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![o];
         let mut count = 0;
         while let Some(b) = stack.pop() {
@@ -394,7 +395,7 @@ impl OfddManager {
     /// in one traversal.
     pub fn topo_nodes(&self, o: Ofdd) -> Vec<(Ofdd, usize, Ofdd, Ofdd)> {
         let mut order = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         self.topo_rec(o, &mut seen, &mut order);
         order
     }
@@ -402,7 +403,7 @@ impl OfddManager {
     fn topo_rec(
         &self,
         o: Ofdd,
-        seen: &mut std::collections::HashSet<Ofdd>,
+        seen: &mut FxHashSet<Ofdd>,
         order: &mut Vec<(Ofdd, usize, Ofdd, Ofdd)>,
     ) {
         if o.is_const() || !seen.insert(o) {
@@ -460,7 +461,7 @@ pub struct PolaritySearch<'a> {
     f: Bdd,
     /// chosen on the first evaluation
     scorer: Option<Scorer>,
-    memo: HashMap<Polarity, u64>,
+    memo: FxHashMap<Polarity, u64>,
     deadline: Option<Instant>,
     trace: Option<&'a mut TraceBuffer>,
     tripped: bool,
@@ -537,7 +538,7 @@ impl<'a> PolaritySearch<'a> {
             bm,
             f,
             scorer: None,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             deadline: None,
             trace: None,
             tripped: false,
@@ -851,6 +852,7 @@ pub fn optimize_polarity(t: &TruthTable, mode: PolarityMode) -> Polarity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsynth_boolean::VarSet;
 
     fn check_semantics(t: &TruthTable, pol: &Polarity) {
         let mut om = OfddManager::new(pol.clone());
@@ -940,7 +942,7 @@ mod tests {
         let mut om = OfddManager::new(Polarity::all_positive(6));
         let o = om.from_table(&t).expect("uncapped");
         let order = om.topo_nodes(o);
-        let mut pos = HashMap::new();
+        let mut pos = FxHashMap::default();
         for (i, (h, _, _, _)) in order.iter().enumerate() {
             pos.insert(*h, i);
         }
@@ -1184,7 +1186,7 @@ mod tests {
         let one = om.from_table(&TruthTable::one(3)).expect("uncapped");
         assert_eq!(z, Ofdd::ZERO);
         assert_eq!(one, Ofdd::ONE);
-        assert_eq!(om.cubes(one), vec![VarSet::new()]);
+        assert_eq!(om.cubes(one).to_sets(), vec![VarSet::new()]);
         assert!(om.cubes(z).is_empty());
     }
 }

@@ -4,10 +4,9 @@
 //! counts, same `polarity.*` counters.
 
 use super::{eval_polarity, PolarityMode, EXHAUSTIVE_LIMIT};
-use std::collections::HashMap;
 use std::time::Instant;
 use xsynth_bdd::{Bdd, BddManager};
-use xsynth_boolean::Polarity;
+use xsynth_boolean::{FxHashMap, Polarity};
 use xsynth_trace::TraceBuffer;
 
 /// The polarity search with one BDD→OFDD conversion per candidate.
@@ -15,7 +14,7 @@ use xsynth_trace::TraceBuffer;
 pub struct PolaritySearch<'a> {
     bm: &'a mut BddManager,
     f: Bdd,
-    memo: HashMap<Polarity, u64>,
+    memo: FxHashMap<Polarity, u64>,
     deadline: Option<Instant>,
     trace: Option<&'a mut TraceBuffer>,
     tripped: bool,
@@ -31,7 +30,7 @@ impl<'a> PolaritySearch<'a> {
         PolaritySearch {
             bm,
             f,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             deadline: None,
             trace: None,
             tripped: false,

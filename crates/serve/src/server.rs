@@ -1604,19 +1604,21 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
 /// flight recorder's `cone_hash` XORs it over a job's outputs).
 ///
 /// The cone is walked depth-first from the root, fanins in order, and
-/// every node is numbered by first visit; FNV-1a-128 then covers the node
-/// count and each node's kind and its fanins' numbers. Node ids and names
+/// every node is numbered by first visit (in a table indexed by signal);
+/// FNV-1a-128 then covers the node count and each node's kind and its
+/// fanins' numbers. Node ids and names
 /// never enter it, so two cones hash equal exactly when their DAGs have
 /// the same shape, whatever circuit they come from.
 fn cone_hash(net: &Network, root: SignalId) -> u128 {
-    let mut number: HashMap<SignalId, u64> = HashMap::new();
+    const UNSEEN: u64 = u64::MAX;
+    let mut number = vec![UNSEEN; net.num_nodes()];
     let mut order: Vec<SignalId> = Vec::new();
     let mut stack = vec![root];
     while let Some(sig) = stack.pop() {
-        if number.contains_key(&sig) {
+        if number[sig.index()] != UNSEEN {
             continue;
         }
-        number.insert(sig, order.len() as u64);
+        number[sig.index()] = order.len() as u64;
         order.push(sig);
         // fanins pushed in reverse so they pop in declaration order
         stack.extend(net.fanins(sig).iter().rev());
@@ -1648,7 +1650,7 @@ fn cone_hash(net: &Network, root: SignalId) -> u128 {
         let fanins = net.fanins(sig);
         word(fanins.len() as u64);
         for f in fanins {
-            word(number[f]);
+            word(number[f.index()]);
         }
     }
     h

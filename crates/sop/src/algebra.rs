@@ -97,8 +97,15 @@ pub struct Kernel {
 }
 
 /// Computes the kernels of `f` (Brayton–McMullen recursive algorithm),
-/// including `f` itself when it is cube-free and has ≥ 2 cubes. The result
-/// is capped at `limit` kernels to bound runtime on pathological covers.
+/// including `f` itself when it is cube-free and has ≥ 2 cubes.
+///
+/// `limit` bounds the runtime on pathological covers but is not an exact
+/// cap: once `limit` kernels are found no new recursion level starts,
+/// but each level still open may add one more kernel before it returns.
+/// Levels nest on strictly increasing literals, so the result holds at
+/// most `limit + L − 1` kernels for a cover of `L` distinct literals
+/// (and at least one when `f` is cube-free with ≥ 2 cubes, even for
+/// `limit` 0).
 ///
 /// The recursion runs on `MaskCover` words: a cube is a bit mask over
 /// `f`'s literals, so co-kernels, quotients and the duplicate check are
@@ -447,8 +454,8 @@ fn or2(a: Factored, b: Factored) -> Factored {
 }
 
 fn most_frequent_literal(f: &Sop) -> Option<(usize, bool)> {
-    let mut counts: std::collections::HashMap<(usize, bool), usize> =
-        std::collections::HashMap::new();
+    let mut counts: xsynth_boolean::FxHashMap<(usize, bool), usize> =
+        xsynth_boolean::FxHashMap::default();
     for c in f.cubes() {
         for v in c.positive().iter() {
             *counts.entry((v, true)).or_default() += 1;
@@ -543,6 +550,39 @@ mod tests {
             ks.iter().any(|k| covers_same(&k.kernel, &f)),
             "f is its own kernel"
         );
+    }
+
+    /// `limit` is not a cap: past it, each open recursion level may add
+    /// one more kernel, so up to `limit + L − 1` come back for `L`
+    /// literals. The SOP script's results depend on this count, so it is
+    /// pinned here rather than tightened.
+    #[test]
+    fn kernel_limit_is_exceeded_by_at_most_the_open_levels() {
+        // (a+b+c)(d+e+f)(g+h+i)(j+k+l) + m: 82 cubes over 13 literals
+        let mut cubes: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+        for m in 0..81usize {
+            let lits = (0..4)
+                .map(|k| 3 * k + m / 3usize.pow(k as u32) % 3)
+                .collect();
+            cubes.push((lits, Vec::new()));
+        }
+        cubes.push((vec![12], Vec::new()));
+        let f = Sop::from_cubes(
+            cubes
+                .iter()
+                .map(|(p, n)| Cube::new(p.iter().copied(), n.iter().copied()).unwrap()),
+        );
+        let all = kernels(&f, usize::MAX).len();
+        assert_eq!(all, 15, "f and the products of 1–4 of its sums");
+        let mut overshoot = 0;
+        for limit in 0..=all {
+            let got = kernels(&f, limit).len();
+            assert!(got >= limit, "limit {limit}: only {got}");
+            assert!(got < limit.max(1) + 13, "limit {limit}: {got}");
+            overshoot = overshoot.max(got - limit.min(got));
+        }
+        assert_eq!(kernels(&f, 4).len(), 6, "two open levels add one each");
+        assert_eq!(overshoot, 2);
     }
 
     #[test]

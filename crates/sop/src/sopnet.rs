@@ -13,11 +13,10 @@
 //! complement; [`SopNet::resubstitute`] keeps the signatures.
 
 use crate::algebra::{self, covers_same, Factored};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use xsynth_boolean::{Cube, Sop, VarSet};
+use xsynth_boolean::{Cube, FxHashMap, FxHashSet, FxHasher, Sop, VarSet};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
 /// A multilevel network in which every internal node carries a
@@ -117,7 +116,7 @@ impl SopNet {
     /// XOR nodes, since XOR has no compact SOP).
     pub fn from_network(net: &Network) -> SopNet {
         let mut s = SopNet::new(net.name().to_string());
-        let mut map: HashMap<SignalId, usize> = HashMap::new();
+        let mut map: FxHashMap<SignalId, usize> = FxHashMap::default();
         for &i in net.inputs() {
             let sig = s.add_pi(net.node_name(i).unwrap_or("in"));
             map.insert(i, sig);
@@ -229,7 +228,7 @@ impl SopNet {
     /// Evaluates every output for the PI assignment in `minterm`.
     pub fn eval_u64(&self, minterm: u64) -> Vec<bool> {
         let np = self.num_pis();
-        let mut val: HashMap<usize, bool> = HashMap::new();
+        let mut val: FxHashMap<usize, bool> = FxHashMap::default();
         for i in 0..np {
             val.insert(i, minterm & (1 << i) != 0);
         }
@@ -594,8 +593,8 @@ impl SopNet {
     /// cover into AND/OR/NOT gates with good-factor.
     pub fn to_network(&self) -> Network {
         let mut net = Network::new(self.name.clone());
-        let mut map: HashMap<usize, SignalId> = HashMap::new();
-        let mut not_cache: HashMap<SignalId, SignalId> = HashMap::new();
+        let mut map: FxHashMap<usize, SignalId> = FxHashMap::default();
+        let mut not_cache: FxHashMap<SignalId, SignalId> = FxHashMap::default();
         for (i, name) in self.pi_names.iter().enumerate() {
             let s = net.add_input(name.clone());
             map.insert(i, s);
@@ -686,11 +685,11 @@ struct Extraction {
     /// Per node: the distinct candidates it yields, in first-yield
     /// order; `None` when its cover changed since they were derived.
     yields: Vec<Option<Vec<usize>>>,
-    ids: HashMap<Rc<Sop>, usize>,
+    ids: FxHashMap<Rc<Sop>, usize>,
     candidates: Vec<Candidate>,
     /// Classes by the order-free hash of their cube set, linearly probed
     /// on a collision.
-    classes: HashMap<u64, usize>,
+    classes: FxHashMap<u64, usize>,
     /// Per class: its first candidate, and the last round that listed it.
     class_first: Vec<usize>,
     listed: Vec<usize>,
@@ -709,9 +708,9 @@ impl Extraction {
         Extraction {
             signatures,
             yields: vec![None; s.nodes.len()],
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
             candidates: Vec::new(),
-            classes: HashMap::new(),
+            classes: FxHashMap::default(),
             class_first: Vec::new(),
             listed: Vec::new(),
             touched: Vec::new(),
@@ -774,7 +773,7 @@ impl Extraction {
             if self.yields[i].is_none() {
                 // a repeat is never listed: its first yield was listed or
                 // `covers_same` an earlier candidate
-                let (mut ys, mut seen) = (Vec::new(), HashSet::new());
+                let (mut ys, mut seen) = (Vec::new(), FxHashSet::default());
                 node_candidates(f, |c| {
                     let id = self.intern(c);
                     if seen.insert(id) {
@@ -814,7 +813,7 @@ impl Extraction {
         let class = (!repeats).then(|| {
             // the sum of the cubes' hashes does not depend on their order
             let key = cubes.iter().fold(0u64, |h, c| {
-                let mut hasher = DefaultHasher::new();
+                let mut hasher = FxHasher::default();
                 c.hash(&mut hasher);
                 h.wrapping_add(hasher.finish())
             });
@@ -1008,8 +1007,8 @@ fn detect_xor2(cover: &Sop) -> Option<(usize, usize, bool)> {
 pub fn emit_factored(
     fac: &Factored,
     net: &mut Network,
-    map: &HashMap<usize, SignalId>,
-    not_cache: &mut HashMap<SignalId, SignalId>,
+    map: &FxHashMap<usize, SignalId>,
+    not_cache: &mut FxHashMap<SignalId, SignalId>,
 ) -> SignalId {
     match fac {
         Factored::Zero => net.add_gate(GateKind::Const0, vec![]),

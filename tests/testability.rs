@@ -3,7 +3,7 @@
 //! OC, SA1, AZ/AO and the cube-union closures — detects their single
 //! stuck-at faults without conventional ATPG.
 
-use xsynth::boolean::{Fprm, TruthTable};
+use xsynth::boolean::{CubeRows, Fprm, TruthTable};
 use xsynth::circuits::build;
 use xsynth::core::atpg::generate_tests;
 use xsynth::core::{merge_patterns, paper_patterns, try_synthesize, SynthOptions};
@@ -18,7 +18,11 @@ fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
         // polarity per output as the flow would choose (positive is enough
         // for the claim; the flow's polarities only shrink the form)
         let f = Fprm::from_table_positive(t);
-        lists.push(paper_patterns(n, f.polarity(), f.cubes()));
+        lists.push(paper_patterns(
+            n,
+            f.polarity(),
+            &CubeRows::from_sets(n, f.cubes()),
+        ));
     }
     unpack_blocks(&merge_patterns(n, lists).to_blocks())
 }
