@@ -4,9 +4,9 @@
 //! redundancy-removal pass, the SOP baseline's `eliminate`, `extract` and
 //! `resubstitute`, the FPRM flow's GF(2) divisor extraction, pattern
 //! simulation (the paper family's word rows, event-driven fault
-//! propagation and the power estimate), an adder's BDD apply and
-//! carry-out BDD→OFDD conversion, each of the last five swept over the
-//! input count, and ISOP swept over the table width.
+//! propagation and the power estimate), an adder's technology mapping, BDD
+//! apply and carry-out BDD→OFDD conversion, each of the last six swept over
+//! the input count, and ISOP swept over the table width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
@@ -180,6 +180,20 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| map_network(&addm4, &lib))
     });
 
+    // the FPRM results of the Table 2 row with the most mapped literals
+    // and of the arithmetic workload's 4x4 multiplier
+    for spec in [
+        xsynth_circuits::build("shift").expect("registered"),
+        mul_4x4_k3(),
+    ] {
+        let net = try_synthesize(&spec, &SynthOptions::default())
+            .expect("synthesizes")
+            .network;
+        c.bench_function(format!("tech_map_{}_fprm", spec.name()), |b| {
+            b.iter(|| map_network(&net, &lib))
+        });
+    }
+
     // Section 4's pass alone, on the network that enters it
     let specs = [
         xsynth_circuits::build("shift").expect("registered"),
@@ -346,6 +360,18 @@ fn bench_pattern_simulation(c: &mut Criterion) {
                 let mut sim = FaultSim::new(net, &blocks);
                 faults.iter().filter(|&&f| sim.detects(net, f)).count()
             })
+        });
+    }
+    group.finish();
+
+    // cut enumeration, matching and covering of an n-input adder's gate
+    // network (the mapper's subject graph grows linearly with n)
+    let lib = Library::mcnc();
+    let mut group = c.benchmark_group("tech_map_adder");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
+            b.iter(|| map_network(net, &lib))
         });
     }
     group.finish();

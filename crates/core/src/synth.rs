@@ -348,10 +348,12 @@ impl CacheUse {
 /// What the pipeline did, per output and overall. Everything the run
 /// counted — polarity candidates (`polarity.*`), shared divisors
 /// (`share.divisors`) and the extraction work behind them (`gfx.rounds`,
-/// `gfx.candidates`), macro blocks (`blocks.synthesized`), cube-cap
-/// fallbacks (`fprm.cube_cap_fallbacks`), Section 4 rewrites
-/// (`redundancy.*`) — lives in [`SynthReport::trace`] and is read by name
-/// with [`Trace::counter`].
+/// `gfx.candidates`), whether the sharing pass's network replaced the
+/// result (`share.kept`) with more two-input literals (`share.grew`),
+/// macro blocks (`blocks.synthesized`), cube-cap fallbacks
+/// (`fprm.cube_cap_fallbacks`), Section 4 rewrites (`redundancy.*`) —
+/// lives in [`SynthReport::trace`] and is read by name with
+/// [`Trace::counter`].
 #[derive(Debug, Clone, Default)]
 pub struct SynthReport {
     /// `(output name, FPRM cube count, polarity)` per output.
@@ -541,6 +543,12 @@ fn run_pipeline(
         main.begin(phase::SHARING);
         let shared = share_pass(&result);
         if matches!(checker.try_check_traced(&shared, &mut main), Ok(true)) {
+            // any equivalent shared network is kept, whatever its size:
+            // count how often, and how often it has more literals
+            main.count("share.kept", 1);
+            if swept_literals(&shared) > swept_literals(&result) {
+                main.count("share.grew", 1);
+            }
             result = shared;
         }
         main.gauge("net.gates", result.num_gates() as f64);
@@ -1168,6 +1176,33 @@ fn share_pass(net: &Network) -> Network {
     s.extract(128);
     s.eliminate(0, 16);
     s.to_network().sweep()
+}
+
+/// `net.two_input_cost().1` of a swept network, without building its
+/// decomposition: sweeping leaves no constant, repeated or single fanin
+/// on an AND/OR/XOR-family gate, so `decompose2` splits each reachable
+/// `k`-fanin AND/OR gate into `k − 1` two-input gates and each XOR gate
+/// into `3(k − 1)`, and folds none of them away.
+fn swept_literals(net: &Network) -> usize {
+    let gates: usize = net
+        .topo_order()
+        .iter()
+        .map(|&id| {
+            let k = net.fanins(id).len();
+            match net.gate_kind(id) {
+                Some(GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor) => k - 1,
+                Some(GateKind::Xor | GateKind::Xnor) => 3 * (k - 1),
+                _ => 0,
+            }
+        })
+        .sum();
+    debug_assert_eq!(
+        2 * gates,
+        net.two_input_cost().1,
+        "{} is not swept",
+        net.name()
+    );
+    2 * gates
 }
 
 /// Emits one candidate implementation into a scratch network and returns

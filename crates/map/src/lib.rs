@@ -10,7 +10,9 @@
 //! root's function as a 16-bit truth table, composed bottom-up during
 //! enumeration. An inverter complements its fanin's tables; an AND merges
 //! two leaf sets, re-aligns both fanin tables onto the merged leaves, and
-//! ANDs them. Matching a cut is then one lookup in the library's
+//! ANDs them. Every node's cuts sit in one arena, an inverter's list is
+//! its fanin's passed through, and an AND composes tables only for the
+//! candidates it keeps. Matching a cut is then one lookup in the library's
 //! permutation index. The built-in
 //! [`Library::mcnc`] mirrors the paper's library: 2-input XOR/XNOR,
 //! 2-input AND/OR, NAND/NOR up to four inputs, and the four complex

@@ -44,7 +44,7 @@ pub use power::{power_estimate, signal_activity, PowerReport};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xsynth_net::{Network, NodeKind, SignalId};
+use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
 /// A single input assignment: one value per primary input, in declaration
 /// order. The unpacked view of a pattern, for tests and test generation;
@@ -321,6 +321,16 @@ impl Iterator for ExhaustiveBlocks {
     type Item = PatternBlock;
 
     fn next(&mut self) -> Option<PatternBlock> {
+        let mut words = vec![0; self.n];
+        let lanes = self.fill(&mut words)?;
+        Some(PatternBlock { words, lanes })
+    }
+}
+
+impl ExhaustiveBlocks {
+    /// Writes the next block's input words into `words` (one per input)
+    /// and returns its lane count, or `None` past the last block.
+    fn fill(&mut self, words: &mut [u64]) -> Option<u32> {
         let total: u64 = 1u64 << self.n;
         if self.next >= total {
             return None;
@@ -330,19 +340,17 @@ impl Iterator for ExhaustiveBlocks {
         let mask = if lanes >= 64 { !0 } else { (1u64 << lanes) - 1 };
         // Minterm `base + k` sits in lane `k`: inputs below 6 cycle within
         // the block (fixed masks), inputs from 6 up are constant across it.
-        let words = (0..self.n)
-            .map(|i| {
-                if i < 6 {
-                    LANE_BITS[i] & mask
-                } else if base >> i & 1 != 0 {
-                    mask
-                } else {
-                    0u64
-                }
-            })
-            .collect();
+        for (i, w) in words.iter_mut().enumerate() {
+            *w = if i < 6 {
+                LANE_BITS[i] & mask
+            } else if base >> i & 1 != 0 {
+                mask
+            } else {
+                0
+            };
+        }
         self.next = base + 64;
-        Some(PatternBlock { words, lanes })
+        Some(lanes)
     }
 }
 
@@ -350,20 +358,49 @@ impl Iterator for ExhaustiveBlocks {
 /// drawn straight into 64-lane blocks: one `gen::<bool>()` per input
 /// value, pattern after pattern, input 0 first.
 pub fn random_blocks(n: usize, count: usize, seed: u64) -> Vec<PatternBlock> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .step_by(64)
-        .map(|start| {
-            let lanes = (count - start).min(64) as u32;
-            let mut words = vec![0u64; n];
-            for k in 0..lanes {
-                for w in &mut words {
-                    *w |= u64::from(rng.gen::<bool>()) << k;
-                }
+    let mut draw = RandomDraw::new(count, seed);
+    let mut blocks = Vec::with_capacity(count.div_ceil(64));
+    let mut words = vec![0; n];
+    while let Some(lanes) = draw.fill(&mut words) {
+        blocks.push(PatternBlock {
+            words: words.clone(),
+            lanes,
+        });
+    }
+    blocks
+}
+
+/// The stream of [`random_blocks`], drawn block by block into a caller's
+/// buffer.
+struct RandomDraw {
+    rng: StdRng,
+    left: usize,
+}
+
+impl RandomDraw {
+    fn new(count: usize, seed: u64) -> Self {
+        RandomDraw {
+            rng: StdRng::seed_from_u64(seed),
+            left: count,
+        }
+    }
+
+    /// Draws the next block's input words into `words` (one per input)
+    /// and returns its lane count, or `None` once `count` patterns are out.
+    fn fill(&mut self, words: &mut [u64]) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        let lanes = self.left.min(64) as u32;
+        self.left -= lanes as usize;
+        words.fill(0);
+        for k in 0..lanes {
+            for w in words.iter_mut() {
+                *w |= u64::from(self.rng.gen::<bool>()) << k;
             }
-            PatternBlock { words, lanes }
-        })
-        .collect()
+        }
+        Some(lanes)
+    }
 }
 
 /// The patterns of [`random_blocks`], one `Vec<bool>` each.
@@ -489,20 +526,129 @@ impl<'a> Simulator<'a> {
     /// Per-node one-counts over a stream of packed blocks: returns
     /// `(counts, total)` where `counts[node]` is how many patterns set that
     /// node to 1 and `total` is the number of patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's word count differs from the input count.
     pub fn node_one_counts<I>(&self, blocks: I) -> (Vec<u64>, u64)
     where
         I: IntoIterator<Item = PatternBlock>,
     {
-        let mut counts = vec![0u64; self.net.num_nodes()];
-        let mut total = 0u64;
-        for block in blocks {
-            let mask = block.lane_mask();
-            let val = self.simulate_block(&block.words);
-            for (c, w) in counts.iter_mut().zip(val.iter()) {
-                *c += (w & mask).count_ones() as u64;
-            }
-            total += u64::from(block.lanes);
+        let mut blocks = blocks.into_iter();
+        BlockSim::new(self.net, &self.order).one_counts(|words| {
+            let block = blocks.next()?;
+            assert_eq!(block.words.len(), words.len(), "input arity mismatch");
+            words.copy_from_slice(&block.words);
+            Some(block.lanes)
+        })
+    }
+}
+
+/// A network compiled for counting one-values block by block.
+///
+/// Every node of an evaluation order becomes a reference to a value slot,
+/// `slot << 1 | complemented`: the inputs take slots `0..n`, in input
+/// order, and every gate other than a buffer or an inverter takes the next
+/// slot, so values are written and counted front to back in one reused
+/// buffer. A buffer or an inverter takes no slot: it is its fanin's
+/// reference, complemented for an inverter, and its one-count is derived
+/// from its fanin's at the end (`patterns - ones` through an inverter).
+struct BlockSim {
+    inputs: usize,
+    /// Each slotted gate's function (`And`, `Or` or `Xor` of its fanins,
+    /// complemented when the flag is set) and the end of its fanins in
+    /// `fanins`; they start where the previous gate's end.
+    gates: Vec<(Fold, bool, u32)>,
+    /// Fanin references of the slotted gates, gate after gate.
+    fanins: Vec<u32>,
+    /// Each node's reference, or `None` outside the order and the inputs.
+    node_ref: Vec<Option<u32>>,
+}
+
+/// The fold a slotted gate applies over its fanin words.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    And,
+    Or,
+    Xor,
+}
+
+impl BlockSim {
+    /// Compiles the primary inputs and the gates of `order`, which lists
+    /// fanins before fanouts.
+    fn new(net: &Network, order: &[SignalId]) -> Self {
+        let inputs = net.inputs().len();
+        let mut node_ref = vec![None; net.num_nodes()];
+        for (i, s) in net.inputs().iter().enumerate() {
+            node_ref[s.index()] = Some((i as u32) << 1);
         }
+        let mut gates = Vec::with_capacity(order.len());
+        let mut fanins = Vec::with_capacity(order.len() * 2);
+        for &id in order {
+            let NodeKind::Gate(kind) = *net.kind(id) else {
+                continue;
+            };
+            let fanin = |k: usize| node_ref[net.fanins(id)[k].index()].expect("fanins precede");
+            let (fold, complement) = match kind {
+                GateKind::Buf | GateKind::Not => {
+                    node_ref[id.index()] = Some(fanin(0) ^ u32::from(kind == GateKind::Not));
+                    continue;
+                }
+                GateKind::Const0 | GateKind::Or => (Fold::Or, false),
+                GateKind::Const1 | GateKind::Nor => (Fold::Or, true),
+                GateKind::And => (Fold::And, false),
+                GateKind::Nand => (Fold::And, true),
+                GateKind::Xor => (Fold::Xor, false),
+                GateKind::Xnor => (Fold::Xor, true),
+            };
+            fanins.extend((0..net.fanins(id).len()).map(fanin));
+            node_ref[id.index()] = Some(((inputs + gates.len()) as u32) << 1);
+            gates.push((fold, complement, fanins.len() as u32));
+        }
+        BlockSim {
+            inputs,
+            gates,
+            fanins,
+            node_ref,
+        }
+    }
+
+    /// Simulates every block `fill` writes into the input words (returning
+    /// its lane count, or `None` when done): per-node one-counts over the
+    /// valid lanes, and the number of patterns.
+    fn one_counts(&self, mut fill: impl FnMut(&mut [u64]) -> Option<u32>) -> (Vec<u64>, u64) {
+        let mut val = vec![0u64; self.inputs + self.gates.len()];
+        let mut ones = vec![0u64; val.len()];
+        let mut total = 0u64;
+        while let Some(lanes) = fill(&mut val[..self.inputs]) {
+            xsynth_trace::fail_point!("sim.block");
+            let mask = if lanes >= 64 { !0 } else { (1u64 << lanes) - 1 };
+            let mut start = 0;
+            for (g, &(fold, complement, end)) in self.gates.iter().enumerate() {
+                let fan = &self.fanins[start as usize..end as usize];
+                let word = |r: &u32| val[(r >> 1) as usize] ^ 0u64.wrapping_sub(u64::from(r & 1));
+                let w = match fold {
+                    Fold::And => fan.iter().fold(!0, |a, r| a & word(r)),
+                    Fold::Or => fan.iter().fold(0, |a, r| a | word(r)),
+                    Fold::Xor => fan.iter().fold(0, |a, r| a ^ word(r)),
+                };
+                val[self.inputs + g] = if complement { !w } else { w };
+                start = end;
+            }
+            for (c, w) in ones.iter_mut().zip(&val) {
+                *c += u64::from((w & mask).count_ones());
+            }
+            total += u64::from(lanes);
+        }
+        let counts = self
+            .node_ref
+            .iter()
+            .map(|r| match r {
+                None => 0,
+                Some(r) if r & 1 == 0 => ones[(r >> 1) as usize],
+                Some(r) => total - ones[(r >> 1) as usize],
+            })
+            .collect();
         (counts, total)
     }
 }
@@ -532,7 +678,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_net::GateKind;
+    use proptest::prelude::*;
 
     fn adder2() -> Network {
         // 2-bit adder: inputs a0 a1 b0 b1, outputs s0 s1 c
@@ -614,6 +760,133 @@ mod tests {
             }
             // nodes outside the cone are untouched
             assert_eq!(val[stray.index()], 0);
+        }
+    }
+
+    /// The per-block loop [`Simulator::node_one_counts`] replaced, kept as
+    /// the oracle: one [`Simulator::simulate_block`] (a fresh value per
+    /// node) per block, and every node's valid lanes counted.
+    pub(crate) fn reference_one_counts(
+        sim: &Simulator,
+        blocks: impl IntoIterator<Item = PatternBlock>,
+    ) -> (Vec<u64>, u64) {
+        let mut counts = vec![0u64; sim.network().num_nodes()];
+        let mut total = 0u64;
+        for block in blocks {
+            let mask = block.lane_mask();
+            let val = sim.simulate_block(&block.words);
+            for (c, w) in counts.iter_mut().zip(val.iter()) {
+                *c += (w & mask).count_ones() as u64;
+            }
+            total += u64::from(block.lanes);
+        }
+        (counts, total)
+    }
+
+    const KINDS: [GateKind; 10] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Xor,
+        GateKind::Not,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xnor,
+        GateKind::Buf,
+        GateKind::Const0,
+        GateKind::Const1,
+    ];
+
+    /// A random network over every gate kind: pick `(k, a, b, c)` adds a
+    /// gate of kind `k`; an n-ary gate reads `1 + c % 3` of the signals
+    /// `a`, `b` and `a + b` before it. `outs` picks the outputs among the
+    /// newest signals, so some gates may be unreachable.
+    pub(crate) fn random_net(n_inputs: usize, picks: &[(u8, u8, u8, u8)], outs: &[u8]) -> Network {
+        let mut net = Network::new("rand");
+        let mut sigs: Vec<SignalId> = (0..n_inputs)
+            .map(|i| net.add_input(format!("x{i}")))
+            .collect();
+        for &(k, a, b, c) in picks {
+            let kind = KINDS[k as usize % KINDS.len()];
+            let arity = kind.arity().unwrap_or(1 + c as usize % 3);
+            if arity > 0 && sigs.is_empty() {
+                continue;
+            }
+            let at = [a as usize, b as usize, a as usize + b as usize];
+            let fanins = at[..arity].iter().map(|x| sigs[x % sigs.len()]).collect();
+            sigs.push(net.add_gate(kind, fanins));
+        }
+        if sigs.is_empty() {
+            sigs.push(net.add_gate(GateKind::Const0, vec![]));
+        }
+        for (i, &o) in outs.iter().enumerate() {
+            let s = sigs[sigs.len() - 1 - o as usize % sigs.len()];
+            net.add_output(format!("y{i}"), s);
+        }
+        net
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The compiled simulator counts exactly what the per-block loop
+        /// counts, node by node, under exhaustive blocks (one partial block
+        /// below six inputs) and under random blocks (a partial last block
+        /// unless `count` is a multiple of 64), for the whole network and
+        /// for one output's cone.
+        #[test]
+        fn compiled_one_counts_match_the_block_loop(
+            n_inputs in 0usize..9,
+            picks in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u8>()), 0..40),
+            outs in proptest::collection::vec(any::<u8>(), 1..4),
+            count in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let net = random_net(n_inputs, &picks, &outs);
+            let whole = Simulator::new(&net);
+            let cone = Simulator::for_cone(&net, net.outputs()[0].1);
+            for sim in [&whole, &cone] {
+                prop_assert_eq!(
+                    sim.node_one_counts(exhaustive_blocks(n_inputs)),
+                    reference_one_counts(sim, exhaustive_blocks(n_inputs))
+                );
+                let drawn = random_blocks(n_inputs, count, seed);
+                prop_assert_eq!(
+                    sim.node_one_counts(drawn.clone()),
+                    reference_one_counts(sim, drawn)
+                );
+            }
+        }
+    }
+
+    /// The first and last words of the power estimate's random stream, so
+    /// that a cheaper draw cannot drift from it.
+    #[test]
+    fn random_blocks_stream_is_pinned() {
+        let pins: [(usize, [u64; 3], [u64; 2]); 2] = [
+            (
+                3,
+                [
+                    0xd856_e9a4_1a9a_baa2,
+                    0x1dfd_26ae_5e8c_0831,
+                    0x0093_ff54_8ab9_b7e0,
+                ],
+                [0xe8de_e015_e3c0_dbf8, 0x126c_283d_3f5f_b883],
+            ),
+            (
+                70,
+                [
+                    0xb85a_e498_5f40_0266,
+                    0x1e93_1f64_08d2_c75f,
+                    0x55ee_c9e2_fb6b_bbd8,
+                ],
+                [0x6dcd_1322_82f6_5313, 0x1c1a_81b9_2957_5a71],
+            ),
+        ];
+        for (n, first, last) in pins {
+            let blocks = random_blocks(n, 4096, 0x5eed);
+            assert_eq!(blocks.len(), 64);
+            assert_eq!(blocks[0].words[..3], first, "n={n} first block");
+            assert_eq!(blocks[63].words[n - 2..], last, "n={n} last block");
         }
     }
 

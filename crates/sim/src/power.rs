@@ -8,9 +8,9 @@
 //! output). The absolute scale is arbitrary; only ratios between circuits
 //! are meaningful, which is all the paper's `improve%power` column uses.
 
-use crate::{exhaustive_blocks, random_blocks, PatternBlock, Simulator};
+use crate::{exhaustive_blocks, BlockSim, PatternBlock, RandomDraw, Simulator};
 use std::fmt;
-use xsynth_net::{Network, NodeKind};
+use xsynth_net::{GateKind, Network, NodeKind};
 
 /// The result of a power estimation run.
 #[derive(Debug, Clone)]
@@ -33,8 +33,12 @@ pub fn signal_activity<I>(net: &Network, blocks: I) -> Vec<f64>
 where
     I: IntoIterator<Item = PatternBlock>,
 {
-    let sim = Simulator::new(net);
-    let (counts, total) = sim.node_one_counts(blocks);
+    let (counts, total) = Simulator::new(net).node_one_counts(blocks);
+    activity(&counts, total)
+}
+
+/// `2·p·(1−p)` per node, with `p` the node's share of ones.
+fn activity(counts: &[u64], total: u64) -> Vec<f64> {
     counts
         .iter()
         .map(|&c| {
@@ -47,33 +51,45 @@ where
 /// Estimates power with the SIS `power_estimate` default model.
 ///
 /// Signal probabilities are exact (exhaustive simulation) for up to 16
-/// inputs and Monte-Carlo (4096 fixed-seed random patterns) beyond that.
-/// Both pattern sets go to the simulator as packed blocks: the exhaustive
-/// ones are streamed, the random ones drawn straight into block words.
+/// inputs and Monte-Carlo (4096 fixed-seed random patterns, the stream of
+/// [`random_blocks`](crate::random_blocks)) beyond that. The network is
+/// compiled once, from one topological order, into gate kinds over a flat
+/// fanin array; each block's input words (exhaustive or drawn) are written
+/// into one reused buffer and simulated in place, and a node's load is its
+/// fanin-slot count in that order plus the outputs it drives.
 pub fn power_estimate(net: &Network) -> PowerReport {
     let n = net.inputs().len();
-    let activity = if n <= 16 {
-        signal_activity(net, exhaustive_blocks(n))
+    let order = net.topo_order();
+    let sim = BlockSim::new(net, &order);
+    let (counts, patterns) = if n <= 16 {
+        let mut blocks = exhaustive_blocks(n);
+        sim.one_counts(|words| blocks.fill(words))
     } else {
-        signal_activity(net, random_blocks(n, 4096, 0x5eed))
+        let mut draw = RandomDraw::new(4096, 0x5eed);
+        sim.one_counts(|words| draw.fill(words))
     };
-    let fanouts = net.fanouts();
+    let activity = activity(&counts, patterns);
+    // a node's load: one per fanin slot that reads it, one per output
+    let mut load = vec![0usize; net.num_nodes()];
+    for &id in &order {
+        for f in net.fanins(id) {
+            load[f.index()] += 1;
+        }
+    }
+    for (_, s) in net.outputs() {
+        load[s.index()] += 1;
+    }
     let mut per_node = vec![0.0; net.num_nodes()];
     let mut total = 0.0;
-    let mut drives_po = vec![0usize; net.num_nodes()];
-    for (_, s) in net.outputs() {
-        drives_po[s.index()] += 1;
-    }
-    for id in net.topo_order() {
+    for id in order {
         // primary inputs also switch and drive load
-        let load = fanouts[id.index()].len() + drives_po[id.index()];
+        let load = load[id.index()];
         if load == 0 {
             continue;
         }
         let is_free = matches!(
             net.kind(id),
-            NodeKind::Gate(xsynth_net::GateKind::Const0)
-                | NodeKind::Gate(xsynth_net::GateKind::Const1)
+            NodeKind::Gate(GateKind::Const0 | GateKind::Const1)
         );
         if is_free {
             continue;
@@ -88,7 +104,60 @@ pub fn power_estimate(net: &Network) -> PowerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_net::{GateKind, Network};
+    use crate::random_blocks;
+    use crate::tests::{random_net, reference_one_counts};
+    use proptest::prelude::*;
+
+    /// The estimate before the compiled simulator, kept as the oracle: the
+    /// per-block loop's counts, [`Network::fanouts`] lists for the load, and
+    /// a second topological order for the sum.
+    fn reference_power(net: &Network) -> PowerReport {
+        let n = net.inputs().len();
+        let sim = Simulator::new(net);
+        let (counts, patterns) = if n <= 16 {
+            reference_one_counts(&sim, exhaustive_blocks(n))
+        } else {
+            reference_one_counts(&sim, random_blocks(n, 4096, 0x5eed))
+        };
+        let activity = activity(&counts, patterns);
+        let fanouts = net.fanouts();
+        let mut per_node = vec![0.0; net.num_nodes()];
+        let mut total = 0.0;
+        let mut drives_po = vec![0usize; net.num_nodes()];
+        for (_, s) in net.outputs() {
+            drives_po[s.index()] += 1;
+        }
+        for id in net.topo_order() {
+            let load = fanouts[id.index()].len() + drives_po[id.index()];
+            if load == 0 || matches!(net.gate_kind(id), Some(GateKind::Const0 | GateKind::Const1)) {
+                continue;
+            }
+            let p = activity[id.index()] * load as f64;
+            per_node[id.index()] = p;
+            total += p;
+        }
+        PowerReport { total, per_node }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Power is bit-identical to the reference, on the exhaustive path
+        /// and on the random one (17 or more inputs).
+        #[test]
+        fn power_matches_the_reference_estimate(
+            wide in any::<bool>(),
+            n_inputs in 1usize..8,
+            picks in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u8>()), 0..40),
+            outs in proptest::collection::vec(any::<u8>(), 1..4),
+        ) {
+            let n = if wide { n_inputs + 16 } else { n_inputs };
+            let net = random_net(n, &picks, &outs);
+            let (got, want) = (power_estimate(&net), reference_power(&net));
+            prop_assert_eq!(got.total.to_bits(), want.total.to_bits());
+            prop_assert_eq!(got.per_node, want.per_node);
+        }
+    }
 
     #[test]
     fn inverter_chain_power_scales_with_length() {
