@@ -72,7 +72,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use xsynth_boolean::{FxHashMap, FxHashSet, Sop, TruthTable, VarSet};
+use xsynth_boolean::{FxHashMap, FxHashSet, TruthTable, VarSet};
 
 /// Error returned by an operation that would allocate past the manager's
 /// node cap (see
@@ -655,28 +655,6 @@ impl BddManager {
         r
     }
 
-    /// Fraction of the input space on which `f` is one (the signal
-    /// probability under uniform independent inputs).
-    pub fn sat_fraction(&self, f: Bdd) -> f64 {
-        let mut memo = FxHashMap::default();
-        self.sat_frac(f, &mut memo)
-    }
-
-    fn sat_frac(&self, f: Bdd, memo: &mut FxHashMap<Bdd, f64>) -> f64 {
-        if f == Bdd::ZERO {
-            return 0.0;
-        }
-        if f == Bdd::ONE {
-            return 1.0;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let r = 0.5 * self.sat_frac(self.low(f), memo) + 0.5 * self.sat_frac(self.high(f), memo);
-        memo.insert(f, r);
-        r
-    }
-
     /// The set of variables `f` depends on.
     pub fn support(&self, f: Bdd) -> VarSet {
         let mut seen = FxHashSet::default();
@@ -740,29 +718,6 @@ impl BddManager {
         let lo = self.from_table_rec(t, var + 1, prefix)?;
         let hi = self.from_table_rec(t, var + 1, prefix | (1 << var))?;
         self.mk(var as u32, lo, hi)
-    }
-
-    /// Builds a BDD from a sum-of-products cover.
-    pub fn from_sop(&mut self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
-        let mut acc = Bdd::ZERO;
-        for c in s.cubes() {
-            let mut cube = Bdd::ONE;
-            // AND literals from highest variable down so intermediate BDDs
-            // stay small under the natural order.
-            let mut lits: Vec<(usize, bool)> = c
-                .positive()
-                .iter()
-                .map(|v| (v, true))
-                .chain(c.negative().iter().map(|v| (v, false)))
-                .collect();
-            lits.sort_unstable_by_key(|l| std::cmp::Reverse(l.0));
-            for (v, ph) in lits {
-                let lit = if ph { self.var(v)? } else { self.nvar(v)? };
-                cube = self.and(cube, lit)?;
-            }
-            acc = self.or(acc, cube)?;
-        }
-        Ok(acc)
     }
 
     /// Copies the DAGs rooted at `roots` into `dst` (same arity),
@@ -845,7 +800,6 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_boolean::Cube;
 
     #[test]
     fn canonical_equality() -> Result<(), NodeLimitExceeded> {
@@ -954,21 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn sop_agrees_with_table() -> Result<(), NodeLimitExceeded> {
-        let s = Sop::from_cubes([
-            Cube::new([0, 2], []).unwrap(),
-            Cube::new([1], [3]).unwrap(),
-            Cube::new([], [0, 1]).unwrap(),
-        ]);
-        let t = s.to_table(4);
-        let mut m = BddManager::new(4);
-        let via_sop = m.from_sop(&s)?;
-        let via_tab = m.from_table(&t)?;
-        assert_eq!(via_sop, via_tab);
-        Ok(())
-    }
-
-    #[test]
     fn cofactor_and_support() -> Result<(), NodeLimitExceeded> {
         let mut m = BddManager::new(3);
         let (a, b, c) = (m.var(0)?, m.var(1)?, m.var(2)?);
@@ -991,16 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn sat_fraction_of_var() -> Result<(), NodeLimitExceeded> {
+    fn count_sat_of_and() -> Result<(), NodeLimitExceeded> {
         let mut m = BddManager::new(5);
         let a = m.var(3)?;
-        assert_eq!(m.sat_fraction(a), 0.5);
         let b = m.var(1)?;
         let ab = m.and(a, b)?;
-        assert_eq!(m.sat_fraction(ab), 0.25);
         assert_eq!(m.count_sat(ab), 8);
         let nab = m.not(ab);
-        assert_eq!(m.sat_fraction(nab), 0.75);
         assert_eq!(m.count_sat(nab), 24);
         Ok(())
     }

@@ -1,12 +1,13 @@
 //! Microbenchmarks of the substrate layers: the fixed-polarity Reed-Muller
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
 //! output's polarity search, kernel extraction, technology mapping, the
-//! redundancy-removal pass, the SOP baseline's `eliminate`, `extract` and
-//! `resubstitute`, the FPRM flow's GF(2) divisor extraction, pattern
-//! simulation (the paper family's word rows, event-driven fault
-//! propagation and the power estimate), an adder's technology mapping, BDD
-//! apply and carry-out BDD→OFDD conversion, each of the last six swept over
-//! the input count, and ISOP swept over the table width.
+//! redundancy-removal pass, the SOP baseline's `eliminate` and `extract`,
+//! the sharing pass's `resubstitute`, the FPRM flow's GF(2) divisor
+//! extraction, pattern simulation (the paper family's word rows,
+//! event-driven fault propagation and the power estimate), an adder's
+//! technology mapping, BDD apply and carry-out BDD→OFDD conversion, each
+//! of the last six swept over the input count, and ISOP swept over the
+//! table width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
@@ -271,9 +272,10 @@ fn mul_4x4_k3() -> Network {
 }
 
 fn bench_sop_script(c: &mut Criterion) {
-    // the SOP script's first `extract` and `resubstitute` alone, on the
-    // state its first `eliminate` + `simplify` leave, for the three rows
-    // of the timed Table 2 sweep where the script takes longest
+    // the SOP script's first `extract` alone, on the state its first
+    // `eliminate` + `simplify` leave, for the three rows of the timed
+    // Table 2 sweep where the script takes longest; `resubstitute` on the
+    // same state measures the step the FPRM flow's `share_pass` runs
     for name in ["f51m", "5xp1", "sqr6"] {
         let spec = xsynth_circuits::build(name).expect("registered");
         let mut net = SopNet::from_network(&spec.sweep());

@@ -142,8 +142,7 @@ pub fn measure_flow(
 /// Runs the SOP baseline ([`xsynth_sop::script_algebraic_traced`]) under
 /// a [`phase::SYNTHESIZE`] root span, so its report carries the script's
 /// trace and a [`PhaseProfile`] of its steps (`eliminate`, `simplify`,
-/// `extract`, `resubstitute`, `lower`); the report's other fields stay
-/// empty.
+/// `extract`, `lower`); the report's other fields stay empty.
 pub fn run_sop(spec: &Network, opts: &ScriptOptions) -> (Network, SynthReport) {
     let sink = TraceSink::new();
     let network = sink.buffer(0, "sop").span(phase::SYNTHESIZE, |buf| {
@@ -259,7 +258,7 @@ fn median(xs: &[f64]) -> f64 {
 
 /// The FPRM pipeline's phases in the order they run, then the SOP
 /// baseline's steps.
-const PIPELINE_ORDER: [&str; 10] = [
+const PIPELINE_ORDER: [&str; 9] = [
     phase::FPRM,
     phase::FACTORING,
     phase::VERIFY,
@@ -268,7 +267,6 @@ const PIPELINE_ORDER: [&str; 10] = [
     "eliminate",
     "simplify",
     "extract",
-    "resubstitute",
     "lower",
 ];
 
@@ -293,11 +291,7 @@ pub fn render_phases(r: &BenchRecord) -> Option<String> {
     }
     let counter = |name: &str| r.counters.get(name).copied().unwrap_or(0);
     s.push_str(&if r.flow == "sop" {
-        format!(
-            "(extracted {}, resubstituted {})",
-            counter("sop.extracted"),
-            counter("sop.resubstituted"),
-        )
+        format!("(extracted {})", counter("sop.extracted"))
     } else {
         format!(
             "(polarity: {} eval, {} memo)",
@@ -550,7 +544,7 @@ mod tests {
         assert!(r.gauges["mem.peak_rss_kb"] > 0.0);
         // the SOP flow records its script's steps and the memory gauge
         let m = measure_flow("z4ml", &spec, Flow::Sop, "sop", &lib, &opts).unwrap();
-        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
+        for step in ["eliminate", "simplify", "extract", "lower"] {
             assert!(m.record.phases.contains_key(step), "{:?}", m.record.phases);
         }
         assert!(render_phases(&m.record).is_some_and(|p| p.contains("(extracted ")));

@@ -4,8 +4,6 @@
 //! * **BLIF** (Berkeley Logic Interchange Format) — the IWLS'91 multilevel
 //!   benchmark format; `.names` nodes carry sum-of-products covers.
 //! * **PLA** (espresso format) — the two-level benchmark format.
-//! * **genlib** — the SIS gate-library format used for technology mapping
-//!   (`mcnc.genlib` in the paper).
 //!
 //! # Examples
 //!
@@ -31,16 +29,14 @@
 #![forbid(unsafe_code)]
 
 mod blif;
-mod genlib;
 mod pla;
 
 pub use blif::{parse_blif, write_blif, MAX_CUBES_PER_COVER, MAX_INSTANTIATE_DEPTH, MAX_LINE_LEN};
-pub use genlib::{parse_genlib, GenlibGate};
 pub use pla::{parse_pla, write_pla, Pla, MAX_PLA_ARITY};
 
 use std::fmt;
 
-/// An error produced while parsing BLIF, PLA or genlib text.
+/// An error produced while parsing BLIF or PLA text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     line: usize,

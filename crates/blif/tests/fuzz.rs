@@ -1,4 +1,4 @@
-//! Robustness fuzzing for the BLIF/PLA/genlib parsers: arbitrary and
+//! Robustness fuzzing for the BLIF and PLA parsers: arbitrary and
 //! dictionary-seeded malformed input must produce `Ok` or a typed
 //! [`ParseError`] — never a panic, a stack overflow, or an allocation
 //! blow-up. The deterministic tests pin the explicit robustness limits
@@ -6,7 +6,7 @@
 //! `MAX_PLA_ARITY`) to parse errors.
 
 use proptest::prelude::*;
-use xsynth_blif::{parse_blif, parse_genlib, parse_pla, MAX_INSTANTIATE_DEPTH, MAX_PLA_ARITY};
+use xsynth_blif::{parse_blif, parse_pla, MAX_INSTANTIATE_DEPTH, MAX_PLA_ARITY};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -17,7 +17,6 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         let _ = parse_blif(&text);
         let _ = parse_pla(&text);
-        let _ = parse_genlib(&text);
     }
 
     /// Dictionary-seeded input reaches deeper parser states than raw
@@ -39,7 +38,6 @@ proptest! {
         }
         let _ = parse_blif(&src);
         let _ = parse_pla(&src);
-        let _ = parse_genlib(&src);
     }
 }
 

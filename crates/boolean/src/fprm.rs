@@ -204,11 +204,6 @@ impl Fprm {
         self.cubes.iter().map(VarSet::len).sum()
     }
 
-    /// Whether the constant-one cube is present.
-    pub fn has_constant_cube(&self) -> bool {
-        self.cubes.iter().any(VarSet::is_empty)
-    }
-
     /// Evaluates the form on a variable-space assignment.
     pub fn eval(&self, minterm: u64) -> bool {
         let mut acc = false;
@@ -588,7 +583,7 @@ mod tests {
     fn constant_cube_detection() {
         let t = !TruthTable::var(1, 0); // ¬x0 = 1 ⊕ x0 in positive polarity
         let f = Fprm::from_table_positive(&t);
-        assert!(f.has_constant_cube());
+        assert!(f.cubes().iter().any(VarSet::is_empty));
         assert_eq!(f.num_cubes(), 2);
     }
 }

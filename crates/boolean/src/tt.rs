@@ -210,24 +210,6 @@ impl TruthTable {
     pub fn support(&self) -> VarSet {
         (0..self.n).filter(|&v| self.depends_on(v)).collect()
     }
-
-    /// Extends the table to `n` inputs (new variables are don't-cares above
-    /// the current ones).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < self.num_vars()` or `n > MAX_TT_VARS`.
-    pub fn extend_to(&self, n: usize) -> Self {
-        assert!(n >= self.n, "cannot shrink a truth table");
-        let mut t = TruthTable::zero(n);
-        let period = 1u64 << self.n;
-        for m in 0..(1u64 << n) {
-            if self.eval(m % period) {
-                t.set(m, true);
-            }
-        }
-        t
-    }
 }
 
 impl fmt::Debug for TruthTable {
@@ -449,14 +431,5 @@ mod tests {
         assert!(TruthTable::one(5).is_one());
         assert_eq!(TruthTable::one(3).count_ones(), 8);
         assert!(TruthTable::one(3).support().is_empty());
-    }
-
-    #[test]
-    fn extend_keeps_function() {
-        let f = TruthTable::var(3, 1);
-        let g = f.extend_to(5);
-        for m in 0..(1u64 << 5) {
-            assert_eq!(g.eval(m), m & 2 != 0);
-        }
     }
 }

@@ -170,20 +170,6 @@ impl VarSet {
         s
     }
 
-    /// Symmetric difference (XOR) of the two sets.
-    pub fn symmetric_difference(&self, other: &VarSet) -> VarSet {
-        let mut words = vec![0u64; self.words.len().max(other.words.len())];
-        for (i, w) in self.words.iter().enumerate() {
-            words[i] ^= w;
-        }
-        for (i, w) in other.words.iter().enumerate() {
-            words[i] ^= w;
-        }
-        let mut s = VarSet { words };
-        s.normalize();
-        s
-    }
-
     /// In-place union.
     pub fn union_with(&mut self, other: &VarSet) {
         if other.words.len() > self.words.len() {
@@ -352,7 +338,6 @@ mod tests {
         assert_eq!(a.intersection_len(&b), 1);
         assert_eq!(a.intersection_len(&VarSet::from_vars([0, 2, 99])), 2);
         assert_eq!(a.difference(&b), VarSet::from_vars([0, 1]));
-        assert_eq!(a.symmetric_difference(&b), VarSet::from_vars([0, 1, 3]));
     }
 
     #[test]

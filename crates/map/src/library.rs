@@ -1,6 +1,5 @@
 //! Cell libraries for technology mapping.
 
-use xsynth_blif::GenlibGate;
 use xsynth_boolean::{FxHashMap, TruthTable};
 
 /// A combinational standard cell: name, area, and function over its input
@@ -160,26 +159,6 @@ impl Library {
         Library::new(cells)
     }
 
-    /// Builds a library from parsed genlib gates, skipping cells with more
-    /// than four pins.
-    pub fn from_genlib(gates: &[GenlibGate]) -> Library {
-        let mut cells = Vec::new();
-        for g in gates {
-            let (pins, tt) = g.truth_table();
-            if pins.len() > 4 {
-                continue;
-            }
-            let mut word = 0u16;
-            for m in 0..(1u64 << pins.len()) {
-                if tt.eval(m) {
-                    word |= 1 << m;
-                }
-            }
-            cells.push(Cell::new(g.name(), g.area(), pins.len(), word));
-        }
-        Library::new(cells)
-    }
-
     /// The cells of the library.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
@@ -311,17 +290,6 @@ mod tests {
         assert!(lib.matches(0, 0b1).is_some(), "one cell");
         assert!(lib.matches(1, 0b01).is_some(), "inverter");
         assert!(lib.matches(1, 0b10).is_some(), "buffer");
-    }
-
-    #[test]
-    fn genlib_roundtrip() {
-        let gates = xsynth_blif::parse_genlib(
-            "GATE inv 1 y=!a;\nGATE nand2 2 y=!(a*b);\nGATE big5 9 y=a*b*c*d*e;\n",
-        )
-        .unwrap();
-        let lib = Library::from_genlib(&gates);
-        assert_eq!(lib.cells().len(), 2, "5-pin cell skipped");
-        assert!(lib.matches(2, 0b0111).is_some(), "nand2 matches");
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl GateKind {
         }
     }
 
-    /// Whether the gate is one of the XOR family.
-    pub fn is_xor_like(self) -> bool {
-        matches!(self, GateKind::Xor | GateKind::Xnor)
-    }
-
     /// The required fanin arity: `Some(k)` for fixed arity, `None` for
     /// n-ary gates.
     pub fn arity(self) -> Option<usize> {
@@ -262,19 +257,6 @@ impl Network {
     /// Registers a primary output.
     pub fn add_output(&mut self, name: impl Into<String>, signal: SignalId) {
         self.outputs.push((name.into(), signal));
-    }
-
-    /// Redirects an existing primary output to a different signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output has this name. Callers only redirect outputs
-    /// they read from [`Network::outputs`].
-    pub fn set_output(&mut self, name: &str, signal: SignalId) {
-        match self.outputs.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = signal,
-            None => panic!("no output named {name}"),
-        }
     }
 
     /// The primary inputs, in declaration order.
@@ -806,28 +788,6 @@ impl Network {
         }
         out
     }
-
-    /// Graphviz DOT rendering of the reachable subgraph, for debugging.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::new();
-        s.push_str("digraph network {\n  rankdir=LR;\n");
-        for id in self.topo_order() {
-            let label = match &self.nodes[id.index()].kind {
-                NodeKind::Input => self.node_name(id).unwrap_or("in").to_string(),
-                NodeKind::Gate(k) => format!("{k}"),
-            };
-            s.push_str(&format!("  n{} [label=\"{}\"];\n", id.index(), label));
-            for f in self.fanins(id) {
-                s.push_str(&format!("  n{} -> n{};\n", f.index(), id.index()));
-            }
-        }
-        for (name, sig) in &self.outputs {
-            s.push_str(&format!("  out_{name} [shape=box];\n"));
-            s.push_str(&format!("  n{} -> out_{};\n", sig.index(), name));
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 impl fmt::Display for Network {
@@ -1118,14 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_output_mentions_all_outputs() {
-        let n = full_adder();
-        let dot = n.to_dot();
-        assert!(dot.contains("out_s"));
-        assert!(dot.contains("out_cout"));
-    }
-
-    #[test]
     fn output_can_be_an_input_wire() {
         let mut n = Network::new("w");
         let a = n.add_input("a");
@@ -1148,13 +1100,5 @@ mod tests {
         let err = n.try_topo_order().unwrap_err();
         assert!(matches!(err, NetError::CombinationalCycle { .. }));
         assert!(err.to_string().contains("combinational cycle"));
-    }
-
-    #[test]
-    #[should_panic(expected = "no output named nonesuch")]
-    fn set_output_panic_message_unchanged() {
-        let mut n = full_adder();
-        let a = n.inputs()[0];
-        n.set_output("nonesuch", a);
     }
 }

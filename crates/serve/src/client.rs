@@ -214,26 +214,6 @@ impl<S: Read + Write> Client<S> {
         self.request_line(&line)
     }
 
-    /// Submits one synthesis job with an end-to-end `deadline_ms`: the
-    /// daemon sheds it if it cannot start in time and clamps its phase
-    /// timeout to the remaining allowance once started.
-    ///
-    /// # Errors
-    ///
-    /// Transport or reply-framing failures (see [`Client::request_line`]).
-    pub fn synth_with_deadline(
-        &mut self,
-        source: &str,
-        format: JobFormat,
-        id: Option<&str>,
-        budget: Option<&Budget>,
-        deadline_ms: u64,
-        telemetry: bool,
-    ) -> Result<Value, Error> {
-        let line = proto::synth_request(source, format, id, budget, Some(deadline_ms), telemetry);
-        self.request_line(&line)
-    }
-
     /// Submits one synthesis job, retrying `overloaded` sheds under
     /// `policy`. Returns the first non-overloaded reply, or the final
     /// overloaded reply once attempts are exhausted — inspect it with

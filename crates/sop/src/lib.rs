@@ -6,7 +6,9 @@
 //! extraction, good-factor), the SIS network-of-SOP-nodes representation
 //! ([`SopNet`] with `eliminate`, `extract`, `resubstitute`, `simplify`),
 //! and a packaged [`script_algebraic`] flow that mirrors the head of the
-//! SIS `algebraic` script.
+//! SIS `algebraic` script without its `resub` step, which finds nothing
+//! after extraction on the Table 2 circuits. `resubstitute` serves the
+//! FPRM flow's sharing pass.
 //!
 //! # Examples
 //!

@@ -14,7 +14,7 @@ pub struct ScriptOptions {
     pub max_cover_cubes: usize,
     /// Cap on extracted divisor nodes.
     pub max_extracted: usize,
-    /// Number of extract/resub/simplify rounds.
+    /// Number of extract/simplify/eliminate rounds.
     pub rounds: usize,
 }
 
@@ -35,9 +35,13 @@ impl Default for ScriptOptions {
 /// 1. convert to SOP nodes and `eliminate` small nodes (rebuild macro
 ///    blocks, like `eliminate`/`collapse` at the head of the SIS scripts),
 /// 2. `simplify` every node,
-/// 3. repeated `gkx`/`gcx`-style greedy kernel-and-cube extraction,
-/// 4. algebraic resubstitution,
-/// 5. final `eliminate -1`-style cleanup and good-factor lowering.
+/// 3. repeated rounds of `gkx`/`gcx`-style greedy kernel-and-cube
+///    extraction, `simplify` and an `eliminate 0` cleanup,
+/// 4. good-factor lowering back to gates.
+///
+/// The SIS script's `resub` step is left out: on every Table 2 circuit it
+/// finds nothing to rewrite after extraction. [`SopNet::resubstitute`]
+/// stays for the FPRM flow's sharing pass, where it does act.
 ///
 /// [`script_algebraic_traced`] is the same script recording its steps.
 ///
@@ -70,9 +74,8 @@ pub fn script_algebraic(net: &Network, opts: &ScriptOptions) -> Network {
 
 /// [`script_algebraic`] recording into `buf`: one span per step, named
 /// `eliminate` (the first one includes the conversion to SOP nodes),
-/// `simplify`, `extract`, `resubstitute` and `lower`, with the divisors
-/// extracted and the rewrites resubstitution applied counted as
-/// `sop.extracted` and `sop.resubstituted`.
+/// `simplify`, `extract` and `lower`, with the divisors extracted counted
+/// as `sop.extracted`.
 ///
 /// # Examples
 ///
@@ -106,10 +109,6 @@ pub fn script_algebraic_traced(
         buf.span("extract", |b| {
             let made = s.extract(opts.max_extracted);
             b.count("sop.extracted", made as u64);
-        });
-        buf.span("resubstitute", |b| {
-            let applied = s.resubstitute();
-            b.count("sop.resubstituted", applied as u64);
         });
         buf.span("simplify", |_| s.simplify());
         // drop single-use leftovers created by extraction
@@ -206,10 +205,10 @@ mod tests {
         let untraced = script_algebraic(&net, &Default::default());
         assert_eq!(traced.to_string(), untraced.to_string());
         let trace = sink.take();
-        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
-            assert!(trace.span_names().contains(step), "missing {step}");
-        }
-        // two rounds: each extract and resubstitute span is one step
+        let names = trace.span_names();
+        let steps: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_eq!(steps, ["eliminate", "extract", "lower", "simplify"]);
+        // two rounds: each extract span is one step
         let forest = trace.forest();
         assert_eq!(forest.iter().filter(|n| n.name == "extract").count(), 2);
     }

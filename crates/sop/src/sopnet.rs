@@ -101,16 +101,6 @@ impl SopNet {
         self.nodes.iter().flatten().map(Sop::num_literals).sum()
     }
 
-    /// Total factored-form literal count over live nodes (the SIS
-    /// `lits(fac)` metric).
-    pub fn num_factored_literals(&self) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(|s| algebra::factor(s).num_literals())
-            .sum()
-    }
-
     /// Builds a SOP network from a gate network: every gate becomes a node
     /// with its local cover (wide XORs are folded into chains of two-input
     /// XOR nodes, since XOR has no compact SOP).

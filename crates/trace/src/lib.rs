@@ -641,20 +641,6 @@ impl Trace {
         names
     }
 
-    /// Total duration per span name, summed over every span instance on
-    /// every track (nested instances each contribute).
-    pub fn duration_by_name(&self) -> BTreeMap<String, Duration> {
-        let mut out: BTreeMap<String, Duration> = BTreeMap::new();
-        fn walk(nodes: &[SpanNode], out: &mut BTreeMap<String, Duration>) {
-            for n in nodes {
-                *out.entry(n.name.clone()).or_default() += n.duration;
-                walk(&n.children, out);
-            }
-        }
-        walk(&self.forest(), &mut out);
-        out
-    }
-
     /// Reconstructs the span forest: each track's `Begin`/`End` stream
     /// becomes a tree, and tracks with a `parent` label are grafted under
     /// the first span of that name on an earlier track (or kept at top

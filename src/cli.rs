@@ -1530,7 +1530,7 @@ mod tests {
     #[test]
     fn sop_bench_stats_show_the_script_steps() {
         let out = run(&argv("bench rd53 --method sop --stats")).unwrap();
-        for step in ["eliminate", "simplify", "extract", "resubstitute", "lower"] {
+        for step in ["eliminate", "simplify", "extract", "lower"] {
             assert!(
                 out.contains(&format!("#   {step} ")),
                 "missing {step}: {out}"

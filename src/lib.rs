@@ -5,9 +5,9 @@
 //! multilevel networks directly from fixed-polarity Reed-Muller (FPRM)
 //! forms, with GF(2) algebraic factorization and simulation-driven XOR
 //! redundancy removal, plus every substrate the paper's experimental setup
-//! needs (ROBDDs, OFDDs, a SIS-style SOP synthesis baseline, BLIF/PLA and
-//! genlib I/O, logic/fault simulation, power estimation, technology
-//! mapping, and the Table 2 benchmark suite).
+//! needs (ROBDDs, OFDDs, a SIS-style SOP synthesis baseline, BLIF/PLA
+//! I/O, logic/fault simulation, power estimation, technology mapping, and
+//! the Table 2 benchmark suite).
 //!
 //! This crate is a facade: each subsystem lives in its own crate and is
 //! re-exported here as a module.
@@ -62,7 +62,7 @@ pub use xsynth_ofdd as ofdd;
 /// Multilevel logic networks.
 pub use xsynth_net as net;
 
-/// BLIF / PLA / genlib readers and writers.
+/// BLIF / PLA readers and writers.
 pub use xsynth_blif as blif;
 
 /// Logic simulation, fault simulation and power estimation.
