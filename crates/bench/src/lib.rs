@@ -32,7 +32,7 @@ use xsynth_core::{
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_sim::power_estimate;
-use xsynth_sop::{script_algebraic_traced, ScriptOptions};
+use xsynth_sop::script_algebraic_traced;
 use xsynth_trace::TraceSink;
 
 pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
@@ -59,8 +59,6 @@ pub struct MeasureOptions {
     pub runs: usize,
     /// FPRM flow options.
     pub synth: SynthOptions,
-    /// SOP baseline options.
-    pub script: ScriptOptions,
     /// Verification budget (see [`VERIFY_NODE_CAP`]).
     pub verify_budget: Budget,
 }
@@ -70,7 +68,6 @@ impl Default for MeasureOptions {
         MeasureOptions {
             runs: 1,
             synth: SynthOptions::default(),
-            script: ScriptOptions::default(),
             verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
         }
     }
@@ -119,7 +116,7 @@ pub fn measure_flow(
                 (network, Some(report))
             }
             Flow::Sop => {
-                let (network, report) = run_sop(spec, &opts.script);
+                let (network, report) = run_sop(spec);
                 (network, Some(report))
             }
         };
@@ -143,11 +140,11 @@ pub fn measure_flow(
 /// a [`phase::SYNTHESIZE`] root span, so its report carries the script's
 /// trace and a [`PhaseProfile`] of its steps (`eliminate`, `simplify`,
 /// `extract`, `lower`); the report's other fields stay empty.
-pub fn run_sop(spec: &Network, opts: &ScriptOptions) -> (Network, SynthReport) {
+pub fn run_sop(spec: &Network) -> (Network, SynthReport) {
     let sink = TraceSink::new();
-    let network = sink.buffer(0, "sop").span(phase::SYNTHESIZE, |buf| {
-        script_algebraic_traced(spec, opts, buf)
-    });
+    let network = sink
+        .buffer(0, "sop")
+        .span(phase::SYNTHESIZE, |buf| script_algebraic_traced(spec, buf));
     let mut report = SynthReport::default();
     report.trace = sink.take();
     report.profile = PhaseProfile::from_trace(&report.trace);

@@ -15,9 +15,10 @@
 //! ```
 //!
 //! Every run is traced: the pipeline records hierarchical spans, counters
-//! and gauges into a [`TraceSink`] (each output's planning records into a
-//! buffer of its own), the resulting [`Trace`] rides back in the
-//! [`SynthReport`], and the [`PhaseProfile`] is derived from it.
+//! and gauges as one event stream into a [`TraceSink`] buffer (each
+//! output's `plan` span nests inside the `fprm` phase, in output order),
+//! the resulting [`Trace`] rides back in the [`SynthReport`], and the
+//! [`PhaseProfile`] is derived from it.
 //!
 //! A job runs on the calling thread from start to finish: outputs are
 //! planned one after another in index order, all in the job's one
@@ -521,7 +522,6 @@ fn run_pipeline(
             report,
             &mut pattern_lists,
             fprm_deadline,
-            sink,
             &mut main,
         )?
     };
@@ -610,8 +610,7 @@ struct OutputPlan {
 }
 
 /// Phase 1 for one output: polarity search, OFDD construction, method
-/// decision, and pattern generation. Trace events land in `buf`, the
-/// output's own buffer.
+/// decision, and pattern generation, recorded as one `plan` span in `buf`.
 ///
 /// Under a budget: the polarity search keeps its best polarity so far
 /// when the node cap or `deadline` trips, and only the final OFDD build
@@ -648,12 +647,8 @@ fn plan_output(
     buf.end();
     buf.gauge("ofdd.nodes", om.num_nodes() as f64);
     buf.gauge("fprm.cubes", count as f64);
+    buf.gauge("plan.support", support.len() as f64);
     buf.gauge("bdd.peak_nodes", bm.num_nodes() as f64);
-    // per-output distribution samples: both are pure functions of the
-    // spec (cube count under the winning polarity, structural support
-    // width), never wall-clock
-    buf.observe("fprm.cubes", count as f64);
-    buf.observe("plan.support", support.len() as f64);
 
     let cubes = if count <= MAX_CUBES as u64 {
         om.cubes(root)
@@ -787,10 +782,10 @@ fn salvage(
 /// 3. [`SalvageRung::DirectFprm`]: all-positive polarity, OFDD method —
 ///    the least ambitious translation the paper admits.
 ///
-/// Each retry counts `salvage.attempts` in its own fresh trace buffer;
-/// failed attempts' buffers are discarded so the merged trace only shows
-/// the kept attempt. When every rung fails, the *first* attempt's typed
-/// error propagates (preserving the [`Error::Budget`] taxonomy), or
+/// Every attempt records into `buf`; a failed one is rolled back, so the
+/// trace only shows the kept attempt, with a retry rung's
+/// `salvage.attempts` count. When every rung fails, the *first* attempt's
+/// typed error propagates (preserving the [`Error::Budget`] taxonomy), or
 /// [`Error::OutputFailed`] if the first failure was a panic.
 #[allow(clippy::too_many_arguments)]
 fn plan_with_salvage(
@@ -801,7 +796,7 @@ fn plan_with_salvage(
     num_outputs: usize,
     opts: &SynthOptions,
     deadline: Option<Instant>,
-    mut make_buf: impl FnMut() -> TraceBuffer,
+    buf: &mut TraceBuffer,
 ) -> Result<(OutputPlan, Option<SalvageRecord>), Error> {
     let mut first: Option<Failure> = None;
     for rung in [
@@ -809,7 +804,7 @@ fn plan_with_salvage(
         Some(SalvageRung::SkipFactor),
         Some(SalvageRung::DirectFprm),
     ] {
-        let mut buf = make_buf();
+        let mark = buf.mark();
         let mut ropts = opts.clone();
         if let Some(rung) = rung {
             ropts.method = FactorMethod::Ofdd;
@@ -830,7 +825,7 @@ fn plan_with_salvage(
                 return Ok((plan, record));
             }
             Err(failure) => {
-                buf.discard();
+                buf.rollback(mark);
                 first.get_or_insert(failure);
             }
         }
@@ -928,8 +923,8 @@ fn divisor_order(divisors: &[(usize, CubeRows)], n: usize) -> Vec<usize> {
 }
 
 /// The per-output (collapsed) synthesis path. It starts inside the
-/// caller's open [`phase::FPRM`] span, so the per-output `plan` spans
-/// graft under the span they run in, and closes it once every output is
+/// caller's open [`phase::FPRM`] span, records one `plan` span per output
+/// inside it, in output order, and closes it once every output is
 /// planned. An error returns with the phase span still open; the
 /// caller's buffer closes it.
 #[allow(clippy::too_many_arguments)]
@@ -941,7 +936,6 @@ fn synthesize_outputs(
     report: &mut SynthReport,
     pattern_lists: &mut Vec<PatternRows>,
     deadline: Option<Instant>,
-    sink: &TraceSink,
     main: &mut TraceBuffer,
 ) -> Result<Network, Error> {
     let n = spec.inputs().len();
@@ -958,8 +952,7 @@ fn synthesize_outputs(
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. The
     // outputs are planned in index order, all in the job's one BDD
-    // manager, so they hash-cons into one DAG under one node cap. Each
-    // output records into its own trace buffer, keyed by its index.
+    // manager, so they hash-cons into one DAG under one node cap.
     let outs = spec.outputs();
     let num_outputs = outs.len();
     let mut planned = Vec::with_capacity(num_outputs);
@@ -972,7 +965,7 @@ fn synthesize_outputs(
             num_outputs,
             opts,
             deadline,
-            || sink.buffer_under(1 + i as u64, format!("plan:{name}"), phase::FPRM),
+            main,
         )?);
     }
     let mut plans: Vec<OutputPlan> = Vec::with_capacity(num_outputs);
@@ -1479,7 +1472,7 @@ mod tests {
             .phases
             .iter()
             .any(|p| p.name == phase::FPRM && p.duration > Duration::ZERO));
-        // per-output planning buffers land under the fprm phase
+        // each output's plan span is recorded inside the fprm phase
         let forest = report.trace.forest();
         let root = &forest[0];
         assert_eq!(root.name, phase::SYNTHESIZE);
@@ -1509,12 +1502,13 @@ mod tests {
         try_synthesize(&adder(2, false), &opts).unwrap();
         try_synthesize(&adder(2, true), &opts).unwrap();
         let trace = sink.take();
-        // two runs, each with a pipeline track and one planning track per
-        // output; labels are prefixed with the circuit name
+        // two runs, one track each; labels are prefixed with the
+        // circuit name
+        assert_eq!(trace.tracks.len(), 2);
         assert!(
-            trace.tracks.iter().any(|t| t.label.starts_with("add2/")),
+            trace.tracks.iter().all(|t| t.label.starts_with("add2/")),
             "{:?}",
-            trace.tracks.len()
+            trace.tracks
         );
         let roots = trace
             .forest()

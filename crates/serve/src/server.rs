@@ -73,6 +73,10 @@ const ACCEPT_EXIT_GRACE: Duration = Duration::from_secs(1);
 /// the reader answers them itself.
 const READ_TICK: Duration = Duration::from_millis(50);
 
+/// Socket write timeout for replies: a peer that stops reading cannot
+/// pin a worker for longer than this.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// How often the drain watchdog re-checks whether the queues emptied.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
@@ -121,9 +125,6 @@ pub struct ServeOptions {
     pub read_timeout: Duration,
     /// A connection with no bytes in flight for this long is reaped.
     pub idle_timeout: Duration,
-    /// Socket write timeout for replies; a peer that stops reading
-    /// cannot pin a worker forever.
-    pub write_timeout: Duration,
     /// Grace window for queued jobs after drain begins; whatever is
     /// still queued when it expires is shed with typed errors.
     pub drain_timeout: Duration,
@@ -141,7 +142,6 @@ impl Default for ServeOptions {
             max_line_bytes: 8 << 20,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(300),
-            write_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
         }
     }
@@ -156,7 +156,6 @@ struct Limits {
     max_line_bytes: usize,
     read_timeout: Duration,
     idle_timeout: Duration,
-    write_timeout: Duration,
     drain_timeout: Duration,
 }
 
@@ -169,7 +168,6 @@ impl Limits {
             max_line_bytes: opts.max_line_bytes.max(64),
             read_timeout: opts.read_timeout.max(floor),
             idle_timeout: opts.idle_timeout.max(floor),
-            write_timeout: opts.write_timeout.max(floor),
             // zero is meaningful here: shed everything immediately
             drain_timeout: opts.drain_timeout,
         }
@@ -910,23 +908,17 @@ fn accept_unix(listener: UnixListener, path: PathBuf, ctx: &Arc<Ctx>, ids: &Atom
 /// A bidirectional stream the daemon can split into independently owned
 /// read and write halves. The read half ticks every [`READ_TICK`] so
 /// the reader thread can enforce lifecycle deadlines; the write half
-/// times out so a peer that stops reading cannot pin a worker.
+/// times out after [`WRITE_TIMEOUT`].
 trait Conn: Send + 'static {
-    fn split(
-        self,
-        write_timeout: Duration,
-    ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)>;
+    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)>;
 }
 
 impl Conn for TcpStream {
-    fn split(
-        self,
-        write_timeout: Duration,
-    ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         // replies are whole lines: send each at once, no Nagle delay
         self.set_nodelay(true)?;
         self.set_read_timeout(Some(READ_TICK))?;
-        self.set_write_timeout(Some(write_timeout))?;
+        self.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let reader = self.try_clone()?;
         Ok((Box::new(reader), Box::new(self)))
     }
@@ -934,12 +926,9 @@ impl Conn for TcpStream {
 
 #[cfg(unix)]
 impl Conn for UnixStream {
-    fn split(
-        self,
-        write_timeout: Duration,
-    ) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         self.set_read_timeout(Some(READ_TICK))?;
-        self.set_write_timeout(Some(write_timeout))?;
+        self.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let reader = self.try_clone()?;
         Ok((Box::new(reader), Box::new(self)))
     }
@@ -951,7 +940,7 @@ impl Conn for UnixStream {
 /// read tick of the state machine reaching `STATE_STOPPED`.
 fn spawn_conn(stream: impl Conn, ctx: &Arc<Ctx>, ids: &AtomicU64) {
     let conn = ids.fetch_add(1, Ordering::Relaxed);
-    let Ok((read_half, write_half)) = stream.split(ctx.limits.write_timeout) else {
+    let Ok((read_half, write_half)) = stream.split() else {
         return;
     };
     let writer: SharedWriter = Arc::new(Mutex::new(write_half));
@@ -1495,13 +1484,8 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         });
     }
     let t0 = Instant::now();
-    let mut outcome = try_synthesize(&spec, &opts)?;
+    let outcome = try_synthesize(&spec, &opts)?;
     let seconds = t0.elapsed().as_secs_f64();
-
-    // Stamp the request ID onto the job's trace spans so an exported
-    // trace from this multi-tenant daemon stays attributable.
-    let id = job.id.clone().unwrap_or_default();
-    outcome.report.trace.prefix_labels(&id);
 
     // Daemon-side observability. The wall-clock histograms are
     // schedule-dependent and therefore live here, never in the per-job
@@ -1545,7 +1529,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
     // one `/proc/self/status` read serves the flight recorder and the reply
     let peak_rss_kb = mem.peak_kb();
     ctx.telemetry.record(JobSummary {
-        id: id.clone(),
+        id: job.id.clone().unwrap_or_default(),
         name: spec.name().to_string(),
         outcome: "ok",
         error_kind: None,

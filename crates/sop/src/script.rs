@@ -5,29 +5,20 @@ use crate::sopnet::SopNet;
 use xsynth_net::Network;
 use xsynth_trace::{TraceBuffer, TraceSink};
 
-/// Options controlling the [`script_algebraic`] flow.
-#[derive(Debug, Clone)]
-pub struct ScriptOptions {
-    /// `eliminate` threshold for the initial macro-block reconstruction.
-    pub eliminate_threshold: i64,
-    /// Cube-count guard when collapsing nodes.
-    pub max_cover_cubes: usize,
-    /// Cap on extracted divisor nodes.
-    pub max_extracted: usize,
-    /// Number of extract/simplify/eliminate rounds.
-    pub rounds: usize,
-}
+/// `eliminate` threshold for the initial macro-block reconstruction.
+const ELIMINATE_THRESHOLD: i64 = 4;
+/// Cube-count guard when collapsing nodes.
+const MAX_COVER_CUBES: usize = 256;
+/// Cap on extracted divisor nodes per round.
+const MAX_EXTRACTED: usize = 400;
+/// Number of extract/simplify/eliminate rounds.
+const ROUNDS: usize = 2;
 
-impl Default for ScriptOptions {
-    fn default() -> Self {
-        ScriptOptions {
-            eliminate_threshold: 4,
-            max_cover_cubes: 256,
-            max_extracted: 400,
-            rounds: 2,
-        }
-    }
-}
+/// The options of [`script_algebraic`]: none. The script's settings are
+/// fixed; the type is kept so existing `script_algebraic(net,
+/// &ScriptOptions::default())` calls still compile.
+#[derive(Debug, Clone, Default)]
+pub struct ScriptOptions {}
 
 /// Runs the SIS-style algebraic script on a gate network and returns the
 /// optimized network:
@@ -64,12 +55,8 @@ impl Default for ScriptOptions {
 ///     assert_eq!(opt.eval_u64(m), n.eval_u64(m));
 /// }
 /// ```
-pub fn script_algebraic(net: &Network, opts: &ScriptOptions) -> Network {
-    let sink = TraceSink::new();
-    let mut buf = sink.buffer(0, "sop");
-    let out = script_algebraic_traced(net, opts, &mut buf);
-    buf.discard();
-    out
+pub fn script_algebraic(net: &Network, _opts: &ScriptOptions) -> Network {
+    script_algebraic_traced(net, &mut TraceSink::new().buffer(0, "sop"))
 }
 
 /// [`script_algebraic`] recording into `buf`: one span per step, named
@@ -91,28 +78,24 @@ pub fn script_algebraic(net: &Network, opts: &ScriptOptions) -> Network {
 /// let o = n.add_gate(GateKind::Or, vec![ab, ac]);
 /// n.add_output("o", o);
 /// let sink = TraceSink::new();
-/// script_algebraic_traced(&n, &Default::default(), &mut sink.buffer(0, "sop"));
+/// script_algebraic_traced(&n, &mut sink.buffer(0, "sop"));
 /// assert!(sink.take().span_names().contains("extract"));
 /// ```
-pub fn script_algebraic_traced(
-    net: &Network,
-    opts: &ScriptOptions,
-    buf: &mut TraceBuffer,
-) -> Network {
+pub fn script_algebraic_traced(net: &Network, buf: &mut TraceBuffer) -> Network {
     let mut s = buf.span("eliminate", |_| {
         let mut s = SopNet::from_network(&net.sweep());
-        s.eliminate(opts.eliminate_threshold, opts.max_cover_cubes);
+        s.eliminate(ELIMINATE_THRESHOLD, MAX_COVER_CUBES);
         s
     });
     buf.span("simplify", |_| s.simplify());
-    for _ in 0..opts.rounds {
+    for _ in 0..ROUNDS {
         buf.span("extract", |b| {
-            let made = s.extract(opts.max_extracted);
+            let made = s.extract(MAX_EXTRACTED);
             b.count("sop.extracted", made as u64);
         });
         buf.span("simplify", |_| s.simplify());
         // drop single-use leftovers created by extraction
-        buf.span("eliminate", |_| s.eliminate(0, opts.max_cover_cubes));
+        buf.span("eliminate", |_| s.eliminate(0, MAX_COVER_CUBES));
     }
     buf.span("lower", |_| s.to_network().sweep())
 }
@@ -201,7 +184,7 @@ mod tests {
     fn traced_script_records_every_step() {
         let net = two_level(5, |m| (m * 7 + 3) % 11 < 4);
         let sink = TraceSink::new();
-        let traced = script_algebraic_traced(&net, &Default::default(), &mut sink.buffer(0, "t"));
+        let traced = script_algebraic_traced(&net, &mut sink.buffer(0, "t"));
         let untraced = script_algebraic(&net, &Default::default());
         assert_eq!(traced.to_string(), untraced.to_string());
         let trace = sink.take();

@@ -72,18 +72,6 @@ pub(crate) fn to_chrome_json(trace: &Trace) -> String {
                         number(*value)
                     ));
                 }
-                // histogram samples surface as instant events carrying the
-                // raw value plus the bucket they land in, stamped at the
-                // last span edge (observations carry no timestamp)
-                Event::Hist { name, value } => {
-                    events.push(format!(
-                        r#"{{"name":"hist:{}","cat":"xsynth","ph":"i","s":"t","ts":{:.3},"pid":1,"tid":{tid},"args":{{"value":{},"bucket":{}}}}}"#,
-                        escape(name),
-                        us(now),
-                        number(*value),
-                        crate::bucket_of(*value)
-                    ));
-                }
             }
         }
     }
@@ -106,7 +94,6 @@ mod tests {
                 b.count("items", 3);
                 b.gauge("rate", 0.5);
                 b.gauge("nodes", 42.0);
-                b.observe("cubes", 6.0);
             });
         }
         let json = sink.take().to_chrome_json();
@@ -115,27 +102,7 @@ mod tests {
         assert!(json.contains(r#""ph":"E""#));
         assert!(json.contains(r#""ph":"C""#));
         assert!(json.contains(r#""ph":"M""#));
-        assert!(json.contains(r#""ph":"i""#));
         assert!(json.contains(r#"\"quoted\""#));
-    }
-
-    #[test]
-    fn hist_samples_export_value_and_bucket() {
-        let sink = TraceSink::new();
-        {
-            let mut b = sink.buffer(0, "m");
-            b.span("s", |b| b.observe("fprm.cubes", 6.0));
-        }
-        let json = sink.take().to_chrome_json();
-        crate::json::validate(&json).expect("emitted JSON must parse");
-        assert!(json.contains(r#""name":"hist:fprm.cubes""#), "{json}");
-        assert!(
-            json.contains(&format!(
-                r#""args":{{"value":6,"bucket":{}}}"#,
-                crate::bucket_of(6.0)
-            )),
-            "{json}"
-        );
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! * **gauges** — point-in-time measurements such as live DD node counts
 //!   or memo hit rates ([`TraceBuffer::gauge`]).
 //!
-//! Recording is contention-free: each worker owns a plain [`TraceBuffer`]
-//! (a `Vec` of events, no locks) and submits it to the shared
-//! [`TraceSink`] once, when the buffer drops. Buffers carry an explicit
-//! ordering key, so the merged [`Trace`] is identical regardless of the
-//! order in which buffers are submitted.
+//! Recording is lock-free: a job records one event stream into a plain
+//! [`TraceBuffer`] (a `Vec` of events, no locks) and submits it to the
+//! shared [`TraceSink`] once, when the buffer drops. Buffers carry an
+//! explicit ordering key, so a sink that collects several streams (a
+//! benchmark sweep aggregating its jobs) merges them into the same
+//! [`Trace`] regardless of the order in which they are submitted.
 //!
 //! Two exporters ship with the crate: a human-readable tree
 //! ([`Trace::render_tree`]) and Chrome `trace_event` JSON
@@ -118,17 +119,6 @@ pub enum Event {
         /// Gauge name.
         name: String,
         /// Sampled value.
-        value: f64,
-    },
-    /// One histogram observation. Samples carry the raw value; bucketing
-    /// happens at aggregation time ([`Trace::hist_totals`]) with the fixed
-    /// log-scale layout of [`bucket_of`], so merged bucket counts are pure
-    /// sums — independent of submission order and thread scheduling, like
-    /// counters.
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// Observed sample value.
         value: f64,
     },
 }
@@ -258,10 +248,6 @@ pub struct Track {
     pub key: u64,
     /// Human-readable label (becomes the thread name in Chrome exports).
     pub label: String,
-    /// Optional span name on an earlier track under which this track's
-    /// spans nest in the rendered tree (e.g. per-output planning tracks
-    /// nest under the `fprm` phase).
-    pub parent: Option<String>,
     /// The recorded events, in recording order.
     pub events: Vec<Event>,
 }
@@ -330,34 +316,21 @@ impl TraceSink {
 
     /// Opens a recording buffer that will merge at position `key`.
     ///
-    /// Keys should be unique per buffer (ties are broken by label); the
-    /// pipeline uses key 0 for the main thread and `1 + output_index` for
-    /// the per-output planning buffers, which makes the merged trace
-    /// independent of which worker planned which output.
+    /// Keys should be unique per buffer (ties are broken by label). A
+    /// synthesis job records its whole run into one buffer with key 0;
+    /// [`TraceSink::append`] lifts each appended trace's keys above every
+    /// key already in the sink, so jobs collected into one sink keep the
+    /// order they were appended in.
     pub fn buffer(&self, key: u64, label: impl Into<String>) -> TraceBuffer {
         TraceBuffer {
             sink: self.clone(),
             track: Track {
                 key,
                 label: label.into(),
-                parent: None,
                 events: Vec::new(),
             },
             depth: 0,
         }
-    }
-
-    /// Like [`TraceSink::buffer`], with the track's rendered spans nested
-    /// under the named span of an earlier track.
-    pub fn buffer_under(
-        &self,
-        key: u64,
-        label: impl Into<String>,
-        parent: impl Into<String>,
-    ) -> TraceBuffer {
-        let mut b = self.buffer(key, label);
-        b.track.parent = Some(parent.into());
-        b
     }
 
     /// Appends every track of an already-merged trace, shifted `offset`
@@ -394,12 +367,6 @@ impl TraceSink {
             .push(track);
     }
 
-    /// A deterministic snapshot of everything submitted so far.
-    pub fn snapshot(&self) -> Trace {
-        let tracks = self.shared.tracks.lock().expect("trace sink poisoned");
-        Trace::from_tracks(tracks.clone())
-    }
-
     /// Drains the sink, returning the merged trace.
     pub fn take(&self) -> Trace {
         let mut tracks = self.shared.tracks.lock().expect("trace sink poisoned");
@@ -407,13 +374,21 @@ impl TraceSink {
     }
 }
 
-/// A private, lock-free event recorder for one worker (or one unit of
-/// deterministic work, like one output's planning). Submits its track to
-/// the sink when dropped; open spans are closed first.
+/// A private, lock-free event recorder for one unit of deterministic
+/// work, like one synthesis job. Submits its track to the sink when
+/// dropped; open spans are closed first.
 #[derive(Debug)]
 pub struct TraceBuffer {
     sink: TraceSink,
     track: Track,
+    depth: usize,
+}
+
+/// A position in a [`TraceBuffer`]'s event stream, taken with
+/// [`TraceBuffer::mark`] and returned to with [`TraceBuffer::rollback`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    events: usize,
     depth: usize,
 }
 
@@ -469,19 +444,6 @@ impl TraceBuffer {
         });
     }
 
-    /// Records one observation into the named histogram. Observations are
-    /// bucketed at aggregation time with the fixed log-scale layout of
-    /// [`bucket_of`]; like counters, merged bucket totals are independent
-    /// of scheduling, so only schedule-independent values (cube counts,
-    /// support sizes — not wall-clock durations) belong in a trace whose
-    /// totals are compared across runs.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.track.events.push(Event::Hist {
-            name: name.to_string(),
-            value,
-        });
-    }
-
     /// Runs `f` under [`std::panic::catch_unwind`], then closes every span
     /// `f` left open, so a contained panic never nests the caller's later
     /// spans under the one it escaped from. The caller vouches for the
@@ -496,16 +458,20 @@ impl TraceBuffer {
         result
     }
 
-    /// The sink this buffer submits to.
-    pub fn sink(&self) -> &TraceSink {
-        &self.sink
+    /// The current position in the event stream.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            events: self.track.events.len(),
+            depth: self.depth,
+        }
     }
 
-    /// Discards the buffer without submitting anything, open spans
-    /// included.
-    pub fn discard(mut self) {
-        self.track.events.clear();
-        self.depth = 0;
+    /// Drops every event recorded since `mark` (taken on this buffer), so
+    /// the stream, open spans included, is as it was when the mark was
+    /// taken. A failed attempt that is retried leaves no trace this way.
+    pub fn rollback(&mut self, mark: Mark) {
+        self.track.events.truncate(mark.events);
+        self.depth = mark.depth;
     }
 }
 
@@ -598,36 +564,6 @@ impl Trace {
         max
     }
 
-    /// Merged histogram per name: every [`Event::Hist`] observation on
-    /// every track, bucketed with the fixed log-scale layout and summed
-    /// per bucket. Tracks are already in deterministic `(key, label)`
-    /// order and bucket counts are commutative sums, so the totals are
-    /// schedule-independent.
-    pub fn hist_totals(&self) -> BTreeMap<String, Histogram> {
-        let mut totals: BTreeMap<String, Histogram> = BTreeMap::new();
-        for t in &self.tracks {
-            for e in &t.events {
-                if let Event::Hist { name, value } = e {
-                    totals.entry(name.clone()).or_default().observe(*value);
-                }
-            }
-        }
-        totals
-    }
-
-    /// Prefixes every track label with `prefix/`, in place. The serve
-    /// daemon stamps each job's request ID onto its spans this way, so a
-    /// trace exported from a multi-tenant run stays attributable
-    /// end-to-end.
-    pub fn prefix_labels(&mut self, prefix: &str) {
-        if prefix.is_empty() {
-            return;
-        }
-        for t in &mut self.tracks {
-            t.label = format!("{prefix}/{}", t.label);
-        }
-    }
-
     /// The set of span names appearing anywhere in the trace.
     pub fn span_names(&self) -> BTreeSet<String> {
         let mut names = BTreeSet::new();
@@ -642,22 +578,9 @@ impl Trace {
     }
 
     /// Reconstructs the span forest: each track's `Begin`/`End` stream
-    /// becomes a tree, and tracks with a `parent` label are grafted under
-    /// the first span of that name on an earlier track (or kept at top
-    /// level when no such span exists).
+    /// becomes a tree, and the tracks' roots follow in track order.
     pub fn forest(&self) -> Vec<SpanNode> {
-        let mut roots: Vec<SpanNode> = Vec::new();
-        for t in &self.tracks {
-            let track_roots = build_track(t);
-            match &t.parent {
-                Some(p) => match find_first_mut(&mut roots, p) {
-                    Some(host) => host.children.extend(track_roots),
-                    None => roots.extend(track_roots),
-                },
-                None => roots.extend(track_roots),
-            }
-        }
-        roots
+        self.tracks.iter().flat_map(build_track).collect()
     }
 
     /// Renders the span forest as an indented, human-readable tree with
@@ -749,9 +672,6 @@ fn build_track(t: &Track) -> Vec<SpanNode> {
                     last.gauges.insert(name.clone(), *value);
                 }
             }
-            // histogram observations are aggregate-level data; they are
-            // surfaced via `hist_totals`, not the span tree
-            Event::Hist { .. } => {}
         }
     }
     // close anything the recorder left open at the last seen timestamp
@@ -763,19 +683,6 @@ fn build_track(t: &Track) -> Vec<SpanNode> {
         }
     }
     roots
-}
-
-/// Depth-first search for the first span named `name`.
-fn find_first_mut<'a>(nodes: &'a mut [SpanNode], name: &str) -> Option<&'a mut SpanNode> {
-    for n in nodes {
-        if n.name == name {
-            return Some(n);
-        }
-        if let Some(hit) = find_first_mut(&mut n.children, name) {
-            return Some(hit);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -865,25 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn parented_tracks_graft_under_named_span() {
-        let sink = TraceSink::new();
-        {
-            let mut main = sink.buffer(0, "main");
-            main.begin("phase");
-            {
-                let mut child = sink.buffer_under(1, "plan:0", "phase");
-                child.span("plan", |b| b.gauge("cubes", 7.0));
-            }
-            main.end();
-        }
-        let t = sink.take();
-        let forest = t.forest();
-        assert_eq!(forest[0].name, "phase");
-        assert_eq!(forest[0].children[0].name, "plan");
-        assert_eq!(forest[0].children[0].gauges["cubes"], 7.0);
-    }
-
-    #[test]
     fn unbalanced_spans_close_on_drop() {
         let sink = TraceSink::new();
         {
@@ -907,14 +795,37 @@ mod tests {
     }
 
     #[test]
-    fn discard_drops_open_spans_too() {
+    fn rollback_drops_what_was_recorded_since_the_mark() {
         let sink = TraceSink::new();
-        let mut b = sink.buffer(0, "main");
-        b.begin("x");
-        b.discard();
+        {
+            let mut b = sink.buffer(0, "main");
+            b.begin("phase");
+            b.count("kept", 1);
+            let mark = b.mark();
+            b.count("dropped", 1);
+            b.begin("attempt");
+            b.gauge("dropped", 1.0);
+            // an attempt may close spans opened before the mark too
+            b.end();
+            b.end();
+            b.rollback(mark);
+            assert_eq!(b.mark(), mark);
+            b.span("retry", |b| b.count("kept", 1));
+            b.end(); // phase, still open after the rollback
+        }
         let t = sink.take();
-        assert!(t.tracks.is_empty(), "{:?}", t.tracks);
-        assert!(!t.to_chrome_json().contains(r#""ph":"E""#));
+        assert_eq!(t.counter_totals().keys().collect::<Vec<_>>(), ["kept"]);
+        assert!(t.gauge_maxima().is_empty());
+        let forest = t.forest();
+        assert_eq!(forest.len(), 1);
+        assert_eq!(forest[0].name, "phase");
+        let children: Vec<_> = forest[0].children.iter().map(|n| &n.name).collect();
+        assert_eq!(children, ["retry"]);
+        let chrome = t.to_chrome_json();
+        assert_eq!(
+            chrome.matches(r#""ph":"B""#).count(),
+            chrome.matches(r#""ph":"E""#).count()
+        );
     }
 
     #[test]
@@ -935,7 +846,7 @@ mod tests {
             "t481",
             Duration::from_millis(9),
         );
-        let t = outer.snapshot();
+        let t = outer.take();
         assert_eq!(t.tracks.len(), 2);
         assert_eq!(t.tracks[0].label, "z4ml/main");
         assert_eq!(t.tracks[1].label, "t481/main");
@@ -1018,40 +929,6 @@ mod tests {
             flat.observe(v);
         }
         assert_eq!(merged, flat);
-    }
-
-    #[test]
-    fn hist_totals_merge_across_tracks() {
-        let sink = TraceSink::new();
-        {
-            let mut b = sink.buffer(1, "w1");
-            b.observe("cubes", 4.0);
-            b.observe("cubes", 9.0);
-        }
-        {
-            let mut b = sink.buffer(2, "w2");
-            b.observe("cubes", 5.0);
-            b.observe("support", 3.0);
-        }
-        let t = sink.take();
-        let totals = t.hist_totals();
-        assert_eq!(totals["cubes"].count(), 3);
-        assert_eq!(totals["support"].count(), 1);
-        let expected: u64 = totals["cubes"].buckets().iter().sum();
-        assert_eq!(expected, 3);
-    }
-
-    #[test]
-    fn prefix_labels_stamps_every_track() {
-        let sink = TraceSink::new();
-        sink.buffer(0, "main").count("x", 1);
-        sink.buffer(1, "plan:0").count("x", 1);
-        let mut t = sink.take();
-        t.prefix_labels("job-7");
-        let labels: Vec<_> = t.tracks.iter().map(|t| t.label.as_str()).collect();
-        assert_eq!(labels, ["job-7/main", "job-7/plan:0"]);
-        t.prefix_labels("");
-        assert_eq!(t.tracks[0].label, "job-7/main");
     }
 
     #[test]

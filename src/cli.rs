@@ -26,7 +26,6 @@ use xsynth_core::{
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
-use xsynth_sop::ScriptOptions;
 use xsynth_trace::json::Value;
 use xsynth_trace::Trace;
 
@@ -454,7 +453,7 @@ pub fn run_flow(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthR
     match cmd.flow {
         Flow::None => Ok((spec.sweep(), None)),
         Flow::Sop => {
-            let (network, report) = xsynth_bench::run_sop(spec, &ScriptOptions::default());
+            let (network, report) = xsynth_bench::run_sop(spec);
             Ok((network, Some(report)))
         }
         Flow::Fprm | Flow::FprmCube | Flow::FprmOfdd | Flow::Kfdd => {

@@ -22,7 +22,7 @@ use xsynth_core::{
 };
 use xsynth_net::Network;
 use xsynth_trace::failpoint::{self, Action, FailPlan};
-use xsynth_trace::TraceSink;
+use xsynth_trace::{SpanNode, TraceSink};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -52,6 +52,14 @@ fn run_contained(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Er
     result
 }
 
+/// Number of spans named `name` anywhere in the forest.
+fn count_named(nodes: &[SpanNode], name: &str) -> usize {
+    nodes
+        .iter()
+        .map(|n| usize::from(n.name == name) + count_named(&n.children, name))
+        .sum()
+}
+
 #[test]
 fn plan_panic_salvages_at_skip_factor() {
     let _g = exclusive();
@@ -69,6 +77,29 @@ fn plan_panic_salvages_at_skip_factor() {
         salvaged[0].cause
     );
     assert!(outcome.report.trace.counter("salvage.attempts") >= 1);
+}
+
+/// A rung that fails after its `plan` span opened is rolled back out of
+/// the trace: the salvaged output shows the kept attempt only.
+#[test]
+fn failed_plan_attempt_leaves_no_trace() {
+    let _g = exclusive();
+    let spec = circuit("majority");
+    let clean = run_contained(&spec, &SynthOptions::default()).expect("clean run");
+    failpoint::arm(&FailPlan::new().point_for("ofdd.polarity_search", Action::Panic, 1, 1));
+    let outcome =
+        run_contained(&spec, &SynthOptions::default()).expect("rung 2 salvages the output");
+    let salvaged = &outcome.report.salvaged;
+    assert_eq!(salvaged.len(), 1, "{salvaged:?}");
+    assert_eq!(salvaged[0].rung, SalvageRung::SkipFactor);
+    let trace = &outcome.report.trace;
+    let forest = trace.forest();
+    assert_eq!(count_named(&forest, "plan"), 1);
+    assert_eq!(count_named(&forest, "polarity_search"), 1);
+    assert_eq!(trace.counter("salvage.attempts"), 1);
+    let evaluated = clean.report.trace.counter("polarity.evaluated");
+    assert_eq!(evaluated, 32);
+    assert_eq!(trace.counter("polarity.evaluated"), evaluated);
 }
 
 #[test]
