@@ -385,7 +385,7 @@ const USAGE: &str = "usage: bench_compare <old.json> <new.json> \
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::VerifyStatus;
+    use crate::VerifyStatus;
 
     fn rec(name: &str, lits: u64, secs: f64) -> BenchRecord {
         BenchRecord {

@@ -11,7 +11,9 @@
 //! gates), gate/literal counts after technology mapping onto the mcnc-like
 //! library, the `power_estimate` model, wall-clock time (split into
 //! synthesis / mapping / verification), and functional equivalence of
-//! every result against the specification.
+//! every result against the specification. Each result is proven once: the
+//! FPRM job proves its own ([`SynthReport::proof`]), and the harness
+//! proves only the baseline's, which has no proof of its own.
 //!
 //! The `table2` binary measures through one path, [`measure_flow`],
 //! which also produces the machine-readable [`telemetry::BenchRecord`] persisted as
@@ -26,8 +28,8 @@ pub mod telemetry;
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
 use xsynth_core::{
-    phase, try_synthesize, Budget, EquivChecker, Error, PhaseProfile, SynthOptions, SynthOutcome,
-    SynthReport,
+    phase, prove_equivalence, try_synthesize, Budget, Error, PhaseProfile, SynthOptions,
+    SynthOutcome, SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
@@ -35,12 +37,14 @@ use xsynth_sim::power_estimate;
 use xsynth_sop::script_algebraic_traced;
 use xsynth_trace::TraceSink;
 
-pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, SCHEMA_VERSION};
+pub use telemetry::{BenchRecord, BenchSuite, SCHEMA_VERSION};
+pub use xsynth_core::VerifyStatus;
 
-/// BDD node cap for benchmark verification. Generous enough that every
-/// registry circuit verifies exactly today; a pathological case trips it
-/// and degrades to fixed-seed simulation (`verified: "downgraded"`)
-/// instead of stalling the whole sweep.
+/// BDD node cap for the harness's proof of a result whose flow has none
+/// of its own. Generous enough that every registry circuit verifies
+/// exactly today; a pathological case trips it and degrades to
+/// fixed-seed simulation (`verified: "downgraded"`) instead of stalling
+/// the whole sweep.
 pub const VERIFY_NODE_CAP: usize = 4_000_000;
 
 /// Which flow [`measure_flow`] runs.
@@ -59,8 +63,6 @@ pub struct MeasureOptions {
     pub runs: usize,
     /// FPRM flow options.
     pub synth: SynthOptions,
-    /// Verification budget (see [`VERIFY_NODE_CAP`]).
-    pub verify_budget: Budget,
 }
 
 impl Default for MeasureOptions {
@@ -68,7 +70,6 @@ impl Default for MeasureOptions {
         MeasureOptions {
             runs: 1,
             synth: SynthOptions::default(),
-            verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
         }
     }
 }
@@ -87,7 +88,9 @@ pub struct Measured {
 /// (keeping the last result — all runs are deterministic), evaluates it
 /// once, and assembles the [`BenchRecord`] with median/min wall-clock,
 /// per-phase durations, counter totals, trace gauge maxima, and the
-/// process peak-RSS gauge.
+/// process peak-RSS gauge. A result without a proof of its own (the SOP
+/// baseline's) is proven here under [`VERIFY_NODE_CAP`], timed as the
+/// record's `verify_seconds`.
 ///
 /// # Errors
 ///
@@ -110,28 +113,26 @@ pub fn measure_flow(
     let mut times = Vec::with_capacity(runs);
     loop {
         let t0 = Instant::now();
-        let (network, report) = match flow {
+        let (network, mut report) = match flow {
             Flow::Fprm => {
                 let SynthOutcome { network, report } = try_synthesize(spec, &opts.synth)?;
-                (network, Some(report))
+                (network, report)
             }
-            Flow::Sop => {
-                let (network, report) = run_sop(spec);
-                (network, Some(report))
-            }
+            Flow::Sop => run_sop(spec),
         };
         times.push(t0.elapsed().as_secs_f64());
         if times.len() == runs {
-            return Ok(record_from_run(
-                name,
-                flow_label,
-                spec,
-                network,
-                report,
-                &times,
-                lib,
-                &opts.verify_budget,
-            ));
+            let mut verify_seconds = 0.0;
+            if report.proof.is_none() {
+                let t_verify = Instant::now();
+                let budget = Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP));
+                let proof = prove_equivalence(spec, &network, &budget);
+                report.proof = Some(proof.unwrap_or_default());
+                verify_seconds = t_verify.elapsed().as_secs_f64();
+            }
+            let mut measured = record_from_run(name, flow_label, network, report, &times, lib);
+            measured.record.verify_seconds = verify_seconds;
+            return Ok(measured);
         }
     }
 }
@@ -139,7 +140,8 @@ pub fn measure_flow(
 /// Runs the SOP baseline ([`xsynth_sop::script_algebraic_traced`]) under
 /// a [`phase::SYNTHESIZE`] root span, so its report carries the script's
 /// trace and a [`PhaseProfile`] of its steps (`eliminate`, `simplify`,
-/// `extract`, `lower`); the report's other fields stay empty.
+/// `extract`, `lower`); the report's other fields stay empty, [`SynthReport::proof`]
+/// too: the baseline makes no proof of its own.
 pub fn run_sop(spec: &Network) -> (Network, SynthReport) {
     let sink = TraceSink::new();
     let network = sink
@@ -152,35 +154,27 @@ pub fn run_sop(spec: &Network) -> (Network, SynthReport) {
 }
 
 /// Assembles a [`Measured`] from an already-synthesized network — the
-/// tail of [`measure_flow`], also used by the CLI's `--bench-json` so the
-/// record describes the exact run the CLI performed. The network goes
-/// through mapping, the power model and verification, each timed
-/// separately; verification runs under `verify_budget` via `try_check`,
-/// so a blowup degrades to simulation instead of stalling.
-#[allow(clippy::too_many_arguments)]
+/// tail of [`measure_flow`], also used by the CLI's `--bench-json` and the
+/// daemon's `telemetry` reply so the record describes the exact run they
+/// performed. The network goes through mapping and the power model, timed
+/// together. Nothing is proven here: the record's `verified` is the
+/// report's [`SynthReport::proof`], `failed` when it has none, so a caller
+/// whose flow makes no proof of its own proves the result first
+/// ([`prove_equivalence`]) and stores the status there. `verify_seconds`
+/// is left at 0 for the caller that made such a proof to fill in.
 pub fn record_from_run(
     name: &str,
     flow_label: &str,
-    spec: &Network,
     network: Network,
-    report: Option<SynthReport>,
+    report: SynthReport,
     synth_times: &[f64],
     lib: &Library,
-    verify_budget: &Budget,
 ) -> Measured {
     let (premap_gates, premap_lits) = network.two_input_cost();
     let t_map = Instant::now();
     let mapped = map_network(&network, lib);
     let power = power_estimate(&mapped.to_network(lib)).total;
     let map_seconds = t_map.elapsed().as_secs_f64();
-    let t_verify = Instant::now();
-    let mut checker = EquivChecker::with_budget(spec, verify_budget);
-    let verified = match checker.try_check(&network) {
-        Ok(true) if checker.downgraded() => VerifyStatus::Downgraded,
-        Ok(true) => VerifyStatus::Verified,
-        _ => VerifyStatus::Failed,
-    };
-    let verify_seconds = t_verify.elapsed().as_secs_f64();
     let mut record = BenchRecord {
         name: name.to_string(),
         flow: flow_label.to_string(),
@@ -190,8 +184,8 @@ pub fn record_from_run(
         map_lits: mapped.num_literals() as u64,
         map_area: mapped.area(),
         power,
-        verified,
-        salvaged: report.as_ref().map_or(0, |r| r.salvaged.len() as u64),
+        verified: report.proof.unwrap_or_default(),
+        salvaged: report.salvaged.len() as u64,
         runs: synth_times.len() as u64,
         median_seconds: median(synth_times),
         min_seconds: synth_times.iter().copied().fold(f64::INFINITY, f64::min),
@@ -199,22 +193,18 @@ pub fn record_from_run(
         latency_p50_seconds: latency_quantile(synth_times, 0.50),
         latency_p99_seconds: latency_quantile(synth_times, 0.99),
         map_seconds,
-        verify_seconds,
-        phases: Default::default(),
-        counters: Default::default(),
-        gauges: Default::default(),
+        verify_seconds: 0.0,
+        phases: report
+            .profile
+            .phases
+            .iter()
+            .map(|p| (p.name.clone(), p.duration.as_secs_f64()))
+            .collect(),
+        counters: report.trace.counter_totals(),
+        gauges: report.trace.gauge_maxima(),
     };
     if !record.min_seconds.is_finite() {
         record.min_seconds = 0.0;
-    }
-    if let Some(r) = &report {
-        for p in &r.profile.phases {
-            record
-                .phases
-                .insert(p.name.clone(), p.duration.as_secs_f64());
-        }
-        record.counters = r.trace.counter_totals();
-        record.gauges = r.trace.gauge_maxima();
     }
     // sampled by the harness, not the pipeline trace: peak RSS is
     // process-wide and nondeterministic, so it must never enter the trace

@@ -25,7 +25,7 @@
 //!       "runs": 3, "median_seconds": 0.011, "min_seconds": 0.010,
 //!       "synth_seconds": 0.011, "latency_p50_seconds": 0.0156,
 //!       "latency_p99_seconds": 0.0156,
-//!       "map_seconds": 0.001, "verify_seconds": 0.002,
+//!       "map_seconds": 0.001, "verify_seconds": 0.0,
 //!       "phases":   { "fprm": 0.008, "factoring": 0.001 },
 //!       "counters": { "patterns.generated": 96 },
 //!       "gauges":   { "bdd.peak_nodes": 353.0, "mem.peak_rss_kb": 14200.0 }
@@ -40,61 +40,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use xsynth_core::VerifyStatus;
 use xsynth_trace::json::{self, Value};
 
 /// Version stamp written into every suite, and the only version
 /// [`BenchSuite::from_json`] accepts; bump on breaking changes. Version 2
 /// added `salvaged`, version 3 the latency percentiles.
 pub const SCHEMA_VERSION: u64 = 3;
-
-/// Outcome of the equivalence check of one flow's result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum VerifyStatus {
-    /// The check failed, errored, or could not run.
-    #[default]
-    Failed,
-    /// The check passed, but only after the budget downgraded it from
-    /// exact BDD comparison to fixed-seed simulation.
-    Downgraded,
-    /// The check passed exactly.
-    Verified,
-}
-
-impl VerifyStatus {
-    /// The schema's string form (`"verified"` / `"downgraded"` / `"failed"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            VerifyStatus::Verified => "verified",
-            VerifyStatus::Downgraded => "downgraded",
-            VerifyStatus::Failed => "failed",
-        }
-    }
-
-    /// Parses the schema's string form.
-    pub fn parse(s: &str) -> Option<VerifyStatus> {
-        match s {
-            "verified" => Some(VerifyStatus::Verified),
-            "downgraded" => Some(VerifyStatus::Downgraded),
-            "failed" => Some(VerifyStatus::Failed),
-            _ => None,
-        }
-    }
-
-    /// Confidence rank (higher is better); a rank *decrease* between two
-    /// suites is a quality regression.
-    pub fn rank(self) -> u8 {
-        match self {
-            VerifyStatus::Verified => 2,
-            VerifyStatus::Downgraded => 1,
-            VerifyStatus::Failed => 0,
-        }
-    }
-
-    /// Whether the result checked out at all (possibly downgraded).
-    pub fn passed(self) -> bool {
-        self != VerifyStatus::Failed
-    }
-}
 
 /// Everything measured about one (benchmark, flow) pair.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -115,7 +67,8 @@ pub struct BenchRecord {
     pub map_area: f64,
     /// Normalized switching power of the mapped netlist.
     pub power: f64,
-    /// Equivalence-check outcome.
+    /// How the result was proven: the job's own proof, or the one the
+    /// harness made for a flow without one.
     pub verified: VerifyStatus,
     /// Outputs the salvage ladder recovered instead of failing the run.
     /// Nonzero means the result is degraded — `bench_compare` treats any
@@ -137,7 +90,10 @@ pub struct BenchRecord {
     pub latency_p99_seconds: f64,
     /// Technology-mapping + power-model wall-clock.
     pub map_seconds: f64,
-    /// Equivalence-check wall-clock.
+    /// Wall-clock of a proof made outside the synthesis job, for a flow
+    /// without a proof of its own (the SOP baseline in `table2`). FPRM
+    /// records read 0: the job proves its own result, and that proof's
+    /// time is in `phases` (`verify`, and the guard inside `redundancy`).
     pub verify_seconds: f64,
     /// Per-phase durations (seconds) from the synthesis span tree.
     pub phases: BTreeMap<String, f64>,

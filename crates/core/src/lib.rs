@@ -73,7 +73,7 @@ pub use synth::{
     phase, try_synthesize, CacheUse, FactorMethod, PhaseProfile, PhaseStat, PolarityMode,
     SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome, SynthReport,
 };
-pub use verify::{network_bdds, EquivChecker};
+pub use verify::{network_bdds, prove_equivalence, EquivChecker, VerifyStatus};
 
 /// The one-line import for typical users of the synthesis stack.
 ///

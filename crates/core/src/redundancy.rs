@@ -584,7 +584,7 @@ mod tests {
         let budget = crate::Budget::default().bdd_node_cap(Some(cap));
         let mut checker = EquivChecker::with_budget(&net, &budget);
         let (capped, capped_trace) = run(&net, &pats, &mut checker, 8);
-        assert!(checker.is_exact() && !checker.downgraded(), "cap {cap}");
+        assert!(!checker.downgraded(), "cap {cap}");
         let mut counters = capped_trace.counter_totals();
         let compacted = counters.remove("verify.compacted").unwrap_or(0);
         assert!(compacted >= 1, "cap {cap} of {peak} never tripped");

@@ -30,7 +30,7 @@ use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
-use crate::verify::{network_bdds, new_manager, EquivChecker};
+use crate::verify::{network_bdds, new_manager, EquivChecker, VerifyStatus};
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -368,6 +368,13 @@ pub struct SynthReport {
     /// Outputs recovered by the salvage ladder (or an emission rollback)
     /// instead of failing the run. Empty on a clean pass.
     pub salvaged: Vec<SalvageRecord>,
+    /// How the job proved its network equivalent to the specification:
+    /// [`VerifyStatus::Verified`] by BDDs in the job's own manager, or
+    /// [`VerifyStatus::Downgraded`] when the node cap moved the checker to
+    /// simulation. `None` for a flow that makes no proof of its own (the
+    /// SOP baseline) until its caller proves the result and stores the
+    /// status here.
+    pub proof: Option<VerifyStatus>,
     /// Always zero (see [`CacheUse`]).
     pub cache: CacheUse,
     /// Per-phase wall-clock breakdown, derived from `trace`.
@@ -387,9 +394,12 @@ pub struct SynthOutcome {
 }
 
 /// Synthesizes `spec` with the paper's FPRM flow and returns the optimized
-/// network plus a report. The result is verified equivalent to `spec`
-/// (exactly via BDDs; by fixed-seed simulation only when the budget's
-/// node cap trips, which [`SynthReport::curtailed`] then lists).
+/// network plus a report. The job proves its result equivalent to `spec`
+/// in the BDD manager that built the spec (exactly; by fixed-seed
+/// simulation only when the budget's node cap trips, which
+/// [`SynthReport::curtailed`] then lists), and [`SynthReport::proof`]
+/// says which. That is the result's one proof: callers read it instead of
+/// checking the network again.
 ///
 /// A tripped [`Budget`] surfaces as [`Error::Budget`] (when no degraded
 /// result was possible) and a failed verification as [`Error::Verify`].
@@ -581,9 +591,12 @@ fn run_pipeline(
         main.gauge("net.gates", result.num_gates() as f64);
         main.end();
     }
-    if checker.downgraded() {
+    report.proof = Some(if checker.downgraded() {
         curtail(report, phase::VERIFY);
-    }
+        VerifyStatus::Downgraded
+    } else {
+        VerifyStatus::Verified
+    });
 
     // the job's manager, now the checker's, read once at the end
     checker.record(&mut main);

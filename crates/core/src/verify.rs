@@ -17,6 +17,74 @@ const SIM_PATTERNS: usize = 4096;
 /// Seed of the simulation backend's fixed random pattern set.
 const SIM_SEED: u64 = 0xec;
 
+/// How a network was proven equivalent to its specification: the
+/// outcome of one equivalence check, as a synthesis report
+/// ([`SynthReport::proof`](crate::SynthReport::proof)) and a benchmark
+/// record carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum VerifyStatus {
+    /// The check failed, errored, or could not run.
+    #[default]
+    Failed,
+    /// The check passed, but only after the budget downgraded it from
+    /// exact BDD comparison to fixed-seed simulation.
+    Downgraded,
+    /// The check passed exactly.
+    Verified,
+}
+
+impl VerifyStatus {
+    /// The string form (`"verified"` / `"downgraded"` / `"failed"`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            VerifyStatus::Verified => "verified",
+            VerifyStatus::Downgraded => "downgraded",
+            VerifyStatus::Failed => "failed",
+        }
+    }
+
+    /// Parses the string form.
+    pub fn parse(s: &str) -> Option<VerifyStatus> {
+        use VerifyStatus::*;
+        [Failed, Downgraded, Verified]
+            .into_iter()
+            .find(|v| v.as_str() == s)
+    }
+
+    /// Confidence rank (higher is better), the declaration order; a rank
+    /// *decrease* between two runs is a quality regression.
+    pub fn rank(self) -> u8 {
+        self as u8
+    }
+
+    /// Whether the result checked out at all (possibly downgraded).
+    pub fn passed(self) -> bool {
+        self != VerifyStatus::Failed
+    }
+}
+
+/// Proves `candidate` equivalent to `spec` in a fresh checker under
+/// `budget` ([`EquivChecker::with_budget`]): for a network whose flow made
+/// no proof of its own, and for two given networks. A candidate that
+/// differs is [`VerifyStatus::Failed`].
+///
+/// # Errors
+///
+/// [`Error::InputMismatch`] when the two networks' inputs differ, and
+/// the `core.verify` failpoint's injected fault.
+pub fn prove_equivalence(
+    spec: &Network,
+    candidate: &Network,
+    budget: &Budget,
+) -> Result<VerifyStatus, Error> {
+    let mut checker = EquivChecker::with_budget(spec, budget);
+    Ok(match checker.try_check(candidate)? {
+        false => VerifyStatus::Failed,
+        true if checker.downgraded() => VerifyStatus::Downgraded,
+        true => VerifyStatus::Verified,
+    })
+}
+
 /// An equivalence checker pinned to a reference network.
 ///
 /// Comparison is exact (canonical ROBDD equality) at any input count.
@@ -186,11 +254,6 @@ impl EquivChecker {
         self.retired.0.max(self.bm.num_nodes())
     }
 
-    /// Whether the checker is exact (BDD) or statistical (simulation).
-    pub fn is_exact(&self) -> bool {
-        self.sim.is_none()
-    }
-
     /// Whether a budget trip forced this checker down from exact BDD
     /// comparison to fixed-seed simulation.
     pub fn downgraded(&self) -> bool {
@@ -249,7 +312,7 @@ impl EquivChecker {
     /// `verify.downgraded`, gauges the manager's peak as `bdd.peak_nodes`
     /// and, on the simulation backend, counts the patterns simulated as
     /// `verify.sim_patterns`.
-    pub fn try_check_traced(
+    pub(crate) fn try_check_traced(
         &mut self,
         candidate: &Network,
         buf: &mut TraceBuffer,
@@ -668,7 +731,6 @@ mod tests {
     #[test]
     fn structurally_different_equivalent_networks_pass() {
         let mut c = EquivChecker::new(&xor_net(0));
-        assert!(c.is_exact());
         assert!(!c.downgraded());
         assert!(c.try_check(&xor_net(1)).unwrap());
     }
@@ -698,7 +760,7 @@ mod tests {
             n
         };
         let mut c = EquivChecker::new(&build(GateKind::And));
-        assert!(c.is_exact());
+        assert!(!c.downgraded());
         assert!(c.try_check(&build(GateKind::And)).unwrap());
         assert!(!c.try_check(&build(GateKind::Const0)).unwrap());
     }
@@ -788,10 +850,13 @@ mod tests {
         };
         let budget = Budget::default().bdd_node_cap(Some(16));
         let mut c = EquivChecker::with_budget(&build(false), &budget);
-        assert!(!c.is_exact());
         assert!(c.downgraded());
         assert!(c.try_check(&build(false)).unwrap());
         assert!(!c.try_check(&build(true)).unwrap());
+        let prove = |flip, budget| prove_equivalence(&build(false), &build(flip), budget).unwrap();
+        assert_eq!(prove(false, &budget), VerifyStatus::Downgraded);
+        assert_eq!(prove(true, &budget), VerifyStatus::Failed);
+        assert_eq!(prove(false, &Budget::default()), VerifyStatus::Verified);
     }
 
     /// A single 10-input AND, and an equivalent candidate with a wide XOR
@@ -826,7 +891,7 @@ mod tests {
         let (reference, candidate) = and_with_xor_detour();
         let budget = Budget::default().bdd_node_cap(Some(80));
         let mut c = EquivChecker::with_budget(&reference, &budget);
-        assert!(c.is_exact(), "reference fits under the cap");
+        assert!(!c.downgraded(), "reference fits under the cap");
         let sink = TraceSink::new();
         {
             let mut buf = sink.buffer(0, "main");
@@ -835,7 +900,6 @@ mod tests {
             assert!(c.try_check_traced(&candidate, &mut buf).unwrap());
         }
         assert!(c.downgraded());
-        assert!(!c.is_exact());
         let t = sink.take();
         assert_eq!(t.counter_totals()["verify.downgraded"], 1);
     }
@@ -983,7 +1047,7 @@ mod tests {
                 _ => EquivChecker::with_budget(&reference, &budget),
             };
             // a constant reference fits under any cap
-            prop_assume!(checker.is_exact() == (backend != 1));
+            prop_assume!(checker.downgraded() == (backend == 1));
             // backend 2's uncapped twin: until the first trip the two
             // managers are identical, so the twin shows whether a step
             // needed a node past the cap

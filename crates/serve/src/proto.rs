@@ -101,8 +101,8 @@ pub struct JobRequest {
     /// remaining allowance.
     pub deadline_ms: Option<u64>,
     /// Attach a `BenchRecord`-style telemetry object (mapped size, power,
-    /// verification status, counters, gauges) to the reply. Costs a
-    /// verification and mapping pass per job; defaults to `false`.
+    /// the job's own verification status, counters, gauges) to the reply.
+    /// Costs a mapping pass per job; defaults to `false`.
     pub telemetry: bool,
 }
 

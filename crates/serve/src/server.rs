@@ -48,9 +48,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xsynth_bench::{record_from_run, BenchSuite, VERIFY_NODE_CAP};
+use xsynth_bench::{record_from_run, BenchSuite};
 use xsynth_blif::{parse_blif, parse_pla, write_blif};
-use xsynth_core::{try_synthesize, Budget, Error, SynthOptions};
+use xsynth_core::{try_synthesize, Error, SynthOptions};
 use xsynth_map::Library;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_trace::metrics::Exposition;
@@ -413,7 +413,6 @@ struct Ctx {
     /// Default synthesis options for jobs that don't override them.
     options: SynthOptions,
     lib: Library,
-    verify_budget: Budget,
     /// Requests answered (ok or error) since the daemon started; the
     /// source of `xsynth_requests_total`.
     requests: AtomicU64,
@@ -736,7 +735,6 @@ impl Server {
         let ctx = Arc::new(Ctx {
             options: opts.options.clone(),
             lib: Library::mcnc(),
-            verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
             requests: AtomicU64::new(0),
             state: AtomicU8::new(STATE_RUNNING),
             limits: Limits::from_options(&opts),
@@ -1564,12 +1562,10 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
         let measured = record_from_run(
             &name,
             "serve",
-            &spec,
             outcome.network,
-            Some(outcome.report),
+            outcome.report,
             &[seconds],
             &ctx.lib,
-            &ctx.verify_budget,
         );
         let suite = BenchSuite {
             suite: "serve".into(),
@@ -1852,7 +1848,6 @@ mod tests {
         let ctx = Arc::new(Ctx {
             options: opts.options.clone(),
             lib: Library::mcnc(),
-            verify_budget: Budget::default(),
             requests: AtomicU64::new(0),
             state: AtomicU8::new(STATE_RUNNING),
             limits: Limits::from_options(&opts),

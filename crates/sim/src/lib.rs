@@ -654,10 +654,9 @@ impl BlockSim {
 }
 
 /// Checks functional equivalence of two networks on an explicit pattern
-/// list (both must have the same input/output counts). This is the
-/// workhorse behind the `verify`-style checks in the benchmark harness;
-/// for complete certainty on small circuits pass
-/// [`exhaustive_patterns`].
+/// list (both must have the same input/output counts): a sampled check,
+/// which the tests use as an oracle next to the BDD proofs; for complete
+/// certainty on small circuits pass [`exhaustive_patterns`].
 pub fn equivalent_on(a: &Network, b: &Network, patterns: &[Pattern]) -> bool {
     equivalent_on_blocks(a, b, pack_patterns(a.inputs().len(), patterns))
 }

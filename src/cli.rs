@@ -21,8 +21,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use xsynth_blif::{parse_blif, parse_pla, write_blif};
 use xsynth_core::{
-    phase, try_synthesize, Budget, EquivChecker, Error, FactorMethod, SynthOptions, SynthOutcome,
-    SynthReport,
+    phase, prove_equivalence, try_synthesize, Budget, Error, FactorMethod, SynthOptions,
+    SynthOutcome, SynthReport, VerifyStatus,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
@@ -120,6 +120,27 @@ pub enum Flow {
     Sop,
     /// No optimization (parse and re-emit).
     None,
+}
+
+impl Flow {
+    /// Every flow with its `--method` name, its telemetry `flow` label
+    /// and, for the FPRM family, the factoring method its jobs run.
+    #[rustfmt::skip]
+    const TABLE: [(Flow, &'static str, &'static str, Option<FactorMethod>); 6] = [
+        (Flow::Fprm,     "fprm", "fprm",      Some(FactorMethod::Best)),
+        (Flow::FprmCube, "cube", "fprm-cube", Some(FactorMethod::Cube)),
+        (Flow::FprmOfdd, "ofdd", "fprm-ofdd", Some(FactorMethod::Ofdd)),
+        (Flow::Kfdd,     "kfdd", "kfdd",      Some(FactorMethod::Kfdd)),
+        (Flow::Sop,      "sop",  "sop",       None),
+        (Flow::None,     "none", "none",      None),
+    ];
+
+    /// The flow's `--method` name, telemetry label and factoring method.
+    fn row(self) -> (&'static str, &'static str, Option<FactorMethod>) {
+        let row = Self::TABLE.iter().find(|row| row.0 == self);
+        let &(_, method, label, factor) = row.expect("every flow is in the table");
+        (method, label, factor)
+    }
 }
 
 /// Usage text.
@@ -224,6 +245,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     } else {
         None
     };
+    fn text(flag: &str, what: &str, value: Option<&String>) -> Result<String, String> {
+        value.cloned().ok_or_else(|| format!("{flag} needs {what}"))
+    }
     fn number(flag: &str, value: Option<&String>) -> Result<u64, String> {
         let v = value.ok_or_else(|| format!("{flag} needs a number"))?;
         v.parse()
@@ -251,37 +275,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut once = false;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-o" => {
-                output = Some(
-                    it.next()
-                        .ok_or_else(|| "-o needs a file".to_string())?
-                        .clone(),
-                )
-            }
-            "--trace-json" => {
-                trace_json = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace-json needs a file".to_string())?
-                        .clone(),
-                )
-            }
-            "--bench-json" => {
-                bench_json = Some(
-                    it.next()
-                        .ok_or_else(|| "--bench-json needs a file".to_string())?
-                        .clone(),
-                )
-            }
+            "-o" => output = Some(text(a, "a file", it.next())?),
+            "--trace-json" => trace_json = Some(text(a, "a file", it.next())?),
+            "--bench-json" => bench_json = Some(text(a, "a file", it.next())?),
             "--method" => {
-                flow = match it.next().map(String::as_str) {
-                    Some("fprm") => Flow::Fprm,
-                    Some("cube") => Flow::FprmCube,
-                    Some("ofdd") => Flow::FprmOfdd,
-                    Some("kfdd") => Flow::Kfdd,
-                    Some("sop") => Flow::Sop,
-                    Some("none") => Flow::None,
-                    other => return Err(format!("bad --method {other:?}")),
-                }
+                let name = it.next().map(String::as_str);
+                let row = Flow::TABLE.iter().find(|row| Some(row.1) == name);
+                flow = row.ok_or_else(|| format!("bad --method {name:?}"))?.0;
             }
             "--no-redundancy" => no_redundancy = true,
             "--no-salvage" => no_salvage = true,
@@ -295,20 +295,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--max-patterns" => {
                 budget = budget.max_patterns(Some(number(a, it.next())? as usize));
             }
-            "--tcp" if action == Action::Serve => {
-                tcp = Some(
-                    it.next()
-                        .ok_or_else(|| "--tcp needs an address".to_string())?
-                        .clone(),
-                )
-            }
-            "--socket" if action == Action::Serve => {
-                socket = Some(
-                    it.next()
-                        .ok_or_else(|| "--socket needs a path".to_string())?
-                        .clone(),
-                )
-            }
+            "--tcp" if action == Action::Serve => tcp = Some(text(a, "an address", it.next())?),
+            "--socket" if action == Action::Serve => socket = Some(text(a, "a path", it.next())?),
             "--workers" if action == Action::Serve => {
                 workers = number(a, it.next())? as usize;
             }
@@ -450,28 +438,45 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
 /// Returns [`Error::Budget`] when the command's budget is too tight for
 /// the pipeline to produce any result.
 pub fn run_flow(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
-    match cmd.flow {
-        Flow::None => Ok((spec.sweep(), None)),
+    if let Some(opts) = synth_options(cmd) {
+        let SynthOutcome { network, report } = try_synthesize(spec, &opts)?;
+        return Ok((network, Some(report)));
+    }
+    Ok(match cmd.flow {
         Flow::Sop => {
             let (network, report) = xsynth_bench::run_sop(spec);
-            Ok((network, Some(report)))
+            (network, Some(report))
         }
-        Flow::Fprm | Flow::FprmCube | Flow::FprmOfdd | Flow::Kfdd => {
-            let method = match cmd.flow {
-                Flow::FprmCube => FactorMethod::Cube,
-                Flow::FprmOfdd => FactorMethod::Ofdd,
-                Flow::Kfdd => FactorMethod::Kfdd,
-                _ => FactorMethod::Best,
-            };
-            let opts = SynthOptions::builder()
-                .method(method)
-                .redundancy_removal(!cmd.no_redundancy)
-                .salvage(!cmd.no_salvage)
-                .budget(cmd.budget.clone())
-                .build();
-            let SynthOutcome { network, report } = try_synthesize(spec, &opts)?;
-            Ok((network, Some(report)))
-        }
+        _ => (spec.sweep(), None),
+    })
+}
+
+/// The job options of an FPRM-family flow, or `None` for the SOP baseline
+/// and `none`.
+fn synth_options(cmd: &Command) -> Option<SynthOptions> {
+    let (_, _, method) = cmd.flow.row();
+    Some(
+        SynthOptions::builder()
+            .method(method?)
+            .redundancy_removal(!cmd.no_redundancy)
+            .salvage(!cmd.no_salvage)
+            .budget(cmd.budget.clone())
+            .build(),
+    )
+}
+
+/// The one proof of a flow's result: the job's own when its report
+/// carries one (the FPRM family), else one made here under the command's
+/// budget (the SOP baseline and `none`).
+fn proof_of(
+    cmd: &Command,
+    spec: &Network,
+    result: &Network,
+    report: Option<&SynthReport>,
+) -> Result<VerifyStatus, Error> {
+    match report.and_then(|r| r.proof) {
+        Some(proof) => Ok(proof),
+        None => prove_equivalence(spec, result, &cmd.budget),
     }
 }
 
@@ -546,39 +551,28 @@ pub fn render_report(report: &SynthReport) -> String {
     s
 }
 
-/// The telemetry `flow` label for a flow.
-fn flow_label(flow: Flow) -> &'static str {
-    match flow {
-        Flow::Fprm => "fprm",
-        Flow::FprmCube => "fprm-cube",
-        Flow::FprmOfdd => "fprm-ofdd",
-        Flow::Kfdd => "kfdd",
-        Flow::Sop => "sop",
-        Flow::None => "none",
-    }
-}
-
 /// Writes a single-record benchmark telemetry suite describing the exact
 /// run the CLI just performed (same `BENCH_*.json` schema as
-/// `table2 --json`; diffable with `bench_compare`).
+/// `table2 --json`; diffable with `bench_compare`). `proof` is the run's
+/// one proof ([`proof_of`]); the record reads it from the report.
 fn write_bench_json(
     path: &str,
     cmd: &Command,
-    spec: &Network,
     result: &Network,
     report: Option<SynthReport>,
+    proof: VerifyStatus,
     synth_seconds: f64,
 ) -> Result<String, Error> {
-    let lib = Library::mcnc();
+    let mut report = report.unwrap_or_default();
+    report.proof = Some(proof);
+    let (_, label, _) = cmd.flow.row();
     let measured = xsynth_bench::record_from_run(
         &cmd.input,
-        flow_label(cmd.flow),
-        spec,
+        label,
         result.clone(),
         report,
         &[synth_seconds],
-        &lib,
-        &cmd.budget,
+        &Library::mcnc(),
     );
     let suite = xsynth_bench::BenchSuite {
         suite: "cli".to_string(),
@@ -645,21 +639,15 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
         Action::Serve | Action::Top => unreachable!("handled above"),
         Action::Stats => Ok(render_stats(&spec)),
         Action::Verify => {
-            let candidate = load_source(cmd.input2.as_deref().unwrap_or_default(), false)?;
-            let mut checker = EquivChecker::with_budget(&spec, &cmd.budget);
-            if !checker.try_check(&candidate)? {
-                return Err(Error::Verify(format!(
-                    "{} is not equivalent to {}",
-                    cmd.input2.as_deref().unwrap_or_default(),
-                    cmd.input
-                )));
-            }
-            let backend = if checker.is_exact() {
-                "exact BDD check"
-            } else if checker.downgraded() {
-                "simulation, downgraded by budget"
-            } else {
-                "simulation"
+            let input2 = cmd.input2.as_deref().unwrap_or_default();
+            let candidate = load_source(input2, false)?;
+            let backend = match prove_equivalence(&spec, &candidate, &cmd.budget)? {
+                VerifyStatus::Verified => "exact BDD check",
+                VerifyStatus::Downgraded => "simulation, downgraded by budget",
+                VerifyStatus::Failed => {
+                    let msg = format!("{input2} is not equivalent to {}", cmd.input);
+                    return Err(Error::Verify(msg));
+                }
             };
             Ok(format!("equivalent ({backend})\n"))
         }
@@ -667,8 +655,8 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
             let t0 = std::time::Instant::now();
             let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
-            let mut checker = EquivChecker::with_budget(&spec, &cmd.budget);
-            if !checker.try_check(&result)? {
+            let proof = proof_of(cmd, &spec, &result, report.as_ref())?;
+            if proof == VerifyStatus::Failed {
                 return Err(Error::Verify(
                     "internal error: result failed verification".into(),
                 ));
@@ -694,9 +682,9 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
                 out.push_str(&write_bench_json(
                     path,
                     cmd,
-                    &spec,
                     &result,
-                    report.clone(),
+                    report,
+                    proof,
                     synth_seconds,
                 )?);
             }
@@ -739,12 +727,13 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
                 s.push_str(&write_trace_json(path, report.as_ref())?);
             }
             if let Some(path) = &cmd.bench_json {
+                let proof = proof_of(cmd, &spec, &result, report.as_ref())?;
                 s.push_str(&write_bench_json(
                     path,
                     cmd,
-                    &spec,
                     &result,
-                    report.clone(),
+                    report,
+                    proof,
                     synth_seconds,
                 )?);
             }
@@ -780,21 +769,8 @@ fn run_serve(cmd: &Command) -> Result<String, Error> {
     if cmd.drain_on_term && !supervised {
         return run_serve_supervisor(cmd);
     }
-    let method = match cmd.flow {
-        Flow::Fprm => FactorMethod::Best,
-        Flow::FprmCube => FactorMethod::Cube,
-        Flow::FprmOfdd => FactorMethod::Ofdd,
-        Flow::Kfdd => FactorMethod::Kfdd,
-        Flow::Sop | Flow::None => {
-            return Err(Error::msg("serve only runs the FPRM-family flows"));
-        }
-    };
-    let options = SynthOptions::builder()
-        .method(method)
-        .redundancy_removal(!cmd.no_redundancy)
-        .salvage(!cmd.no_salvage)
-        .budget(cmd.budget.clone())
-        .build();
+    let options =
+        synth_options(cmd).ok_or_else(|| Error::msg("serve only runs the FPRM-family flows"))?;
     let mut opts = xsynth_serve::ServeOptions {
         tcp: cmd.tcp.clone(),
         unix: cmd.socket.clone().map(Into::into),
@@ -915,15 +891,8 @@ fn serve_argv(cmd: &Command) -> Vec<String> {
         flag("--workers", Some(cmd.workers.to_string()));
     }
     if cmd.flow != Flow::Fprm {
-        let name = match cmd.flow {
-            Flow::Fprm => "fprm",
-            Flow::FprmCube => "cube",
-            Flow::FprmOfdd => "ofdd",
-            Flow::Kfdd => "kfdd",
-            Flow::Sop => "sop",
-            Flow::None => "none",
-        };
-        flag("--method", Some(name.to_string()));
+        let (method, _, _) = cmd.flow.row();
+        flag("--method", Some(method.to_string()));
     }
     if cmd.no_redundancy {
         flag("--no-redundancy", None);
@@ -1246,7 +1215,8 @@ mod tests {
             let stats = render_report(&report);
             let path = dir.join(format!("{name}-keys.json"));
             let path = path.to_str().unwrap();
-            write_bench_json(path, &cmd, &spec, &result, Some(report.clone()), 0.0).unwrap();
+            let proof = report.proof.expect("the job proves its result");
+            write_bench_json(path, &cmd, &result, Some(report.clone()), proof, 0.0).unwrap();
             let suite =
                 xsynth_bench::BenchSuite::from_json(&std::fs::read_to_string(path).unwrap())
                     .unwrap();

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 use xsynth_core::{
     phase, try_synthesize, EquivChecker, Error, FactorMethod, SalvageRung, SynthOptions,
-    SynthOutcome,
+    SynthOutcome, SynthReport, VerifyStatus,
 };
 use xsynth_net::Network;
 use xsynth_trace::failpoint::{self, Action, FailPlan};
@@ -50,6 +50,23 @@ fn run_contained(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Er
         );
     }
     result
+}
+
+/// Rewrites the redundancy-removal pass guarded with a check, kept or
+/// reverted: each is one `core.verify` hit past the traced checks that
+/// `verify.checks` counts.
+fn guarded_rewrites(report: &SynthReport) -> u64 {
+    let kinds = [
+        "xor_to_or",
+        "xor_to_and",
+        "fanin_removed",
+        "const_replaced",
+        "reverted",
+    ];
+    kinds
+        .iter()
+        .map(|k| report.trace.counter(&format!("redundancy.{k}")))
+        .sum()
 }
 
 /// Number of spans named `name` anywhere in the forest.
@@ -283,17 +300,10 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
     let spec = circuit("majority");
     failpoint::disarm();
     let clean = try_synthesize(&spec, &SynthOptions::default()).expect("clean run");
-    let attempted: u64 = [
-        "xor_to_or",
-        "xor_to_and",
-        "fanin_removed",
-        "const_replaced",
-        "reverted",
-    ]
-    .iter()
-    .map(|k| clean.report.trace.counter(&format!("redundancy.{k}")))
-    .sum();
-    assert!(attempted > 0, "the pass must guard at least one rewrite");
+    assert!(
+        guarded_rewrites(&clean.report) > 0,
+        "the pass must guard at least one rewrite"
+    );
     // `verify.checks` counts the traced checks, all made before the
     // redundancy phase; the next hit is the pass's first rewrite guard
     let before = clean.report.trace.counter("verify.checks");
@@ -302,6 +312,51 @@ fn redundancy_guard_fault_is_a_typed_verify_error() {
         run_contained(&spec, &SynthOptions::default()).expect_err("the guard's check errored");
     assert!(matches!(err, Error::Verify(_)), "{err}");
     assert_eq!(err.exit_code(), 7);
+}
+
+/// A CLI run proves its result once. The FPRM job's checks are every
+/// `core.verify` hit of `bench rd53` (a fault on the last of them fails
+/// the run): armed to fail each hit after them, the run still exits 0 and
+/// its `--bench-json` record says `verified`, read from the job's proof.
+/// The SOP baseline has no proof of its own; the CLI's is hit 1, and the
+/// record reuses it, so a fault armed from hit 2 on is never reached.
+#[test]
+fn cli_bench_json_proves_each_result_once() {
+    let _g = exclusive();
+    let argv = |line: String| {
+        line.split_whitespace()
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    failpoint::disarm();
+    let cmd = xsynth::cli::parse_args(&argv("bench rd53".into())).unwrap();
+    let spec = xsynth::cli::load(&cmd).unwrap();
+    let (_, report) = xsynth::cli::run_flow(&cmd, &spec).expect("clean run");
+    let report = report.expect("the FPRM flow has a report");
+    let job_checks = report.trace.counter("verify.checks") + guarded_rewrites(&report);
+    failpoint::arm(&FailPlan::new().point_for("core.verify", Action::Error, job_checks, 1));
+    let err = xsynth::cli::run(&argv("bench rd53".into())).expect_err("the job's last check");
+    assert_eq!(err.exit_code(), 7, "{err}");
+    let dir = std::env::temp_dir().join("xsynth_chaos_proof");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (method, first_fault) in [("fprm", job_checks + 1), ("sop", 2)] {
+        let path = dir.join(format!("rd53-{method}.json"));
+        let _ = std::fs::remove_file(&path);
+        failpoint::arm(&FailPlan::new().point("core.verify", Action::Error, first_fault));
+        let line = format!(
+            "bench rd53 --method {method} --bench-json {}",
+            path.display()
+        );
+        let result = xsynth::cli::run(&argv(line));
+        failpoint::disarm();
+        if let Err(e) = result {
+            panic!("{method}: exit {}: {e}", e.exit_code());
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let suite = xsynth::bench::BenchSuite::from_json(&text).unwrap();
+        let record = suite.find("rd53", method).expect("the run's record");
+        assert_eq!(record.verified, VerifyStatus::Verified, "{method}");
+    }
 }
 
 /// A run that fails inside a phase — planning, the check of the factored

@@ -4,7 +4,8 @@
 use xsynth::bench::VERIFY_NODE_CAP;
 use xsynth::circuits::{build, registry};
 use xsynth::core::{
-    try_synthesize, Budget, EquivChecker, FactorMethod, PolarityMode, SynthOptions,
+    prove_equivalence, try_synthesize, Budget, EquivChecker, FactorMethod, PolarityMode,
+    SynthOptions, VerifyStatus,
 };
 use xsynth::map::{map_network, Library};
 use xsynth::sim::{equivalent_on, exhaustive_patterns, power_estimate, random_patterns};
@@ -197,12 +198,13 @@ fn fprm_flow_preserves_every_benchmark() {
             "{} FPRM result differs",
             b.name
         );
-        // proven, not sampled: the harness's verification budget keeps the
-        // checker on the exact BDD backend for every circuit
+        // proven, not sampled, by a checker of its own: under the
+        // harness's verification budget it stays on the exact BDD backend
+        // for every circuit, and it confirms the job's own proof
         let budget = Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP));
-        let mut checker = EquivChecker::with_budget(&spec, &budget);
-        assert!(checker.try_check(&out).unwrap(), "{} not proven", b.name);
-        assert!(checker.is_exact(), "{} checked by simulation", b.name);
+        let proof = prove_equivalence(&spec, &out, &budget).unwrap();
+        assert_eq!(proof, VerifyStatus::Verified, "{} not proven", b.name);
+        assert_eq!(outcome.report.proof, Some(proof), "{} job's proof", b.name);
         let &(_, counts) = FPRM_REDUNDANCY
             .iter()
             .find(|(name, _)| *name == b.name)
