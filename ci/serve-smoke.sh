@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Serve smoke test: bit-identical resubmission, the protocol-version gate,
-# SIGTERM (exit 143), stale-socket reclaim and wire shutdown (exit 0).
+# ids and reply BLIF read back by independent implementations (Python's
+# json, `xsynth verify`), SIGTERM (exit 143), stale-socket reclaim and wire
+# shutdown (exit 0).
 #
 # Usage: ci/serve-smoke.sh [XSYNTH_BINARY]   (default ./target/release/xsynth)
 #
@@ -20,9 +22,9 @@ blif = (".model m\n.inputs a b c\n.outputs s co\n"
         ".names a b c co\n11- 1\n1-1 1\n-11 1\n.end\n")
 s = socket.socket(socket.AF_UNIX)
 s.connect("/tmp/xsynth-ci.sock")
-f = s.makefile("rw")
-def rpc(obj):
-    f.write(json.dumps(obj) + "\n")
+f = s.makefile("rw", encoding="utf-8")
+def rpc(obj, ascii=True):
+    f.write(json.dumps(obj, ensure_ascii=ascii) + "\n")
     f.flush()
     return json.loads(f.readline())
 req = {"protocol_version": 1, "op": "synth", "format": "blif", "source": blif}
@@ -36,8 +38,29 @@ metrics = rpc({"protocol_version": 1, "op": "metrics"})
 assert metrics["status"] == "ok", metrics
 bad = rpc({"protocol_version": 99, "op": "ping"})
 assert bad["status"] == "error" and bad["error"]["exit_code"] == 10, bad
-print("serve smoke: bit-identical resubmission + protocol gate OK")
+# an id with a quote, a backslash, a slash, a control character, a
+# two-byte and an astral character comes back unchanged, sent escaped
+# (\\uXXXX, surrogate pairs included) or as raw UTF-8
+odd = 'q"b\\s/c\x01\u00e9\U0001f4a1'
+for ascii in (True, False):
+    echo = rpc(dict(req, id=odd), ascii)
+    assert echo["status"] == "ok" and echo["id"] == odd, echo
+# inputs named like the writer's gate labels: the reply must still read
+# back as the source's function (checked by `xsynth verify` below)
+for first in (0, 4):
+    ins = " ".join(f"n{first + i}" for i in range(4))
+    named = (f".model nn\n.inputs {ins}\n.outputs f g\n"
+             f".names {ins} f\n10-- 1\n01-- 1\n--11 1\n"
+             f".names {ins} g\n1111 1\n.end\n")
+    r = rpc(dict(req, source=named))
+    assert r["status"] == "ok", r
+    open(f"/tmp/xsynth-ci-n{first}.blif", "w").write(named)
+    open(f"/tmp/xsynth-ci-n{first}-reply.blif", "w").write(r["network_blif"])
+print("serve smoke: bit-identical resubmission + protocol gate + wire text OK")
 PY
+for first in 0 4; do
+  "$XSYNTH" verify /tmp/xsynth-ci-n$first.blif /tmp/xsynth-ci-n$first-reply.blif
+done
 # std-only daemon installs no signal handler: SIGTERM terminates (143)
 kill -TERM $SRV
 code=0; wait "$SRV" || code=$?

@@ -6,11 +6,13 @@
 //! extraction, pattern simulation (the paper family's word rows,
 //! event-driven fault propagation and the power estimate), an adder's
 //! technology mapping, BDD apply and carry-out BDD→OFDD conversion, each
-//! of the last six swept over the input count, and ISOP swept over the
-//! table width.
+//! of the last six swept over the input count, ISOP swept over the table
+//! width, and the serve wire's text path (BLIF parse and write, a `synth`
+//! request's JSON encode and decode) swept over the adder's input count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xsynth_bdd::BddManager;
+use xsynth_blif::{parse_blif, write_blif};
 use xsynth_boolean::{mask_ones, CubeRows, Fprm, Polarity, Sop, TruthTable};
 use xsynth_circuits::builders::{interleaved_buses, ripple_adder, two_level, word_function};
 use xsynth_core::gfx::{extract, ExtractOptions};
@@ -21,6 +23,7 @@ use xsynth_core::{
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_ofdd::{OfddManager, PolarityMode, PolaritySearch};
+use xsynth_serve::proto::{parse_request, synth_request, JobFormat};
 use xsynth_sim::{
     enumerate_faults, power_estimate, random_blocks, FaultSim, PatternBlock, PatternRows,
 };
@@ -418,11 +421,48 @@ fn bench_bdd_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_wire_sweeps(c: &mut Criterion) {
+    // the daemon's ingest of an n-input adder's BLIF text
+    let mut group = c.benchmark_group("blif_parse");
+    for n in SWEEP {
+        let text = write_blif(&adder_of_width(n));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &text, |b, text| {
+            b.iter(|| parse_blif(text).expect("parses"))
+        });
+    }
+    group.finish();
+
+    // the daemon's reply text for that adder
+    let mut group = c.benchmark_group("blif_write");
+    for n in SWEEP {
+        let net = adder_of_width(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
+            b.iter(|| write_blif(net))
+        });
+    }
+    group.finish();
+
+    // a `synth` request carrying that text, encoded by the client and
+    // decoded by the daemon
+    let mut group = c.benchmark_group("serve_wire");
+    for n in SWEEP {
+        let text = write_blif(&adder_of_width(n));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &text, |b, text| {
+            b.iter(|| {
+                let line = synth_request(text, JobFormat::Blif, Some("job"), None, None, false);
+                parse_request(&line).expect("a valid request")
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_substrates,
     bench_sop_script,
     bench_pattern_simulation,
-    bench_bdd_sweeps
+    bench_bdd_sweeps,
+    bench_wire_sweeps
 );
 criterion_main!(benches);

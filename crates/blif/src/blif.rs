@@ -1,19 +1,16 @@
 //! BLIF reading and writing.
+//!
+//! The reader makes one pass over the text's lines as `&str` slices: a
+//! line is copied only when it is joined from continuation lines. Every
+//! name is interned once into a table of `u32` ids, each `.names` keeps
+//! its pins as a range of one shared id buffer and its cover as rows of
+//! one shared byte buffer, and the network is instantiated by id.
 
 use crate::ParseError;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
-
-/// One `.names` definition: a single-output SOP node.
-#[derive(Debug, Clone)]
-struct NamesNode {
-    inputs: Vec<String>,
-    /// cube patterns over the inputs, each a vector of `Some(phase)`/`None`
-    cubes: Vec<Vec<Option<bool>>>,
-    /// `true` if the cover describes the on-set, `false` for the off-set
-    on_set: bool,
-    line: usize,
-}
 
 /// Largest logical line (after continuation joining) the parser accepts,
 /// in bytes. Real benchmark files stay far below this; an adversarial
@@ -37,266 +34,412 @@ pub const MAX_INSTANTIATE_DEPTH: usize = 512;
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input, unknown directives,
-/// undefined signals, cyclic definitions, or input exceeding the
-/// [`MAX_LINE_LEN`] / [`MAX_CUBES_PER_COVER`] / [`MAX_INSTANTIATE_DEPTH`]
-/// robustness limits.
+/// Returns a [`ParseError`] on malformed input, unknown directives, a
+/// signal defined twice (by two `.names`, or by a `.names` that drives a
+/// primary input), undefined signals, cyclic definitions, or input
+/// exceeding the [`MAX_LINE_LEN`] / [`MAX_CUBES_PER_COVER`] /
+/// [`MAX_INSTANTIATE_DEPTH`] robustness limits. An over-long line is
+/// reported before any other error in the text.
 pub fn parse_blif(src: &str) -> Result<Network, ParseError> {
-    // Join continuation lines, strip comments, keep line numbers.
-    let mut lines: Vec<(usize, String)> = Vec::new();
-    let mut pending: Option<(usize, String)> = None;
-    for (i, raw) in src.lines().enumerate() {
-        let no_comment = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        };
-        let mut text = no_comment.trim_end().to_string();
-        let continued = text.ends_with('\\');
-        if continued {
-            text.pop();
-        }
-        match pending.take() {
-            Some((l0, mut acc)) => {
-                acc.push(' ');
-                acc.push_str(text.trim());
-                if acc.len() > MAX_LINE_LEN {
-                    return Err(ParseError::new(
-                        l0,
-                        format!("logical line exceeds {MAX_LINE_LEN} bytes"),
-                    ));
-                }
-                if continued {
-                    pending = Some((l0, acc));
-                } else {
-                    lines.push((l0, acc));
-                }
-            }
-            None => {
-                if text.len() > MAX_LINE_LEN {
-                    return Err(ParseError::new(
-                        i + 1,
-                        format!("logical line exceeds {MAX_LINE_LEN} bytes"),
-                    ));
-                }
-                if continued {
-                    pending = Some((i + 1, text));
-                } else if !text.trim().is_empty() {
-                    lines.push((i + 1, text));
-                }
-            }
+    let mut reader = Reader::default();
+    for line in LogicalLines(src.lines().enumerate()) {
+        let read = line.and_then(|(lineno, text)| match text {
+            Cow::Borrowed(text) => reader.line(lineno, text, &Cow::Borrowed),
+            Cow::Owned(text) => reader.line(lineno, &text, &|s| Cow::Owned(s.to_owned())),
+        });
+        if let Err(e) = read {
+            // a later over-long line still takes precedence
+            let overlong = LogicalLines(src.lines().enumerate()).find_map(Result::err);
+            return Err(overlong.unwrap_or(e));
         }
     }
-    if let Some((l, acc)) = pending {
-        lines.push((l, acc));
+    reader.build()
+}
+
+/// `logical line exceeds ...` at `line`.
+fn too_long(line: usize) -> ParseError {
+    ParseError::new(line, format!("logical line exceeds {MAX_LINE_LEN} bytes"))
+}
+
+/// The logical lines of a BLIF text, each with the number of its first
+/// physical line: comments cut, trailing whitespace trimmed, continuation
+/// lines joined with one space, blank lines skipped (a joined line is
+/// kept even when blank). A line over [`MAX_LINE_LEN`] bytes is an error.
+struct LogicalLines<'a>(std::iter::Enumerate<std::str::Lines<'a>>);
+
+/// A physical line without its comment and trailing whitespace, and
+/// whether it ended in a continuation backslash (which is removed).
+fn strip_line(raw: &str) -> (&str, bool) {
+    let text = match raw.find('#') {
+        Some(p) => &raw[..p],
+        None => raw,
+    }
+    .trim_end();
+    match text.strip_suffix('\\') {
+        Some(text) => (text, true),
+        None => (text, false),
+    }
+}
+
+impl<'a> Iterator for LogicalLines<'a> {
+    type Item = Result<(usize, Cow<'a, str>), ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (i, raw) = self.0.next()?;
+            let (text, continued) = strip_line(raw);
+            if text.len() > MAX_LINE_LEN {
+                return Some(Err(too_long(i + 1)));
+            }
+            if !continued {
+                if text.trim().is_empty() {
+                    continue;
+                }
+                return Some(Ok((i + 1, Cow::Borrowed(text))));
+            }
+            let mut joined = text.to_owned();
+            for (_, raw) in self.0.by_ref() {
+                let (text, continued) = strip_line(raw);
+                joined.push(' ');
+                joined.push_str(text.trim());
+                if joined.len() > MAX_LINE_LEN {
+                    return Some(Err(too_long(i + 1)));
+                }
+                if !continued {
+                    break;
+                }
+            }
+            return Some(Ok((i + 1, Cow::Owned(joined))));
+        }
+    }
+}
+
+/// No `.names` drives the signal.
+const UNDEFINED: u32 = u32::MAX;
+
+/// One `.names` definition: a single-output SOP node whose pins and rows
+/// live in the [`Reader`]'s shared buffers.
+#[derive(Debug, Clone, Copy)]
+struct Names {
+    /// The driven signal's id.
+    out: u32,
+    /// The input pins: `Reader::pins[pins.0..pins.1]`.
+    pins: (usize, usize),
+    /// Offset of the first row in `Reader::rows`; each row holds one of
+    /// `0`, `1`, `-` per pin.
+    rows_at: usize,
+    /// Number of rows (cubes).
+    cubes: usize,
+    /// `true` if the cover describes the on-set, `false` for the off-set.
+    on_set: bool,
+    line: usize,
+}
+
+impl Names {
+    fn width(&self) -> usize {
+        self.pins.1 - self.pins.0
+    }
+}
+
+/// The model as read: interned names and the definitions over them.
+#[derive(Debug, Default)]
+struct Reader<'a> {
+    model: Option<Cow<'a, str>>,
+    /// Name → id. Names come from untrusted input, so the table keeps
+    /// std's keyed hasher.
+    ids: HashMap<Cow<'a, str>, u32>,
+    /// Id → name.
+    names: Vec<Cow<'a, str>>,
+    inputs: Vec<u32>,
+    /// Each output's id and the line of the `.outputs` naming it.
+    outputs: Vec<(u32, usize)>,
+    /// The `.names` definitions in text order.
+    defs: Vec<Names>,
+    pins: Vec<u32>,
+    rows: Vec<u8>,
+    /// Whether the last definition still takes cover rows.
+    open: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// The id of `name`, interning it (through `own`) on first sight.
+    fn intern<'s>(&mut self, name: &'s str, own: &dyn Fn(&'s str) -> Cow<'a, str>) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        let name = own(name);
+        self.names.push(name.clone());
+        self.ids.insert(name, id);
+        id
     }
 
-    let mut model_name = String::from("model");
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    let mut nodes: HashMap<String, NamesNode> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-
-    let mut current: Option<(String, NamesNode)> = None;
-    let finish_current = |current: &mut Option<(String, NamesNode)>,
-                          nodes: &mut HashMap<String, NamesNode>,
-                          order: &mut Vec<String>| {
-        if let Some((name, node)) = current.take() {
-            order.push(name.clone());
-            nodes.insert(name, node);
-        }
-    };
-
-    for (lineno, line) in &lines {
+    /// Reads one logical line; `own` turns a slice of it into a stored
+    /// name (borrowed from the source, or copied out of a joined line).
+    fn line<'s>(
+        &mut self,
+        lineno: usize,
+        line: &'s str,
+        own: &dyn Fn(&'s str) -> Cow<'a, str>,
+    ) -> Result<(), ParseError> {
         let line = line.trim();
-        if let Some(rest) = line.strip_prefix('.') {
-            finish_current(&mut current, &mut nodes, &mut order);
-            let mut tok = rest.split_whitespace();
-            let dir = tok.next().unwrap_or("");
-            match dir {
-                "model" => {
-                    if let Some(n) = tok.next() {
-                        model_name = n.to_string();
-                    }
-                }
-                "inputs" => input_names.extend(tok.map(str::to_string)),
-                "outputs" => output_names.extend(tok.map(str::to_string)),
-                "names" => {
-                    let mut sig: Vec<String> = tok.map(str::to_string).collect();
-                    let out = sig
-                        .pop()
-                        .ok_or_else(|| ParseError::new(*lineno, ".names needs an output signal"))?;
-                    current = Some((
-                        out,
-                        NamesNode {
-                            inputs: sig,
-                            cubes: Vec::new(),
-                            on_set: true,
-                            line: *lineno,
-                        },
-                    ));
-                }
-                "end" => {}
-                "exdc" => {
-                    return Err(ParseError::new(*lineno, ".exdc is not supported"));
-                }
-                "latch" | "subckt" | "gate" | "mlatch" => {
-                    return Err(ParseError::new(
-                        *lineno,
-                        format!(".{dir} is not supported (combinational BLIF only)"),
-                    ));
-                }
-                // benign directives some writers emit
-                "default_input_arrival"
-                | "default_output_required"
-                | "wire_load_slope"
-                | "area"
-                | "delay"
-                | "search" => {}
-                other => {
-                    return Err(ParseError::new(
-                        *lineno,
-                        format!("unknown directive .{other}"),
-                    ));
-                }
-            }
-        } else {
-            // cover row for the current .names
-            let Some((_, node)) = current.as_mut() else {
-                return Err(ParseError::new(*lineno, "cover row outside .names"));
-            };
-            let mut parts = line.split_whitespace();
-            let (pattern, value) = if node.inputs.is_empty() {
-                (
-                    "",
-                    parts
-                        .next()
-                        .ok_or_else(|| ParseError::new(*lineno, "empty cover row"))?,
-                )
-            } else {
-                let p = parts
-                    .next()
-                    .ok_or_else(|| ParseError::new(*lineno, "missing cube pattern"))?;
-                let v = parts
-                    .next()
-                    .ok_or_else(|| ParseError::new(*lineno, "missing output value"))?;
-                (p, v)
-            };
-            if parts.next().is_some() {
-                return Err(ParseError::new(*lineno, "trailing tokens in cover row"));
-            }
-            if pattern.len() != node.inputs.len() {
-                return Err(ParseError::new(
-                    *lineno,
-                    format!(
-                        "cube width {} does not match {} inputs",
-                        pattern.len(),
-                        node.inputs.len()
-                    ),
-                ));
-            }
-            let cube: Vec<Option<bool>> = pattern
-                .chars()
-                .map(|c| match c {
-                    '1' => Ok(Some(true)),
-                    '0' => Ok(Some(false)),
-                    '-' => Ok(None),
-                    other => Err(ParseError::new(
-                        *lineno,
-                        format!("bad cube character '{other}'"),
-                    )),
-                })
-                .collect::<Result<_, _>>()?;
-            let on = match value {
-                "1" => true,
-                "0" => false,
-                other => {
-                    return Err(ParseError::new(
-                        *lineno,
-                        format!("bad output value '{other}'"),
-                    ))
-                }
-            };
-            if !node.cubes.is_empty() && on != node.on_set {
-                return Err(ParseError::new(
-                    *lineno,
-                    "mixed on-set and off-set rows in one .names",
-                ));
-            }
-            if node.cubes.len() >= MAX_CUBES_PER_COVER {
-                return Err(ParseError::new(
-                    *lineno,
-                    format!("cover exceeds {MAX_CUBES_PER_COVER} cubes"),
-                ));
-            }
-            node.on_set = on;
-            node.cubes.push(cube);
-        }
-    }
-    finish_current(&mut current, &mut nodes, &mut order);
-
-    // Instantiate the network, resolving dependencies depth-first.
-    let mut net = Network::new(model_name);
-    let mut sig: HashMap<String, SignalId> = HashMap::new();
-    for name in &input_names {
-        let s = net.add_input(name.clone());
-        if sig.insert(name.clone(), s).is_some() {
-            return Err(ParseError::new(0, format!("duplicate input {name}")));
-        }
-    }
-
-    fn instantiate(
-        name: &str,
-        nodes: &HashMap<String, NamesNode>,
-        net: &mut Network,
-        sig: &mut HashMap<String, SignalId>,
-        visiting: &mut Vec<String>,
-    ) -> Result<SignalId, ParseError> {
-        if let Some(&s) = sig.get(name) {
-            return Ok(s);
-        }
-        let Some(node) = nodes.get(name) else {
-            return Err(ParseError::new(0, format!("undefined signal {name}")));
+        let Some(rest) = line.strip_prefix('.') else {
+            return self.cover_row(lineno, line);
         };
-        if visiting.iter().any(|v| v == name) {
+        self.open = false;
+        let mut tok = rest.split_whitespace();
+        let dir = tok.next().unwrap_or("");
+        match dir {
+            "model" => {
+                if let Some(n) = tok.next() {
+                    self.model = Some(own(n));
+                }
+            }
+            "inputs" => {
+                for t in tok {
+                    let id = self.intern(t, own);
+                    self.inputs.push(id);
+                }
+            }
+            "outputs" => {
+                for t in tok {
+                    let id = self.intern(t, own);
+                    self.outputs.push((id, lineno));
+                }
+            }
+            "names" => {
+                let start = self.pins.len();
+                for t in tok {
+                    let id = self.intern(t, own);
+                    self.pins.push(id);
+                }
+                let out = self
+                    .pins
+                    .pop()
+                    .ok_or_else(|| ParseError::new(lineno, ".names needs an output signal"))?;
+                self.defs.push(Names {
+                    out,
+                    pins: (start, self.pins.len()),
+                    rows_at: self.rows.len(),
+                    cubes: 0,
+                    on_set: true,
+                    line: lineno,
+                });
+                self.open = true;
+            }
+            "end" => {}
+            "exdc" => {
+                return Err(ParseError::new(lineno, ".exdc is not supported"));
+            }
+            "latch" | "subckt" | "gate" | "mlatch" => {
+                return Err(ParseError::new(
+                    lineno,
+                    format!(".{dir} is not supported (combinational BLIF only)"),
+                ));
+            }
+            // benign directives some writers emit
+            "default_input_arrival"
+            | "default_output_required"
+            | "wire_load_slope"
+            | "area"
+            | "delay"
+            | "search" => {}
+            other => {
+                return Err(ParseError::new(
+                    lineno,
+                    format!("unknown directive .{other}"),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads one cover row of the open `.names`.
+    fn cover_row(&mut self, lineno: usize, line: &str) -> Result<(), ParseError> {
+        let node = match self.defs.last_mut() {
+            Some(node) if self.open => node,
+            _ => return Err(ParseError::new(lineno, "cover row outside .names")),
+        };
+        let width = node.width();
+        let mut parts = line.split_whitespace();
+        let (pattern, value) = if width == 0 {
+            (
+                "",
+                parts
+                    .next()
+                    .ok_or_else(|| ParseError::new(lineno, "empty cover row"))?,
+            )
+        } else {
+            let p = parts
+                .next()
+                .ok_or_else(|| ParseError::new(lineno, "missing cube pattern"))?;
+            let v = parts
+                .next()
+                .ok_or_else(|| ParseError::new(lineno, "missing output value"))?;
+            (p, v)
+        };
+        if parts.next().is_some() {
+            return Err(ParseError::new(lineno, "trailing tokens in cover row"));
+        }
+        if pattern.len() != width {
             return Err(ParseError::new(
-                node.line,
-                format!("cyclic definition of {name}"),
+                lineno,
+                format!("cube width {} does not match {width} inputs", pattern.len()),
             ));
         }
-        if visiting.len() >= MAX_INSTANTIATE_DEPTH {
+        if let Some(other) = pattern.chars().find(|c| !matches!(c, '0' | '1' | '-')) {
+            return Err(ParseError::new(
+                lineno,
+                format!("bad cube character '{other}'"),
+            ));
+        }
+        let on = match value {
+            "1" => true,
+            "0" => false,
+            other => {
+                return Err(ParseError::new(
+                    lineno,
+                    format!("bad output value '{other}'"),
+                ))
+            }
+        };
+        if node.cubes > 0 && on != node.on_set {
+            return Err(ParseError::new(
+                lineno,
+                "mixed on-set and off-set rows in one .names",
+            ));
+        }
+        if node.cubes >= MAX_CUBES_PER_COVER {
+            return Err(ParseError::new(
+                lineno,
+                format!("cover exceeds {MAX_CUBES_PER_COVER} cubes"),
+            ));
+        }
+        node.on_set = on;
+        node.cubes += 1;
+        self.rows.extend_from_slice(pattern.as_bytes());
+        Ok(())
+    }
+
+    /// Instantiates the network: the inputs in declaration order, then
+    /// each output's cone depth-first.
+    fn build(self) -> Result<Network, ParseError> {
+        let model = self.model.as_deref().unwrap_or("model");
+        let mut b = Builder {
+            net: Network::new(model),
+            sig: vec![None; self.names.len()],
+            def: vec![UNDEFINED; self.names.len()],
+            on_path: vec![0; self.names.len().div_ceil(64)],
+            depth: 0,
+            fanins: Vec::new(),
+        };
+        for &id in &self.inputs {
+            let name = &self.names[id as usize];
+            let s = b.net.add_input(name.as_ref());
+            if b.sig[id as usize].replace(s).is_some() {
+                return Err(ParseError::new(0, format!("duplicate input {name}")));
+            }
+        }
+        for (k, node) in self.defs.iter().enumerate() {
+            let out = node.out as usize;
+            let name = &self.names[out];
+            if b.sig[out].is_some() {
+                return Err(ParseError::new(
+                    node.line,
+                    format!(".names drives primary input {name}"),
+                ));
+            }
+            if let Some(first) = self.defs.get(b.def[out] as usize) {
+                return Err(ParseError::new(
+                    node.line,
+                    format!("signal {name} defined twice (first at line {})", first.line),
+                ));
+            }
+            b.def[out] = k as u32;
+        }
+        for &(id, line) in &self.outputs {
+            let s = b.instantiate(&self, id, line)?;
+            b.net.add_output(self.names[id as usize].as_ref(), s);
+        }
+        Ok(b.net)
+    }
+}
+
+/// The network under construction and the resolver's state, by id.
+struct Builder {
+    net: Network,
+    /// Each id's signal once instantiated.
+    sig: Vec<Option<SignalId>>,
+    /// Each id's definition (an index into `Reader::defs`).
+    def: Vec<u32>,
+    /// One bit per id on the current resolution path.
+    on_path: Vec<u64>,
+    depth: usize,
+    /// The fanin signals of every definition on the path, stacked.
+    fanins: Vec<SignalId>,
+}
+
+impl Builder {
+    /// The signal of `id`, instantiating its definition and everything
+    /// it depends on first. `from` is the line that referenced `id`.
+    fn instantiate(
+        &mut self,
+        r: &Reader<'_>,
+        id: u32,
+        from: usize,
+    ) -> Result<SignalId, ParseError> {
+        let i = id as usize;
+        if let Some(s) = self.sig[i] {
+            return Ok(s);
+        }
+        let Some(&node) = r.defs.get(self.def[i] as usize) else {
+            return Err(ParseError::new(
+                from,
+                format!("undefined signal {}", r.names[i]),
+            ));
+        };
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.on_path[word] & bit != 0 {
+            return Err(ParseError::new(
+                node.line,
+                format!("cyclic definition of {}", r.names[i]),
+            ));
+        }
+        if self.depth >= MAX_INSTANTIATE_DEPTH {
             return Err(ParseError::new(
                 node.line,
                 format!("definition nesting exceeds {MAX_INSTANTIATE_DEPTH} levels"),
             ));
         }
-        visiting.push(name.to_string());
-        let fanins: Vec<SignalId> = node
-            .inputs
-            .iter()
-            .map(|i| instantiate(i, nodes, net, sig, visiting))
-            .collect::<Result<_, _>>()?;
-        visiting.pop();
+        self.on_path[word] |= bit;
+        self.depth += 1;
+        let base = self.fanins.len();
+        for &pin in &r.pins[node.pins.0..node.pins.1] {
+            let s = self.instantiate(r, pin, node.line)?;
+            self.fanins.push(s);
+        }
+        self.on_path[word] &= !bit;
+        self.depth -= 1;
         // Build the SOP.
-        let mut cube_sigs: Vec<SignalId> = Vec::new();
-        for cube in &node.cubes {
-            let lits: Vec<SignalId> = cube
-                .iter()
-                .enumerate()
-                .filter_map(|(i, ph)| ph.map(|p| (i, p)))
-                .map(|(i, p)| {
-                    if p {
-                        fanins[i]
-                    } else {
-                        net.add_gate(GateKind::Not, vec![fanins[i]])
-                    }
-                })
-                .collect();
-            let c = match lits.len() {
+        let width = node.width();
+        let net = &mut self.net;
+        let fanins = &self.fanins[base..];
+        let mut cube_sigs: Vec<SignalId> = Vec::with_capacity(node.cubes);
+        for c in 0..node.cubes {
+            let row = &r.rows[node.rows_at + c * width..][..width];
+            let mut lits = Vec::with_capacity(row.iter().filter(|&&ph| ph != b'-').count());
+            for (&f, &ph) in fanins.iter().zip(row) {
+                match ph {
+                    b'1' => lits.push(f),
+                    b'0' => lits.push(net.add_gate(GateKind::Not, vec![f])),
+                    _ => {}
+                }
+            }
+            cube_sigs.push(match lits.len() {
                 0 => net.add_gate(GateKind::Const1, vec![]),
                 1 => lits[0],
                 _ => net.add_gate(GateKind::And, lits),
-            };
-            cube_sigs.push(c);
+            });
         }
         let mut s = match cube_sigs.len() {
             0 => net.add_gate(GateKind::Const0, vec![]),
@@ -306,16 +449,10 @@ pub fn parse_blif(src: &str) -> Result<Network, ParseError> {
         if !node.on_set {
             s = net.add_gate(GateKind::Not, vec![s]);
         }
-        sig.insert(name.to_string(), s);
+        self.fanins.truncate(base);
+        self.sig[i] = Some(s);
         Ok(s)
     }
-
-    let mut visiting = Vec::new();
-    for out in &output_names {
-        let s = instantiate(out, &nodes, &mut net, &mut sig, &mut visiting)?;
-        net.add_output(out.clone(), s);
-    }
-    Ok(net)
 }
 
 /// Serializes a network as BLIF text.
@@ -323,89 +460,101 @@ pub fn parse_blif(src: &str) -> Result<Network, ParseError> {
 /// Every gate becomes a `.names` node; n-ary XOR/XNOR gates are written as
 /// explicit parity covers, so their fanin counts should be modest (they are
 /// at most a handful in synthesized networks).
+///
+/// Inputs and named gates keep their names, with whitespace, `#` and `\`
+/// (which BLIF reads as separators, comments and continuations) replaced
+/// by `_`. An unnamed gate is labelled `n<index>`, unless that label is
+/// already some input's, named gate's or other signal's output name; then
+/// it becomes the first free `n<index>_<k>`, so that the text parses back
+/// to the same function.
 pub fn write_blif(net: &Network) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(".model {}\n", sanitize(net.name())));
-    out.push_str(".inputs");
+    let order = net.topo_order();
+    let labels = Labels::new(net, &order);
+    let model = sanitize(net.name());
+    let outputs = net.outputs();
+    let inputs_len: usize = net.inputs().iter().map(|&i| 1 + labels.node(i).len()).sum();
+    let mut len = ".model \n.inputs\n.outputs\n.end\n".len() + model.len() + inputs_len;
+    for (j, (_, sig)) in outputs.iter().enumerate() {
+        len += 1 + labels.output(j).len();
+        if labels.output(j) != labels.node(*sig) {
+            len += ".names  \n1 1\n".len() + labels.node(*sig).len() + labels.output(j).len();
+        }
+    }
+    for &id in &order {
+        if let NodeKind::Gate(kind) = net.kind(id) {
+            let fanins = net.fanins(id);
+            let k = fanins.len();
+            let header: usize = fanins.iter().map(|&f| 1 + labels.node(f).len()).sum();
+            len = len.saturating_add(
+                ".names \n".len() + header + labels.node(id).len() + cover_len(*kind, k),
+            );
+        }
+    }
+
+    // the exact length, unless an XOR/XNOR cover is absurdly wide
+    let mut out = String::with_capacity(len.min(1 << 26));
+    out.push_str(".model ");
+    out.push_str(&model);
+    out.push_str("\n.inputs");
     for &i in net.inputs() {
         out.push(' ');
-        out.push_str(&node_label(net, i));
+        out.push_str(labels.node(i));
     }
-    out.push('\n');
-    out.push_str(".outputs");
-    for (name, _) in net.outputs() {
+    out.push_str("\n.outputs");
+    for j in 0..outputs.len() {
         out.push(' ');
-        out.push_str(&sanitize(name));
+        out.push_str(labels.output(j));
     }
     out.push('\n');
 
-    for id in net.topo_order() {
+    let mut row: Vec<u8> = Vec::new();
+    for id in order {
         let NodeKind::Gate(kind) = net.kind(id) else {
             continue;
         };
         let fanins = net.fanins(id);
-        let label = node_label(net, id);
-        let header = |out: &mut String| {
-            out.push_str(".names");
-            for &f in fanins {
-                out.push(' ');
-                out.push_str(&node_label(net, f));
-            }
+        let k = fanins.len();
+        out.push_str(".names");
+        for &f in fanins {
             out.push(' ');
-            out.push_str(&label);
-            out.push('\n');
-        };
+            out.push_str(labels.node(f));
+        }
+        out.push(' ');
+        out.push_str(labels.node(id));
+        out.push('\n');
+        row.clear();
         match kind {
-            GateKind::Const0 => {
-                out.push_str(&format!(".names {label}\n"));
-            }
-            GateKind::Const1 => {
-                out.push_str(&format!(".names {label}\n1\n"));
-            }
-            GateKind::Buf => {
-                header(&mut out);
-                out.push_str("1 1\n");
-            }
-            GateKind::Not => {
-                header(&mut out);
-                out.push_str("0 1\n");
-            }
-            GateKind::And => {
-                header(&mut out);
-                out.push_str(&"1".repeat(fanins.len()));
-                out.push_str(" 1\n");
-            }
-            GateKind::Nand => {
-                header(&mut out);
-                out.push_str(&"1".repeat(fanins.len()));
-                out.push_str(" 0\n");
+            GateKind::Const0 => {}
+            GateKind::Const1 => out.push_str("1\n"),
+            GateKind::Buf => out.push_str("1 1\n"),
+            GateKind::Not => out.push_str("0 1\n"),
+            GateKind::And | GateKind::Nand | GateKind::Nor => {
+                let (bit, value) = match kind {
+                    GateKind::And => (b'1', " 1\n"),
+                    GateKind::Nand => (b'1', " 0\n"),
+                    _ => (b'0', " 1\n"),
+                };
+                row.resize(k, bit);
+                push_row(&mut out, &row, value);
             }
             GateKind::Or => {
-                header(&mut out);
-                for i in 0..fanins.len() {
-                    let mut row = vec!['-'; fanins.len()];
-                    row[i] = '1';
-                    out.push_str(&row.iter().collect::<String>());
-                    out.push_str(" 1\n");
+                row.resize(k, b'-');
+                for i in 0..k {
+                    row[i] = b'1';
+                    push_row(&mut out, &row, " 1\n");
+                    row[i] = b'-';
                 }
             }
-            GateKind::Nor => {
-                header(&mut out);
-                out.push_str(&"0".repeat(fanins.len()));
-                out.push_str(" 1\n");
-            }
             GateKind::Xor | GateKind::Xnor => {
-                header(&mut out);
-                let k = fanins.len();
+                row.resize(k, b'0');
                 let want_odd = *kind == GateKind::Xor;
                 for m in 0..(1u64 << k) {
                     let odd = m.count_ones() % 2 == 1;
                     if odd == want_odd {
-                        let row: String = (0..k)
-                            .map(|b| if m & (1 << b) != 0 { '1' } else { '0' })
-                            .collect();
-                        out.push_str(&row);
-                        out.push_str(" 1\n");
+                        for (b, r) in row.iter_mut().enumerate() {
+                            *r = if m & (1 << b) != 0 { b'1' } else { b'0' };
+                        }
+                        push_row(&mut out, &row, " 1\n");
                     }
                 }
             }
@@ -414,37 +563,356 @@ pub fn write_blif(net: &Network) -> String {
 
     // outputs that alias internal signals need a buffer row when the signal
     // name differs from the output name
-    for (name, sig) in net.outputs() {
-        let label = node_label(net, *sig);
-        if sanitize(name) != label {
-            out.push_str(&format!(".names {label} {} \n", sanitize(name)));
-            // fix trailing space for cleanliness
-            out.pop();
-            out.pop();
-            out.push('\n');
-            out.push_str("1 1\n");
+    for (j, (_, sig)) in outputs.iter().enumerate() {
+        let label = labels.node(*sig);
+        if labels.output(j) != label {
+            out.push_str(".names ");
+            out.push_str(label);
+            out.push(' ');
+            out.push_str(labels.output(j));
+            out.push_str("\n1 1\n");
         }
     }
     out.push_str(".end\n");
     out
 }
 
-fn node_label(net: &Network, id: SignalId) -> String {
-    match net.node_name(id) {
-        Some(n) => sanitize(n),
-        None => format!("n{}", id.index()),
+/// Appends one cover row and its output value.
+fn push_row(out: &mut String, row: &[u8], value: &str) {
+    out.push_str(std::str::from_utf8(row).expect("cover rows are ASCII"));
+    out.push_str(value);
+}
+
+/// Bytes of a gate's cover rows (after its `.names` line) as
+/// [`write_blif`] writes them, saturating for absurdly wide parity gates.
+fn cover_len(kind: GateKind, k: usize) -> usize {
+    let parity_rows = |empty| match k {
+        0 => empty,
+        1..=63 => 1usize << (k - 1),
+        _ => usize::MAX,
+    };
+    let rows = match kind {
+        GateKind::Const0 => return 0,
+        GateKind::Const1 => return 2,
+        GateKind::Buf | GateKind::Not | GateKind::And | GateKind::Nand | GateKind::Nor => 1,
+        GateKind::Or => k,
+        GateKind::Xor => parity_rows(0),
+        GateKind::Xnor => parity_rows(1),
+    };
+    rows.saturating_mul(k + 3)
+}
+
+/// The label of every node [`write_blif`] writes and of every output,
+/// each computed once into one buffer.
+struct Labels {
+    text: String,
+    /// Node `i`'s label at `spans[i]` (`None` if it is not written),
+    /// output `j`'s at `spans[num_nodes + j]`.
+    spans: Vec<Option<(usize, usize)>>,
+    num_nodes: usize,
+}
+
+impl Labels {
+    /// Labels for the inputs and `order`'s nodes.
+    fn new(net: &Network, order: &[SignalId]) -> Labels {
+        let n = net.num_nodes();
+        let outputs = net.outputs();
+        let mut text = String::new();
+        let mut spans = vec![None; n + outputs.len()];
+        let mut generated = vec![false; n];
+        for &id in net.inputs().iter().chain(order) {
+            let i = id.index();
+            if spans[i].is_some() {
+                continue;
+            }
+            let start = text.len();
+            match net.node_name(id) {
+                Some(name) => text.push_str(&sanitize(name)),
+                None => {
+                    write!(text, "n{i}").expect("writing to a String");
+                    generated[i] = true;
+                }
+            }
+            spans[i] = Some((start, text.len()));
+        }
+        for (j, (name, _)) in outputs.iter().enumerate() {
+            let start = text.len();
+            text.push_str(&sanitize(name));
+            spans[n + j] = Some((start, text.len()));
+        }
+        let mut labels = Labels {
+            text,
+            spans,
+            num_nodes: n,
+        };
+        // unnamed nodes whose `n<i>` a name already uses; an output named
+        // after the very node it reads is no clash (it needs no buffer)
+        let mut taken: Vec<usize> = (0..labels.spans.len())
+            .filter(|&p| p >= n || !generated[p])
+            .filter_map(|p| {
+                let k = generated_index(labels.at(p)?)?;
+                let own_node = p >= n && outputs[p - n].1.index() == k;
+                (k < n && generated[k] && !own_node).then_some(k)
+            })
+            .collect();
+        if !taken.is_empty() {
+            taken.sort_unstable();
+            taken.dedup();
+            labels.rename(&taken, &generated);
+        }
+        labels
+    }
+
+    /// Relabels each node in `taken` with the first `n<i>_<k>` that no
+    /// input, named node or output uses (two such labels never clash).
+    fn rename(&mut self, taken: &[usize], generated: &[bool]) {
+        let fresh: Vec<String> = {
+            let mut used: Vec<&str> = (0..self.spans.len())
+                .filter(|&p| p >= self.num_nodes || !generated[p])
+                .filter_map(|p| self.at(p))
+                .collect();
+            used.sort_unstable();
+            taken
+                .iter()
+                .map(|&i| {
+                    (1..)
+                        .map(|k| format!("n{i}_{k}"))
+                        .find(|l| used.binary_search(&l.as_str()).is_err())
+                        .expect("a free label")
+                })
+                .collect()
+        };
+        for (&i, label) in taken.iter().zip(fresh) {
+            let start = self.text.len();
+            self.text.push_str(&label);
+            self.spans[i] = Some((start, self.text.len()));
+        }
+    }
+
+    fn at(&self, p: usize) -> Option<&str> {
+        self.spans[p].map(|(start, end)| &self.text[start..end])
+    }
+
+    fn node(&self, id: SignalId) -> &str {
+        self.at(id.index()).expect("every written node has a label")
+    }
+
+    fn output(&self, j: usize) -> &str {
+        self.at(self.num_nodes + j)
+            .expect("every output has a label")
     }
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect()
+/// `k` if `label` is exactly `n<k>`, the label [`write_blif`] gives an
+/// unnamed node `k`.
+fn generated_index(label: &str) -> Option<usize> {
+    let digits = label.strip_prefix('n')?;
+    let canonical = !digits.is_empty()
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    if canonical {
+        digits.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// Whether BLIF would not read `c` back as part of a name: whitespace
+/// separates tokens, `#` starts a comment, `\` continues a line.
+fn needs_replacing(c: char) -> bool {
+    c.is_whitespace() || c == '#' || c == '\\'
+}
+
+/// `name` with every character BLIF cannot carry in a name replaced by `_`.
+fn sanitize(name: &str) -> Cow<'_, str> {
+    if name.contains(needs_replacing) {
+        Cow::Owned(
+            name.chars()
+                .map(|c| if needs_replacing(c) { '_' } else { c })
+                .collect(),
+        )
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+
+    /// The reader and the pre-rewrite oracle agree on `src`: the same
+    /// network node for node, or the same error (an undefined signal is
+    /// now reported at the line that references it, not at line 0).
+    fn agrees_with_oracle(src: &str) {
+        match (oracle::parse_blif(src), parse_blif(src)) {
+            (Ok(old), Ok(new)) => assert_eq!(format!("{old:?}"), format!("{new:?}"), "{src}"),
+            (Err(old), Err(new)) => {
+                assert_eq!(old.message(), new.message(), "{src}");
+                if !old.message().starts_with("undefined signal") {
+                    assert_eq!(old.line(), new.line(), "{src}");
+                }
+            }
+            (old, new) => panic!("{src}\noracle: {old:?}\nreader: {new:?}"),
+        }
+    }
+
+    #[test]
+    fn reader_matches_the_oracle_on_valid_and_broken_models() {
+        for src in [
+            XOR2,
+            ".model c # comment\n.inputs a \\\n b\n.outputs y z\n.names a b y\n1- 1\n-0 1\n\
+             .names y z\n0 1\n.end\n",
+            ".model k\n.inputs a\n.outputs one zero w n\n.names one\n1\n.names zero\n\
+             .names a w\n1 1\n.names a w n\n11 0\n.end\n",
+            ".model o\n.inputs a b\n.outputs y y\n.names t y\n0 1\n.names a b t\n11 1\n",
+            ".inputs a\n.outputs y\n.names a y\n2 1\n",
+            ".inputs a\n.outputs y\n.names a y\n1 1 1\n",
+            ".inputs a\n.outputs y\n.names a y\n1 1\n0 0\n",
+            ".inputs a\n.outputs y\n.names a y\n1\n",
+            ".inputs a\n.outputs y\n.names a y\n\\\n\n",
+            ".inputs a\n.outputs y\n.names\n",
+            ".inputs a\n.outputs y\n1 1\n",
+            ".inputs a\n.outputs y\n.names a y\n.end\n1 1\n",
+            ".inputs a a\n.outputs y\n.names a y\n1 1\n",
+            ".inputs a\n.outputs y\n.frob\n",
+            ".inputs a\n.outputs y\n.subckt f\n",
+            ".inputs a\n.outputs y\n.names a x y\n11 1\n.names y x\n1 1\n",
+            ".inputs a\n.outputs y\n.names a é y\n1é 1\n",
+            ".inputs a\n.outputs y\n.names a x y\n11 1\n",
+        ] {
+            agrees_with_oracle(src);
+        }
+    }
+
+    #[test]
+    fn an_over_long_line_is_reported_before_earlier_errors() {
+        let src = format!(
+            ".model m\n.inputs a\n2 1\n.names {} y\n",
+            "a".repeat(MAX_LINE_LEN)
+        );
+        let err = parse_blif(&src).unwrap_err();
+        assert!(err.message().contains("exceeds"), "{err}");
+        assert_eq!(err.line(), 4);
+        agrees_with_oracle(&src);
+    }
+
+    #[test]
+    fn a_second_definition_is_an_error_at_its_line() {
+        let src = ".model e\n.inputs a b\n.outputs y\n.names a y\n1 1\n.names b y\n1 1\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!(err.line(), 6, "{err}");
+        assert!(err.message().contains("defined twice"), "{err}");
+        assert!(err.message().contains("line 4"), "{err}");
+    }
+
+    #[test]
+    fn names_driving_a_primary_input_is_an_error() {
+        let src = ".model e\n.inputs a b\n.outputs y\n.names b a\n0 1\n.names a y\n1 1\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!(err.line(), 4, "{err}");
+        assert!(err.message().contains("primary input a"), "{err}");
+    }
+
+    #[test]
+    fn an_undefined_signal_names_the_referencing_line() {
+        let src = ".model e\n.inputs a\n.outputs y\n.names a z y\n11 1\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!((err.line(), err.message()), (4, "undefined signal z"));
+        let src = ".model e\n.inputs a\n.outputs \\\n y\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!((err.line(), err.message()), (3, "undefined signal y"));
+    }
+
+    /// `f = (n4 ⊕ n5) + n6·n7` as gates over inputs named `n4..n7`: the
+    /// gates sit at indices 4 to 6, whose generated labels were `n4..n6`.
+    fn clashing_inputs() -> Network {
+        let mut n = Network::new("clash");
+        let ins: Vec<SignalId> = (4..8).map(|i| n.add_input(format!("n{i}"))).collect();
+        let x = n.add_gate(GateKind::Xor, vec![ins[0], ins[1]]);
+        let a = n.add_gate(GateKind::And, vec![ins[2], ins[3]]);
+        let f = n.add_gate(GateKind::Or, vec![x, a]);
+        n.add_output("f", f);
+        n
+    }
+
+    /// Outputs named after gates: `n3` reads gate 2, so gate 3 must not be
+    /// labelled `n3`; `n2` reads gate 2 itself, which keeps its label.
+    fn clashing_outputs() -> Network {
+        let mut n = Network::new("clash");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g2 = n.add_gate(GateKind::And, vec![a, b]);
+        let g3 = n.add_gate(GateKind::Or, vec![a, b]);
+        n.add_output("n3", g2);
+        n.add_output("n2", g2);
+        n.add_output("y", g3);
+        n
+    }
+
+    #[test]
+    fn generated_labels_avoid_every_name() {
+        for (net, inputs, clash) in [
+            (clashing_inputs(), 4, ".names n4 n5 n4_1\n"),
+            (clashing_outputs(), 2, ".names a b n3_1\n"),
+        ] {
+            let text = write_blif(&net);
+            assert!(text.contains(clash), "{text}");
+            let back = parse_blif(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            for m in 0..1 << inputs {
+                assert_eq!(back.eval_u64(m), net.eval_u64(m), "at {m}\n{text}");
+            }
+            // the pre-rewrite writer reused the labels, and its text reads
+            // back as another function
+            let old = oracle::parse_blif(&oracle::write_blif(&net)).expect("old reader accepts");
+            assert!((0..1 << inputs).any(|m| old.eval_u64(m) != net.eval_u64(m)));
+        }
+        assert!(write_blif(&clashing_outputs()).contains(".names a b n2\n"));
+    }
+
+    #[test]
+    fn names_with_comment_and_continuation_characters_round_trip() {
+        for model in ["a#b", "x\\", "t\tw o"] {
+            let mut n = Network::new(model);
+            let a = n.add_input("in#1");
+            let b = n.add_input("in\\");
+            let g = n.add_gate(GateKind::And, vec![a, b]);
+            n.add_output("y#", g);
+            let text = write_blif(&n);
+            let back = parse_blif(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(back.name(), model.replace(['#', '\\', '\t', ' '], "_"));
+            for m in 0..4 {
+                assert_eq!(back.eval_u64(m), n.eval_u64(m), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_oracle_when_no_label_clashes() {
+        let mut n = Network::new("all kinds");
+        let a = n.add_input("a");
+        let b = n.add_input("b c");
+        let c = n.add_input("n1");
+        let k0 = n.add_gate(GateKind::Const0, vec![]);
+        let k1 = n.add_gate(GateKind::Const1, vec![]);
+        let g1 = n.add_gate(GateKind::Nand, vec![a, b, k1]);
+        let g2 = n.add_gate(GateKind::Nor, vec![b, c]);
+        let g3 = n.add_gate(GateKind::Xor, vec![g1, g2, a]);
+        let g4 = n.add_gate(GateKind::Xnor, vec![g3, c, k0]);
+        let g5 = n.add_gate(GateKind::Or, vec![g4, g1, g2]);
+        let g6 = n.add_gate(GateKind::Not, vec![g5]);
+        let g7 = n.add_gate(GateKind::Buf, vec![g6]);
+        let g8 = n.add_gate(GateKind::And, vec![g7, a]);
+        n.add_output("y", g8);
+        n.add_output("z", g3);
+        n.add_output("a", a);
+        n.add_output("b c", b);
+        n.add_output("n10", g6);
+        let text = write_blif(&n);
+        assert_eq!(text, oracle::write_blif(&n));
+        assert_eq!(text.len(), text.capacity(), "sized exactly");
+        agrees_with_oracle(&text);
+    }
 
     const XOR2: &str = "\
 .model xor2

@@ -29,6 +29,8 @@
 #![forbid(unsafe_code)]
 
 mod blif;
+#[cfg(test)]
+mod oracle;
 mod pla;
 
 pub use blif::{parse_blif, write_blif, MAX_CUBES_PER_COVER, MAX_INSTANTIATE_DEPTH, MAX_LINE_LEN};

@@ -3,10 +3,48 @@
 //! [`ParseError`] — never a panic, a stack overflow, or an allocation
 //! blow-up. The deterministic tests pin the explicit robustness limits
 //! (`MAX_LINE_LEN`, `MAX_CUBES_PER_COVER`, `MAX_INSTANTIATE_DEPTH`,
-//! `MAX_PLA_ARITY`) to parse errors.
+//! `MAX_PLA_ARITY`) to parse errors. The BLIF generators also check the
+//! reader against the pre-rewrite reader kept in `src/oracle.rs`.
 
 use proptest::prelude::*;
-use xsynth_blif::{parse_blif, parse_pla, MAX_INSTANTIATE_DEPTH, MAX_PLA_ARITY};
+use xsynth_blif::{parse_blif, parse_pla, ParseError, MAX_INSTANTIATE_DEPTH, MAX_PLA_ARITY};
+
+#[path = "../src/oracle.rs"]
+mod oracle;
+
+/// The reader agrees with the oracle on `src`: the same network node for
+/// node, or the same error. Two exceptions are the reader's own: a signal
+/// defined twice (which the oracle accepted, last definition winning, or
+/// ignored when it drove an input) is an error of its own, found after
+/// every line error and before any undefined, cyclic or too deep
+/// signal; and an undefined signal is reported at the line that
+/// references it instead of line 0.
+fn agrees_with_oracle(src: &str) {
+    let redefined = |e: &ParseError| {
+        e.message().contains("defined twice") || e.message().contains("drives primary input")
+    };
+    let resolving = |e: &ParseError| {
+        [
+            "undefined signal",
+            "cyclic definition",
+            "definition nesting",
+        ]
+        .iter()
+        .any(|m| e.message().starts_with(m))
+    };
+    match (oracle::parse_blif(src), parse_blif(src)) {
+        (Ok(old), Ok(new)) => assert_eq!(format!("{old:?}"), format!("{new:?}"), "{src:?}"),
+        (Ok(_), Err(new)) => assert!(redefined(&new), "{src:?}: {new}"),
+        (Err(old), Err(new)) if redefined(&new) => assert!(resolving(&old), "{src:?}: {old}"),
+        (Err(old), Err(new)) => {
+            assert_eq!(old.message(), new.message(), "{src:?}");
+            if !old.message().starts_with("undefined signal") {
+                assert_eq!(old.line(), new.line(), "{src:?}");
+            }
+        }
+        (Err(old), Ok(_)) => panic!("{src:?}: only the oracle fails: {old}"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -15,7 +53,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let text = String::from_utf8_lossy(&bytes);
-        let _ = parse_blif(&text);
+        agrees_with_oracle(&text);
         let _ = parse_pla(&text);
     }
 
@@ -36,8 +74,46 @@ proptest! {
             }
             src.push('\n');
         }
-        let _ = parse_blif(&src);
+        agrees_with_oracle(&src);
         let _ = parse_pla(&src);
+    }
+
+    /// Mostly well-formed models over a few shared names: definitions in
+    /// any order with on- or off-set covers of the right width, constants,
+    /// continuations and comments, plus now and then a redefinition, a
+    /// `.names` driving an input, a cycle or an undefined signal.
+    #[test]
+    fn model_soup_agrees_with_the_oracle(
+        defs in prop::collection::vec((0usize..16, any::<u64>()), 3..16),
+    ) {
+        // (pins and output, pin count); the first three define every
+        // output once, the rest are emitted at most once each as well
+        const DEFS: [(&str, usize); 8] = [
+            ("a b t", 2), ("t c y", 2), ("b t z", 2), ("k", 0),
+            ("c a", 1), ("y t", 1), ("a u z", 2), ("k \\\n c y", 2),
+        ];
+        let mut src = String::from(".model m # soup\n.inputs a b \\\n c\n.outputs y z\n");
+        let mut seen = [false; DEFS.len()];
+        for (pick, bits) in defs {
+            let pick = if pick < 12 { pick % 3 } else { pick - 9 };
+            if std::mem::replace(&mut seen[pick], true) {
+                continue;
+            }
+            let (header, width) = DEFS[pick];
+            src.push_str(".names ");
+            src.push_str(header);
+            src.push('\n');
+            let value = if bits & 1 == 0 { " 1" } else { " 0" };
+            for row in 0..(bits >> 1 & 3) as usize {
+                for pin in 0..width {
+                    src.push(['0', '1', '-'][(bits >> (3 + 2 * (row * 2 + pin)) & 3) as usize % 3]);
+                }
+                src.push_str(if width == 0 { value.trim() } else { value });
+                src.push('\n');
+            }
+        }
+        src.push_str(".end\n");
+        agrees_with_oracle(&src);
     }
 }
 

@@ -381,9 +381,12 @@ pub fn error_response(id: Option<&str>, e: &Error) -> String {
     o.finish()
 }
 
-/// A JSON string literal: [`json::escape`]d body wrapped in quotes.
-fn quote(s: &str) -> String {
-    format!("\"{}\"", json::escape(s))
+/// Appends a JSON string literal: the [`json::escape_into`]d body
+/// wrapped in quotes.
+fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    json::escape_into(out, s);
+    out.push('"');
 }
 
 /// Serializes a parsed [`Value`] back to compact single-line JSON, so
@@ -394,7 +397,7 @@ pub fn compact(v: &Value, out: &mut String) {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Num(n) => out.push_str(&json::number(*n)),
-        Value::Str(s) => out.push_str(&quote(s)),
+        Value::Str(s) => quote(out, s),
         Value::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -411,7 +414,7 @@ pub fn compact(v: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&quote(k));
+                quote(out, k);
                 out.push(':');
                 compact(val, out);
             }
@@ -441,13 +444,13 @@ impl Obj {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push_str(&quote(k));
+        quote(&mut self.buf, k);
         self.buf.push(':');
     }
 
     pub(crate) fn str(&mut self, k: &str, v: &str) {
         self.key(k);
-        self.buf.push_str(&quote(v));
+        quote(&mut self.buf, v);
     }
 
     pub(crate) fn num(&mut self, k: &str, v: f64) {

@@ -506,7 +506,7 @@ fn drain_watchdog(ctx: &Arc<Ctx>) {
                 "daemon drained before this job started",
                 ctx.retry_after_hint(),
             );
-            if !write_reply(&job.writer, &proto::error_response(None, &err)) {
+            if !write_reply(&job.writer, proto::error_response(None, &err)) {
                 job.conn_state.kill();
             }
         } else {
@@ -1067,7 +1067,7 @@ fn read_loop(
                     "request line stalled for {} ms (read timeout)",
                     limits.read_timeout.as_millis()
                 ));
-                let _ = write_reply(writer, &proto::error_response(None, &err));
+                let _ = write_reply(writer, proto::error_response(None, &err));
                 return;
             }
         } else if last_byte.elapsed() >= limits.idle_timeout {
@@ -1098,7 +1098,7 @@ fn read_loop(
                 if let Err(shed) = ctx.sched.submit(job, limits) {
                     ctx.telemetry.jobs_shed.fetch_add(1, Ordering::Relaxed);
                     let err = shed.into_error(ctx.retry_after_hint());
-                    if !write_reply(writer, &proto::error_response(None, &err)) {
+                    if !write_reply(writer, proto::error_response(None, &err)) {
                         return;
                     }
                 }
@@ -1110,7 +1110,7 @@ fn read_loop(
                     "request line exceeds {} bytes",
                     limits.max_line_bytes
                 ));
-                if !write_reply(writer, &proto::error_response(None, &err)) {
+                if !write_reply(writer, proto::error_response(None, &err)) {
                     return;
                 }
             }
@@ -1128,15 +1128,13 @@ fn read_loop(
 
 /// Writes one reply line; `false` means the peer is unreachable (EOF,
 /// write timeout) and the caller should treat the connection as dead.
-fn write_reply(writer: &SharedWriter, line: &str) -> bool {
+fn write_reply(writer: &SharedWriter, mut line: String) -> bool {
     // One write per reply: a separate newline write would sit in the
     // kernel until the peer's delayed ACK on a Nagle-enabled socket.
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
+    line.push('\n');
     let mut w = lock(writer);
     // A dead peer is not a daemon error; the reader side notices EOF.
-    w.write_all(&buf).is_ok() && w.flush().is_ok()
+    w.write_all(line.as_bytes()).is_ok() && w.flush().is_ok()
 }
 
 fn worker_loop(ctx: &Arc<Ctx>) {
@@ -1174,7 +1172,7 @@ fn worker_loop(ctx: &Arc<Ctx>) {
         // < N via a subsequent `metrics` request handled by a sibling
         // worker.
         ctx.requests.fetch_add(1, Ordering::Relaxed);
-        if !write_reply(&job.writer, &reply) {
+        if !write_reply(&job.writer, reply) {
             // The peer stopped reading (write timeout / EOF): mark the
             // connection dead so its remaining queued jobs cancel
             // instead of each burning a synthesis plus a timeout.
@@ -2044,6 +2042,6 @@ mod tests {
         .join();
         assert!(w.is_poisoned());
         // the reply still goes out instead of a cascading panic
-        write_reply(&w, r#"{"status":"ok"}"#);
+        write_reply(&w, r#"{"status":"ok"}"#.to_string());
     }
 }

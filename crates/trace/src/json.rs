@@ -11,7 +11,6 @@
 //! which the strict schema readers rely on.
 
 use std::fmt;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +115,7 @@ impl fmt::Display for Value {
 /// the offending duplicate object key).
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, bytes, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -136,6 +135,7 @@ pub fn validate(src: &str) -> Result<(), String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -274,6 +274,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // the run up to the next quote, backslash or control byte is
+            // copied in one step: it lies between ASCII bytes of a `&str`,
+            // so it is valid UTF-8 as it stands
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.src[start..run]);
+            self.pos = run;
             match self.bump() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => return Ok(out),
@@ -293,7 +303,6 @@ impl Parser<'_> {
                         if (0xd800..0xdc00).contains(&hi)
                             && self.bytes[self.pos..].starts_with(b"\\u")
                         {
-                            let mark = self.pos;
                             self.pos += 2;
                             let lo = self.hex4()?;
                             if (0xdc00..0xe000).contains(&lo) {
@@ -304,33 +313,17 @@ impl Parser<'_> {
                                 out.push('\u{fffd}');
                                 out.push(char::from_u32(lo as u32).unwrap_or('\u{fffd}'));
                             }
-                            let _ = mark;
                         } else {
                             out.push(char::from_u32(hi as u32).unwrap_or('\u{fffd}'));
                         }
                     }
                     _ => return Err(format!("bad escape at byte {}", self.pos.saturating_sub(1))),
                 },
-                Some(c) if c < 0x20 => {
+                Some(_) => {
                     return Err(format!(
                         "raw control character at byte {}",
                         self.pos.saturating_sub(1)
                     ))
-                }
-                Some(c) => {
-                    // re-assemble the UTF-8 sequence starting at c
-                    let start = self.pos - 1;
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    self.pos = (start + len).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(format!("invalid UTF-8 at byte {start}")),
-                    }
                 }
             }
         }
@@ -383,20 +376,37 @@ impl Parser<'_> {
 /// Chrome-trace and benchmark-telemetry writers).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal, copying each
+/// run between two characters that need escaping in one step.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    // every byte that needs escaping is ASCII, so it never falls inside
+    // a multi-byte character and each run is a `&str` slice
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Formats an `f64` as a valid JSON number. JSON has no NaN/Infinity, so
@@ -416,7 +426,166 @@ pub fn number(v: f64) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, validate, Value};
+    use super::{escape, parse, validate, Parser, Value};
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The string decoder as it was before runs were copied in one step:
+    /// one `from_utf8` per character. The oracle for [`Parser::string`].
+    fn old_string(p: &mut Parser<'_>) -> Result<String, String> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.bump() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => match p.bump() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hi = p.hex4()?;
+                        if (0xd800..0xdc00).contains(&hi) && p.bytes[p.pos..].starts_with(b"\\u") {
+                            p.pos += 2;
+                            let lo = p.hex4()?;
+                            if (0xdc00..0xe000).contains(&lo) {
+                                let c =
+                                    0x10000 + ((hi as u32 - 0xd800) << 10) + (lo as u32 - 0xdc00);
+                                out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
+                            } else {
+                                out.push('\u{fffd}');
+                                out.push(char::from_u32(lo as u32).unwrap_or('\u{fffd}'));
+                            }
+                        } else {
+                            out.push(char::from_u32(hi as u32).unwrap_or('\u{fffd}'));
+                        }
+                    }
+                    _ => return Err(format!("bad escape at byte {}", p.pos.saturating_sub(1))),
+                },
+                Some(c) if c < 0x20 => {
+                    return Err(format!(
+                        "raw control character at byte {}",
+                        p.pos.saturating_sub(1)
+                    ))
+                }
+                Some(c) => {
+                    let start = p.pos - 1;
+                    let len = match c {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    p.pos = (start + len).min(p.bytes.len());
+                    match std::str::from_utf8(&p.bytes[start..p.pos]) {
+                        Ok(s) => out.push_str(s),
+                        Err(_) => return Err(format!("invalid UTF-8 at byte {start}")),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The escaper as it was before it copied runs: one `match` per
+    /// `char`. The oracle for [`super::escape_into`].
+    fn old_escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Characters that exercise every branch of both directions: every
+    /// control character, the escaped ASCII, plain ASCII, two- and
+    /// three-byte characters and an astral one.
+    fn pick_char(k: u32) -> char {
+        const MORE: [char; 8] = ['"', '\\', '/', 'a', 'Z', 'é', '€', '💡'];
+        match k % 40 {
+            k @ 0..=31 => char::from_u32(k).expect("a control character"),
+            k => MORE[(k - 32) as usize],
+        }
+    }
+
+    /// Fragments of JSON string bodies: raw text, every escape, surrogate
+    /// pairs, lone and mismatched surrogates, and malformed escapes.
+    const FRAGMENTS: [&str; 24] = [
+        "abc",
+        "é",
+        "💡",
+        "\\n",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\r",
+        "\\t",
+        "\\u00e9",
+        "\\u0000",
+        "\\ud83d\\udca1",
+        "\\ud83d",
+        "\\udca1",
+        "\\ud83dx",
+        "\\ud83d\\u0041",
+        "\\ud83d\\ud83d",
+        "\\u12",
+        "\\uzzzz",
+        "\\q",
+        "\u{1}",
+        "\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-copying decoder returns what the per-character one
+        /// returned, value or error, and stops at the same byte.
+        #[test]
+        fn string_decoding_matches_the_per_character_decoder(
+            picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..16),
+            closed in any::<bool>(),
+        ) {
+            let mut src = String::from("\"");
+            for k in picks {
+                src.push_str(FRAGMENTS[k]);
+            }
+            if closed {
+                src.push('"');
+            }
+            let mut new = Parser { src: &src, bytes: src.as_bytes(), pos: 0 };
+            let mut old = Parser { src: &src, bytes: src.as_bytes(), pos: 0 };
+            prop_assert_eq!(new.string(), old_string(&mut old), "{}", src);
+            prop_assert_eq!(new.pos, old.pos, "{}", src);
+        }
+
+        /// Run-wise escaping writes the per-character escaper's bytes, and
+        /// the decoder reads them back to the same string.
+        #[test]
+        fn escaping_matches_the_per_character_escaper(
+            codes in prop::collection::vec(any::<u32>(), 0..48),
+        ) {
+            let s: String = codes.into_iter().map(pick_char).collect();
+            let escaped = escape(&s);
+            prop_assert_eq!(&escaped, &old_escape(&s));
+            prop_assert_eq!(parse(&format!("\"{escaped}\"")), Ok(Value::Str(s)));
+        }
+    }
 
     #[test]
     fn accepts_well_formed_documents() {
