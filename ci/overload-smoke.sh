@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Overload and drain smoke test: a flood sheds typed `overloaded` replies
-# and the daemon recovers; a SIGTERM on the supervisor (exit 143) drains
+# and the daemon recovers; the supervised daemon runs with the flags the
+# supervisor was given; a SIGTERM on the supervisor (exit 143) drains
 # every queued job and unlinks the socket.
 #
 # Usage: ci/overload-smoke.sh [XSYNTH_BINARY]   (default ./target/release/xsynth)
@@ -69,10 +70,22 @@ code=0; wait "$SRV" || code=$?
 # -- SIGTERM drain under load: the supervisor dies 143, the daemon
 #    answers or sheds its backlog and unlinks the socket
 "$XSYNTH" serve --socket /tmp/xsynth-drain.sock \
-    --workers 1 --drain-on-term --drain-timeout-ms 3000 &
+    --workers 1 --global-queue 7 --drain-on-term --drain-timeout-ms 3000 &
 SUP=$!
 for i in $(seq 50); do [ -S /tmp/xsynth-drain.sock ] && break; sleep 0.1; done
 [ -S /tmp/xsynth-drain.sock ] || { echo "supervised daemon never bound"; exit 1; }
+# the child re-executes with the supervisor's own arguments
+python3 - <<'PY'
+import json, socket
+s = socket.socket(socket.AF_UNIX)
+s.connect("/tmp/xsynth-drain.sock")
+f = s.makefile("rw")
+f.write(json.dumps({"protocol_version": 1, "op": "health"}) + "\n")
+f.flush()
+h = json.loads(f.readline())
+assert h["status"] == "ok" and h["queue_capacity"] == 7, h
+print("drain smoke: supervised daemon reports queue_capacity 7")
+PY
 python3 - <<'PY' &
 import json, socket
 blif = (".model m\n.inputs a b c\n.outputs s co\n"

@@ -463,10 +463,13 @@ impl Builder {
 ///
 /// Inputs and named gates keep their names, with whitespace, `#` and `\`
 /// (which BLIF reads as separators, comments and continuations) replaced
-/// by `_`. An unnamed gate is labelled `n<index>`, unless that label is
-/// already some input's, named gate's or other signal's output name; then
-/// it becomes the first free `n<index>_<k>`, so that the text parses back
-/// to the same function.
+/// by `_`. Two different names that sanitize alike get two labels: the
+/// lowest-numbered node's name (or the first output's, when no node has
+/// it) keeps the label and the other becomes the first free
+/// `<label>_<k>`. An unnamed gate is labelled `n<index>`, unless that
+/// label is already some input's, named gate's or other signal's output
+/// name; then it becomes the first free `n<index>_<k>`. Either way the
+/// text parses back to the same function.
 pub fn write_blif(net: &Network) -> String {
     let order = net.topo_order();
     let labels = Labels::new(net, &order);
@@ -620,6 +623,14 @@ impl Labels {
         let mut text = String::new();
         let mut spans = vec![None; n + outputs.len()];
         let mut generated = vec![false; n];
+        // whether some name needed replacing: only then can two different
+        // names share a label
+        let mut replaced = false;
+        let mut push_name = |text: &mut String, name: &str| {
+            let label = sanitize(name);
+            replaced |= matches!(label, Cow::Owned(_));
+            text.push_str(&label);
+        };
         for &id in net.inputs().iter().chain(order) {
             let i = id.index();
             if spans[i].is_some() {
@@ -627,7 +638,7 @@ impl Labels {
             }
             let start = text.len();
             match net.node_name(id) {
-                Some(name) => text.push_str(&sanitize(name)),
+                Some(name) => push_name(&mut text, name),
                 None => {
                     write!(text, "n{i}").expect("writing to a String");
                     generated[i] = true;
@@ -637,7 +648,7 @@ impl Labels {
         }
         for (j, (name, _)) in outputs.iter().enumerate() {
             let start = text.len();
-            text.push_str(&sanitize(name));
+            push_name(&mut text, name);
             spans[n + j] = Some((start, text.len()));
         }
         let mut labels = Labels {
@@ -645,6 +656,9 @@ impl Labels {
             spans,
             num_nodes: n,
         };
+        if replaced {
+            labels.separate_names(net, order);
+        }
         // unnamed nodes whose `n<i>` a name already uses; an output named
         // after the very node it reads is no clash (it needs no buffer)
         let mut taken: Vec<usize> = (0..labels.spans.len())
@@ -661,6 +675,50 @@ impl Labels {
             labels.rename(&taken, &generated);
         }
         labels
+    }
+
+    /// Gives two different names that sanitize alike two labels: of the
+    /// names sharing a label, the one at the lowest position (nodes by
+    /// index, then outputs) keeps it, and every other name takes the first
+    /// `<label>_<k>` no name or earlier such label uses, for all of its
+    /// positions alike. Every such label ends in `_<k>`, so none is an
+    /// unnamed node's `n<i>`.
+    fn separate_names(&mut self, net: &Network, order: &[SignalId]) {
+        let n = self.num_nodes;
+        let label = |p: usize| self.at(p).expect("every named position has a label");
+        let nodes = (net.inputs().iter().chain(order))
+            .filter_map(|&id| Some((id.index(), net.node_name(id)?)));
+        let outputs =
+            (net.outputs().iter().enumerate()).map(|(j, (name, _))| (n + j, name.as_str()));
+        let mut named: Vec<(usize, &str)> = nodes.chain(outputs).collect();
+        named.sort_unstable_by(|a, b| label(a.0).cmp(label(b.0)).then(a.0.cmp(&b.0)));
+        named.dedup_by_key(|&mut (p, _)| p);
+        let mut fresh: Vec<(usize, String)> = Vec::new();
+        for group in named.chunk_by(|a, b| label(a.0) == label(b.0)) {
+            let (_, owner) = group[0];
+            for (g, &(p, name)) in group.iter().enumerate() {
+                if name == owner {
+                    continue;
+                }
+                let earlier = group[..g].iter().find(|e| e.1 == name);
+                let relabel = match earlier.and_then(|&(q, _)| fresh.iter().find(|f| f.0 == q)) {
+                    Some((_, shared)) => shared.clone(),
+                    None => (1..)
+                        .map(|k| format!("{}_{k}", label(p)))
+                        .find(|l| {
+                            let named_as = named.binary_search_by(|e| label(e.0).cmp(l));
+                            named_as.is_err() && fresh.iter().all(|f| f.1 != *l)
+                        })
+                        .expect("a free label"),
+                };
+                fresh.push((p, relabel));
+            }
+        }
+        for (p, relabel) in fresh {
+            let start = self.text.len();
+            self.text.push_str(&relabel);
+            self.spans[p] = Some((start, self.text.len()));
+        }
     }
 
     /// Relabels each node in `taken` with the first `n<i>_<k>` that no
@@ -868,6 +926,31 @@ mod tests {
             assert!((0..1 << inputs).any(|m| old.eval_u64(m) != net.eval_u64(m)));
         }
         assert!(write_blif(&clashing_outputs()).contains(".names a b n2\n"));
+    }
+
+    #[test]
+    fn names_that_sanitize_alike_get_distinct_labels() {
+        // inputs `a b`/`a_b`, outputs `x#`/`x\` on two gates, and an
+        // output `a_b` that reads input `a_b`, so it shares its label
+        let mut n = Network::new("alike");
+        let a = n.add_input("a b");
+        let b = n.add_input("a_b");
+        let g = n.add_gate(GateKind::And, vec![a, b]);
+        let h = n.add_gate(GateKind::Or, vec![a, b]);
+        n.add_output("x#", g);
+        n.add_output("x\\", h);
+        n.add_output("a_b", b);
+        let text = write_blif(&n);
+        assert!(text.contains(".inputs a_b a_b_1\n"), "{text}");
+        assert!(text.contains(".outputs x_ x__1 a_b_1\n"), "{text}");
+        assert!(text.contains(".names n3 x__1\n"), "{text}");
+        assert!(!text.contains(" a_b_1\n1 1\n"), "{text}");
+        let back = parse_blif(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        for m in 0..4 {
+            assert_eq!(back.eval_u64(m), n.eval_u64(m), "at {m}\n{text}");
+        }
+        // the pre-fix writer gave both inputs one label
+        assert!(oracle::parse_blif(&oracle::write_blif(&n)).is_err());
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub struct EquivChecker {
     /// Holds `reference_outputs`; kept after a downgrade for its gauges.
     bm: BddManager,
     reference_outputs: Vec<Bdd>,
-    /// The network under rewrite (see [`EquivChecker::begin_rewrites`]).
-    rewrites: Option<Rewrites>,
+    /// Every node's BDD in the network under rewrite (see
+    /// [`EquivChecker::begin_rewrites`]).
+    rewrites: Option<NodeValues>,
     /// The simulation backend, built when the checker downgrades.
     sim: Option<SimBackend>,
     budget: Budget,
@@ -141,15 +142,6 @@ struct SimBackend {
     blocks: Vec<PatternBlock>,
     /// Per block, one word per output; lanes past the block are zero.
     reference: Vec<Vec<u64>>,
-}
-
-/// Every node's value in the network under rewrite, so a proposal
-/// re-evaluates only what the rewrite can have changed: BDDs in the
-/// checker's manager, or words over the simulation backend's blocks.
-#[derive(Debug)]
-enum Rewrites {
-    Exact(NodeValues<Bdd>),
-    Sim(NodeValues<Vec<u64>>),
 }
 
 impl EquivChecker {
@@ -330,47 +322,34 @@ impl EquivChecker {
     }
 
     /// Starts guarding a sequence of single-gate rewrites of `net` with
-    /// every node's value in it, which [`EquivChecker::check_rewrite`]
-    /// then updates one rewrite at a time. There are no values, and every
-    /// rewrite is checked as a whole network, when `net`'s inputs differ
-    /// from the reference's, `net` has a cycle, or the values trip the
-    /// node cap even after a compaction.
+    /// every node's BDD in it, which [`EquivChecker::check_rewrite`] then
+    /// updates one rewrite at a time. There are no values, and every
+    /// rewrite is checked as a whole network, when the checker has
+    /// downgraded to simulation, `net`'s inputs differ from the
+    /// reference's, `net` has a cycle, or the values trip the node cap
+    /// even after a compaction.
     pub(crate) fn begin_rewrites(&mut self, net: &Network) {
         self.rewrites = None;
         let Ok(order) = net.try_topo_order() else {
             return;
         };
-        if !input_names(net).eq(input_names(&self.reference)) {
+        if self.downgraded() || !input_names(net).eq(input_names(&self.reference)) {
             return;
         }
-        self.rewrites = match &self.sim {
-            None => self
-                .exact_values(net, &order)
-                .or_else(|| {
-                    self.compact();
-                    self.exact_values(net, &order)
-                })
-                .map(Rewrites::Exact),
-            Some(sim) => {
-                let inputs = (0..net.inputs().len())
-                    .map(|i| sim.blocks.iter().map(|pb| pb.words[i]).collect())
-                    .collect();
-                NodeValues::build(net, &order, Vec::new(), inputs, |kind, fan, val| {
-                    Some(eval_blocks(kind, fan, val, sim.blocks.len()))
-                })
-                .map(Rewrites::Sim)
-            }
-        };
+        self.rewrites = self.node_values(net, &order).or_else(|| {
+            self.compact();
+            self.node_values(net, &order)
+        });
     }
 
     /// `net`'s per-node BDDs in the checker's manager, or `None` if they
     /// trip its node cap.
-    fn exact_values(&mut self, net: &Network, order: &[SignalId]) -> Option<NodeValues<Bdd>> {
+    fn node_values(&mut self, net: &Network, order: &[SignalId]) -> Option<NodeValues> {
         let bm = &mut self.bm;
         let inputs = (0..bm.num_vars())
             .map(|i| bm.var(i).ok())
             .collect::<Option<Vec<Bdd>>>()?;
-        NodeValues::build(net, order, Bdd::ZERO, inputs, |kind, fan, val| {
+        NodeValues::build(net, order, inputs, |kind, fan, val| {
             gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
         })
     }
@@ -410,32 +389,21 @@ impl EquivChecker {
         gate: SignalId,
     ) -> Result<bool, Error> {
         verify_fail_point()?;
-        let outs = candidate.outputs();
-        let verdict = match &mut self.rewrites {
-            Some(Rewrites::Exact(values)) => {
-                let bm = &mut self.bm;
-                values
-                    .propose(candidate, order, gate, |kind, fan, val| {
-                        gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
-                    })
-                    .map(|()| {
-                        let got = outs.iter().map(|&(_, s)| values.val[s.index()]);
-                        got.eq(self.reference_outputs.iter().copied())
-                    })
-            }
-            Some(Rewrites::Sim(values)) => self.sim.as_ref().and_then(|sim| {
-                let n_blocks = sim.blocks.len();
-                values.propose(candidate, order, gate, |kind, fan, val| {
-                    Some(eval_blocks(kind, fan, val, n_blocks))
-                })?;
-                let mut blocks = sim.blocks.iter().zip(&sim.reference).enumerate();
-                Some(blocks.all(|(b, (pb, want))| {
-                    let got = outs.iter().map(|&(_, s)| values.val[s.index()][b]);
-                    got.map(|w| w & pb.lane_mask()).eq(want.iter().copied())
-                }))
-            }),
-            None => return self.compare(candidate, false),
+        let Some(values) = &mut self.rewrites else {
+            return self.compare(candidate, false);
         };
+        let bm = &mut self.bm;
+        let verdict = values
+            .propose(candidate, order, gate, |kind, fan, val| {
+                gate_bdd(bm, kind, fan.iter().map(|f| val[f.index()])).ok()
+            })
+            .map(|()| {
+                let got = candidate
+                    .outputs()
+                    .iter()
+                    .map(|&(_, s)| values.val[s.index()]);
+                got.eq(self.reference_outputs.iter().copied())
+            });
         match verdict {
             Some(same) => Ok(same),
             // the values tripped the node cap
@@ -449,38 +417,35 @@ impl EquivChecker {
     /// Ends the pending proposal: `kept`, its values become the accepted
     /// ones; otherwise the values it overwrote are restored.
     pub(crate) fn settle_rewrite(&mut self, kept: bool) {
-        match &mut self.rewrites {
-            Some(Rewrites::Exact(values)) => values.settle(kept),
-            Some(Rewrites::Sim(values)) => values.settle(kept),
-            None => {}
+        if let Some(values) = &mut self.rewrites {
+            values.settle(kept);
         }
     }
 }
 
-/// One value per node of the accepted network, plus the undo log of the
-/// pending proposal. Nodes unreachable from the outputs hold a blank.
+/// One BDD per node of the accepted network, plus the undo log of the
+/// pending proposal. Nodes unreachable from the outputs hold
+/// [`Bdd::ZERO`].
 #[derive(Debug)]
-struct NodeValues<V> {
-    val: Vec<V>,
-    blank: V,
+struct NodeValues {
+    val: Vec<Bdd>,
     /// Node count of the accepted network; nodes past it were appended
     /// by the pending proposal.
     accepted: usize,
     /// `(node index, value before the proposal)` per node it changed.
-    undo: Vec<(usize, V)>,
+    undo: Vec<(usize, Bdd)>,
 }
 
-impl<V: Clone + PartialEq> NodeValues<V> {
+impl NodeValues {
     /// Takes the input values `inputs`, in input order, and evaluates
     /// every gate of `order`, or `None` if an evaluation fails.
     fn build(
         net: &Network,
         order: &[SignalId],
-        blank: V,
-        inputs: Vec<V>,
-        mut eval: impl FnMut(GateKind, &[SignalId], &[V]) -> Option<V>,
+        inputs: Vec<Bdd>,
+        mut eval: impl FnMut(GateKind, &[SignalId], &[Bdd]) -> Option<Bdd>,
     ) -> Option<Self> {
-        let mut val = vec![blank.clone(); net.num_nodes()];
+        let mut val = vec![Bdd::ZERO; net.num_nodes()];
         for (&id, v) in net.inputs().iter().zip(inputs) {
             val[id.index()] = v;
         }
@@ -491,7 +456,6 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         }
         Some(NodeValues {
             val,
-            blank,
             accepted: net.num_nodes(),
             undo: Vec::new(),
         })
@@ -512,13 +476,13 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         net: &Network,
         order: &[SignalId],
         gate: SignalId,
-        mut eval: impl FnMut(GateKind, &[SignalId], &[V]) -> Option<V>,
+        mut eval: impl FnMut(GateKind, &[SignalId], &[Bdd]) -> Option<Bdd>,
     ) -> Option<()> {
-        let mut eval_node = |val: &[V], id: SignalId| match net.kind(id) {
+        let mut eval_node = |val: &[Bdd], id: SignalId| match net.kind(id) {
             NodeKind::Gate(kind) => eval(*kind, net.fanins(id), val),
             NodeKind::Input => None,
         };
-        self.val.resize(net.num_nodes(), self.blank.clone());
+        self.val.resize(net.num_nodes(), Bdd::ZERO);
         // an unreachable gate reaches no output, and nothing a rewrite
         // appends makes it reachable again
         let Some(at) = order.iter().position(|&id| id == gate) else {
@@ -546,7 +510,7 @@ impl<V: Clone + PartialEq> NodeValues<V> {
         net: &Network,
         node: SignalId,
         dirty: &mut [bool],
-        eval_node: &mut impl FnMut(&[V], SignalId) -> Option<V>,
+        eval_node: &mut impl FnMut(&[Bdd], SignalId) -> Option<Bdd>,
     ) -> Option<()> {
         for &f in net.fanins(node) {
             if f.index() >= self.accepted && !dirty[f.index()] {
@@ -571,13 +535,6 @@ impl<V: Clone + PartialEq> NodeValues<V> {
             self.val.truncate(self.accepted);
         }
     }
-}
-
-/// One gate's words on every pattern block, from its fanins' words.
-fn eval_blocks(kind: GateKind, fan: &[SignalId], val: &[Vec<u64>], n_blocks: usize) -> Vec<u64> {
-    (0..n_blocks)
-        .map(|b| kind.eval_words(fan.iter().map(|f| val[f.index()][b])))
-        .collect()
 }
 
 /// `net`'s primary input names, in order.
@@ -1024,7 +981,8 @@ mod tests {
         /// After every step of a random sequence of kept and reverted
         /// rewrites, the incremental verdict equals a fresh whole-network
         /// check, on each backend: exact (0), simulation because the
-        /// reference tripped the node cap (1), and a job's checker (2)
+        /// reference tripped the node cap (1; no node values, each rewrite
+        /// is simulated as a whole network), and a job's checker (2)
         /// whose manager is capped at its size once the rewrites begin, so
         /// that the first step needing a new node trips the cap and
         /// compacts it.
@@ -1053,7 +1011,7 @@ mod tests {
             // needed a node past the cap
             let mut twin = (backend == 2).then(|| job_checker(&reference, &junk));
             checker.begin_rewrites(&cur);
-            prop_assert!(checker.rewrites.is_some());
+            prop_assert_eq!(checker.rewrites.is_some(), backend != 1);
             let mut twin_nodes_at_cap = 0;
             if let Some(twin) = &mut twin {
                 twin.begin_rewrites(&cur);

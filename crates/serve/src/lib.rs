@@ -26,6 +26,11 @@
 //! The `health` wire op reports `ready` / `shedding` / `draining` for
 //! probes.
 //!
+//! [`ServeOptions`] is the one description of a daemon: listeners,
+//! workers, job defaults and the overload bounds. `xsynth serve` parses
+//! its flags straight into it, and [`Server::bind`] floors degenerate
+//! values once.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,6 +39,7 @@
 //! let server = Server::bind(ServeOptions {
 //!     tcp: Some("127.0.0.1:0".into()),
 //!     workers: 1,
+//!     global_queue: 0, // floored to 1
 //!     ..ServeOptions::default()
 //! })
 //! .expect("bind");
@@ -41,6 +47,8 @@
 //! let mut client = Client::connect_tcp(&addr).expect("connect");
 //! let pong = client.ping().expect("ping");
 //! assert_eq!(pong.get("status").and_then(|v| v.as_str()), Some("ok"));
+//! let health = client.health().expect("health");
+//! assert_eq!(health.get("queue_capacity").and_then(|v| v.as_f64()), Some(1.0));
 //! client.shutdown().expect("shutdown ack");
 //! server.wait();
 //! ```

@@ -96,7 +96,9 @@ const STATE_DRAINING: u8 = 1;
 /// Drain complete (or timed out); every thread family is exiting.
 const STATE_STOPPED: u8 = 2;
 
-/// Configuration for [`Server::bind`].
+/// Configuration for [`Server::bind`], the one description of a daemon.
+/// `bind` floors the queue bounds at 1, the line cap at 64 bytes and the
+/// read and idle timeouts at 10 ms.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// TCP listen address (e.g. `"127.0.0.1:7171"`, port 0 for
@@ -143,33 +145,6 @@ impl Default for ServeOptions {
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(300),
             drain_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// The sanitized admission/lifecycle bounds every thread family reads
-/// (from [`ServeOptions`], with zero/degenerate values floored).
-#[derive(Debug, Clone)]
-struct Limits {
-    per_conn_queue: usize,
-    global_queue: usize,
-    max_line_bytes: usize,
-    read_timeout: Duration,
-    idle_timeout: Duration,
-    drain_timeout: Duration,
-}
-
-impl Limits {
-    fn from_options(opts: &ServeOptions) -> Limits {
-        let floor = Duration::from_millis(10);
-        Limits {
-            per_conn_queue: opts.per_conn_queue.max(1),
-            global_queue: opts.global_queue.max(1),
-            max_line_bytes: opts.max_line_bytes.max(64),
-            read_timeout: opts.read_timeout.max(floor),
-            idle_timeout: opts.idle_timeout.max(floor),
-            // zero is meaningful here: shed everything immediately
-            drain_timeout: opts.drain_timeout,
         }
     }
 }
@@ -303,7 +278,7 @@ impl Scheduler {
 
     /// Enqueues a job, enforcing the admission bounds. On `Err` the job
     /// was not queued and the caller must answer the connection itself.
-    fn submit(&self, job: Job, limits: &Limits) -> Result<(), Shed> {
+    fn submit(&self, job: Job, opts: &ServeOptions) -> Result<(), Shed> {
         let mut s = lock(&self.state);
         if s.stop || s.draining {
             return Err(Shed::Draining);
@@ -316,13 +291,13 @@ impl Scheduler {
         if admit_failpoint_tripped() {
             return Err(Shed::Injected);
         }
-        if s.total >= limits.global_queue {
-            return Err(Shed::GlobalFull(limits.global_queue));
+        if s.total >= opts.global_queue {
+            return Err(Shed::GlobalFull(opts.global_queue));
         }
         let conn = job.conn;
         let queue = s.queues.entry(conn).or_default();
-        if queue.len() >= limits.per_conn_queue {
-            return Err(Shed::PerConnFull(limits.per_conn_queue));
+        if queue.len() >= opts.per_conn_queue {
+            return Err(Shed::PerConnFull(opts.per_conn_queue));
         }
         queue.push_back(job);
         s.total += 1;
@@ -410,8 +385,9 @@ impl Scheduler {
 
 /// Shared per-daemon state every worker sees.
 struct Ctx {
-    /// Default synthesis options for jobs that don't override them.
-    options: SynthOptions,
+    /// The daemon's settings, with the value floors [`Server::bind`]
+    /// applied.
+    opts: ServeOptions,
     lib: Library,
     /// Requests answered (ok or error) since the daemon started; the
     /// source of `xsynth_requests_total`.
@@ -419,7 +395,6 @@ struct Ctx {
     /// Lifecycle state machine: `STATE_RUNNING` → `STATE_DRAINING` →
     /// `STATE_STOPPED`, monotonic.
     state: AtomicU8,
-    limits: Limits,
     sched: Scheduler,
     telemetry: Telemetry,
     /// Where the listeners are bound: a drain connects to each once so
@@ -492,7 +467,7 @@ fn begin_drain(ctx: &Arc<Ctx>) {
 /// and-stop epilogue still runs, so a faulty drain can never hang the
 /// daemon or strand queued clients without replies.
 fn drain_watchdog(ctx: &Arc<Ctx>) {
-    let deadline = Instant::now() + ctx.limits.drain_timeout;
+    let deadline = Instant::now() + ctx.opts.drain_timeout;
     let skip_grace = catch_unwind(drain_failpoint_tripped).unwrap_or(true);
     if !skip_grace {
         while Instant::now() < deadline && ctx.sched.depth() > 0 {
@@ -554,8 +529,6 @@ fn drain_failpoint_tripped() -> bool {
 struct Telemetry {
     /// Daemon start, for the uptime gauge.
     start: Instant,
-    /// Worker pool size (utilization denominator).
-    workers: usize,
     /// Workers currently executing a request line.
     busy: AtomicU64,
     /// Synthesis jobs answered `status: "ok"`.
@@ -586,10 +559,9 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(workers: usize) -> Telemetry {
+    fn new() -> Telemetry {
         Telemetry {
             start: Instant::now(),
-            workers,
             busy: AtomicU64::new(0),
             jobs_ok: AtomicU64::new(0),
             jobs_error: AtomicU64::new(0),
@@ -694,13 +666,24 @@ impl Server {
         if opts.tcp.is_none() && opts.unix.is_none() {
             return Err(Error::msg("serve needs at least one of --tcp / --socket"));
         }
-        let workers = if opts.workers > 0 {
-            opts.workers
-        } else {
-            std::thread::available_parallelism()
+        let floor = Duration::from_millis(10);
+        let workers = match opts.workers {
+            0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(2)
-                .min(4)
+                .min(4),
+            n => n,
+        };
+        // Zero and degenerate bounds are floored once, here. A zero drain
+        // timeout is meaningful (shed everything at once) and stays.
+        let opts = ServeOptions {
+            workers,
+            per_conn_queue: opts.per_conn_queue.max(1),
+            global_queue: opts.global_queue.max(1),
+            max_line_bytes: opts.max_line_bytes.max(64),
+            read_timeout: opts.read_timeout.max(floor),
+            idle_timeout: opts.idle_timeout.max(floor),
+            ..opts
         };
         #[cfg(not(unix))]
         if opts.unix.is_some() {
@@ -733,13 +716,12 @@ impl Server {
         };
 
         let ctx = Arc::new(Ctx {
-            options: opts.options.clone(),
+            opts,
             lib: Library::mcnc(),
             requests: AtomicU64::new(0),
             state: AtomicU8::new(STATE_RUNNING),
-            limits: Limits::from_options(&opts),
             sched: Scheduler::new(),
-            telemetry: Telemetry::new(workers),
+            telemetry: Telemetry::new(),
             listeners,
         });
 
@@ -789,12 +771,6 @@ impl Server {
             workers: worker_handles,
             acceptors,
         })
-    }
-
-    /// Binds and blocks until shutdown — the CLI daemon entry point.
-    pub fn run(opts: ServeOptions) -> Result<(), Error> {
-        Server::bind(opts)?.wait();
-        Ok(())
     }
 
     /// The bound TCP address (useful with port 0).
@@ -1045,7 +1021,7 @@ fn read_loop(
     read_half: Box<dyn Read + Send>,
     writer: &SharedWriter,
 ) {
-    let limits = &ctx.limits;
+    let opts = &ctx.opts;
     let mut reader = BufReader::new(read_half);
     let mut line: Vec<u8> = Vec::new();
     let mut discarding = false;
@@ -1060,26 +1036,21 @@ fn read_loop(
             return;
         }
         if let Some(t0) = line_started {
-            if t0.elapsed() >= limits.read_timeout {
+            if t0.elapsed() >= opts.read_timeout {
                 // Slow loris: a half-sent line may not pin this thread.
                 ctx.telemetry.conns_reaped.fetch_add(1, Ordering::Relaxed);
                 let err = Error::Protocol(format!(
                     "request line stalled for {} ms (read timeout)",
-                    limits.read_timeout.as_millis()
+                    opts.read_timeout.as_millis()
                 ));
                 let _ = write_reply(writer, proto::error_response(None, &err));
                 return;
             }
-        } else if last_byte.elapsed() >= limits.idle_timeout {
+        } else if last_byte.elapsed() >= opts.idle_timeout {
             ctx.telemetry.conns_reaped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        match poll_line(
-            &mut reader,
-            &mut line,
-            &mut discarding,
-            limits.max_line_bytes,
-        ) {
+        match poll_line(&mut reader, &mut line, &mut discarding, opts.max_line_bytes) {
             LineEvent::Line => {
                 last_byte = Instant::now();
                 line_started = None;
@@ -1095,7 +1066,7 @@ fn read_loop(
                     conn_state: conn_state.clone(),
                     enqueued: Instant::now(),
                 };
-                if let Err(shed) = ctx.sched.submit(job, limits) {
+                if let Err(shed) = ctx.sched.submit(job, opts) {
                     ctx.telemetry.jobs_shed.fetch_add(1, Ordering::Relaxed);
                     let err = shed.into_error(ctx.retry_after_hint());
                     if !write_reply(writer, proto::error_response(None, &err)) {
@@ -1108,7 +1079,7 @@ fn read_loop(
                 line_started = None;
                 let err = Error::Protocol(format!(
                     "request line exceeds {} bytes",
-                    limits.max_line_bytes
+                    opts.max_line_bytes
                 ));
                 if !write_reply(writer, proto::error_response(None, &err)) {
                     return;
@@ -1269,7 +1240,7 @@ fn handle_line(ctx: &Ctx, line: &str, queued_for: Duration) -> (String, bool) {
 fn health_response(ctx: &Ctx) -> String {
     let depth = ctx.sched.depth();
     let state = match ctx.state() {
-        STATE_RUNNING if depth >= ctx.limits.global_queue => "shedding",
+        STATE_RUNNING if depth >= ctx.opts.global_queue => "shedding",
         STATE_RUNNING => "ready",
         STATE_DRAINING => "draining",
         _ => "stopped",
@@ -1280,7 +1251,7 @@ fn health_response(ctx: &Ctx) -> String {
     o.str("op", "health");
     o.str("state", state);
     o.num("queue_depth", depth as f64);
-    o.num("queue_capacity", ctx.limits.global_queue as f64);
+    o.num("queue_capacity", ctx.opts.global_queue as f64);
     o.num(
         "workers_busy",
         ctx.telemetry.busy.load(Ordering::Relaxed) as f64,
@@ -1337,20 +1308,20 @@ fn metrics_response(ctx: &Ctx) -> Result<String, Error> {
         ctx.requests.load(Ordering::Relaxed),
     );
     exp.gauge("xsynth_queue_depth", &[], ctx.sched.depth() as f64);
-    exp.gauge("xsynth_queue_capacity", &[], ctx.limits.global_queue as f64);
+    exp.gauge("xsynth_queue_capacity", &[], ctx.opts.global_queue as f64);
     exp.gauge(
         "xsynth_uptime_seconds",
         &[],
         tel.start.elapsed().as_secs_f64(),
     );
-    exp.gauge("xsynth_workers", &[], tel.workers as f64);
+    exp.gauge("xsynth_workers", &[], ctx.opts.workers as f64);
     // includes the worker currently answering this metrics request
     let busy = tel.busy.load(Ordering::Relaxed) as f64;
     exp.gauge("xsynth_workers_busy", &[], busy);
     exp.gauge(
         "xsynth_worker_utilization",
         &[],
-        busy / tel.workers.max(1) as f64,
+        busy / ctx.opts.workers.max(1) as f64,
     );
 
     exp.counter(
@@ -1469,7 +1440,7 @@ fn run_job(ctx: &Ctx, job: JobRequest, queued_for: Duration) -> Result<String, E
             .map_err(Error::Parse)?
             .to_network(job.id.as_deref().unwrap_or("pla")),
     };
-    let mut opts = ctx.options.clone();
+    let mut opts = ctx.opts.options.clone();
     if let Some(budget) = job.budget {
         opts.budget = budget;
     }
@@ -1842,15 +1813,13 @@ mod tests {
 
     #[test]
     fn stopped_reader_sheds_every_line_it_already_read() {
-        let opts = ServeOptions::default();
         let ctx = Arc::new(Ctx {
-            options: opts.options.clone(),
+            opts: ServeOptions::default(),
             lib: Library::mcnc(),
             requests: AtomicU64::new(0),
             state: AtomicU8::new(STATE_RUNNING),
-            limits: Limits::from_options(&opts),
             sched: Scheduler::new(),
-            telemetry: Telemetry::new(1),
+            telemetry: Telemetry::new(),
             listeners: Vec::new(),
         });
         let burst = "{\"op\":\"ping\"}\n".repeat(3).into_bytes();
@@ -1876,21 +1845,16 @@ mod tests {
         assert_eq!(ctx.telemetry.jobs_shed.load(Ordering::Relaxed), 3);
     }
 
-    /// Bounds loose enough that only tests targeting them trip them.
-    fn loose_limits() -> Limits {
-        Limits::from_options(&ServeOptions::default())
-    }
-
     #[test]
     fn scheduler_rotates_across_connections() {
         let sched = Scheduler::new();
-        let limits = loose_limits();
+        let opts = ServeOptions::default();
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
         // conn 0 pipelines three jobs before conn 1's single job arrives
         for tag in ["a0", "a1", "a2"] {
-            assert!(sched.submit(dummy_job(0, tag, &w), &limits).is_ok());
+            assert!(sched.submit(dummy_job(0, tag, &w), &opts).is_ok());
         }
-        assert!(sched.submit(dummy_job(1, "b0", &w), &limits).is_ok());
+        assert!(sched.submit(dummy_job(1, "b0", &w), &opts).is_ok());
         assert_eq!(sched.depth(), 4);
         let order: Vec<String> = std::iter::from_fn(|| {
             sched.stop_if_empty();
@@ -1904,37 +1868,39 @@ mod tests {
     #[test]
     fn scheduler_sheds_at_the_per_conn_and_global_bounds() {
         let sched = Scheduler::new();
-        let mut limits = loose_limits();
-        limits.per_conn_queue = 2;
-        limits.global_queue = 3;
+        let opts = ServeOptions {
+            per_conn_queue: 2,
+            global_queue: 3,
+            ..ServeOptions::default()
+        };
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
-        assert!(sched.submit(dummy_job(0, "a0", &w), &limits).is_ok());
-        assert!(sched.submit(dummy_job(0, "a1", &w), &limits).is_ok());
+        assert!(sched.submit(dummy_job(0, "a0", &w), &opts).is_ok());
+        assert!(sched.submit(dummy_job(0, "a1", &w), &opts).is_ok());
         // conn 0 is at its own bound while the global bound still has room
         assert_eq!(
-            sched.submit(dummy_job(0, "a2", &w), &limits),
+            sched.submit(dummy_job(0, "a2", &w), &opts),
             Err(Shed::PerConnFull(2))
         );
-        assert!(sched.submit(dummy_job(1, "b0", &w), &limits).is_ok());
+        assert!(sched.submit(dummy_job(1, "b0", &w), &opts).is_ok());
         // now the global bound is reached, even for a fresh connection
         assert_eq!(
-            sched.submit(dummy_job(2, "c0", &w), &limits),
+            sched.submit(dummy_job(2, "c0", &w), &opts),
             Err(Shed::GlobalFull(3))
         );
         // handing out one job frees global capacity again
         assert_eq!(sched.next().expect("a0").line, "a0");
-        assert!(sched.submit(dummy_job(2, "c0", &w), &limits).is_ok());
+        assert!(sched.submit(dummy_job(2, "c0", &w), &opts).is_ok());
     }
 
     #[test]
     fn cancel_conn_discards_only_that_connections_jobs() {
         let sched = Scheduler::new();
-        let limits = loose_limits();
+        let opts = ServeOptions::default();
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
         for tag in ["a0", "a1"] {
-            assert!(sched.submit(dummy_job(7, tag, &w), &limits).is_ok());
+            assert!(sched.submit(dummy_job(7, tag, &w), &opts).is_ok());
         }
-        assert!(sched.submit(dummy_job(8, "b0", &w), &limits).is_ok());
+        assert!(sched.submit(dummy_job(8, "b0", &w), &opts).is_ok());
         assert_eq!(sched.cancel_conn(7), 2);
         assert_eq!(sched.depth(), 1);
         assert_eq!(sched.next().expect("b0 survives").line, "b0");
@@ -1944,14 +1910,14 @@ mod tests {
     #[test]
     fn draining_sheds_submissions_and_shed_remaining_stops() {
         let sched = Scheduler::new();
-        let limits = loose_limits();
+        let opts = ServeOptions::default();
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
         for tag in ["a0", "a1"] {
-            assert!(sched.submit(dummy_job(0, tag, &w), &limits).is_ok());
+            assert!(sched.submit(dummy_job(0, tag, &w), &opts).is_ok());
         }
         sched.set_draining();
         assert_eq!(
-            sched.submit(dummy_job(1, "late", &w), &limits),
+            sched.submit(dummy_job(1, "late", &w), &opts),
             Err(Shed::Draining)
         );
         // queued work is still handed out while draining
@@ -1978,11 +1944,11 @@ mod tests {
     #[test]
     fn scheduler_rejects_after_stop() {
         let sched = Scheduler::new();
-        let limits = loose_limits();
+        let opts = ServeOptions::default();
         sched.stop();
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
         assert_eq!(
-            sched.submit(dummy_job(0, "late", &w), &limits),
+            sched.submit(dummy_job(0, "late", &w), &opts),
             Err(Shed::Draining)
         );
         assert!(sched.next().is_none());
@@ -1991,7 +1957,7 @@ mod tests {
     #[test]
     fn scheduler_survives_a_poisoned_state_mutex() {
         let sched = Arc::new(Scheduler::new());
-        let limits = loose_limits();
+        let opts = ServeOptions::default();
         // poison the state mutex the way a panicking reader thread would:
         // die while holding the lock, before mutating anything
         let poisoner = sched.clone();
@@ -2004,12 +1970,12 @@ mod tests {
         // submit, next, and stop all keep working on the poisoned mutex
         let w: SharedWriter = Arc::new(Mutex::new(Box::new(Vec::<u8>::new())));
         assert!(sched
-            .submit(dummy_job(0, "after-poison", &w), &limits)
+            .submit(dummy_job(0, "after-poison", &w), &opts)
             .is_ok());
         assert_eq!(sched.next().expect("job comes back").line, "after-poison");
         sched.stop();
         assert_eq!(
-            sched.submit(dummy_job(0, "late", &w), &limits),
+            sched.submit(dummy_job(0, "late", &w), &opts),
             Err(Shed::Draining)
         );
         assert!(sched.next().is_none());

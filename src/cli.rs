@@ -6,9 +6,12 @@
 //! * `synth <in.blif|in.pla>` — run the FPRM flow (default) or the SOP
 //!   baseline (`--method sop`), write BLIF to `-o` or stdout.
 //! * `stats <in>` — print network statistics and both cost metrics.
-//! * `map <in>` — synthesize and technology-map, print the cell netlist
-//!   summary.
+//! * `map <in>` — synthesize, prove and technology-map, print the cell
+//!   netlist summary.
 //! * `bench <circuit>` — run a built-in Table 2 benchmark by name.
+//!
+//! `synth`, `bench` and `map` share one run path: the flow, its one
+//! proof, then `--stats`, `--trace-json` and `--bench-json`.
 //! * `verify <a> <b>` — check two networks for combinational equivalence.
 //! * `serve` — run the long-lived synthesis daemon (`--tcp` and/or
 //!   `--socket`); each job is one independent synthesis call.
@@ -24,13 +27,14 @@ use xsynth_core::{
     phase, prove_equivalence, try_synthesize, Budget, Error, FactorMethod, SynthOptions,
     SynthOutcome, SynthReport, VerifyStatus,
 };
-use xsynth_map::{map_network, Library};
+use xsynth_map::{map_network, Library, Mapping};
 use xsynth_net::Network;
+use xsynth_serve::ServeOptions;
 use xsynth_trace::json::Value;
 use xsynth_trace::Trace;
 
 /// A parsed command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Command {
     /// Subcommand: synth | stats | map | bench | verify.
     pub action: Action,
@@ -58,24 +62,12 @@ pub struct Command {
     /// Resource budget (`--bdd-node-cap`, `--phase-timeout-ms`,
     /// `--max-patterns`); unlimited by default.
     pub budget: Budget,
-    /// `serve`: TCP listen address (`--tcp`, e.g. `127.0.0.1:7171`).
-    pub tcp: Option<String>,
-    /// `serve`: unix-domain socket path (`--socket`).
-    pub socket: Option<String>,
-    /// `serve`: worker pool size (`--workers`, 0 = auto).
-    pub workers: usize,
-    /// `serve`: per-connection queue bound (`--queue`).
-    pub per_conn_queue: Option<usize>,
-    /// `serve`: daemon-wide queue bound (`--global-queue`).
-    pub global_queue: Option<usize>,
-    /// `serve`: partial-request-line timeout in ms (`--read-timeout-ms`).
-    pub read_timeout_ms: Option<u64>,
-    /// `serve`: idle-connection reap timeout in ms (`--idle-timeout-ms`).
-    pub idle_timeout_ms: Option<u64>,
-    /// `serve`: drain grace window in ms (`--drain-timeout-ms`).
-    pub drain_timeout_ms: Option<u64>,
-    /// `serve`: request-line byte cap in KiB (`--max-line-kb`).
-    pub max_line_kb: Option<u64>,
+    /// `serve`: the daemon's listeners, workers and overload bounds
+    /// (`--tcp`, `--socket`, `--workers`, `--queue`, `--global-queue`,
+    /// `--read-/--idle-/--drain-timeout-ms`, `--max-line-kb`);
+    /// [`ServeOptions::default`] for every flag not given. Its job
+    /// `options` come from the flow flags when the daemon starts.
+    pub serve: ServeOptions,
     /// `serve`: run under a supervisor process so SIGTERM triggers a
     /// graceful drain instead of an abrupt exit (`--drain-on-term`).
     pub drain_on_term: bool,
@@ -253,6 +245,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         v.parse()
             .map_err(|_| format!("{flag} needs a number, got '{v}'"))
     }
+    fn count(flag: &str, value: Option<&String>) -> Result<usize, String> {
+        Ok(number(flag, value)? as usize)
+    }
+    fn millis(flag: &str, value: Option<&String>) -> Result<Duration, String> {
+        Ok(Duration::from_millis(number(flag, value)?))
+    }
     let mut output = None;
     let mut flow = Flow::Fprm;
     let mut no_redundancy = false;
@@ -261,15 +259,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut trace_json = None;
     let mut bench_json = None;
     let mut budget = Budget::default();
-    let mut tcp = None;
-    let mut socket = None;
-    let mut workers = 0usize;
-    let mut per_conn_queue = None;
-    let mut global_queue = None;
-    let mut read_timeout_ms = None;
-    let mut idle_timeout_ms = None;
-    let mut drain_timeout_ms = None;
-    let mut max_line_kb = None;
+    let mut serve = ServeOptions::default();
     let mut drain_on_term = false;
     let mut interval_ms = 2000u64;
     let mut once = false;
@@ -286,37 +276,31 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--no-redundancy" => no_redundancy = true,
             "--no-salvage" => no_salvage = true,
             "--stats" => stats = true,
-            "--bdd-node-cap" => {
-                budget = budget.bdd_node_cap(Some(number(a, it.next())? as usize));
+            "--bdd-node-cap" => budget = budget.bdd_node_cap(Some(count(a, it.next())?)),
+            "--phase-timeout-ms" => budget = budget.phase_timeout(Some(millis(a, it.next())?)),
+            "--max-patterns" => budget = budget.max_patterns(Some(count(a, it.next())?)),
+            "--tcp" if action == Action::Serve => {
+                serve.tcp = Some(text(a, "an address", it.next())?);
             }
-            "--phase-timeout-ms" => {
-                budget = budget.phase_timeout(Some(Duration::from_millis(number(a, it.next())?)));
+            "--socket" if action == Action::Serve => {
+                serve.unix = Some(text(a, "a path", it.next())?.into());
             }
-            "--max-patterns" => {
-                budget = budget.max_patterns(Some(number(a, it.next())? as usize));
-            }
-            "--tcp" if action == Action::Serve => tcp = Some(text(a, "an address", it.next())?),
-            "--socket" if action == Action::Serve => socket = Some(text(a, "a path", it.next())?),
-            "--workers" if action == Action::Serve => {
-                workers = number(a, it.next())? as usize;
-            }
-            "--queue" if action == Action::Serve => {
-                per_conn_queue = Some(number(a, it.next())? as usize);
-            }
+            "--workers" if action == Action::Serve => serve.workers = count(a, it.next())?,
+            "--queue" if action == Action::Serve => serve.per_conn_queue = count(a, it.next())?,
             "--global-queue" if action == Action::Serve => {
-                global_queue = Some(number(a, it.next())? as usize);
+                serve.global_queue = count(a, it.next())?;
             }
             "--read-timeout-ms" if action == Action::Serve => {
-                read_timeout_ms = Some(number(a, it.next())?);
+                serve.read_timeout = millis(a, it.next())?;
             }
             "--idle-timeout-ms" if action == Action::Serve => {
-                idle_timeout_ms = Some(number(a, it.next())?);
+                serve.idle_timeout = millis(a, it.next())?;
             }
             "--drain-timeout-ms" if action == Action::Serve => {
-                drain_timeout_ms = Some(number(a, it.next())?);
+                serve.drain_timeout = millis(a, it.next())?;
             }
             "--max-line-kb" if action == Action::Serve => {
-                max_line_kb = Some(number(a, it.next())?);
+                serve.max_line_bytes = count(a, it.next())? << 10;
             }
             "--drain-on-term" if action == Action::Serve => drain_on_term = true,
             "--interval-ms" if action == Action::Top => {
@@ -338,15 +322,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         trace_json,
         bench_json,
         budget,
-        tcp,
-        socket,
-        workers,
-        per_conn_queue,
-        global_queue,
-        read_timeout_ms,
-        idle_timeout_ms,
-        drain_timeout_ms,
-        max_line_kb,
+        serve,
         drain_on_term,
         interval_ms,
         once,
@@ -578,7 +554,7 @@ fn write_bench_json(
         suite: "cli".to_string(),
         records: vec![measured.record],
     };
-    std::fs::write(path, suite.to_json()).map_err(|e| Error::io(path, e))?;
+    write_file(path, &suite.to_json())?;
     Ok(format!("# wrote benchmark record to {path}\n"))
 }
 
@@ -589,7 +565,7 @@ fn write_trace_json(path: &str, report: Option<&SynthReport>) -> Result<String, 
         Some(r) => r.trace.to_chrome_json(),
         None => Trace::default().to_chrome_json(),
     };
-    std::fs::write(path, &json).map_err(|e| Error::io(path, e))?;
+    write_file(path, &json)?;
     Ok(format!("# wrote trace to {path}\n"))
 }
 
@@ -651,7 +627,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
             };
             Ok(format!("equivalent ({backend})\n"))
         }
-        Action::Synth | Action::Bench => {
+        Action::Synth | Action::Bench | Action::Map => {
             let t0 = std::time::Instant::now();
             let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
@@ -661,18 +637,27 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
                     "internal error: result failed verification".into(),
                 ));
             }
-            let mut out = String::new();
-            let _ = writeln!(out, "# spec:   {}", render_stats(&spec).trim_end());
-            let _ = writeln!(out, "# result: {}", render_stats(&result).trim_end());
-            if let Some(r) = &report {
-                out.push_str(&render_budget_notes(r));
-            }
+            let mapped =
+                (cmd.action == Action::Map).then(|| map_network(&result, &Library::mcnc()));
+            let mut out = match &mapped {
+                Some(mapped) => render_mapped(&result, mapped),
+                None => {
+                    let mut s = String::new();
+                    let _ = writeln!(s, "# spec:   {}", render_stats(&spec).trim_end());
+                    let _ = writeln!(s, "# result: {}", render_stats(&result).trim_end());
+                    if let Some(r) = &report {
+                        s.push_str(&render_budget_notes(r));
+                    }
+                    s
+                }
+            };
             if cmd.stats {
                 match &report {
                     Some(r) => out.push_str(&render_report(r)),
-                    None => {
-                        let _ = writeln!(out, "# (no synthesis report for this flow)");
+                    None if mapped.is_none() => {
+                        out.push_str("# (no synthesis report for this flow)\n")
                     }
+                    None => {}
                 }
             }
             if let Some(path) = &cmd.trace_json {
@@ -688,63 +673,46 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
                     synth_seconds,
                 )?);
             }
-            let blif = write_blif(&result);
-            match &cmd.output {
-                Some(path) => {
-                    std::fs::write(path, &blif).map_err(|e| Error::io(path, e))?;
+            match (&cmd.output, mapped) {
+                (Some(path), Some(mapped)) => {
+                    write_file(path, &mapped.to_verilog(spec.name()))?;
+                    let _ = writeln!(out, "  wrote Verilog netlist to {path}");
+                }
+                (Some(path), None) => {
+                    write_file(path, &write_blif(&result))?;
                     let _ = writeln!(out, "# wrote {path}");
                 }
-                None => out.push_str(&blif),
+                (None, Some(_)) => {}
+                (None, None) => out.push_str(&write_blif(&result)),
             }
             Ok(out)
         }
-        Action::Map => {
-            let t0 = std::time::Instant::now();
-            let (result, report) = run_flow(cmd, &spec)?;
-            let synth_seconds = t0.elapsed().as_secs_f64();
-            let lib = Library::mcnc();
-            let mapped = map_network(&result, &lib);
-            let mut s = render_stats(&result);
-            let _ = writeln!(
-                s,
-                "  mapped: {} cells / {} pins / area {:.1} / depth {}",
-                mapped.num_gates(),
-                mapped.num_literals(),
-                mapped.area(),
-                mapped.depth()
-            );
-            let mut cells: Vec<(String, usize)> = mapped.cell_histogram().into_iter().collect();
-            cells.sort();
-            for (cell, count) in cells {
-                let _ = writeln!(s, "    {count:3} × {cell}");
-            }
-            if cmd.stats {
-                if let Some(r) = &report {
-                    s.push_str(&render_report(r));
-                }
-            }
-            if let Some(path) = &cmd.trace_json {
-                s.push_str(&write_trace_json(path, report.as_ref())?);
-            }
-            if let Some(path) = &cmd.bench_json {
-                let proof = proof_of(cmd, &spec, &result, report.as_ref())?;
-                s.push_str(&write_bench_json(
-                    path,
-                    cmd,
-                    &result,
-                    report,
-                    proof,
-                    synth_seconds,
-                )?);
-            }
-            if let Some(path) = &cmd.output {
-                let verilog = mapped.to_verilog(spec.name());
-                std::fs::write(path, &verilog).map_err(|e| Error::io(path, e))?;
-                let _ = writeln!(s, "  wrote Verilog netlist to {path}");
-            }
-            Ok(s)
-        }
     }
+}
+
+/// Renders `map`'s summary of a mapped result: the result's statistics,
+/// the mapped cells, pins, area and depth, and the cell histogram.
+fn render_mapped(result: &Network, mapped: &Mapping) -> String {
+    let mut s = render_stats(result);
+    let _ = writeln!(
+        s,
+        "  mapped: {} cells / {} pins / area {:.1} / depth {}",
+        mapped.num_gates(),
+        mapped.num_literals(),
+        mapped.area(),
+        mapped.depth()
+    );
+    let mut cells: Vec<(String, usize)> = mapped.cell_histogram().into_iter().collect();
+    cells.sort();
+    for (cell, count) in cells {
+        let _ = writeln!(s, "    {count:3} × {cell}");
+    }
+    s
+}
+
+/// Writes `text` to the file at `path`.
+fn write_file(path: &str, text: &str) -> Result<(), Error> {
+    std::fs::write(path, text).map_err(|e| Error::io(path, e))
 }
 
 /// Environment marker the `--drain-on-term` supervisor sets on the
@@ -767,36 +735,14 @@ const SUPERVISED_ENV: &str = "XSYNTH_SERVE_SUPERVISED";
 fn run_serve(cmd: &Command) -> Result<String, Error> {
     let supervised = std::env::var_os(SUPERVISED_ENV).is_some();
     if cmd.drain_on_term && !supervised {
-        return run_serve_supervisor(cmd);
+        return run_serve_supervisor();
     }
     let options =
         synth_options(cmd).ok_or_else(|| Error::msg("serve only runs the FPRM-family flows"))?;
-    let mut opts = xsynth_serve::ServeOptions {
-        tcp: cmd.tcp.clone(),
-        unix: cmd.socket.clone().map(Into::into),
-        workers: cmd.workers,
+    let server = xsynth_serve::Server::bind(ServeOptions {
         options,
-        ..xsynth_serve::ServeOptions::default()
-    };
-    if let Some(n) = cmd.per_conn_queue {
-        opts.per_conn_queue = n;
-    }
-    if let Some(n) = cmd.global_queue {
-        opts.global_queue = n;
-    }
-    if let Some(ms) = cmd.read_timeout_ms {
-        opts.read_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = cmd.idle_timeout_ms {
-        opts.idle_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = cmd.drain_timeout_ms {
-        opts.drain_timeout = Duration::from_millis(ms);
-    }
-    if let Some(kb) = cmd.max_line_kb {
-        opts.max_line_bytes = (kb as usize) << 10;
-    }
-    let server = xsynth_serve::Server::bind(opts)?;
+        ..cmd.serve.clone()
+    })?;
     if let Some(addr) = server.tcp_addr() {
         println!("# serve: listening on tcp {addr}");
     }
@@ -837,17 +783,18 @@ fn spawn_supervisor_watch(handle: xsynth_serve::DrainHandle) {
 }
 
 /// The `--drain-on-term` supervisor: re-executes this binary as a child
-/// daemon (same serve argv, [`SUPERVISED_ENV`] set, stdin piped) and
+/// daemon with the process's own arguments, so the child parses exactly
+/// what the supervisor parsed ([`SUPERVISED_ENV`] set, stdin piped), and
 /// waits for it. The supervisor keeps default signal dispositions, so a
 /// SIGTERM kills *it* immediately (the conventional 143 exit the service
 /// manager sees) while the orphaned daemon notices the closed stdin pipe
 /// and drains gracefully: queued work is answered or shed with typed
 /// `overloaded` errors within `--drain-timeout-ms`, listeners close, and
 /// unix socket files are unlinked.
-fn run_serve_supervisor(cmd: &Command) -> Result<String, Error> {
+fn run_serve_supervisor() -> Result<String, Error> {
     let exe = std::env::current_exe().map_err(|e| Error::io("current_exe", e))?;
     let mut child = std::process::Command::new(exe)
-        .args(serve_argv(cmd))
+        .args(std::env::args_os().skip(1))
         .env(SUPERVISED_ENV, "1")
         .stdin(std::process::Stdio::piped())
         .spawn()
@@ -867,70 +814,6 @@ fn run_serve_supervisor(cmd: &Command) -> Result<String, Error> {
         Some(code) => std::process::exit(code),
         None => std::process::exit(1),
     }
-}
-
-/// Reconstructs the `serve` argv of a parsed [`Command`] so the
-/// supervisor can re-execute itself as the daemon child. Inverse of
-/// [`parse_args`] for the serve-relevant subset (listeners, workers,
-/// flow, redundancy/salvage, budget, overload limits).
-fn serve_argv(cmd: &Command) -> Vec<String> {
-    let mut v = vec!["serve".to_string()];
-    let mut flag = |name: &str, value: Option<String>| {
-        v.push(name.to_string());
-        if let Some(value) = value {
-            v.push(value);
-        }
-    };
-    if let Some(tcp) = &cmd.tcp {
-        flag("--tcp", Some(tcp.clone()));
-    }
-    if let Some(socket) = &cmd.socket {
-        flag("--socket", Some(socket.clone()));
-    }
-    if cmd.workers != 0 {
-        flag("--workers", Some(cmd.workers.to_string()));
-    }
-    if cmd.flow != Flow::Fprm {
-        let (method, _, _) = cmd.flow.row();
-        flag("--method", Some(method.to_string()));
-    }
-    if cmd.no_redundancy {
-        flag("--no-redundancy", None);
-    }
-    if cmd.no_salvage {
-        flag("--no-salvage", None);
-    }
-    if let Some(cap) = cmd.budget.bdd_node_cap {
-        flag("--bdd-node-cap", Some(cap.to_string()));
-    }
-    if let Some(t) = cmd.budget.phase_timeout {
-        flag("--phase-timeout-ms", Some(t.as_millis().to_string()));
-    }
-    if let Some(p) = cmd.budget.max_patterns {
-        flag("--max-patterns", Some(p.to_string()));
-    }
-    if let Some(n) = cmd.per_conn_queue {
-        flag("--queue", Some(n.to_string()));
-    }
-    if let Some(n) = cmd.global_queue {
-        flag("--global-queue", Some(n.to_string()));
-    }
-    if let Some(ms) = cmd.read_timeout_ms {
-        flag("--read-timeout-ms", Some(ms.to_string()));
-    }
-    if let Some(ms) = cmd.idle_timeout_ms {
-        flag("--idle-timeout-ms", Some(ms.to_string()));
-    }
-    if let Some(ms) = cmd.drain_timeout_ms {
-        flag("--drain-timeout-ms", Some(ms.to_string()));
-    }
-    if let Some(kb) = cmd.max_line_kb {
-        flag("--max-line-kb", Some(kb.to_string()));
-    }
-    if cmd.drain_on_term {
-        flag("--drain-on-term", None);
-    }
-    v
 }
 
 /// Runs `xsynth top <addr>`: polls the daemon's `metrics` and `recent`
@@ -1315,31 +1198,7 @@ mod tests {
         let dir = std::env::temp_dir().join("xsynth_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let outp = dir.join("out.v");
-        let cmd = Command {
-            action: Action::Map,
-            input: "f2".into(),
-            input2: None,
-            output: Some(outp.display().to_string()),
-            flow: Flow::Fprm,
-            no_redundancy: false,
-            no_salvage: false,
-            stats: false,
-            trace_json: None,
-            bench_json: None,
-            budget: Budget::default(),
-            tcp: None,
-            socket: None,
-            workers: 0,
-            per_conn_queue: None,
-            global_queue: None,
-            read_timeout_ms: None,
-            idle_timeout_ms: None,
-            drain_timeout_ms: None,
-            max_line_kb: None,
-            drain_on_term: false,
-            interval_ms: 2000,
-            once: false,
-        };
+        let cmd = parse_args(&argv(&format!("map f2 -o {}", outp.display()))).unwrap();
         let text = execute(&cmd).unwrap();
         assert!(text.contains("wrote Verilog"), "{text}");
         let v = std::fs::read_to_string(&outp).unwrap();
@@ -1383,9 +1242,14 @@ mod tests {
         .unwrap();
         assert_eq!(c.action, Action::Serve);
         assert_eq!(c.input, "");
-        assert_eq!(c.tcp.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(c.socket.as_deref(), Some("/tmp/x.sock"));
-        assert_eq!(c.workers, 2);
+        assert_eq!(c.serve.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(c.serve.unix, Some("/tmp/x.sock".into()));
+        assert_eq!(c.serve.workers, 2);
+        // an omitted listener or worker count keeps the default
+        let c = parse_args(&argv("serve --socket /tmp/x.sock")).unwrap();
+        let default = ServeOptions::default();
+        assert_eq!(c.serve.tcp, default.tcp);
+        assert_eq!(c.serve.workers, default.workers);
         assert!(parse_args(&argv("serve --tcp 127.0.0.1:0 --cache-mb 16")).is_err());
         // serve-only flags stay serve-only
         assert!(parse_args(&argv("bench rd53 --tcp 127.0.0.1:0")).is_err());
@@ -1398,36 +1262,27 @@ mod tests {
              --idle-timeout-ms 9000 --drain-timeout-ms 1500 --max-line-kb 64 --drain-on-term",
         ))
         .unwrap();
-        assert_eq!(c.per_conn_queue, Some(4));
-        assert_eq!(c.global_queue, Some(16));
-        assert_eq!(c.read_timeout_ms, Some(250));
-        assert_eq!(c.idle_timeout_ms, Some(9000));
-        assert_eq!(c.drain_timeout_ms, Some(1500));
-        assert_eq!(c.max_line_kb, Some(64));
+        assert_eq!(c.serve.per_conn_queue, 4);
+        assert_eq!(c.serve.global_queue, 16);
+        assert_eq!(c.serve.read_timeout, Duration::from_millis(250));
+        assert_eq!(c.serve.idle_timeout, Duration::from_millis(9000));
+        assert_eq!(c.serve.drain_timeout, Duration::from_millis(1500));
+        assert_eq!(c.serve.max_line_bytes, 64 << 10);
         assert!(c.drain_on_term);
-        // defaults stay "inherit from ServeOptions"
+        // an omitted flag keeps ServeOptions::default()'s value
         let c = parse_args(&argv("serve --tcp 127.0.0.1:0")).unwrap();
-        assert_eq!(c.per_conn_queue, None);
+        let default = ServeOptions::default();
+        assert_eq!(c.serve.per_conn_queue, default.per_conn_queue);
+        assert_eq!(c.serve.global_queue, default.global_queue);
+        assert_eq!(c.serve.read_timeout, default.read_timeout);
+        assert_eq!(c.serve.idle_timeout, default.idle_timeout);
+        assert_eq!(c.serve.drain_timeout, default.drain_timeout);
+        assert_eq!(c.serve.max_line_bytes, default.max_line_bytes);
         assert!(!c.drain_on_term);
         // overload flags are serve-only
         assert!(parse_args(&argv("bench rd53 --queue 4")).is_err());
         assert!(parse_args(&argv("top /tmp/x.sock --drain-on-term")).is_err());
         assert!(parse_args(&argv("serve --tcp x --queue lots")).is_err());
-    }
-
-    #[test]
-    fn serve_argv_roundtrips_through_parse_args() {
-        let line = "serve --tcp 127.0.0.1:0 --socket /tmp/x.sock --workers 3 \
-                    --method kfdd --no-redundancy --no-salvage --bdd-node-cap 5000 \
-                    --phase-timeout-ms 250 --max-patterns 64 --queue 4 --global-queue 16 \
-                    --read-timeout-ms 250 --idle-timeout-ms 9000 --drain-timeout-ms 1500 \
-                    --max-line-kb 64 --drain-on-term";
-        let cmd = parse_args(&argv(line)).unwrap();
-        let reparsed = parse_args(&serve_argv(&cmd)).unwrap();
-        assert_eq!(cmd, reparsed);
-        // a minimal command reconstructs minimally
-        let cmd = parse_args(&argv("serve --tcp 127.0.0.1:0")).unwrap();
-        assert_eq!(serve_argv(&cmd), vec!["serve", "--tcp", "127.0.0.1:0"]);
     }
 
     #[test]
@@ -1596,29 +1451,8 @@ mod tests {
             Flow::None,
         ] {
             let cmd = Command {
-                action: Action::Bench,
-                input: "rd53".into(),
-                input2: None,
-                output: None,
                 flow,
-                no_redundancy: false,
-                no_salvage: false,
-                stats: false,
-                trace_json: None,
-                bench_json: None,
-                budget: Budget::default(),
-                tcp: None,
-                socket: None,
-                workers: 0,
-                per_conn_queue: None,
-                global_queue: None,
-                read_timeout_ms: None,
-                idle_timeout_ms: None,
-                drain_timeout_ms: None,
-                max_line_kb: None,
-                drain_on_term: false,
-                interval_ms: 2000,
-                once: false,
+                ..parse_args(&argv("bench rd53")).unwrap()
             };
             let out = execute(&cmd).expect("flow runs");
             assert!(out.contains(".model"));

@@ -359,6 +359,25 @@ fn cli_bench_json_proves_each_result_once() {
     }
 }
 
+/// `map` proves its result like `synth`: the SOP baseline and `none` make
+/// no proof of their own, so with `core.verify` failing every hit, the
+/// CLI's proof of the mapped result fails and the run exits 7.
+#[test]
+fn cli_map_proves_flows_without_a_proof_of_their_own() {
+    let _g = exclusive();
+    for method in ["sop", "none"] {
+        let argv: Vec<String> = format!("map rd53 --method {method}")
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        failpoint::arm(&FailPlan::new().point("core.verify", Action::Error, 1));
+        let result = xsynth::cli::run(&argv);
+        failpoint::disarm();
+        let err = result.expect_err(method);
+        assert_eq!(err.exit_code(), 7, "{method}: {err}");
+    }
+}
+
 /// A run that fails inside a phase — planning, the check of the factored
 /// network, a redundancy-removal guard — returns with that phase's spans
 /// open. Its trace still reaches the external sink with one `synthesize`
