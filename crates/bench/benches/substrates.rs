@@ -2,7 +2,8 @@
 //! transform, ISOP covers, BDD construction, BDD→OFDD conversion, one
 //! output's polarity search, kernel extraction, technology mapping, the
 //! redundancy-removal pass, the SOP baseline's `eliminate` and `extract`,
-//! the sharing pass's `resubstitute`, the FPRM flow's GF(2) divisor
+//! the sharing pass's `resubstitute` and the whole sharing pass on three
+//! arithmetic functions, cover complements, the FPRM flow's GF(2) divisor
 //! extraction, pattern simulation (the paper family's word rows,
 //! event-driven fault propagation and the power estimate), an adder's
 //! technology mapping, BDD apply and carry-out BDD→OFDD conversion, each
@@ -296,6 +297,53 @@ fn bench_sop_script(c: &mut Criterion) {
                 let mut s = net.clone();
                 s.resubstitute();
                 s
+            })
+        });
+    }
+
+    // `eliminate`'s scoring complements every node read in negative
+    // phase: complement each cover of up to 24 cubes (its cap) that the
+    // first `eliminate` + `simplify` leave
+    for name in ["f51m", "5xp1", "sqr6"] {
+        let spec = xsynth_circuits::build(name).expect("registered");
+        let mut net = SopNet::from_network(&spec.sweep());
+        net.eliminate(4, 256);
+        net.simplify();
+        let covers: Vec<Sop> = net
+            .live_signals()
+            .into_iter()
+            .filter_map(|sig| net.cover(sig).cloned())
+            .filter(|c| c.num_cubes() <= 24)
+            .collect();
+        c.bench_function(format!("sop_complement_{name}"), |b| {
+            b.iter(|| covers.iter().map(Sop::complement).collect::<Vec<_>>())
+        });
+    }
+
+    // the FPRM flow's sharing pass, step for step, on what its
+    // factoring phase leaves for three arithmetic functions
+    let opts = SynthOptions::builder()
+        .share(false)
+        .redundancy_removal(false)
+        .build();
+    let arith = [
+        mul_4x4_k3(),
+        two_level(
+            "absdiff_4x4",
+            &word_function(8, 4, |m| (m & 15).abs_diff(m >> 4)),
+        ),
+        two_level("mod7_w7", &word_function(7, 3, |m| m % 7)),
+    ];
+    for spec in &arith {
+        let net = try_synthesize(spec, &opts).expect("synthesizes").network;
+        c.bench_function(format!("sop_share_{}", spec.name()), |b| {
+            b.iter(|| {
+                let mut s = SopNet::from_network(&net);
+                s.eliminate(0, 16);
+                s.resubstitute();
+                s.extract(128);
+                s.eliminate(0, 16);
+                s.to_network()
             })
         });
     }

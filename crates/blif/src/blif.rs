@@ -674,6 +674,7 @@ impl Labels {
             taken.dedup();
             labels.rename(&taken, &generated);
         }
+        labels.separate_outputs(net, order);
         labels
     }
 
@@ -714,6 +715,49 @@ impl Labels {
                 fresh.push((p, relabel));
             }
         }
+        for (p, relabel) in fresh {
+            let start = self.text.len();
+            self.text.push_str(&relabel);
+            self.spans[p] = Some((start, self.text.len()));
+        }
+    }
+
+    /// Gives each output whose label is a named node's but which reads
+    /// another signal (a BLIF signal has one driver, so `.names <g> a`
+    /// after `.inputs a` does not read back) the first `<label>_<k>` no
+    /// position or earlier such label uses, in output order, as
+    /// [`Labels::separate_names`] does. The named nodes' labels are
+    /// sorted once, only when some output reads a node of another label.
+    fn separate_outputs(&mut self, net: &Network, order: &[SignalId]) {
+        let n = self.num_nodes;
+        let outputs = net.outputs();
+        let mut reading_other: Vec<usize> = (0..outputs.len())
+            .filter(|&j| self.at(n + j) != self.at(outputs[j].1.index()))
+            .collect();
+        if reading_other.is_empty() {
+            return;
+        }
+        let fresh: Vec<(usize, String)> = {
+            let mut named: Vec<&str> = (net.inputs().iter().chain(order))
+                .filter(|&&id| net.node_name(id).is_some())
+                .filter_map(|&id| self.at(id.index()))
+                .collect();
+            named.sort_unstable();
+            reading_other.retain(|&j| named.binary_search(&self.output(j)).is_ok());
+            let mut used: Vec<&str> = (0..self.spans.len()).filter_map(|p| self.at(p)).collect();
+            used.sort_unstable();
+            let mut fresh: Vec<(usize, String)> = Vec::new();
+            for j in reading_other {
+                let relabel = (1..)
+                    .map(|k| format!("{}_{k}", self.output(j)))
+                    .find(|l| {
+                        used.binary_search(&l.as_str()).is_err() && fresh.iter().all(|f| f.1 != *l)
+                    })
+                    .expect("a free label");
+                fresh.push((n + j, relabel));
+            }
+            fresh
+        };
         for (p, relabel) in fresh {
             let start = self.text.len();
             self.text.push_str(&relabel);
@@ -951,6 +995,43 @@ mod tests {
         }
         // the pre-fix writer gave both inputs one label
         assert!(oracle::parse_blif(&oracle::write_blif(&n)).is_err());
+    }
+
+    #[test]
+    fn outputs_named_like_an_input_they_do_not_read_get_labels_of_their_own() {
+        // output `a` reads `a·b`, output `b` reads input `b`; then inputs
+        // `n3`/`x` and outputs `n3`, reading gate 3, whose `n3` the input
+        // takes, and `x`, reading input `n3`
+        let mut n = Network::new("twins");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::And, vec![a, b]);
+        n.add_output("a", g);
+        n.add_output("b", b);
+        let text = write_blif(&n);
+        assert!(
+            text.contains(".outputs a_1 b\n.names a b n2\n11 1\n.names n2 a_1\n"),
+            "{text}"
+        );
+        // the old writer's `.names n2 a` redefines input `a`
+        assert!(parse_blif(&oracle::write_blif(&n)).is_err());
+        let mut m = Network::new("twins");
+        let n3 = m.add_input("n3");
+        let x = m.add_input("x");
+        let xor = m.add_gate(GateKind::Xor, vec![n3, x]);
+        let g = m.add_gate(GateKind::Not, vec![xor]);
+        assert_eq!(g.index(), 3);
+        m.add_output("n3", g);
+        m.add_output("x", n3);
+        let text = write_blif(&m);
+        assert!(text.contains(".outputs n3_2 x_1\n"), "{text}");
+        assert!(text.contains(".names n2 n3_1\n"), "{text}");
+        for (net, text) in [(&n, write_blif(&n)), (&m, text)] {
+            let back = parse_blif(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            for v in 0..4 {
+                assert_eq!(back.eval_u64(v), net.eval_u64(v), "at {v}\n{text}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! model, input and output names mix `n<digits>` (the writer's labels for
 //! unnamed gates), `#`, `\` and whitespace read back as the same function
 //! under the same (sanitized) names, where two different names that
-//! sanitize alike read back as two labels.
+//! sanitize alike read back as two labels, and an output named like an
+//! input it does not read back under a label of its own.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -50,17 +51,41 @@ fn fresh(code: u64, fallback: String, used: &mut HashSet<String>) -> String {
     chosen
 }
 
-/// The labels the writer gives `names`, the distinct input names then
-/// output names of a network without named gates: the first name of each
-/// sanitized form keeps it, each later one takes the first `<label>_<k>`
-/// that is no name's sanitized form and no earlier label.
-fn labels(names: &[String]) -> Vec<String> {
+/// The labels the writer gives the input names then output names of a
+/// network without named gates, where `reads[j]` is the input output `j`
+/// reads, if any: [`sanitized_labels`], then each output labelled like an
+/// input it does not read takes the first `<label>_<k>` no label uses.
+fn labels(names: &[String], reads: &[Option<usize>]) -> Vec<String> {
+    let mut out = sanitized_labels(names);
+    let inputs = names.len() - reads.len();
+    for (j, read) in reads.iter().enumerate() {
+        let label = &out[inputs + j];
+        let clash = (0..inputs).any(|i| out[i] == *label && Some(i) != *read);
+        if clash {
+            let relabel = (1..)
+                .map(|k| format!("{label}_{k}"))
+                .find(|l| !out.contains(l))
+                .expect("a free label");
+            out[inputs + j] = relabel;
+        }
+    }
+    out
+}
+
+/// The labels the writer gives `names`, the input names then output names
+/// of a network without named gates, before it separates outputs from
+/// inputs: the first name of each sanitized form keeps it, each later
+/// different name takes the first `<label>_<k>` that is no name's
+/// sanitized form and no earlier label, the same for all its positions.
+fn sanitized_labels(names: &[String]) -> Vec<String> {
     let forms: HashSet<String> = names.iter().map(|n| sanitized(n)).collect();
     let mut used = HashSet::new();
-    let mut out = Vec::new();
-    for name in names {
+    let mut out: Vec<String> = Vec::new();
+    for (p, name) in names.iter().enumerate() {
         let form = sanitized(name);
-        let label = if used.contains(&form) {
+        let label = if let Some(q) = names[..p].iter().position(|m| m == name) {
+            out[q].clone()
+        } else if used.contains(&form) {
             (1..)
                 .map(|k| format!("{form}_{k}"))
                 .find(|l| !forms.contains(l) && !used.contains(l))
@@ -103,9 +128,23 @@ proptest! {
                 .collect();
             nodes.push(net.add_gate(kind, fanins));
         }
+        // an output may take an input's name (`pick` bit 16), whether it
+        // reads that input or another signal; not an `n<digits>` name,
+        // whose `<label>_<k>` may be a renamed gate's label, which the
+        // model does not know
+        let mut reads = Vec::new();
+        let mut taken_by_output = HashSet::new();
         for (j, &(code, pick)) in outputs.iter().enumerate() {
-            let output = fresh(code, format!("out{j}"), &mut used);
-            net.add_output(output, nodes[pick as usize % nodes.len()]);
+            let node = nodes[pick as usize % nodes.len()];
+            let twin = net.node_name(nodes[(pick >> 17) as usize % inputs.len()]);
+            let twin = twin.filter(|t| pick >> 16 & 1 == 1 && !t.starts_with('n'));
+            let output = match twin {
+                Some(input) if !taken_by_output.contains(input) => input.to_string(),
+                _ => fresh(code, format!("out{j}"), &mut used),
+            };
+            taken_by_output.insert(output.clone());
+            reads.push(nodes[..inputs.len()].iter().position(|&i| i == node));
+            net.add_output(output, node);
         }
 
         let text = write_blif(&net);
@@ -115,7 +154,7 @@ proptest! {
             let inputs = n.inputs().iter().map(|&i| n.node_name(i).unwrap_or(""));
             inputs.chain(n.outputs().iter().map(|(o, _)| o.as_str())).map(String::from).collect()
         };
-        prop_assert_eq!(names(&back), labels(&names(&net)), "{}", text);
+        prop_assert_eq!(names(&back), labels(&names(&net), &reads), "{}", text);
         for m in 0..1u64 << inputs.len() {
             prop_assert_eq!(back.eval_u64(m), net.eval_u64(m), "at {}\n{}", m, text);
         }

@@ -8,6 +8,12 @@
 //! wall-clock sampling printed as mean/min per benchmark — no statistics
 //! engine, no HTML reports, but the numbers are honest monotonic-clock
 //! timings suitable for before/after comparisons on one machine.
+//!
+//! As with real criterion, the bench binary reads its arguments: a
+//! positional argument keeps only the benchmarks whose full name contains
+//! it, and `--test` runs each kept benchmark once, untimed, to show it
+//! does not panic. Other flags, such as the `--bench` cargo passes, are
+//! ignored.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,11 +67,17 @@ impl From<String> for BenchmarkId {
 pub struct Bencher {
     samples: Vec<Duration>,
     sample_size: usize,
+    test_mode: bool,
 }
 
 impl Bencher {
-    /// Runs `f` repeatedly, timing each call.
+    /// Runs `f` repeatedly, timing each call (once, untimed, under
+    /// `--test`).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        if self.test_mode {
+            black_box(f());
+            return;
+        }
         // one warmup call, then up to `sample_size` timed samples bounded
         // by a total measurement budget so huge circuits stay tractable
         black_box(f());
@@ -84,15 +96,36 @@ impl Bencher {
 
 /// The top-level harness.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    filter: Option<String>,
+    test_mode: bool,
+}
 
 impl Criterion {
+    /// Reads the bench binary's arguments: the first positional one is a
+    /// substring filter on full benchmark names, and `--test` runs each
+    /// benchmark once, untimed; other flags are ignored.
+    pub fn configure_from_args(self) -> Self {
+        self.configure_from(std::env::args().skip(1))
+    }
+
+    fn configure_from(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        for arg in args {
+            if arg == "--test" {
+                self.test_mode = true;
+            } else if !arg.starts_with('-') && self.filter.is_none() {
+                self.filter = Some(arg);
+            }
+        }
+        self
+    }
+
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -102,8 +135,47 @@ impl Criterion {
         id: impl Into<BenchmarkId>,
         f: F,
     ) -> &mut Self {
-        run_one(None, &id.into(), 10, f);
+        self.run_one(None, &id.into(), 10, f);
         self
+    }
+
+    fn run_one<F: FnMut(&mut Bencher)>(
+        &self,
+        group: Option<&str>,
+        id: &BenchmarkId,
+        sample_size: usize,
+        mut f: F,
+    ) {
+        let full = match group {
+            Some(g) => format!("{g}/{}", id.label),
+            None => id.label.clone(),
+        };
+        if self.filter.as_ref().is_some_and(|s| !full.contains(s)) {
+            return;
+        }
+        let mut b = Bencher {
+            samples: Vec::new(),
+            sample_size,
+            test_mode: self.test_mode,
+        };
+        if self.test_mode {
+            println!("Testing {full}");
+            f(&mut b);
+            println!("Success");
+            return;
+        }
+        f(&mut b);
+        if b.samples.is_empty() {
+            println!("{full:<48} (no samples)");
+            return;
+        }
+        let total: Duration = b.samples.iter().sum();
+        let mean = total / b.samples.len() as u32;
+        let min = b.samples.iter().min().expect("nonempty");
+        println!(
+            "{full:<48} mean {mean:>10.2?}  min {min:>10.2?}  ({} samples)",
+            b.samples.len()
+        );
     }
 }
 
@@ -112,7 +184,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -128,7 +200,8 @@ impl BenchmarkGroup<'_> {
         id: impl Into<BenchmarkId>,
         f: F,
     ) -> &mut Self {
-        run_one(Some(&self.name), &id.into(), self.sample_size, f);
+        self.criterion
+            .run_one(Some(&self.name), &id.into(), self.sample_size, f);
         self
     }
 
@@ -139,9 +212,10 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        run_one(Some(&self.name), &id.into(), self.sample_size, |b| {
-            f(b, input)
-        });
+        self.criterion
+            .run_one(Some(&self.name), &id.into(), self.sample_size, |b| {
+                f(b, input)
+            });
         self
     }
 
@@ -151,40 +225,12 @@ impl BenchmarkGroup<'_> {
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(
-    group: Option<&str>,
-    id: &BenchmarkId,
-    sample_size: usize,
-    mut f: F,
-) {
-    let mut b = Bencher {
-        samples: Vec::new(),
-        sample_size,
-    };
-    f(&mut b);
-    let full = match group {
-        Some(g) => format!("{g}/{}", id.label),
-        None => id.label.clone(),
-    };
-    if b.samples.is_empty() {
-        println!("{full:<48} (no samples)");
-        return;
-    }
-    let total: Duration = b.samples.iter().sum();
-    let mean = total / b.samples.len() as u32;
-    let min = b.samples.iter().min().expect("nonempty");
-    println!(
-        "{full:<48} mean {mean:>10.2?}  min {min:>10.2?}  ({} samples)",
-        b.samples.len()
-    );
-}
-
 /// Collects benchmark functions into one runnable group function.
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -219,5 +265,18 @@ mod tests {
     #[test]
     fn harness_runs() {
         benches();
+    }
+
+    #[test]
+    fn filter_and_test_mode_come_from_the_arguments() {
+        let args = ["--bench", "sop_", "--test", "other"].map(String::from);
+        let c = Criterion::default().configure_from(args);
+        assert_eq!(c.filter.as_deref(), Some("sop_"));
+        assert!(c.test_mode);
+        let mut runs = 0;
+        for id in ["sop_share_x", "isop_k6"] {
+            c.run_one(None, &id.into(), 10, |b| b.iter(|| runs += 1));
+        }
+        assert_eq!(runs, 1, "one untimed call, for the matching name only");
     }
 }

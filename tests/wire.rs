@@ -4,7 +4,9 @@
 //! `serve-arith` workload submits, and both flows' results, the reader
 //! builds the same network node for node and the writer writes the same
 //! bytes. A result whose inputs are named like the writer's gate labels
-//! reads back as the function it computes.
+//! reads back as the function it computes. Every flow result's text is
+//! pinned by an FNV-1a digest (`tests/data/blif_digests.txt`), so a
+//! rewrite of the synthesis code that changes any output byte fails here.
 
 use xsynth::blif::{parse_blif, write_blif};
 use xsynth::circuits::builders::{two_level, word_function};
@@ -168,4 +170,52 @@ fn results_over_inputs_named_like_gate_labels_read_back_exactly() {
     }
     // some of these results put a gate where an input's name points
     assert!(renamed > 0);
+}
+
+/// The 64-bit FNV-1a digest of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn flow_results_match_their_pinned_digests() {
+    let mut lines = Vec::new();
+    let mut pin = |what: String, net: &Network| {
+        lines.push(format!("{what} {:016x}", fnv1a(&write_blif(net))));
+    };
+    for b in registry() {
+        let spec = build(b.name).expect("registered");
+        let fprm = try_synthesize(&spec, &SynthOptions::default()).expect("synthesizes");
+        pin(format!("{} fprm", b.name), &fprm.network);
+        pin(
+            format!("{} sop", b.name),
+            &script_algebraic(&spec, &ScriptOptions::default()),
+        );
+    }
+    for spec in &arith_catalogue() {
+        let fprm = try_synthesize(spec, &SynthOptions::default()).expect("synthesizes");
+        pin(format!("{} fprm", spec.name()), &fprm.network);
+    }
+    let pinned: Vec<&str> = include_str!("data/blif_digests.txt").lines().collect();
+    assert_eq!(
+        lines.len(),
+        pinned.len(),
+        "the digests to pin:\n{}",
+        lines.join("\n")
+    );
+    let differ: Vec<String> = lines
+        .iter()
+        .zip(&pinned)
+        .filter(|(got, want)| got != want)
+        .map(|(got, want)| format!("got {got}, pinned {want}"))
+        .collect();
+    assert!(
+        differ.is_empty(),
+        "{} of {} digests differ:\n{}",
+        differ.len(),
+        lines.len(),
+        differ.join("\n")
+    );
 }
