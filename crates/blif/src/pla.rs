@@ -1,7 +1,7 @@
 //! Espresso PLA format reading and writing.
 
 use crate::ParseError;
-use xsynth_boolean::{Cube, Sop};
+use xsynth_boolean::Sop;
 use xsynth_net::{GateKind, Network, SignalId};
 
 /// A parsed two-level PLA description: one SOP cover per output over a
@@ -70,12 +70,12 @@ impl Pla {
             let mut cube_sigs = Vec::new();
             for cube in cover.cubes() {
                 let mut lits = Vec::new();
-                for v in cube.positive().iter() {
-                    lits.push(inputs[v]);
-                }
-                for v in cube.negative().iter() {
-                    let nv = net.add_gate(GateKind::Not, vec![inputs[v]]);
-                    lits.push(nv);
+                for (v, phase) in cube.literals() {
+                    lits.push(if phase {
+                        inputs[v]
+                    } else {
+                        net.add_gate(GateKind::Not, vec![inputs[v]])
+                    });
                 }
                 let c = match lits.len() {
                     0 => net.add_gate(GateKind::Const1, vec![]),
@@ -190,7 +190,8 @@ pub fn parse_pla(src: &str) -> Result<Pla, ParseError> {
         return Err(ParseError::new(0, ".ob arity mismatch"));
     }
 
-    let mut covers = vec![Sop::zero(); no];
+    let mut covers = vec![Sop::new(ni); no];
+    let mut cube = Sop::new(ni);
     for (lineno, inp, outp) in rows {
         if inp.len() != ni {
             return Err(ParseError::new(lineno, "input plane width mismatch"));
@@ -198,22 +199,17 @@ pub fn parse_pla(src: &str) -> Result<Pla, ParseError> {
         if outp.len() != no {
             return Err(ParseError::new(lineno, "output plane width mismatch"));
         }
-        let mut cube = Cube::universe();
-        for (v, c) in inp.chars().enumerate() {
-            match c {
-                '1' => {
-                    cube.add_literal(v, true);
-                }
-                '0' => {
-                    cube.add_literal(v, false);
-                }
-                '-' | '~' | '2' => {}
-                other => return Err(ParseError::new(lineno, format!("bad input char '{other}'"))),
-            }
+        if let Some(other) = inp.chars().find(|c| !"10-~2".contains(*c)) {
+            return Err(ParseError::new(lineno, format!("bad input char '{other}'")));
         }
+        let vars = |phase: char| {
+            (inp.chars().enumerate()).filter_map(move |(v, c)| (c == phase).then_some(v))
+        };
+        cube.clear();
+        cube.push_literals(vars('1'), vars('0'));
         for (o, c) in outp.chars().enumerate() {
             match c {
-                '1' | '4' => covers[o].cubes_mut().push(cube.clone()),
+                '1' | '4' => covers[o].push(cube.cube(0)),
                 '0' | '-' | '~' | '2' | '3' => {}
                 other => {
                     return Err(ParseError::new(

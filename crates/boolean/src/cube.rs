@@ -1,194 +1,168 @@
-//! Three-valued cubes (product terms) for SOP covers.
+//! Three-valued cubes (product terms): rows of a [`Sop`](crate::Sop).
 
-use crate::{TruthTable, VarSet};
+use crate::{mask_ones, TruthTable};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A product term over Boolean variables.
+/// A product term over Boolean variables: one row of a
+/// [`Sop`](crate::Sop), borrowed.
 ///
-/// Each variable is either absent, present in positive phase, or present in
-/// negative phase. Internally two [`VarSet`]s hold the positive and negative
-/// literals; the invariant `pos ∩ neg = ∅` is maintained by the constructors
-/// (a cube with both phases of a variable would be constant false, which is
-/// represented as an empty cover instead).
+/// The row holds the positive-literal words, then as many negative-literal
+/// words: bit `v` of the first half says `xv` is in the cube, bit `v` of
+/// the second half says `¬xv` is. No variable is in both halves. Two cubes
+/// compare, hash and order as the literal sets they hold, whatever their
+/// widths: rows order as their positive words, then their negative words,
+/// each read as a sequence of integers.
 ///
 /// # Examples
 ///
 /// ```
-/// use xsynth_boolean::Cube;
+/// use xsynth_boolean::Sop;
 ///
 /// // x0 & !x2
-/// let c = Cube::new([0], [2]).unwrap();
+/// let f = Sop::from_literals([([0], [2])]).unwrap();
+/// let c = f.cube(0);
 /// assert!(c.eval(0b001));
 /// assert!(!c.eval(0b101));
 /// assert!(!c.eval(0b000));
+/// assert_eq!(c.to_string(), "x0·¬x2");
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Cube {
-    pos: VarSet,
-    neg: VarSet,
+#[derive(Clone, Copy)]
+pub struct Cube<'a> {
+    row: &'a [u64],
 }
 
-impl Cube {
-    /// The universal cube (constant one).
-    pub fn universe() -> Self {
-        Cube::default()
+impl<'a> Cube<'a> {
+    pub(crate) fn new(row: &'a [u64]) -> Cube<'a> {
+        debug_assert!(row.len().is_multiple_of(2), "a row holds two halves");
+        Cube { row }
     }
 
-    /// Creates a cube from positive and negative literal sets.
-    ///
-    /// Returns `None` if a variable appears in both phases (an empty,
-    /// contradictory cube).
-    pub fn new<P, N>(pos: P, neg: N) -> Option<Self>
-    where
-        P: IntoIterator<Item = usize>,
-        N: IntoIterator<Item = usize>,
-    {
-        let pos = VarSet::from_vars(pos);
-        let neg = VarSet::from_vars(neg);
-        Cube::from_sets(pos, neg)
+    /// The positive-literal words.
+    pub fn positive(self) -> &'a [u64] {
+        &self.row[..self.row.len() / 2]
     }
 
-    /// Creates a cube from prebuilt literal sets; `None` on contradiction.
-    pub fn from_sets(pos: VarSet, neg: VarSet) -> Option<Self> {
-        if pos.is_disjoint(&neg) {
-            Some(Cube { pos, neg })
-        } else {
-            None
-        }
+    /// The negative-literal words.
+    pub fn negative(self) -> &'a [u64] {
+        &self.row[self.row.len() / 2..]
     }
 
-    /// A cube with the single literal `var` (positive if `phase`).
-    pub fn literal(var: usize, phase: bool) -> Self {
-        if phase {
-            Cube {
-                pos: VarSet::singleton(var),
-                neg: VarSet::new(),
-            }
-        } else {
-            Cube {
-                pos: VarSet::new(),
-                neg: VarSet::singleton(var),
-            }
-        }
-    }
-
-    /// The positive-phase literal set.
-    pub fn positive(&self) -> &VarSet {
-        &self.pos
-    }
-
-    /// The negative-phase literal set.
-    pub fn negative(&self) -> &VarSet {
-        &self.neg
-    }
-
-    /// The support (all variables mentioned).
-    pub fn support(&self) -> VarSet {
-        self.pos.union(&self.neg)
+    /// The literals, positive variables ascending, then negative ones.
+    pub fn literals(self) -> impl Iterator<Item = (usize, bool)> + 'a {
+        let pos = mask_ones(self.positive()).map(|v| (v, true));
+        pos.chain(mask_ones(self.negative()).map(|v| (v, false)))
     }
 
     /// Number of literals.
-    pub fn num_literals(&self) -> usize {
-        self.pos.len() + self.neg.len()
+    pub fn num_literals(self) -> usize {
+        self.row.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether this is the universal cube.
-    pub fn is_universe(&self) -> bool {
-        self.pos.is_empty() && self.neg.is_empty()
+    /// Whether this is the universal cube (no literal).
+    pub fn is_universe(self) -> bool {
+        self.row.iter().all(|&w| w == 0)
     }
 
     /// The phase of `var` in this cube: `Some(true)` positive,
     /// `Some(false)` negative, `None` absent.
-    pub fn phase(&self, var: usize) -> Option<bool> {
-        if self.pos.contains(var) {
+    pub fn phase(self, var: usize) -> Option<bool> {
+        let (w, bit) = (var / 64, 1u64 << (var % 64));
+        let has = |half: &[u64]| half.get(w).is_some_and(|x| x & bit != 0);
+        if has(self.positive()) {
             Some(true)
-        } else if self.neg.contains(var) {
+        } else if has(self.negative()) {
             Some(false)
         } else {
             None
         }
     }
 
-    /// Adds a literal; returns `false` (cube unchanged) if the opposite
-    /// phase is already present.
-    pub fn add_literal(&mut self, var: usize, phase: bool) -> bool {
-        let (mine, other) = if phase {
-            (&mut self.pos, &self.neg)
-        } else {
-            (&mut self.neg, &self.pos)
-        };
-        if other.contains(var) {
-            return false;
-        }
-        mine.insert(var);
-        true
-    }
-
-    /// Removes any literal of `var`; returns whether one was present.
-    pub fn remove_var(&mut self, var: usize) -> bool {
-        self.pos.remove(var) | self.neg.remove(var)
-    }
-
     /// Evaluates the cube on an input assignment (bit `i` = value of
     /// variable `i`).
-    pub fn eval(&self, minterm: u64) -> bool {
-        for v in self.pos.iter() {
-            if minterm & (1 << v) == 0 {
-                return false;
-            }
-        }
-        for v in self.neg.iter() {
-            if minterm & (1 << v) != 0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Cube intersection (AND); `None` if contradictory.
-    pub fn intersect(&self, other: &Cube) -> Option<Cube> {
-        Cube::from_sets(self.pos.union(&other.pos), self.neg.union(&other.neg))
+    pub fn eval(self, minterm: u64) -> bool {
+        // a row holds at least one word per phase; a variable past 63 is
+        // not an input of the minterm
+        let (pos, neg) = (self.positive(), self.negative());
+        let beyond = || pos[1..].iter().chain(&neg[1..]).all(|&w| w == 0);
+        pos[0] & !minterm == 0 && neg[0] & minterm == 0 && beyond()
     }
 
     /// Whether `self` implies `other` (`self`'s on-set ⊆ `other`'s), i.e.
     /// `other`'s literals ⊆ `self`'s.
-    pub fn implies(&self, other: &Cube) -> bool {
-        other.pos.is_subset(&self.pos) && other.neg.is_subset(&self.neg)
+    pub fn implies(self, other: Cube<'_>) -> bool {
+        let (p, n, q, m) = (
+            self.positive(),
+            self.negative(),
+            other.positive(),
+            other.negative(),
+        );
+        let k = p.len().min(q.len());
+        let (head, tail) = ((&p[..k], &n[..k], &q[..k], &m[..k]), (&q[k..], &m[k..]));
+        let (p, n, q, m) = head;
+        (0..k).all(|i| q[i] & !p[i] == 0 && m[i] & !n[i] == 0) && zero(tail.0) && zero(tail.1)
     }
 
     /// The number of variables on which the two cubes have opposite phases.
-    pub fn distance(&self, other: &Cube) -> usize {
-        self.pos.intersection_len(&other.neg) + self.neg.intersection_len(&other.pos)
+    pub fn distance(self, other: Cube<'_>) -> usize {
+        common_len(self.positive(), other.negative())
+            + common_len(self.negative(), other.positive())
     }
 
     /// The literal count of `self ∩ other` (the AND of the two cubes), or
     /// `None` if it is contradictory; nothing is built.
-    pub fn intersect_len(&self, other: &Cube) -> Option<usize> {
-        (self.distance(other) == 0).then(|| {
-            self.num_literals() + other.num_literals()
-                - self.pos.intersection_len(&other.pos)
-                - self.neg.intersection_len(&other.neg)
-        })
-    }
-
-    /// Algebraic cube division: `self / other`, defined when `other`'s
-    /// literals are a subset of `self`'s; the quotient drops them.
-    pub fn divide(&self, other: &Cube) -> Option<Cube> {
-        if other.pos.is_subset(&self.pos) && other.neg.is_subset(&self.neg) {
-            Some(Cube {
-                pos: self.pos.difference(&other.pos),
-                neg: self.neg.difference(&other.neg),
-            })
-        } else {
-            None
+    pub fn intersect_len(self, other: Cube<'_>) -> Option<usize> {
+        let (p, n, q, m) = (
+            self.positive(),
+            self.negative(),
+            other.positive(),
+            other.negative(),
+        );
+        let k = p.len().min(q.len());
+        let (mut clash, mut union) = (0, 0);
+        for i in 0..k {
+            clash |= (p[i] & m[i]) | (n[i] & q[i]);
+            union += (p[i] | q[i]).count_ones() + (n[i] | m[i]).count_ones();
         }
+        let tails = [&p[k..], &n[k..], &q[k..], &m[k..]];
+        union += tails
+            .iter()
+            .flat_map(|t| t.iter())
+            .map(|w| w.count_ones())
+            .sum::<u32>();
+        (clash == 0).then_some(union as usize)
     }
 
     /// Whether `self / d == other / e` for cubes `d` and `e` dividing
     /// `self` and `other`, compared without building either quotient.
-    pub fn same_quotient(&self, d: &Cube, other: &Cube, e: &Cube) -> bool {
-        self.pos.difference_eq(&d.pos, &other.pos, &e.pos)
-            && self.neg.difference_eq(&d.neg, &other.neg, &e.neg)
+    pub fn same_quotient(self, d: Cube<'_>, other: Cube<'_>, e: Cube<'_>) -> bool {
+        let (a, b, x, y) = (self.row, other.row, d.row, e.row);
+        if a.len() == b.len() && x.len() == y.len() {
+            // the quotients' words past the divisors' are the cubes' own
+            let (ha, hx) = (a.len() / 2, x.len() / 2);
+            let k = ha.min(hx);
+            return [(0, 0), (ha, hx)].into_iter().all(|(i, j)| {
+                let (a, b) = (&a[i..i + ha], &b[i..i + ha]);
+                let (x, y) = (&x[j..j + k], &y[j..j + k]);
+                (0..k).all(|w| a[w] & !x[w] == b[w] & !y[w]) && a[k..] == b[k..]
+            });
+        }
+        let h = self.positive().len().max(other.positive().len());
+        let at = |c: Cube<'_>, i: usize| (word(c.positive(), i), word(c.negative(), i));
+        (0..h).all(|i| {
+            let ((p, n), (q, m)) = (at(self, i), at(d, i));
+            let ((r, o), (s, t)) = (at(other, i), at(e, i));
+            p & !q == r & !s && n & !m == o & !t
+        })
+    }
+
+    /// The words per phase its literals take: past them both halves are
+    /// zero.
+    pub(crate) fn width(self) -> usize {
+        trimmed(self.positive())
+            .len()
+            .max(trimmed(self.negative()).len())
     }
 
     /// Converts to a truth table over `n` variables.
@@ -197,35 +171,86 @@ impl Cube {
     ///
     /// Panics if the cube mentions a variable `>= n` or `n` exceeds
     /// [`crate::MAX_TT_VARS`].
-    pub fn to_table(&self, n: usize) -> TruthTable {
+    pub fn to_table(self, n: usize) -> TruthTable {
         let mut t = TruthTable::one(n);
-        for v in self.pos.iter() {
-            t = t & TruthTable::var(n, v);
-        }
-        for v in self.neg.iter() {
-            t = t & !TruthTable::var(n, v);
+        for (v, phase) in self.literals() {
+            let x = TruthTable::var(n, v);
+            t = if phase { t & x } else { t & !x };
         }
         t
     }
 }
 
-impl fmt::Debug for Cube {
+/// `a`'s words without its trailing zero words.
+fn trimmed(a: &[u64]) -> &[u64] {
+    let len = a.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+    &a[..len]
+}
+
+/// Whether every word of `a` is zero.
+fn zero(a: &[u64]) -> bool {
+    a.iter().all(|&w| w == 0)
+}
+
+/// Word `i` of a literal half, zero past its end.
+pub(crate) fn word(half: &[u64], i: usize) -> u64 {
+    half.get(i).copied().unwrap_or(0)
+}
+
+/// `|a ∩ b|` of two bit sets.
+fn common_len(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
+}
+
+impl PartialEq for Cube<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.row == other.row
+            || (self.row.len() != other.row.len()
+                && trimmed(self.positive()) == trimmed(other.positive())
+                && trimmed(self.negative()) == trimmed(other.negative()))
+    }
+}
+
+impl Eq for Cube<'_> {}
+
+impl Hash for Cube<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for half in [self.positive(), self.negative()] {
+            let words = trimmed(half);
+            state.write_usize(words.len());
+            words.iter().for_each(|&w| state.write_u64(w));
+        }
+    }
+}
+
+impl PartialOrd for Cube<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cube<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let pos = trimmed(self.positive()).cmp(trimmed(other.positive()));
+        pos.then_with(|| trimmed(self.negative()).cmp(trimmed(other.negative())))
+    }
+}
+
+impl fmt::Debug for Cube<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Cube({self})")
     }
 }
 
-impl fmt::Display for Cube {
+impl fmt::Display for Cube<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_universe() {
             return write!(f, "1");
         }
-        let mut lits: Vec<(usize, bool)> = self
-            .pos
-            .iter()
-            .map(|v| (v, true))
-            .chain(self.neg.iter().map(|v| (v, false)))
-            .collect();
+        let mut lits: Vec<(usize, bool)> = self.literals().collect();
         lits.sort_unstable();
         for (i, (v, ph)) in lits.iter().enumerate() {
             if i > 0 {
@@ -243,59 +268,73 @@ impl fmt::Display for Cube {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Sop;
 
-    #[test]
-    fn literal_eval() {
-        let c = Cube::literal(2, false);
-        assert!(c.eval(0b000));
-        assert!(!c.eval(0b100));
+    fn cover(cubes: &[(&[usize], &[usize])]) -> Sop {
+        Sop::from_literals(
+            cubes
+                .iter()
+                .map(|&(p, n)| (p.iter().copied(), n.iter().copied())),
+        )
+        .expect("disjoint phases")
     }
 
     #[test]
-    fn contradiction_is_none() {
-        assert!(Cube::new([1], [1]).is_none());
-        let mut c = Cube::literal(1, true);
-        assert!(!c.add_literal(1, false));
-        assert_eq!(c, Cube::literal(1, true));
+    fn literal_eval() {
+        let f = Sop::literal(2, false);
+        assert!(f.cube(0).eval(0b000));
+        assert!(!f.cube(0).eval(0b100));
+        let wide = Sop::literal(70, true);
+        assert!(!wide.cube(0).eval(!0), "x70 is not an input of a minterm");
     }
 
     #[test]
     fn implies_and_distance() {
-        let ab = Cube::new([0, 1], []).unwrap();
-        let a = Cube::new([0], []).unwrap();
-        assert!(ab.implies(&a));
-        assert!(!a.implies(&ab));
-        let an = Cube::new([], [0]).unwrap();
-        assert_eq!(a.distance(&an), 1);
-        assert_eq!(ab.distance(&an), 1);
-        assert_eq!(a.distance(&ab), 0);
-        assert_eq!(a.intersect_len(&ab), Some(2));
-        assert_eq!(ab.intersect_len(&an), None);
-        assert_eq!(an.intersect_len(&Cube::new([2], [3]).unwrap()), Some(3));
+        let f = cover(&[(&[0, 1], &[]), (&[0], &[]), (&[], &[0]), (&[2], &[3])]);
+        let (ab, a, an, c) = (f.cube(0), f.cube(1), f.cube(2), f.cube(3));
+        assert!(ab.implies(a));
+        assert!(!a.implies(ab));
+        assert_eq!(a.distance(an), 1);
+        assert_eq!(ab.distance(an), 1);
+        assert_eq!(a.distance(ab), 0);
+        assert_eq!(a.intersect_len(ab), Some(2));
+        assert_eq!(ab.intersect_len(an), None);
+        assert_eq!(an.intersect_len(c), Some(3));
     }
 
     #[test]
-    fn division() {
-        let abc = Cube::new([0, 1], [2]).unwrap();
-        let b = Cube::new([1], []).unwrap();
-        let q = abc.divide(&b).unwrap();
-        assert_eq!(q, Cube::new([0], [2]).unwrap());
-        assert!(abc.divide(&Cube::new([3], []).unwrap()).is_none());
+    fn cubes_of_different_widths_compare_as_literal_sets() {
+        let narrow = cover(&[(&[0, 5], &[2])]);
+        let mut wide = cover(&[(&[0, 5], &[2]), (&[130], &[])]);
+        assert_eq!(narrow.cube(0), wide.cube(0));
+        // word 0 first: {x130} has none there
+        assert!(wide.cube(1) < narrow.cube(0));
+        assert!(wide.cube(0).implies(narrow.cube(0)));
+        assert!(!narrow.cube(0).implies(wide.cube(1)));
+        assert_eq!(narrow.cube(0).intersect_len(wide.cube(1)), Some(4));
+        wide.widen(300);
+        let hash = |f: &Sop| {
+            use std::hash::{Hash, Hasher};
+            let mut h = crate::FxHasher::default();
+            f.cube(0).hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&narrow), hash(&wide));
     }
 
     #[test]
     fn table_matches_eval() {
-        let c = Cube::new([0, 3], [2]).unwrap();
-        let t = c.to_table(4);
+        let f = cover(&[(&[0, 3], &[2])]);
+        let t = f.cube(0).to_table(4);
         for m in 0..16u64 {
-            assert_eq!(t.eval(m), c.eval(m));
+            assert_eq!(t.eval(m), f.cube(0).eval(m));
         }
     }
 
     #[test]
     fn universe_properties() {
-        let u = Cube::universe();
+        let one = Sop::one();
+        let u = one.cube(0);
         assert!(u.is_universe());
         assert_eq!(u.num_literals(), 0);
         assert!(u.eval(123 & 0x3f));

@@ -6,7 +6,8 @@
 //!
 //! * [`VarSet`] — compact variable sets,
 //! * [`TruthTable`] — bit-parallel complete truth tables,
-//! * [`Cube`] / [`Sop`] — three-valued cubes and sum-of-products covers,
+//! * [`Sop`] / [`Cube`] — sum-of-products covers stored as rows of literal
+//!   masks, and their cubes as borrowed rows,
 //! * [`Polarity`] / [`Fprm`] / [`Spectrum`] — fixed-polarity Reed-Muller
 //!   forms with the fast Davio transform, polarity search, and prime-cube
 //!   analysis,

@@ -1,10 +1,20 @@
-//! Sum-of-products covers.
+//! Sum-of-products covers, stored as rows of literal masks.
 
+use crate::cube::word;
 use crate::tt;
 use crate::{Cube, TruthTable, VarSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A sum-of-products (OR of cubes) cover of a Boolean function.
+///
+/// The cubes are fixed-stride rows of one buffer: each row holds its
+/// positive-literal words, then as many negative-literal words (see
+/// [`Cube`]), so building, copying and comparing cubes are word loops with
+/// no allocation per cube. Each cover has its own width (literals a row
+/// can hold): a cube appended widens it only as far as its literals need,
+/// and [`Sop::trim`] narrows it to the widest cube. Two covers compare and
+/// hash as their cube lists, whatever their widths.
 ///
 /// An empty cover is constant zero; a cover containing the universal cube is
 /// constant one.
@@ -12,22 +22,36 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use xsynth_boolean::{Cube, Sop};
+/// use xsynth_boolean::Sop;
 ///
 /// // f = x0·x1 + ¬x2
-/// let f = Sop::from_cubes([
-///     Cube::new([0, 1], []).unwrap(),
-///     Cube::new([], [2]).unwrap(),
-/// ]);
+/// let f = Sop::from_literals([(vec![0, 1], vec![]), (vec![], vec![2])]).unwrap();
 /// assert!(f.eval(0b011));
 /// assert!(!f.eval(0b100));
+/// assert_eq!(f.to_string(), "x0·x1 + ¬x2");
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Sop {
-    cubes: Vec<Cube>,
+    /// Words per phase: a row is `2 * half` words.
+    half: usize,
+    words: Vec<u64>,
+}
+
+impl Default for Sop {
+    fn default() -> Self {
+        Sop::new(0)
+    }
 }
 
 impl Sop {
+    /// An empty (constant-zero) cover whose rows hold variables `0..vars`.
+    pub fn new(vars: usize) -> Self {
+        Sop {
+            half: vars.div_ceil(64).max(1),
+            words: Vec::new(),
+        }
+    }
+
     /// The constant-zero cover.
     pub fn zero() -> Self {
         Sop::default()
@@ -35,16 +59,33 @@ impl Sop {
 
     /// The constant-one cover.
     pub fn one() -> Self {
-        Sop {
-            cubes: vec![Cube::universe()],
-        }
+        let mut s = Sop::zero();
+        s.push_words(1, |_| (0, 0));
+        s
     }
 
-    /// Builds a cover from cubes.
-    pub fn from_cubes<I: IntoIterator<Item = Cube>>(cubes: I) -> Self {
-        Sop {
-            cubes: cubes.into_iter().collect(),
+    /// The cover of the single literal `var` (positive if `phase`).
+    pub fn literal(var: usize, phase: bool) -> Self {
+        let mut s = Sop::new(var + 1);
+        s.push_literals(phase.then_some(var), (!phase).then_some(var));
+        s
+    }
+
+    /// Builds a cover from `(positive, negative)` variable lists, one per
+    /// cube; `None` if some cube has a variable in both phases.
+    pub fn from_literals<I, P, N>(cubes: I) -> Option<Self>
+    where
+        I: IntoIterator<Item = (P, N)>,
+        P: IntoIterator<Item = usize>,
+        N: IntoIterator<Item = usize>,
+    {
+        let mut s = Sop::zero();
+        for (pos, neg) in cubes {
+            if !s.push_literals(pos, neg) {
+                return None;
+            }
         }
+        Some(s)
     }
 
     /// Builds an irredundant-ish cover from a truth table: collects minterms,
@@ -52,68 +93,265 @@ impl Sop {
     /// This is not a minimum cover, only a reasonable starting cover.
     pub fn from_table(t: &TruthTable) -> Self {
         let n = t.num_vars();
-        let mut cubes: Vec<Cube> = Vec::new();
-        for m in 0..(1u64 << n) {
-            if t.eval(m) {
-                let pos = (0..n).filter(|v| m & (1 << v) != 0).collect::<VarSet>();
-                let neg = (0..n).filter(|v| m & (1 << v) == 0).collect::<VarSet>();
-                cubes.push(Cube::from_sets(pos, neg).expect("disjoint by construction"));
-            }
+        let mut s = Sop::new(n);
+        let all = (1u64 << n) - 1;
+        for m in (0..(1u64 << n)).filter(|&m| t.eval(m)) {
+            s.push_words(1, |_| (m, !m & all));
         }
-        let mut s = Sop { cubes };
         s.merge_distance1();
         s.remove_contained();
         s
     }
 
-    /// The cubes of the cover.
-    pub fn cubes(&self) -> &[Cube] {
-        &self.cubes
+    /// The number of variables a row holds (a multiple of 64).
+    pub fn vars(&self) -> usize {
+        64 * self.half
     }
 
-    /// Mutable access to the cubes.
-    pub fn cubes_mut(&mut self) -> &mut Vec<Cube> {
-        &mut self.cubes
+    /// Widens every row to hold variables `0..vars`, in place; a cover
+    /// already that wide is unchanged.
+    pub fn widen(&mut self, vars: usize) {
+        self.fit(vars.div_ceil(64));
+    }
+
+    /// Narrows the rows to the words per phase the widest cube needs.
+    pub fn trim(&mut self) {
+        let need = self.cubes().map(Cube::width).max().unwrap_or(0).max(1);
+        if need < self.half {
+            self.resize(need);
+        }
+    }
+
+    /// Widens the rows to at least `half` words per phase.
+    fn fit(&mut self, half: usize) {
+        if half > self.half {
+            self.resize(half);
+        }
+    }
+
+    /// Rewrites the rows `half` words per phase wide, dropping words past
+    /// that (which must be zero).
+    fn resize(&mut self, half: usize) {
+        let old = self.half;
+        let keep = old.min(half);
+        let mut words = vec![0; self.num_cubes() * 2 * half];
+        for (src, dst) in self
+            .words
+            .chunks_exact(2 * old)
+            .zip(words.chunks_exact_mut(2 * half))
+        {
+            dst[..keep].copy_from_slice(&src[..keep]);
+            dst[half..half + keep].copy_from_slice(&src[old..old + keep]);
+        }
+        self.half = half;
+        self.words = words;
+    }
+
+    /// Appends a cube whose positive and negative word `i` are `f(i)`, at
+    /// least `need` words per phase wide; `false` (nothing appended) if a
+    /// variable is in both phases.
+    fn push_words(&mut self, need: usize, f: impl Fn(usize) -> (u64, u64)) -> bool {
+        self.fit(need);
+        let h = self.half;
+        let start = self.words.len();
+        self.words.resize(start + 2 * h, 0);
+        let (pos, neg) = self.words[start..].split_at_mut(h);
+        let mut clash = 0;
+        for i in 0..h {
+            let (p, n) = f(i);
+            pos[i] = p;
+            neg[i] = n;
+            clash |= p & n;
+        }
+        if clash != 0 {
+            self.words.truncate(start);
+        }
+        clash == 0
+    }
+
+    /// Appends the cube of the `pos` and `neg` variables; `false` (nothing
+    /// appended) if a variable is in both.
+    pub fn push_literals<P, N>(&mut self, pos: P, neg: N) -> bool
+    where
+        P: IntoIterator<Item = usize>,
+        N: IntoIterator<Item = usize>,
+    {
+        self.push_words(1, |_| (0, 0));
+        let pos = pos.into_iter().map(|v| (v, true));
+        for (v, phase) in pos.chain(neg.into_iter().map(|v| (v, false))) {
+            // widening keeps the new row last
+            self.fit(v / 64 + 1);
+            let h = self.half;
+            let at = self.words.len() - 2 * h + if phase { 0 } else { h };
+            self.words[at + v / 64] |= 1 << (v % 64);
+        }
+        let h = self.half;
+        let start = self.words.len() - 2 * h;
+        let row = &self.words[start..];
+        let clash = (0..h).any(|i| row[i] & row[h + i] != 0);
+        if clash {
+            self.words.truncate(start);
+        }
+        !clash
+    }
+
+    /// Appends a copy of `c`.
+    pub fn push(&mut self, c: Cube<'_>) {
+        let (p, n) = (c.positive(), c.negative());
+        self.push_words(c.width(), |i| (word(p, i), word(n, i)));
+    }
+
+    /// Appends `a ∩ b` (the AND of the two cubes); `false` (nothing
+    /// appended) if it is contradictory.
+    pub fn push_product(&mut self, a: Cube<'_>, b: Cube<'_>) -> bool {
+        let (p, n, q, m) = (a.positive(), a.negative(), b.positive(), b.negative());
+        self.push_words(a.width().max(b.width()), |i| {
+            (word(p, i) | word(q, i), word(n, i) | word(m, i))
+        })
+    }
+
+    /// Appends `c / d`, `c` without `d`'s literals (algebraic cube
+    /// division when `d` divides `c`).
+    pub fn push_quotient(&mut self, c: Cube<'_>, d: Cube<'_>) {
+        let (p, n, q, m) = (c.positive(), c.negative(), d.positive(), d.negative());
+        self.push_words(c.width(), |i| {
+            (word(p, i) & !word(q, i), word(n, i) & !word(m, i))
+        });
+    }
+
+    /// Appends the literals `a` and `b` share (their common cube).
+    pub fn push_common(&mut self, a: Cube<'_>, b: Cube<'_>) {
+        let (p, n, q, m) = (a.positive(), a.negative(), b.positive(), b.negative());
+        self.push_words(a.width().min(b.width()), |i| {
+            (word(p, i) & word(q, i), word(n, i) & word(m, i))
+        });
+    }
+
+    /// Appends `c` with the literal `var` (positive if `phase`) added;
+    /// `false` (nothing appended) if `c` has its opposite.
+    pub fn push_with_literal(&mut self, c: Cube<'_>, var: usize, phase: bool) -> bool {
+        let (p, n) = (c.positive(), c.negative());
+        let (w, bit) = (var / 64, 1u64 << (var % 64));
+        let add = |i: usize, on: bool| if i == w && on { bit } else { 0 };
+        self.push_words(c.width().max(w + 1), |i| {
+            (word(p, i) | add(i, phase), word(n, i) | add(i, !phase))
+        })
+    }
+
+    /// Appends `c` without any literal of `var`.
+    pub fn push_without_var(&mut self, c: Cube<'_>, var: usize) {
+        let (p, n) = (c.positive(), c.negative());
+        let (w, bit) = (var / 64, 1u64 << (var % 64));
+        let keep = |i: usize| if i == w { !bit } else { !0 };
+        self.push_words(c.width(), |i| (word(p, i) & keep(i), word(n, i) & keep(i)));
+    }
+
+    /// Removes any literal of `var` from cube `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cover has at most `i` cubes.
+    pub fn clear_var(&mut self, i: usize, var: usize) {
+        let h = self.half;
+        let row = &mut self.words[i * 2 * h..(i + 1) * 2 * h];
+        if var / 64 < h {
+            let keep = !(1u64 << (var % 64));
+            row[var / 64] &= keep;
+            row[h + var / 64] &= keep;
+        }
+    }
+
+    /// Appends every cube of `other`.
+    pub fn append(&mut self, other: &Sop) {
+        self.fit(other.half);
+        if other.half == self.half {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            other.cubes().for_each(|c| self.push(c));
+        }
+    }
+
+    /// Removes every cube, keeping the width and the buffer.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// Keeps the cubes for which `keep` holds, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(Cube<'_>) -> bool) {
+        let stride = 2 * self.half;
+        let mut kept = 0;
+        for i in 0..self.num_cubes() {
+            if keep(self.cube(i)) {
+                self.words
+                    .copy_within(i * stride..(i + 1) * stride, kept * stride);
+                kept += 1;
+            }
+        }
+        self.words.truncate(kept * stride);
+    }
+
+    /// The cubes of the cover, in order.
+    pub fn cubes(&self) -> impl ExactSizeIterator<Item = Cube<'_>> + DoubleEndedIterator + Clone {
+        self.words.chunks_exact(2 * self.half).map(Cube::new)
+    }
+
+    /// Cube `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cover has at most `i` cubes.
+    pub fn cube(&self, i: usize) -> Cube<'_> {
+        let stride = 2 * self.half;
+        Cube::new(&self.words[i * stride..(i + 1) * stride])
     }
 
     /// Number of cubes.
     pub fn num_cubes(&self) -> usize {
-        self.cubes.len()
+        self.words.len() / (2 * self.half)
     }
 
     /// Total literal count.
     pub fn num_literals(&self) -> usize {
-        self.cubes.iter().map(Cube::num_literals).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the cover is syntactically constant zero (no cubes).
     pub fn is_zero(&self) -> bool {
-        self.cubes.is_empty()
+        self.words.is_empty()
     }
 
     /// Whether the cover syntactically contains the universal cube.
     pub fn has_universe(&self) -> bool {
-        self.cubes.iter().any(Cube::is_universe)
+        self.cubes().any(Cube::is_universe)
+    }
+
+    /// The support bits: word `i` is the OR of every cube's positive and
+    /// negative word `i`.
+    fn support_words(&self) -> Vec<u64> {
+        let h = self.half;
+        let mut sup = vec![0; h];
+        for row in self.words.chunks_exact(2 * h) {
+            for i in 0..h {
+                sup[i] |= row[i] | row[h + i];
+            }
+        }
+        sup
     }
 
     /// Union of all cube supports.
     pub fn support(&self) -> VarSet {
-        let mut s = VarSet::new();
-        for c in &self.cubes {
-            s.union_with(&c.support());
-        }
-        s
+        VarSet::from_words(self.support_words())
     }
 
     /// Evaluates on an input assignment.
     pub fn eval(&self, minterm: u64) -> bool {
-        self.cubes.iter().any(|c| c.eval(minterm))
+        self.cubes().any(|c| c.eval(minterm))
     }
 
     /// Converts to a truth table over `n` variables.
     pub fn to_table(&self, n: usize) -> TruthTable {
         let mut t = TruthTable::zero(n);
-        for c in &self.cubes {
+        for c in self.cubes() {
             t = t | c.to_table(n);
         }
         t
@@ -121,69 +359,87 @@ impl Sop {
 
     /// Cofactor of the cover with respect to literal (`var`, `phase`).
     pub fn cofactor(&self, var: usize, phase: bool) -> Sop {
-        let mut out = Vec::new();
-        for c in &self.cubes {
-            match c.phase(var) {
-                Some(p) if p != phase => {}
-                _ => {
-                    let mut c2 = c.clone();
-                    c2.remove_var(var);
-                    out.push(c2);
-                }
+        let mut out = Sop::zero();
+        for c in self.cubes() {
+            if c.phase(var).is_none_or(|p| p == phase) {
+                out.push_without_var(c, var);
             }
         }
-        Sop { cubes: out }
+        out
     }
 
-    /// Removes cubes contained in (implying) another cube of the cover.
+    /// Removes cubes contained in (implying) another cube of the cover:
+    /// each cube in turn is dropped if it implies a kept one, else the
+    /// kept ones it contains are dropped and it is kept.
     pub fn remove_contained(&mut self) {
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::new();
-        for c in cubes {
-            if kept.iter().any(|k| c.implies(k)) {
+        let stride = 2 * self.half;
+        // a cube's literals are a subset of another's only if the bits of
+        // its folded words are: most pairs of a wide cover fail on these
+        let mut folds: Vec<u64> = self.cubes().map(fold).collect();
+        let mut kept = 0;
+        for i in 0..folds.len() {
+            let (c, ci) = (self.cube(i), folds[i]);
+            if (0..kept).any(|k| folds[k] & !ci == 0 && c.implies(self.cube(k))) {
                 continue; // c is covered by an already-kept cube
             }
-            kept.retain(|k| !k.implies(&c));
-            kept.push(c);
+            let mut still = 0;
+            for k in 0..kept {
+                let contains = ci & !folds[k] == 0 && self.cube(k).implies(self.cube(i));
+                if !contains {
+                    if still != k {
+                        self.words
+                            .copy_within(k * stride..(k + 1) * stride, still * stride);
+                        folds[still] = folds[k];
+                    }
+                    still += 1;
+                }
+            }
+            if still != i {
+                self.words
+                    .copy_within(i * stride..(i + 1) * stride, still * stride);
+                folds[still] = ci;
+            }
+            kept = still + 1;
         }
-        self.cubes = kept;
+        self.words.truncate(kept * stride);
     }
 
     /// Repeatedly merges pairs of cubes that differ in exactly one
-    /// variable's phase and agree elsewhere (`a·x + a·¬x = a`).
+    /// variable's phase and agree elsewhere (`a·x + a·¬x = a`): in each
+    /// pass, each cube in order merges with the next later same-support
+    /// cube at distance 1, and a merged cube waits for the next pass.
     pub fn merge_distance1(&mut self) {
+        let h = self.half;
+        let stride = 2 * h;
         let mut changed = true;
         while changed {
             changed = false;
-            // bucket cubes by support so only same-support pairs are tried
-            let mut buckets: crate::FxHashMap<crate::VarSet, Vec<usize>> =
-                crate::FxHashMap::default();
-            for (i, c) in self.cubes.iter().enumerate() {
-                buckets.entry(c.support()).or_default().push(i);
-            }
-            let mut dead = vec![false; self.cubes.len()];
-            // a merged cube leaves its support bucket: freeze it until the
-            // next pass rebuilds the buckets
-            let mut dirty = vec![false; self.cubes.len()];
-            for idxs in buckets.values() {
-                for (a_pos, &i) in idxs.iter().enumerate() {
-                    if dead[i] || dirty[i] {
-                        continue;
-                    }
-                    for &j in &idxs[a_pos + 1..] {
+            let n = self.num_cubes();
+            // only same-support pairs can merge: visit them grouped by
+            // support, each group in cube order
+            let supports: Vec<u64> = self
+                .words
+                .chunks_exact(stride)
+                .flat_map(|r| (0..h).map(move |i| r[i] | r[h + i]))
+                .collect();
+            let support = |i: usize| &supports[i * h..(i + 1) * h];
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| support(a).cmp(support(b)));
+            let mut dead = vec![false; n];
+            let mut dirty = vec![false; n];
+            for group in order.chunk_by(|&a, &b| support(a) == support(b)) {
+                for (at, &i) in group.iter().enumerate() {
+                    for &j in &group[at + 1..] {
                         if dead[i] || dirty[i] || dead[j] || dirty[j] {
                             continue;
                         }
-                        let (a, b) = (&self.cubes[i], &self.cubes[j]);
+                        let (a, b) = (self.cube(i), self.cube(j));
                         if a.distance(b) == 1 {
-                            let d = a
-                                .positive()
-                                .intersection(b.negative())
-                                .union(&a.negative().intersection(b.positive()));
-                            let v = d.min_var().expect("distance 1 has a clash var");
-                            let mut m = a.clone();
-                            m.remove_var(v);
-                            self.cubes[i] = m;
+                            let (p, q) = (a.positive(), b.positive());
+                            let w = (0..h).find(|&w| p[w] != q[w]).expect("a clash word");
+                            let bit = 1u64 << (p[w] ^ q[w]).trailing_zeros();
+                            self.words[i * stride + w] &= !bit;
+                            self.words[i * stride + h + w] &= !bit;
                             dead[j] = true;
                             dirty[i] = true;
                             changed = true;
@@ -193,7 +449,7 @@ impl Sop {
             }
             if changed {
                 let mut keep = dead.iter().map(|d| !d);
-                self.cubes.retain(|_| keep.next().expect("mask length"));
+                self.retain(|_| keep.next().expect("mask length"));
             }
         }
     }
@@ -204,36 +460,21 @@ impl Sop {
         if self.has_universe() {
             return true;
         }
-        if self.cubes.is_empty() {
+        if self.is_zero() {
             return false;
         }
         // unate test: if some variable appears in only one phase, cubes
         // containing it can never cover the opposite half alone.
-        let sup = self.support();
         let mut split_var = None;
         let mut best = usize::MAX;
-        for v in sup.iter() {
-            let pos = self
-                .cubes
-                .iter()
-                .filter(|c| c.phase(v) == Some(true))
-                .count();
-            let neg = self
-                .cubes
-                .iter()
-                .filter(|c| c.phase(v) == Some(false))
-                .count();
+        for v in crate::mask_ones(&self.support_words()) {
+            let pos = self.cubes().filter(|c| c.phase(v) == Some(true)).count();
+            let neg = self.cubes().filter(|c| c.phase(v) == Some(false)).count();
             if pos == 0 || neg == 0 {
                 // unate in v: drop all cubes with a literal of v; the cover
                 // is a tautology iff the reduced cover is.
-                let reduced = Sop {
-                    cubes: self
-                        .cubes
-                        .iter()
-                        .filter(|c| c.phase(v).is_none())
-                        .cloned()
-                        .collect(),
-                };
+                let mut reduced = self.clone();
+                reduced.retain(|c| c.phase(v).is_none());
                 return reduced.is_tautology();
             }
             let cost = pos.abs_diff(neg);
@@ -253,44 +494,32 @@ impl Sop {
     /// Complement of the cover via Shannon expansion. Suitable for the small
     /// node functions handled during synthesis, not for huge covers.
     pub fn complement(&self) -> Sop {
-        if self.cubes.is_empty() {
+        if self.is_zero() {
             return Sop::one();
         }
         if self.has_universe() {
             return Sop::zero();
         }
-        if self.cubes.len() == 1 {
+        let mut out = Sop::zero();
+        if self.num_cubes() == 1 {
             // De Morgan on a single cube.
-            let c = &self.cubes[0];
-            let mut out = Vec::new();
-            for v in c.positive().iter() {
-                out.push(Cube::literal(v, false));
+            let c = self.cube(0);
+            for (v, phase) in c.literals() {
+                out.push_literals((!phase).then_some(v), phase.then_some(v));
             }
-            for v in c.negative().iter() {
-                out.push(Cube::literal(v, true));
-            }
-            return Sop { cubes: out };
+            return out;
         }
         let v = self
             .most_binate_var()
             .expect("non-constant cover has a variable");
-        let c0 = self.cofactor(v, false).complement();
-        let c1 = self.cofactor(v, true).complement();
-        let mut cubes = Vec::new();
-        for c in c0.cubes {
-            if let Some(cc) = c.intersect(&Cube::literal(v, false)) {
-                cubes.push(cc);
+        for phase in [false, true] {
+            for c in self.cofactor(v, phase).complement().cubes() {
+                out.push_with_literal(c, v, phase);
             }
         }
-        for c in c1.cubes {
-            if let Some(cc) = c.intersect(&Cube::literal(v, true)) {
-                cubes.push(cc);
-            }
-        }
-        let mut s = Sop { cubes };
-        s.remove_contained();
-        s.merge_distance1();
-        s
+        out.remove_contained();
+        out.merge_distance1();
+        out
     }
 
     /// Computes an irredundant sum-of-products cover of `t` with the
@@ -310,6 +539,17 @@ impl Sop {
     /// assert_eq!(cover.to_table(3), maj);
     /// ```
     pub fn isop(t: &TruthTable) -> Sop {
+        let vars: Vec<usize> = (0..t.num_vars()).collect();
+        Sop::isop_over(t, &vars)
+    }
+
+    /// [`Sop::isop`] of `t` with input `b` of the table renamed variable
+    /// `vars[b]`: the inverse of [`Sop::table_over`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` has fewer entries than `t` has inputs.
+    pub fn isop_over(t: &TruthTable, vars: &[usize]) -> Sop {
         let n = t.num_vars();
         let w = t.words().len();
         let mut cover = vec![0; w];
@@ -326,12 +566,12 @@ impl Sop {
             &mut scratch,
             &mut cubes,
         );
-        let set = |bits: u32| VarSet::from_vars((0..n).filter(|&v| bits >> v & 1 != 0));
-        Sop::from_cubes(
-            cubes
-                .into_iter()
-                .map(|(pos, neg)| Cube::from_sets(set(pos), set(neg)).expect("disjoint phases")),
-        )
+        let mut out = Sop::new(vars[..n].iter().max().map_or(0, |&v| v + 1));
+        let lits = |bits: u32| (0..n).filter(move |&b| bits >> b & 1 != 0).map(|b| vars[b]);
+        for (pos, neg) in cubes {
+            out.push_literals(lits(pos), lits(neg));
+        }
+        out
     }
 
     /// The table of the cover over the inputs `vars`: input `b` of the
@@ -350,13 +590,10 @@ impl Sop {
                 .position(|&x| x == v)
                 .expect("every variable of the cover is in `vars`")
         };
-        for c in &self.cubes {
+        for c in self.cubes() {
             cube.fill(!0);
-            for v in c.positive().iter() {
-                tt::words::and_literal(&mut cube, input(v), true);
-            }
-            for v in c.negative().iter() {
-                tt::words::and_literal(&mut cube, input(v), false);
+            for (v, phase) in c.literals() {
+                tt::words::and_literal(&mut cube, input(v), phase);
             }
             for (t, c) in table.iter_mut().zip(&cube) {
                 *t |= c;
@@ -365,11 +602,22 @@ impl Sop {
         TruthTable::from_words(n, table)
     }
 
-    /// The variable occurring in the most cubes (ties broken by index).
+    /// The variable occurring in the most cubes (ties to the highest index).
     pub fn most_binate_var(&self) -> Option<usize> {
-        let sup = self.support();
-        sup.iter()
-            .max_by_key(|&v| self.cubes.iter().filter(|c| c.phase(v).is_some()).count())
+        let h = self.half;
+        let mut best: Option<(usize, usize)> = None;
+        for v in crate::mask_ones(&self.support_words()) {
+            let (w, bit) = (v / 64, 1u64 << (v % 64));
+            let count = self
+                .words
+                .chunks_exact(2 * h)
+                .filter(|r| (r[w] | r[h + w]) & bit != 0)
+                .count();
+            if best.is_none_or(|(_, c)| count >= c) {
+                best = Some((v, count));
+            }
+        }
+        best.map(|(v, _)| v)
     }
 }
 
@@ -453,15 +701,45 @@ fn isop_rec(
     }
 }
 
-impl FromIterator<Cube> for Sop {
-    fn from_iter<I: IntoIterator<Item = Cube>>(iter: I) -> Self {
-        Sop::from_cubes(iter)
+/// The OR of a cube's positive words and, rotated by 32, its negative
+/// words: if `a`'s literals are a subset of `b`'s, `fold(a)`'s bits are of
+/// `fold(b)`'s.
+fn fold(c: Cube<'_>) -> u64 {
+    let pos = c.positive().iter().fold(0, |acc, w| acc | w);
+    c.negative()
+        .iter()
+        .fold(pos, |acc, w| acc | w.rotate_left(32))
+}
+
+impl<'a> FromIterator<Cube<'a>> for Sop {
+    fn from_iter<I: IntoIterator<Item = Cube<'a>>>(iter: I) -> Self {
+        let mut s = Sop::zero();
+        s.extend(iter);
+        s
     }
 }
 
-impl Extend<Cube> for Sop {
-    fn extend<I: IntoIterator<Item = Cube>>(&mut self, iter: I) {
-        self.cubes.extend(iter);
+impl<'a> Extend<Cube<'a>> for Sop {
+    fn extend<I: IntoIterator<Item = Cube<'a>>>(&mut self, iter: I) {
+        iter.into_iter().for_each(|c| self.push(c));
+    }
+}
+
+impl PartialEq for Sop {
+    fn eq(&self, other: &Self) -> bool {
+        if self.half == other.half {
+            return self.words == other.words;
+        }
+        self.num_cubes() == other.num_cubes() && self.cubes().eq(other.cubes())
+    }
+}
+
+impl Eq for Sop {}
+
+impl Hash for Sop {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.num_cubes());
+        self.cubes().for_each(|c| c.hash(state));
     }
 }
 
@@ -473,10 +751,10 @@ impl fmt::Debug for Sop {
 
 impl fmt::Display for Sop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.cubes.is_empty() {
+        if self.is_zero() {
             return write!(f, "0");
         }
-        for (i, c) in self.cubes.iter().enumerate() {
+        for (i, c) in self.cubes().enumerate() {
             if i > 0 {
                 write!(f, " + ")?;
             }
@@ -490,8 +768,17 @@ impl fmt::Display for Sop {
 mod tests {
     use super::*;
 
+    fn cover(cubes: &[(&[usize], &[usize])]) -> Sop {
+        Sop::from_literals(
+            cubes
+                .iter()
+                .map(|&(p, n)| (p.iter().copied(), n.iter().copied())),
+        )
+        .expect("disjoint phases")
+    }
+
     fn xor2() -> Sop {
-        Sop::from_cubes([Cube::new([0], [1]).unwrap(), Cube::new([1], [0]).unwrap()])
+        cover(&[(&[0], &[1]), (&[1], &[0])])
     }
 
     #[test]
@@ -513,11 +800,7 @@ mod tests {
 
     #[test]
     fn complement_is_complement() {
-        let f = Sop::from_cubes([
-            Cube::new([0, 1], []).unwrap(),
-            Cube::new([2], [0]).unwrap(),
-            Cube::new([], [1, 3]).unwrap(),
-        ]);
+        let f = cover(&[(&[0, 1], &[]), (&[2], &[0]), (&[], &[1, 3])]);
         let g = f.complement();
         let (tf, tg) = (f.to_table(4), g.to_table(4));
         assert_eq!(tg, !tf);
@@ -531,30 +814,21 @@ mod tests {
 
     #[test]
     fn tautology() {
-        let t = Sop::from_cubes([Cube::literal(0, true), Cube::literal(0, false)]);
+        let t = cover(&[(&[0], &[]), (&[], &[0])]);
         assert!(t.is_tautology());
         assert!(!xor2().is_tautology());
         assert!(Sop::one().is_tautology());
         assert!(!Sop::zero().is_tautology());
         // x0 + ¬x0·x1 + ¬x1 is a tautology
-        let t2 = Sop::from_cubes([
-            Cube::new([0], []).unwrap(),
-            Cube::new([1], [0]).unwrap(),
-            Cube::new([], [1]).unwrap(),
-        ]);
+        let t2 = cover(&[(&[0], &[]), (&[1], &[0]), (&[], &[1])]);
         assert!(t2.is_tautology());
     }
 
     #[test]
     fn contained_cubes_removed() {
-        let mut s = Sop::from_cubes([
-            Cube::new([0], []).unwrap(),
-            Cube::new([0, 1], []).unwrap(),
-            Cube::new([0], []).unwrap(),
-        ]);
+        let mut s = cover(&[(&[0], &[]), (&[0, 1], &[]), (&[0], &[])]);
         s.remove_contained();
-        assert_eq!(s.num_cubes(), 1);
-        assert_eq!(s.cubes()[0], Cube::new([0], []).unwrap());
+        assert_eq!(s, cover(&[(&[0], &[])]));
     }
 
     #[test]
@@ -609,19 +883,15 @@ mod tests {
             let d0 = &l0 & &!&cov0;
             let d1 = &l1 & &!&cov1;
             let cstar = rec(&(&d0 | &d1), &(&u0 & &u1), rest);
-            let mut cubes = Vec::new();
+            let mut cubes = Sop::zero();
             for c in c0.cubes() {
-                let mut c = c.clone();
-                c.add_literal(x, false);
-                cubes.push(c);
+                cubes.push_with_literal(c, x, false);
             }
             for c in c1.cubes() {
-                let mut c = c.clone();
-                c.add_literal(x, true);
-                cubes.push(c);
+                cubes.push_with_literal(c, x, true);
             }
-            cubes.extend(cstar.cubes().iter().cloned());
-            Sop::from_cubes(cubes)
+            cubes.append(&cstar);
+            cubes
         }
         let vars: Vec<usize> = (0..t.num_vars()).collect();
         rec(t, t, &vars)
@@ -645,7 +915,7 @@ mod tests {
                 (rng >> 33) % 8 < density + u64::from(density == 7)
             });
             let cover = Sop::isop(&t);
-            proptest::prop_assert_eq!(cover.cubes(), isop_reference(&t).cubes());
+            proptest::prop_assert_eq!(&cover, &isop_reference(&t));
             proptest::prop_assert_eq!(cover.to_table(n), t);
         }
 
@@ -664,21 +934,15 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 (rng >> 33) % k
             };
-            let f = Sop::from_cubes((0..cubes).map(|_| {
-                let mut c = Cube::universe();
-                for &v in &vars {
-                    match next(3) {
-                        0 => {}
-                        p => {
-                            c.add_literal(v, p == 1);
-                        }
-                    }
-                }
-                c
-            }));
+            let f = Sop::from_literals((0..cubes).map(|_| {
+                let phases: Vec<(usize, u64)> = vars.iter().map(|&v| (v, next(3))).collect();
+                let with = |p: u64| phases.iter().filter(move |x| x.1 == p).map(|x| x.0);
+                (with(1).collect::<Vec<_>>(), with(2).collect::<Vec<_>>())
+            }))
+            .expect("one phase per variable");
             let t = f.table_over(&vars);
             for m in 0..(1u64 << vars.len()) {
-                let on = f.cubes().iter().any(|c| {
+                let on = f.cubes().any(|c| {
                     vars.iter().enumerate().all(|(b, &v)| match c.phase(v) {
                         None => true,
                         Some(ph) => ph == (m >> b & 1 != 0),

@@ -56,6 +56,13 @@ impl VarSet {
         s
     }
 
+    /// The set whose bit `v % 64` of word `v / 64` says `v` is in it.
+    pub(crate) fn from_words(words: Vec<u64>) -> Self {
+        let mut s = VarSet { words };
+        s.normalize();
+        s
+    }
+
     fn normalize(&mut self) {
         while let Some(&w) = self.words.last() {
             if w == 0 {

@@ -1,6 +1,6 @@
 //! Shared construction helpers for benchmark circuits.
 
-use xsynth_boolean::{Sop, TruthTable};
+use xsynth_boolean::{mask_ones, Sop, TruthTable};
 use xsynth_net::{GateKind, Network, SignalId};
 
 /// Builds a flat two-level (PLA-style) network from per-output truth
@@ -21,10 +21,10 @@ pub fn two_level(name: &str, tables: &[TruthTable]) -> Network {
         let mut cube_sigs = Vec::new();
         for cube in cover.cubes() {
             let mut lits = Vec::new();
-            for v in cube.positive().iter() {
+            for v in mask_ones(cube.positive()) {
                 lits.push(inputs[v]);
             }
-            for v in cube.negative().iter() {
+            for v in mask_ones(cube.negative()) {
                 let sig = match not_cache[v] {
                     Some(s) => s,
                     None => {

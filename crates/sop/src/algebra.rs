@@ -1,7 +1,7 @@
 //! Algebraic (weak) division, kernel extraction and factoring over
 //! sum-of-products covers — the Brayton–McMullen toolbox behind MIS/SIS.
 
-use xsynth_boolean::{Cube, Sop, VarSet};
+use xsynth_boolean::{mask_ones, Cube, Sop};
 
 /// Weak (algebraic) division `f / d`, returning `(quotient, remainder)`
 /// with `f = quotient·d + remainder` and the quotient maximal.
@@ -9,16 +9,13 @@ use xsynth_boolean::{Cube, Sop, VarSet};
 /// # Examples
 ///
 /// ```
-/// use xsynth_boolean::{Cube, Sop};
+/// use xsynth_boolean::Sop;
 /// use xsynth_sop::algebra::divide;
 ///
 /// // f = a·c + b·c + d ; d0 = a + b  →  q = c, r = d
-/// let f = Sop::from_cubes([
-///     Cube::new([0, 2], []).unwrap(),
-///     Cube::new([1, 2], []).unwrap(),
-///     Cube::new([3], []).unwrap(),
-/// ]);
-/// let d = Sop::from_cubes([Cube::new([0], []).unwrap(), Cube::new([1], []).unwrap()]);
+/// let f = Sop::from_literals([(vec![0, 2], vec![]), (vec![1, 2], vec![]), (vec![3], vec![])]);
+/// let d = Sop::from_literals([([0], []), ([1], [])]);
+/// let (f, d) = (f.unwrap(), d.unwrap());
 /// let (q, r) = divide(&f, &d);
 /// assert_eq!(q.num_cubes(), 1);
 /// assert_eq!(r.num_cubes(), 1);
@@ -27,64 +24,57 @@ pub fn divide(f: &Sop, d: &Sop) -> (Sop, Sop) {
     if d.is_zero() {
         return (Sop::zero(), f.clone());
     }
-    let mut quotient: Option<Vec<Cube>> = None;
+    let mut quotient: Option<Sop> = None;
+    let mut qi = Sop::zero();
     for di in d.cubes() {
-        let mut qi: Vec<Cube> = Vec::new();
-        for c in f.cubes() {
-            if let Some(q) = c.divide(di) {
-                qi.push(q);
-            }
+        qi.clear();
+        for c in f.cubes().filter(|c| c.implies(di)) {
+            qi.push_quotient(c, di);
         }
-        quotient = Some(match quotient {
-            None => qi,
-            Some(prev) => prev.into_iter().filter(|c| qi.contains(c)).collect(),
-        });
-        if quotient.as_ref().is_some_and(Vec::is_empty) {
+        match &mut quotient {
+            None => quotient = Some(qi.clone()),
+            Some(prev) => prev.retain(|c| qi.cubes().any(|x| x == c)),
+        }
+        if quotient.as_ref().is_some_and(Sop::is_zero) {
             break;
         }
     }
-    let q = Sop::from_cubes(quotient.unwrap_or_default());
+    let q = quotient.expect("a divisor cube");
     if q.is_zero() {
         return (q, f.clone());
     }
     // remainder = cubes of f not covered by q×d
-    let mut product: Vec<Cube> = Vec::new();
+    let mut product = Sop::zero();
     for qc in q.cubes() {
         for dc in d.cubes() {
-            if let Some(p) = qc.intersect(dc) {
-                product.push(p);
-            }
+            product.push_product(qc, dc);
         }
     }
-    let r = Sop::from_cubes(
-        f.cubes()
-            .iter()
-            .filter(|c| !product.contains(c))
-            .cloned()
-            .collect::<Vec<_>>(),
-    );
+    let mut r = f.clone();
+    r.retain(|c| !product.cubes().any(|p| p == c));
     (q, r)
 }
 
-/// The largest cube dividing every cube of `f` (the "common cube"); the
-/// universal cube if `f` is cube-free or empty.
-pub fn common_cube(f: &Sop) -> Cube {
-    let mut it = f.cubes().iter();
+/// The largest cube dividing every cube of `f` (the "common cube"), as a
+/// one-cube cover; the universal cube if `f` is cube-free or empty.
+pub fn common_cube(f: &Sop) -> Sop {
+    let mut it = f.cubes();
     let Some(first) = it.next() else {
-        return Cube::universe();
+        return Sop::one();
     };
-    let mut pos = first.positive().clone();
-    let mut neg = first.negative().clone();
+    let (mut cc, mut next) = (Sop::zero(), Sop::zero());
+    cc.push(first);
     for c in it {
-        pos = pos.intersection(c.positive());
-        neg = neg.intersection(c.negative());
+        next.clear();
+        next.push_common(cc.cube(0), c);
+        std::mem::swap(&mut cc, &mut next);
     }
-    Cube::from_sets(pos, neg).expect("intersection of disjoint sets stays disjoint")
+    cc
 }
 
 /// Whether `f` is cube-free (no single literal divides every cube).
 pub fn is_cube_free(f: &Sop) -> bool {
-    common_cube(f).is_universe()
+    common_cube(f).cube(0).is_universe()
 }
 
 /// A kernel of a cover together with one of its co-kernels.
@@ -92,8 +82,8 @@ pub fn is_cube_free(f: &Sop) -> bool {
 pub struct Kernel {
     /// The kernel: a cube-free quotient of `f` by a cube.
     pub kernel: Sop,
-    /// The co-kernel cube that produced it.
-    pub cokernel: Cube,
+    /// The co-kernel cube that produced it, as a one-cube cover.
+    pub cokernel: Sop,
 }
 
 /// Computes the kernels of `f` (Brayton–McMullen recursive algorithm),
@@ -124,17 +114,16 @@ pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
             *x &= !c;
         }
     }
-    let co = mc.cube(&cc);
     let mut out = Vec::new();
     let mut found: Vec<Vec<u64>> = Vec::new();
     if base.len() >= 2 * w {
         out.push(Kernel {
             kernel: mc.sop(&base),
-            cokernel: co.clone(),
+            cokernel: mc.cube(&cc),
         });
         found.push(base.clone());
     }
-    kernels_rec(&mc, &base, 0, &co, &mut found, &mut out, limit);
+    kernels_rec(&mc, &base, 0, &cc, &mut found, &mut out, limit);
     out
 }
 
@@ -147,26 +136,31 @@ struct MaskCover {
 
 impl MaskCover {
     fn new(f: &Sop) -> MaskCover {
-        let mut lits: Vec<(usize, bool)> = f
-            .cubes()
-            .iter()
-            .flat_map(|c| {
-                let pos = c.positive().iter().map(|v| (v, true));
-                pos.chain(c.negative().iter().map(|v| (v, false)))
-            })
+        // every variable's negative literal, then its positive one
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        for c in f.cubes() {
+            for (acc, half) in [(&mut pos, c.positive()), (&mut neg, c.negative())] {
+                acc.resize(acc.len().max(half.len()), 0);
+                acc.iter_mut().zip(half).for_each(|(a, w)| *a |= w);
+            }
+        }
+        let support: Vec<u64> = (0..pos.len().max(neg.len()))
+            .map(|i| pos.get(i).copied().unwrap_or(0) | neg.get(i).copied().unwrap_or(0))
             .collect();
-        lits.sort_unstable();
-        lits.dedup();
+        let has = |half: &[u64], v: usize| half.get(v / 64).is_some_and(|w| w >> (v % 64) & 1 != 0);
+        let lits: Vec<(usize, bool)> = mask_ones(&support)
+            .flat_map(|v| [(v, false), (v, true)])
+            .filter(|&(v, phase)| has(if phase { &pos } else { &neg }, v))
+            .collect();
         let w = lits.len().div_ceil(64).max(1);
         MaskCover { lits, w }
     }
 
     /// Appends the mask of `c` (a cube over these literals) to `out`.
-    fn push_mask(&self, c: &Cube, out: &mut Vec<u64>) {
+    fn push_mask(&self, c: Cube<'_>, out: &mut Vec<u64>) {
         let at = out.len();
         out.resize(at + self.w, 0);
-        let pos = c.positive().iter().map(|v| (v, true));
-        for lit in pos.chain(c.negative().iter().map(|v| (v, false))) {
+        for lit in c.literals() {
             let i = self
                 .lits
                 .binary_search(&lit)
@@ -185,25 +179,26 @@ impl MaskCover {
         }
     }
 
-    fn cube(&self, mask: &[u64]) -> Cube {
-        let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
-        for (k, &word) in mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let (v, ph) = self.lits[k * 64 + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-                if ph {
-                    pos.insert(v);
-                } else {
-                    neg.insert(v);
-                }
-            }
-        }
-        Cube::from_sets(pos, neg).expect("the literals of one cube")
+    /// Appends the cube of `mask` to `out`.
+    fn push_cube(&self, mask: &[u64], out: &mut Sop) {
+        let lits = || mask_ones(mask).map(|i| self.lits[i]);
+        let phase = |ph: bool| lits().filter(move |l| l.1 == ph).map(|l| l.0);
+        let one_cube = out.push_literals(phase(true), phase(false));
+        debug_assert!(one_cube, "the literals of one cube");
+    }
+
+    fn cube(&self, mask: &[u64]) -> Sop {
+        let mut c = Sop::zero();
+        self.push_cube(mask, &mut c);
+        c
     }
 
     fn sop(&self, masks: &[u64]) -> Sop {
-        masks.chunks_exact(self.w).map(|m| self.cube(m)).collect()
+        let mut s = Sop::zero();
+        masks
+            .chunks_exact(self.w)
+            .for_each(|m| self.push_cube(m, &mut s));
+        s
     }
 }
 
@@ -216,7 +211,7 @@ fn kernels_rec(
     mc: &MaskCover,
     f: &[u64],
     start: usize,
-    co_so_far: &Cube,
+    co_so_far: &[u64],
     found: &mut Vec<Vec<u64>>,
     out: &mut Vec<Kernel>,
     limit: usize,
@@ -254,13 +249,13 @@ fn kernels_rec(
             // by it returns the cover itself and factoring would loop)
             continue;
         }
-        let co = co_so_far
-            .intersect(&mc.cube(&cc))
-            .unwrap_or_else(Cube::universe);
+        // the co-kernel so far and `cc` both lie in every cube of `f`
+        // holding literal `i`, so they never clash
+        let co: Vec<u64> = co_so_far.iter().zip(&cc).map(|(a, b)| a | b).collect();
         if !found.iter().any(|k| same_masks(k, &q, w)) {
             out.push(Kernel {
                 kernel: mc.sop(&q),
-                cokernel: co.clone(),
+                cokernel: mc.cube(&co),
             });
             found.push(q.clone());
             if out.len() >= limit {
@@ -276,7 +271,7 @@ pub fn covers_same(a: &Sop, b: &Sop) -> bool {
     if a.num_cubes() != b.num_cubes() {
         return false;
     }
-    a.cubes().iter().all(|c| b.cubes().contains(c))
+    a.cubes().all(|c| b.cubes().any(|x| x == c))
 }
 
 /// A factored expression over literals of the cover's variable space.
@@ -317,15 +312,13 @@ impl Factored {
     }
 }
 
-fn cube_to_factored(c: &Cube) -> Factored {
+fn cube_to_factored(c: Cube<'_>) -> Factored {
     if c.is_universe() {
         return Factored::One;
     }
     let mut fs: Vec<Factored> = c
-        .positive()
-        .iter()
-        .map(|v| Factored::Literal(v, true))
-        .chain(c.negative().iter().map(|v| Factored::Literal(v, false)))
+        .literals()
+        .map(|(v, ph)| Factored::Literal(v, ph))
         .collect();
     if fs.len() == 1 {
         fs.pop().expect("one literal")
@@ -346,35 +339,25 @@ pub fn factor(f: &Sop) -> Factored {
     }
     // duplicate cubes are an OR-idempotence artifact (`a + a = a`); they
     // poison kernel extraction, so drop them up front
-    {
-        let mut seen: Vec<&Cube> = Vec::new();
-        let mut dups = false;
-        for c in f.cubes() {
-            if seen.contains(&c) {
-                dups = true;
-                break;
-            }
-            seen.push(c);
-        }
-        if dups {
-            let mut dedup: Vec<Cube> = Vec::new();
-            for c in f.cubes() {
-                if !dedup.contains(c) {
-                    dedup.push(c.clone());
-                }
-            }
-            return factor(&Sop::from_cubes(dedup));
-        }
+    let repeats = |i: usize| f.cubes().take(i).any(|c| c == f.cube(i));
+    if (1..f.num_cubes()).any(repeats) {
+        let mut dedup = f.clone();
+        let mut i = 0;
+        dedup.retain(|_| {
+            i += 1;
+            !repeats(i - 1)
+        });
+        return factor(&dedup);
     }
     if f.num_cubes() == 1 {
-        return cube_to_factored(&f.cubes()[0]);
+        return cube_to_factored(f.cube(0));
     }
     // pull out the common cube first: f = cc · rest
     let cc = common_cube(f);
-    if !cc.is_universe() {
-        let (rest, _) = divide(f, &Sop::from_cubes([cc.clone()]));
+    if !cc.cube(0).is_universe() {
+        let (rest, _) = divide(f, &cc);
         let inner = factor(&rest);
-        let outer = cube_to_factored(&cc);
+        let outer = cube_to_factored(cc.cube(0));
         return and2(outer, inner);
     }
     // choose a divisor: best kernel by (cubes-1)*(lits-1) value, else the
@@ -393,15 +376,15 @@ pub fn factor(f: &Sop) -> Factored {
         None => {
             let Some(lit) = most_frequent_literal(f) else {
                 // all cubes are the universe? handled above; fall back to OR
-                return Factored::Or(f.cubes().iter().map(cube_to_factored).collect());
+                return Factored::Or(f.cubes().map(cube_to_factored).collect());
             };
-            Sop::from_cubes([Cube::literal(lit.0, lit.1)])
+            Sop::literal(lit.0, lit.1)
         }
     };
     let (q, r) = divide(f, &divisor);
     if q.is_zero() || q.num_cubes() >= f.num_cubes() {
         // divisor failed or made no progress; flat OR of factored cubes
-        return Factored::Or(f.cubes().iter().map(cube_to_factored).collect());
+        return Factored::Or(f.cubes().map(cube_to_factored).collect());
     }
     let fq = factor(&q);
     let fd = factor(&divisor);
@@ -456,13 +439,8 @@ fn or2(a: Factored, b: Factored) -> Factored {
 fn most_frequent_literal(f: &Sop) -> Option<(usize, bool)> {
     let mut counts: xsynth_boolean::FxHashMap<(usize, bool), usize> =
         xsynth_boolean::FxHashMap::default();
-    for c in f.cubes() {
-        for v in c.positive().iter() {
-            *counts.entry((v, true)).or_default() += 1;
-        }
-        for v in c.negative().iter() {
-            *counts.entry((v, false)).or_default() += 1;
-        }
+    for lit in f.cubes().flat_map(Cube::literals) {
+        *counts.entry(lit).or_default() += 1;
     }
     counts
         .into_iter()
@@ -476,12 +454,12 @@ mod tests {
     use super::*;
 
     fn sop(cubes: &[(&[usize], &[usize])]) -> Sop {
-        Sop::from_cubes(
+        Sop::from_literals(
             cubes
                 .iter()
-                .map(|(p, n)| Cube::new(p.iter().copied(), n.iter().copied()).unwrap())
-                .collect::<Vec<_>>(),
+                .map(|&(p, n)| (p.iter().copied(), n.iter().copied())),
         )
+        .expect("disjoint phases")
     }
 
     #[test]
@@ -516,7 +494,7 @@ mod tests {
     #[test]
     fn common_cube_and_cube_free() {
         let f = sop(&[(&[0, 1, 2], &[]), (&[0, 1, 3], &[])]);
-        assert_eq!(common_cube(&f), Cube::new([0, 1], []).unwrap());
+        assert_eq!(common_cube(&f), sop(&[(&[0, 1], &[])]));
         assert!(!is_cube_free(&f));
         let g = sop(&[(&[0], &[]), (&[1], &[])]);
         assert!(is_cube_free(&g));
@@ -567,11 +545,7 @@ mod tests {
             cubes.push((lits, Vec::new()));
         }
         cubes.push((vec![12], Vec::new()));
-        let f = Sop::from_cubes(
-            cubes
-                .iter()
-                .map(|(p, n)| Cube::new(p.iter().copied(), n.iter().copied()).unwrap()),
-        );
+        let f = Sop::from_literals(cubes).expect("positive cubes");
         let all = kernels(&f, usize::MAX).len();
         assert_eq!(all, 15, "f and the products of 1–4 of its sums");
         let mut overshoot = 0;

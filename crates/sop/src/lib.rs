@@ -13,16 +13,12 @@
 //! # Examples
 //!
 //! ```
-//! use xsynth_boolean::{Cube, Sop};
+//! use xsynth_boolean::Sop;
 //! use xsynth_sop::algebra;
 //!
 //! // (a+b)(c+d) recovered from its flat SOP
-//! let f = Sop::from_cubes([
-//!     Cube::new([0, 2], []).unwrap(),
-//!     Cube::new([0, 3], []).unwrap(),
-//!     Cube::new([1, 2], []).unwrap(),
-//!     Cube::new([1, 3], []).unwrap(),
-//! ]);
+//! let f = Sop::from_literals([([0, 2], []), ([0, 3], []), ([1, 2], []), ([1, 3], [])]);
+//! let f = f.expect("positive cubes");
 //! let fac = algebra::factor(&f);
 //! assert_eq!(fac.num_literals(), 4);
 //! ```
@@ -31,6 +27,8 @@
 #![forbid(unsafe_code)]
 
 pub mod algebra;
+#[cfg(test)]
+mod oracle;
 mod script;
 mod sopnet;
 

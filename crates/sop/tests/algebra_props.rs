@@ -2,12 +2,12 @@
 //! factoring must satisfy their defining identities on random covers.
 
 use proptest::prelude::*;
-use xsynth_boolean::{Cube, Sop};
+use xsynth_boolean::Sop;
 use xsynth_sop::algebra::{divide, factor, kernels};
 
 /// Builds a random cover over 6 variables from raw bits.
 fn cover(bits: u64, cubes: usize) -> Sop {
-    let mut out = Vec::new();
+    let mut out = Sop::new(6);
     let mut s = bits | 1;
     for _ in 0..cubes {
         s = s
@@ -22,11 +22,9 @@ fn cover(bits: u64, cubes: usize) -> Sop {
                 _ => {}
             }
         }
-        if let Some(c) = Cube::new(pos, neg) {
-            out.push(c);
-        }
+        out.push_literals(pos, neg);
     }
-    Sop::from_cubes(out)
+    out
 }
 
 proptest! {
@@ -39,16 +37,13 @@ proptest! {
         let f = cover(bits, 6);
         let d = cover(dbits, 2);
         let (q, r) = divide(&f, &d);
-        let mut rebuilt = Vec::new();
+        let mut rebuilt = Sop::new(6);
         for qc in q.cubes() {
             for dc in d.cubes() {
-                if let Some(p) = qc.intersect(dc) {
-                    rebuilt.push(p);
-                }
+                rebuilt.push_product(qc, dc);
             }
         }
-        rebuilt.extend(r.cubes().iter().cloned());
-        let rebuilt = Sop::from_cubes(rebuilt);
+        rebuilt.append(&r);
         prop_assert_eq!(rebuilt.to_table(6), f.to_table(6));
     }
 
@@ -94,15 +89,12 @@ proptest! {
         prop_assert_eq!(cover.to_table(6), t.clone());
         // dropping any cube must lose coverage (irredundancy)
         for i in 0..cover.num_cubes() {
-            let reduced = Sop::from_cubes(
-                cover
-                    .cubes()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, c)| c.clone())
-                    .collect::<Vec<_>>(),
-            );
+            let reduced: Sop = cover
+                .cubes()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, c)| c)
+                .collect();
             prop_assert_ne!(reduced.to_table(6), t.clone(), "cube {} redundant", i);
         }
     }

@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(c.filter.as_deref(), Some("sop_"));
         assert!(c.test_mode);
         let mut runs = 0;
-        for id in ["sop_share_x", "isop_k6"] {
+        for id in ["sop_share_x", "bdd_apply"] {
             c.run_one(None, &id.into(), 10, |b| b.iter(|| runs += 1));
         }
         assert_eq!(runs, 1, "one untimed call, for the matching name only");

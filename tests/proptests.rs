@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use xsynth::bdd::BddManager;
-use xsynth::boolean::{Fprm, Polarity, Sop, TruthTable};
+use xsynth::boolean::{mask_ones, Fprm, Polarity, Sop, TruthTable};
 use xsynth::core::{phase, try_synthesize, Budget, Error, FactorMethod, SynthOptions};
 use xsynth::map::{map_network, Library};
 use xsynth::net::{GateKind, Network};
@@ -26,10 +26,10 @@ fn two_level(t: &TruthTable) -> Network {
     let mut cubes = Vec::new();
     for c in cover.cubes() {
         let mut lits = Vec::new();
-        for v in c.positive().iter() {
+        for v in mask_ones(c.positive()) {
             lits.push(inputs[v]);
         }
-        for v in c.negative().iter() {
+        for v in mask_ones(c.negative()) {
             lits.push(net.add_gate(GateKind::Not, vec![inputs[v]]));
         }
         cubes.push(match lits.len() {
