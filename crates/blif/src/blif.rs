@@ -10,6 +10,7 @@ use crate::ParseError;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use xsynth_boolean::FxHashSet;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
 /// Largest logical line (after continuation joining) the parser accepts,
@@ -674,7 +675,7 @@ impl Labels {
             taken.dedup();
             labels.rename(&taken, &generated);
         }
-        labels.separate_outputs(net, order);
+        labels.separate_outputs(net);
         labels
     }
 
@@ -704,90 +705,85 @@ impl Labels {
                 let earlier = group[..g].iter().find(|e| e.1 == name);
                 let relabel = match earlier.and_then(|&(q, _)| fresh.iter().find(|f| f.0 == q)) {
                     Some((_, shared)) => shared.clone(),
-                    None => (1..)
-                        .map(|k| format!("{}_{k}", label(p)))
-                        .find(|l| {
-                            let named_as = named.binary_search_by(|e| label(e.0).cmp(l));
-                            named_as.is_err() && fresh.iter().all(|f| f.1 != *l)
-                        })
-                        .expect("a free label"),
+                    None => first_free(label(p), |l| {
+                        named.binary_search_by(|e| label(e.0).cmp(l)).is_ok()
+                            || fresh.iter().any(|f| f.1 == l)
+                    }),
                 };
                 fresh.push((p, relabel));
             }
         }
-        for (p, relabel) in fresh {
-            let start = self.text.len();
-            self.text.push_str(&relabel);
-            self.spans[p] = Some((start, self.text.len()));
-        }
+        self.relabel(fresh);
     }
 
-    /// Gives each output whose label is a named node's but which reads
-    /// another signal (a BLIF signal has one driver, so `.names <g> a`
-    /// after `.inputs a` does not read back) the first `<label>_<k>` no
-    /// position or earlier such label uses, in output order, as
-    /// [`Labels::separate_names`] does. The named nodes' labels are
-    /// sorted once, only when some output reads a node of another label.
-    fn separate_outputs(&mut self, net: &Network, order: &[SignalId]) {
+    /// Gives each output whose label is an input's but which reads another
+    /// signal (a BLIF signal has one driver, so `.names <g> a` after
+    /// `.inputs a` does not read back) the first `<label>_<k>` no position
+    /// or earlier such label uses, in output order, as
+    /// [`Labels::separate_names`] does. Only inputs carry names, and most
+    /// outputs read an unnamed `n<i>`: an input whose label starts with a
+    /// byte no such output's does cannot clash, which most inputs show
+    /// without a lookup, and the labels are sorted only when one clashes.
+    fn separate_outputs(&mut self, net: &Network) {
         let n = self.num_nodes;
         let outputs = net.outputs();
-        let mut reading_other: Vec<usize> = (0..outputs.len())
-            .filter(|&j| self.at(n + j) != self.at(outputs[j].1.index()))
+        let reading_other = |j: &usize| self.at(n + j) != self.at(outputs[*j].1.index());
+        let first = |l: &str| l.bytes().next().map_or(0, usize::from);
+        let mut firsts = [0u64; 4];
+        for j in (0..outputs.len()).filter(reading_other) {
+            let b = first(self.output(j));
+            firsts[b / 64] |= 1 << (b % 64);
+        }
+        let inputs: FxHashSet<&str> = (net.inputs().iter())
+            .map(|&i| self.node(i))
+            .filter(|&l| firsts[first(l) / 64] >> (first(l) % 64) & 1 == 1)
             .collect();
-        if reading_other.is_empty() {
+        if inputs.is_empty() {
             return;
         }
-        let fresh: Vec<(usize, String)> = {
-            let mut named: Vec<&str> = (net.inputs().iter().chain(order))
-                .filter(|&&id| net.node_name(id).is_some())
-                .filter_map(|&id| self.at(id.index()))
-                .collect();
-            named.sort_unstable();
-            reading_other.retain(|&j| named.binary_search(&self.output(j)).is_ok());
-            let mut used: Vec<&str> = (0..self.spans.len()).filter_map(|p| self.at(p)).collect();
-            used.sort_unstable();
-            let mut fresh: Vec<(usize, String)> = Vec::new();
-            for j in reading_other {
-                let relabel = (1..)
-                    .map(|k| format!("{}_{k}", self.output(j)))
-                    .find(|l| {
-                        used.binary_search(&l.as_str()).is_err() && fresh.iter().all(|f| f.1 != *l)
-                    })
-                    .expect("a free label");
-                fresh.push((n + j, relabel));
-            }
-            fresh
-        };
-        for (p, relabel) in fresh {
-            let start = self.text.len();
-            self.text.push_str(&relabel);
-            self.spans[p] = Some((start, self.text.len()));
+        let clashing: Vec<usize> = (0..outputs.len())
+            .filter(|j| reading_other(j) && inputs.contains(self.output(*j)))
+            .collect();
+        if clashing.is_empty() {
+            return;
         }
+        let mut used: Vec<&str> = (0..self.spans.len()).filter_map(|p| self.at(p)).collect();
+        used.sort_unstable();
+        let mut fresh: Vec<(usize, String)> = Vec::new();
+        for j in clashing {
+            let relabel = first_free(self.output(j), |l| {
+                used.binary_search(&l).is_ok() || fresh.iter().any(|f| f.1 == l)
+            });
+            fresh.push((n + j, relabel));
+        }
+        self.relabel(fresh);
     }
 
     /// Relabels each node in `taken` with the first `n<i>_<k>` that no
     /// input, named node or output uses (two such labels never clash).
     fn rename(&mut self, taken: &[usize], generated: &[bool]) {
-        let fresh: Vec<String> = {
-            let mut used: Vec<&str> = (0..self.spans.len())
-                .filter(|&p| p >= self.num_nodes || !generated[p])
-                .filter_map(|p| self.at(p))
-                .collect();
-            used.sort_unstable();
-            taken
-                .iter()
-                .map(|&i| {
-                    (1..)
-                        .map(|k| format!("n{i}_{k}"))
-                        .find(|l| used.binary_search(&l.as_str()).is_err())
-                        .expect("a free label")
-                })
-                .collect()
-        };
-        for (&i, label) in taken.iter().zip(fresh) {
+        let mut used: Vec<&str> = (0..self.spans.len())
+            .filter(|&p| p >= self.num_nodes || !generated[p])
+            .filter_map(|p| self.at(p))
+            .collect();
+        used.sort_unstable();
+        let fresh: Vec<(usize, String)> = (taken.iter())
+            .map(|&i| {
+                (
+                    i,
+                    first_free(&format!("n{i}"), |l| used.binary_search(&l).is_ok()),
+                )
+            })
+            .collect();
+        self.relabel(fresh);
+    }
+
+    /// Gives each position `p` of `fresh` its new label.
+    fn relabel(&mut self, fresh: Vec<(usize, String)>) {
+        for (p, label) in fresh {
             let start = self.text.len();
             self.text.push_str(&label);
-            self.spans[i] = Some((start, self.text.len()));
+            self.spans[p] = Some((start, self.text.len()));
         }
     }
 
@@ -803,6 +799,14 @@ impl Labels {
         self.at(self.num_nodes + j)
             .expect("every output has a label")
     }
+}
+
+/// The first `<label>_<k>`, `k = 1, 2, …`, that `taken` does not hold.
+fn first_free(label: &str, taken: impl Fn(&str) -> bool) -> String {
+    (1..)
+        .map(|k| format!("{label}_{k}"))
+        .find(|l| !taken(l))
+        .expect("a free label")
 }
 
 /// `k` if `label` is exactly `n<k>`, the label [`write_blif`] gives an

@@ -575,16 +575,38 @@ impl Network {
 
     /// Gate count (all gate nodes except buffers and constants) in the
     /// subgraph reachable from the outputs.
+    ///
+    /// [`Network::add_gate`] adds every node after its fanins, so one
+    /// backward pass over the nodes marks everything the outputs reach,
+    /// without [`Network::topo_order`]'s depth-first walk. A reached gate
+    /// that [`Network::replace_gate`] pointed at a later node sends the
+    /// count to that walk instead.
     pub fn num_gates(&self) -> usize {
-        self.topo_order()
-            .iter()
-            .filter(|&&id| {
-                matches!(
-                    self.nodes[id.index()].kind,
-                    NodeKind::Gate(k) if !matches!(k, GateKind::Buf | GateKind::Const0 | GateKind::Const1)
-                )
-            })
-            .count()
+        let counted = |kind: &NodeKind| {
+            matches!(
+                kind,
+                NodeKind::Gate(k) if !matches!(k, GateKind::Buf | GateKind::Const0 | GateKind::Const1)
+            )
+        };
+        let mut reached = vec![false; self.nodes.len()];
+        for (_, s) in &self.outputs {
+            reached[s.index()] = true;
+        }
+        let mut gates = 0;
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if !reached[i] {
+                continue;
+            }
+            gates += usize::from(counted(&node.kind));
+            for f in &node.fanins {
+                if f.index() >= i {
+                    let order = self.topo_order();
+                    return order.iter().filter(|id| counted(self.kind(**id))).count();
+                }
+                reached[f.index()] = true;
+            }
+        }
+        gates
     }
 
     /// Decomposes the network into two-input AND/OR and NOT gates, with
@@ -1100,5 +1122,69 @@ mod tests {
         let err = n.try_topo_order().unwrap_err();
         assert!(matches!(err, NetError::CombinationalCycle { .. }));
         assert!(err.to_string().contains("combinational cycle"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn num_gates_reports_a_cycle_as_topo_order_does() {
+        let mut n = Network::new("cyc");
+        let a = n.add_input("a");
+        let g1 = n.add_gate(GateKind::And, vec![a, a]);
+        let g2 = n.add_gate(GateKind::Or, vec![g1, a]);
+        n.replace_gate(g1, GateKind::And, vec![a, g2]);
+        n.add_output("o", g2);
+        n.num_gates();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(200))]
+
+        #[test]
+        fn num_gates_matches_the_depth_first_count(
+            bits in proptest::arbitrary::any::<u64>(),
+            gates in 0usize..40,
+            rewires in 0usize..4,
+        ) {
+            // random gates over earlier nodes, some dead, then a few gates
+            // pointed at any node, later ones included, where that stays
+            // acyclic
+            let mut rng = bits | 1;
+            let mut next = move |k: usize| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) as usize % k
+            };
+            let kinds = [
+                GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Nand,
+                GateKind::Not, GateKind::Buf, GateKind::Const0, GateKind::Const1,
+            ];
+            let mut n = Network::new("r");
+            let mut ids: Vec<SignalId> = (0..3).map(|i| n.add_input(format!("x{i}"))).collect();
+            for _ in 0..gates {
+                let kind = kinds[next(kinds.len())];
+                let k = kind.arity().unwrap_or(2 + next(2));
+                let fanins = (0..k).map(|_| ids[ids.len() - 1 - next(ids.len().min(5))]).collect();
+                ids.push(n.add_gate(kind, fanins));
+            }
+            for i in 0..1 + next(3) {
+                n.add_output(format!("o{i}"), ids[ids.len() - 1 - next(ids.len().min(8))]);
+            }
+            for _ in 0..rewires.min(gates) {
+                let g = ids[3 + next(gates)];
+                let kind = n.gate_kind(g).expect("a gate");
+                let old = n.fanins(g).to_vec();
+                let fanins = old.iter().map(|_| ids[next(ids.len())]).collect();
+                n.replace_gate(g, kind, fanins);
+                if n.try_topo_order().is_err() {
+                    n.replace_gate(g, kind, old);
+                }
+            }
+            let dfs = n.topo_order().iter().filter(|&&id| {
+                matches!(n.kind(id), NodeKind::Gate(k)
+                    if !matches!(k, GateKind::Buf | GateKind::Const0 | GateKind::Const1))
+            }).count();
+            proptest::prop_assert_eq!(n.num_gates(), dfs);
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! they can be and widened.
 
 mod algebra;
-mod cover;
-mod sopnet;
+pub(crate) mod cover;
+pub(crate) mod sopnet;
 
 use crate::algebra as rows_algebra;
 use cover::Sop as SetSop;

@@ -1,6 +1,7 @@
 //! The network of `VarSet`-cube SOP nodes, as it was before the literal
-//! rows: the oracle for [`crate::SopNet`]. Its tests compare its greedy
-//! loops with the whole-network loops they replaced.
+//! rows: the oracle for [`crate::SopNet`], followed by the whole-network
+//! loops its greedy steps replaced, which the row network's proptests
+//! also compare with.
 
 use super::algebra::{self, covers_same};
 use super::cover::{Cube, Sop};
@@ -58,11 +59,6 @@ impl SopNet {
         self.outputs.push((name.into(), signal));
     }
 
-    /// The outputs as `(name, signal)` pairs.
-    pub fn outputs(&self) -> &[(String, usize)] {
-        &self.outputs
-    }
-
     /// The cover of the node driving `signal`, if it is a live node.
     pub fn cover(&self, signal: usize) -> Option<&Sop> {
         signal
@@ -85,12 +81,6 @@ impl SopNet {
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| i + self.num_pis())
             .collect()
-    }
-
-    /// Total SOP literal count over live nodes (the SIS `lits(sop)`
-    /// metric).
-    pub fn num_sop_literals(&self) -> usize {
-        self.nodes.iter().flatten().map(Sop::num_literals).sum()
     }
 
     /// Builds a SOP network from a gate network: every gate becomes a node
@@ -205,23 +195,6 @@ impl SopNet {
             }
         }
         order
-    }
-
-    /// Evaluates every output for the PI assignment in `minterm`.
-    pub fn eval_u64(&self, minterm: u64) -> Vec<bool> {
-        let np = self.num_pis();
-        let mut val: FxHashMap<usize, bool> = FxHashMap::default();
-        for i in 0..np {
-            val.insert(i, minterm & (1 << i) != 0);
-        }
-        for sig in self.topo_signals() {
-            let cover = self.cover(sig).expect("topo yields live nodes");
-            let v = cover.cubes().iter().any(|c| {
-                c.positive().iter().all(|p| val[&p]) && c.negative().iter().all(|n| !val[&n])
-            });
-            val.insert(sig, v);
-        }
-        self.outputs.iter().map(|&(_, s)| val[&s]).collect()
     }
 
     /// Per-node two-level cleanup: nodes with at most 12 support signals
@@ -1056,619 +1029,236 @@ impl SopNet {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xsynth_net::GateKind;
-
-    fn sample_network() -> Network {
-        // two outputs sharing structure: o1 = ab + ac, o2 = ab + d
-        let mut n = Network::new("s");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let d = n.add_input("d");
-        let ab = n.add_gate(GateKind::And, vec![a, b]);
-        let ac = n.add_gate(GateKind::And, vec![a, c]);
-        let o1 = n.add_gate(GateKind::Or, vec![ab, ac]);
-        let o2 = n.add_gate(GateKind::Or, vec![ab, d]);
-        n.add_output("o1", o1);
-        n.add_output("o2", o2);
-        n
-    }
-
-    fn check_equiv(s: &SopNet, net: &Network) {
-        let n = net.inputs().len();
-        for m in 0..(1u64 << n) {
-            assert_eq!(s.eval_u64(m), net.eval_u64(m), "minterm {m}");
+/// The whole-network `eliminate` loop the incremental one replaced:
+/// every iteration re-scores every live node by rescanning every cover.
+/// Kept as the oracle for [`crate::SopNet::eliminate`].
+pub(crate) fn eliminate_reference(s: &mut SopNet, threshold: i64, max_cover: usize) {
+    let is_output = |s: &SopNet, sig: usize| s.outputs.iter().any(|&(_, o)| o == sig);
+    let num_uses = |s: &SopNet, sig: usize| {
+        s.nodes
+            .iter()
+            .flatten()
+            .flat_map(Sop::cubes)
+            .filter(|c| c.phase(sig).is_some())
+            .count()
+    };
+    let collapse_delta = |s: &SopNet, sig: usize| -> Option<i64> {
+        if is_output(s, sig) {
+            return None;
         }
-    }
-
-    #[test]
-    fn from_network_preserves_function() {
-        let net = sample_network();
-        let s = SopNet::from_network(&net);
-        check_equiv(&s, &net);
-    }
-
-    #[test]
-    fn from_network_handles_xor_chain() {
-        let mut net = Network::new("x");
-        let ins: Vec<_> = (0..5).map(|i| net.add_input(format!("i{i}"))).collect();
-        let x = net.add_gate(GateKind::Xor, ins.clone());
-        let nx = net.add_gate(GateKind::Xnor, ins);
-        net.add_output("x", x);
-        net.add_output("nx", nx);
-        let s = SopNet::from_network(&net);
-        check_equiv(&s, &net);
-    }
-
-    #[test]
-    fn eliminate_collapses_small_nodes() {
-        let net = sample_network();
-        let mut s = SopNet::from_network(&net);
-        s.eliminate(10, 64);
-        // the and/or structure should fold into two SOP nodes (the outputs)
-        assert_eq!(s.live_signals().len(), 2);
-        check_equiv(&s, &net);
-    }
-
-    #[test]
-    fn collapse_respects_negative_references() {
-        let mut s = SopNet::new("neg");
-        let a = s.add_pi("a");
-        let b = s.add_pi("b");
-        let t = s.add_node(Sop::from_cubes([Cube::new([a, b], []).unwrap()]));
-        // f = ¬t
-        let f = s.add_node(Sop::from_cubes([Cube::literal(t, false)]));
-        s.add_output("f", f);
-        s.collapse(t, &[f], &mut [None, None]);
-        assert!(s.cover(t).is_none());
-        // f must now be ¬a + ¬b
-        for m in 0..4u64 {
-            let expect = !(m & 1 != 0 && m & 2 != 0);
-            assert_eq!(s.eval_u64(m), vec![expect], "at {m}");
+        let cover = s.cover(sig)?;
+        if cover.num_cubes() > max_cover {
+            return None;
         }
-    }
-
-    #[test]
-    fn collapse_refuses_output_nodes() {
-        let net = sample_network();
-        let mut s = SopNet::from_network(&net);
-        s.eliminate(i64::MAX, usize::MAX);
-        for &(_, sig) in s.outputs() {
-            assert!(s.cover(sig).is_some(), "output node {sig} was collapsed");
-        }
-        check_equiv(&s, &net);
-    }
-
-    #[test]
-    fn extract_shares_common_kernel() {
-        // f1 = ac + bc, f2 = ad + bd share kernel (a+b)
-        let mut s = SopNet::new("e");
-        let a = s.add_pi("a");
-        let b = s.add_pi("b");
-        let c = s.add_pi("c");
-        let d = s.add_pi("d");
-        let f1 = s.add_node(Sop::from_cubes([
-            Cube::new([a, c], []).unwrap(),
-            Cube::new([b, c], []).unwrap(),
-        ]));
-        let f2 = s.add_node(Sop::from_cubes([
-            Cube::new([a, d], []).unwrap(),
-            Cube::new([b, d], []).unwrap(),
-        ]));
-        s.add_output("f1", f1);
-        s.add_output("f2", f2);
-        let before = s.num_sop_literals();
-        let made = s.extract(10);
-        assert!(made >= 1, "kernel a+b should be extracted");
-        assert!(s.num_sop_literals() < before);
-        for m in 0..16u64 {
-            let (av, bv, cv, dv) = (m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0);
-            assert_eq!(
-                s.eval_u64(m),
-                vec![(av || bv) && cv, (av || bv) && dv],
-                "at {m}"
-            );
-        }
-    }
-
-    #[test]
-    fn to_network_roundtrip() {
-        let net = sample_network();
-        let mut s = SopNet::from_network(&net);
-        s.eliminate(5, 64);
-        s.extract(10);
-        let back = s.to_network();
-        for m in 0..16u64 {
-            assert_eq!(back.eval_u64(m), net.eval_u64(m), "at {m}");
-        }
-    }
-
-    #[test]
-    fn resubstitute_uses_existing_node() {
-        // f1 = a + b (node), f2 = ac + bc → f2 = f1·c
-        let mut s = SopNet::new("r");
-        let a = s.add_pi("a");
-        let b = s.add_pi("b");
-        let c = s.add_pi("c");
-        let f1 = s.add_node(Sop::from_cubes([
-            Cube::literal(a, true),
-            Cube::literal(b, true),
-        ]));
-        let f2 = s.add_node(Sop::from_cubes([
-            Cube::new([a, c], []).unwrap(),
-            Cube::new([b, c], []).unwrap(),
-        ]));
-        s.add_output("f1", f1);
-        s.add_output("f2", f2);
-        let n = s.resubstitute();
-        assert_eq!(n, 1);
-        assert_eq!(s.cover(f2).unwrap().num_literals(), 2, "f2 = f1·c");
-        for m in 0..8u64 {
-            let (av, bv, cv) = (m & 1 != 0, m & 2 != 0, m & 4 != 0);
-            assert_eq!(s.eval_u64(m), vec![av || bv, (av || bv) && cv]);
-        }
-    }
-
-    #[test]
-    fn dead_node_elimination() {
-        let mut s = SopNet::new("d");
-        let a = s.add_pi("a");
-        let _dead = s.add_node(Sop::from_cubes([Cube::literal(a, true)]));
-        let live = s.add_node(Sop::from_cubes([Cube::literal(a, false)]));
-        s.add_output("o", live);
-        s.eliminate(-100, 64);
-        assert_eq!(s.live_signals().len(), 1);
-    }
-
-    /// The whole-network `eliminate` loop the incremental one replaced:
-    /// every iteration re-scores every live node by rescanning every cover.
-    /// Kept as the oracle for [`SopNet::eliminate`].
-    fn eliminate_reference(s: &mut SopNet, threshold: i64, max_cover: usize) {
-        let is_output = |s: &SopNet, sig: usize| s.outputs.iter().any(|&(_, o)| o == sig);
-        let num_uses = |s: &SopNet, sig: usize| {
-            s.nodes
-                .iter()
-                .flatten()
-                .flat_map(Sop::cubes)
-                .filter(|c| c.phase(sig).is_some())
-                .count()
-        };
-        let collapse_delta = |s: &SopNet, sig: usize| -> Option<i64> {
-            if is_output(s, sig) {
+        let needs_complement = s
+            .nodes
+            .iter()
+            .flatten()
+            .any(|f| f.cubes().iter().any(|c| c.phase(sig) == Some(false)));
+        let complement = if needs_complement {
+            if cover.num_cubes() > 24 {
                 return None;
             }
-            let cover = s.cover(sig)?;
-            if cover.num_cubes() > max_cover {
-                return None;
-            }
-            let needs_complement = s
-                .nodes
+            Some(cover.complement())
+        } else {
+            None
+        };
+        let mut delta: i64 = -(cover.num_literals() as i64);
+        for c in s.nodes.iter().flatten().flat_map(Sop::cubes) {
+            let Some(ph) = c.phase(sig) else { continue };
+            let sub = if ph { cover } else { complement.as_ref()? };
+            let mut rest = c.clone();
+            rest.remove_var(sig);
+            let new: usize = sub
+                .cubes()
                 .iter()
-                .flatten()
-                .any(|f| f.cubes().iter().any(|c| c.phase(sig) == Some(false)));
-            let complement = if needs_complement {
-                if cover.num_cubes() > 24 {
-                    return None;
-                }
-                Some(cover.complement())
-            } else {
-                None
-            };
-            let mut delta: i64 = -(cover.num_literals() as i64);
-            for c in s.nodes.iter().flatten().flat_map(Sop::cubes) {
-                let Some(ph) = c.phase(sig) else { continue };
-                let sub = if ph { cover } else { complement.as_ref()? };
-                let mut rest = c.clone();
-                rest.remove_var(sig);
-                let new: usize = sub
-                    .cubes()
-                    .iter()
-                    .filter_map(|sc| rest.intersect(sc))
-                    .map(|m| m.num_literals())
-                    .sum();
-                delta += new as i64 - c.num_literals() as i64;
-            }
-            Some(delta)
-        };
-        let np = s.num_pis();
-        loop {
-            let mut best: Option<(usize, i64)> = None;
-            for sig in s.live_signals() {
-                if num_uses(s, sig) == 0 && !is_output(s, sig) {
-                    best = Some((sig, i64::MIN));
-                    break;
-                }
-                if let Some(delta) = collapse_delta(s, sig) {
-                    if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
-                        best = Some((sig, delta));
-                    }
-                }
-            }
-            let Some((sig, _)) = best else { break };
-            let cover = s.nodes[sig - np].take().expect("live");
-            let cover_neg = cover.complement();
-            for f in s.nodes.iter_mut().flatten() {
-                if !f.support().contains(sig) {
-                    continue;
-                }
-                let mut new_cubes: Vec<Cube> = Vec::new();
-                for c in f.cubes() {
-                    match c.phase(sig) {
-                        None => new_cubes.push(c.clone()),
-                        Some(ph) => {
-                            let mut rest = c.clone();
-                            rest.remove_var(sig);
-                            let sub = if ph { &cover } else { &cover_neg };
-                            new_cubes
-                                .extend(sub.cubes().iter().filter_map(|sc| rest.intersect(sc)));
-                        }
-                    }
-                }
-                let mut ns = Sop::from_cubes(new_cubes);
-                ns.remove_contained();
-                *f = ns;
-            }
+                .filter_map(|sc| rest.intersect(sc))
+                .map(|m| m.num_literals())
+                .sum();
+            delta += new as i64 - c.num_literals() as i64;
         }
-    }
-
-    /// `rewritten_literals` by building the quotient and remainder with
-    /// [`algebra::divide`]; the oracle for the counting one.
-    fn rewritten_literals_reference(f: &Sop, d: &Sop) -> Option<usize> {
-        let (q, r) = algebra::divide(f, d);
-        (!q.is_zero()).then(|| q.num_literals() + q.num_cubes() + r.num_literals())
-    }
-
-    fn rewrite_gain_reference(f: &Sop, d: &Sop) -> i64 {
-        rewritten_literals_reference(f, d)
-            .map_or(0, |new| (f.num_literals() as i64 - new as i64).max(0))
-    }
-
-    /// The whole-network `extract` loop the incremental one replaced:
-    /// every round rebuilds every node's candidates and divides every
-    /// candidate into every node. Kept as the oracle for
-    /// [`SopNet::extract`].
-    fn extract_reference(s: &mut SopNet, max_new_nodes: usize) -> usize {
-        let mut created = 0;
-        while created < max_new_nodes {
-            let Some((divisor, gain)) = best_divisor_reference(s) else {
-                break;
-            };
-            if gain <= 0 {
-                break;
-            }
-            let y = s.add_node(divisor.clone());
-            for sig in s.live_signals() {
-                if sig == y {
-                    continue;
-                }
-                let f = s.cover(sig).expect("live").clone();
-                if let Some(nf) = rewrite_with_divisor(&f, &divisor, y) {
-                    *s.cover_mut(sig).expect("live") = nf;
-                }
-            }
-            created += 1;
-        }
-        created
-    }
-
-    /// The whole-network round's candidate list.
-    fn candidates_reference(s: &SopNet) -> Vec<Sop> {
-        let mut candidates: Vec<Sop> = Vec::new();
-        let push = |c: Sop, candidates: &mut Vec<Sop>| {
-            if c.num_cubes() >= 1 && !candidates.iter().any(|k| covers_same(k, &c)) {
-                candidates.push(c);
-            }
-        };
+        Some(delta)
+    };
+    let np = s.num_pis();
+    loop {
+        let mut best: Option<(usize, i64)> = None;
         for sig in s.live_signals() {
-            let f = s.cover(sig).expect("live");
-            if f.num_cubes() < 2 {
+            if num_uses(s, sig) == 0 && !is_output(s, sig) {
+                best = Some((sig, i64::MIN));
+                break;
+            }
+            if let Some(delta) = collapse_delta(s, sig) {
+                if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
+                    best = Some((sig, delta));
+                }
+            }
+        }
+        let Some((sig, _)) = best else { break };
+        let cover = s.nodes[sig - np].take().expect("live");
+        let cover_neg = cover.complement();
+        for f in s.nodes.iter_mut().flatten() {
+            if !f.support().contains(sig) {
                 continue;
             }
-            for k in algebra::kernels(f, 30) {
-                if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
-                    push(k.kernel, &mut candidates);
-                }
-            }
-            for (i, a) in f.cubes().iter().enumerate() {
-                for b in f.cubes().iter().skip(i + 1) {
-                    let pos = a.positive().intersection(b.positive());
-                    let neg = a.negative().intersection(b.negative());
-                    if pos.len() + neg.len() >= 2 {
-                        let c = Cube::from_sets(pos, neg).expect("intersections disjoint");
-                        push(Sop::from_cubes([c]), &mut candidates);
+            let mut new_cubes: Vec<Cube> = Vec::new();
+            for c in f.cubes() {
+                match c.phase(sig) {
+                    None => new_cubes.push(c.clone()),
+                    Some(ph) => {
+                        let mut rest = c.clone();
+                        rest.remove_var(sig);
+                        let sub = if ph { &cover } else { &cover_neg };
+                        new_cubes.extend(sub.cubes().iter().filter_map(|sc| rest.intersect(sc)));
                     }
                 }
             }
-            if candidates.len() > 500 {
-                break;
-            }
+            let mut ns = Sop::from_cubes(new_cubes);
+            ns.remove_contained();
+            *f = ns;
         }
-        candidates
     }
+}
 
-    fn best_divisor_reference(s: &SopNet) -> Option<(Sop, i64)> {
-        let mut best: Option<(Sop, i64)> = None;
-        for cand in candidates_reference(s) {
-            let mut gain: i64 = -(cand.num_literals() as i64);
-            for sig in s.live_signals() {
-                gain += rewrite_gain_reference(s.cover(sig).expect("live"), &cand);
-            }
-            if best.as_ref().is_none_or(|(_, g)| gain > *g) && gain > 0 {
-                best = Some((cand, gain));
-            }
-        }
-        best
-    }
+/// `rewritten_literals` by building the quotient and remainder with
+/// [`algebra::divide`]; the oracle for the counting
+/// `Division::rewritten_literals`.
+pub(crate) fn rewritten_literals_reference(f: &Sop, d: &Sop) -> Option<usize> {
+    let (q, r) = algebra::divide(f, d);
+    (!q.is_zero()).then(|| q.num_literals() + q.num_cubes() + r.num_literals())
+}
 
-    /// The recursive `depends_on` the iterative search replaced: it
-    /// revisits a node once per path to it. The oracle for
-    /// [`SopNet::depends_on`].
-    fn depends_on_reference(s: &SopNet, signal: usize, other: usize) -> bool {
-        if signal == other {
-            return true;
-        }
-        let Some(cover) = s.cover(signal) else {
-            return false;
+fn rewrite_gain_reference(f: &Sop, d: &Sop) -> i64 {
+    rewritten_literals_reference(f, d)
+        .map_or(0, |new| (f.num_literals() as i64 - new as i64).max(0))
+}
+
+/// The whole-network `extract` loop the incremental one replaced:
+/// every round rebuilds every node's candidates and divides every
+/// candidate into every node. Kept as the oracle for
+/// [`crate::SopNet::extract`].
+pub(crate) fn extract_reference(s: &mut SopNet, max_new_nodes: usize) -> usize {
+    let mut created = 0;
+    while created < max_new_nodes {
+        let Some((divisor, gain)) = best_divisor_reference(s) else {
+            break;
         };
-        cover
-            .support()
-            .iter()
-            .any(|v| v == other || (v >= s.num_pis() && depends_on_reference(s, v, other)))
+        if gain <= 0 {
+            break;
+        }
+        let y = s.add_node(divisor.clone());
+        for sig in s.live_signals() {
+            if sig == y {
+                continue;
+            }
+            let f = s.cover(sig).expect("live").clone();
+            if let Some(nf) = rewrite_with_divisor(&f, &divisor, y) {
+                *s.cover_mut(sig).expect("live") = nf;
+            }
+        }
+        created += 1;
     }
+    created
+}
 
-    /// The pairwise `resubstitute` loop without literal filters. Kept as
-    /// the oracle for [`SopNet::resubstitute`].
-    fn resubstitute_reference(s: &mut SopNet) -> usize {
-        let mut applied = 0;
-        let sigs = s.live_signals();
-        for &target in &sigs {
-            for &divisor_sig in &sigs {
-                if target == divisor_sig {
-                    continue;
-                }
-                let Some(d) = s.cover(divisor_sig) else {
-                    continue;
-                };
-                if d.num_cubes() < 2 {
-                    continue;
-                }
-                let Some(f) = s.cover(target) else {
-                    continue;
-                };
-                if f.support().contains(divisor_sig) {
-                    continue;
-                }
-                if rewrite_gain_reference(f, d) <= 1 {
-                    continue;
-                }
-                if s.depends_on(divisor_sig, target) {
-                    continue;
-                }
-                let (f, d) = (f.clone(), d.clone());
-                if let Some(nf) = rewrite_with_divisor(&f, &d, divisor_sig) {
-                    *s.cover_mut(target).expect("live") = nf;
-                    applied += 1;
+/// The whole-network round's candidate list.
+pub(crate) fn candidates_reference(s: &SopNet) -> Vec<Sop> {
+    let mut candidates: Vec<Sop> = Vec::new();
+    let push = |c: Sop, candidates: &mut Vec<Sop>| {
+        if c.num_cubes() >= 1 && !candidates.iter().any(|k| covers_same(k, &c)) {
+            candidates.push(c);
+        }
+    };
+    for sig in s.live_signals() {
+        let f = s.cover(sig).expect("live");
+        if f.num_cubes() < 2 {
+            continue;
+        }
+        for k in algebra::kernels(f, 30) {
+            if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
+                push(k.kernel, &mut candidates);
+            }
+        }
+        for (i, a) in f.cubes().iter().enumerate() {
+            for b in f.cubes().iter().skip(i + 1) {
+                let pos = a.positive().intersection(b.positive());
+                let neg = a.negative().intersection(b.negative());
+                if pos.len() + neg.len() >= 2 {
+                    let c = Cube::from_sets(pos, neg).expect("intersections disjoint");
+                    push(Sop::from_cubes([c]), &mut candidates);
                 }
             }
         }
-        applied
-    }
-
-    /// A ladder of `levels` XOR nodes over two inputs (node `i` reads
-    /// nodes `i-1` and `i-2`), every path reconverging, plus an unrelated
-    /// input `z`.
-    fn xor_ladder(levels: usize) -> (SopNet, usize) {
-        let mut s = SopNet::new("ladder");
-        let (mut a, mut b) = (s.add_pi("a"), s.add_pi("b"));
-        let z = s.add_pi("z");
-        for _ in 0..levels {
-            let x = s.add_node(Sop::from_cubes([
-                Cube::new([a], [b]).unwrap(),
-                Cube::new([b], [a]).unwrap(),
-            ]));
-            (a, b) = (b, x);
+        if candidates.len() > 500 {
+            break;
         }
-        s.add_output("top", b);
-        (s, z)
     }
+    candidates
+}
 
-    #[test]
-    fn resubstitution_sees_its_own_rewrites() {
-        // y = a + b, f = ac + bc + e, d = y·c + e: resubstituting y turns f
-        // into y·c + e, which d then divides, but only if f's signature
-        // was refreshed to read y
-        let mut s = SopNet::new("r");
-        let [a, b, c, e] = ["a", "b", "c", "e"].map(|n| s.add_pi(n));
-        let y = s.add_node(Sop::from_cubes([
-            Cube::literal(a, true),
-            Cube::literal(b, true),
-        ]));
-        let f = s.add_node(Sop::from_cubes([
-            Cube::new([a, c], []).unwrap(),
-            Cube::new([b, c], []).unwrap(),
-            Cube::literal(e, true),
-        ]));
-        let d = s.add_node(Sop::from_cubes([
-            Cube::new([y, c], []).unwrap(),
-            Cube::literal(e, true),
-        ]));
-        for o in [y, f, d] {
-            s.add_output(format!("o{o}"), o);
+fn best_divisor_reference(s: &SopNet) -> Option<(Sop, i64)> {
+    let mut best: Option<(Sop, i64)> = None;
+    for cand in candidates_reference(s) {
+        let mut gain: i64 = -(cand.num_literals() as i64);
+        for sig in s.live_signals() {
+            gain += rewrite_gain_reference(s.cover(sig).expect("live"), &cand);
         }
-        let mut slow = s.clone();
-        assert_eq!(s.resubstitute(), 2);
-        assert_eq!(resubstitute_reference(&mut slow), 2);
-        assert_eq!(s.cover(f), Some(&Sop::from_cubes([Cube::literal(d, true)])));
-        assert_eq!(s.nodes, slow.nodes);
+        if best.as_ref().is_none_or(|(_, g)| gain > *g) && gain > 0 {
+            best = Some((cand, gain));
+        }
     }
+    best
+}
 
-    #[test]
-    fn depends_on_visits_each_node_once() {
-        let (s, z) = xor_ladder(64);
-        let top = s.outputs()[0].1;
-        let t0 = std::time::Instant::now();
-        assert!(!s.depends_on(top, z));
-        assert!(s.depends_on(top, 0));
-        assert!(s.depends_on(top, top - 10));
-        assert!(!s.depends_on(top - 10, top));
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(1),
-            "{:?}",
-            t0.elapsed()
-        );
+/// The recursive `depends_on` the iterative search replaced: it
+/// revisits a node once per path to it. The oracle for
+/// [`crate::SopNet::depends_on`].
+pub(crate) fn depends_on_reference(s: &SopNet, signal: usize, other: usize) -> bool {
+    if signal == other {
+        return true;
     }
+    let Some(cover) = s.cover(signal) else {
+        return false;
+    };
+    cover
+        .support()
+        .iter()
+        .any(|v| v == other || (v >= s.num_pis() && depends_on_reference(s, v, other)))
+}
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(200))]
-
-        #[test]
-        fn rewritten_literals_match_division(
-            bits in proptest::arbitrary::any::<u64>(),
-            f_cubes in 1usize..12,
-            d_cubes in 1usize..4,
-        ) {
-            // f = (random divisor d) · (random quotient cubes) + noise, over
-            // few variables so cubes repeat and divisions half-succeed
-            let mut rng = bits | 1;
-            let mut next = move |k: u64| {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (rng >> 33) % k
+/// The pairwise `resubstitute` loop without literal filters. Kept as
+/// the oracle for [`crate::SopNet::resubstitute`].
+pub(crate) fn resubstitute_reference(s: &mut SopNet) -> usize {
+    let mut applied = 0;
+    let sigs = s.live_signals();
+    for &target in &sigs {
+        for &divisor_sig in &sigs {
+            if target == divisor_sig {
+                continue;
+            }
+            let Some(d) = s.cover(divisor_sig) else {
+                continue;
             };
-            let cube = |next: &mut dyn FnMut(u64) -> u64, vars: u64| {
-                let mut c = Cube::universe();
-                for v in 0..vars as usize {
-                    match next(5) {
-                        0 => {
-                            c.add_literal(v * 37, true);
-                        }
-                        1 => {
-                            c.add_literal(v * 37, false);
-                        }
-                        _ => {}
-                    }
-                }
-                c
+            if d.num_cubes() < 2 {
+                continue;
+            }
+            let Some(f) = s.cover(target) else {
+                continue;
             };
-            let d = Sop::from_cubes((0..d_cubes).map(|_| cube(&mut next, 6)));
-            let q: Vec<Cube> = (0..1 + next(3)).map(|_| cube(&mut next, 6)).collect();
-            let mut cubes: Vec<Cube> = Vec::new();
-            for qc in &q {
-                for dc in d.cubes() {
-                    if next(5) != 0 {
-                        cubes.extend(qc.intersect(dc));
-                    }
-                }
+            if f.support().contains(divisor_sig) {
+                continue;
             }
-            while cubes.len() < f_cubes {
-                cubes.push(cube(&mut next, 6));
+            if rewrite_gain_reference(f, d) <= 1 {
+                continue;
             }
-            let f = Sop::from_cubes(cubes);
-            proptest::prop_assert_eq!(
-                rewritten_literals(&f, &d),
-                rewritten_literals_reference(&f, &d)
-            );
-        }
-
-        #[test]
-        fn extract_candidates_match_reference(
-            bits in proptest::arbitrary::any::<u64>(),
-            nodes in 1usize..40,
-            collapse in proptest::arbitrary::any::<bool>(),
-        ) {
-            // raw random covers repeat cubes, so some candidates do too
-            let mut s = random_sopnet(bits, 5, nodes);
-            if collapse {
-                s.eliminate(4, 64);
+            if s.depends_on(divisor_sig, target) {
+                continue;
             }
-            let mut x = Extraction::new(&s);
-            x.round = 1;
-            let fast: Vec<&Sop> = x.list(&s).into_iter().map(|id| &*x.candidates[id].sop).collect();
-            let slow = candidates_reference(&s);
-            proptest::prop_assert_eq!(fast, slow.iter().collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn extract_matches_reference(
-            bits in proptest::arbitrary::any::<u64>(),
-            nodes in 1usize..40,
-            threshold in 0u64..12,
-            max_new in 0usize..6,
-        ) {
-            // collapse first, as the script does, so covers are wide
-            // enough to share kernels and cubes
-            let mut fast = random_sopnet(bits, 5, nodes);
-            fast.eliminate(threshold as i64, 64);
-            let mut slow = fast.clone();
-            let max_new = [1, 2, 3, 5, 10, 400][max_new];
-            let made = fast.extract(max_new);
-            proptest::prop_assert_eq!(made, extract_reference(&mut slow, max_new));
-            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
-        }
-
-        #[test]
-        fn depends_on_matches_reference(
-            bits in proptest::arbitrary::any::<u64>(),
-            nodes in 1usize..16,
-        ) {
-            let s = random_sopnet(bits, 4, nodes);
-            let signals = s.num_pis() + s.nodes.len();
-            for a in 0..signals {
-                for b in 0..signals {
-                    proptest::prop_assert_eq!(
-                        s.depends_on(a, b),
-                        depends_on_reference(&s, a, b),
-                        "{} on {}", a, b
-                    );
-                }
+            let (f, d) = (f.clone(), d.clone());
+            if let Some(nf) = rewrite_with_divisor(&f, &d, divisor_sig) {
+                *s.cover_mut(target).expect("live") = nf;
+                applied += 1;
             }
-        }
-
-        #[test]
-        fn resubstitute_matches_reference(
-            bits in proptest::arbitrary::any::<u64>(),
-            nodes in 1usize..60,
-            threshold in 0u64..12,
-        ) {
-            // a light collapse keeps many multi-cube nodes to divide by;
-            // the added nodes each contain one of them times a literal
-            let mut fast = random_sopnet(bits, 4, nodes);
-            fast.eliminate(threshold as i64 - 4, 64);
-            let sigs = fast.live_signals();
-            for (k, &d) in sigs.iter().enumerate().filter(|&(k, _)| k % 3 == 0) {
-                let lit = Cube::literal((bits as usize >> (k % 60)) % 4, k % 2 == 0);
-                let mut cubes: Vec<Cube> = fast.cover(d).expect("live").cubes().iter()
-                    .filter_map(|c| c.intersect(&lit))
-                    .collect();
-                cubes.push(Cube::literal(sigs[k / 2], true));
-                let sig = fast.add_node(Sop::from_cubes(cubes));
-                fast.add_output(format!("r{sig}"), sig);
-            }
-            let mut slow = fast.clone();
-            let applied = fast.resubstitute();
-            proptest::prop_assert_eq!(applied, resubstitute_reference(&mut slow));
-            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
-        }
-
-        #[test]
-        fn eliminate_matches_reference_loop(
-            bits in proptest::arbitrary::any::<u64>(),
-            nodes in 1usize..40,
-            threshold in 0u64..10,
-            cap in 0usize..4,
-        ) {
-            let threshold = threshold as i64 - 2;
-            let max_cover = [4, 16, 64, 256][cap];
-            let mut fast = random_sopnet(bits, 5, nodes);
-            let mut slow = fast.clone();
-            fast.eliminate(threshold, max_cover);
-            eliminate_reference(&mut slow, threshold, max_cover);
-            proptest::prop_assert_eq!(&fast.nodes, &slow.nodes);
-            proptest::prop_assert_eq!(fast.live_signals(), slow.live_signals());
         }
     }
+    applied
 }

@@ -1075,6 +1075,8 @@ pub fn emit_factored(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::cover::{Cube as SetCube, Sop as SetSop};
+    use crate::oracle::sopnet as oracle;
     use xsynth_net::GateKind;
 
     pub(crate) fn cover(cubes: &[(&[usize], &[usize])]) -> Sop {
@@ -1299,5 +1301,176 @@ mod tests {
             "{:?}",
             t0.elapsed()
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(200))]
+
+        #[test]
+        fn rewritten_literals_match_division(
+            bits in proptest::arbitrary::any::<u64>(),
+            f_cubes in 1usize..12,
+            d_cubes in 1usize..4,
+            wide in proptest::arbitrary::any::<bool>(),
+        ) {
+            // f = (random divisor d) · (random quotient cubes) + noise, over
+            // six variables 37 apart (past 64 and 128) so cubes repeat and
+            // divisions half-succeed
+            let mut rng = bits | 1;
+            let mut next = move |k: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % k
+            };
+            let cube = |next: &mut dyn FnMut(u64) -> u64| {
+                let mut c = SetCube::universe();
+                for v in 0..6 {
+                    match next(5) {
+                        0 => c.add_literal(v * 37, true),
+                        1 => c.add_literal(v * 37, false),
+                        _ => true,
+                    };
+                }
+                c
+            };
+            let d = SetSop::from_cubes((0..d_cubes).map(|_| cube(&mut next)));
+            let q: Vec<SetCube> = (0..1 + next(3)).map(|_| cube(&mut next)).collect();
+            let mut cubes: Vec<SetCube> = Vec::new();
+            for qc in &q {
+                for dc in d.cubes() {
+                    if next(5) != 0 {
+                        cubes.extend(qc.intersect(dc));
+                    }
+                }
+            }
+            while cubes.len() < f_cubes {
+                cubes.push(cube(&mut next));
+            }
+            let f = SetSop::from_cubes(cubes);
+            let (rows_f, mut rows_d) = (f.to_rows(), d.to_rows());
+            if wide {
+                rows_d.widen(300);
+            }
+            let want = oracle::rewritten_literals_reference(&f, &d);
+            let (q, r) = algebra::divide(&rows_f, &rows_d);
+            let divided = (!q.is_zero()).then(|| q.num_literals() + q.num_cubes() + r.num_literals());
+            proptest::prop_assert_eq!(divided, want);
+            // one division's buffers serve every call
+            let mut division = Division::default();
+            proptest::prop_assert_eq!(division.rewritten_literals(&rows_f, &rows_d), want);
+            proptest::prop_assert_eq!(
+                division.rewritten_literals(&rows_d, &rows_f),
+                oracle::rewritten_literals_reference(&d, &f)
+            );
+            proptest::prop_assert_eq!(division.rewritten_literals(&rows_f, &rows_d), want);
+        }
+
+        #[test]
+        fn extract_candidates_match_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            pis in 0usize..3,
+            nodes in 1usize..40,
+            collapse in proptest::arbitrary::any::<bool>(),
+        ) {
+            // raw random covers repeat cubes, so some candidates do too
+            let mut old = oracle::random_sopnet(bits, [5, 40, 100][pis], nodes);
+            let mut s = old.to_rows();
+            if collapse {
+                old.eliminate(4, 64);
+                s.eliminate(4, 64);
+                proptest::prop_assert!(old.same_as(&s));
+            }
+            let mut x = Extraction::new(&s);
+            x.round = 1;
+            let fast: Vec<&Sop> = x.list(&s).into_iter().map(|id| &*x.candidates[id].sop).collect();
+            let slow: Vec<Sop> = oracle::candidates_reference(&old).iter().map(SetSop::to_rows).collect();
+            proptest::prop_assert_eq!(fast, slow.iter().collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn extract_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            pis in 0usize..3,
+            nodes in 1usize..40,
+            threshold in 0u64..12,
+            max_new in 0usize..6,
+        ) {
+            // collapse first, as the script does, so covers are wide
+            // enough to share kernels and cubes
+            let mut old = oracle::random_sopnet(bits, [5, 40, 100][pis], nodes);
+            old.eliminate(threshold as i64, 64);
+            let mut fast = old.to_rows();
+            let max_new = [1, 2, 3, 5, 10, 400][max_new];
+            let made = fast.extract(max_new);
+            proptest::prop_assert_eq!(made, oracle::extract_reference(&mut old, max_new));
+            proptest::prop_assert!(old.same_as(&fast));
+        }
+
+        #[test]
+        fn depends_on_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            pis in 0usize..2,
+            nodes in 1usize..16,
+        ) {
+            let old = oracle::random_sopnet(bits, [4, 66][pis], nodes);
+            let s = old.to_rows();
+            for a in 0..s.num_signals() {
+                for b in 0..s.num_signals() {
+                    proptest::prop_assert_eq!(
+                        s.depends_on(a, b),
+                        oracle::depends_on_reference(&old, a, b),
+                        "{} on {}", a, b
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn resubstitute_matches_reference(
+            bits in proptest::arbitrary::any::<u64>(),
+            pis in 0usize..3,
+            nodes in 1usize..60,
+            threshold in 0u64..12,
+        ) {
+            // a light collapse keeps many multi-cube nodes to divide by;
+            // the added nodes each contain one of them times a literal of
+            // the last four inputs, which the random covers read most
+            let pis = [4, 66, 130][pis];
+            let mut old = oracle::random_sopnet(bits, pis, nodes);
+            old.eliminate(threshold as i64 - 4, 64);
+            let sigs = old.live_signals();
+            for (k, &d) in sigs.iter().enumerate().filter(|&(k, _)| k % 3 == 0) {
+                let lit = SetCube::literal(pis - 1 - (bits as usize >> (k % 60)) % 4, k % 2 == 0);
+                let mut cubes: Vec<SetCube> = old.cover(d).expect("live").cubes().iter()
+                    .filter_map(|c| c.intersect(&lit))
+                    .collect();
+                cubes.push(SetCube::literal(sigs[k / 2], true));
+                let sig = old.add_node(SetSop::from_cubes(cubes));
+                old.add_output(format!("r{sig}"), sig);
+            }
+            let mut fast = old.to_rows();
+            let applied = fast.resubstitute();
+            proptest::prop_assert_eq!(applied, oracle::resubstitute_reference(&mut old));
+            proptest::prop_assert!(old.same_as(&fast));
+        }
+
+        #[test]
+        fn eliminate_matches_reference_loop(
+            bits in proptest::arbitrary::any::<u64>(),
+            pis in 0usize..3,
+            nodes in 1usize..40,
+            threshold in 0u64..10,
+            cap in 0usize..4,
+        ) {
+            let threshold = threshold as i64 - 2;
+            let max_cover = [4, 16, 64, 256][cap];
+            let mut old = oracle::random_sopnet(bits, [5, 40, 100][pis], nodes);
+            let mut fast = old.to_rows();
+            fast.eliminate(threshold, max_cover);
+            oracle::eliminate_reference(&mut old, threshold, max_cover);
+            proptest::prop_assert!(old.same_as(&fast));
+            proptest::prop_assert_eq!(fast.live_signals(), old.live_signals());
+        }
     }
 }

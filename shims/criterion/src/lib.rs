@@ -225,23 +225,25 @@ impl BenchmarkGroup<'_> {
     }
 }
 
-/// Collects benchmark functions into one runnable group function.
+/// Collects benchmark functions into one group function, which runs
+/// them all on the harness it is given.
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default().configure_from_args();
-            $($target(&mut criterion);)+
+        pub fn $name(criterion: &mut $crate::Criterion) {
+            $($target(criterion);)+
         }
     };
 }
 
-/// Emits `main` running the given groups.
+/// Emits `main`, which configures one harness from the bench binary's
+/// arguments and runs the given groups on it.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $($group();)+
+            let mut criterion = $crate::Criterion::default().configure_from_args();
+            $($group(&mut criterion);)+
         }
     };
 }
@@ -249,11 +251,14 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn trivial(c: &mut Criterion) {
         let mut group = c.benchmark_group("g");
         group.sample_size(3);
-        group.bench_function("id", |b| b.iter(|| black_box(1 + 1)));
+        group.bench_function("id", |b| b.iter(|| CALLS.fetch_add(1, Ordering::Relaxed)));
         group.bench_with_input(BenchmarkId::new("param", 7), &7u64, |b, &x| {
             b.iter(|| black_box(x * 2))
         });
@@ -264,7 +269,9 @@ mod tests {
 
     #[test]
     fn harness_runs() {
-        benches();
+        // a harness of its own: the test binary's arguments are no filter
+        benches(&mut Criterion::default());
+        assert!(CALLS.load(Ordering::Relaxed) >= 2, "a warmup and a sample");
     }
 
     #[test]
