@@ -11,14 +11,13 @@
 //!   groups come from a union-find that joins each cube to the first cube
 //!   holding each of its literals, and the most frequent variable from
 //!   the rows' column popcounts.
-//! * **Method 2 — the OFDD method** ([`ofdd_to_network`]): translates each
-//!   OFDD node into one AND and one XOR gate implementing its Davio
-//!   expansion, sharing common subgraphs, in a single traversal.
+//! * **Method 2 — the OFDD method**
+//!   ([`OfddManager::to_network`](xsynth_ofdd::OfddManager::to_network)):
+//!   translates each OFDD node into one AND and one XOR gate implementing
+//!   its Davio expansion, sharing common subgraphs, in a single traversal.
 
 use crate::expr::Gexpr;
-use xsynth_boolean::{mask_ones, CubeRows, FxHashMap, Polarity};
-use xsynth_net::{GateKind, Network, SignalId};
-use xsynth_ofdd::{Ofdd, OfddManager};
+use xsynth_boolean::{mask_ones, CubeRows};
 use xsynth_trace::TraceBuffer;
 
 /// Factors an FPRM cube list into a [`Gexpr`] (the cube method).
@@ -195,65 +194,6 @@ fn is_zero(row: &[u64]) -> bool {
     row.iter().all(|&w| w == 0)
 }
 
-/// Lowers an OFDD into gates (the paper's Method 2): each internal node
-/// becomes `lo ⊕ λ·hi` (one AND + one two-input XOR), with DAG sharing
-/// preserved, in one topological traversal. Returns the signal of the
-/// root.
-///
-/// `literal_sig` supplies the polarity-adjusted literal signal of a
-/// variable (as in [`Gexpr::emit`]).
-pub fn ofdd_to_network(
-    om: &OfddManager,
-    root: Ofdd,
-    net: &mut Network,
-    literal_sig: &mut dyn FnMut(&mut Network, usize) -> SignalId,
-) -> SignalId {
-    if root == Ofdd::ZERO {
-        return net.add_gate(GateKind::Const0, vec![]);
-    }
-    if root == Ofdd::ONE {
-        return net.add_gate(GateKind::Const1, vec![]);
-    }
-    let mut map: FxHashMap<Ofdd, SignalId> = FxHashMap::default();
-    for (h, var, lo, hi) in om.topo_nodes(root) {
-        let lit = literal_sig(net, var);
-        // hi is never ZERO in a reduced OFDD
-        let and_part = if hi == Ofdd::ONE {
-            lit
-        } else {
-            net.add_gate(GateKind::And, vec![lit, map[&hi]])
-        };
-        let sig = match lo {
-            Ofdd::ZERO => and_part,
-            Ofdd::ONE => net.add_gate(GateKind::Not, vec![and_part]),
-            _ => net.add_gate(GateKind::Xor, vec![map[&lo], and_part]),
-        };
-        map.insert(h, sig);
-    }
-    map[&root]
-}
-
-/// Builds a literal-signal supplier for a polarity over a fixed input
-/// list: positive literals are the inputs themselves, negative literals
-/// get one shared NOT gate per variable.
-pub fn literal_supplier(
-    polarity: &Polarity,
-    inputs: &[SignalId],
-) -> impl FnMut(&mut Network, usize) -> SignalId {
-    let polarity = polarity.clone();
-    let inputs = inputs.to_vec();
-    let mut not_cache: FxHashMap<usize, SignalId> = FxHashMap::default();
-    move |net: &mut Network, v: usize| {
-        if polarity.is_positive(v) {
-            inputs[v]
-        } else {
-            *not_cache
-                .entry(v)
-                .or_insert_with(|| net.add_gate(GateKind::Not, vec![inputs[v]]))
-        }
-    }
-}
-
 #[cfg(test)]
 mod reference {
     use crate::expr::Gexpr;
@@ -382,7 +322,8 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_boolean::{Fprm, TruthTable, VarSet};
+    use xsynth_boolean::{Fprm, FxHashMap, Polarity, TruthTable, VarSet};
+    use xsynth_net::{Network, SignalId};
 
     fn rows(cubes: &[VarSet]) -> CubeRows {
         CubeRows::from_sets(0, cubes)
@@ -491,55 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn ofdd_method_matches_function() {
-        let t = TruthTable::from_fn(6, |m| (m * 11 + 2) % 7 < 3);
-        for pol_idx in [0u64, 0b101010, 0b111111] {
-            let pol = Polarity::from_index(6, pol_idx);
-            let mut om = OfddManager::new(pol.clone());
-            let o = om.from_table(&t).unwrap();
-            let mut net = Network::new("m2");
-            let inputs: Vec<SignalId> = (0..6).map(|i| net.add_input(format!("x{i}"))).collect();
-            let mut lits = literal_supplier(&pol, &inputs);
-            let s = ofdd_to_network(&om, o, &mut net, &mut lits);
-            net.add_output("f", s);
-            for m in 0..64u64 {
-                assert_eq!(net.eval_u64(m)[0], t.eval(m), "pol {pol_idx} m {m}");
-            }
-        }
-    }
-
-    #[test]
-    fn ofdd_method_xor_gates_are_binary() {
-        let t = TruthTable::from_fn(5, |m| m.count_ones() >= 3);
-        let pol = Polarity::all_positive(5);
-        let mut om = OfddManager::new(pol.clone());
-        let o = om.from_table(&t).unwrap();
-        let mut net = Network::new("m2b");
-        let inputs: Vec<SignalId> = (0..5).map(|i| net.add_input(format!("x{i}"))).collect();
-        let mut lits = literal_supplier(&pol, &inputs);
-        let s = ofdd_to_network(&om, o, &mut net, &mut lits);
-        net.add_output("f", s);
-        for id in net.topo_order() {
-            if net.gate_kind(id) == Some(GateKind::Xor) {
-                assert_eq!(net.fanins(id).len(), 2);
-            }
-        }
-    }
-
-    #[test]
-    fn ofdd_method_constants() {
-        let pol = Polarity::all_positive(3);
-        let mut om = OfddManager::new(pol.clone());
-        let zero = om.from_table(&TruthTable::zero(3)).unwrap();
-        let mut net = Network::new("c");
-        let inputs: Vec<SignalId> = (0..3).map(|i| net.add_input(format!("x{i}"))).collect();
-        let mut lits = literal_supplier(&pol, &inputs);
-        let s = ofdd_to_network(&om, zero, &mut net, &mut lits);
-        net.add_output("z", s);
-        assert_eq!(net.eval_u64(5), vec![false]);
-    }
-
-    #[test]
     fn parity_balanced_tree_depth() {
         // 8-var parity through the cube method: the balanced XOR join
         // should give depth ~log2(8) in XOR gates
@@ -548,9 +440,7 @@ mod tests {
         assert_eq!(e.num_xor_ops(), 7);
         let mut net = Network::new("p");
         let inputs: Vec<SignalId> = (0..8).map(|i| net.add_input(format!("x{i}"))).collect();
-        let pol = Polarity::all_positive(8);
-        let mut lits = literal_supplier(&pol, &inputs);
-        let s = e.emit(&mut net, &mut lits);
+        let s = e.emit(&mut net, &mut |_, v| inputs[v]);
         net.add_output("p", s);
         // depth check
         let mut depth: FxHashMap<SignalId, usize> = FxHashMap::default();

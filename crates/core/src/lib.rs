@@ -9,7 +9,7 @@
 //!    a searched polarity vector ([`xsynth_ofdd`], [`PolarityMode`]);
 //! 2. **algebraic factorization** in GF(2) — the cube method
 //!    ([`factor_cubes`], rules (a)–(e) in [`Gexpr::apply_rules`]) or the
-//!    OFDD method ([`ofdd_to_network`]);
+//!    OFDD method ([`OfddManager::to_network`](xsynth_ofdd::OfddManager::to_network));
 //! 3. **XOR redundancy removal** — simulation of the paper's decidable
 //!    pattern family ([`paper_patterns`]) classifies each XOR gate's input
 //!    classes as testable or not, and untestable classes collapse the gate
@@ -64,9 +64,7 @@ mod verify;
 pub use budget::{Budget, BudgetExceeded, Resource};
 pub use error::Error;
 pub use expr::Gexpr;
-pub use factor::{
-    disjoint_groups, factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network,
-};
+pub use factor::{disjoint_groups, factor_cubes, factor_cubes_traced};
 pub use patterns::{merge_patterns, paper_patterns};
 pub use redundancy::remove_redundancy;
 pub use synth::{

@@ -326,11 +326,9 @@ mod tests {
         let e = crate::factor::factor_cubes(&CubeRows::from_sets(n, cubes), false);
         let mut net = Network::new("t");
         let inputs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("x{i}"))).collect();
-        let pol = Polarity::all_positive(n);
-        let mut lits = crate::factor::literal_supplier(&pol, &inputs);
-        let s = e.emit(&mut net, &mut lits);
+        let s = e.emit(&mut net, &mut |_, v| inputs[v]);
         net.add_output("f", s);
-        let pats = family(n, &pol, cubes);
+        let pats = family(n, &Polarity::all_positive(n), cubes);
         (net, pats)
     }
 

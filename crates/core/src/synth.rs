@@ -26,18 +26,19 @@
 
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
-use crate::factor::{factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network};
+use crate::factor::{factor_cubes, factor_cubes_traced};
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, MAX_CUBES};
 use crate::redundancy::remove_redundancy;
-use crate::verify::{network_bdds, new_manager, EquivChecker, VerifyStatus};
+use crate::verify::{network_bdds, new_manager, prove_equivalence, EquivChecker, VerifyStatus};
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{mask_ones, CubeRows, FxHashMap, Polarity};
 use xsynth_net::{GateKind, Network, SignalId};
-use xsynth_ofdd::{optimize_polarity, OfddManager, PolaritySearch};
+use xsynth_ofdd::kfdd::optimize_decomposition;
+use xsynth_ofdd::{optimize_polarity, Ofdd, OfddManager, PolaritySearch};
 use xsynth_sim::{exhaustive_blocks, random_blocks, PatternBlock, PatternRows, Simulator};
 use xsynth_sop::SopNet;
 use xsynth_trace::{Trace, TraceBuffer, TraceSink};
@@ -591,17 +592,31 @@ fn run_pipeline(
         main.gauge("net.gates", result.num_gates() as f64);
         main.end();
     }
-    report.proof = Some(if checker.downgraded() {
-        curtail(report, phase::VERIFY);
-        VerifyStatus::Downgraded
-    } else {
-        VerifyStatus::Verified
-    });
-
+    let downgraded = checker.downgraded();
     // the job's manager, now the checker's, read once at the end
     checker.record(&mut main);
+    drop(checker);
 
     let result = result.sweep();
+    let mut proof = VerifyStatus::Verified;
+    if downgraded {
+        // a downgrade need not stick: the final network is proven again in
+        // a fresh manager under the job's budget, and an exact proof there
+        // makes the job verified
+        main.begin(phase::VERIFY);
+        proof = prove_equivalence(&spec, &result, &opts.budget)?;
+        match proof {
+            VerifyStatus::Verified => main.count("verify.reproved", 1),
+            VerifyStatus::Downgraded => curtail(report, phase::VERIFY),
+            VerifyStatus::Failed => {
+                return Err(Error::Verify(
+                    "the final network is not equivalent to the spec".into(),
+                ))
+            }
+        }
+        main.end();
+    }
+    report.proof = Some(proof);
     main.gauge("net.gates", result.num_gates() as f64);
     main.end();
     Ok(result)
@@ -612,7 +627,7 @@ struct OutputPlan {
     name: String,
     pol: Polarity,
     om: OfddManager,
-    root: xsynth_ofdd::Ofdd,
+    root: Ofdd,
     bdd: xsynth_bdd::Bdd,
     /// literal-space cubes (id = 2v for positive, 2v+1 for negative)
     lit_cubes: Option<CubeRows>,
@@ -688,9 +703,13 @@ fn plan_output(
                     (opts.share && num_outputs > 1) || {
                         buf.span("method_select", |buf| {
                             let expr = factor_cubes(&cubes, opts.apply_rules);
-                            let cube_cost = scratch_cost(n, &pol, |net, lits| expr.emit(net, lits));
-                            let ofdd_cost = scratch_cost(n, &pol, |net, lits| {
-                                ofdd_to_network(&om, root, net, lits)
+                            let cube_cost = scratch_cost(n, |net, lits| {
+                                expr.emit(net, &mut |net, v| {
+                                    lits.signal(net, 2 * v + usize::from(!pol.is_positive(v)))
+                                })
+                            });
+                            let ofdd_cost = scratch_cost(n, |net, lits| {
+                                om.to_network(root, net, &mut |net, id| lits.signal(net, id))
                             });
                             buf.gauge("method.cube_cost", cube_cost as f64);
                             buf.gauge("method.ofdd_cost", ofdd_cost as f64);
@@ -889,6 +908,14 @@ struct Literals {
 }
 
 impl Literals {
+    fn new(inputs: Vec<SignalId>) -> Self {
+        Literals {
+            inputs,
+            nots: FxHashMap::default(),
+            divisors: FxHashMap::default(),
+        }
+    }
+
     fn signal(&mut self, net: &mut Network, id: usize) -> SignalId {
         let v = id / 2;
         if v >= self.inputs.len() {
@@ -953,15 +980,12 @@ fn synthesize_outputs(
 ) -> Result<Network, Error> {
     let n = spec.inputs().len();
     let mut net = Network::new(spec.name().to_string());
-    let mut lits = Literals {
-        inputs: spec
-            .inputs()
+    let mut lits = Literals::new(
+        spec.inputs()
             .iter()
             .map(|&i| net.add_input(spec.node_name(i).unwrap_or("in").to_string()))
             .collect(),
-        nots: FxHashMap::default(),
-        divisors: FxHashMap::default(),
-    };
+    );
 
     // Phase 1: per-output polarity + FPRM cubes; decide the method. The
     // outputs are planned in index order, all in the job's one BDD
@@ -1095,22 +1119,24 @@ fn synthesize_outputs(
                     }
                 }
             }
-            None if opts.method == FactorMethod::Kfdd => {
-                let (km, kroot) =
-                    xsynth_ofdd::kfdd::optimize_decomposition(bm, plan.bdd).map_err(|e| {
-                        BudgetExceeded::new(phase::FACTORING, Resource::BddNodes, e.limit as u64)
-                    })?;
-                Some(km.to_network(kroot, &mut net, &lits.inputs))
-            }
             None => None,
         };
-        let sig = factored.unwrap_or_else(|| {
-            main.count("factor.ofdd_lowered", 1);
-            let pol = &plan.pol;
-            ofdd_to_network(&plan.om, plan.root, &mut net, &mut |net, v| {
-                lits.signal(net, 2 * v + usize::from(!pol.is_positive(v)))
-            })
-        });
+        let sig = match factored {
+            Some(sig) => sig,
+            None => {
+                let kfdd;
+                let (dd, root) = if opts.method == FactorMethod::Kfdd {
+                    kfdd = optimize_decomposition(bm, plan.bdd).map_err(|e| {
+                        BudgetExceeded::new(phase::FACTORING, Resource::BddNodes, e.limit as u64)
+                    })?;
+                    (&kfdd.0, kfdd.1)
+                } else {
+                    main.count("factor.ofdd_lowered", 1);
+                    (&plan.om, plan.root)
+                };
+                dd.to_network(root, &mut net, &mut |net, id| lits.signal(net, id))
+            }
+        };
         net.add_output(plan.name.clone(), sig);
     }
     main.end();
@@ -1211,16 +1237,11 @@ fn swept_literals(net: &Network) -> usize {
     2 * gates
 }
 
-/// Emits one candidate implementation into a scratch network and returns
-/// its two-input literal cost.
-fn scratch_cost(
-    n: usize,
-    pol: &Polarity,
-    build: impl FnOnce(&mut Network, &mut dyn FnMut(&mut Network, usize) -> SignalId) -> SignalId,
-) -> usize {
+/// Emits one candidate implementation into a scratch network over `n`
+/// inputs and returns its two-input literal cost.
+fn scratch_cost(n: usize, build: impl FnOnce(&mut Network, &mut Literals) -> SignalId) -> usize {
     let mut net = Network::new("scratch");
-    let inputs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("x{i}"))).collect();
-    let mut lits = literal_supplier(pol, &inputs);
+    let mut lits = Literals::new((0..n).map(|i| net.add_input(format!("x{i}"))).collect());
     let sig = build(&mut net, &mut lits);
     net.add_output("f", sig);
     net.strash().two_input_cost().1

@@ -42,4 +42,4 @@ mod library;
 mod mapper;
 
 pub use library::{Cell, Library};
-pub use mapper::{map_network, map_network_for, MapGoal, Mapping};
+pub use mapper::{map_network, Mapping};

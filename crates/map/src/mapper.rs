@@ -167,17 +167,6 @@ impl Mapping {
     }
 }
 
-/// What the covering DP minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MapGoal {
-    /// Minimum total cell area (the paper's Table 2 setting).
-    #[default]
-    Area,
-    /// Minimum depth in cell levels, ties broken by area — the delay-
-    /// oriented mode the paper's conclusion flags as future analysis.
-    Depth,
-}
-
 /// Makes a name a legal Verilog identifier.
 fn sanitize_verilog(name: &str) -> String {
     let mut out: String = name
@@ -407,15 +396,6 @@ struct Choice<'a> {
 /// library containing inverter + and2 (or nand2) + tie cells, such as
 /// [`Library::mcnc`].
 pub fn map_network(net: &Network, lib: &Library) -> Mapping {
-    map_network_for(net, lib, MapGoal::Area)
-}
-
-/// Maps a network onto `lib` optimizing the chosen [`MapGoal`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`map_network`].
-pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
     let subject = to_subject(net);
     let order = subject.topo_order();
     let n_nodes = subject.num_nodes();
@@ -423,14 +403,13 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
     // 1. cut enumeration
     let cuts = enumerate_cuts(&subject, &order);
 
-    // 2. dynamic program for the chosen goal: cost = (primary, secondary)
-    // with primary = area (Area goal) or depth (Depth goal, ties by area)
-    let mut best_cost: Vec<(f64, f64)> = vec![(f64::INFINITY, f64::INFINITY); n_nodes];
+    // 2. dynamic program: a node's cost is the area of its best cover
+    let mut best_cost: Vec<f64> = vec![f64::INFINITY; n_nodes];
     let mut best_choice: Vec<Option<Choice>> = vec![None; n_nodes];
     for &id in &order {
         let i = id.index();
         if matches!(subject.kind(id), NodeKind::Input) {
-            best_cost[i] = (0.0, 0.0);
+            best_cost[i] = 0.0;
             continue;
         }
         for cut in cuts.cuts(i) {
@@ -440,26 +419,10 @@ pub fn map_network_for(net: &Network, lib: &Library, goal: MapGoal) -> Mapping {
             let Some((cell, perm)) = lib.matches(cut.n as usize, cut.tt) else {
                 continue;
             };
-            let cell_area = lib.cells()[cell].area();
-            let cost = match goal {
-                MapGoal::Area => {
-                    let mut area = cell_area;
-                    for &l in cut.leaves() {
-                        area += best_cost[l as usize].0;
-                    }
-                    (area, 0.0)
-                }
-                MapGoal::Depth => {
-                    let mut depth = 0.0f64;
-                    let mut area = cell_area;
-                    for &l in cut.leaves() {
-                        let (d, a) = best_cost[l as usize];
-                        depth = depth.max(d);
-                        area += a;
-                    }
-                    (depth + 1.0, area)
-                }
-            };
+            let mut cost = lib.cells()[cell].area();
+            for &l in cut.leaves() {
+                cost += best_cost[l as usize];
+            }
             if cost < best_cost[i] {
                 best_cost[i] = cost;
                 best_choice[i] = Some(Choice {
@@ -1296,50 +1259,6 @@ mod tests {
         n.add_output("y", a);
         let m = check_mapping(&n);
         assert_eq!(m.num_gates(), 0);
-    }
-
-    #[test]
-    fn depth_goal_flattens_chains() {
-        use crate::MapGoal;
-        // an 8-input AND built as a linear chain: area mapping may keep it
-        // deep, depth mapping must reach ceil(log_4(8)) = 2 nand/nor levels
-        // + polarity fixup
-        let mut n = Network::new("chain8");
-        let ins: Vec<SignalId> = (0..8).map(|i| n.add_input(format!("x{i}"))).collect();
-        let mut s = ins[0];
-        for &i in &ins[1..] {
-            s = n.add_gate(GateKind::And, vec![s, i]);
-        }
-        n.add_output("y", s);
-        let lib = Library::mcnc();
-        let area_map = map_network_for(&n, &lib, MapGoal::Area);
-        let depth_map = map_network_for(&n, &lib, MapGoal::Depth);
-        let d_area = area_map.depth();
-        let d_depth = depth_map.depth();
-        // Structural covering cannot re-associate the chain (the mcnc-like
-        // library has no AND3/AND4 cell to absorb positive-phase windows),
-        // so the guarantee is only that the depth goal never loses.
-        assert!(
-            d_depth <= d_area,
-            "depth goal must not be deeper: {d_depth} vs {d_area}"
-        );
-        // both remain functionally correct
-        for m in 0..256u64 {
-            assert_eq!(depth_map.to_network(&lib).eval_u64(m)[0], m == 255);
-            assert_eq!(area_map.to_network(&lib).eval_u64(m)[0], m == 255);
-        }
-        // where a matching complex cell exists, the depth goal exploits it:
-        // !(a·b·c·d) collapses to one nand4 level
-        let mut n2 = Network::new("nand4chain");
-        let ins: Vec<SignalId> = (0..4).map(|i| n2.add_input(format!("x{i}"))).collect();
-        let mut s = ins[0];
-        for &i in &ins[1..] {
-            s = n2.add_gate(GateKind::And, vec![s, i]);
-        }
-        let inv = n2.add_gate(GateKind::Not, vec![s]);
-        n2.add_output("y", inv);
-        let m2 = map_network_for(&n2, &lib, MapGoal::Depth);
-        assert_eq!(m2.depth(), 1, "{:?}", m2.cell_histogram());
     }
 
     #[test]

@@ -1,19 +1,27 @@
-//! Ordered functional decision diagrams (OFDDs) with fixed polarity.
+//! Ordered functional decision diagrams: the fixed-polarity OFDD and its
+//! Kronecker generalization, in one manager.
 //!
-//! An OFDD (Kebschull & Rosenstiel; Section 2 of the paper) is the decision
-//! diagram of the fixed-polarity Davio expansion: an internal node for
-//! variable `x` with children `(lo, hi)` denotes
+//! Each variable of a diagram takes one expansion, its [`Decomposition`]:
 //!
-//! ```text
-//! f = lo ⊕ λ·hi        where λ = x or ¬x according to the polarity vector
-//! ```
+//! * **Shannon**:        `f = ¬x·f₀ ⊕ x·f₁`
+//! * **positive Davio**: `f = f₀ ⊕ x·(f₀ ⊕ f₁)`
+//! * **negative Davio**: `f = f₁ ⊕ ¬x·(f₀ ⊕ f₁)`
 //!
-//! Nodes are reduced (a node whose `hi` child is constant zero contributes
-//! nothing and is removed) and shared through a unique table, so a handle is
-//! canonical for a given manager and polarity. Each path from the root to
-//! the 1-terminal corresponds to one cube of the FPRM form; the manager
-//! extracts the full cube set, which is exactly the FPRM form used by the
-//! synthesis flow.
+//! so an internal node for variable `x` with children `(lo, hi)` denotes
+//! `¬x·lo ⊕ x·hi` under Shannon and `lo ⊕ λ·hi` under Davio, where `λ` is
+//! `x` or `¬x`. An OFDD (Kebschull & Rosenstiel; Section 2 of the paper)
+//! is the diagram whose variables are all Davio, the polarity vector
+//! picking positive or negative per variable: [`OfddManager::new`]. A
+//! list that mixes in Shannon variables is an ordered Kronecker FDD, the
+//! extension of the paper's refs \[1\]/\[16\], which
+//! [`kfdd::optimize_decomposition`] searches for.
+//!
+//! Nodes are reduced (a Davio node whose `hi` child is constant zero, and
+//! a Shannon node whose children are equal, is removed) and shared through
+//! a unique table, so a handle is canonical for a given manager. Under an
+//! all-Davio list each path from the root to the 1-terminal is one cube of
+//! the FPRM form; the manager extracts the full cube set, which is exactly
+//! the FPRM form used by the synthesis flow.
 //!
 //! # Examples
 //!
@@ -41,13 +49,25 @@ mod reference;
 
 use std::time::Instant;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
-use xsynth_boolean::{CubeRows, Fprm, FxHashMap, FxHashSet, Polarity, Spectrum, TruthTable};
+use xsynth_boolean::{CubeRows, FxHashMap, FxHashSet, Polarity, Spectrum, TruthTable};
+use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_trace::TraceBuffer;
 
-/// A handle to an OFDD node inside an [`OfddManager`].
+/// The expansion a diagram uses for one variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Decomposition {
+    /// `f = ¬x·f₀ ⊕ x·f₁` (the BDD expansion).
+    Shannon,
+    /// `f = f₀ ⊕ x·(f₀ ⊕ f₁)`.
+    PositiveDavio,
+    /// `f = f₁ ⊕ ¬x·(f₀ ⊕ f₁)`.
+    NegativeDavio,
+}
+
+/// A handle to a node inside an [`OfddManager`].
 ///
 /// Handles are canonical within one manager: equal handles denote equal
-/// functions (for the manager's fixed polarity and variable order).
+/// functions (for the manager's decomposition list and variable order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ofdd(u32);
 
@@ -61,11 +81,6 @@ impl Ofdd {
     pub fn is_const(self) -> bool {
         self.0 <= 1
     }
-
-    /// Raw index, for debugging and statistics.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -77,20 +92,32 @@ struct Node {
 
 const TERMINAL_VAR: u32 = u32::MAX;
 
-/// An arena of reduced, shared OFDD nodes under a fixed [`Polarity`].
+/// An arena of reduced, shared diagram nodes under a fixed list of one
+/// [`Decomposition`] per variable.
 #[derive(Debug)]
 pub struct OfddManager {
-    polarity: Polarity,
+    types: Vec<Decomposition>,
     nodes: Vec<Node>,
     unique: FxHashMap<(u32, Ofdd, Ofdd), Ofdd>,
-    xor_cache: FxHashMap<(Ofdd, Ofdd), Ofdd>,
 }
 
 impl OfddManager {
-    /// Creates a manager over `polarity.num_vars()` variables.
+    /// Creates the OFDD manager of `polarity`: every variable is Davio,
+    /// positive or negative as the polarity says.
     pub fn new(polarity: Polarity) -> Self {
+        let types = (0..polarity.num_vars())
+            .map(|v| match polarity.is_positive(v) {
+                true => Decomposition::PositiveDavio,
+                false => Decomposition::NegativeDavio,
+            })
+            .collect();
+        Self::with_types(types)
+    }
+
+    /// Creates a manager with one decomposition type per variable.
+    pub fn with_types(types: Vec<Decomposition>) -> Self {
         OfddManager {
-            polarity,
+            types,
             nodes: vec![
                 Node {
                     var: TERMINAL_VAR,
@@ -104,18 +131,17 @@ impl OfddManager {
                 },
             ],
             unique: FxHashMap::default(),
-            xor_cache: FxHashMap::default(),
         }
     }
 
-    /// The polarity vector of this manager.
-    pub fn polarity(&self) -> &Polarity {
-        &self.polarity
+    /// The decomposition list, one type per variable.
+    pub fn types(&self) -> &[Decomposition] {
+        &self.types
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.polarity.num_vars()
+        self.types.len()
     }
 
     /// Total allocated nodes (including terminals).
@@ -123,9 +149,16 @@ impl OfddManager {
         self.nodes.len()
     }
 
-    fn mk(&mut self, var: u32, lo: Ofdd, hi: Ofdd) -> Ofdd {
-        if hi == Ofdd::ZERO {
-            // f = lo ⊕ λ·0 = lo : the OFDD reduction rule
+    /// The node `(var, lo, hi)` under `var`'s decomposition `d`, reduced
+    /// and shared.
+    fn mk(&mut self, d: Decomposition, var: u32, lo: Ofdd, hi: Ofdd) -> Ofdd {
+        let redundant = match d {
+            // ¬x·lo ⊕ x·lo = lo
+            Decomposition::Shannon => lo == hi,
+            // lo ⊕ λ·0 = lo: the OFDD reduction rule
+            _ => hi == Ofdd::ZERO,
+        };
+        if redundant {
             return lo;
         }
         if let Some(&o) = self.unique.get(&(var, lo, hi)) {
@@ -141,82 +174,10 @@ impl OfddManager {
         self.nodes[o.0 as usize]
     }
 
-    /// The decision variable of `o`, or `None` for terminals.
-    pub fn top_var(&self, o: Ofdd) -> Option<usize> {
-        if o.is_const() {
-            None
-        } else {
-            Some(self.node(o).var as usize)
-        }
-    }
-
-    /// The low child (cubes without the literal); `o` itself for terminals.
-    pub fn low(&self, o: Ofdd) -> Ofdd {
-        if o.is_const() {
-            o
-        } else {
-            self.node(o).lo
-        }
-    }
-
-    /// The high child (cubes with the literal); `o` itself for terminals.
-    pub fn high(&self, o: Ofdd) -> Ofdd {
-        if o.is_const() {
-            o
-        } else {
-            self.node(o).hi
-        }
-    }
-
-    /// XOR of two OFDDs — structural, since XOR distributes over the Davio
-    /// expansion.
-    pub fn xor(&mut self, f: Ofdd, g: Ofdd) -> Ofdd {
-        if f == Ofdd::ZERO {
-            return g;
-        }
-        if g == Ofdd::ZERO {
-            return f;
-        }
-        if f == g {
-            return Ofdd::ZERO;
-        }
-        let key = if f <= g { (f, g) } else { (g, f) };
-        if let Some(&r) = self.xor_cache.get(&key) {
-            return r;
-        }
-        let r = if f == Ofdd::ONE {
-            let ng = self.node(g);
-            let lo = self.xor(Ofdd::ONE, ng.lo);
-            self.mk(ng.var, lo, ng.hi)
-        } else if g == Ofdd::ONE {
-            let nf = self.node(f);
-            let lo = self.xor(nf.lo, Ofdd::ONE);
-            self.mk(nf.var, lo, nf.hi)
-        } else {
-            let (nf, ng) = (self.node(f), self.node(g));
-            let var = nf.var.min(ng.var);
-            let (fl, fh) = if nf.var == var {
-                (nf.lo, nf.hi)
-            } else {
-                (f, Ofdd::ZERO)
-            };
-            let (gl, gh) = if ng.var == var {
-                (ng.lo, ng.hi)
-            } else {
-                (g, Ofdd::ZERO)
-            };
-            let lo = self.xor(fl, gl);
-            let hi = self.xor(fh, gh);
-            self.mk(var, lo, hi)
-        };
-        self.xor_cache.insert(key, r);
-        r
-    }
-
     #[allow(clippy::wrong_self_convention)] // manager-style constructor, as in CUDD
-    /// Builds the OFDD of `f` from a ROBDD, variable by variable in the
-    /// shared natural order. The conversion drives `bm` through XOR
-    /// operations, so a node cap on `bm` can trip.
+    /// Builds the diagram of `f` from a ROBDD, variable by variable in the
+    /// shared natural order. A Davio variable's expansion drives `bm`
+    /// through an XOR, so a node cap on `bm` can trip.
     ///
     /// # Panics
     ///
@@ -248,21 +209,22 @@ impl OfddManager {
         }
         let f0 = bm.low(f);
         let f1 = bm.high(f);
-        let diff_bdd = bm.xor(f0, f1)?;
-        let base_bdd = if self.polarity.is_positive(var) {
-            f0
-        } else {
-            f1
+        let d = self.types[var];
+        // the XOR is issued before either recursion
+        let (lo_bdd, hi_bdd) = match d {
+            Decomposition::Shannon => (f0, f1),
+            Decomposition::PositiveDavio => (f0, bm.xor(f0, f1)?),
+            Decomposition::NegativeDavio => (f1, bm.xor(f0, f1)?),
         };
-        let lo = self.from_bdd_rec(bm, base_bdd, memo)?;
-        let hi = self.from_bdd_rec(bm, diff_bdd, memo)?;
-        let o = self.mk(var as u32, lo, hi);
+        let lo = self.from_bdd_rec(bm, lo_bdd, memo)?;
+        let hi = self.from_bdd_rec(bm, hi_bdd, memo)?;
+        let o = self.mk(d, var as u32, lo, hi);
         memo.insert(f, o);
         Ok(o)
     }
 
     #[allow(clippy::wrong_self_convention)]
-    /// Convenience: builds the OFDD of a truth table through a private,
+    /// Convenience: builds the diagram of a truth table through a private,
     /// uncapped BDD manager.
     pub fn from_table(&mut self, t: &TruthTable) -> Result<Ofdd, NodeLimitExceeded> {
         let mut bm = BddManager::new(t.num_vars());
@@ -270,7 +232,8 @@ impl OfddManager {
         self.from_bdd(&mut bm, f)
     }
 
-    /// Number of FPRM cubes (paths to the 1-terminal).
+    /// Number of FPRM cubes (paths to the 1-terminal). Meaningful for an
+    /// all-Davio list, where each path is one cube.
     pub fn num_cubes(&self, o: Ofdd) -> u64 {
         let mut memo = FxHashMap::default();
         self.count_rec(o, &mut memo)
@@ -292,10 +255,10 @@ impl OfddManager {
         c
     }
 
-    /// Extracts all FPRM cubes of `o`, one row of variables per cube
-    /// (phases come from the manager's polarity): a node's cubes are its
-    /// low branch's, then its high branch's with the node's variable
-    /// added.
+    /// Extracts all FPRM cubes of `o` under an all-Davio list, one row of
+    /// variables per cube (each variable's phase is its Davio type): a
+    /// node's cubes are its low branch's, then its high branch's with the
+    /// node's variable added.
     pub fn cubes(&self, o: Ofdd) -> CubeRows {
         let mut out = CubeRows::new(self.num_vars());
         let mut memo: FxHashMap<Ofdd, CubeRows> = FxHashMap::default();
@@ -333,11 +296,6 @@ impl OfddManager {
         }
     }
 
-    /// The FPRM form of `o` under this manager's polarity.
-    pub fn to_fprm(&self, o: Ofdd) -> Fprm {
-        Fprm::new(self.polarity.clone(), self.cubes(o).to_sets())
-    }
-
     /// Evaluates `o` on a variable-space assignment.
     pub fn eval(&self, o: Ofdd, minterm: u64) -> bool {
         let mut memo = FxHashMap::default();
@@ -345,28 +303,25 @@ impl OfddManager {
     }
 
     fn eval_rec(&self, o: Ofdd, minterm: u64, memo: &mut FxHashMap<Ofdd, bool>) -> bool {
-        if o == Ofdd::ZERO {
-            return false;
-        }
-        if o == Ofdd::ONE {
-            return true;
+        if o.is_const() {
+            return o == Ofdd::ONE;
         }
         if let Some(&v) = memo.get(&o) {
             return v;
         }
         let n = self.node(o);
-        let var = n.var as usize;
-        let x = minterm & (1u64 << var) != 0;
-        let lit = if self.polarity.is_positive(var) {
-            x
-        } else {
-            !x
-        };
-        let lo = self.eval_rec(n.lo, minterm, memo);
-        let v = if lit {
-            lo ^ self.eval_rec(n.hi, minterm, memo)
-        } else {
-            lo
+        let x = minterm & (1u64 << n.var) != 0;
+        let v = match self.types[n.var as usize] {
+            Decomposition::Shannon => self.eval_rec(if x { n.hi } else { n.lo }, minterm, memo),
+            d => {
+                let lo = self.eval_rec(n.lo, minterm, memo);
+                // λ is x under positive Davio, ¬x under negative
+                if x == (d == Decomposition::PositiveDavio) {
+                    lo ^ self.eval_rec(n.hi, minterm, memo)
+                } else {
+                    lo
+                }
+            }
         };
         memo.insert(o, v);
         v
@@ -389,30 +344,85 @@ impl OfddManager {
         count
     }
 
-    /// The internal nodes of the DAG rooted at `o` in a topological order
-    /// (children before parents), as `(handle, var, lo, hi)` tuples. Used by
-    /// the OFDD-based factorization (Method 2) to build the initial network
-    /// in one traversal.
-    pub fn topo_nodes(&self, o: Ofdd) -> Vec<(Ofdd, usize, Ofdd, Ofdd)> {
+    /// The internal nodes of the DAG rooted at `o` in a topological order,
+    /// children before parents (low child first).
+    fn topo_nodes(&self, o: Ofdd) -> Vec<Ofdd> {
         let mut order = Vec::new();
         let mut seen = FxHashSet::default();
         self.topo_rec(o, &mut seen, &mut order);
         order
     }
 
-    fn topo_rec(
-        &self,
-        o: Ofdd,
-        seen: &mut FxHashSet<Ofdd>,
-        order: &mut Vec<(Ofdd, usize, Ofdd, Ofdd)>,
-    ) {
+    fn topo_rec(&self, o: Ofdd, seen: &mut FxHashSet<Ofdd>, order: &mut Vec<Ofdd>) {
         if o.is_const() || !seen.insert(o) {
             return;
         }
         let n = self.node(o);
         self.topo_rec(n.lo, seen, order);
         self.topo_rec(n.hi, seen, order);
-        order.push((o, n.var as usize, n.lo, n.hi));
+        order.push(o);
+    }
+
+    /// Lowers the DAG rooted at `root` into gates, one node at a time in
+    /// topological order with sharing preserved, and returns the root's
+    /// signal. A Davio node becomes `lo ⊕ λ·hi`, one AND and one two-input
+    /// XOR (the paper's Method 2, the OFDD method); a Shannon node becomes
+    /// the multiplexer `¬x·lo + x·hi`. A constant is one gate per call,
+    /// made on first use.
+    ///
+    /// `literal` supplies the literal signals: id `2v` is variable `v`,
+    /// `2v + 1` its complement.
+    pub fn to_network(
+        &self,
+        root: Ofdd,
+        net: &mut Network,
+        literal: &mut dyn FnMut(&mut Network, usize) -> SignalId,
+    ) -> SignalId {
+        let mut sig: FxHashMap<Ofdd, SignalId> = FxHashMap::default();
+        // every internal node is lowered before its parents read it, so
+        // only a constant can be missing
+        let signal = |o: Ofdd, net: &mut Network, sig: &mut FxHashMap<Ofdd, SignalId>| {
+            *sig.entry(o).or_insert_with(|| {
+                debug_assert!(o.is_const(), "{o:?} read before it was lowered");
+                let kind = match o {
+                    Ofdd::ZERO => GateKind::Const0,
+                    _ => GateKind::Const1,
+                };
+                net.add_gate(kind, vec![])
+            })
+        };
+        for o in self.topo_nodes(root) {
+            let n = self.node(o);
+            let v = n.var as usize;
+            let s = match self.types[v] {
+                Decomposition::Shannon => {
+                    // the two terms are disjoint, so OR is their XOR
+                    let lo = signal(n.lo, net, &mut sig);
+                    let hi = signal(n.hi, net, &mut sig);
+                    let nx = literal(net, 2 * v + 1);
+                    let x = literal(net, 2 * v);
+                    let a = net.add_gate(GateKind::And, vec![nx, lo]);
+                    let b = net.add_gate(GateKind::And, vec![x, hi]);
+                    net.add_gate(GateKind::Or, vec![a, b])
+                }
+                d => {
+                    let lit = literal(net, 2 * v + usize::from(d == Decomposition::NegativeDavio));
+                    // hi is never ZERO under a Davio variable
+                    let and_part = if n.hi == Ofdd::ONE {
+                        lit
+                    } else {
+                        net.add_gate(GateKind::And, vec![lit, sig[&n.hi]])
+                    };
+                    match n.lo {
+                        Ofdd::ZERO => and_part,
+                        Ofdd::ONE => net.add_gate(GateKind::Not, vec![and_part]),
+                        _ => net.add_gate(GateKind::Xor, vec![sig[&n.lo], and_part]),
+                    }
+                }
+            };
+            sig.insert(o, s);
+        }
+        signal(root, net, &mut sig)
     }
 }
 
@@ -838,7 +848,7 @@ fn eval_polarity(bm: &mut BddManager, f: Bdd, pol: &Polarity) -> Option<u64> {
 /// The search runs on `t`'s BDD in a manager of its own, over that BDD's
 /// support, with no deadline, node cap or trace buffer; variables off the
 /// support stay positive. Build the form under the winner with
-/// [`Fprm::from_table`].
+/// [`Fprm::from_table`](xsynth_boolean::Fprm::from_table).
 pub fn optimize_polarity(t: &TruthTable, mode: PolarityMode) -> Polarity {
     let mut bm = BddManager::new(t.num_vars());
     let f = bm.from_table(t).expect("a manager without a node cap");
@@ -852,7 +862,7 @@ pub fn optimize_polarity(t: &TruthTable, mode: PolarityMode) -> Polarity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_boolean::VarSet;
+    use xsynth_boolean::{Fprm, VarSet};
 
     fn check_semantics(t: &TruthTable, pol: &Polarity) {
         let mut om = OfddManager::new(pol.clone());
@@ -862,7 +872,7 @@ mod tests {
         }
         // cube set must match the transform-derived FPRM
         let fprm_direct = Fprm::from_table(t, pol);
-        let fprm_ofdd = om.to_fprm(o);
+        let fprm_ofdd = Fprm::new(pol.clone(), om.cubes(o).to_sets());
         let mut a = fprm_direct.cubes().to_vec();
         let mut b = fprm_ofdd.cubes().to_vec();
         a.sort();
@@ -913,20 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_is_structural() {
-        let t1 = TruthTable::var(5, 0) & TruthTable::var(5, 3);
-        let t2 = TruthTable::var(5, 2);
-        let mut om = OfddManager::new(Polarity::all_positive(5));
-        let a = om.from_table(&t1).expect("uncapped");
-        let b = om.from_table(&t2).expect("uncapped");
-        let x = om.xor(a, b);
-        let expect = om.from_table(&(&t1 ^ &t2)).expect("uncapped");
-        assert_eq!(x, expect, "canonical handles must match");
-        let zero = om.xor(x, x);
-        assert_eq!(zero, Ofdd::ZERO);
-    }
-
-    #[test]
     fn parity_has_linear_ofdd_and_n_cubes() {
         let n = 10;
         let t = TruthTable::from_fn(n, |m| m.count_ones() % 2 == 1);
@@ -943,18 +939,19 @@ mod tests {
         let o = om.from_table(&t).expect("uncapped");
         let order = om.topo_nodes(o);
         let mut pos = FxHashMap::default();
-        for (i, (h, _, _, _)) in order.iter().enumerate() {
+        for (i, h) in order.iter().enumerate() {
             pos.insert(*h, i);
         }
-        for (h, _, lo, hi) in &order {
-            for c in [lo, hi] {
+        for h in &order {
+            let n = om.node(*h);
+            for c in [n.lo, n.hi] {
                 if !c.is_const() {
-                    assert!(pos[c] < pos[h], "child must precede parent");
+                    assert!(pos[&c] < pos[h], "child must precede parent");
                 }
             }
         }
         assert_eq!(order.len(), om.size(o));
-        assert_eq!(order.last().map(|x| x.0), Some(o), "root comes last");
+        assert_eq!(order.last(), Some(&o), "root comes last");
     }
 
     #[test]
@@ -1188,5 +1185,183 @@ mod tests {
         assert_eq!(one, Ofdd::ONE);
         assert_eq!(om.cubes(one).to_sets(), vec![VarSet::new()]);
         assert!(om.cubes(z).is_empty());
+    }
+
+    /// Lowers `o` into a one-output network over inputs `x0..`, with a
+    /// fresh inverter per complemented literal.
+    fn lowered(m: &OfddManager, o: Ofdd) -> Network {
+        let mut net = Network::new("dd");
+        let inputs: Vec<SignalId> = (0..m.num_vars())
+            .map(|i| net.add_input(format!("x{i}")))
+            .collect();
+        let s = m.to_network(o, &mut net, &mut |net, id| match id % 2 {
+            0 => inputs[id / 2],
+            _ => net.add_gate(GateKind::Not, vec![inputs[id / 2]]),
+        });
+        net.add_output("f", s);
+        net
+    }
+
+    /// Builds `t` under `types` and checks that evaluation and the lowered
+    /// network both agree with it; returns the node count.
+    fn check_types(t: &TruthTable, types: Vec<Decomposition>) -> usize {
+        let mut m = OfddManager::with_types(types);
+        let o = m.from_table(t).expect("uncapped");
+        let net = lowered(&m, o);
+        for mt in 0..(1u64 << t.num_vars()) {
+            assert_eq!(m.eval(o, mt), t.eval(mt), "at {mt}");
+            assert_eq!(net.eval_u64(mt)[0], t.eval(mt), "lowered at {mt}");
+        }
+        m.size(o)
+    }
+
+    #[test]
+    fn polarity_is_the_all_davio_list() {
+        let pol = Polarity::from_index(6, 0b100110);
+        let t = TruthTable::from_fn(6, |m| (m * 31 + 7) % 9 < 4);
+        let types: Vec<Decomposition> = (0..6)
+            .map(|v| match pol.is_positive(v) {
+                true => Decomposition::PositiveDavio,
+                false => Decomposition::NegativeDavio,
+            })
+            .collect();
+        assert_eq!(OfddManager::new(pol.clone()).types(), &types[..]);
+        let size = check_types(&t, types);
+        let mut om = OfddManager::new(pol);
+        let o = om.from_table(&t).expect("uncapped");
+        assert_eq!(om.size(o), size);
+    }
+
+    #[test]
+    fn pure_shannon_matches_bdd_size() {
+        let t = TruthTable::from_fn(6, |m| (m * 13 + 5) % 11 < 5);
+        let size = check_types(&t, vec![Decomposition::Shannon; 6]);
+        let mut bm = BddManager::new(6);
+        let f = bm.from_table(&t).expect("uncapped");
+        // the diagram has no complement edges, so compare against the
+        // complement-free ROBDD: distinct non-constant subfunctions, with
+        // g and ¬g counted apart
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![f];
+        while let Some(g) = stack.pop() {
+            if !g.is_const() && seen.insert(g) {
+                stack.extend([bm.low(g), bm.high(g)]);
+            }
+        }
+        assert_eq!(size, seen.len());
+    }
+
+    #[test]
+    fn mixed_types_all_valid() {
+        use Decomposition::*;
+        let t = TruthTable::from_fn(5, |m| m.count_ones() % 2 == 1 || m == 17);
+        for types in [
+            vec![
+                Shannon,
+                PositiveDavio,
+                NegativeDavio,
+                Shannon,
+                PositiveDavio,
+            ],
+            vec![NegativeDavio; 5],
+            vec![
+                Shannon,
+                Shannon,
+                PositiveDavio,
+                PositiveDavio,
+                NegativeDavio,
+            ],
+        ] {
+            check_types(&t, types);
+        }
+    }
+
+    #[test]
+    fn shannon_constants() {
+        let mut m = OfddManager::with_types(vec![Decomposition::Shannon; 3]);
+        assert_eq!(m.from_table(&TruthTable::zero(3)), Ok(Ofdd::ZERO));
+        assert_eq!(m.from_table(&TruthTable::one(3)), Ok(Ofdd::ONE));
+        // x0·x1 has constant children under Shannon: one gate each
+        let t = TruthTable::var(3, 0) & TruthTable::var(3, 1);
+        check_types(&t, vec![Decomposition::Shannon; 3]);
+        let o = m.from_table(&t).expect("uncapped");
+        let net = lowered(&m, o);
+        let consts = net
+            .topo_order()
+            .into_iter()
+            .filter(|&id| net.gate_kind(id) == Some(GateKind::Const0))
+            .count();
+        assert_eq!(consts, 1);
+    }
+
+    #[test]
+    fn lowering_constants() {
+        let mut om = OfddManager::new(Polarity::all_positive(3));
+        for (t, want) in [(TruthTable::zero(3), false), (TruthTable::one(3), true)] {
+            let o = om.from_table(&t).expect("uncapped");
+            assert_eq!(lowered(&om, o).eval_u64(5), vec![want]);
+        }
+    }
+
+    #[test]
+    fn davio_lowering_has_binary_xors() {
+        let t = TruthTable::from_fn(5, |m| m.count_ones() >= 3);
+        let mut om = OfddManager::new(Polarity::from_index(5, 0b01101));
+        let o = om.from_table(&t).expect("uncapped");
+        let net = lowered(&om, o);
+        for id in net.topo_order() {
+            if net.gate_kind(id) == Some(GateKind::Xor) {
+                assert_eq!(net.fanins(id).len(), 2);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        /// Random tables of up to 8 variables under random decomposition
+        /// lists: evaluation and the lowered network equal the table, and
+        /// an all-Davio list's cubes are the FPRM form of its polarity.
+        #[test]
+        fn any_decomposition_list_matches_its_table(
+            seed in proptest::arbitrary::any::<u64>(),
+            k in 0usize..=8,
+            davio_only in proptest::arbitrary::any::<bool>(),
+        ) {
+            let mut s = seed;
+            let mut next = move || {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                s >> 33
+            };
+            let t = TruthTable::from_fn(k, |_| next() & 1 == 1);
+            let types: Vec<Decomposition> = (0..k)
+                .map(|_| match next() % if davio_only { 2 } else { 3 } {
+                    0 => Decomposition::PositiveDavio,
+                    1 => Decomposition::NegativeDavio,
+                    _ => Decomposition::Shannon,
+                })
+                .collect();
+            let mut m = OfddManager::with_types(types.clone());
+            let o = m.from_table(&t).expect("uncapped");
+            let net = lowered(&m, o);
+            for mt in 0..(1u64 << k) {
+                proptest::prop_assert_eq!(m.eval(o, mt), t.eval(mt), "{:?} at {}", types, mt);
+                proptest::prop_assert_eq!(net.eval_u64(mt)[0], t.eval(mt), "{:?} at {}", types, mt);
+            }
+            if davio_only {
+                let bits: Vec<bool> = types
+                    .iter()
+                    .map(|&d| d == Decomposition::PositiveDavio)
+                    .collect();
+                let pol = Polarity::from_bits(&bits);
+                let mut got = m.cubes(o).to_sets();
+                let mut want = Fprm::from_table(&t, &pol).cubes().to_vec();
+                got.sort();
+                want.sort();
+                proptest::prop_assert_eq!(got, want, "{:?}", types);
+            }
+        }
     }
 }

@@ -77,17 +77,9 @@ pub fn is_cube_free(f: &Sop) -> bool {
     common_cube(f).cube(0).is_universe()
 }
 
-/// A kernel of a cover together with one of its co-kernels.
-#[derive(Debug, Clone)]
-pub struct Kernel {
-    /// The kernel: a cube-free quotient of `f` by a cube.
-    pub kernel: Sop,
-    /// The co-kernel cube that produced it, as a one-cube cover.
-    pub cokernel: Sop,
-}
-
-/// Computes the kernels of `f` (Brayton–McMullen recursive algorithm),
-/// including `f` itself when it is cube-free and has ≥ 2 cubes.
+/// Computes the kernels of `f`, its cube-free quotients by a cube
+/// (Brayton–McMullen recursive algorithm), including `f` itself when it
+/// is cube-free and has ≥ 2 cubes.
 ///
 /// `limit` bounds the runtime on pathological covers but is not an exact
 /// cap: once `limit` kernels are found no new recursion level starts,
@@ -100,7 +92,7 @@ pub struct Kernel {
 /// The recursion runs on `MaskCover` words: a cube is a bit mask over
 /// `f`'s literals, so co-kernels, quotients and the duplicate check are
 /// word operations, and only the kernels returned are built as covers.
-pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
+pub fn kernels(f: &Sop, limit: usize) -> Vec<Sop> {
     let mc = MaskCover::new(f);
     let w = mc.w;
     let mut base: Vec<u64> = Vec::with_capacity(f.num_cubes() * w);
@@ -117,13 +109,10 @@ pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
     let mut out = Vec::new();
     let mut found: Vec<Vec<u64>> = Vec::new();
     if base.len() >= 2 * w {
-        out.push(Kernel {
-            kernel: mc.sop(&base),
-            cokernel: mc.cube(&cc),
-        });
+        out.push(mc.sop(&base));
         found.push(base.clone());
     }
-    kernels_rec(&mc, &base, 0, &cc, &mut found, &mut out, limit);
+    kernels_rec(&mc, &base, 0, &mut found, &mut out, limit);
     out
 }
 
@@ -187,12 +176,6 @@ impl MaskCover {
         debug_assert!(one_cube, "the literals of one cube");
     }
 
-    fn cube(&self, mask: &[u64]) -> Sop {
-        let mut c = Sop::zero();
-        self.push_cube(mask, &mut c);
-        c
-    }
-
     fn sop(&self, masks: &[u64]) -> Sop {
         let mut s = Sop::zero();
         masks
@@ -211,9 +194,8 @@ fn kernels_rec(
     mc: &MaskCover,
     f: &[u64],
     start: usize,
-    co_so_far: &[u64],
     found: &mut Vec<Vec<u64>>,
-    out: &mut Vec<Kernel>,
+    out: &mut Vec<Sop>,
     limit: usize,
 ) {
     if out.len() >= limit {
@@ -249,20 +231,14 @@ fn kernels_rec(
             // by it returns the cover itself and factoring would loop)
             continue;
         }
-        // the co-kernel so far and `cc` both lie in every cube of `f`
-        // holding literal `i`, so they never clash
-        let co: Vec<u64> = co_so_far.iter().zip(&cc).map(|(a, b)| a | b).collect();
         if !found.iter().any(|k| same_masks(k, &q, w)) {
-            out.push(Kernel {
-                kernel: mc.sop(&q),
-                cokernel: mc.cube(&co),
-            });
+            out.push(mc.sop(&q));
             found.push(q.clone());
             if out.len() >= limit {
                 return;
             }
         }
-        kernels_rec(mc, &q, i + 1, &co, found, out, limit);
+        kernels_rec(mc, &q, i + 1, found, out, limit);
     }
 }
 
@@ -363,16 +339,13 @@ pub fn factor(f: &Sop) -> Factored {
     // choose a divisor: best kernel by (cubes-1)*(lits-1) value, else the
     // most frequent literal
     let ks = kernels(f, 50);
-    let best = ks
-        .iter()
-        .filter(|k| !covers_same(&k.kernel, f))
-        .max_by_key(|k| {
-            let c = k.kernel.num_cubes();
-            let l = k.kernel.num_literals();
-            (c.saturating_sub(1)) * (l.saturating_sub(1))
-        });
+    let best = ks.iter().filter(|k| !covers_same(k, f)).max_by_key(|k| {
+        let c = k.num_cubes();
+        let l = k.num_literals();
+        (c.saturating_sub(1)) * (l.saturating_sub(1))
+    });
     let divisor = match best {
-        Some(k) => k.kernel.clone(),
+        Some(k) => k.clone(),
         None => {
             let Some(lit) = most_frequent_literal(f) else {
                 // all cubes are the universe? handled above; fall back to OR
@@ -516,18 +489,9 @@ mod tests {
         let ks = kernels(&f, 100);
         let abc = sop(&[(&[0], &[]), (&[1], &[]), (&[2], &[])]);
         let de = sop(&[(&[3], &[]), (&[4], &[])]);
-        assert!(
-            ks.iter().any(|k| covers_same(&k.kernel, &abc)),
-            "missing a+b+c"
-        );
-        assert!(
-            ks.iter().any(|k| covers_same(&k.kernel, &de)),
-            "missing d+e"
-        );
-        assert!(
-            ks.iter().any(|k| covers_same(&k.kernel, &f)),
-            "f is its own kernel"
-        );
+        assert!(ks.iter().any(|k| covers_same(k, &abc)), "missing a+b+c");
+        assert!(ks.iter().any(|k| covers_same(k, &de)), "missing d+e");
+        assert!(ks.iter().any(|k| covers_same(k, &f)), "f is its own kernel");
     }
 
     /// `limit` is not a cap: past it, each open recursion level may add

@@ -71,17 +71,9 @@ pub fn is_cube_free(f: &Sop) -> bool {
     common_cube(f).is_universe()
 }
 
-/// A kernel of a cover together with one of its co-kernels.
-#[derive(Debug, Clone)]
-pub struct Kernel {
-    /// The kernel: a cube-free quotient of `f` by a cube.
-    pub kernel: Sop,
-    /// The co-kernel cube that produced it.
-    pub cokernel: Cube,
-}
-
-/// Computes the kernels of `f` (Brayton–McMullen recursive algorithm),
-/// including `f` itself when it is cube-free and has ≥ 2 cubes.
+/// Computes the kernels of `f`, its cube-free quotients by a cube
+/// (Brayton–McMullen recursive algorithm), including `f` itself when it
+/// is cube-free and has ≥ 2 cubes.
 ///
 /// `limit` bounds the runtime on pathological covers but is not an exact
 /// cap: once `limit` kernels are found no new recursion level starts,
@@ -94,7 +86,7 @@ pub struct Kernel {
 /// The recursion runs on `MaskCover` words: a cube is a bit mask over
 /// `f`'s literals, so co-kernels, quotients and the duplicate check are
 /// word operations, and only the kernels returned are built as covers.
-pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
+pub fn kernels(f: &Sop, limit: usize) -> Vec<Sop> {
     let mc = MaskCover::new(f);
     let w = mc.w;
     let mut base: Vec<u64> = Vec::with_capacity(f.num_cubes() * w);
@@ -108,17 +100,13 @@ pub fn kernels(f: &Sop, limit: usize) -> Vec<Kernel> {
             *x &= !c;
         }
     }
-    let co = mc.cube(&cc);
     let mut out = Vec::new();
     let mut found: Vec<Vec<u64>> = Vec::new();
     if base.len() >= 2 * w {
-        out.push(Kernel {
-            kernel: mc.sop(&base),
-            cokernel: co.clone(),
-        });
+        out.push(mc.sop(&base));
         found.push(base.clone());
     }
-    kernels_rec(&mc, &base, 0, &co, &mut found, &mut out, limit);
+    kernels_rec(&mc, &base, 0, &mut found, &mut out, limit);
     out
 }
 
@@ -200,9 +188,8 @@ fn kernels_rec(
     mc: &MaskCover,
     f: &[u64],
     start: usize,
-    co_so_far: &Cube,
     found: &mut Vec<Vec<u64>>,
-    out: &mut Vec<Kernel>,
+    out: &mut Vec<Sop>,
     limit: usize,
 ) {
     if out.len() >= limit {
@@ -238,20 +225,14 @@ fn kernels_rec(
             // by it returns the cover itself and factoring would loop)
             continue;
         }
-        let co = co_so_far
-            .intersect(&mc.cube(&cc))
-            .unwrap_or_else(Cube::universe);
         if !found.iter().any(|k| same_masks(k, &q, w)) {
-            out.push(Kernel {
-                kernel: mc.sop(&q),
-                cokernel: co.clone(),
-            });
+            out.push(mc.sop(&q));
             found.push(q.clone());
             if out.len() >= limit {
                 return;
             }
         }
-        kernels_rec(mc, &q, i + 1, &co, found, out, limit);
+        kernels_rec(mc, &q, i + 1, found, out, limit);
     }
 }
 
@@ -326,16 +307,13 @@ pub fn factor(f: &Sop) -> Factored {
     // choose a divisor: best kernel by (cubes-1)*(lits-1) value, else the
     // most frequent literal
     let ks = kernels(f, 50);
-    let best = ks
-        .iter()
-        .filter(|k| !covers_same(&k.kernel, f))
-        .max_by_key(|k| {
-            let c = k.kernel.num_cubes();
-            let l = k.kernel.num_literals();
-            (c.saturating_sub(1)) * (l.saturating_sub(1))
-        });
+    let best = ks.iter().filter(|k| !covers_same(k, f)).max_by_key(|k| {
+        let c = k.num_cubes();
+        let l = k.num_literals();
+        (c.saturating_sub(1)) * (l.saturating_sub(1))
+    });
     let divisor = match best {
-        Some(k) => k.kernel.clone(),
+        Some(k) => k.clone(),
         None => {
             let Some(lit) = most_frequent_literal(f) else {
                 // all cubes are the universe? handled above; fall back to OR

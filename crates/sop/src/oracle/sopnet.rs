@@ -846,8 +846,8 @@ impl Extraction {
 /// wide cover, mostly repeats, are never all held at once.
 fn node_candidates(f: &Sop, mut yield_: impl FnMut(Sop)) {
     for k in algebra::kernels(f, 30) {
-        if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
-            yield_(k.kernel);
+        if k.num_cubes() >= 2 && !covers_same(&k, f) {
+            yield_(k);
         }
     }
     for (i, a) in f.cubes().iter().enumerate() {
@@ -1174,8 +1174,8 @@ pub(crate) fn candidates_reference(s: &SopNet) -> Vec<Sop> {
             continue;
         }
         for k in algebra::kernels(f, 30) {
-            if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
-                push(k.kernel, &mut candidates);
+            if k.num_cubes() >= 2 && !covers_same(&k, f) {
+                push(k, &mut candidates);
             }
         }
         for (i, a) in f.cubes().iter().enumerate() {

@@ -891,8 +891,8 @@ impl Extraction {
 /// all held at once.
 fn node_candidates(f: &Sop, mut yield_: impl FnMut(&Sop)) {
     for k in algebra::kernels(f, 30) {
-        if k.kernel.num_cubes() >= 2 && !covers_same(&k.kernel, f) {
-            yield_(&k.kernel);
+        if k.num_cubes() >= 2 && !covers_same(&k, f) {
+            yield_(&k);
         }
     }
     let mut common = Sop::zero();

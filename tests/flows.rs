@@ -335,6 +335,27 @@ fn kfdd_wins_on_9sym_and_shift() {
     }
 }
 
+/// A job whose checker downgraded to simulation under a node cap proves
+/// its final network again in a fresh manager under the same cap: on mish
+/// at 300 nodes and cm85a at 500 that proof is exact, so the job reports
+/// `verified`, as `xsynth verify` at the same cap does.
+#[test]
+fn a_downgraded_check_is_proven_again() {
+    for (name, cap) in [("mish", 300), ("cm85a", 500)] {
+        let spec = build(name).expect("registered");
+        let budget = Budget::default().bdd_node_cap(Some(cap));
+        let opts = SynthOptions::builder().budget(budget.clone()).build();
+        let outcome = try_synthesize(&spec, &opts).unwrap();
+        let trace = &outcome.report.trace;
+        assert_eq!(trace.counter("verify.downgraded"), 1, "{name} downgrades");
+        assert_eq!(trace.counter("verify.reproved"), 1, "{name} proven again");
+        assert_eq!(outcome.report.proof, Some(VerifyStatus::Verified), "{name}");
+        assert!(outcome.report.curtailed.is_empty(), "{name}");
+        let proof = prove_equivalence(&spec, &outcome.network, &budget).unwrap();
+        assert_eq!(proof, VerifyStatus::Verified, "{name} at cap {cap}");
+    }
+}
+
 #[test]
 fn mapper_preserves_synthesized_networks() {
     let lib = Library::mcnc();

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use xsynth::bdd::BddManager;
 use xsynth::boolean::{mask_ones, Fprm, Polarity, Sop, TruthTable};
-use xsynth::core::{phase, try_synthesize, Budget, Error, FactorMethod, SynthOptions};
+use xsynth::core::{
+    phase, try_synthesize, Budget, Error, FactorMethod, SynthOptions, VerifyStatus,
+};
 use xsynth::map::{map_network, Library};
 use xsynth::net::{GateKind, Network};
 use xsynth::ofdd::{optimize_polarity, OfddManager, PolarityMode, PolaritySearch};
@@ -166,15 +168,25 @@ proptest! {
         // never a panic. Full-strength (non-downgraded) verification means
         // the network is exactly equivalent; a downgraded run only promises
         // equivalence on the budgeted pattern sample, and must say so by
-        // listing verify as curtailed.
+        // listing verify as curtailed, unless its final network was proven
+        // again exactly.
         match try_synthesize(&spec, &opts) {
             Ok(outcome) => {
+                let trace = &outcome.report.trace;
                 let downgraded = outcome.report.curtailed.iter().any(|p| p == phase::VERIFY);
                 prop_assert!(
-                    downgraded || outcome.report.trace.counter("verify.downgraded") == 0,
+                    downgraded
+                        || trace.counter("verify.downgraded") == 0
+                        || trace.counter("verify.reproved") == 1,
                     "downgraded run must report verify as curtailed: {:?}",
                     outcome.report.curtailed
                 );
+                let proof = if downgraded {
+                    VerifyStatus::Downgraded
+                } else {
+                    VerifyStatus::Verified
+                };
+                prop_assert_eq!(outcome.report.proof, Some(proof));
                 if !downgraded {
                     for m in 0..32u64 {
                         prop_assert_eq!(outcome.network.eval_u64(m)[0], t.eval(m));
